@@ -1,119 +1,33 @@
-// bench_fabric: throughput probes for the multi-process fabric, recorded in
-// the tracked BENCH_fabric.json (see README "Benchmarks").
+// bench_fabric: the DAG-scheduler grid probe, recorded in the tracked
+// BENCH_fabric.json (see README "Benchmarks"). A small victim→attack grid
+// runs once through the DAG scheduler serially and once on N worker
+// processes (fresh stores, so nothing is cached); the probe verifies every
+// outcome is bit-identical and records grid cells/s plus per-node
+// wall-clock.
 //
-//  * collect probe — the same PPO collection stage (victim-wrapped Hopper,
-//    4 rollout workers) timed with num_procs=1 (in-process) and num_procs=N
-//    (persistent forked collectors over contiguous slot ranges), min over 7
-//    repetitions; verifies the merged rollouts are bit-identical and
-//    records steps/s for both.
-//  * grid probe — a small victim→attack grid run once through the DAG
-//    scheduler serially and once on N worker processes (fresh stores, so
-//    nothing is cached); verifies every outcome is bit-identical and
-//    records grid cells/s plus per-node wall-clock.
-//
-// On a single-hardware-thread runner the N-process legs measure fork and
+// On a single-hardware-thread runner the N-process leg measures fork and
 // framing overhead rather than parallel speedup — hardware_threads is
 // recorded precisely so readers can tell which regime a row came from;
-// expect linear-minus-overhead scaling per available core.
+// expect linear-minus-overhead scaling per available core, capped by the
+// grid's critical path (the victim node every attack cell depends on).
 
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <iostream>
-#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
-#include "attack/threat_model.h"
 #include "common/config.h"
 #include "core/experiment_dag.h"
-#include "env/registry.h"
 #include "grid_runner.h"
-#include "rl/ppo.h"
 
 using namespace imap;
 
 namespace {
-
-/// Order-sensitive checksum of everything a collection writes — two rollouts
-/// agree on it iff they are bit-identical in every recorded field.
-double buffer_checksum(const rl::RolloutBuffer& buf) {
-  double sum = static_cast<double>(buf.size());
-  for (std::size_t i = 0; i < buf.size(); ++i) {
-    for (const double v : buf.obs[i]) sum += v;
-    for (const double v : buf.act[i]) sum += v;
-    sum += buf.logp[i] + buf.rew_e[i] + buf.val_e[i];
-    sum += static_cast<double>(buf.boundary[i]);
-  }
-  for (const double v : buf.last_val_e) sum += v;
-  for (const double v : buf.episode_returns) sum += v;
-  return sum;
-}
-
-std::unique_ptr<attack::StatePerturbationEnv> make_collect_proto() {
-  const auto inner = env::make_env("Hopper");
-  Rng victim_rng(11);
-  nn::GaussianPolicy victim(inner->obs_dim(), inner->act_dim(), {64, 64},
-                            victim_rng);
-  return std::make_unique<attack::StatePerturbationEnv>(
-      *inner, rl::PolicyHandle::snapshot(victim), 0.075,
-      attack::RewardMode::Adversary);
-}
-
-/// Time the collection stage at a given fabric width; returns (min seconds
-/// per collect over 7 reps, checksum of the last rollout). Both widths step
-/// identical slot streams, so rep r's rollout matches across widths.
-std::pair<double, double> collect_probe_run(int num_procs) {
-  const auto proto = make_collect_proto();
-  rl::PpoOptions opts;
-  opts.hidden = {64, 64};
-  opts.steps_per_iter = 2048;
-  opts.num_workers = 4;
-  opts.envs_per_worker = 4;
-  opts.num_procs = num_procs;
-  rl::PpoTrainer trainer(*proto, opts, Rng(7));
-  rl::RolloutBuffer buf;
-  trainer.collect(buf);  // warm-up: spawn the fabric, grow the buffers
-  constexpr int kCollects = 7;
-  // Min over repetitions, not mean: background load only ever inflates a
-  // rep, so the minimum is the robust estimate.
-  double secs = std::numeric_limits<double>::infinity();
-  for (int i = 0; i < kCollects; ++i) {
-    const auto t0 = std::chrono::steady_clock::now();
-    trainer.collect(buf);
-    secs = std::min(
-        secs, std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                            t0)
-                  .count());
-  }
-  return {secs, buffer_checksum(buf)};
-}
-
-bool collect_probe(int fabric_procs, std::ostringstream& os) {
-  const auto [serial_s, serial_sum] = collect_probe_run(1);
-  const auto [fabric_s, fabric_sum] = collect_probe_run(fabric_procs);
-  const double speedup = fabric_s > 0.0 ? serial_s / fabric_s : 1.0;
-  const bool identical = serial_sum == fabric_sum;
-  os.precision(5);
-  os << "\"collect\": {\"steps_per_iter\": 2048, \"workers\": 4"
-     << ", \"procs\": " << fabric_procs << ", \"p1_s\": " << serial_s
-     << ", \"pn_s\": " << fabric_s;
-  os.precision(1);
-  os << ", \"p1_steps_per_s\": " << (serial_s > 0.0 ? 2048.0 / serial_s : 0.0)
-     << ", \"pn_steps_per_s\": "
-     << (fabric_s > 0.0 ? 2048.0 / fabric_s : 0.0);
-  os.precision(3);
-  os << ", \"speedup\": " << speedup
-     << ", \"traces_identical\": " << (identical ? "true" : "false") << "}";
-  std::cerr << "bench_fabric collect probe: 1-proc " << serial_s << "s vs "
-            << fabric_procs << "-proc " << fabric_s << "s (" << speedup
-            << "x); traces " << (identical ? "identical" : "DIVERGED")
-            << "\n";
-  return identical;
-}
 
 /// Order-sensitive checksum of one attack outcome (eval stats + curve).
 double outcome_checksum(const core::AttackOutcome& out) {
@@ -218,13 +132,11 @@ int main() {
   std::ostringstream os;
   os.setf(std::ios::fixed);
   os << "{\"hardware_threads\": " << hw << ", ";
-  const bool collect_ok = collect_probe(procs, os);
-  os << ", ";
   const bool grid_ok = grid_probe(procs, os);
   os << "}";
   bench::write_report_entry("BENCH_fabric.json", "bench_fabric", os.str());
   std::cerr << "bench_fabric -> BENCH_fabric.json\n";
   // Speedups vary with the host; identity never may. Nonzero exit makes the
   // ci bench-smoke stage a real gate on trace divergence.
-  return collect_ok && grid_ok ? 0 : 1;
+  return grid_ok ? 0 : 1;
 }

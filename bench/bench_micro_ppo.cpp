@@ -9,14 +9,15 @@
 //    and once on a dedicated 4-thread pool (ScopedPool), verifying the
 //    traces match bit-for-bit and recording the timings in
 //    BENCH_parallel.json;
-//  * a kernel probe — the per-sample vs batched PPO update timed on one
-//    fixed rollout (hidden {64,64}, minibatch 64), verifying the two modes
-//    produce bit-identical parameters and recording the before/after
-//    throughput in BENCH_kernels.json (committed, see README);
-//  * a rollout probe — the per-sample vs vectorized (E = 16 lockstep slots)
-//    collection stage timed on the victim-wrapped Hopper, verifying the
-//    rollouts are bit-identical and recording the steps/s in
-//    BENCH_rollout.json (committed, see README).
+//  * a kernel probe — the batched PPO update timed on one fixed rollout
+//    (hidden {64,64}, minibatch 64), recorded in BENCH_kernels.json
+//    (committed, see README); its bit-identity is pinned by the GoldenTrace
+//    tests;
+//  * a rollout probe — VecEnv::collect_serial (per-sample reference) vs
+//    VecEnv::collect (E = 16 lockstep slots) on two identically configured
+//    engines over the victim-wrapped Hopper, verifying the rollouts are
+//    bit-identical and recording the steps/s in BENCH_rollout.json
+//    (committed, see README).
 // The google-benchmark suites then run as usual.
 
 #include <benchmark/benchmark.h>
@@ -27,14 +28,15 @@
 #include <iostream>
 #include <limits>
 #include <sstream>
+#include <vector>
 
 #include "attack/threat_model.h"
-#include "common/proc.h"
 #include "common/thread_pool.h"
 #include "env/registry.h"
 #include "grid_runner.h"
 #include "nn/batch.h"
 #include "rl/ppo.h"
+#include "rl/vec_env.h"
 
 using namespace imap;
 
@@ -84,9 +86,7 @@ void BM_MlpForwardBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_MlpForwardBatch)->Arg(1)->Arg(16)->Arg(64)->Arg(256);
 
-// The optimisation stage alone (sampling excluded) on one fixed rollout:
-// Arg(0) = legacy per-sample tapes, Arg(1) = batched kernels. The two modes
-// are bit-identical in results; only throughput differs.
+// The optimisation stage alone (sampling excluded) on one fixed rollout.
 void BM_PpoUpdate(benchmark::State& state) {
   auto env = env::make_env("Hopper");
   rl::PpoOptions opts;
@@ -95,7 +95,6 @@ void BM_PpoUpdate(benchmark::State& state) {
   opts.epochs = 1;
   opts.target_kl = 0.0;
   opts.steps_per_iter = 2048;
-  opts.batched_update = state.range(0) != 0;
   rl::PpoTrainer trainer(*env, opts, Rng(7));
   rl::RolloutBuffer buf;
   trainer.collect(buf);
@@ -104,11 +103,10 @@ void BM_PpoUpdate(benchmark::State& state) {
     trainer.update(buf, 0.0, stats);
     benchmark::DoNotOptimize(stats.value_loss);
   }
-  state.SetLabel(opts.batched_update ? "batched" : "per-sample");
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           opts.steps_per_iter);
 }
-BENCHMARK(BM_PpoUpdate)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_PpoUpdate)->Unit(benchmark::kMillisecond);
 
 /// The attack-rollout MDP the collection benchmarks run on: Hopper wrapped
 /// in StatePerturbationEnv over a network-backed frozen victim, so every
@@ -187,14 +185,13 @@ BENCHMARK(BM_PpoIterationParallel)
     ->Unit(benchmark::kMillisecond);
 
 /// Run `iters` PPO iterations with the parallel options; returns (seconds,
-/// final mean_return) so the serial/pool/fabric traces can be compared.
-std::pair<double, double> probe_run(int iters, int num_procs = 1) {
+/// final mean_return) so the serial and pooled traces can be compared.
+std::pair<double, double> probe_run(int iters) {
   auto env = env::make_env("Hopper");
   rl::PpoOptions opts;
   opts.steps_per_iter = 2048;
   opts.num_workers = 4;
   opts.grad_shards = 0;
-  opts.num_procs = num_procs;
   rl::PpoTrainer trainer(*env, opts, Rng(7));
   const auto t0 = std::chrono::steady_clock::now();
   double last = 0.0;
@@ -207,9 +204,8 @@ std::pair<double, double> probe_run(int iters, int num_procs = 1) {
 
 void speedup_probe() {
   constexpr int kIters = 3;
-  constexpr int kProcs = 2;
-  double serial_s = 0.0, pool_s = 0.0, fabric_s = 0.0;
-  double serial_ret = 0.0, pool_ret = 0.0, fabric_ret = 0.0;
+  double serial_s = 0.0, pool_s = 0.0;
+  double serial_ret = 0.0, pool_ret = 0.0;
   {
     ScopedSerial serial;
     std::tie(serial_s, serial_ret) = probe_run(kIters);
@@ -219,43 +215,32 @@ void speedup_probe() {
     ScopedPool scope(pool);
     std::tie(pool_s, pool_ret) = probe_run(kIters);
   }
-  {
-    // Process fabric leg: same training, collection sharded across forked
-    // collector processes (threads pinned serial so the comparison isolates
-    // the process layer).
-    ScopedSerial serial;
-    std::tie(fabric_s, fabric_ret) = probe_run(kIters, kProcs);
-  }
   const double speedup = pool_s > 0.0 ? serial_s / pool_s : 1.0;
-  const double fabric_speedup = fabric_s > 0.0 ? serial_s / fabric_s : 1.0;
-  const bool identical = serial_ret == pool_ret && serial_ret == fabric_ret;
+  const bool identical = serial_ret == pool_ret;
 
   std::ostringstream os;
   os.setf(std::ios::fixed);
   os.precision(3);
   os << "{\"iters\": " << kIters << ", \"steps_per_iter\": 2048"
-     << ", \"workers\": 4, \"procs\": " << kProcs
+     << ", \"workers\": 4"
      << ", \"serial_s\": " << serial_s << ", \"pool4_s\": " << pool_s
-     << ", \"fabric2_s\": " << fabric_s << ", \"speedup\": " << speedup
-     << ", \"fabric_speedup\": " << fabric_speedup
+     << ", \"speedup\": " << speedup
      << ", \"hardware_threads\": " << std::thread::hardware_concurrency()
      << ", \"traces_identical\": " << (identical ? "true" : "false") << "}";
   bench::write_parallel_report_entry("bench_micro_ppo", os.str());
   std::cerr << "bench_micro_ppo speedup probe: serial " << serial_s
             << "s vs 4-thread pool " << pool_s << "s (" << speedup
-            << "x) vs " << kProcs << "-proc fabric " << fabric_s << "s ("
-            << fabric_speedup << "x) on "
+            << "x) on "
             << std::thread::hardware_concurrency()
             << " hardware threads; traces "
             << (identical ? "identical" : "DIVERGED")
             << " -> BENCH_parallel.json\n";
 }
 
-/// Time the PPO update stage in one kernel mode on a fixed rollout; returns
-/// (seconds per update, parameter checksum) so the modes can be compared
-/// for both throughput and bit-identity.
-std::pair<double, double> kernel_probe_run(bool batched) {
-  ScopedSerial serial;  // isolate the kernel speedup from thread scaling
+/// Time the PPO update stage on a fixed rollout; returns the min seconds
+/// per update.
+double kernel_probe_run() {
+  ScopedSerial serial;  // isolate the kernel cost from thread scaling
   auto env = env::make_env("Hopper");
   rl::PpoOptions opts;
   opts.hidden = {64, 64};
@@ -263,7 +248,6 @@ std::pair<double, double> kernel_probe_run(bool batched) {
   opts.epochs = 1;
   opts.target_kl = 0.0;
   opts.steps_per_iter = 2048;
-  opts.batched_update = batched;
   rl::PpoTrainer trainer(*env, opts, Rng(7));
   rl::RolloutBuffer buf;
   trainer.collect(buf);
@@ -281,33 +265,20 @@ std::pair<double, double> kernel_probe_run(bool batched) {
                                             t0)
                   .count());
   }
-  double checksum = 0.0;
-  for (const double p : trainer.policy().flat_params()) checksum += p;
-  return {secs, checksum};
+  return secs;
 }
 
 void kernel_probe() {
-  const auto [per_sample_s, per_sample_sum] = kernel_probe_run(false);
-  const auto [batched_s, batched_sum] = kernel_probe_run(true);
-  const double speedup = batched_s > 0.0 ? per_sample_s / batched_s : 1.0;
-  const bool identical = per_sample_sum == batched_sum;
-
+  const double batched_s = kernel_probe_run();
   std::ostringstream os;
   os.setf(std::ios::fixed);
   os.precision(5);
   os << "{\"env\": \"Hopper\", \"hidden\": [64, 64], \"minibatch\": 64"
      << ", \"epochs\": 1, \"steps_per_iter\": 2048"
-     << ", \"per_sample_update_s\": " << per_sample_s
-     << ", \"batched_update_s\": " << batched_s;
-  os.precision(3);
-  os << ", \"speedup\": " << speedup
-     << ", \"traces_identical\": " << (identical ? "true" : "false") << "}";
+     << ", \"batched_update_s\": " << batched_s << "}";
   bench::write_report_entry("BENCH_kernels.json", "BM_PpoUpdate", os.str());
-  std::cerr << "bench_micro_ppo kernel probe: per-sample update "
-            << per_sample_s << "s vs batched " << batched_s << "s ("
-            << speedup << "x); traces "
-            << (identical ? "identical" : "DIVERGED")
-            << " -> BENCH_kernels.json\n";
+  std::cerr << "bench_micro_ppo kernel probe: batched update " << batched_s
+            << "s -> BENCH_kernels.json\n";
 }
 
 /// Order-sensitive checksum of everything a collection writes — two rollouts
@@ -325,34 +296,48 @@ double buffer_checksum(const rl::RolloutBuffer& buf) {
   return sum;
 }
 
-/// Time one collection stage (16 env slots, serial vs vectorized engine) on
-/// the victim-wrapped Hopper; returns (seconds per collect, checksum of the
-/// last rollout) so the modes can be compared for throughput and identity.
+/// Time one collection round (16 env slots, 128 steps each) through
+/// VecEnv::collect_serial or VecEnv::collect on the victim-wrapped Hopper;
+/// returns (min seconds per round, checksum of the last round) so the two
+/// engines can be compared for throughput and identity. Both engines are
+/// configured identically — same nets, same slot streams — so rep r's
+/// rollout matches across them.
 std::pair<double, double> rollout_probe_run(bool vectorized) {
   ScopedSerial serial;  // isolate the batching speedup from thread scaling
+  constexpr std::size_t kSlots = 16;
   const auto proto = make_collect_proto();
-  rl::PpoOptions opts;
-  opts.hidden = {64, 64};
-  opts.steps_per_iter = 2048;
-  opts.envs_per_worker = 16;
-  opts.vectorized_rollout = vectorized;
-  rl::PpoTrainer trainer(*proto, opts, Rng(7));
-  rl::RolloutBuffer buf;
-  trainer.collect(buf);  // warm-up: grow buffers and workspaces
-  // Min over repetitions, not mean (see kernel_probe_run). Both modes step
-  // the same slot streams, so rep r's rollout matches across modes and the
-  // last checksum is comparable.
+  Rng rng(7);
+  nn::GaussianPolicy policy(proto->obs_dim(), proto->act_dim(), {64, 64},
+                            rng);
+  nn::ValueNet value_e(proto->obs_dim(), {64, 64}, rng);
+  nn::ValueNet value_i(proto->obs_dim(), {64, 64}, rng);
+  std::vector<Rng> streams;
+  for (std::size_t i = 0; i < kSlots; ++i) streams.push_back(rng.split(i));
+  rl::VecEnv vec;
+  vec.configure(*proto, streams);
+  const std::vector<int> budgets(kSlots, 2048 / static_cast<int>(kSlots));
+  const auto round = [&] {
+    if (vectorized)
+      vec.collect(policy, value_e, value_i, budgets, 0);
+    else
+      vec.collect_serial(policy, value_e, value_i, budgets, 0);
+  };
+  round();  // warm-up: grow buffers and workspaces
+  // Min over repetitions, not mean (see kernel_probe_run).
   constexpr int kCollects = 7;
   double secs = std::numeric_limits<double>::infinity();
   for (int i = 0; i < kCollects; ++i) {
     const auto t0 = std::chrono::steady_clock::now();
-    trainer.collect(buf);
+    round();
     secs = std::min(
         secs, std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                             t0)
                   .count());
   }
-  return {secs, buffer_checksum(buf)};
+  double sum = 0.0;
+  for (std::size_t i = 0; i < kSlots; ++i)
+    sum += buffer_checksum(vec.slot(i).buf);
+  return {secs, sum};
 }
 
 void rollout_probe() {

@@ -12,8 +12,8 @@
 
 namespace imap::proc {
 
-/// Fabric process count requested via the IMAP_PROCS environment variable
-/// (>= 1; unset/invalid falls back to 1, the in-process path).
+/// DAG worker process count requested via the IMAP_PROCS environment
+/// variable (>= 1; unset/invalid falls back to 1, every node inline).
 int configured_procs();
 
 /// One bidirectional pipe-pair endpoint of a coordinator <-> worker link.

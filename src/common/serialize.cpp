@@ -108,10 +108,6 @@ void BinaryWriter::write_vec(const std::vector<double>& v) {
   buf_.insert(buf_.end(), p, p + v.size() * sizeof(double));
 }
 
-void BinaryWriter::append_raw(const std::uint8_t* p, std::size_t n) {
-  append_bytes(buf_, p, n);
-}
-
 bool BinaryWriter::save(const std::string& path) const {
   ArchiveWriter archive;
   archive.section("data") = *this;

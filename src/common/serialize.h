@@ -33,12 +33,6 @@ class BinaryWriter {
   void write_string(const std::string& s);
   void write_vec(const std::vector<double>& v);
 
-  /// Splice pre-encoded bytes produced by another BinaryWriter verbatim (no
-  /// length prefix). Used to forward opaque state blobs between fabric
-  /// processes without decoding them; the blob's own layout must be readable
-  /// by whoever consumes this section.
-  void append_raw(const std::uint8_t* p, std::size_t n);
-
   const std::vector<std::uint8_t>& buffer() const { return buf_; }
 
   /// Write the accumulated buffer to `path` as a one-section archive
@@ -67,11 +61,6 @@ class BinaryReader {
   std::vector<double> read_vec();
 
   bool exhausted() const { return pos_ == buf_.size(); }
-
-  /// The full underlying payload (ignores the read cursor). Lets a fabric
-  /// coordinator stash a section's bytes as an opaque blob for later
-  /// re-splicing via BinaryWriter::append_raw.
-  const std::vector<std::uint8_t>& bytes() const { return buf_; }
 
  private:
   void need(std::size_t n) const;

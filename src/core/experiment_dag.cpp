@@ -1,7 +1,6 @@
 #include "core/experiment_dag.h"
 
 #include <chrono>
-#include <cstdlib>
 #include <deque>
 #include <unordered_map>
 #include <utility>
@@ -15,9 +14,9 @@ namespace imap::core {
 
 namespace {
 
-// Request/reply payloads ride the same framed-Archive wire format as the
-// rollout fabric (see proc::Channel): one section per logical field group,
-// CRC-verified end to end.
+// Request/reply payloads ride the framed-Archive wire format of
+// proc::Channel: one section per logical field group, CRC-verified end to
+// end.
 constexpr std::uint64_t kKindVictim = 0;
 constexpr std::uint64_t kKindGameVictim = 1;
 constexpr std::uint64_t kKindAttack = 2;
@@ -99,10 +98,6 @@ AttackOutcome read_outcome(BinaryReader& r) {
 /// the coordinator sends next. Victim/attack artifacts land in the shared
 /// zoo under file locks, so any worker can execute any node.
 void dag_worker_body(proc::Channel& ch, const BenchConfig& cfg) {
-  // A cell must not spawn a nested rollout fabric inside a fabric worker —
-  // that would oversubscribe the machine procs² ways. Pin children to the
-  // in-process path; the DAG layer owns the process budget.
-  ::setenv("IMAP_PROCS", "1", 1);
   ExperimentRunner runner(cfg);
   ArchiveReader req;
   while (ch.recv(req)) {

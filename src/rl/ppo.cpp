@@ -7,27 +7,10 @@
 #include <utility>
 
 #include "common/check.h"
-#include "common/proc.h"
 #include "common/stats.h"
 #include "common/thread_pool.h"
 
 namespace imap::rl {
-
-/// Persistent forked collector fleet. Once live, the children own the
-/// authoritative VecEnv slot state (RNG stream positions, in-flight
-/// episodes); the parent's workers_ are stale until sync_fabric_state()
-/// decodes the blob images the collectors attach to every reply.
-struct PpoTrainer::Fabric {
-  struct Collector {
-    proc::WorkerProcess proc;
-    std::size_t w_lo = 0;  ///< contiguous worker range [w_lo, w_hi)
-    std::size_t w_hi = 0;
-  };
-  std::vector<Collector> collectors;
-  /// Per-worker raw VecEnv::save_state images from the last replies.
-  std::vector<std::vector<std::uint8_t>> worker_state;
-  bool states_fresh = false;
-};
 
 PpoTrainer::PpoTrainer(const Env& proto, PpoOptions opts, Rng rng)
     : opts_(opts),
@@ -51,29 +34,11 @@ PpoTrainer::PpoTrainer(const Env& proto, PpoOptions opts, Rng rng)
   IMAP_CHECK(opts_.num_workers >= 1);
   IMAP_CHECK(opts_.envs_per_worker >= 1);
   IMAP_CHECK(opts_.grad_shards >= 0);
-  IMAP_CHECK(opts_.num_procs >= 0);
-}
-
-PpoTrainer::~PpoTrainer() {
-  // Join collectors without syncing: the trainer is going away, so decoding
-  // the children's slot state back into workers_ would be wasted replay.
-  if (fabric_) {
-    fabric_->states_fresh = false;
-    shutdown_fabric();
-  }
-}
-
-int PpoTrainer::proc_count() const {
-  return opts_.num_procs > 0 ? opts_.num_procs : proc::configured_procs();
 }
 
 void PpoTrainer::set_env(const Env& proto) {
   IMAP_CHECK(proto.obs_dim() == env_->obs_dim());
   IMAP_CHECK(proto.act_dim() == env_->act_dim());
-  // Pull slot RNG stream positions back from any live collectors first —
-  // ATLA swaps the env between rounds but the streams must keep advancing
-  // as one unbroken sequence.
-  shutdown_fabric();
   env_ = proto.clone();
   need_reset_ = true;
   replay_.invalidate();
@@ -112,16 +77,6 @@ void PpoTrainer::collect(RolloutBuffer& buf) {
                        opts_.steps_per_iter / total);
   for (int g = 0; g < opts_.steps_per_iter % total; ++g) ++slot_budgets_[g];
 
-  // Multi-process path: contiguous worker ranges go to forked collectors
-  // and the shards merge in process order == global-slot order. The merged
-  // buffer is bit-identical to the in-process branch below for any
-  // process × worker × slot factorization of the same total.
-  const int procs = std::min(proc_count(), opts_.num_workers);
-  if (procs > 1) {
-    collect_sharded(buf, procs);
-    return;
-  }
-
   // Workers touch disjoint state (own slots: env, rng, buffer) and their
   // own batching scratch; the policy and value nets are read-only during
   // sampling (caller-owned workspaces, see VecEnv).
@@ -129,12 +84,8 @@ void PpoTrainer::collect(RolloutBuffer& buf) {
   parallel_for(
       workers_.size(),
       [&](std::size_t w) {
-        if (opts_.vectorized_rollout)
-          workers_[w].collect(*policy_, *value_e_, *value_i_, slot_budgets_,
-                              w * e);
-        else
-          workers_[w].collect_serial(*policy_, *value_e_, *value_i_,
-                                     slot_budgets_, w * e);
+        workers_[w].collect(*policy_, *value_e_, *value_i_, slot_budgets_,
+                            w * e);
       },
       /*grain=*/1);
 
@@ -211,142 +162,6 @@ void PpoTrainer::collect_serial(RolloutBuffer& buf) {
   steps_done_ += opts_.steps_per_iter;
 }
 
-void PpoTrainer::ensure_fabric(int procs) {
-  const std::size_t k = workers_.size();
-  if (fabric_ &&
-      fabric_->collectors.size() == static_cast<std::size_t>(procs) &&
-      fabric_->worker_state.size() == k)
-    return;
-  shutdown_fabric();  // pulls live slot state into workers_ before respawn
-  fabric_ = std::make_unique<Fabric>();
-  fabric_->worker_state.resize(k);
-  fabric_->collectors.resize(static_cast<std::size_t>(procs));
-  for (int p = 0; p < procs; ++p) {
-    auto& c = fabric_->collectors[static_cast<std::size_t>(p)];
-    c.w_lo = static_cast<std::size_t>(p) * k / static_cast<std::size_t>(procs);
-    c.w_hi =
-        static_cast<std::size_t>(p + 1) * k / static_cast<std::size_t>(procs);
-    const std::size_t lo = c.w_lo;
-    const std::size_t hi = c.w_hi;
-    // The child forks with the parent's current workers_ state and owns
-    // those slots from here on.
-    c.proc = proc::WorkerProcess::spawn(
-        [this, lo, hi](proc::Channel& ch) { collector_body(ch, lo, hi); });
-  }
-}
-
-void PpoTrainer::sync_fabric_state() {
-  if (!fabric_ || !fabric_->states_fresh) return;
-  for (std::size_t w = 0; w < workers_.size(); ++w) {
-    BinaryReader r(fabric_->worker_state[w]);
-    workers_[w].load_state(r);
-  }
-  fabric_->states_fresh = false;
-}
-
-void PpoTrainer::shutdown_fabric() {
-  if (!fabric_) return;
-  sync_fabric_state();
-  for (auto& c : fabric_->collectors) {
-    const int rc = c.proc.join();
-    IMAP_CHECK_MSG(rc == 0, "rollout collector exited with status " << rc);
-  }
-  fabric_.reset();
-}
-
-void PpoTrainer::collect_sharded(RolloutBuffer& buf, int procs) {
-  ensure_fabric(procs);
-
-  ArchiveWriter req;
-  policy_->flat_params_into(master_params_);
-  req.section("collect/pol").write_vec(master_params_);
-  req.section("collect/ve")
-      .write_vec(std::as_const(*value_e_).net().params());
-  req.section("collect/vi")
-      .write_vec(std::as_const(*value_i_).net().params());
-  auto& bw = req.section("collect/budgets");
-  bw.write_u64(slot_budgets_.size());
-  for (const int b : slot_budgets_) bw.write_i64(b);
-  for (auto& c : fabric_->collectors)
-    IMAP_CHECK_MSG(c.proc.channel().send(req),
-                   "rollout collector " << c.proc.pid()
-                                        << " died before the round");
-
-  buf.clear();
-  buf.reserve(static_cast<std::size_t>(opts_.steps_per_iter));
-  buf.reserve_step(env_->obs_dim(), env_->act_dim());
-  ep_successes_ = 0;
-  ArchiveReader rep;
-  for (auto& c : fabric_->collectors) {
-    IMAP_CHECK_MSG(c.proc.channel().recv(rep),
-                   "rollout collector " << c.proc.pid()
-                                        << " exited before replying");
-    auto br = rep.section("shard/buf");
-    shard_rx_.load_state(br);
-    buf.append(shard_rx_);
-    auto er = rep.section("shard/eps");
-    ep_successes_ += static_cast<int>(er.read_i64());
-    for (std::size_t w = c.w_lo; w < c.w_hi; ++w)
-      fabric_->worker_state[w] =
-          rep.section("shard/w" + std::to_string(w)).bytes();
-  }
-  fabric_->states_fresh = true;
-  steps_done_ += opts_.steps_per_iter;
-}
-
-void PpoTrainer::collector_body(proc::Channel& ch, std::size_t w_lo,
-                                std::size_t w_hi) {
-  // Runs in the forked child: this trainer object is the child's private
-  // copy and workers_[w_lo, w_hi) are the authoritative slot states now.
-  const auto e = static_cast<std::size_t>(opts_.envs_per_worker);
-  ArchiveReader req;
-  std::vector<double> params;
-  std::vector<int> budgets;
-  RolloutBuffer shard;
-  shard.reserve_step(env_->obs_dim(), env_->act_dim());
-  while (ch.recv(req)) {
-    auto pr = req.section("collect/pol");
-    params = pr.read_vec();
-    policy_->set_flat_params(params);
-    auto ver = req.section("collect/ve");
-    value_e_->net().params() = ver.read_vec();
-    auto vir = req.section("collect/vi");
-    value_i_->net().params() = vir.read_vec();
-    auto br = req.section("collect/budgets");
-    const std::uint64_t nb = br.read_u64();
-    budgets.resize(nb);
-    for (std::size_t i = 0; i < nb; ++i)
-      budgets[i] = static_cast<int>(br.read_i64());
-
-    for (std::size_t w = w_lo; w < w_hi; ++w) {
-      if (opts_.vectorized_rollout)
-        workers_[w].collect(*policy_, *value_e_, *value_i_, budgets, w * e);
-      else
-        workers_[w].collect_serial(*policy_, *value_e_, *value_i_, budgets,
-                                   w * e);
-    }
-
-    // Pre-merge this shard in global-slot order; the coordinator appends
-    // whole shards in process order, which is the same global-slot order.
-    shard.clear();
-    std::int64_t eps = 0;
-    for (std::size_t w = w_lo; w < w_hi; ++w) {
-      for (std::size_t i = 0; i < workers_[w].size(); ++i) {
-        shard.append(workers_[w].slot(i).buf);
-        eps += workers_[w].slot(i).ep_successes;
-      }
-    }
-    ArchiveWriter rep;
-    shard.save_state(rep.section("shard/buf"));
-    rep.section("shard/eps").write_i64(eps);
-    // Slot-state images ride along so the coordinator can snapshot or wind
-    // the fleet down without asking again.
-    for (std::size_t w = w_lo; w < w_hi; ++w)
-      workers_[w].save_state(rep.section("shard/w" + std::to_string(w)));
-    if (!ch.send(rep)) break;
-  }
-}
-
 int PpoTrainer::shard_count() const {
   if (opts_.grad_shards > 0) return opts_.grad_shards;
   // Auto: one shard per ~16 samples, capped — derived from the minibatch
@@ -372,105 +187,56 @@ PpoTrainer::BatchPartial PpoTrainer::process_range(
   BatchPartial out;
   if (e <= b) return out;
 
-  if (opts_.batched_update) {
-    // Batched path: one gather plus one batched forward/backward per
-    // network instead of per-sample tapes. Inactive (clipped-out) samples
-    // keep coefficient 0.0, which flows through the fixed-summation-order
-    // kernels as exact bitwise no-ops, so the accumulated gradients match
-    // the per-sample branch below bit for bit (see DESIGN.md, Kernel layer).
-    const std::size_t bs = e - b;
-    scratch.obs.gather(buf.obs, order, b, e);
-    scratch.act.gather(buf.act, order, b, e);
-    const nn::Batch& mean = pol.mean_batch(scratch.obs);
-    const std::size_t adim = pol.act_dim();
-    scratch.coeff.resize(bs);
-    for (std::size_t n = 0; n < bs; ++n) {
-      const std::size_t idx = order[b + n];
-      const double lp_new = nn::diag_gaussian::log_prob(
-          scratch.act.row(n), mean.row(n), pol.log_std().data(), adim);
-      const double ratio = std::exp(lp_new - buf.logp[idx]);
-      IMAP_NCHECK_FINITE(ratio, "ppo.ratio");
-      const double a = adv[idx];
-      const bool active =
-          (a >= 0.0) ? (ratio < 1.0 + opts_.clip) : (ratio > 1.0 - opts_.clip);
-      scratch.coeff[n] = active ? -a * ratio * inv_bs : 0.0;
-      out.pol_loss += -std::min(ratio * a,
-                                std::clamp(ratio, 1.0 - opts_.clip,
-                                           1.0 + opts_.clip) *
-                                    a);
-      out.kl += buf.logp[idx] - lp_new;
-      ++out.samples;
-    }
-    pol.backward_logp_batch(scratch.act, scratch.coeff);
-
-    // Extrinsic critic regression. vcoeff mirrors the per-sample
-    // expression opts_.vf_coef * verr * inv_bs (left-associated).
-    ve.value_batch(scratch.obs, scratch.vals);
-    scratch.vcoeff.resize(bs);
-    for (std::size_t n = 0; n < bs; ++n) {
-      const std::size_t idx = order[b + n];
-      const double verr = scratch.vals[n] - gae_e.returns[idx];
-      scratch.vcoeff[n] = opts_.vf_coef * verr * inv_bs;
-      out.val_loss += 0.5 * verr * verr;
-    }
-    ve.backward_batch(scratch.vcoeff);
-
-    if (vi) {
-      vi->value_batch(scratch.obs, scratch.vals);
-      for (std::size_t n = 0; n < bs; ++n) {
-        const std::size_t idx = order[b + n];
-        const double vierr = scratch.vals[n] - gae_i->returns[idx];
-        scratch.vcoeff[n] = opts_.vf_coef * vierr * inv_bs;
-      }
-      vi->backward_batch(scratch.vcoeff);
-    }
-
-    IMAP_NCHECK_FINITE(out.pol_loss, "ppo.pol_loss");
-    IMAP_NCHECK_FINITE(out.val_loss, "ppo.val_loss");
-    IMAP_NCHECK_FINITE(out.kl, "ppo.kl");
-    return out;
-  }
-
-  // Per-sample baseline (batched_update = false): one tape per sample.
-  for (std::size_t i = b; i < e; ++i) {
-    const std::size_t idx = order[i];
-    nn::Mlp::Tape tape;
-    pol.mean_tape(buf.obs[idx], tape);
+  // One gather plus one batched forward/backward per network. Clipped
+  // surrogate (Eq. 1): gradient flows only through the unclipped branch when
+  // it is the active minimum; inactive samples keep coefficient 0.0, which
+  // the fixed-summation-order kernels treat as an exact bitwise no-op.
+  const std::size_t bs = e - b;
+  scratch.obs.gather(buf.obs, order, b, e);
+  scratch.act.gather(buf.act, order, b, e);
+  const nn::Batch& mean = pol.mean_batch(scratch.obs);
+  const std::size_t adim = pol.act_dim();
+  scratch.coeff.resize(bs);
+  for (std::size_t n = 0; n < bs; ++n) {
+    const std::size_t idx = order[b + n];
     const double lp_new = nn::diag_gaussian::log_prob(
-        buf.act[idx], tape.post.back(), pol.log_std());
+        scratch.act.row(n), mean.row(n), pol.log_std().data(), adim);
     const double ratio = std::exp(lp_new - buf.logp[idx]);
     IMAP_NCHECK_FINITE(ratio, "ppo.ratio");
     const double a = adv[idx];
-
-    // Clipped surrogate (Eq. 1): gradient flows only through the
-    // unclipped branch when it is the active minimum.
     const bool active =
         (a >= 0.0) ? (ratio < 1.0 + opts_.clip) : (ratio > 1.0 - opts_.clip);
-    if (active) {
-      const double coeff = -a * ratio * inv_bs;  // dL/dlogπ
-      pol.backward_logp(tape, buf.act[idx], coeff);
-    }
+    scratch.coeff[n] = active ? -a * ratio * inv_bs : 0.0;
     out.pol_loss += -std::min(ratio * a,
                               std::clamp(ratio, 1.0 - opts_.clip,
                                          1.0 + opts_.clip) *
                                   a);
     out.kl += buf.logp[idx] - lp_new;
     ++out.samples;
-
-    // Extrinsic critic regression.
-    nn::Mlp::Tape vtape;
-    const double v = ve.value_tape(buf.obs[idx], vtape);
-    const double verr = v - gae_e.returns[idx];
-    ve.backward(vtape, opts_.vf_coef * verr * inv_bs);
-    out.val_loss += 0.5 * verr * verr;
-
-    if (vi) {
-      nn::Mlp::Tape vitape;
-      const double viv = vi->value_tape(buf.obs[idx], vitape);
-      const double vierr = viv - gae_i->returns[idx];
-      vi->backward(vitape, opts_.vf_coef * vierr * inv_bs);
-    }
   }
+  pol.backward_logp_batch(scratch.act, scratch.coeff);
+
+  // Extrinsic critic regression: dL/dV = vf_coef · (V − R) / bs.
+  ve.value_batch(scratch.obs, scratch.vals);
+  scratch.vcoeff.resize(bs);
+  for (std::size_t n = 0; n < bs; ++n) {
+    const std::size_t idx = order[b + n];
+    const double verr = scratch.vals[n] - gae_e.returns[idx];
+    scratch.vcoeff[n] = opts_.vf_coef * verr * inv_bs;
+    out.val_loss += 0.5 * verr * verr;
+  }
+  ve.backward_batch(scratch.vcoeff);
+
+  if (vi) {
+    vi->value_batch(scratch.obs, scratch.vals);
+    for (std::size_t n = 0; n < bs; ++n) {
+      const std::size_t idx = order[b + n];
+      const double vierr = scratch.vals[n] - gae_i->returns[idx];
+      scratch.vcoeff[n] = opts_.vf_coef * vierr * inv_bs;
+    }
+    vi->backward_batch(scratch.vcoeff);
+  }
+
   IMAP_NCHECK_FINITE(out.pol_loss, "ppo.pol_loss");
   IMAP_NCHECK_FINITE(out.val_loss, "ppo.val_loss");
   IMAP_NCHECK_FINITE(out.kl, "ppo.kl");
@@ -500,23 +266,14 @@ void PpoTrainer::update(RolloutBuffer& buf, double tau, IterStats& stats) {
   // Intrinsic values are only needed when the bonus channel is active.
   const bool use_intrinsic = intrinsic_ != nullptr;
   if (use_intrinsic) {
-    if (opts_.batched_update) {
-      // Chunked batched refresh through the critic's workspace — the
-      // batched kernel beats the per-sample parallel loop at these sizes
-      // and the values are bit-identical to per-sample value() calls.
-      constexpr std::size_t kChunk = 1024;
-      for (std::size_t b = 0; b < n; b += kChunk) {
-        const std::size_t e = std::min(n, b + kChunk);
-        scratch_.obs.gather_range(buf.obs, b, e);
-        value_i_->value_batch(scratch_.obs, scratch_.vals);
-        for (std::size_t i = b; i < e; ++i)
-          buf.val_i[i] = scratch_.vals[i - b];
-      }
-    } else {
-      parallel_for_chunked(n, 0, [&](std::size_t b, std::size_t e) {
-        for (std::size_t i = b; i < e; ++i)
-          buf.val_i[i] = value_i_->value(buf.obs[i]);
-      });
+    // Chunked batched refresh through the critic's workspace; the values
+    // are bit-identical to per-sample value() calls.
+    constexpr std::size_t kChunk = 1024;
+    for (std::size_t b = 0; b < n; b += kChunk) {
+      const std::size_t e = std::min(n, b + kChunk);
+      scratch_.obs.gather_range(buf.obs, b, e);
+      value_i_->value_batch(scratch_.obs, scratch_.vals);
+      for (std::size_t i = b; i < e; ++i) buf.val_i[i] = scratch_.vals[i - b];
     }
   }
 
@@ -543,36 +300,6 @@ void PpoTrainer::update(RolloutBuffer& buf, double tau, IterStats& stats) {
 
   const int n_shards = shard_count();
   if (n_shards > 1) ensure_shards(n_shards);
-
-  // Cross-process gradient sharding: fork min(procs, shards) workers for
-  // the lifetime of this update; each owns a contiguous shard range. The
-  // slice map and reduction tree depend only on (bs, n_shards), so the
-  // result is bit-identical to the in-process sharded branch (and therefore
-  // to any process count). Forked after adv/GAE so the children inherit
-  // them read-only; the per-epoch shuffle order is sent per minibatch.
-  struct GradProc {
-    proc::WorkerProcess proc;
-    int s_lo = 0;
-    int s_hi = 0;
-  };
-  std::vector<GradProc> grad_fleet;
-  const int gp = std::min(proc_count(), n_shards);
-  if (n_shards > 1 && gp > 1) {
-    grad_fleet.resize(static_cast<std::size_t>(gp));
-    for (int p = 0; p < gp; ++p) {
-      auto& g = grad_fleet[static_cast<std::size_t>(p)];
-      g.s_lo = p * n_shards / gp;
-      g.s_hi = (p + 1) * n_shards / gp;
-      const int s_lo = g.s_lo;
-      const int s_hi = g.s_hi;
-      const GaeResult* gi = use_intrinsic ? &gae_i : nullptr;
-      g.proc = proc::WorkerProcess::spawn(
-          [this, &buf, &adv, &gae_e, gi, s_lo, s_hi,
-           n_shards](proc::Channel& ch) {
-            grad_shard_body(ch, buf, adv, gae_e, gi, s_lo, s_hi, n_shards);
-          });
-    }
-  }
 
   double pol_loss_acc = 0.0, val_loss_acc = 0.0, kl_acc = 0.0;
   std::size_t loss_count = 0;
@@ -613,74 +340,36 @@ void PpoTrainer::update(RolloutBuffer& buf, double tau, IterStats& stats) {
         // Sharded accumulation: shard s owns batch slice
         // [s·bs/S, (s+1)·bs/S) and its own gradient buffers; shard buffers
         // are then tree-reduced in a fixed order. The slice map and the
-        // reduction tree depend only on (bs, S) — never the thread or
-        // process count.
+        // reduction tree depend only on (bs, S) — never the thread count.
         policy_->flat_params_into(master_params_);
-        if (!grad_fleet.empty()) {
-          // Fabric path: broadcast params + the shuffled minibatch index
-          // slice, then decode each worker's shard grads into the same
-          // shards_ buffers the in-process branch fills.
-          ArchiveWriter req;
-          req.section("grad/pol").write_vec(master_params_);
-          req.section("grad/ve")
-              .write_vec(std::as_const(*value_e_).net().params());
-          if (use_intrinsic)
-            req.section("grad/vi")
-                .write_vec(std::as_const(*value_i_).net().params());
-          auto& mbw = req.section("grad/mb");
-          mbw.write_f64(inv_bs);
-          mbw.write_u64(bs);
-          for (std::size_t i = start; i < end; ++i) mbw.write_u64(order[i]);
-          for (auto& g : grad_fleet)
-            IMAP_CHECK_MSG(g.proc.channel().send(req),
-                           "gradient worker " << g.proc.pid() << " died");
-          ArchiveReader rep;
-          for (auto& g : grad_fleet) {
-            IMAP_CHECK_MSG(g.proc.channel().recv(rep),
-                           "gradient worker " << g.proc.pid()
-                                              << " exited before replying");
-            for (int s = g.s_lo; s < g.s_hi; ++s) {
-              auto& sh = shards_[static_cast<std::size_t>(s)];
-              auto gr = rep.section("grad/s" + std::to_string(s));
-              sh.pol_grads = gr.read_vec();
-              sh.value_e.grads() = gr.read_vec();
-              if (use_intrinsic) sh.value_i.grads() = gr.read_vec();
-              sh.partial.pol_loss = gr.read_f64();
-              sh.partial.val_loss = gr.read_f64();
-              sh.partial.kl = gr.read_f64();
-              sh.partial.samples = gr.read_u64();
-            }
-          }
-        } else {
-          parallel_for(
-              static_cast<std::size_t>(n_shards),
-              [&](std::size_t s) {
-                auto& sh = shards_[s];
-                sh.policy.set_flat_params(master_params_);
-                sh.policy.zero_grad();
-                // const access on the master nets: the non-const params()
-                // bumps weight_version_, which all shards would race on
-                sh.value_e.net().params() =
-                    std::as_const(*value_e_).net().params();
-                sh.value_e.zero_grad();
-                if (use_intrinsic) {
-                  sh.value_i.net().params() =
-                      std::as_const(*value_i_).net().params();
-                  sh.value_i.zero_grad();
-                }
-                const std::size_t sb =
-                    start + s * bs / static_cast<std::size_t>(n_shards);
-                const std::size_t se =
-                    start + (s + 1) * bs / static_cast<std::size_t>(n_shards);
-                sh.partial = process_range(
-                    sh.policy, sh.value_e,
-                    use_intrinsic ? &sh.value_i : nullptr, buf, order, sb, se,
-                    adv, gae_e, use_intrinsic ? &gae_i : nullptr, inv_bs,
-                    sh.scratch);
-                sh.policy.flat_grads_into(sh.pol_grads);
-              },
-              /*grain=*/1);
-        }
+        parallel_for(
+            static_cast<std::size_t>(n_shards),
+            [&](std::size_t s) {
+              auto& sh = shards_[s];
+              sh.policy.set_flat_params(master_params_);
+              sh.policy.zero_grad();
+              // const access on the master nets: the non-const params()
+              // bumps weight_version_, which all shards would race on
+              sh.value_e.net().params() =
+                  std::as_const(*value_e_).net().params();
+              sh.value_e.zero_grad();
+              if (use_intrinsic) {
+                sh.value_i.net().params() =
+                    std::as_const(*value_i_).net().params();
+                sh.value_i.zero_grad();
+              }
+              const std::size_t sb =
+                  start + s * bs / static_cast<std::size_t>(n_shards);
+              const std::size_t se =
+                  start + (s + 1) * bs / static_cast<std::size_t>(n_shards);
+              sh.partial = process_range(
+                  sh.policy, sh.value_e,
+                  use_intrinsic ? &sh.value_i : nullptr, buf, order, sb, se,
+                  adv, gae_e, use_intrinsic ? &gae_i : nullptr, inv_bs,
+                  sh.scratch);
+              sh.policy.flat_grads_into(sh.pol_grads);
+            },
+            /*grain=*/1);
 
         const auto ns = static_cast<std::size_t>(n_shards);
         tree_reduce(ns, [&](std::size_t i) -> std::vector<double>& {
@@ -735,88 +424,12 @@ void PpoTrainer::update(RolloutBuffer& buf, double tau, IterStats& stats) {
     if (opts_.target_kl > 0.0 && mean_kl > opts_.target_kl) break;
   }
 
-  for (auto& g : grad_fleet) {
-    const int rc = g.proc.join();
-    IMAP_CHECK_MSG(rc == 0, "gradient worker exited with status " << rc);
-  }
-
   stats.policy_loss =
       loss_count ? pol_loss_acc / static_cast<double>(loss_count) : 0.0;
   stats.value_loss =
       loss_count ? val_loss_acc / static_cast<double>(loss_count) : 0.0;
   stats.approx_kl = kl_acc;
   stats.entropy = policy_->entropy();
-}
-
-void PpoTrainer::grad_shard_body(proc::Channel& ch, const RolloutBuffer& buf,
-                                 const std::vector<double>& adv,
-                                 const GaeResult& gae_e,
-                                 const GaeResult* gae_i, int s_lo, int s_hi,
-                                 int n_shards) const {
-  // Runs in a forked child for one update(): buf / adv / gae_* are the
-  // parent's frozen copies; only params and the minibatch order arrive per
-  // request.
-  const bool use_intrinsic = gae_i != nullptr;
-  std::vector<ShardScratch> sh;
-  sh.reserve(static_cast<std::size_t>(s_hi - s_lo));
-  for (int s = s_lo; s < s_hi; ++s)
-    sh.push_back(ShardScratch{*policy_, *value_e_, *value_i_, {}, {}, {}});
-
-  ArchiveReader req;
-  std::vector<double> pparams;
-  std::vector<double> veparams;
-  std::vector<double> viparams;
-  std::vector<std::size_t> mbord;
-  while (ch.recv(req)) {
-    auto pr = req.section("grad/pol");
-    pparams = pr.read_vec();
-    auto ver = req.section("grad/ve");
-    veparams = ver.read_vec();
-    if (use_intrinsic) {
-      auto vir = req.section("grad/vi");
-      viparams = vir.read_vec();
-    }
-    auto mr = req.section("grad/mb");
-    const double inv_bs = mr.read_f64();
-    const std::size_t bs = mr.read_u64();
-    mbord.resize(bs);
-    for (std::size_t i = 0; i < bs; ++i)
-      mbord[i] = static_cast<std::size_t>(mr.read_u64());
-
-    ArchiveWriter rep;
-    for (int s = s_lo; s < s_hi; ++s) {
-      auto& shard = sh[static_cast<std::size_t>(s - s_lo)];
-      shard.policy.set_flat_params(pparams);
-      shard.policy.zero_grad();
-      shard.value_e.net().params() = veparams;
-      shard.value_e.zero_grad();
-      if (use_intrinsic) {
-        shard.value_i.net().params() = viparams;
-        shard.value_i.zero_grad();
-      }
-      // Same slice map as the in-process branch: mbord is order[start, end),
-      // so the relative slice [s·bs/S, (s+1)·bs/S) addresses the exact
-      // samples the in-process shard s would process.
-      const std::size_t sb = static_cast<std::size_t>(s) * bs /
-                             static_cast<std::size_t>(n_shards);
-      const std::size_t se = static_cast<std::size_t>(s + 1) * bs /
-                             static_cast<std::size_t>(n_shards);
-      shard.partial = process_range(
-          shard.policy, shard.value_e,
-          use_intrinsic ? &shard.value_i : nullptr, buf, mbord, sb, se, adv,
-          gae_e, gae_i, inv_bs, shard.scratch);
-      shard.policy.flat_grads_into(shard.pol_grads);
-      auto& out = rep.section("grad/s" + std::to_string(s));
-      out.write_vec(shard.pol_grads);
-      out.write_vec(shard.value_e.grads());
-      if (use_intrinsic) out.write_vec(shard.value_i.grads());
-      out.write_f64(shard.partial.pol_loss);
-      out.write_f64(shard.partial.val_loss);
-      out.write_f64(shard.partial.kl);
-      out.write_u64(shard.partial.samples);
-    }
-    if (!ch.send(rep)) break;
-  }
 }
 
 IterStats PpoTrainer::iterate() {
@@ -895,28 +508,14 @@ void PpoTrainer::save_state(ArchiveWriter& a) const {
 
   // Worker slots only exist once a vectorized collect has run; an un-built
   // fleet is rebuilt deterministically from the restored Rng seed instead.
-  // With a live collector fabric the children hold the authoritative slot
-  // state — splice the VecEnv images from their last replies verbatim
-  // (byte-for-byte what each worker's save_state would write).
   if (!workers_.empty()) {
     auto& ws = a.section("ppo/workers");
     ws.write_u64(workers_.size());
-    if (fabric_ && fabric_->states_fresh) {
-      for (const auto& blob : fabric_->worker_state)
-        ws.append_raw(blob.data(), blob.size());
-    } else {
-      for (const auto& w : workers_) w.save_state(ws);
-    }
+    for (const auto& w : workers_) w.save_state(ws);
   }
 }
 
 void PpoTrainer::load_state(const ArchiveReader& a) {
-  // Any live collectors hold pre-restore slot state; discard it (no sync)
-  // and let the next sharded collect respawn them from the restored state.
-  if (fabric_) {
-    fabric_->states_fresh = false;
-    shutdown_fabric();
-  }
   auto meta = a.section("ppo/meta");
   IMAP_CHECK_MSG(meta.read_u64() == env_->obs_dim() &&
                      meta.read_u64() == env_->act_dim(),

@@ -14,10 +14,6 @@
 #include "rl/rollout.h"
 #include "rl/vec_env.h"
 
-namespace imap::proc {
-class Channel;
-}  // namespace imap::proc
-
 namespace imap::rl {
 
 struct PpoOptions {
@@ -47,35 +43,12 @@ struct PpoOptions {
   /// (workers × slots) factorization of the same total is bit-identical.
   /// K·E = 1 is the legacy serial path, bit-identical to older builds.
   int envs_per_worker = 1;
-  /// Collect through the lockstep vectorized engine (one batched policy /
-  /// value / victim forward per tick across a worker's E slots) instead of
-  /// the per-sample reference loop. Bit-identical either way — purely a
-  /// throughput knob, kept as a benchmark baseline like batched_update.
-  bool vectorized_rollout = true;
   /// Gradient-accumulation shards per minibatch: each shard back-propagates
   /// a fixed contiguous slice of the batch into its own gradient buffer and
   /// the shard buffers are reduced in a fixed tree order, so the result is
   /// identical for any thread count. 1 = legacy serial accumulation
   /// (bit-identical to older builds); 0 = pick from the minibatch size.
   int grad_shards = 1;
-
-  /// Fabric processes for sharded rollout collection and gradient-shard
-  /// reduction. 0 = read IMAP_PROCS (unset = 1, the in-process path). The
-  /// numeric trace is bit-identical for ANY process count: slot RNG streams
-  /// are keyed by the global slot index and gradient bits by grad_shards
-  /// alone, so processes only change *who* computes each contiguous shard,
-  /// never what is computed. Collection shards across min(procs, workers)
-  /// persistent forked collectors; updates shard across min(procs,
-  /// grad_shards) per-update gradient workers when grad_shards > 1.
-  int num_procs = 0;
-
-  /// Run the minibatch update through the batched nn kernels (stacked
-  /// observation Batch + GEMM-style forward/backward on a reusable
-  /// Workspace) instead of one sample at a time. The batched path is
-  /// bit-identical to the per-sample path — same summation order, same
-  /// per-sample accumulation order — so this is purely a throughput knob;
-  /// false keeps the legacy per-sample loop as a benchmark baseline.
-  bool batched_update = true;
 };
 
 /// Per-iteration diagnostics.
@@ -116,9 +89,6 @@ class PpoTrainer {
       const std::vector<std::size_t>&)>;
 
   PpoTrainer(const Env& proto, PpoOptions opts, Rng rng);
-  /// Joins any live fabric collector processes (out-of-line: Fabric is an
-  /// incomplete type here).
-  ~PpoTrainer();
   PpoTrainer(const PpoTrainer&) = delete;
   PpoTrainer& operator=(const PpoTrainer&) = delete;
 
@@ -175,7 +145,7 @@ class PpoTrainer {
     std::size_t samples = 0;
   };
 
-  /// Reusable gathered-minibatch buffers for the batched update path. Each
+  /// Reusable gathered-minibatch buffers for the minibatch update. Each
   /// accumulation context (the serial path and every gradient shard) owns
   /// one so buffers grow to the minibatch high-water mark once and are then
   /// reused — zero heap allocations per minibatch in steady state.
@@ -201,25 +171,6 @@ class PpoTrainer {
   void ensure_workers();
   int shard_count() const;
   void ensure_shards(int n_shards);
-
-  // --- multi-process rollout fabric (ppo.cpp; see DESIGN.md, Fabric) ---
-  struct Fabric;
-  /// Resolved fabric width: opts_.num_procs, or IMAP_PROCS when it is 0.
-  int proc_count() const;
-  void ensure_fabric(int procs);
-  /// Pull the authoritative slot state (RNG streams, in-flight episodes)
-  /// from the last collector replies back into workers_.
-  void sync_fabric_state();
-  /// Sync, then join every collector. Safe to call with no fabric live.
-  void shutdown_fabric();
-  void collect_sharded(RolloutBuffer& buf, int procs);
-  /// Child-side collector loop over workers_[w_lo, w_hi).
-  void collector_body(proc::Channel& ch, std::size_t w_lo, std::size_t w_hi);
-  /// Child-side gradient-shard loop over shards [s_lo, s_hi) of n_shards.
-  void grad_shard_body(proc::Channel& ch, const RolloutBuffer& buf,
-                       const std::vector<double>& adv, const GaeResult& gae_e,
-                       const GaeResult* gae_i, int s_lo, int s_hi,
-                       int n_shards) const;
 
   /// Accumulate policy/value gradients and loss partials for
   /// order[b..e) into the given networks. Shared by the serial path
@@ -257,8 +208,6 @@ class PpoTrainer {
   std::vector<int> slot_budgets_;        ///< per-global-slot step budgets
   std::vector<ShardScratch> shards_;     ///< gradient shards (lazy)
   RolloutBuffer rollout_;                ///< reused across iterations
-  std::unique_ptr<Fabric> fabric_;       ///< live collector fleet (lazy)
-  RolloutBuffer shard_rx_;               ///< decode staging for shard frames
 
   // Hot-path scratch reused across update() calls (capacity only grows).
   UpdateScratch scratch_;                ///< serial-path minibatch buffers

@@ -1,7 +1,5 @@
 #include "rl/rollout.h"
 
-#include "common/serialize.h"
-
 namespace imap::rl {
 
 void RolloutBuffer::clear() {
@@ -98,71 +96,6 @@ void RolloutBuffer::append(const RolloutBuffer& other) {
                            other.episode_surrogate.end());
   episode_lengths.insert(episode_lengths.end(), other.episode_lengths.begin(),
                          other.episode_lengths.end());
-}
-
-void RolloutBuffer::save_state(BinaryWriter& w) const {
-  w.write_u64(n_);
-  for (std::size_t i = 0; i < n_; ++i) {
-    w.write_vec(obs[i]);
-    w.write_vec(act[i]);
-  }
-  w.write_vec(logp);
-  w.write_vec(rew_e);
-  w.write_vec(rew_i);
-  w.write_vec(val_e);
-  w.write_vec(val_i);
-  w.write_u64(done.size());
-  for (std::size_t i = 0; i < done.size(); ++i) w.write_bool(done[i] != 0);
-  w.write_u64(boundary.size());
-  for (std::size_t i = 0; i < boundary.size(); ++i)
-    w.write_bool(boundary[i] != 0);
-  w.write_vec(last_val_e);
-  w.write_vec(last_val_i);
-  w.write_u64(boundary_at.size());
-  for (std::size_t i = 0; i < boundary_at.size(); ++i)
-    w.write_u64(boundary_at[i]);
-  w.write_vec(episode_returns);
-  w.write_vec(episode_surrogate);
-  w.write_u64(episode_lengths.size());
-  for (std::size_t i = 0; i < episode_lengths.size(); ++i)
-    w.write_i64(episode_lengths[i]);
-}
-
-void RolloutBuffer::load_state(BinaryReader& r) {
-  clear();
-  const std::uint64_t n = r.read_u64();
-  // Rows beyond n stay allocated (same spare-row reuse as clear()/add()).
-  if (obs.size() < n) obs.resize(n);
-  if (act.size() < n) act.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    obs[i] = r.read_vec();
-    act[i] = r.read_vec();
-  }
-  n_ = n;
-  logp = r.read_vec();
-  rew_e = r.read_vec();
-  rew_i = r.read_vec();
-  val_e = r.read_vec();
-  val_i = r.read_vec();
-  const std::uint64_t nd = r.read_u64();
-  done.resize(nd);
-  for (std::size_t i = 0; i < nd; ++i) done[i] = r.read_bool() ? 1 : 0;
-  const std::uint64_t nbound = r.read_u64();
-  boundary.resize(nbound);
-  for (std::size_t i = 0; i < nbound; ++i)
-    boundary[i] = r.read_bool() ? 1 : 0;
-  last_val_e = r.read_vec();
-  last_val_i = r.read_vec();
-  const std::uint64_t nat = r.read_u64();
-  boundary_at.resize(nat);
-  for (std::size_t i = 0; i < nat; ++i)
-    boundary_at[i] = static_cast<std::size_t>(r.read_u64());
-  episode_returns = r.read_vec();
-  episode_surrogate = r.read_vec();
-  const std::uint64_t nlen = r.read_u64();
-  episode_lengths.resize(nlen);
-  for (std::size_t i = 0; i < nlen; ++i)
-    episode_lengths[i] = static_cast<int>(r.read_i64());
 }
 
 }  // namespace imap::rl

@@ -2,11 +2,6 @@
 
 #include <vector>
 
-namespace imap {
-class BinaryWriter;
-class BinaryReader;
-}  // namespace imap
-
 namespace imap::rl {
 
 /// On-policy rollout storage for PPO (one sampling stage of Algorithm 1).
@@ -65,13 +60,6 @@ struct RolloutBuffer {
   /// order. Used to merge per-worker rollouts in worker-index order; the
   /// source must be segment-closed (its last step marked as a boundary).
   void append(const RolloutBuffer& other);
-
-  /// Field-by-field wire codec. This is the payload format for rollout
-  /// shards crossing the process fabric (inside an Archive section), chosen
-  /// so that merging decoded shards with append() is bit-identical to
-  /// merging the in-process per-slot buffers directly.
-  void save_state(BinaryWriter& w) const;
-  void load_state(BinaryReader& r);
 
  private:
   std::size_t n_ = 0;         ///< valid steps; obs/act may hold spare rows

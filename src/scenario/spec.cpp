@@ -325,8 +325,10 @@ std::vector<ScenarioSpec> expand(const std::string& pattern) {
       IMAP_CHECK_MSG(lo >= 0 && hi >= lo && hi - lo < 4096,
                      "scenario: bad seed range '@" << tail << "'");
       seed_suffixes.clear();
+      // Appending instead of `"@" + std::to_string(v)`: GCC 12 reports a
+      // false -Wrestrict on that operator+ overload at -O3.
       for (long long v = lo; v <= hi; ++v)
-        seed_suffixes.push_back("@" + std::to_string(v));
+        seed_suffixes.push_back(std::string("@").append(std::to_string(v)));
     }
   }
 

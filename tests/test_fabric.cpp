@@ -1,8 +1,6 @@
 // The multi-process fabric contract: framed-Archive channels, crash-safe
-// file locks, the rollout shard wire codec, sharded collection / gradient
-// bit-identity for any process count, snapshot parity with a live fabric,
-// DAG-scheduled grids (including the kill-one-worker → re-dispatch → resume
-// drill) and atomic concurrent store writes.
+// file locks, DAG-scheduled grids (including the kill-one-worker →
+// re-dispatch → resume drill) and atomic concurrent store writes.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -15,17 +13,10 @@
 #include <string>
 #include <vector>
 
-#include "attack/threat_model.h"
 #include "common/check.h"
 #include "common/proc.h"
 #include "common/serialize.h"
 #include "core/experiment_dag.h"
-#include "env/multiagent.h"
-#include "env/registry.h"
-#include "nn/gaussian.h"
-#include "rl/ppo.h"
-#include "scenario/scenario_env.h"
-#include "scenario/spec.h"
 #include "temp_dir.h"
 
 namespace imap {
@@ -142,225 +133,6 @@ TEST(FileLock, BlocksUntilHolderReleases) {
   ASSERT_TRUE(w.channel().recv(rep));
   EXPECT_TRUE(rep.section("saw").read_bool());
   EXPECT_EQ(w.join(), 0);
-  std::filesystem::remove_all(dir);
-}
-
-// ---------------------------------------------------------------------------
-// Rollout shard wire codec
-// ---------------------------------------------------------------------------
-
-void expect_buffers_equal(const rl::RolloutBuffer& a,
-                          const rl::RolloutBuffer& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a.obs[i], b.obs[i]) << "row " << i;
-    EXPECT_EQ(a.act[i], b.act[i]) << "row " << i;
-  }
-  EXPECT_EQ(a.logp, b.logp);
-  EXPECT_EQ(a.rew_e, b.rew_e);
-  EXPECT_EQ(a.rew_i, b.rew_i);
-  EXPECT_EQ(a.val_e, b.val_e);
-  EXPECT_EQ(a.val_i, b.val_i);
-  EXPECT_EQ(a.done, b.done);
-  EXPECT_EQ(a.boundary, b.boundary);
-  EXPECT_EQ(a.last_val_e, b.last_val_e);
-  EXPECT_EQ(a.last_val_i, b.last_val_i);
-  EXPECT_EQ(a.boundary_at, b.boundary_at);
-  EXPECT_EQ(a.episode_returns, b.episode_returns);
-  EXPECT_EQ(a.episode_surrogate, b.episode_surrogate);
-  EXPECT_EQ(a.episode_lengths, b.episode_lengths);
-}
-
-TEST(RolloutCodec, SaveLoadRoundTripsEveryField) {
-  auto env = env::make_env("Hopper");
-  rl::PpoOptions opts;
-  opts.hidden = {16, 16};
-  opts.steps_per_iter = 256;
-  rl::PpoTrainer trainer(*env, opts, Rng(7));
-  rl::RolloutBuffer buf;
-  trainer.collect(buf);
-  ASSERT_GT(buf.size(), 0u);
-
-  BinaryWriter w;
-  buf.save_state(w);
-  BinaryReader r(w.buffer());
-  rl::RolloutBuffer decoded;
-  decoded.add(std::vector<double>{1.0}, std::vector<double>{2.0}, 0.5, 0.1,
-              0.2);  // pre-dirty: load must fully overwrite
-  decoded.load_state(r);
-  expect_buffers_equal(buf, decoded);
-
-  // append() of a decoded shard must equal append() of the original.
-  rl::RolloutBuffer via_wire, in_proc;
-  via_wire.append(decoded);
-  in_proc.append(buf);
-  expect_buffers_equal(in_proc, via_wire);
-}
-
-// ---------------------------------------------------------------------------
-// Sharded collection + gradient fleet bit-identity
-// ---------------------------------------------------------------------------
-
-void expect_identical(const std::vector<rl::IterStats>& a,
-                      const std::vector<rl::IterStats>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].mean_return, b[i].mean_return) << "iter " << i;
-    EXPECT_EQ(a[i].mean_surrogate, b[i].mean_surrogate) << "iter " << i;
-    EXPECT_EQ(a[i].episodes, b[i].episodes) << "iter " << i;
-    EXPECT_EQ(a[i].policy_loss, b[i].policy_loss) << "iter " << i;
-    EXPECT_EQ(a[i].value_loss, b[i].value_loss) << "iter " << i;
-    EXPECT_EQ(a[i].approx_kl, b[i].approx_kl) << "iter " << i;
-    EXPECT_EQ(a[i].entropy, b[i].entropy) << "iter " << i;
-  }
-}
-
-std::vector<rl::IterStats> run_procs(const rl::Env& proto,
-                                     rl::PpoOptions opts, int procs,
-                                     int iters,
-                                     std::vector<double>& final_params) {
-  opts.num_procs = procs;
-  rl::PpoTrainer trainer(proto, opts, Rng(7));
-  std::vector<rl::IterStats> out;
-  for (int i = 0; i < iters; ++i) out.push_back(trainer.iterate());
-  final_params = trainer.policy().flat_params();
-  return out;
-}
-
-void expect_procs_invariant(const rl::Env& proto, rl::PpoOptions opts) {
-  std::vector<double> p1, p2, p4;
-  const auto s1 = run_procs(proto, opts, 1, 2, p1);
-  const auto s2 = run_procs(proto, opts, 2, 2, p2);
-  const auto s4 = run_procs(proto, opts, 4, 2, p4);
-  expect_identical(s1, s2);
-  expect_identical(s1, s4);
-  EXPECT_EQ(p1, p2);
-  EXPECT_EQ(p1, p4);
-}
-
-rl::PpoOptions small_fabric_opts() {
-  rl::PpoOptions opts;
-  opts.hidden = {16, 16};
-  opts.steps_per_iter = 256;
-  opts.minibatch = 64;
-  opts.epochs = 2;
-  opts.num_workers = 4;
-  opts.envs_per_worker = 2;
-  return opts;
-}
-
-TEST(FabricCollect, DenseTaskIdenticalFor1And2And4Procs) {
-  const auto inner = env::make_env("Hopper");
-  Rng vr(11);
-  nn::GaussianPolicy victim(inner->obs_dim(), inner->act_dim(), {16, 16}, vr);
-  attack::StatePerturbationEnv proto(*inner, rl::PolicyHandle::snapshot(victim),
-                                     env::spec("Hopper").epsilon,
-                                     attack::RewardMode::Adversary);
-  expect_procs_invariant(proto, small_fabric_opts());
-}
-
-TEST(FabricCollect, SparseTaskIdenticalFor1And2And4Procs) {
-  const auto inner = env::make_env("SparseHopper");
-  Rng vr(11);
-  nn::GaussianPolicy victim(inner->obs_dim(), inner->act_dim(), {16, 16}, vr);
-  attack::StatePerturbationEnv proto(*inner, rl::PolicyHandle::snapshot(victim),
-                                     env::spec("SparseHopper").epsilon,
-                                     attack::RewardMode::Adversary);
-  expect_procs_invariant(proto, small_fabric_opts());
-}
-
-TEST(FabricCollect, OpponentThreatModelIdenticalFor1And2And4Procs) {
-  const auto game = env::make_multiagent_env("YouShallNotPass");
-  Rng vr(11);
-  nn::GaussianPolicy victim(game->victim_obs_dim(), game->victim_act_dim(),
-                            {16, 16}, vr);
-  attack::OpponentEnv proto(*game, rl::PolicyHandle::snapshot(victim));
-  expect_procs_invariant(proto, small_fabric_opts());
-}
-
-TEST(FabricCollect, RandomizedScenarioIdenticalForAnyFactorization) {
-  // A procedurally randomized scenario (seeded DR + stochastic channels +
-  // budget) draws everything from the slot Rng, so its rollouts must stay
-  // bit-identical across process counts AND worker×slot splits — 8 global
-  // slots as 4×2 @ 1 proc vs 2×4 @ 2 procs vs 4×2 @ 4 procs.
-  const auto spec = scenario::parse(
-      "hopper+obs_perturb:0.075+obs_delay:2+obs_dropout:0.2+obs_noise:0.05"
-      "+budget:0.5+dr[gain:0.9..1.1,mass:0.8..1.2]@7");
-  const auto inner = env::make_env(spec.env);
-  Rng vr(11);
-  nn::GaussianPolicy victim(inner->obs_dim(), inner->act_dim(), {16, 16}, vr);
-  const auto proto = scenario::make_scenario_env(
-      spec, rl::PolicyHandle::snapshot(victim), attack::RewardMode::Adversary);
-
-  auto opts = small_fabric_opts();
-  std::vector<double> p42_1, p24_2, p42_4;
-  opts.num_workers = 4;
-  opts.envs_per_worker = 2;
-  const auto s42_1 = run_procs(*proto, opts, 1, 2, p42_1);
-  opts.num_workers = 2;
-  opts.envs_per_worker = 4;
-  const auto s24_2 = run_procs(*proto, opts, 2, 2, p24_2);
-  opts.num_workers = 4;
-  opts.envs_per_worker = 2;
-  const auto s42_4 = run_procs(*proto, opts, 4, 2, p42_4);
-  expect_identical(s42_1, s24_2);
-  expect_identical(s42_1, s42_4);
-  EXPECT_EQ(p42_1, p24_2);
-  EXPECT_EQ(p42_1, p42_4);
-}
-
-TEST(FabricCollect, WorkerSlotFactorizationsMatchAcrossProcessCounts) {
-  // 8 global slots as 4 workers × 2 slots vs 2 workers × 4 slots, each at
-  // every process count — the trace is keyed to the TOTAL slot count only.
-  auto env = env::make_env("Hopper");
-  auto opts = small_fabric_opts();
-  std::vector<double> p42_1, p42_2, p24_1, p24_4;
-  opts.num_workers = 4;
-  opts.envs_per_worker = 2;
-  const auto s42_1 = run_procs(*env, opts, 1, 2, p42_1);
-  const auto s42_2 = run_procs(*env, opts, 2, 2, p42_2);
-  opts.num_workers = 2;
-  opts.envs_per_worker = 4;
-  const auto s24_1 = run_procs(*env, opts, 1, 2, p24_1);
-  const auto s24_4 = run_procs(*env, opts, 4, 2, p24_4);
-  expect_identical(s42_1, s42_2);
-  expect_identical(s42_1, s24_1);
-  expect_identical(s42_1, s24_4);
-  EXPECT_EQ(p42_1, p42_2);
-  EXPECT_EQ(p42_1, p24_1);
-  EXPECT_EQ(p42_1, p24_4);
-}
-
-TEST(FabricGrads, ShardedUpdateIdenticalFor1And2And4Procs) {
-  auto env = env::make_env("Hopper");
-  auto opts = small_fabric_opts();
-  opts.grad_shards = 4;  // fixed shard count keys the bits; procs must not
-  expect_procs_invariant(*env, opts);
-}
-
-TEST(FabricSnapshot, SnapshotBytesIdenticalWithLiveFabric) {
-  const auto dir = testing::unique_temp_dir("fabric_snap");
-  std::filesystem::create_directories(dir);
-  auto env = env::make_env("Hopper");
-  const auto opts = small_fabric_opts();
-  const auto snap_of = [&](int procs, const std::string& path) {
-    auto o = opts;
-    o.num_procs = procs;
-    rl::PpoTrainer trainer(*env, o, Rng(7));
-    trainer.iterate();
-    trainer.iterate();
-    ASSERT_TRUE(trainer.snapshot(path));
-  };
-  snap_of(1, dir + "/p1.snap");
-  snap_of(2, dir + "/p2.snap");
-  const auto slurp = [](const std::string& path) {
-    std::ifstream in(path, std::ios::binary);
-    return std::string(std::istreambuf_iterator<char>(in),
-                       std::istreambuf_iterator<char>());
-  };
-  const auto b1 = slurp(dir + "/p1.snap");
-  EXPECT_FALSE(b1.empty());
-  EXPECT_EQ(b1, slurp(dir + "/p2.snap"));
   std::filesystem::remove_all(dir);
 }
 

@@ -14,11 +14,14 @@
 
 #include "attack/threat_model.h"
 #include "common/thread_pool.h"
+#include "env/multiagent.h"
 #include "env/registry.h"
 #include "nn/gaussian.h"
 #include "rl/normalizer.h"
 #include "rl/ppo.h"
 #include "rl/vec_env.h"
+#include "scenario/scenario_env.h"
+#include "scenario/spec.h"
 
 namespace imap {
 namespace {
@@ -170,10 +173,10 @@ TEST(VecEnv, BatchedVictimPathMatchesSerialOnOpponentGame) {
   expect_vectorized_matches_serial(proto, 8, 80);
 }
 
-std::vector<rl::IterStats> run_trainer(const rl::PpoOptions& opts, int iters,
+std::vector<rl::IterStats> run_trainer(const rl::Env& proto,
+                                       const rl::PpoOptions& opts, int iters,
                                        std::vector<double>& final_params) {
-  auto env = env::make_env("Hopper");
-  rl::PpoTrainer trainer(*env, opts, Rng(7));
+  rl::PpoTrainer trainer(proto, opts, Rng(7));
   std::vector<rl::IterStats> out;
   for (int i = 0; i < iters; ++i) out.push_back(trainer.iterate());
   final_params = trainer.policy().flat_params();
@@ -200,22 +203,23 @@ TEST(VecEnv, TrainerTraceIdenticalFor1And4Threads) {
   opts.num_workers = 2;
   opts.envs_per_worker = 4;
 
+  const auto env = env::make_env("Hopper");
   std::vector<double> serial_params, pooled_params;
   std::vector<rl::IterStats> serial_stats, pooled_stats;
   {
     ScopedSerial serial;
-    serial_stats = run_trainer(opts, 3, serial_params);
+    serial_stats = run_trainer(*env, opts, 3, serial_params);
   }
   {
     ThreadPool pool(4);
     ScopedPool scope(pool);
-    pooled_stats = run_trainer(opts, 3, pooled_params);
+    pooled_stats = run_trainer(*env, opts, 3, pooled_params);
   }
   expect_identical(serial_stats, pooled_stats);
   EXPECT_EQ(serial_params, pooled_params);
 }
 
-TEST(VecEnv, TrainerTraceInvariantAcrossWorkerSlotFactorizations) {
+void expect_factorization_invariant(const rl::Env& proto) {
   // 4 total envs as 4×1, 2×2 and 1×4 — same global slot streams, same merge
   // order, so the whole training trace must agree bitwise. steps_per_iter is
   // chosen to exercise the uneven-budget remainder (130 = 33+33+32+32).
@@ -227,7 +231,7 @@ TEST(VecEnv, TrainerTraceInvariantAcrossWorkerSlotFactorizations) {
     opts.steps_per_iter = 130;
     opts.num_workers = shapes[i].first;
     opts.envs_per_worker = shapes[i].second;
-    stats[i] = run_trainer(opts, 2, params[i]);
+    stats[i] = run_trainer(proto, opts, 2, params[i]);
   }
   for (std::size_t i = 1; i < shapes.size(); ++i) {
     SCOPED_TRACE("factorization " + std::to_string(shapes[i].first) + "x" +
@@ -237,21 +241,37 @@ TEST(VecEnv, TrainerTraceInvariantAcrossWorkerSlotFactorizations) {
   }
 }
 
-TEST(VecEnv, VectorizedFlagIsBitIdentical) {
-  // vectorized_rollout is purely a throughput knob: the lockstep engine and
-  // the per-sample reference loop must train identically.
-  rl::PpoOptions fast, slow;
-  fast.steps_per_iter = slow.steps_per_iter = 256;
-  fast.num_workers = slow.num_workers = 1;
-  fast.envs_per_worker = slow.envs_per_worker = 4;
-  fast.vectorized_rollout = true;
-  slow.vectorized_rollout = false;
-
-  std::vector<double> fast_params, slow_params;
-  const auto fast_stats = run_trainer(fast, 2, fast_params);
-  const auto slow_stats = run_trainer(slow, 2, slow_params);
-  expect_identical(fast_stats, slow_stats);
-  EXPECT_EQ(fast_params, slow_params);
+TEST(VecEnv, TrainerTraceInvariantAcrossWorkerSlotFactorizations) {
+  {
+    SCOPED_TRACE("Hopper");
+    expect_factorization_invariant(*env::make_env("Hopper"));
+  }
+  {
+    // Opponent control: the frozen victim acts inside every slot's step.
+    SCOPED_TRACE("YouShallNotPass opponent");
+    const auto game = env::make_multiagent_env("YouShallNotPass");
+    Rng vr(11);
+    nn::GaussianPolicy victim(game->victim_obs_dim(), game->victim_act_dim(),
+                              {16, 16}, vr);
+    attack::OpponentEnv proto(*game, rl::PolicyHandle::snapshot(victim));
+    expect_factorization_invariant(proto);
+  }
+  {
+    // A procedurally randomized scenario (seeded DR, stochastic channels,
+    // budget) draws everything from the slot Rng.
+    SCOPED_TRACE("randomized scenario");
+    const auto spec = scenario::parse(
+        "hopper+obs_perturb:0.075+obs_delay:2+obs_dropout:0.2+obs_noise:0.05"
+        "+budget:0.5+dr[gain:0.9..1.1,mass:0.8..1.2]@7");
+    const auto inner = env::make_env(spec.env);
+    Rng vr(11);
+    nn::GaussianPolicy victim(inner->obs_dim(), inner->act_dim(), {16, 16},
+                              vr);
+    const auto proto = scenario::make_scenario_env(
+        spec, rl::PolicyHandle::snapshot(victim),
+        attack::RewardMode::Adversary);
+    expect_factorization_invariant(*proto);
+  }
 }
 
 TEST(VecNormalizer, SingleRowBatchUpdateIsBitwiseEqual) {

@@ -89,10 +89,11 @@ IMAP_BENCH_NO_PROBE=1 "${BUILD_DIR}/bench/bench_micro_ppo" \
 IMAP_BENCH_NO_PROBE=1 "${BUILD_DIR}/bench/bench_micro_infer" \
   --benchmark_min_time=0.01 \
   --benchmark_filter='BM_VictimQueryBatch' || exit 1
-# Fabric scaling probe at smoke scale: runs the 1-vs-N process collect and
-# grid probes, asserting trace identity. Runs from the build dir so the
-# tracked repo-root BENCH_fabric.json (regenerated manually at full scale,
-# see README "Benchmarks") is not clobbered by smoke-scale numbers.
+# DAG grid probe at smoke scale: runs the same small grid on 1 and N
+# worker processes, asserting the outcomes are identical. Runs from the
+# build dir so the tracked repo-root BENCH_fabric.json (regenerated manually
+# at full scale, see README "Benchmarks") is not clobbered by smoke-scale
+# numbers.
 ( cd "${BUILD_DIR}" && IMAP_BENCH_SCALE=0.001 ./bench/bench_fabric ) || exit 1
 # Serving-coalescer probe at smoke scale: every cell still runs (including
 # the bit-identity comparison against direct PolicyHandle queries — the
@@ -104,7 +105,8 @@ IMAP_BENCH_NO_PROBE=1 "${BUILD_DIR}/bench/bench_micro_infer" \
 
 stage "bench-diff (rollout steps/s gate vs tracked BENCH_rollout.json)"
 # Regenerate the rollout-collection probe in the build dir (min-of-7
-# collects, serial vs vectorized, bit-identity asserted) and gate it against
+# rounds of VecEnv::collect_serial vs VecEnv::collect on 16 slots,
+# bit-identity asserted) and gate it against
 # the tracked baseline: a >10% steps/s regression fails the stage. One warm
 # retry absorbs cold-start noise (page cache, CPU frequency ramp); a real
 # regression fails both runs.
