@@ -1,9 +1,11 @@
-// Golden trace digests: the equivalence oracle for PpoTrainer. Each case
-// trains a small PPO run and folds its final parameters and per-iteration
-// statistics into one CRC-32; tests/golden/ppo_traces.txt pins the expected
-// value. Any change to the numeric trace of a covered path — collection,
-// the batched update, gradient sharding, the intrinsic channel, a defense
-// hook — fails here, on every thread count and kernel backend.
+// Golden trace digests: the equivalence oracle for PpoTrainer and the other
+// training-side gradient paths. Each PPO case trains a small run and folds
+// its final parameters and per-iteration statistics into one CRC-32;
+// tests/golden/ppo_traces.txt pins the expected value. Any change to the
+// numeric trace of a covered path — collection, the batched update,
+// gradient sharding, the intrinsic channel, a defense hook, the IMAP-D
+// mimic fit, the MAD input gradient — fails here, on every thread count and
+// kernel backend.
 //
 // Regenerating after a deliberate numerics change: a mismatch prints the
 // full replacement file; paste it over tests/golden/ppo_traces.txt.
@@ -20,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "attack/gradient_attack.h"
 #include "attack/threat_model.h"
 #include "common/serialize.h"
 #include "common/thread_pool.h"
@@ -95,6 +98,36 @@ std::shared_ptr<nn::GaussianPolicy> random_victim(std::size_t obs_dim,
       obs_dim, act_dim, std::vector<std::size_t>{16, 16}, vr);
 }
 
+/// Hopper state-perturbation attack view on a random frozen victim.
+std::uint32_t hopper_victim_digest(const rl::PpoOptions& opts) {
+  const auto inner = env::make_env("Hopper");
+  attack::StatePerturbationEnv proto(
+      *inner,
+      rl::PolicyHandle(random_victim(inner->obs_dim(), inner->act_dim())),
+      env::spec("Hopper").epsilon, attack::RewardMode::Adversary);
+  return train_digest(proto, opts);
+}
+
+/// YouShallNotPass opponent-control attack view on a random frozen victim.
+std::uint32_t ysnp_opponent_digest(const rl::PpoOptions& opts) {
+  const auto game = env::make_multiagent_env("YouShallNotPass");
+  attack::OpponentEnv proto(
+      *game, rl::PolicyHandle(random_victim(game->victim_obs_dim(),
+                                            game->victim_act_dim())));
+  return train_digest(proto, opts);
+}
+
+/// IMAP attack on Hopper with the given regularizer options.
+std::uint32_t imap_digest(const core::ImapOptions& o) {
+  const auto env = env::make_env("Hopper");
+  core::ImapTrainer t(
+      *env, rl::PolicyHandle(random_victim(env->obs_dim(), env->act_dim())),
+      env::spec("Hopper").epsilon, o, Rng(3));
+  std::vector<rl::IterStats> stats;
+  for (int i = 0; i < kIters; ++i) stats.push_back(t.iterate());
+  return digest_of(t.trainer(), stats);
+}
+
 struct GoldenCase {
   const char* name;
   std::function<std::uint32_t()> run;
@@ -111,23 +144,9 @@ const std::vector<GoldenCase>& golden_cases() {
          return train_digest(*env::make_env("Hopper"), opts);
        }},
       {"hopper_victim_4x2",
-       [] {
-         const auto inner = env::make_env("Hopper");
-         attack::StatePerturbationEnv proto(
-             *inner,
-             rl::PolicyHandle(
-                 random_victim(inner->obs_dim(), inner->act_dim())),
-             env::spec("Hopper").epsilon, attack::RewardMode::Adversary);
-         return train_digest(proto, golden_opts(4, 2));
-       }},
+       [] { return hopper_victim_digest(golden_opts(4, 2)); }},
       {"ysnp_opponent_4x2",
-       [] {
-         const auto game = env::make_multiagent_env("YouShallNotPass");
-         attack::OpponentEnv proto(
-             *game, rl::PolicyHandle(random_victim(game->victim_obs_dim(),
-                                                   game->victim_act_dim())));
-         return train_digest(proto, golden_opts(4, 2));
-       }},
+       [] { return ysnp_opponent_digest(golden_opts(4, 2)); }},
       {"scenario_randomized_4x2",
        [] {
          const auto spec = scenario::parse(
@@ -143,25 +162,49 @@ const std::vector<GoldenCase>& golden_cases() {
        }},
       {"imap_pc_br",
        [] {
-         const auto env = env::make_env("Hopper");
          core::ImapOptions o;
          o.reg.type = core::RegularizerType::PC;
          o.bias_reduction = true;
          o.surrogate_scale = 500.0;
          o.ppo = golden_opts();
-         core::ImapTrainer t(
-             *env, rl::PolicyHandle(random_victim(env->obs_dim(),
-                                                  env->act_dim())),
-             env::spec("Hopper").epsilon, o, Rng(3));
-         std::vector<rl::IterStats> stats;
-         for (int i = 0; i < kIters; ++i) stats.push_back(t.iterate());
-         return digest_of(t.trainer(), stats);
+         return imap_digest(o);
        }},
       {"hopper_sa_hook",
        [] {
          return train_digest(*env::make_env("Hopper"), golden_opts(),
                              defense::make_smoothness_hook(0.075, 1.0, 1,
                                                            Rng(13)));
+       }},
+      {"hopper_victim_ke1", [] { return hopper_victim_digest(golden_opts()); }},
+      {"ysnp_opponent_ke1", [] { return ysnp_opponent_digest(golden_opts()); }},
+      {"hopper_set_env_ke1",
+       [] {
+         // ATLA-style mid-run environment swap: the in-flight episode must
+         // restart on the new prototype.
+         rl::PpoTrainer trainer(*env::make_env("Hopper"), golden_opts(),
+                                Rng(7));
+         std::vector<rl::IterStats> stats;
+         stats.push_back(trainer.iterate());
+         trainer.set_env(*env::make_env("SparseHopper"));
+         stats.push_back(trainer.iterate());
+         return digest_of(trainer, stats);
+       }},
+      {"imap_d",
+       [] {
+         core::ImapOptions o;
+         o.reg.type = core::RegularizerType::D;
+         o.ppo = golden_opts();
+         return imap_digest(o);
+       }},
+      {"mad_pgd3",
+       [] {
+         // White-box MAD directions: PGD input gradients through the victim.
+         const auto attack =
+             attack::make_mad_attack(*random_victim(11, 3), 0.075, 3);
+         Rng obs_rng(5);
+         Digest d;
+         for (int i = 0; i < 64; ++i) d.add(attack(obs_rng.normal_vec(11)));
+         return d.value();
        }},
   };
   return cases;
