@@ -121,11 +121,12 @@ std::unique_ptr<attack::StatePerturbationEnv> make_collect_proto() {
       attack::RewardMode::Adversary);
 }
 
-// Rollout collection throughput: Arg = E lockstep env slots. E = 1 is the
-// legacy per-env serial path (one act/log_prob/value/victim forward per
-// step); E >= 4 collects through the vectorized engine, which answers each
-// tick with one batched policy, value and victim forward across the slots.
-// The merged rollout is bit-identical for every E.
+// Rollout collection throughput: Arg = E lockstep env slots, all through the
+// vectorized engine. E = 1 is a one-slot lockstep collect on the trainer's
+// own stream (each tick's policy, value and victim forwards are 1-row
+// batches); E >= 4 answers each tick with one batched policy, value and
+// victim forward across the slots. The trace depends on the slot count, so
+// the arms compare throughput only.
 void BM_RolloutCollect(benchmark::State& state) {
   const auto proto = make_collect_proto();
   rl::PpoOptions opts;
@@ -138,7 +139,7 @@ void BM_RolloutCollect(benchmark::State& state) {
     trainer.collect(buf);
     benchmark::DoNotOptimize(buf.size());
   }
-  state.SetLabel(state.range(0) == 1 ? "serial" : "vectorized");
+  state.SetLabel(state.range(0) == 1 ? "one-slot lockstep" : "vectorized");
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           opts.steps_per_iter);
 }

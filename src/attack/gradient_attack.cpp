@@ -19,21 +19,17 @@ std::vector<double> mad_direction(const nn::Mlp& net,
   std::vector<double> delta(s.size());
   for (std::size_t i = 0; i < delta.size(); ++i)
     delta[i] = (i % 2 ? 0.1 : -0.1) * eps;
-  // All step buffers hoisted out of the PGD loop and reused: the tape keeps
-  // its heap blocks across forward_tape_ref calls, g/g_scratch across
-  // input_gradient_into calls — the loop is allocation-free in steady state.
-  std::vector<double> adv = s;
-  std::vector<double> grad_out;
-  std::vector<double> g;
-  std::vector<double> g_scratch;
-  nn::Mlp::Tape tape;
+  // One-row batches through a local workspace: the same kernels as the
+  // batched training path, and the loop reuses their buffers across steps.
+  nn::Batch adv(1, s.size());
+  nn::Batch grad_out(1, mu_clean.size());
+  nn::Mlp::Workspace ws;
   for (int step = 0; step < pgd_steps; ++step) {
-    for (std::size_t i = 0; i < s.size(); ++i) adv[i] = s[i] + delta[i];
-    const auto& mu = net.forward_tape_ref(adv, tape);
-    grad_out.resize(mu.size());
-    for (std::size_t i = 0; i < mu.size(); ++i)
-      grad_out[i] = 2.0 * (mu[i] - mu_clean[i]);
-    net.input_gradient_into(tape, grad_out, g, g_scratch);
+    for (std::size_t i = 0; i < s.size(); ++i) adv(0, i) = s[i] + delta[i];
+    const double* mu = net.forward_batch(adv, ws).row(0);
+    for (std::size_t i = 0; i < mu_clean.size(); ++i)
+      grad_out(0, i) = 2.0 * (mu[i] - mu_clean[i]);
+    const double* g = net.input_gradient_batch(ws, grad_out).row(0);
     // FGSM step: jump to the sign corner (for the 1-step case this is the
     // standard FGSM; further steps can flip coordinates whose gradient sign
     // changed at the corner).

@@ -20,6 +20,8 @@ void MimicPolicy::update(const rl::RolloutBuffer& buf, int epochs,
   std::vector<std::size_t> order(n);
   std::iota(order.begin(), order.end(), 0);
 
+  nn::Batch obs, act;
+  std::vector<double> coeff;
   for (int e = 0; e < epochs; ++e) {
     for (std::size_t i = n; i > 1; --i) {
       const auto j = static_cast<std::size_t>(
@@ -31,14 +33,13 @@ void MimicPolicy::update(const rl::RolloutBuffer& buf, int epochs,
       const std::size_t end =
           std::min(n, start + static_cast<std::size_t>(minibatch));
       const double inv_bs = 1.0 / static_cast<double>(end - start);
+      obs.gather(buf.obs, order, start, end);
+      act.gather(buf.act, order, start, end);
+      // NLL minimisation: accumulate −∇ log π_m(a|s) / bs over the batch.
+      coeff.assign(end - start, -inv_bs);
       mimic_.zero_grad();
-      for (std::size_t t = start; t < end; ++t) {
-        const auto idx = order[t];
-        nn::Mlp::Tape tape;
-        mimic_.mean_tape(buf.obs[idx], tape);
-        // NLL minimisation: accumulate −∇ log π_m(a|s).
-        mimic_.backward_logp(tape, buf.act[idx], -inv_bs);
-      }
+      mimic_.mean_batch(obs);
+      mimic_.backward_logp_batch(act, coeff);
       auto p = mimic_.flat_params();
       opt_.step(p, mimic_.flat_grads());
       mimic_.set_flat_params(p);

@@ -50,28 +50,6 @@ double kl(const std::vector<double>& mean_p, const std::vector<double>& ls_p,
   return kl;
 }
 
-std::vector<double> dlogp_dmean(const std::vector<double>& a,
-                                const std::vector<double>& mean,
-                                const std::vector<double>& log_std) {
-  std::vector<double> g(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const double inv_var = std::exp(-2.0 * log_std[i]);
-    g[i] = (a[i] - mean[i]) * inv_var;
-  }
-  return g;
-}
-
-std::vector<double> dlogp_dlogstd(const std::vector<double>& a,
-                                  const std::vector<double>& mean,
-                                  const std::vector<double>& log_std) {
-  std::vector<double> g(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const double z = (a[i] - mean[i]) * std::exp(-log_std[i]);
-    g[i] = z * z - 1.0;
-  }
-  return g;
-}
-
 }  // namespace diag_gaussian
 
 GaussianPolicy::GaussianPolicy(std::size_t obs_dim, std::size_t act_dim,
@@ -116,11 +94,6 @@ double GaussianPolicy::entropy() const {
   return diag_gaussian::entropy(log_std_);
 }
 
-std::vector<double> GaussianPolicy::mean_tape(const std::vector<double>& obs,
-                                              Mlp::Tape& tape) const {
-  return net_.forward_tape(obs, tape);
-}
-
 const Batch& GaussianPolicy::mean_batch(const Batch& obs) {
   return net_.forward_batch(obs);
 }
@@ -140,18 +113,6 @@ void GaussianPolicy::log_prob_batch(const Batch& obs, const Batch& act,
                                      act_dim());
 }
 
-void GaussianPolicy::backward_logp(const Mlp::Tape& tape,
-                                   const std::vector<double>& act,
-                                   double coeff) {
-  const auto& mean = tape.post.back();
-  auto gm = diag_gaussian::dlogp_dmean(act, mean, log_std_);
-  for (double& g : gm) g *= coeff;
-  net_.backward(tape, gm);
-  const auto gs = diag_gaussian::dlogp_dlogstd(act, mean, log_std_);
-  for (std::size_t i = 0; i < log_std_grad_.size(); ++i)
-    log_std_grad_[i] += coeff * gs[i];
-}
-
 void GaussianPolicy::backward_logp_batch(const Batch& act,
                                          const std::vector<double>& coeff) {
   auto& ws = net_.workspace();
@@ -168,7 +129,7 @@ void GaussianPolicy::backward_logp_batch(const Batch& act,
     const double cn = coeff[n];
     for (std::size_t i = 0; i < log_std_.size(); ++i) {
       const double inv_var = std::exp(-2.0 * log_std_[i]);
-      // Two-step (dlogp then ·coeff), matching backward_logp bit-for-bit.
+      // Two-step (dlogp, then ·coeff): the golden digests pin this rounding.
       double v = (a[i] - m[i]) * inv_var;
       v *= cn;
       g[i] = v;
@@ -256,11 +217,6 @@ double ValueNet::value(const std::vector<double>& obs) const {
   return net_.forward(obs)[0];
 }
 
-double ValueNet::value_tape(const std::vector<double>& obs,
-                            Mlp::Tape& tape) const {
-  return net_.forward_tape(obs, tape)[0];
-}
-
 void ValueNet::value_batch(const Batch& obs, std::vector<double>& out) {
   const Batch& o = net_.forward_batch(obs);
   out.resize(obs.rows());
@@ -272,10 +228,6 @@ void ValueNet::value_batch(const Batch& obs, Mlp::Workspace& ws,
   const Batch& o = net_.forward_batch(obs, ws);
   out.resize(obs.rows());
   for (std::size_t n = 0; n < obs.rows(); ++n) out[n] = o.row(n)[0];
-}
-
-void ValueNet::backward(const Mlp::Tape& tape, double coeff) {
-  net_.backward(tape, {coeff});
 }
 
 void ValueNet::backward_batch(const std::vector<double>& coeff) {

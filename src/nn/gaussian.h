@@ -25,16 +25,6 @@ double entropy(const std::vector<double>& log_std);
 double kl(const std::vector<double>& mean_p, const std::vector<double>& ls_p,
           const std::vector<double>& mean_q, const std::vector<double>& ls_q);
 
-/// d log_prob / d mean (per-dim).
-std::vector<double> dlogp_dmean(const std::vector<double>& a,
-                                const std::vector<double>& mean,
-                                const std::vector<double>& log_std);
-
-/// d log_prob / d log_std (per-dim).
-std::vector<double> dlogp_dlogstd(const std::vector<double>& a,
-                                  const std::vector<double>& mean,
-                                  const std::vector<double>& log_std);
-
 }  // namespace diag_gaussian
 
 /// Stochastic policy π(a|s) = N(μ_θ(s), diag(exp(log_std))²) with a
@@ -68,10 +58,6 @@ class GaussianPolicy {
   /// Policy entropy (state-independent).
   double entropy() const;
 
-  /// Forward with activation tape (for training); returns the mean.
-  std::vector<double> mean_tape(const std::vector<double>& obs,
-                                Mlp::Tape& tape) const;
-
   /// Batched mean forward on the policy-owned workspace, recording the
   /// batched tape for a later backward_logp_batch. Returns the mean rows
   /// (reference into the workspace, valid until the next batched call).
@@ -89,16 +75,11 @@ class GaussianPolicy {
   void log_prob_batch(const Batch& obs, const Batch& act,
                       std::vector<double>& out);
 
-  /// Accumulate coeff · ∇_θ log π(a|s) into the gradient buffers. The tape
-  /// must come from mean_tape(obs). Used by the PPO policy-gradient step
-  /// (coeff = clipped advantage weight) and by behaviour cloning.
-  void backward_logp(const Mlp::Tape& tape, const std::vector<double>& act,
-                     double coeff);
-
-  /// Batched backward_logp over the tape recorded by the last
-  /// mean_batch/log_prob_batch: accumulates Σ_n coeff[n]·∇_θ log π(a_n|s_n).
-  /// Bit-identical to calling backward_logp once per row in ascending row
-  /// order (coeff[n] = 0 rows contribute exact zeros).
+  /// Accumulate Σ_n coeff[n]·∇_θ log π(a_n|s_n) into the gradients, over
+  /// the tape recorded by the last mean_batch/log_prob_batch. Used by
+  /// the PPO policy-gradient step (coeff = clipped advantage weight) and by
+  /// behaviour cloning. Bit-identical to one 1-row call per row in
+  /// ascending row order (coeff[n] = 0 rows contribute exact zeros).
   void backward_logp_batch(const Batch& act, const std::vector<double>& coeff);
 
   /// Accumulate coeff · ∇_θ H(π) (only log_std receives gradient).
@@ -143,7 +124,6 @@ class ValueNet {
   ValueNet(std::size_t obs_dim, std::vector<std::size_t> hidden, Rng& rng);
 
   double value(const std::vector<double>& obs) const;
-  double value_tape(const std::vector<double>& obs, Mlp::Tape& tape) const;
 
   /// V(s_n) for every row of a minibatch, written into `out` (resized to
   /// obs.rows()); records the batched tape for a later backward_batch.
@@ -157,12 +137,9 @@ class ValueNet {
   void value_batch(const Batch& obs, Mlp::Workspace& ws,
                    std::vector<double>& out) const;
 
-  /// Accumulate coeff · ∇_θ V(s) into gradients (coeff = dL/dV).
-  void backward(const Mlp::Tape& tape, double coeff);
-
-  /// Batched critic backward over the tape recorded by the last
-  /// value_batch: accumulates Σ_n coeff[n]·∇_θ V(s_n). Bit-identical to
-  /// per-row backward() in ascending row order.
+  /// Critic backward over the tape recorded by the last value_batch:
+  /// accumulates Σ_n coeff[n]·∇_θ V(s_n) (coeff = dL/dV). Bit-identical to
+  /// one 1-row call per row in ascending row order.
   void backward_batch(const std::vector<double>& coeff);
 
   std::vector<double>& params() { return net_.params(); }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "common/check.h"
 #include "nn/kernel_backend.h"
@@ -66,88 +67,6 @@ void Mlp::forward_into(const std::vector<double>& x, std::vector<double>& out,
   IMAP_NCHECK_FINITE_VEC(out, "Mlp::forward output");
 }
 
-std::vector<double> Mlp::forward_tape(const std::vector<double>& x,
-                                      Tape& tape) const {
-  return forward_tape_ref(x, tape);
-}
-
-const std::vector<double>& Mlp::forward_tape_ref(const std::vector<double>& x,
-                                                 Tape& tape) const {
-  IMAP_CHECK(x.size() == in_dim());
-  // resize/assign (not re-construction) so a reused Tape keeps its heap
-  // blocks across calls.
-  tape.pre.resize(layers_.size());
-  tape.post.resize(layers_.size() + 1);
-  tape.post[0].assign(x.begin(), x.end());
-  for (std::size_t li = 0; li < layers_.size(); ++li) {
-    const auto& l = layers_[li];
-    tape.pre[li].resize(l.out);
-    kernel::affine(params_.data() + l.w_off, params_.data() + l.b_off, l.out,
-                   l.in, tape.post[li].data(), tape.pre[li].data());
-    tape.post[li + 1] = tape.pre[li];
-    if (li + 1 < layers_.size())
-      for (double& v : tape.post[li + 1]) v = std::tanh(v);
-  }
-  IMAP_NCHECK_FINITE_VEC(tape.post.back(), "Mlp::forward_tape output");
-  return tape.post.back();
-}
-
-std::vector<double> Mlp::backward(const Tape& tape,
-                                  const std::vector<double>& grad_out) {
-  IMAP_CHECK(grad_out.size() == out_dim());
-  std::vector<double> g = grad_out;  // dL/d(pre-activation of current layer)
-  std::vector<double> gin;           // dL/d(input of current layer)
-  for (std::size_t li = layers_.size(); li-- > 0;) {
-    const auto& l = layers_[li];
-    // Accumulate parameter grads: dL/dW += g ⊗ input, dL/db += g.
-    const auto& in = tape.post[li];
-    kernel::outer_acc(grads_.data() + l.w_off, l.out, l.in, g.data(),
-                      in.data(), 1.0);
-    double* gb = grads_.data() + l.b_off;
-    for (std::size_t r = 0; r < l.out; ++r) gb[r] += g[r];
-    // Propagate to input: dL/din = Wᵀ g, then through tanh if not first layer.
-    gin.assign(l.in, 0.0);
-    kernel::matvec_t_acc(params_.data() + l.w_off, l.out, l.in, g.data(),
-                         gin.data());
-    if (li > 0) {
-      const auto& post = tape.post[li];  // tanh(pre[li-1])
-      for (std::size_t c = 0; c < l.in; ++c)
-        gin[c] *= (1.0 - post[c] * post[c]);
-    }
-    std::swap(g, gin);
-  }
-  IMAP_NCHECK_FINITE_VEC(g, "Mlp::backward input-gradient");
-  return g;  // dL/dx
-}
-
-std::vector<double> Mlp::input_gradient(
-    const Tape& tape, const std::vector<double>& grad_out) const {
-  std::vector<double> out;
-  std::vector<double> scratch;
-  input_gradient_into(tape, grad_out, out, scratch);
-  return out;
-}
-
-void Mlp::input_gradient_into(const Tape& tape,
-                              const std::vector<double>& grad_out,
-                              std::vector<double>& out,
-                              std::vector<double>& scratch) const {
-  IMAP_CHECK(grad_out.size() == out_dim());
-  out.assign(grad_out.begin(), grad_out.end());
-  for (std::size_t li = layers_.size(); li-- > 0;) {
-    const auto& l = layers_[li];
-    scratch.assign(l.in, 0.0);
-    kernel::matvec_t_acc(params_.data() + l.w_off, l.out, l.in, out.data(),
-                         scratch.data());
-    if (li > 0) {
-      const auto& post = tape.post[li];
-      for (std::size_t c = 0; c < l.in; ++c)
-        scratch[c] *= (1.0 - post[c] * post[c]);
-    }
-    std::swap(out, scratch);
-  }
-}
-
 void Mlp::ensure_transpose_cache(Workspace& ws) const {
   if (ws.wt_owner == this && ws.wt_version == weight_version_ &&
       ws.wt.size() == layers_.size())
@@ -196,6 +115,9 @@ const Batch& Mlp::forward_batch(const Batch& x, Workspace& ws) const {
       std::copy(src, src + nel, dst);
     }
   }
+  IMAP_NCHECK_FINITE_VEC(
+      std::span<const double>(ws.post.back().data(), b * out_dim()),
+      "Mlp::forward_batch output");
   return ws.post.back();
 }
 
@@ -223,6 +145,8 @@ const Batch& Mlp::backward_batch(Workspace& ws, const Batch& grad_out) {
     }
     std::swap(ws.g, ws.gin);
   }
+  IMAP_NCHECK_FINITE_VEC(std::span<const double>(ws.g.data(), b * in_dim()),
+                         "Mlp::backward_batch input-gradient");
   return ws.g;  // dL/dX, one row per sample
 }
 

@@ -15,8 +15,10 @@ namespace imap::nn {
 ///
 /// Parameters and gradients live in flat vectors so an optimiser (Adam) can
 /// treat the whole network as one parameter block; per-layer (W, b) views
-/// index into the flats. Forward passes for training cache activations in a
-/// caller-owned Tape so the same network can be used re-entrantly.
+/// index into the flats. Training passes are batched: forward_batch records
+/// activations in a Workspace (caller-owned, or the network's own) and
+/// backward_batch / input_gradient_batch read them back, so a single sample
+/// is a one-row batch. Single-row forward()/forward_into() serve inference.
 class Mlp {
  public:
   /// `sizes` = {in, hidden..., out}. Weights ~ N(0, 1/sqrt(fan_in)) scaled by
@@ -32,39 +34,6 @@ class Mlp {
   /// reused across calls. Bit-identical to forward().
   void forward_into(const std::vector<double>& x, std::vector<double>& out,
                     std::vector<double>& scratch) const;
-
-  /// Activation cache for one forward pass.
-  struct Tape {
-    std::vector<std::vector<double>> pre;   ///< pre-activations per layer
-    std::vector<std::vector<double>> post;  ///< post-activations (post[0]=x)
-  };
-
-  /// Forward pass that records activations for a later backward.
-  std::vector<double> forward_tape(const std::vector<double>& x,
-                                   Tape& tape) const;
-
-  /// Same pass, but returns a reference to the output activations held by
-  /// the tape instead of copying them out — allocation-free when the tape
-  /// is reused (valid until the tape's next forward).
-  const std::vector<double>& forward_tape_ref(const std::vector<double>& x,
-                                              Tape& tape) const;
-
-  /// Accumulate dL/dparams into the gradient buffer given dL/doutput.
-  /// Returns dL/dinput (useful for adversarial perturbation search).
-  std::vector<double> backward(const Tape& tape,
-                               const std::vector<double>& grad_out);
-
-  /// dL/dinput only, without touching parameter gradients (for FGSM-style
-  /// input-gradient computations by the defenses).
-  std::vector<double> input_gradient(const Tape& tape,
-                                     const std::vector<double>& grad_out) const;
-
-  /// Allocation-free input_gradient: result in `out`, `scratch` is the
-  /// backward ping-pong partner; both reused across calls. Bit-identical.
-  void input_gradient_into(const Tape& tape,
-                           const std::vector<double>& grad_out,
-                           std::vector<double>& out,
-                           std::vector<double>& scratch) const;
 
   /// Reusable arena for the batched kernels: the batched activation tape
   /// (pre/post per layer) plus the backward ping-pong scratch. All buffers
@@ -100,7 +69,7 @@ class Mlp {
   /// Batched inference/training forward: stacks B samples through the
   /// blocked kernels, recording the activation tape in `ws`. Returns the
   /// output rows (a reference into `ws`, valid until the next call).
-  /// Bit-identical to calling forward()/forward_tape() once per row.
+  /// Bit-identical to calling forward() once per row.
   const Batch& forward_batch(const Batch& x, Workspace& ws) const;
 
   /// Convenience overload on the Mlp-owned workspace (hence non-const:
@@ -109,8 +78,8 @@ class Mlp {
 
   /// Batched backward through the tape recorded by forward_batch on `ws`:
   /// accumulates dL/dparams into the gradient buffer and returns dL/dinput
-  /// rows (reference into `ws`). Gradients are bit-identical to running
-  /// backward() per row in ascending row order.
+  /// rows (reference into `ws`). Gradients are bit-identical to running one
+  /// 1-row batch per row in ascending row order.
   const Batch& backward_batch(Workspace& ws, const Batch& grad_out);
   const Batch& backward_batch(const Batch& grad_out) {
     return backward_batch(ws_, grad_out);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <numeric>
 #include <utility>
 
@@ -40,8 +39,6 @@ void PpoTrainer::set_env(const Env& proto) {
   IMAP_CHECK(proto.obs_dim() == env_->obs_dim());
   IMAP_CHECK(proto.act_dim() == env_->act_dim());
   env_ = proto.clone();
-  need_reset_ = true;
-  replay_.invalidate();
   for (auto& w : workers_) w.set_env(proto);
 }
 
@@ -66,16 +63,21 @@ void PpoTrainer::ensure_workers() {
 
 void PpoTrainer::collect(RolloutBuffer& buf) {
   const int total = opts_.num_workers * opts_.envs_per_worker;
-  if (total <= 1) {
-    collect_serial(buf);
-    return;
-  }
   ensure_workers();
   // Per-global-slot budgets: steps/N each, remainder to the FIRST slots —
   // non-increasing, so every worker's live slots form a prefix.
   slot_budgets_.assign(static_cast<std::size_t>(total),
                        opts_.steps_per_iter / total);
   for (int g = 0; g < opts_.steps_per_iter % total; ++g) ++slot_budgets_[g];
+
+  // K·E = 1: the one slot draws from the trainer stream (update() shuffles
+  // from the same stream) and fills the caller's buffer in place, so no
+  // second rollout-sized buffer exists. Both are handed back below.
+  EnvSlot& slot0 = workers_[0].slot(0);
+  if (total == 1) {
+    slot0.rng = rng_;
+    std::swap(slot0.buf, buf);
+  }
 
   // Workers touch disjoint state (own slots: env, rng, buffer) and their
   // own batching scratch; the policy and value nets are read-only during
@@ -89,75 +91,21 @@ void PpoTrainer::collect(RolloutBuffer& buf) {
       },
       /*grain=*/1);
 
-  buf.clear();
-  buf.reserve(static_cast<std::size_t>(opts_.steps_per_iter));
-  buf.reserve_step(env_->obs_dim(), env_->act_dim());
   ep_successes_ = 0;
-  for (auto& w : workers_) {
-    for (std::size_t i = 0; i < w.size(); ++i) {
-      buf.append(w.slot(i).buf);
-      ep_successes_ += w.slot(i).ep_successes;
+  if (total == 1) {
+    rng_ = slot0.rng;
+    std::swap(slot0.buf, buf);
+    ep_successes_ = slot0.ep_successes;
+  } else {
+    buf.clear();
+    buf.reserve(static_cast<std::size_t>(opts_.steps_per_iter));
+    buf.reserve_step(env_->obs_dim(), env_->act_dim());
+    for (auto& w : workers_) {
+      for (std::size_t i = 0; i < w.size(); ++i) {
+        buf.append(w.slot(i).buf);
+        ep_successes_ += w.slot(i).ep_successes;
+      }
     }
-  }
-  steps_done_ += opts_.steps_per_iter;
-}
-
-void PpoTrainer::collect_serial(RolloutBuffer& buf) {
-  buf.clear();
-  buf.reserve(static_cast<std::size_t>(opts_.steps_per_iter));
-  buf.reserve_step(env_->obs_dim(), env_->act_dim());
-  ep_successes_ = 0;
-
-  if (need_reset_) {
-    replay_.on_reset(rng_);
-    cur_obs_ = env_->reset(rng_);
-    ep_return_ = ep_surrogate_ = 0.0;
-    ep_len_ = 0;
-    need_reset_ = false;
-  }
-
-  // Per-step buffers hoisted out of the collection loop (act_into reuses
-  // their capacity; the loop is allocation-free in steady state).
-  std::vector<double> action;
-  std::vector<double> act_scratch;
-  for (int t = 0; t < opts_.steps_per_iter; ++t) {
-    policy_->act_into(cur_obs_, rng_, action, act_scratch);
-    const double lp = policy_->log_prob(cur_obs_, action);
-    const double ve = value_e_->value(cur_obs_);
-    replay_.on_step(action.data(), action.size());
-    StepResult sr = env_->step(env_->action_space().clamp(action));
-
-    buf.add(cur_obs_, action, lp, sr.reward, ve);
-    ep_return_ += sr.reward;
-    ep_surrogate_ += sr.surrogate;
-    ++ep_len_;
-
-    const bool boundary = sr.done || sr.truncated;
-    if (boundary) {
-      buf.done.back() = sr.done ? 1 : 0;
-      buf.boundary.back() = 1;
-      // Bootstrap with the value of the post-step state (ignored if done).
-      buf.last_val_e.push_back(sr.done ? 0.0 : value_e_->value(sr.obs));
-      buf.last_val_i.push_back(sr.done ? 0.0 : value_i_->value(sr.obs));
-      buf.episode_returns.push_back(ep_return_);
-      buf.episode_surrogate.push_back(ep_surrogate_);
-      buf.episode_lengths.push_back(ep_len_);
-      if (sr.task_completed) ++ep_successes_;
-      replay_.on_reset(rng_);
-      cur_obs_ = env_->reset(rng_);
-      ep_return_ = ep_surrogate_ = 0.0;
-      ep_len_ = 0;
-    } else {
-      // Swap instead of copy (see collect_worker).
-      std::swap(cur_obs_, sr.obs);
-    }
-  }
-
-  // Close the rollout: the last segment bootstraps from the current state.
-  if (!buf.boundary.back()) {
-    buf.boundary.back() = 1;
-    buf.last_val_e.push_back(value_e_->value(cur_obs_));
-    buf.last_val_i.push_back(value_i_->value(cur_obs_));
   }
   steps_done_ += opts_.steps_per_iter;
 }
@@ -461,14 +409,6 @@ std::vector<IterStats> PpoTrainer::train(long long total_steps) {
   return out;
 }
 
-namespace {
-bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
-  return a.size() == b.size() &&
-         (a.empty() ||
-          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
-}
-}  // namespace
-
 void PpoTrainer::save_state(ArchiveWriter& a) const {
   auto& meta = a.section("ppo/meta");
   meta.write_u64(env_->obs_dim());
@@ -498,16 +438,8 @@ void PpoTrainer::save_state(ArchiveWriter& a) const {
   loop.write_i64(steps_done_);
   loop.write_i64(iter_);
 
-  auto& ep = a.section("ppo/episode");
-  ep.write_bool(need_reset_);
-  ep.write_vec(cur_obs_);
-  ep.write_f64(ep_return_);
-  ep.write_f64(ep_surrogate_);
-  ep.write_i64(ep_len_);
-  replay_.save_state(ep);
-
-  // Worker slots only exist once a vectorized collect has run; an un-built
-  // fleet is rebuilt deterministically from the restored Rng seed instead.
+  // Worker slots only exist once a collect has run; an un-built fleet is
+  // rebuilt deterministically from the restored Rng seed instead.
   if (!workers_.empty()) {
     auto& ws = a.section("ppo/workers");
     ws.write_u64(workers_.size());
@@ -548,20 +480,12 @@ void PpoTrainer::load_state(const ArchiveReader& a) {
   steps_done_ = loop.read_i64();
   iter_ = static_cast<int>(loop.read_i64());
 
-  auto ep = a.section("ppo/episode");
-  need_reset_ = ep.read_bool();
-  cur_obs_ = ep.read_vec();
-  ep_return_ = ep.read_f64();
-  ep_surrogate_ = ep.read_f64();
-  ep_len_ = static_cast<int>(ep.read_i64());
-  replay_.load_state(ep);
-  if (!need_reset_ && replay_.valid()) {
-    const auto obs = replay_.rebuild(*env_);
-    IMAP_CHECK_MSG(same_bits(obs, cur_obs_),
-                   "episode replay diverged from checkpoint — environment "
-                   "prototype does not match");
-  }
-
+  // Any trainer that has collected saves its in-flight episodes as slot
+  // state; a snapshot without it predates the one-collector trainer and
+  // would silently restart the episode.
+  IMAP_CHECK_MSG(steps_done_ == 0 || a.has("ppo/workers"),
+                 "PPO snapshot has no rollout-slot state (written by an older "
+                 "build) — delete the stale snapshot and retrain");
   if (a.has("ppo/workers")) {
     ensure_workers();
     auto ws = a.section("ppo/workers");

@@ -10,7 +10,6 @@
 #include "nn/gaussian.h"
 #include "rl/env.h"
 #include "rl/gae.h"
-#include "rl/replay.h"
 #include "rl/rollout.h"
 #include "rl/vec_env.h"
 
@@ -34,14 +33,14 @@ struct PpoOptions {
   /// K parallel rollout workers, each with its own env clone, Rng stream
   /// (split from the trainer seed) and rollout buffer, merged in
   /// worker-index order. K fixes the numeric trace; the thread count does
-  /// not. K = 1 is the legacy serial path, bit-identical to older builds.
+  /// not.
   int num_workers = 1;
   /// E lockstep environment slots per worker (the vectorized rollout
   /// engine). Global slot g = w·E + i draws from the trainer-seed child
   /// stream g and the merged rollout is concatenated in global slot order,
   /// so the trace depends only on the TOTAL slot count K·E — any
   /// (workers × slots) factorization of the same total is bit-identical.
-  /// K·E = 1 is the legacy serial path, bit-identical to older builds.
+  /// At K·E = 1 the one slot draws from the trainer stream itself.
   int envs_per_worker = 1;
   /// Gradient-accumulation shards per minibatch: each shard back-propagates
   /// a fixed contiguous slice of the batch into its own gradient buffer and
@@ -103,8 +102,6 @@ class PpoTrainer {
   const nn::GaussianPolicy& policy() const { return *policy_; }
   nn::ValueNet& value_e() { return *value_e_; }
   nn::ValueNet& value_i() { return *value_i_; }
-  Env& env() { return *env_; }
-  Rng& rng() { return rng_; }
   const PpoOptions& options() const { return opts_; }
   long long steps_done() const { return steps_done_; }
   int iterations_done() const { return iter_; }
@@ -123,10 +120,12 @@ class PpoTrainer {
   void update(RolloutBuffer& buf, double tau, IterStats& stats);
 
   /// Full training-state snapshot: nets, Adam moments, Rng streams, loop
-  /// counters and mid-episode state (in-flight episodes are reconstructed on
-  /// restore by replaying their action history into fresh env clones).
-  /// Restoring into a trainer built with the same prototype, options and
-  /// seed resumes training bit-identically to never having stopped.
+  /// counters and per-slot mid-episode state (in-flight episodes are
+  /// reconstructed on restore by replaying their action history into fresh
+  /// env clones). Restoring into a trainer built with the same prototype,
+  /// options and seed resumes training bit-identically to never having
+  /// stopped. A snapshot taken after any collection must carry the slot
+  /// state; one without it is rejected rather than restarting episodes.
   void save_state(ArchiveWriter& a) const;
   void load_state(const ArchiveReader& a);
 
@@ -167,7 +166,6 @@ class PpoTrainer {
     UpdateScratch scratch;
   };
 
-  void collect_serial(RolloutBuffer& buf);
   void ensure_workers();
   int shard_count() const;
   void ensure_shards(int n_shards);
@@ -185,7 +183,7 @@ class PpoTrainer {
                              double inv_bs, UpdateScratch& scratch) const;
 
   PpoOptions opts_;
-  std::unique_ptr<Env> env_;
+  std::unique_ptr<Env> env_;  ///< prototype the rollout slots are cloned from
   Rng rng_;
   std::unique_ptr<nn::GaussianPolicy> policy_;
   std::unique_ptr<nn::ValueNet> value_e_;
@@ -196,15 +194,7 @@ class PpoTrainer {
   IntrinsicHook intrinsic_;
   RegularizerHook reg_;
 
-  // Persistent episode state across iterate() calls (serial K=1 path).
-  std::vector<double> cur_obs_;
-  double ep_return_ = 0.0;
-  double ep_surrogate_ = 0.0;
-  int ep_len_ = 0;
-  bool need_reset_ = true;
-  EpisodeReplay replay_;  ///< in-flight episode history (serial path)
-
-  std::vector<VecEnv> workers_;          ///< K·E>1 vectorized rollout workers
+  std::vector<VecEnv> workers_;          ///< K vectorized rollout workers
   std::vector<int> slot_budgets_;        ///< per-global-slot step budgets
   std::vector<ShardScratch> shards_;     ///< gradient shards (lazy)
   RolloutBuffer rollout_;                ///< reused across iterations

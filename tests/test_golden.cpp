@@ -117,7 +117,7 @@ std::uint32_t ysnp_opponent_digest(const rl::PpoOptions& opts) {
   return train_digest(proto, opts);
 }
 
-/// IMAP attack on Hopper with the given regularizer options.
+/// IMAP attack on Hopper under the given options.
 std::uint32_t imap_digest(const core::ImapOptions& o) {
   const auto env = env::make_env("Hopper");
   core::ImapTrainer t(

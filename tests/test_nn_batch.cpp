@@ -1,7 +1,8 @@
 // Tests for the batched kernel layer (nn/batch.h, Mlp::forward_batch /
 // backward_batch and the batched policy/critic APIs):
-//  * bitwise parity — every batched result must equal the per-sample path
-//    exactly, not approximately (the determinism contract in DESIGN.md);
+//  * bitwise parity — every batched result must equal a run of 1-row calls
+//    (and, for forwards, the single-row inference path) exactly, not
+//    approximately (the determinism contract in DESIGN.md);
 //  * finite-difference correctness of the batched backward;
 //  * the zero-allocation guarantee of the Workspace arena in steady state.
 // The end-to-end PPO update is pinned by the golden digests (test_golden).
@@ -77,6 +78,14 @@ std::vector<double> row_vec(const Batch& b, std::size_t r) {
   return std::vector<double>(b.row(r), b.row(r) + b.dim());
 }
 
+/// Row r of `b` as a 1-row batch: the per-sample reference is a run of
+/// single-row batched calls, one per row in ascending order.
+Batch one_row(const Batch& b, std::size_t r) {
+  Batch out(1, b.dim());
+  out.set_row(0, row_vec(b, r));
+  return out;
+}
+
 class MlpBatchParity : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(MlpBatchParity, ForwardMatchesPerSampleBitwise) {
@@ -114,10 +123,10 @@ TEST_P(MlpBatchParity, BackwardMatchesPerSampleBitwise) {
 
   serial.zero_grad();
   std::vector<std::vector<double>> gin_s;
+  Mlp::Workspace ws1;
   for (std::size_t r = 0; r < bs; ++r) {
-    Mlp::Tape tape;
-    serial.forward_tape(row_vec(x, r), tape);
-    gin_s.push_back(serial.backward(tape, row_vec(gout, r)));
+    serial.forward_batch(one_row(x, r), ws1);
+    gin_s.push_back(row_vec(serial.backward_batch(ws1, one_row(gout, r)), 0));
   }
 
   // Parameter gradients accumulate in the same per-entry order → bitwise.
@@ -143,11 +152,11 @@ TEST_P(MlpBatchParity, InputGradientMatchesPerSampleBitwise) {
   const Batch& gin_b = net.input_gradient_batch(ws, gout);
   EXPECT_EQ(net.grads(), grads_before);  // params untouched
 
+  Mlp::Workspace ws1;
   for (std::size_t r = 0; r < bs; ++r) {
-    Mlp::Tape tape;
-    net.forward_tape(row_vec(x, r), tape);
-    const auto gin = net.input_gradient(tape, row_vec(gout, r));
-    for (std::size_t c = 0; c < 4; ++c) EXPECT_EQ(gin_b(r, c), gin[c]);
+    net.forward_batch(one_row(x, r), ws1);
+    const Batch& gin = net.input_gradient_batch(ws1, one_row(gout, r));
+    for (std::size_t c = 0; c < 4; ++c) EXPECT_EQ(gin_b(r, c), gin(0, c));
   }
 }
 
@@ -156,7 +165,7 @@ INSTANTIATE_TEST_SUITE_P(BatchSizes, MlpBatchParity,
                                            std::size_t{64}));
 
 // Finite-difference check of backward_batch on the summed loss
-// L = Σ_n w_n · out_n — the batched analogue of Mlp.GradientsMatchFiniteDifferences.
+// L = Σ_n w_n · out_n: parameter gradients and the returned input gradients.
 TEST(MlpBatch, BackwardMatchesFiniteDifferences) {
   Rng rng(29);
   Mlp net({4, 8, 3}, rng);
@@ -167,16 +176,17 @@ TEST(MlpBatch, BackwardMatchesFiniteDifferences) {
   Mlp::Workspace ws;
   net.zero_grad();
   net.forward_batch(x, ws);
-  net.backward_batch(ws, w);
+  const Batch gin = net.backward_batch(ws, w);
   const auto analytic = net.grads();
 
-  const auto loss = [&] {
+  const auto loss_at = [&](const Batch& in) {
     double l = 0.0;
-    const Batch& out = net.forward_batch(x, ws);
+    const Batch& out = net.forward_batch(in, ws);
     for (std::size_t r = 0; r < bs; ++r)
       for (std::size_t c = 0; c < 3; ++c) l += w(r, c) * out(r, c);
     return l;
   };
+  const auto loss = [&] { return loss_at(x); };
   const double eps = 1e-6;
   // Mutations go through net.params() each time (never a held reference):
   // the accessor bumps the weight version that keys the workspace transpose
@@ -192,6 +202,17 @@ TEST(MlpBatch, BackwardMatchesFiniteDifferences) {
     const double fd = (lp - lm) / (2.0 * eps);
     EXPECT_NEAR(analytic[i], fd, 1e-4 * std::max(1.0, std::fabs(fd)))
         << "param " << i;
+  }
+  // Input gradients dL/dX, every row and column.
+  for (std::size_t r = 0; r < bs; ++r) {
+    for (std::size_t c = 0; c < 4; ++c) {
+      Batch xp = x, xm = x;
+      xp(r, c) += eps;
+      xm(r, c) -= eps;
+      const double fd = (loss_at(xp) - loss_at(xm)) / (2.0 * eps);
+      EXPECT_NEAR(gin(r, c), fd, 1e-4 * std::max(1.0, std::fabs(fd)))
+          << "row " << r << " col " << c;
+    }
   }
 }
 
@@ -229,9 +250,8 @@ TEST(GaussianPolicyBatch, BackwardLogpBatchMatchesPerSampleBitwise) {
 
   serial.zero_grad();
   for (std::size_t r = 0; r < bs; ++r) {
-    Mlp::Tape tape;
-    serial.mean_tape(row_vec(obs, r), tape);
-    serial.backward_logp(tape, row_vec(act, r), coeff[r]);
+    serial.mean_batch(one_row(obs, r));
+    serial.backward_logp_batch(one_row(act, r), {coeff[r]});
   }
 
   EXPECT_EQ(batched.flat_grads(), serial.flat_grads());
@@ -255,11 +275,12 @@ TEST(ValueNetBatch, ValueAndBackwardMatchPerSampleBitwise) {
   batched.backward_batch(coeff);
 
   serial.zero_grad();
+  std::vector<double> v1;
   for (std::size_t r = 0; r < bs; ++r) {
     EXPECT_EQ(v[r], serial.value(row_vec(obs, r)));
-    Mlp::Tape tape;
-    serial.value_tape(row_vec(obs, r), tape);
-    serial.backward(tape, coeff[r]);
+    serial.value_batch(one_row(obs, r), v1);
+    EXPECT_EQ(v[r], v1[0]);
+    serial.backward_batch({coeff[r]});
   }
   EXPECT_EQ(batched.grads(), serial.grads());
 }

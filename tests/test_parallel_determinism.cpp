@@ -64,8 +64,9 @@ TEST(ParallelDeterminism, PpoTraceIdenticalFor1And4Threads) {
 }
 
 TEST(ParallelDeterminism, LegacySerialOptionsUnaffectedByPool) {
-  // num_workers = 1 / grad_shards = 1 is the pre-parallel code path; running
-  // it on a pool must not change a single bit.
+  // The library defaults (K·E = 1: one lockstep slot on the trainer stream;
+  // grad_shards = 1: unsharded accumulation) are what production trainers
+  // run; a pool must not change a single bit of them.
   rl::PpoOptions opts;
   opts.steps_per_iter = 512;
 

@@ -7,11 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <string>
 #include <vector>
 
 #include "common/check.h"
+#include "common/serialize.h"
 #include "core/experiment.h"
 #include "core/imap_trainer.h"
 #include "core/zoo.h"
@@ -129,6 +133,50 @@ TEST_F(SnapshotTest, PpoRestoreRejectsMismatchedTrainer) {
   other.hidden = {8};
   rl::PpoTrainer mismatched(*env, other, Rng(17));
   EXPECT_THROW(mismatched.restore(snap), CheckError);
+}
+
+TEST_F(SnapshotTest, PpoRestoreRejectsSnapshotWithoutSlotState) {
+  const auto env = env::make_hopper();
+  rl::PpoTrainer t(*env, tiny_ppo(), Rng(17));
+
+  // Before any collection there are no slots yet: a fresh-trainer snapshot
+  // restores (the fleet is rebuilt from the seed on the next collect).
+  {
+    ArchiveWriter a;
+    t.save_state(a);
+    rl::PpoTrainer fresh(*env, tiny_ppo(), Rng(17));
+    EXPECT_NO_THROW(fresh.load_state(ArchiveReader::parse(a.bytes(), "t0")));
+  }
+
+  // After a collection, an image whose slot state is missing — as in a
+  // snapshot from a build that kept the K·E = 1 episode elsewhere — must be
+  // refused, not resumed with a silently restarted episode. Rename the
+  // section to the same-length old name and re-seal the CRC trailer.
+  t.iterate();
+  ArchiveWriter a;
+  t.save_state(a);
+  std::vector<std::uint8_t> bytes = a.bytes();
+  const std::string from = "ppo/workers", to = "ppo/episode";
+  ASSERT_EQ(from.size(), to.size());
+  const auto it = std::search(bytes.begin(), bytes.end(), from.begin(),
+                              from.end());
+  ASSERT_NE(it, bytes.end());
+  std::copy(to.begin(), to.end(), it);
+  const std::size_t body = bytes.size() - sizeof(std::uint32_t);
+  const std::uint32_t crc = crc32(bytes.data(), body);
+  std::memcpy(bytes.data() + body, &crc, sizeof(crc));
+  const ArchiveReader stale = ArchiveReader::parse(bytes, "stale");
+  ASSERT_FALSE(stale.has("ppo/workers"));
+
+  rl::PpoTrainer resumed(*env, tiny_ppo(), Rng(17));
+  try {
+    resumed.load_state(stale);
+    FAIL() << "restore without rollout-slot state must throw";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("delete the stale snapshot"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 rl::ActionFn feedback_victim() {
