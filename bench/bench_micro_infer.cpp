@@ -13,7 +13,6 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <iostream>
@@ -78,26 +77,17 @@ BENCHMARK(BM_VictimQueryBatch)
     ->Args({64, 1});
 
 /// Seconds for `calls` back-to-back query_batch calls on `obs`, min over 7
-/// repetitions (min, not mean: background load only ever inflates a rep, so
-/// the minimum is the robust estimate of the serving cost).
+/// repetitions.
 double time_queries(const rl::PolicyHandle& handle, const nn::Batch& obs,
                     int calls) {
   nn::Mlp::Workspace ws;
   handle.query_batch(obs, ws);  // warm-up: grow the workspace arenas
-  constexpr int kReps = 7;
-  double secs = std::numeric_limits<double>::infinity();
-  for (int rep = 0; rep < kReps; ++rep) {
-    const auto t0 = std::chrono::steady_clock::now();
+  return bench::min_seconds(7, [&] {
     for (int i = 0; i < calls; ++i) {
       const auto& y = handle.query_batch(obs, ws);
       benchmark::DoNotOptimize(y.data());
     }
-    secs = std::min(
-        secs, std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                            t0)
-                  .count());
-  }
-  return secs;
+  });
 }
 
 void infer_probe() {

@@ -26,7 +26,6 @@
 #include <chrono>
 #include <cstdlib>
 #include <iostream>
-#include <limits>
 #include <sstream>
 #include <vector>
 
@@ -217,7 +216,8 @@ void speedup_probe() {
     std::tie(pool_s, pool_ret) = probe_run(kIters);
   }
   const double speedup = pool_s > 0.0 ? serial_s / pool_s : 1.0;
-  const bool identical = serial_ret == pool_ret;
+  // The pool must reproduce the serial trace bit for bit, so == is meant.
+  const bool identical = serial_ret == pool_ret;  // imap-check: allow(float-eq)
 
   std::ostringstream os;
   os.setf(std::ios::fixed);
@@ -254,19 +254,7 @@ double kernel_probe_run() {
   trainer.collect(buf);
   rl::IterStats stats;
   trainer.update(buf, 0.0, stats);  // warm-up: grow the workspace arenas
-  // Min over repetitions, not mean: background load only ever inflates a
-  // rep, so the minimum is the robust estimate of the kernel cost.
-  constexpr int kUpdates = 7;
-  double secs = std::numeric_limits<double>::infinity();
-  for (int i = 0; i < kUpdates; ++i) {
-    const auto t0 = std::chrono::steady_clock::now();
-    trainer.update(buf, 0.0, stats);
-    secs = std::min(
-        secs, std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                            t0)
-                  .count());
-  }
-  return secs;
+  return bench::min_seconds(7, [&] { trainer.update(buf, 0.0, stats); });
 }
 
 void kernel_probe() {
@@ -324,17 +312,7 @@ std::pair<double, double> rollout_probe_run(bool vectorized) {
       vec.collect_serial(policy, value_e, value_i, budgets, 0);
   };
   round();  // warm-up: grow buffers and workspaces
-  // Min over repetitions, not mean (see kernel_probe_run).
-  constexpr int kCollects = 7;
-  double secs = std::numeric_limits<double>::infinity();
-  for (int i = 0; i < kCollects; ++i) {
-    const auto t0 = std::chrono::steady_clock::now();
-    round();
-    secs = std::min(
-        secs, std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                            t0)
-                  .count());
-  }
+  const double secs = bench::min_seconds(7, round);
   double sum = 0.0;
   for (std::size_t i = 0; i < kSlots; ++i)
     sum += buffer_checksum(vec.slot(i).buf);

@@ -26,14 +26,12 @@
 
 #include <algorithm>
 #include <charconv>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <iomanip>
 #include <iostream>
-#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -159,9 +157,7 @@ CellResult run_cell(const std::shared_ptr<const nn::GaussianPolicy>& victim,
   ThreadPool pool(n + 1);
   ScopedPool scope(pool);
   std::vector<long long> mismatches(n, 0);
-  double secs = std::numeric_limits<double>::infinity();
-  for (int rep = 0; rep < reps; ++rep) {
-    const auto t0 = std::chrono::steady_clock::now();
+  const double secs = bench::min_seconds(reps, [&] {
     parallel_for(
         n,
         [&](std::size_t i) {
@@ -178,11 +174,7 @@ CellResult run_cell(const std::shared_ptr<const nn::GaussianPolicy>& victim,
           ::close(fd);
         },
         1);
-    secs = std::min(
-        secs,
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count());
-  }
+  });
 
   CellResult r;
   r.clients = clients;

@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <set>
@@ -261,6 +262,16 @@ std::vector<std::pair<std::string, std::string>> split_top_level(
 }
 
 }  // namespace
+
+double min_seconds(int reps, const std::function<void()>& fn) {
+  double best = std::numeric_limits<double>::infinity();
+  for (int rep = 0; rep < reps; ++rep) {
+    const auto t0 = std::chrono::steady_clock::now();
+    fn();
+    best = std::min(best, seconds_since(t0));
+  }
+  return best;
+}
 
 void write_report_entry(const std::string& path, const std::string& key,
                         const std::string& entry_json) {

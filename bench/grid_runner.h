@@ -60,6 +60,11 @@ class GridRunner {
   double wall_seconds_ = 0.0;  ///< summed over run_plans/run_jobs calls
 };
 
+/// Minimum wall-clock seconds over `reps` calls of `fn` (+inf when reps <= 0).
+/// Min, not mean: background load only ever inflates a rep, so the minimum
+/// is the robust estimate of the cost. Warm-up runs are the caller's.
+double min_seconds(int reps, const std::function<void()>& fn);
+
 /// Merge `entry_json` (a JSON value) under key `key` into the flat JSON
 /// object at `path` (created if missing), preserving other keys' entries.
 /// Used for the committed bench reports (BENCH_parallel.json,

@@ -26,8 +26,11 @@ double Rng::uniform(double lo, double hi) {
 }
 
 double Rng::normal(double mean, double stddev) {
-  std::normal_distribution<double> d(mean, stddev);
-  return d(gen_);
+  // Scale a standard draw by hand: std::normal_distribution requires
+  // stddev > 0, and callers pass 0 to switch noise off. libstdc++ returns
+  // z * stddev + mean in this order, so every draw keeps its bits.
+  std::normal_distribution<double> d;
+  return d(gen_) * stddev + mean;
 }
 
 int Rng::uniform_int(int lo, int hi) {

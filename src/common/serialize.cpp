@@ -167,7 +167,7 @@ std::vector<double> BinaryReader::read_vec() {
   const auto n = read_u64();
   need(n * sizeof(double));
   std::vector<double> v(n);
-  std::memcpy(v.data(), buf_.data() + pos_, n * sizeof(double));
+  if (n != 0) std::memcpy(v.data(), buf_.data() + pos_, n * sizeof(double));
   pos_ += n * sizeof(double);
   return v;
 }

@@ -21,8 +21,9 @@ TEST(Rng, DeterministicGivenSeed) {
 TEST(Rng, DifferentSeedsDiffer) {
   Rng a(1), b(2);
   int equal = 0;
+  // Counts exact draw collisions between the two streams, so == is meant.
   for (int i = 0; i < 100; ++i)
-    if (a.uniform() == b.uniform()) ++equal;
+    if (a.uniform() == b.uniform()) ++equal;  // imap-check: allow(float-eq)
   EXPECT_LT(equal, 5);
 }
 
@@ -63,6 +64,15 @@ TEST(Rng, NormalMomentsRoughlyCorrect) {
   const auto v = rng.normal_vec(20000, 1.5, 2.0);
   EXPECT_NEAR(mean(v), 1.5, 0.1);
   EXPECT_NEAR(stddev(v), 2.0, 0.1);
+}
+
+TEST(Rng, ZeroStddevNormalIsTheMeanAndAdvancesLikeUnitNormal) {
+  Rng zero(13), unit(13);
+  for (int i = 0; i < 50; ++i) {
+    EXPECT_EQ(zero.normal(2.5, 0.0), 2.5);
+    unit.normal(2.5, 1.0);
+  }
+  EXPECT_EQ(zero.next_u64(), unit.next_u64());
 }
 
 TEST(Stats, MeanAndStddev) {
@@ -134,6 +144,14 @@ TEST(Serialize, RoundTripsThroughFile) {
   EXPECT_EQ(r.read_vec(), (std::vector<double>{1.0, -2.0, 3.5}));
   EXPECT_TRUE(r.exhausted());
   std::remove(path.c_str());
+}
+
+TEST(Serialize, EmptyVectorRoundTrips) {
+  BinaryWriter w;
+  w.write_vec({});
+  BinaryReader r(std::vector<std::uint8_t>(w.buffer()));
+  EXPECT_TRUE(r.read_vec().empty());
+  EXPECT_TRUE(r.exhausted());
 }
 
 TEST(Serialize, MissingFileReturnsFalse) {

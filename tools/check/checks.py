@@ -14,23 +14,39 @@ Rules:
                       engine, so `shared.split(slot)` is deterministic while
                       `shared.uniform()` depends on thread schedule).
                       Reachability is transitive over the TU-local call graph.
-  nondet-source       rand/srand/std::random_device/raw mt19937, wall-clock
-                      reads (chrono ::now, time(), clock(), gettimeofday) in
-                      src/ — any of these silently breaks seed determinism.
+  nondet-source       rand/srand/std::random_device/raw mt19937 anywhere, and
+                      wall-clock reads (chrono ::now, time(), clock(),
+                      gettimeofday) in src/ — any of these silently breaks
+                      seed determinism. Timing belongs to the bench layer.
+  unordered-iter      A range-for or begin() iterator loop over a
+                      std::unordered_{map,set,multimap,multiset} in a numeric
+                      src/ layer: hash-layout iteration order is not part of
+                      the seed, so results drift run to run. The container is
+                      typed through local, member and header declarations.
+  raw-thread          std::thread / std::jthread / std::async / .detach()
+                      outside src/common/thread_pool.*: raw threads bypass
+                      IMAP_THREADS, ScopedSerial and parallel_for's
+                      determinism. std::thread::hardware_concurrency() is a
+                      query, not thread creation, and is allowed.
+  pragma-once         Every header has #pragma once.
+  using-ns-header     No `using namespace` in headers.
+  parent-include      No parent-relative #include "../..." (project headers
+                      are included relative to src/). The header trio is
+                      matched on comment-stripped source lines, because the
+                      tokenizer drops preprocessor directives.
   hot-loop-alloc      Allocating declarations (std::vector<numeric>, nested
                       vectors, std::string) inside loop bodies in hot-path
                       layers, *after* resolving using/typedef aliases and
-                      `auto` initializers — the sugar the regex linter cannot
-                      see.
+                      `auto` initializers — sugar a line pattern cannot see.
   float-eq            ==/!= where both operands are floating-point and at
                       least one is a computed (non-literal) expression, typed
                       through declarations, members, casts and known return
-                      types. Literal comparisons are also flagged (shared
-                      semantics with imap_lint's float-eq).
+                      types. Literal comparisons are also flagged.
   serialize-symmetry  save_state/load_state bodies must perform the same
                       field operations in the same order, member by member
                       (grouped per archive section; sections are random
-                      access, fields within one are not).
+                      access, fields within one are not). A header declaring
+                      only one side of the pair is flagged too.
   kernel-flags        Every kernel TU in compile_commands.json must carry its
                       declared contraction + ISA flags, and nothing more.
   fma-intrinsic       FMA intrinsics / std::fma fuse mul+add into a single
@@ -55,6 +71,12 @@ from cpp_ast import FLOAT_TYPES, is_allocating_type, is_float_literal
 HOT_DIRS = ("src/nn/", "src/rl/", "src/attack/", "src/serve/",
             "src/scenario/")
 
+# Layers whose results feed the paper's numbers: hash-order iteration there
+# makes a seeded run irreproducible.
+NUMERIC_DIRS = ("src/nn/", "src/rl/", "src/core/", "src/phys/",
+                "src/attack/", "src/defense/", "src/env/", "src/serve/",
+                "src/scenario/")
+
 PARALLEL_ENTRY = {"parallel_for", "parallel_for_chunked", "submit"}
 
 # Rng methods that advance the engine (order-sensitive under concurrency).
@@ -72,8 +94,25 @@ FIXITS = {
     ),
     "nondet-source": (
         "all randomness flows through imap::Rng and all timing through the "
-        "bench layer; wall-clock or libc randomness in src/ breaks "
-        "seed-reproducibility"
+        "bench layer; raw or libc randomness anywhere, or a wall-clock read "
+        "in src/, breaks seed-reproducibility"
+    ),
+    "unordered-iter": (
+        "iteration order of unordered containers is nondeterministic; use "
+        "std::map/std::set, or copy+sort the keys before iterating"
+    ),
+    "raw-thread": (
+        "use imap::ThreadPool / parallel_for (src/common/thread_pool.h); raw "
+        "threads bypass IMAP_THREADS and the determinism controls"
+    ),
+    "pragma-once": "add #pragma once as the first directive of the header",
+    "using-ns-header": (
+        "remove `using namespace` from the header; qualify names instead "
+        "(headers leak it into every includer)"
+    ),
+    "parent-include": (
+        'include project headers relative to src/ (e.g. "common/rng.h"), not '
+        "via parent-relative paths"
     ),
     "hot-loop-alloc": (
         "hoist the allocating declaration out of the loop and reuse it "
@@ -301,17 +340,20 @@ def check_rng_parallel(model):
     return findings
 
 
-NONDET_CALLEES = {"rand", "srand", "time", "clock", "gettimeofday",
-                  "timespec_get", "getrandom"}
+NONDET_RANDOM_CALLEES = {"rand", "srand", "getrandom"}
+WALL_CLOCK_CALLEES = {"time", "clock", "gettimeofday", "timespec_get"}
 NONDET_TYPES = {"random_device", "mt19937", "mt19937_64", "minstd_rand",
                 "minstd_rand0", "ranlux24", "ranlux48", "knuth_b",
                 "default_random_engine"}
 
 
 def check_nondet_source(model, relpath: str, home_exempt=()):
+    """Raw RNG and libc randomness anywhere; wall-clock reads in src/ only
+    (bench/ and tests/ time things — that is their job)."""
     findings = []
     if relpath in home_exempt:
         return findings
+    in_src = relpath.startswith("src/")
     seen_lines = set()
     for t in model.tokens:
         if t.kind != "ident":
@@ -326,17 +368,142 @@ def check_nondet_source(model, relpath: str, home_exempt=()):
                 "src/common/rng.*"))
     for c in model.calls:
         # bare or std::-qualified only — obj.time() is somebody's member
-        if c.callee in NONDET_CALLEES and c.recv in ("", "std::", "::"):
+        free = c.recv in ("", "std::", "::")
+        if free and (c.callee in NONDET_RANDOM_CALLEES or
+                     (in_src and c.callee in WALL_CLOCK_CALLEES)):
             if c.line in seen_lines:
                 continue
             seen_lines.add(c.line)
             findings.append(Finding(
                 model.path, c.line, "nondet-source",
                 f"nondeterminism source `{c.recv}{c.callee}()`"))
-        elif c.callee == "now" and ("clock" in c.recv or "chrono" in c.recv):
+        elif in_src and c.callee == "now" and \
+                ("clock" in c.recv or "chrono" in c.recv):
             findings.append(Finding(
                 model.path, c.line, "nondet-source",
                 f"wall-clock read `{c.recv}now()`"))
+    return findings
+
+
+# ---------------------------------------------------------------------------
+# raw-thread
+# ---------------------------------------------------------------------------
+
+def check_raw_thread(model, relpath: str, home_exempt=()):
+    """std::thread / std::jthread construction, std::async and .detach().
+
+    `std::thread::hardware_concurrency()` (the type followed by `::`) is a
+    static query and stays quiet."""
+    findings = []
+    if relpath in home_exempt:
+        return findings
+    toks = model.tokens
+    seen = set()
+    for k, t in enumerate(toks):
+        if t.kind != "ident" or t.line in seen:
+            continue
+        nxt = toks[k + 1].text if k + 1 < len(toks) else ""
+        prev = toks[k - 1].text if k > 0 else ""
+        std_q = (prev == "::" and k > 1 and toks[k - 2].text == "std")
+        if t.text in ("thread", "jthread") and std_q and nxt != "::":
+            what = f"std::{t.text}"
+        elif t.text == "async" and std_q:
+            what = "std::async"
+        elif t.text == "detach" and prev in (".", "->") and nxt == "(":
+            what = f"{prev}detach()"
+        else:
+            continue
+        seen.add(t.line)
+        findings.append(Finding(
+            model.path, t.line, "raw-thread",
+            f"raw threading primitive `{what}` outside "
+            "src/common/thread_pool.*"))
+    return findings
+
+
+# ---------------------------------------------------------------------------
+# unordered-iter
+# ---------------------------------------------------------------------------
+
+_UNORDERED_RE = re.compile(
+    r"^(?:std::)?unordered_(?:map|set|multimap|multiset)<")
+_ELEMENT_OF_RE = re.compile(r"^element_of\((.*)\)$")
+_BEGIN_INIT_RE = re.compile(
+    r"^=\s*(.+?)\s*(?:\.|->)\s*c?begin\s*\(\s*\)$"
+    r"|^=\s*std::c?begin\s*\(\s*(.+?)\s*\)$")
+
+
+def _container_decl(model, loop, expr: str):
+    """Declaration of the container a loop header iterates, or None."""
+    expr = re.sub(r"^(?:this\s*->|\*)\s*", "", expr.strip())
+    if not re.fullmatch(r"\w+", expr):
+        return None
+    d = loop.parent.lookup(expr) if loop.parent else None
+    if d is None:
+        fn = loop.enclosing("function")
+        if fn is not None and fn.class_name:
+            d = model.class_member(fn.class_name, expr)
+    return d
+
+
+def check_unordered_iter(model, relpath: str):
+    """Range-for or begin()-iterator loops over unordered containers in the
+    numeric layers, typed through the declaration the container resolves
+    to (local, enclosing scope, or class member from a merged header)."""
+    findings = []
+    if not relpath.startswith(NUMERIC_DIRS):
+        return findings
+    for loop in model.scopes:
+        if loop.kind != "loop":
+            continue
+        for d in loop.decls.values():
+            if not d.in_loop_header:
+                continue
+            m = _ELEMENT_OF_RE.match(d.type or "")
+            if m:
+                expr = m.group(1)
+            else:
+                m = _BEGIN_INIT_RE.match(d.init or "")
+                if not m:
+                    continue
+                expr = m.group(1) or m.group(2)
+            cd = _container_decl(model, loop, expr)
+            if cd is None or not cd.type:
+                continue
+            if _UNORDERED_RE.match(model.resolve_alias(cd.type)):
+                findings.append(Finding(
+                    model.path, d.line, "unordered-iter",
+                    f"iteration over unordered container `{cd.name}` in a "
+                    "numeric code path"))
+                break
+    return findings
+
+
+# ---------------------------------------------------------------------------
+# header hygiene: pragma-once, using-ns-header, parent-include
+# ---------------------------------------------------------------------------
+
+_PRAGMA_ONCE_RE = re.compile(r"^\s*#\s*pragma\s+once\b")
+_USING_NS_RE = re.compile(r"^\s*using\s+namespace\s+\w")
+_PARENT_INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"(?:\.\./|[^"]*/\.\./)')
+
+
+def check_header_hygiene(relpath: str, lines):
+    """The header trio, matched on comment-stripped source lines (the
+    tokenizer drops preprocessor directives, and include paths live in
+    string literals)."""
+    findings = []
+    is_header = relpath.endswith((".h", ".hpp"))
+    if is_header and not any(_PRAGMA_ONCE_RE.match(l) for l in lines):
+        findings.append(Finding(relpath, 1, "pragma-once",
+                                "header is missing #pragma once"))
+    for idx, line in enumerate(lines, 1):
+        if is_header and _USING_NS_RE.match(line):
+            findings.append(Finding(relpath, idx, "using-ns-header",
+                                    "`using namespace` in a header"))
+        if _PARENT_INCLUDE_RE.match(line):
+            findings.append(Finding(relpath, idx, "parent-include",
+                                    "parent-relative #include"))
     return findings
 
 
@@ -626,8 +793,8 @@ def _extract_ops(model, fn_scope, mode: str):
 def check_serialize_symmetry(model, relpath: str = ""):
     findings = []
 
-    # Header-declaration asymmetry (shared semantics with imap_lint):
-    # a header declaring one side of the pair can never round-trip.
+    # Header-declaration asymmetry: a header declaring one side of the pair
+    # can never round-trip.
     if relpath.endswith((".h", ".hpp")):
         saves = [t for t in model.tokens
                  if t.kind == "ident" and t.text == "save_state"]

@@ -62,7 +62,7 @@ class Token:
         return f"Token({self.text!r}@{self.line})"
 
 
-def _strip_comments(text: str) -> list[str]:
+def strip_comments(text: str) -> list[str]:
     """Blank comments and raw-string contents; ordinary string/char literals
     are left intact (the lexer tokenizes them, preserving e.g. archive
     section names for the serialize-symmetry check)."""
@@ -203,7 +203,7 @@ def _scan_literal(line: str, pos: int, quote: str) -> int:
 
 
 def lex(text: str) -> list[Token]:
-    lines = _strip_comments(text)
+    lines = strip_comments(text)
     lines = _preprocess(lines)
     toks: list[Token] = []
     for lineno, line in enumerate(lines, 1):
@@ -1037,7 +1037,8 @@ class Parser:
             name = init[idx].text
             loop_scope.decls[name] = Decl(
                 name, canonical_type(ty), init[0].line, loop_scope,
-                is_ref=is_ref, in_loop_header=True)
+                init=join_tokens(init[idx + 1:]), is_ref=is_ref,
+                in_loop_header=True)
 
     def _scan_header_calls(self, hdr, scope: Scope):
         """Record calls appearing inside a control header (the main loop's
@@ -1074,6 +1075,11 @@ class Parser:
     # -- statement-level analysis ------------------------------------------
 
     def handle_statement(self, stmt, scope: Scope):
+        # `private: T x_;` — the access label shares the statement with the
+        # member that follows it
+        while len(stmt) >= 2 and stmt[1].text == ":" and \
+                stmt[0].text in ("public", "private", "protected"):
+            stmt = stmt[2:]
         if not stmt:
             return
         first = stmt[0]

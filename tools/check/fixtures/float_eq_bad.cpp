@@ -1,5 +1,5 @@
-// Fixture: floating equality on computed expressions — type information the
-// regex linter lacks (it only sees float *literals*). Every marked line must
+// Fixture: floating equality on computed expressions — type information a
+// line pattern lacks (it only sees float *literals*). Every marked line must
 // trip float-eq.
 #include <cmath>
 #include <vector>

@@ -1,5 +1,5 @@
-// Fixture: allocations the regex linter cannot resolve — typedef sugar,
-// `auto` with an allocating initializer, std::string. Linted under a
+// Fixture: allocations a line pattern cannot resolve — typedef sugar,
+// `auto` with an allocating initializer, std::string. Analyzed under a
 // src/nn/ path, every marked line must trip hot-loop-alloc.
 #include <cstddef>
 #include <string>

@@ -1,19 +1,22 @@
 #!/usr/bin/env python3
 """imap_check — AST-grade determinism analyzer for the imap codebase.
 
-Semantic successor to the regex linter (tools/lint/imap_lint.py): where the
-linter pattern-matches lines, imap_check analyzes real program structure —
-scope nesting, lambda-to-call attachment, alias-resolved declaration types,
-typed comparisons, serialize op sequences — and enforces the build-flag
-contract recorded in compile_commands.json. The two tools share the
-allowlist / inline-suppression format and agree on the rules they both
-implement (pinned by tools/check/test_imap_check.py).
+The repo's one static analyzer. It analyzes real program structure — scope
+nesting, lambda-to-call attachment, alias-resolved declaration types, typed
+comparisons, serialize op sequences — over src/, bench/ and tests/, and
+enforces the build-flag contract recorded in compile_commands.json.
 
 Checks (see checks.py for the full semantics):
 
   rng-parallel        Rng draws reachable from a parallel_for / submit lambda
                       must go through a slot-keyed Rng::split.
-  nondet-source       rand/random_device/mt19937/wall-clock reads banned in src/.
+  nondet-source       rand/random_device/mt19937 banned everywhere, wall-clock
+                      reads banned in src/.
+  unordered-iter      loops over unordered containers in numeric src/ layers.
+  raw-thread          std::thread/jthread/async/.detach() outside the pool.
+  pragma-once         headers carry #pragma once.
+  using-ns-header     no `using namespace` in headers.
+  parent-include      no parent-relative #include "../...".
   hot-loop-alloc      allocating declarations inside loops in hot-path layers,
                       resolved through typedefs, `auto`, and std::string.
   float-eq            ==/!= on floating expressions, typed via the AST.
@@ -44,11 +47,9 @@ Compilation database:
   database is a hard error with a re-run recipe — the kernel-flags contract
   can only be checked against what the build actually does.
 
-Suppression (shared format with imap_lint):
+Suppression:
 
   * inline:     // imap-check: allow(rule-name)
-                (// imap-lint: allow(rule-name) is honored for the rules the
-                two tools share, so a site is never annotated twice)
   * allowlist:  tools/check/check_allowlist.txt — `rule-name  path-glob`
                 lines, fnmatch against the repo-relative posix path.
 
@@ -73,19 +74,17 @@ import checks     # noqa: E402
 import cpp_ast    # noqa: E402
 
 SUPPRESS_RE = re.compile(
-    r"imap-(?:check|lint):\s*allow\(([a-z0-9-]+(?:\s*,\s*[a-z0-9-]+)*)\)")
-
-# Rules also implemented by imap_lint: an `imap-lint: allow(...)` suppression
-# is honored for these (one annotation per site, never two).
-LINT_SHARED = {"float-eq", "hot-loop-alloc", "serialize-symmetry"}
-LINT_RULE_MAP = {"rng-discipline": "nondet-source"}
+    r"imap-check:\s*allow\(([a-z0-9-]+(?:\s*,\s*[a-z0-9-]+)*)\)")
 
 CXX_EXTENSIONS = {".h", ".hpp", ".cpp", ".cc", ".cxx"}
+
+SCAN_DIRS = ("src/", "bench/", "tests/")
 
 # Sanctioned homes exempt from the corresponding rule (they implement it).
 RULE_HOME = {
     "nondet-source": ("src/common/rng.h", "src/common/rng.cpp"),
     "ipc-framing": ("src/common/proc.h", "src/common/proc.cpp"),
+    "raw-thread": ("src/common/thread_pool.h", "src/common/thread_pool.cpp"),
 }
 
 # Kernel TUs that are architecture-gated: absent from the database on the
@@ -278,20 +277,13 @@ def allowed(entries, rule: str, relpath: str) -> bool:
                for r, glob in entries)
 
 
-def suppressed_lines(root: str, relpath: str):
+def suppressed_lines(text: str):
     """Map line-number -> set of suppressed rules from inline annotations."""
     out: dict[int, set] = {}
-    try:
-        with open(os.path.join(root, relpath), encoding="utf-8",
-                  errors="replace") as fh:
-            for lineno, raw in enumerate(fh, 1):
-                m = SUPPRESS_RE.search(raw)
-                if m:
-                    rules = {r.strip() for r in m.group(1).split(",")}
-                    mapped = {LINT_RULE_MAP.get(r, r) for r in rules}
-                    out[lineno] = rules | mapped
-    except OSError:
-        pass
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        m = SUPPRESS_RE.search(raw)
+        if m:
+            out[lineno] = {r.strip() for r in m.group(1).split(",")}
     return out
 
 
@@ -313,28 +305,32 @@ def analyze_file(root: str, relpath: str, frontend: str, compdb_entry,
     findings += checks.check_fma_intrinsics(model, relpath)
     findings += checks.check_ipc_framing(
         model, relpath, home_exempt=RULE_HOME["ipc-framing"])
+    findings += checks.check_raw_thread(
+        model, relpath, home_exempt=RULE_HOME["raw-thread"])
+    findings += checks.check_unordered_iter(model, relpath)
 
-    sup = suppressed_lines(root, relpath)
+    with open(os.path.join(root, relpath), encoding="utf-8",
+              errors="replace") as fh:
+        text = fh.read()
+    findings += checks.check_header_hygiene(
+        relpath, cpp_ast.strip_comments(text))
+
+    sup = suppressed_lines(text)
     kept = [f for f in findings if f.rule not in sup.get(f.line, set())]
     return kept, used
 
 
 def collect_sources(root: str, compdb) -> list[str]:
-    """Repo-relative paths of everything the tree scan analyzes: all src/
-    TUs in the database plus all src/ headers."""
-    rels = set()
-    for entry in compdb:
-        f = os.path.normpath(
-            os.path.join(entry.get("directory", ""), entry["file"]))
-        rel = os.path.relpath(f, root).replace(os.sep, "/")
-        if rel.startswith("src/"):
-            rels.add(rel)
-    src_root = os.path.join(root, "src")
-    for dirpath, _dirnames, filenames in os.walk(src_root):
-        for fn in sorted(filenames):
-            if os.path.splitext(fn)[1] in (".h", ".hpp"):
-                rels.add(os.path.relpath(os.path.join(dirpath, fn),
-                                         root).replace(os.sep, "/"))
+    """Repo-relative paths of everything the tree scan analyzes: all TUs in
+    the database under SCAN_DIRS plus all headers under SCAN_DIRS."""
+    rels = set(rel for rel in compdb_by_rel(root, compdb)
+               if rel.startswith(SCAN_DIRS))
+    for d in SCAN_DIRS:
+        for dirpath, _dirnames, filenames in os.walk(os.path.join(root, d)):
+            for fn in sorted(filenames):
+                if os.path.splitext(fn)[1] in (".h", ".hpp"):
+                    rels.add(os.path.relpath(os.path.join(dirpath, fn),
+                                             root).replace(os.sep, "/"))
     return sorted(rels)
 
 
@@ -365,8 +361,9 @@ def main(argv) -> int:
                     help="allowlist file (default "
                          "<root>/tools/check/check_allowlist.txt)")
     ap.add_argument("paths", nargs="*",
-                    help="files to analyze (default: all src/ TUs in the "
-                         "compilation database + all src/ headers)")
+                    help="files to analyze (default: all src/, bench/ and "
+                         "tests/ TUs in the compilation database + all "
+                         "headers there)")
     args = ap.parse_args(argv)
 
     root = os.path.abspath(args.root)

@@ -1,13 +1,10 @@
 #!/usr/bin/env python3
 """Self-test matrix for imap_check (tools/check).
 
-Mirrors the PR-2 lint harness (tools/lint/test_imap_lint.py): every check is
-pinned by a good/bad fixture pair under tools/check/fixtures/, suppression
-and allowlist semantics are exercised end-to-end, the CLI exit-code contract
-(0 clean / 1 findings / 2 usage-or-database error) is verified through
-subprocess runs, and a regression class asserts that imap_check and the
-regex linter agree fire/not-fire on the rules they both implement, using the
-*linter's own* fixtures as the shared corpus.
+Every check is pinned by a good/bad fixture pair under tools/check/fixtures/,
+suppression and allowlist semantics are exercised end-to-end, and the CLI
+exit-code contract (0 clean / 1 findings / 2 usage-or-database error) and
+tree-scan coverage are verified through subprocess runs.
 """
 
 import json
@@ -19,38 +16,37 @@ import tempfile
 import unittest
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-REPO = os.path.dirname(os.path.dirname(HERE))
 FIXTURES = os.path.join(HERE, "fixtures")
 KERNEL_TREE = os.path.join(FIXTURES, "kernel_tree")
-LINT_DIR = os.path.join(REPO, "tools", "lint")
-LINT_FIXTURES = os.path.join(LINT_DIR, "fixtures")
 
 sys.path.insert(0, HERE)
-sys.path.insert(0, LINT_DIR)
 
 import checks      # noqa: E402
 import imap_check  # noqa: E402
-import imap_lint   # noqa: E402
 
 
-def check_fixture(filename, relpath, fixdir=FIXTURES, frontend="builtin"):
+def check_fixture(filename, relpath, frontend="builtin"):
     """Analyze one fixture as if it lived at `relpath` in a scratch tree."""
     with tempfile.TemporaryDirectory() as tmp:
         dst = os.path.join(tmp, relpath)
         os.makedirs(os.path.dirname(dst), exist_ok=True)
-        shutil.copy(os.path.join(fixdir, filename), dst)
+        shutil.copy(os.path.join(FIXTURES, filename), dst)
         findings, used = imap_check.analyze_file(
             tmp, relpath, frontend, None, None)
     return findings
 
 
-def check_snippet(code, relpath):
-    """Analyze an inline snippet at `relpath` in a scratch tree."""
+def check_snippet(code, relpath, extra=None):
+    """Analyze an inline snippet at `relpath` in a scratch tree; `extra`
+    maps further relpaths (e.g. headers it includes) to their contents."""
+    files = dict(extra or {})
+    files[relpath] = code
     with tempfile.TemporaryDirectory() as tmp:
-        dst = os.path.join(tmp, relpath)
-        os.makedirs(os.path.dirname(dst), exist_ok=True)
-        with open(dst, "w", encoding="utf-8") as fh:
-            fh.write(code)
+        for rel, text in files.items():
+            dst = os.path.join(tmp, rel)
+            os.makedirs(os.path.dirname(dst), exist_ok=True)
+            with open(dst, "w", encoding="utf-8") as fh:
+                fh.write(text)
         findings, _ = imap_check.analyze_file(tmp, relpath, "builtin",
                                               None, None)
     return findings
@@ -168,6 +164,109 @@ class TestNondetSource(unittest.TestCase):
     def test_rng_home_is_exempt(self):
         fs = check_fixture("nondet_source_bad.cpp", "src/common/rng.cpp")
         self.assertEqual(lines_of(fs, "nondet-source"), [])
+
+    def test_wall_clock_is_src_only_randomness_is_everywhere(self):
+        # bench/ and tests/ time things; raw randomness is banned there too
+        for rel in ("bench/nondet_source_bad.cpp",
+                    "tests/nondet_source_bad.cpp"):
+            fs = check_fixture("nondet_source_bad.cpp", rel)
+            self.assertEqual(lines_of(fs, "nondet-source"),
+                             [17, 18, 22, 23], rel)
+
+
+class TestRawThread(unittest.TestCase):
+    def test_bad_fixture_flags_every_primitive(self):
+        fs = check_fixture("raw_thread_bad.cpp", "src/core/raw_thread_bad.cpp")
+        self.assertEqual(rules_of(fs), ["raw-thread"])
+        # thread, .detach(), async, jthread, heap thread, ->detach()
+        self.assertEqual(lines_of(fs), [11, 12, 13, 18, 20, 21])
+
+    def test_good_fixture_is_clean(self):
+        fs = check_fixture("raw_thread_good.cpp",
+                           "src/core/raw_thread_good.cpp")
+        self.assertEqual(fs, [])
+
+    def test_applies_to_bench_and_tests(self):
+        for rel in ("bench/raw_thread_bad.cpp", "tests/raw_thread_bad.cpp"):
+            fs = check_fixture("raw_thread_bad.cpp", rel)
+            self.assertEqual(len(lines_of(fs, "raw-thread")), 6, rel)
+
+    def test_thread_pool_home_is_exempt(self):
+        for rel in ("src/common/thread_pool.cpp", "src/common/thread_pool.h"):
+            fs = check_fixture("raw_thread_bad.cpp", rel)
+            self.assertEqual(lines_of(fs, "raw-thread"), [], rel)
+
+
+class TestUnorderedIter(unittest.TestCase):
+    def test_bad_fixture_flags_every_loop(self):
+        fs = check_fixture("unordered_iter_bad.cpp",
+                           "src/core/unordered_iter_bad.cpp")
+        self.assertEqual(rules_of(fs), ["unordered-iter"])
+        # range-for, begin() iterator, range-for through an alias,
+        # cbegin() over a class member
+        self.assertEqual(lines_of(fs), [23, 24, 31, 37])
+
+    def test_good_fixture_is_clean(self):
+        fs = check_fixture("unordered_iter_good.cpp",
+                           "src/core/unordered_iter_good.cpp")
+        self.assertEqual(fs, [])
+
+    def test_numeric_layers_only(self):
+        for rel in ("src/common/unordered_iter_bad.cpp",
+                    "bench/unordered_iter_bad.cpp",
+                    "tests/unordered_iter_bad.cpp"):
+            fs = check_fixture("unordered_iter_bad.cpp", rel)
+            self.assertEqual(lines_of(fs, "unordered-iter"), [], rel)
+
+    def test_member_typed_through_its_header(self):
+        header = ("#pragma once\n"
+                  "#include <string>\n"
+                  "#include <unordered_map>\n"
+                  "namespace imap {\n"
+                  "class Memo {\n"
+                  " public:\n"
+                  "  double sum() const;\n"
+                  " private:\n"
+                  "  std::unordered_map<std::string, double> memo_;\n"
+                  "};\n"
+                  "}  // namespace imap\n")
+        code = ('#include "rl/memo.h"\n'
+                "namespace imap {\n"
+                "double Memo::sum() const {\n"
+                "  double s = 0.0;\n"
+                "  for (const auto& kv : memo_) s += kv.second;\n"
+                "  return s;\n"
+                "}\n"
+                "}  // namespace imap\n")
+        fs = check_snippet(code, "src/rl/memo.cpp",
+                           extra={"src/rl/memo.h": header})
+        self.assertEqual(rules_of(fs), ["unordered-iter"])
+        self.assertEqual(lines_of(fs), [5])
+
+
+class TestHeaderHygiene(unittest.TestCase):
+    def test_bad_header_fires_three_ways(self):
+        fs = check_fixture("header_hygiene_bad.h",
+                           "src/core/header_hygiene_bad.h")
+        self.assertEqual(
+            [(f.line, f.rule) for f in fs],
+            [(1, "pragma-once"), (3, "parent-include"),
+             (5, "using-ns-header")])
+
+    def test_good_header_is_clean(self):
+        for rel in ("src/core/header_hygiene_good.h",
+                    "bench/header_hygiene_good.h",
+                    "tests/header_hygiene_good.h"):
+            self.assertEqual(check_fixture("header_hygiene_good.h", rel), [],
+                             rel)
+
+    def test_source_files_only_get_parent_include(self):
+        # pragma-once and using-ns-header are header rules; a parent-relative
+        # include is wrong anywhere
+        fs = check_fixture("header_hygiene_bad.h",
+                           "bench/header_hygiene_bad.cpp")
+        self.assertEqual([(f.line, f.rule) for f in fs],
+                         [(3, "parent-include")])
 
 
 class TestFmaIntrinsic(unittest.TestCase):
@@ -292,19 +391,10 @@ class TestSuppression(unittest.TestCase):
                                              "allow(hot-loop-alloc)")
         self.assertEqual(check_snippet(code, "src/nn/x.cpp"), [])
 
-    def test_imap_lint_allow_is_honored_for_shared_rules(self):
-        code = self.LOOP_ALLOC.replace("{}", "// imap-lint: "
-                                             "allow(hot-loop-alloc)")
-        self.assertEqual(check_snippet(code, "src/nn/x.cpp"), [])
-
-    def test_lint_rule_alias_maps_to_check_rule(self):
-        # the linter calls its nondet rule `rng-discipline`; an existing
-        # annotation under that name must silence nondet-source too
-        code = ("#include <cstdlib>\n"
-                "void f() {\n"
-                "  srand(42);  // imap-lint: allow(rng-discipline)\n"
-                "}\n")
-        self.assertEqual(check_snippet(code, "src/rl/x.cpp"), [])
+    def test_header_rule_allow(self):
+        code = ('#pragma once\n'
+                '#include "../x.h"  // imap-check: allow(parent-include)\n')
+        self.assertEqual(check_snippet(code, "src/nn/x.h"), [])
 
     def test_unsuppressed_site_still_fires(self):
         fs = check_snippet(self.LOOP_ALLOC.replace("{}", ""), "src/nn/x.cpp")
@@ -412,6 +502,34 @@ class TestCli(unittest.TestCase):
         self.assertEqual(r.returncode, 2)
         self.assertIn("no longer exists", r.stderr)
 
+    def test_tree_scan_covers_src_bench_tests(self):
+        # one raw thread per directory; tools/ is outside the scan, and a
+        # header in each scanned directory is picked up without a database
+        # entry
+        code = "#include <thread>\nvoid f() { std::thread t([] {}); }\n"
+        with tempfile.TemporaryDirectory() as tmp:
+            db = []
+            for rel in ("src/core/a.cpp", "bench/b.cpp", "tests/c.cpp",
+                        "tools/d.cpp", "tests/e.h"):
+                dst = os.path.join(tmp, rel)
+                os.makedirs(os.path.dirname(dst), exist_ok=True)
+                with open(dst, "w", encoding="utf-8") as fh:
+                    fh.write(("#pragma once\n" if rel.endswith(".h")
+                              else "") + code)
+                if rel.endswith(".cpp"):
+                    db.append({"directory": tmp, "file": rel,
+                               "command": f"g++ -c {rel}"})
+            os.makedirs(os.path.join(tmp, "build"), exist_ok=True)
+            with open(os.path.join(tmp, "build", "compile_commands.json"),
+                      "w", encoding="utf-8") as fh:
+                json.dump(db, fh)
+            r = run_cli(["--root", tmp, "--frontend", "builtin"])
+        self.assertEqual(r.returncode, 1)
+        hits = sorted(line.split(":")[0] for line in r.stdout.splitlines()
+                      if "[raw-thread]" in line)
+        self.assertEqual(hits, ["bench/b.cpp", "src/core/a.cpp",
+                                "tests/c.cpp", "tests/e.h"])
+
     @unittest.skipUnless(imap_check.machine_family() == "x86",
                          "kernel tree fixture carries the x86 contract")
     def test_kernel_tree_end_to_end(self):
@@ -431,57 +549,6 @@ class TestCli(unittest.TestCase):
                              f"{template}: {r.stdout}\n{r.stderr}")
             if want:
                 self.assertIn("[kernel-flags]", r.stdout)
-
-
-class TestLintAgreement(unittest.TestCase):
-    """imap_check and the regex linter must agree fire/not-fire on the rules
-    they both implement, over the *linter's* fixture corpus."""
-
-    # linter rule name -> imap_check rule name
-    SHARED = {
-        "float-eq": "float-eq",
-        "hot-loop-alloc": "hot-loop-alloc",
-        "serialize-symmetry": "serialize-symmetry",
-        "rng-discipline": "nondet-source",
-    }
-
-    def verdicts(self, filename, relpath):
-        with open(os.path.join(LINT_FIXTURES, filename),
-                  encoding="utf-8") as fh:
-            text = fh.read()
-        lint_rules = {f.rule for f in imap_lint.lint_file(relpath, text)}
-        chk_rules = set(rules_of(check_fixture(filename, relpath,
-                                               fixdir=LINT_FIXTURES)))
-        lint_shared = {self.SHARED[r] for r in lint_rules if r in self.SHARED}
-        chk_shared = {r for r in chk_rules if r in set(self.SHARED.values())}
-        return lint_shared, chk_shared
-
-    def assert_agree(self, filename, relpath, expect):
-        lint_shared, chk_shared = self.verdicts(filename, relpath)
-        self.assertEqual(lint_shared, expect,
-                         f"linter verdict drifted on {filename}")
-        self.assertEqual(chk_shared, expect,
-                         f"imap_check disagrees with linter on {filename}")
-
-    def test_float_eq_fixture(self):
-        self.assert_agree("bad_float_eq.cpp", "src/core/bad_float_eq.cpp",
-                          {"float-eq"})
-
-    def test_hot_alloc_fixture(self):
-        self.assert_agree("bad_hot_alloc.cpp", "src/nn/bad_hot_alloc.cpp",
-                          {"hot-loop-alloc"})
-
-    def test_rng_fixture(self):
-        self.assert_agree("bad_rng.cpp", "src/core/bad_rng.cpp",
-                          {"nondet-source"})
-
-    def test_serialize_fixture(self):
-        self.assert_agree("bad_serialize_asym.h",
-                          "src/rl/bad_serialize_asym.h",
-                          {"serialize-symmetry"})
-
-    def test_clean_fixture(self):
-        self.assert_agree("clean.cpp", "src/core/clean.cpp", set())
 
 
 @unittest.skipUnless(imap_check.find_clang(), "no clang++ on this machine")

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# ci.sh — the one-shot correctness gate: build -> lint -> tier-1 ctest ->
-# bench smoke. Exits nonzero on the first failing stage. Also exposed as the
+# ci.sh — the one-shot correctness gate: build -> check.ast -> tier-1 ctest
+# -> checkpoint/resume drill -> fabric drill -> bench smoke -> bench-diff ->
+# serve drill. Exits nonzero on the first failing stage. Also exposed as the
 # `ci` CMake target (`cmake --build build --target ci`).
 #
 # Environment:
@@ -22,11 +23,7 @@ cmake -B "${BUILD_DIR}" -S . -DIMAP_WERROR="${WERROR}" || exit 1
 stage "build"
 cmake --build "${BUILD_DIR}" -j "${JOBS}" || exit 1
 
-stage "lint"
-python3 tools/lint/imap_lint.py --root . src bench tests || exit 1
-python3 tools/lint/test_imap_lint.py || exit 1
-
-stage "check.ast (semantic determinism analyzer + build-flag contract)"
+stage "check.ast (static analyzer over src/ bench/ tests/ + build-flag contract)"
 # Hard-fails (exit 2) when compile_commands.json is missing or stale — the
 # kernel-flags contract is checked against what the build actually does.
 python3 tools/check/imap_check.py --root . \
@@ -164,4 +161,4 @@ SERVE_RC=$?
 [ "${SERVE_RC}" -eq 0 ] || { echo "ci: imap_serve exit ${SERVE_RC}"; exit 1; }
 rm -rf "${SERVE_ZOO}" "${SERVE_LOG}" "${SERVE_LOG}".[1-4]
 
-stage "OK — build, lint, tier-1 tests, bench smoke, and serve drill all clean"
+stage "OK — build, check.ast, tier-1 tests, drills, bench smoke, bench-diff and serve drill all clean"
