@@ -1,17 +1,17 @@
-// bench_fabric: the DAG-scheduler grid probe, recorded in the tracked
-// BENCH_fabric.json (see README "Benchmarks"). A small victim→attack grid
-// runs once through the DAG scheduler serially and once on N worker
-// processes (fresh stores, so nothing is cached); the probe verifies every
-// outcome is bit-identical and records grid cells/s plus per-node
-// wall-clock.
+// bench_fabric: the grid-executor probe, recorded in the tracked
+// BENCH_fabric.json (see README "Process fabric"). One Table-1 Hopper row
+// — 6 victims (PPO, ATLA, SA, ATLA-SA, RADIAL, WocaR) × 7 attacks, 42
+// cells — runs through core::DagScheduler three times, each into a fresh
+// store so nothing is cached: serially (ScopedSerial), on a 4-thread pool
+// and on 4 worker processes. The probe exits nonzero unless all three legs
+// are bit-identical, and records the scale, hardware_threads, each leg's
+// wall-clock and the serial leg's per-node wall-clock (the critical path:
+// the slowest victim plus its slowest attack).
 //
-// On a single-hardware-thread runner the N-process leg measures fork and
-// framing overhead rather than parallel speedup — hardware_threads is
-// recorded precisely so readers can tell which regime a row came from;
-// expect linear-minus-overhead scaling per available core, capped by the
-// grid's critical path (the victim node every attack cell depends on).
+// On a host with fewer than 4 hardware threads the parallel legs
+// time-slice; hardware_threads is recorded so readers can tell which
+// regime a row came from.
 
-#include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <iostream>
@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "common/config.h"
+#include "common/thread_pool.h"
 #include "core/experiment_dag.h"
 #include "grid_runner.h"
 
@@ -29,114 +30,107 @@ using namespace imap;
 
 namespace {
 
-/// Order-sensitive checksum of one attack outcome (eval stats + curve).
-double outcome_checksum(const core::AttackOutcome& out) {
-  double sum = out.victim_eval.returns.mean + out.victim_eval.returns.stddev +
-               static_cast<double>(out.victim_eval.returns.episodes) +
-               out.victim_eval.success_rate + out.victim_eval.mean_length;
-  for (const double v : out.victim_eval.episode_returns) sum += v;
-  for (const auto& p : out.curve)
-    sum += static_cast<double>(p.steps) + p.victim_success + p.tau;
-  return sum;
-}
+constexpr int kWidth = 4;  ///< threads of the pool leg, procs of the fabric leg
 
-std::vector<core::AttackPlan> grid_plans() {
+std::vector<core::AttackPlan> hopper_row() {
   std::vector<core::AttackPlan> plans;
-  for (const auto& [env, kind] :
-       std::vector<std::pair<std::string, core::AttackKind>>{
-           {"Hopper", core::AttackKind::None},
-           {"Hopper", core::AttackKind::ImapPC},
-           {"SparseHopper", core::AttackKind::ImapSC}}) {
-    core::AttackPlan p;
-    p.env_name = env;
-    p.attack = kind;
-    p.attack_steps = 4096;
-    p.eval_episodes = 10;
-    plans.push_back(p);
-  }
+  for (const char* defense :
+       {"PPO", "ATLA", "SA", "ATLA-SA", "RADIAL", "WocaR"})
+    for (const auto attack :
+         {core::AttackKind::None, core::AttackKind::Random,
+          core::AttackKind::SaRl, core::AttackKind::ImapSC,
+          core::AttackKind::ImapPC, core::AttackKind::ImapR,
+          core::AttackKind::ImapD}) {
+      core::AttackPlan p;
+      p.env_name = "Hopper";
+      p.defense = defense;
+      p.attack = attack;
+      plans.push_back(p);
+    }
   return plans;
 }
 
-/// Run the probe grid once at a given width into a fresh store; returns
-/// (seconds, per-plan outcome checksums, per-node seconds with labels).
-std::pair<double, std::vector<double>> grid_probe_run(
-    int procs, const std::string& zoo,
-    std::vector<std::pair<std::string, double>>* node_secs) {
+struct Leg {
+  double seconds = 0.0;
+  std::vector<core::AttackOutcome> out;
+  std::vector<std::pair<std::string, double>> node_secs;
+};
+
+/// Run the row once through the scheduler into a fresh store at `zoo`.
+Leg run_leg(int procs, const std::string& zoo) {
   std::filesystem::remove_all(zoo);
   BenchConfig cfg = BenchConfig::from_env();
   cfg.zoo_dir = zoo;
   core::DagOptions dopts;
   dopts.procs = procs;
   core::DagScheduler sched(cfg, dopts);
-  const auto plans = grid_plans();
+  Leg leg;
   const auto t0 = std::chrono::steady_clock::now();
-  const auto out = sched.run(plans);
-  const double secs =
+  leg.out = sched.run(hopper_row());
+  leg.seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
-  std::vector<double> sums;
-  for (const auto& o : out) sums.push_back(outcome_checksum(o));
-  if (node_secs) {
-    const auto& nodes = sched.nodes();
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
-      const auto& n = nodes[i];
-      std::string label = n.kind == core::DagNode::Kind::Attack
-                              ? n.plan.env_name + "/" +
-                                    core::to_string(n.plan.attack)
-                              : "victim/" + n.env_name;
-      for (auto& c : label)
-        if (c == ' ') c = '-';
-      node_secs->emplace_back(std::move(label), sched.node_seconds()[i]);
-    }
-  }
+  for (std::size_t i = 0; i < sched.nodes().size(); ++i)
+    leg.node_secs.emplace_back(bench::node_label(sched.nodes()[i]),
+                               sched.node_seconds()[i]);
   std::filesystem::remove_all(zoo);
-  return {secs, sums};
+  return leg;
 }
 
-bool grid_probe(int fabric_procs, std::ostringstream& os) {
-  const auto [serial_s, serial_sums] =
-      grid_probe_run(1, "./bench_fabric_zoo_p1", nullptr);
-  std::vector<std::pair<std::string, double>> node_secs;
-  const auto [fabric_s, fabric_sums] =
-      grid_probe_run(fabric_procs, "./bench_fabric_zoo_pn", &node_secs);
-  const double speedup = fabric_s > 0.0 ? serial_s / fabric_s : 1.0;
-  const bool identical = serial_sums == fabric_sums;
-  const double cells = static_cast<double>(grid_plans().size());
-  os.precision(3);
-  os << "\"grid\": {\"cells\": " << grid_plans().size()
-     << ", \"procs\": " << fabric_procs << ", \"p1_s\": " << serial_s
-     << ", \"pn_s\": " << fabric_s
-     << ", \"p1_cells_per_s\": " << (serial_s > 0.0 ? cells / serial_s : 0.0)
-     << ", \"pn_cells_per_s\": " << (fabric_s > 0.0 ? cells / fabric_s : 0.0)
-     << ", \"speedup\": " << speedup
-     << ", \"traces_identical\": " << (identical ? "true" : "false")
-     << ", \"node_wall_s\": {";
-  for (std::size_t i = 0; i < node_secs.size(); ++i) {
-    if (i) os << ", ";
-    os << '"' << node_secs[i].first << "\": " << node_secs[i].second;
-  }
-  os << "}}";
-  std::cerr << "bench_fabric grid probe: 1-proc " << serial_s << "s vs "
-            << fabric_procs << "-proc " << fabric_s << "s (" << speedup
-            << "x); outcomes " << (identical ? "identical" : "DIVERGED")
-            << "\n";
-  return identical;
+bool identical(const Leg& a, const Leg& b) {
+  if (a.out.size() != b.out.size()) return false;
+  for (std::size_t i = 0; i < a.out.size(); ++i)
+    if (!core::identical_results(a.out[i], b.out[i])) return false;
+  return true;
 }
 
 }  // namespace
 
 int main() {
-  const unsigned hw = std::thread::hardware_concurrency();
-  const int procs =
-      std::max(2, std::min(4, static_cast<int>(hw == 0 ? 1 : hw)));
+  const BenchConfig cfg = BenchConfig::from_env();
+  // Forked workers first, while no thread pool has started threads.
+  const Leg procs = run_leg(kWidth, "./bench_fabric_zoo_procs");
+  Leg serial;
+  {
+    ScopedSerial inline_only;
+    serial = run_leg(1, "./bench_fabric_zoo_serial");
+  }
+  Leg threads;
+  {
+    ThreadPool pool(kWidth);
+    ScopedPool scope(pool);
+    threads = run_leg(1, "./bench_fabric_zoo_threads");
+  }
+  const bool ok = identical(serial, threads) && identical(serial, procs);
+
+  const double cells = static_cast<double>(serial.out.size());
   std::ostringstream os;
   os.setf(std::ios::fixed);
-  os << "{\"hardware_threads\": " << hw << ", ";
-  const bool grid_ok = grid_probe(procs, os);
-  os << "}";
+  os.precision(3);
+  os << "{\"hardware_threads\": " << std::thread::hardware_concurrency()
+     << ", \"scale\": " << cfg.scale << ", \"grid\": {\"row\": \"Hopper\""
+     << ", \"cells\": " << serial.out.size() << ", \"width\": " << kWidth;
+  for (const auto& [name, leg] :
+       {std::pair<const char*, const Leg*>{"serial", &serial},
+        {"threads", &threads},
+        {"procs", &procs}})
+    os << ", \"" << name << "_s\": " << leg->seconds << ", \"" << name
+       << "_cells_per_s\": " << (leg->seconds > 0.0 ? cells / leg->seconds : 0.0);
+  os << ", \"traces_identical\": " << (ok ? "true" : "false")
+     << ", \"serial_node_wall_s\": {";
+  for (std::size_t i = 0; i < serial.node_secs.size(); ++i) {
+    if (i) os << ", ";
+    os << '"' << serial.node_secs[i].first
+       << "\": " << serial.node_secs[i].second;
+  }
+  os << "}}}";
   bench::write_report_entry("BENCH_fabric.json", "bench_fabric", os.str());
-  std::cerr << "bench_fabric -> BENCH_fabric.json\n";
-  // Speedups vary with the host; identity never may. Nonzero exit makes the
-  // ci bench-smoke stage a real gate on trace divergence.
-  return grid_ok ? 0 : 1;
+  std::cerr << "bench_fabric: Hopper row (" << serial.out.size()
+            << " cells, scale " << cfg.scale << ") serial " << serial.seconds
+            << "s, " << kWidth << " threads " << threads.seconds << "s, "
+            << kWidth << " procs " << procs.seconds << "s; outcomes "
+            << (ok ? "identical" : "DIVERGED") << " -> BENCH_fabric.json\n";
+  // Wall-clock varies with the host; identity never may. Nonzero exit makes
+  // the ci bench-smoke stage a real gate on divergence.
+  return ok ? 0 : 1;
 }

@@ -6,17 +6,12 @@
 #include <fstream>
 #include <iostream>
 #include <limits>
-#include <map>
 #include <mutex>
-#include <set>
 #include <sstream>
-
 #include <thread>
 
 #include "common/proc.h"
 #include "common/thread_pool.h"
-#include "core/experiment_dag.h"
-#include "env/registry.h"
 
 namespace imap::bench {
 
@@ -27,16 +22,22 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-std::string cell_label(const core::AttackPlan& plan) {
-  std::string label = plan.env_name + "/" + plan.defense + "/" +
-                      core::to_string(plan.attack) +
-                      (plan.bias_reduction ? "+BR" : "");
+}  // namespace
+
+std::string node_label(const core::DagNode& node) {
+  const auto& plan = node.plan;
+  std::string label =
+      node.kind == core::DagNode::Kind::Attack
+          ? plan.env_name + "/" + plan.defense + "/" +
+                core::to_string(plan.attack) +
+                (plan.bias_reduction ? "+BR" : "")
+      : node.kind == core::DagNode::Kind::Victim
+          ? "victim/" + node.env_name + "/" + node.defense
+          : "victim/" + node.env_name;
   for (auto& c : label)
     if (c == ' ') c = '-';
   return label;
 }
-
-}  // namespace
 
 GridRunner::GridRunner(core::ExperimentRunner& runner, std::string bench_name)
     : runner_(runner), bench_name_(std::move(bench_name)) {}
@@ -44,100 +45,16 @@ GridRunner::GridRunner(core::ExperimentRunner& runner, std::string bench_name)
 std::vector<core::AttackOutcome> GridRunner::run_plans(
     const std::vector<core::AttackPlan>& plans) {
   const auto t0 = std::chrono::steady_clock::now();
-
-  // Multi-process fabric: route the whole grid through the DAG scheduler —
-  // victim and attack cells become dependency-ordered nodes executed by a
-  // pool of worker processes. Results are identical to the thread path
-  // below (cells derive randomness from their plan only).
-  if (const int procs = proc::configured_procs(); procs > 1) {
-    std::cerr << "  [" << bench_name_ << "] dispatching " << plans.size()
-              << " cells to the DAG scheduler (" << procs << " procs)\n";
-    core::DagOptions dopts;
-    dopts.procs = procs;
-    core::DagScheduler sched(runner_.config(), dopts);
-    auto out = sched.run(plans);
-    const auto& nodes = sched.nodes();
-    const auto& secs = sched.node_seconds();
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
-      std::string label =
-          nodes[i].kind == core::DagNode::Kind::Attack
-              ? cell_label(nodes[i].plan)
-              : "victim/" + nodes[i].env_name +
-                    (nodes[i].kind == core::DagNode::Kind::Victim
-                         ? "/" + nodes[i].defense
-                         : std::string());
-      for (auto& c : label)
-        if (c == ' ') c = '-';
-      timings_.push_back({std::move(label), secs[i]});
-    }
-    wall_seconds_ += seconds_since(t0);
-    return out;
-  }
-
-  // Coalesce duplicate cells (benches re-query shared cells; Table 3 shares
-  // Table 2's grid) so one cache key is computed — and stored — exactly once.
-  std::vector<std::size_t> unique_of(plans.size());
-  std::vector<std::size_t> unique_cells;  // index into plans
-  {
-    std::map<std::string, std::size_t> seen;
-    for (std::size_t i = 0; i < plans.size(); ++i) {
-      const auto& p = plans[i];
-      const long long steps = p.attack_steps
-                                  ? p.attack_steps
-                                  : runner_.default_attack_steps(p.env_name);
-      const int eps = p.eval_episodes
-                          ? p.eval_episodes
-                          : runner_.default_eval_episodes(p.env_name);
-      const auto key = runner_.cache_key(p, steps, eps);
-      const auto [it, inserted] = seen.emplace(key, unique_cells.size());
-      if (inserted) unique_cells.push_back(i);
-      unique_of[i] = it->second;
-    }
-  }
-
-  // Pre-train the victims serially, deduped by the checkpoint identity (the
-  // TRAINING env: sparse tasks share their dense counterpart's victim), so
-  // concurrent cells only ever read checkpoints.
-  {
-    std::set<std::string> warmed;
-    for (const auto idx : unique_cells) {
-      const auto& p = plans[idx];
-      if (env::spec(p.env_name).type == env::TaskType::MultiAgent) {
-        if (warmed.insert("game|" + p.env_name).second)
-          runner_.zoo().game_victim(p.env_name);
-      } else {
-        const auto train_name = env::make_training_env(p.env_name)->name();
-        if (warmed.insert(train_name + "|" + p.defense).second)
-          runner_.zoo().victim(p.env_name, p.defense);
-      }
-    }
-  }
-
-  std::vector<core::AttackOutcome> unique_out(unique_cells.size());
-  std::vector<double> unique_secs(unique_cells.size(), 0.0);
-  std::mutex log_m;
-  parallel_for(
-      unique_cells.size(),
-      [&](std::size_t u) {
-        const auto& plan = plans[unique_cells[u]];
-        {
-          std::lock_guard<std::mutex> lk(log_m);
-          std::cerr << "  [" << bench_name_ << "] running "
-                    << cell_label(plan) << "...\n";
-        }
-        const auto c0 = std::chrono::steady_clock::now();
-        unique_out[u] = runner_.run(plan);
-        unique_secs[u] = seconds_since(c0);
-      },
-      /*grain=*/1);
-
-  for (std::size_t u = 0; u < unique_cells.size(); ++u)
-    timings_.push_back({cell_label(plans[unique_cells[u]]), unique_secs[u]});
+  core::DagScheduler sched(runner_.config(), core::DagOptions{});
+  std::cerr << "  [" << bench_name_ << "] running " << plans.size()
+            << " cells through the DAG scheduler ("
+            << proc::configured_procs() << " procs, "
+            << effective_concurrency() << " threads)\n";
+  auto out = sched.run(plans);
+  const auto& nodes = sched.nodes();
+  for (std::size_t i = 0; i < nodes.size(); ++i)
+    timings_.push_back({node_label(nodes[i]), sched.node_seconds()[i]});
   wall_seconds_ += seconds_since(t0);
-
-  std::vector<core::AttackOutcome> out(plans.size());
-  for (std::size_t i = 0; i < plans.size(); ++i)
-    out[i] = unique_out[unique_of[i]];
   return out;
 }
 
@@ -165,20 +82,13 @@ void GridRunner::run_jobs(
 }
 
 void GridRunner::write_report() const {
-  double serial_equiv = 0.0;
-  for (const auto& t : timings_) serial_equiv += t.seconds;
-  const double speedup =
-      wall_seconds_ > 0.0 ? serial_equiv / wall_seconds_ : 1.0;
-
   std::ostringstream os;
   os.setf(std::ios::fixed);
   os.precision(3);
   os << "{\"threads\": " << effective_concurrency()
      << ", \"procs\": " << proc::configured_procs()
      << ", \"hardware_threads\": " << std::thread::hardware_concurrency()
-     << ", \"cells\": " << timings_.size()
-     << ", \"serial_equiv_s\": " << serial_equiv
-     << ", \"wall_s\": " << wall_seconds_ << ", \"speedup\": " << speedup
+     << ", \"cells\": " << timings_.size() << ", \"wall_s\": " << wall_seconds_
      << ", \"cell_wall_s\": {";
   for (std::size_t i = 0; i < timings_.size(); ++i) {
     if (i) os << ", ";
@@ -186,9 +96,8 @@ void GridRunner::write_report() const {
   }
   os << "}}";
   write_parallel_report_entry(bench_name_, os.str());
-  std::cerr << "  [" << bench_name_ << "] " << timings_.size() << " cells, "
-            << serial_equiv << "s serial-equivalent in " << wall_seconds_
-            << "s wall (" << speedup << "x, " << effective_concurrency()
+  std::cerr << "  [" << bench_name_ << "] " << timings_.size() << " cells in "
+            << wall_seconds_ << "s wall (" << effective_concurrency()
             << " threads) -> BENCH_parallel.json\n";
 }
 

@@ -1,17 +1,22 @@
-// Shared parallel grid harness for the bench binaries: dispatches the
-// independent cells of a result grid (Tables 1-3, Figs. 4-7, ablations) onto
-// the process thread pool and records per-cell wall-clock plus a summary
-// entry in BENCH_parallel.json.
+// Shared grid harness for the bench binaries: hands a result grid (Tables
+// 1-3, Figs. 4-7, ablations) to core::DagScheduler, the one grid planner,
+// runs labelled custom jobs on the thread pool, and records per-node
+// wall-clock plus a summary entry in BENCH_parallel.json.
 //
 // Determinism: every cell derives its randomness purely from its plan and
 // the experiment seed (ExperimentRunner::plan_rng), so the results are
-// independent of scheduling and of IMAP_THREADS. Victim checkpoints are
-// pre-trained serially (deduped by training-env) and duplicate cells are
-// coalesced by cache key, so concurrent cells never race on a cache file.
+// independent of scheduling, IMAP_THREADS and IMAP_PROCS. The scheduler
+// dedups victims by checkpoint identity and cells by cache key, trains
+// each victim before its attacks, and runs the DAG on the thread pool
+// (IMAP_PROCS <= 1) or on forked worker processes (see
+// core/experiment_dag.h).
 //
-// With IMAP_PROCS > 1 the grid is instead handed to core::DagScheduler,
-// which executes the victim→attack dependency DAG on a pool of worker
-// processes (crash-recovering, same results — see core/experiment_dag.h).
+// Timings are inclusive of stolen work wherever the timed body can wait
+// inside a nested parallel region: such a thread runs other pending tasks,
+// and their time counts towards the waiting body too. run_jobs bodies can;
+// DAG nodes cannot, since the scheduler runs each node body serially on
+// its thread. The timings show where the time went; their sum is not a
+// serial-equivalent cost, so no speedup is derived from them.
 
 #pragma once
 
@@ -20,9 +25,13 @@
 #include <utility>
 #include <vector>
 
-#include "core/experiment.h"
+#include "core/experiment_dag.h"
 
 namespace imap::bench {
+
+/// Report label of one DAG node: "env/defense/attack[+BR]" for cells,
+/// "victim/env/defense" (or "victim/game") for victims; spaces become '-'.
+std::string node_label(const core::DagNode& node);
 
 /// Wall-clock of one grid cell or custom job.
 struct CellTiming {
@@ -34,9 +43,9 @@ class GridRunner {
  public:
   GridRunner(core::ExperimentRunner& runner, std::string bench_name);
 
-  /// Run every plan as an independent cell, in parallel when the pool has
-  /// threads; returns outcomes in plan order. Duplicate plans (same cache
-  /// key) are run once and fanned back out.
+  /// Run every plan's cell through core::DagScheduler; returns outcomes in
+  /// plan order. Duplicate plans (same cache key) are run once and fanned
+  /// back out. Records one timing per DAG node, victims included.
   std::vector<core::AttackOutcome> run_plans(
       const std::vector<core::AttackPlan>& plans);
 
@@ -46,9 +55,9 @@ class GridRunner {
   void run_jobs(
       std::vector<std::pair<std::string, std::function<void()>>> jobs);
 
-  /// Merge this bench's summary (threads, per-cell and total wall-clock,
-  /// serial-equivalent time, speedup) into BENCH_parallel.json. Call once,
-  /// after all grids/jobs.
+  /// Merge this bench's summary (threads, procs, hardware threads, per-node
+  /// and total wall-clock) into BENCH_parallel.json. Call once, after all
+  /// grids/jobs.
   void write_report() const;
 
   const std::vector<CellTiming>& timings() const { return timings_; }

@@ -143,6 +143,38 @@ std::vector<CurvePoint> read_curve(BinaryReader& r) {
   return curve;
 }
 
+}  // namespace
+
+void write_results(BinaryWriter& w, const AttackOutcome& out) {
+  w.write_f64(out.victim_eval.returns.mean);
+  w.write_f64(out.victim_eval.returns.stddev);
+  w.write_u64(out.victim_eval.returns.episodes);
+  w.write_f64(out.victim_eval.success_rate);
+  w.write_f64(out.victim_eval.mean_length);
+  w.write_vec(out.victim_eval.episode_returns);
+  write_curve(w, out.curve);
+}
+
+void read_results(BinaryReader& r, AttackOutcome& out) {
+  out.victim_eval.returns.mean = r.read_f64();
+  out.victim_eval.returns.stddev = r.read_f64();
+  out.victim_eval.returns.episodes = r.read_u64();
+  out.victim_eval.success_rate = r.read_f64();
+  out.victim_eval.mean_length = r.read_f64();
+  out.victim_eval.episode_returns = r.read_vec();
+  out.curve = read_curve(r);
+}
+
+bool identical_results(const AttackOutcome& a, const AttackOutcome& b) {
+  BinaryWriter wa;
+  BinaryWriter wb;
+  write_results(wa, a);
+  write_results(wb, b);
+  return a.completed == b.completed && wa.buffer() == wb.buffer();
+}
+
+namespace {
+
 /// Snapshot/halt policy for one attack-training run.
 struct ResumeCfg {
   std::string snap;          ///< snapshot file ("" disables persistence)
@@ -428,19 +460,7 @@ bool ExperimentRunner::load_cached(const std::string& key,
   }
   BinaryReader r;
   if (!BinaryReader::load(path, r)) return false;
-  out.victim_eval.returns.mean = r.read_f64();
-  out.victim_eval.returns.stddev = r.read_f64();
-  out.victim_eval.returns.episodes = r.read_u64();
-  out.victim_eval.success_rate = r.read_f64();
-  out.victim_eval.mean_length = r.read_f64();
-  out.victim_eval.episode_returns = r.read_vec();
-  const auto n = r.read_u64();
-  out.curve.resize(n);
-  for (auto& p : out.curve) {
-    p.steps = r.read_i64();
-    p.victim_success = r.read_f64();
-    p.tau = r.read_f64();
-  }
+  read_results(r, out);
   result_memo_[key] = CachedResult{*sig, out.victim_eval, out.curve};
   return true;
 }
@@ -449,18 +469,7 @@ void ExperimentRunner::store_cached(const std::string& key,
                                     const AttackOutcome& out) const {
   std::filesystem::create_directories(cfg_.zoo_dir + "/results");
   BinaryWriter w;
-  w.write_f64(out.victim_eval.returns.mean);
-  w.write_f64(out.victim_eval.returns.stddev);
-  w.write_u64(out.victim_eval.returns.episodes);
-  w.write_f64(out.victim_eval.success_rate);
-  w.write_f64(out.victim_eval.mean_length);
-  w.write_vec(out.victim_eval.episode_returns);
-  w.write_u64(out.curve.size());
-  for (const auto& p : out.curve) {
-    w.write_i64(p.steps);
-    w.write_f64(p.victim_success);
-    w.write_f64(p.tau);
-  }
+  write_results(w, out);
   const auto path = results_path(key);
   w.save(path);
   // Pre-warm the memo: the process that computed a cell answers later

@@ -11,6 +11,11 @@
 #include "core/zoo.h"
 #include "rl/evaluate.h"
 
+namespace imap {
+class BinaryReader;
+class BinaryWriter;
+}  // namespace imap
+
 namespace imap::core {
 
 /// The attack columns of Tables 1–3.
@@ -71,6 +76,18 @@ struct AttackOutcome {
   /// Multi-agent attacking success rate (ASR = 1 − victim win rate).
   double asr() const { return 1.0 - victim_eval.success_rate; }
 };
+
+/// The one encoding of an outcome's results: eval stats, then the learning
+/// curve. It is the payload of a result-cache file and of a DAG worker's
+/// reply, so its byte layout IS the cache format — changing it orphans every
+/// results/*.res on disk. `plan` and `completed` are not part of it.
+void write_results(BinaryWriter& w, const AttackOutcome& out);
+void read_results(BinaryReader& r, AttackOutcome& out);
+
+/// Bitwise outcome equality: the same `completed` flag and byte-identical
+/// write_results encodings, so a one-ulp drift or a reordering of episode
+/// returns anywhere counts as a difference.
+bool identical_results(const AttackOutcome& a, const AttackOutcome& b);
 
 /// Shared harness behind all bench binaries: owns the zoo, derives budgets
 /// from BenchConfig, trains the requested attack and evaluates it against

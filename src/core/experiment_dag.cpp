@@ -8,6 +8,7 @@
 #include "common/check.h"
 #include "common/proc.h"
 #include "common/serialize.h"
+#include "common/thread_pool.h"
 #include "env/registry.h"
 
 namespace imap::core {
@@ -58,42 +59,6 @@ AttackPlan read_plan(BinaryReader& r) {
   return p;
 }
 
-// Mirrors ExperimentRunner's result-cache field order so a wire outcome and
-// a cached outcome decode identically.
-void write_outcome(BinaryWriter& w, const AttackOutcome& out) {
-  w.write_bool(out.completed);
-  w.write_f64(out.victim_eval.returns.mean);
-  w.write_f64(out.victim_eval.returns.stddev);
-  w.write_u64(out.victim_eval.returns.episodes);
-  w.write_f64(out.victim_eval.success_rate);
-  w.write_f64(out.victim_eval.mean_length);
-  w.write_vec(out.victim_eval.episode_returns);
-  w.write_u64(out.curve.size());
-  for (const auto& p : out.curve) {
-    w.write_i64(p.steps);
-    w.write_f64(p.victim_success);
-    w.write_f64(p.tau);
-  }
-}
-
-AttackOutcome read_outcome(BinaryReader& r) {
-  AttackOutcome out;
-  out.completed = r.read_bool();
-  out.victim_eval.returns.mean = r.read_f64();
-  out.victim_eval.returns.stddev = r.read_f64();
-  out.victim_eval.returns.episodes = r.read_u64();
-  out.victim_eval.success_rate = r.read_f64();
-  out.victim_eval.mean_length = r.read_f64();
-  out.victim_eval.episode_returns = r.read_vec();
-  out.curve.resize(r.read_u64());
-  for (auto& p : out.curve) {
-    p.steps = r.read_i64();
-    p.victim_success = r.read_f64();
-    p.tau = r.read_f64();
-  }
-  return out;
-}
-
 /// One cell worker: a persistent ExperimentRunner executing whichever node
 /// the coordinator sends next. Victim/attack artifacts land in the shared
 /// zoo under file locks, so any worker can execute any node.
@@ -122,7 +87,9 @@ void dag_worker_body(proc::Channel& ch, const BenchConfig& cfg) {
         ::_exit(42);
       }
       const AttackOutcome out = runner.run(plan);
-      write_outcome(rep.section("dag/out"), out);
+      auto& w = rep.section("dag/out");
+      w.write_bool(out.completed);
+      write_results(w, out);
     } else if (kind == kKindGameVictim) {
       runner.zoo().game_victim(plan.env_name);
     } else {
@@ -204,30 +171,10 @@ std::vector<AttackOutcome> DagScheduler::run(
   stats_.procs = procs;
 
   std::vector<AttackOutcome> node_out(nodes_.size());
-  if (procs <= 1) {
-    // Inline path: nodes are already topologically ordered by construction
-    // (each plan appends its victim before its attack).
-    for (std::size_t n = 0; n < nodes_.size(); ++n) {
-      const auto& node = nodes_[n];
-      const auto t0 = std::chrono::steady_clock::now();  // imap-check: allow(nondet-source)
-      switch (node.kind) {
-        case DagNode::Kind::Victim:
-          runner_.zoo().victim(node.env_name, node.defense);
-          break;
-        case DagNode::Kind::GameVictim:
-          runner_.zoo().game_victim(node.env_name);
-          break;
-        case DagNode::Kind::Attack:
-          node_out[n] = runner_.run(node.plan);
-          break;
-      }
-      const auto t1 = std::chrono::steady_clock::now();  // imap-check: allow(nondet-source)
-      node_seconds_[n] = std::chrono::duration<double>(t1 - t0).count();
-      ++stats_.dispatched;
-    }
-  } else {
+  if (procs <= 1)
+    run_threads(node_out);
+  else
     run_pool(node_out, procs);
-  }
 
   std::vector<AttackOutcome> out(plans.size());
   for (std::size_t i = 0; i < plans.size(); ++i) {
@@ -235,6 +182,64 @@ std::vector<AttackOutcome> DagScheduler::run(
     out[i].plan = plans[i];
   }
   return out;
+}
+
+void DagScheduler::run_threads(std::vector<AttackOutcome>& node_out) {
+  // Each attack node has exactly one dependency, its victim.
+  std::vector<std::size_t> victims;
+  std::vector<std::vector<std::size_t>> attacks_of(nodes_.size());
+  for (std::size_t n = 0; n < nodes_.size(); ++n) {
+    if (nodes_[n].kind == DagNode::Kind::Attack)
+      attacks_of[nodes_[n].deps[0]].push_back(n);
+    else
+      victims.push_back(n);
+  }
+  const auto run_node = [&](std::size_t n) {
+    ScopedSerial one_thread_per_node;
+    const auto& node = nodes_[n];
+    const auto t0 = std::chrono::steady_clock::now();  // imap-check: allow(nondet-source)
+    switch (node.kind) {
+      case DagNode::Kind::Victim:
+        runner_.zoo().victim(node.env_name, node.defense);
+        break;
+      case DagNode::Kind::GameVictim:
+        runner_.zoo().game_victim(node.env_name);
+        break;
+      case DagNode::Kind::Attack:
+        node_out[n] = runner_.run(node.plan);
+        break;
+    }
+    const auto t1 = std::chrono::steady_clock::now();  // imap-check: allow(nondet-source)
+    node_seconds_[n] = std::chrono::duration<double>(t1 - t0).count();
+  };
+  // Every victim is a task; once it is trained, its attacks fan out as a
+  // nested region, so they overlap victims still training elsewhere. The
+  // parallelism is across nodes: each node body runs serially on its
+  // thread (results do not depend on it), so at most one cell per thread
+  // is in flight.
+  //
+  // Deadlock invariant: proc::FileLock is not re-entrant (its owner pid is
+  // alive, so it is never stolen), and a thread waiting inside a nested
+  // parallel_for may run ANY pending task. That is safe only because no
+  // task that takes lock L is runnable while L is held: a victim's lock is
+  // held only by its own task (victim nodes are deduplicated) and its
+  // attacks are submitted after training returns, when they find the
+  // checkpoint without locking; a cell's lock is held only by its own task
+  // (attack nodes are deduplicated by cache key). The serial node bodies
+  // add a second guard: a thread only waits, and so only steals, between
+  // nodes, when it holds no lock at all. Keep both when changing this
+  // executor.
+  parallel_for(
+      victims.size(),
+      [&](std::size_t v) {
+        run_node(victims[v]);
+        const auto& attacks = attacks_of[victims[v]];
+        parallel_for(
+            attacks.size(), [&](std::size_t a) { run_node(attacks[a]); },
+            /*grain=*/1);
+      },
+      /*grain=*/1);
+  stats_.dispatched = stats_.nodes;
 }
 
 void DagScheduler::run_pool(std::vector<AttackOutcome>& node_out, int procs) {
@@ -344,7 +349,8 @@ void DagScheduler::run_pool(std::vector<AttackOutcome>& node_out, int procs) {
       node_seconds_[node] = rep.section("dag/ok").read_f64();
       if (nodes_[node].kind == DagNode::Kind::Attack) {
         auto r = rep.section("dag/out");
-        node_out[node] = read_outcome(r);
+        node_out[node].completed = r.read_bool();
+        read_results(r, node_out[node]);
       }
       s.busy = false;
       ++done;

@@ -22,7 +22,8 @@ struct DagNode {
 };
 
 struct DagOptions {
-  /// Worker processes. 0 = IMAP_PROCS; <= 1 runs every node inline.
+  /// Worker processes. 0 = IMAP_PROCS; <= 1 runs the nodes in this process
+  /// on the thread pool (serially under ScopedSerial / IMAP_THREADS=1).
   int procs = 0;
   /// Crash drill: the Nth Attack dispatch is marked so its worker halts the
   /// cell after one training iteration (leaving the run's usual resumable
@@ -51,16 +52,25 @@ std::vector<DagNode> build_experiment_dag(
     ExperimentRunner& runner, const std::vector<AttackPlan>& plans,
     std::vector<std::size_t>& node_of_plan);
 
-/// Topological scheduler over a pool of forked cell workers.
+/// The one planner for experiment grids: benches, tools/fabric_grid and
+/// imap_serve attack jobs all run their plans through it. Two executors
+/// share its DAG and dedup; DagOptions::procs (IMAP_PROCS) picks one.
 ///
-/// Ready nodes sit in one queue and any idle worker pulls the next one
-/// (pull-based work stealing), so a slow cell never blocks unrelated ready
-/// work. Each worker runs one ExperimentRunner over the shared zoo/result
-/// store; per-cell file locks plus atomic tmp+rename writes make concurrent
-/// artifact access safe, and every finished cell is cached under its
-/// cache_key, so the scheduler's unit of crash recovery is the cell: a dead
-/// worker's cell is re-dispatched and resumes from the zoo / snapshot /
-/// cache state the crashed attempt left on disk.
+/// Threads (procs <= 1): every victim node is a task on the thread pool;
+/// once a victim is trained its attack nodes fan out as a nested region,
+/// so attacks of finished victims overlap victims still training. Each
+/// node body runs serially on its thread. Under ScopedSerial /
+/// IMAP_THREADS=1 this is a plain serial loop.
+///
+/// Processes (procs > 1): ready nodes sit in one queue and any idle forked
+/// worker pulls the next one (pull-based work stealing), so a slow cell
+/// never blocks unrelated ready work. Each worker runs one ExperimentRunner
+/// over the shared zoo/result store; per-cell file locks plus atomic
+/// tmp+rename writes make concurrent artifact access safe, and every
+/// finished cell is cached under its cache_key, so the scheduler's unit of
+/// crash recovery is the cell: a dead worker's cell is re-dispatched and
+/// resumes from the zoo / snapshot / cache state the crashed attempt left
+/// on disk.
 class DagScheduler {
  public:
   DagScheduler(BenchConfig cfg, DagOptions opts);
@@ -77,12 +87,13 @@ class DagScheduler {
   const std::vector<double>& node_seconds() const { return node_seconds_; }
 
  private:
+  void run_threads(std::vector<AttackOutcome>& node_out);
   void run_pool(std::vector<AttackOutcome>& node_out, int procs);
 
   BenchConfig cfg_;
   DagOptions opts_;
   DagStats stats_;
-  ExperimentRunner runner_;  ///< key computation + the inline procs<=1 path
+  ExperimentRunner runner_;  ///< key computation + the thread executor
   std::vector<DagNode> nodes_;
   std::vector<double> node_seconds_;
 };

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <filesystem>
+#include <utility>
 
 #include "common/check.h"
+#include "common/serialize.h"
 #include "core/experiment.h"
 #include "temp_dir.h"
 
@@ -29,6 +32,64 @@ TEST(AttackKindNames, RoundTripAndClassification) {
   EXPECT_EQ(imap_attacks().size(), 4u);
   EXPECT_EQ(regularizer_of(AttackKind::ImapD), RegularizerType::D);
   EXPECT_THROW(regularizer_of(AttackKind::SaRl), CheckError);
+}
+
+AttackOutcome sample_outcome() {
+  AttackOutcome out;
+  out.victim_eval.returns.mean = 1.5;
+  out.victim_eval.returns.stddev = 0.25;
+  out.victim_eval.returns.episodes = 3;
+  out.victim_eval.success_rate = 0.5;
+  out.victim_eval.mean_length = 100.0;
+  out.victim_eval.episode_returns = {1.0, 2.0, 1.5};
+  out.curve = {{2048, 0.75, 1.0}, {4096, 0.5, 0.9}};
+  return out;
+}
+
+TEST(ResultCodec, KeepsTheResultCacheLayout) {
+  // The result-cache layout, field by field: results written before the
+  // codec was shared must still load, with no format-version bump.
+  const AttackOutcome out = sample_outcome();
+  BinaryWriter legacy;
+  legacy.write_f64(1.5);
+  legacy.write_f64(0.25);
+  legacy.write_u64(3);
+  legacy.write_f64(0.5);
+  legacy.write_f64(100.0);
+  legacy.write_vec({1.0, 2.0, 1.5});
+  legacy.write_u64(2);
+  for (const auto& p : out.curve) {
+    legacy.write_i64(p.steps);
+    legacy.write_f64(p.victim_success);
+    legacy.write_f64(p.tau);
+  }
+  BinaryWriter w;
+  write_results(w, out);
+  EXPECT_EQ(w.buffer(), legacy.buffer());
+
+  BinaryReader r(w.buffer());
+  AttackOutcome back;
+  read_results(r, back);
+  EXPECT_TRUE(identical_results(out, back));
+}
+
+TEST(ResultCodec, IdenticalResultsIsBitwise) {
+  const AttackOutcome out = sample_outcome();
+  EXPECT_TRUE(identical_results(out, out));
+
+  // Swapped episode returns keep every sum and mean the same.
+  AttackOutcome swapped = out;
+  std::swap(swapped.victim_eval.episode_returns[0],
+            swapped.victim_eval.episode_returns[1]);
+  EXPECT_FALSE(identical_results(out, swapped));
+
+  AttackOutcome ulp = out;
+  ulp.curve[1].tau = std::nextafter(ulp.curve[1].tau, 2.0);
+  EXPECT_FALSE(identical_results(out, ulp));
+
+  AttackOutcome halted = out;
+  halted.completed = false;
+  EXPECT_FALSE(identical_results(out, halted));
 }
 
 TEST_F(ExperimentTest, NoAttackProducesCleanEvaluation) {

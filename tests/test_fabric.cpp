@@ -11,11 +11,13 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/check.h"
 #include "common/proc.h"
 #include "common/serialize.h"
+#include "common/thread_pool.h"
 #include "core/experiment_dag.h"
 #include "temp_dir.h"
 
@@ -166,6 +168,16 @@ BenchConfig small_cfg(const std::string& zoo) {
   return cfg;
 }
 
+/// The serial reference: the thread executor under ScopedSerial, so every
+/// node runs inline on this thread in DAG order.
+std::vector<core::AttackOutcome> serial_run(
+    const BenchConfig& cfg, const std::vector<core::AttackPlan>& plans) {
+  ScopedSerial inline_only;
+  core::DagOptions opts;
+  opts.procs = 1;
+  return core::DagScheduler(cfg, opts).run(plans);
+}
+
 void expect_outcomes_equal(const std::vector<core::AttackOutcome>& a,
                            const std::vector<core::AttackOutcome>& b) {
   ASSERT_EQ(a.size(), b.size());
@@ -218,10 +230,7 @@ TEST(DagScheduler, BuildsDedupedVictimDag) {
 
 TEST(DagScheduler, TwoProcessGridMatchesSerialRun) {
   const auto base = testing::unique_temp_dir("fabric_dag_eq");
-  core::DagOptions serial_opts;
-  serial_opts.procs = 1;
-  core::DagScheduler serial(small_cfg(base + "_serial"), serial_opts);
-  const auto ref = serial.run(small_grid());
+  const auto ref = serial_run(small_cfg(base + "_serial"), small_grid());
 
   core::DagOptions fabric_opts;
   fabric_opts.procs = 2;
@@ -238,10 +247,7 @@ TEST(DagScheduler, TwoProcessGridMatchesSerialRun) {
 
 TEST(DagScheduler, KilledWorkerIsRedispatchedAndResumesFromSnapshot) {
   const auto base = testing::unique_temp_dir("fabric_dag_crash");
-  core::DagOptions serial_opts;
-  serial_opts.procs = 1;
-  core::DagScheduler serial(small_cfg(base + "_serial"), serial_opts);
-  const auto ref = serial.run(small_grid());
+  const auto ref = serial_run(small_cfg(base + "_serial"), small_grid());
 
   core::DagOptions crash_opts;
   crash_opts.procs = 2;
@@ -256,6 +262,48 @@ TEST(DagScheduler, KilledWorkerIsRedispatchedAndResumesFromSnapshot) {
   expect_outcomes_equal(ref, out);
   std::filesystem::remove_all(base + "_serial");
   std::filesystem::remove_all(base + "_fabric");
+}
+
+TEST(DagScheduler, ThreadExecutorMatchesSerialRun) {
+  // Two single-agent victims (one shared with a sparse task) and one game
+  // victim: on a 4-thread pool the victims train concurrently and each
+  // one's attacks overlap the others' training. Every outcome must match
+  // the serial run bit for bit.
+  std::vector<core::AttackPlan> plans = small_grid();
+  for (const auto& [env, defense, kind] :
+       std::vector<std::tuple<std::string, std::string, core::AttackKind>>{
+           {"Hopper", "SA", core::AttackKind::ImapR},
+           {"YouShallNotPass", "PPO", core::AttackKind::ApMarl},
+           {"YouShallNotPass", "PPO", core::AttackKind::ImapR}}) {
+    core::AttackPlan p;
+    p.env_name = env;
+    p.defense = defense;
+    p.attack = kind;
+    p.attack_steps = 4096;
+    p.eval_episodes = 4;
+    plans.push_back(p);
+  }
+  const auto base = testing::unique_temp_dir("fabric_dag_threads");
+  const auto ref = serial_run(small_cfg(base + "_serial"), plans);
+
+  ThreadPool pool(4);
+  ScopedPool scope(pool);
+  core::DagOptions opts;
+  opts.procs = 1;
+  core::DagScheduler threaded(small_cfg(base + "_threads"), opts);
+  const auto out = threaded.run(plans);
+  int victims = 0;
+  for (const auto& n : threaded.nodes())
+    victims += n.kind != core::DagNode::Kind::Attack;
+  EXPECT_EQ(victims, 3);
+  EXPECT_EQ(threaded.stats().procs, 1);
+  EXPECT_EQ(threaded.stats().dispatched, threaded.stats().nodes);
+
+  expect_outcomes_equal(ref, out);
+  for (std::size_t i = 0; i < out.size(); ++i)
+    EXPECT_TRUE(core::identical_results(ref[i], out[i])) << "plan " << i;
+  std::filesystem::remove_all(base + "_serial");
+  std::filesystem::remove_all(base + "_threads");
 }
 
 TEST(DagScheduler, RandomizedScenarioGridMatchesSerialRun) {
@@ -284,10 +332,7 @@ TEST(DagScheduler, RandomizedScenarioGridMatchesSerialRun) {
     EXPECT_EQ(nodes[0].kind, core::DagNode::Kind::Victim);
   }
 
-  core::DagOptions serial_opts;
-  serial_opts.procs = 1;
-  core::DagScheduler serial(small_cfg(base_dir + "_serial"), serial_opts);
-  const auto ref = serial.run(plans);
+  const auto ref = serial_run(small_cfg(base_dir + "_serial"), plans);
 
   core::DagOptions fabric_opts;
   fabric_opts.procs = 2;

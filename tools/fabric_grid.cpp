@@ -1,6 +1,7 @@
 // fabric_grid: drive a small victim→attack experiment grid through the
 // multi-process DAG scheduler and (optionally) prove it bit-identical to a
-// serial run of the same grid in a separate store.
+// serial run and to a thread-pool run of the same grid, each in its own
+// store.
 //
 //   Usage: fabric_grid [--procs N] [--crash-nth K] [--zoo DIR]
 //                      [--serial-zoo DIR] [--steps N] [--episodes N]
@@ -11,63 +12,29 @@
 //                   dispatch mid-cell; the scheduler must re-dispatch it and
 //                   resume from the snapshot (default 0 = off)
 //   --zoo DIR       artifact store for the DAG run (default ./fabric_zoo)
-//   --serial-zoo D  store for the serial reference run (default <zoo>_serial)
+//   --serial-zoo D  store for the serial reference run (default <zoo>_serial);
+//                   the thread-pool run uses <serial-zoo>_threads
 //   --steps N       attack training steps per cell (default 4096)
 //   --episodes N    eval episodes per cell (default 10)
 //   --scenario S    append an SA-RL attack cell over scenario string S (e.g.
 //                   "hopper+obs_delay:1+dr[mass:0.9..1.1]@7"); it shares its
 //                   base env's victim node with the baseline cells
-//   --compare       also run the grid serially (1 process, fresh store) and
-//                   bit-compare every outcome; exit 1 on any mismatch
+//   --compare       also run the grid in-process serially (ScopedSerial) and
+//                   on a 4-thread pool (fresh stores) and bit-compare every
+//                   outcome of all three runs; exit 1 on any mismatch
 //
 // Exit status: 0 on success (and bit-identical outcomes under --compare),
 // 1 on mismatch or bad usage. This is the ci.sh fabric stage's workhorse.
 
-#include <cstdint>
-#include <cstring>
 #include <iostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/config.h"
+#include "common/thread_pool.h"
 #include "core/experiment.h"
 #include "core/experiment_dag.h"
-
-namespace {
-
-std::uint64_t bits(double d) {
-  std::uint64_t u = 0;
-  std::memcpy(&u, &d, sizeof u);
-  return u;
-}
-
-bool same(double a, double b) { return bits(a) == bits(b); }
-
-/// Bitwise outcome equality — fabric runs must not differ from serial runs
-/// by even one ULP anywhere.
-bool outcomes_identical(const imap::core::AttackOutcome& a,
-                        const imap::core::AttackOutcome& b,
-                        std::string& why) {
-  const auto& ea = a.victim_eval;
-  const auto& eb = b.victim_eval;
-  if (a.completed != b.completed) { why = "completed"; return false; }
-  if (!same(ea.returns.mean, eb.returns.mean)) { why = "mean"; return false; }
-  if (!same(ea.returns.stddev, eb.returns.stddev)) { why = "stddev"; return false; }
-  if (ea.returns.episodes != eb.returns.episodes) { why = "episodes"; return false; }
-  if (!same(ea.success_rate, eb.success_rate)) { why = "success_rate"; return false; }
-  if (!same(ea.mean_length, eb.mean_length)) { why = "mean_length"; return false; }
-  if (ea.episode_returns.size() != eb.episode_returns.size()) { why = "returns size"; return false; }
-  for (std::size_t i = 0; i < ea.episode_returns.size(); ++i)
-    if (!same(ea.episode_returns[i], eb.episode_returns[i])) { why = "episode_returns"; return false; }
-  if (a.curve.size() != b.curve.size()) { why = "curve size"; return false; }
-  for (std::size_t i = 0; i < a.curve.size(); ++i)
-    if (a.curve[i].steps != b.curve[i].steps ||
-        !same(a.curve[i].victim_success, b.curve[i].victim_success) ||
-        !same(a.curve[i].tau, b.curve[i].tau)) { why = "curve"; return false; }
-  return true;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   int procs = 2;
@@ -151,23 +118,41 @@ int main(int argc, char** argv) {
   }
 
   if (compare) {
-    imap::BenchConfig scfg = cfg;
-    scfg.zoo_dir = serial_zoo;
-    imap::core::DagOptions sopts;
-    sopts.procs = 1;
-    imap::core::DagScheduler serial(scfg, sopts);
-    const auto ref = serial.run(plans);
+    // In-process runs of the same grid: the serial reference, then the
+    // thread executor on a real 4-thread pool whatever the host's width.
+    const auto in_process = [&](const std::string& store) {
+      imap::BenchConfig scfg = cfg;
+      scfg.zoo_dir = store;
+      imap::core::DagOptions sopts;
+      sopts.procs = 1;
+      return imap::core::DagScheduler(scfg, sopts).run(plans);
+    };
+    std::vector<imap::core::AttackOutcome> ref;
+    {
+      imap::ScopedSerial inline_only;
+      ref = in_process(serial_zoo);
+    }
+    std::vector<imap::core::AttackOutcome> threaded;
+    {
+      imap::ThreadPool pool(4);
+      imap::ScopedPool scope(pool);
+      threaded = in_process(serial_zoo + "_threads");
+    }
     for (std::size_t i = 0; i < plans.size(); ++i) {
-      std::string why;
-      if (!outcomes_identical(out[i], ref[i], why)) {
-        std::cerr << "fabric_grid: MISMATCH vs serial in plan " << i << " ("
+      for (const auto& [name, got] :
+           {std::pair<const char*, const imap::core::AttackOutcome*>{
+                "procs", &out[i]},
+            {"threads", &threaded[i]}}) {
+        if (imap::core::identical_results(*got, ref[i])) continue;
+        std::cerr << "fabric_grid: MISMATCH " << name << " vs serial in plan "
+                  << i << " ("
                   << (plans[i].scenario.empty() ? plans[i].env_name
                                                 : plans[i].scenario)
-                  << "): " << why << "\n";
+                  << ")\n";
         return 1;
       }
     }
-    std::cout << "fabric vs serial: " << plans.size()
+    std::cout << "procs, threads vs serial: " << plans.size()
               << " outcomes bit-identical\n";
   }
   return 0;
