@@ -1,16 +1,16 @@
 // bench_fabric: the grid-executor probe, recorded in the tracked
-// BENCH_fabric.json (see README "Process fabric"). One Table-1 Hopper row
+// BENCH_fabric.json (see README "Grid executor"). One Table-1 Hopper row
 // — 6 victims (PPO, ATLA, SA, ATLA-SA, RADIAL, WocaR) × 7 attacks, 42
-// cells — runs through core::DagScheduler three times, each into a fresh
-// store so nothing is cached: serially (ScopedSerial), on a 4-thread pool
-// and on 4 worker processes. The probe exits nonzero unless all three legs
-// are bit-identical, and records the scale, hardware_threads, each leg's
-// wall-clock and the serial leg's per-node wall-clock (the critical path:
-// the slowest victim plus its slowest attack).
+// cells — runs through core::DagScheduler twice, each into a fresh store
+// so nothing is cached: serially (ScopedSerial) and on a 4-thread pool.
+// The probe exits nonzero unless both legs are bit-identical, and records
+// the scale, hardware_threads, each leg's wall-clock and the serial leg's
+// per-node wall-clock (the critical path: the slowest victim plus its
+// slowest attack).
 //
-// On a host with fewer than 4 hardware threads the parallel legs
-// time-slice; hardware_threads is recorded so readers can tell which
-// regime a row came from.
+// On a host with fewer than 4 hardware threads the pool leg time-slices;
+// hardware_threads is recorded so readers can tell which regime a row came
+// from.
 
 #include <chrono>
 #include <filesystem>
@@ -30,7 +30,7 @@ using namespace imap;
 
 namespace {
 
-constexpr int kWidth = 4;  ///< threads of the pool leg, procs of the fabric leg
+constexpr int kWidth = 4;  ///< threads of the pool leg
 
 std::vector<core::AttackPlan> hopper_row() {
   std::vector<core::AttackPlan> plans;
@@ -57,13 +57,11 @@ struct Leg {
 };
 
 /// Run the row once through the scheduler into a fresh store at `zoo`.
-Leg run_leg(int procs, const std::string& zoo) {
+Leg run_leg(const std::string& zoo) {
   std::filesystem::remove_all(zoo);
   BenchConfig cfg = BenchConfig::from_env();
   cfg.zoo_dir = zoo;
-  core::DagOptions dopts;
-  dopts.procs = procs;
-  core::DagScheduler sched(cfg, dopts);
+  core::DagScheduler sched(cfg);
   Leg leg;
   const auto t0 = std::chrono::steady_clock::now();
   leg.out = sched.run(hopper_row());
@@ -88,20 +86,18 @@ bool identical(const Leg& a, const Leg& b) {
 
 int main() {
   const BenchConfig cfg = BenchConfig::from_env();
-  // Forked workers first, while no thread pool has started threads.
-  const Leg procs = run_leg(kWidth, "./bench_fabric_zoo_procs");
   Leg serial;
   {
     ScopedSerial inline_only;
-    serial = run_leg(1, "./bench_fabric_zoo_serial");
+    serial = run_leg("./bench_fabric_zoo_serial");
   }
   Leg threads;
   {
     ThreadPool pool(kWidth);
     ScopedPool scope(pool);
-    threads = run_leg(1, "./bench_fabric_zoo_threads");
+    threads = run_leg("./bench_fabric_zoo_threads");
   }
-  const bool ok = identical(serial, threads) && identical(serial, procs);
+  const bool ok = identical(serial, threads);
 
   const double cells = static_cast<double>(serial.out.size());
   std::ostringstream os;
@@ -112,8 +108,7 @@ int main() {
      << ", \"cells\": " << serial.out.size() << ", \"width\": " << kWidth;
   for (const auto& [name, leg] :
        {std::pair<const char*, const Leg*>{"serial", &serial},
-        {"threads", &threads},
-        {"procs", &procs}})
+        {"threads", &threads}})
     os << ", \"" << name << "_s\": " << leg->seconds << ", \"" << name
        << "_cells_per_s\": " << (leg->seconds > 0.0 ? cells / leg->seconds : 0.0);
   os << ", \"traces_identical\": " << (ok ? "true" : "false")
@@ -127,8 +122,8 @@ int main() {
   bench::write_report_entry("BENCH_fabric.json", "bench_fabric", os.str());
   std::cerr << "bench_fabric: Hopper row (" << serial.out.size()
             << " cells, scale " << cfg.scale << ") serial " << serial.seconds
-            << "s, " << kWidth << " threads " << threads.seconds << "s, "
-            << kWidth << " procs " << procs.seconds << "s; outcomes "
+            << "s, " << kWidth << " threads " << threads.seconds
+            << "s; outcomes "
             << (ok ? "identical" : "DIVERGED") << " -> BENCH_fabric.json\n";
   // Wall-clock varies with the host; identity never may. Nonzero exit makes
   // the ci bench-smoke stage a real gate on divergence.

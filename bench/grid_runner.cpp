@@ -10,7 +10,6 @@
 #include <sstream>
 #include <thread>
 
-#include "common/proc.h"
 #include "common/thread_pool.h"
 
 namespace imap::bench {
@@ -45,10 +44,9 @@ GridRunner::GridRunner(core::ExperimentRunner& runner, std::string bench_name)
 std::vector<core::AttackOutcome> GridRunner::run_plans(
     const std::vector<core::AttackPlan>& plans) {
   const auto t0 = std::chrono::steady_clock::now();
-  core::DagScheduler sched(runner_.config(), core::DagOptions{});
+  core::DagScheduler sched(runner_.config());
   std::cerr << "  [" << bench_name_ << "] running " << plans.size()
             << " cells through the DAG scheduler ("
-            << proc::configured_procs() << " procs, "
             << effective_concurrency() << " threads)\n";
   auto out = sched.run(plans);
   const auto& nodes = sched.nodes();
@@ -86,7 +84,6 @@ void GridRunner::write_report() const {
   os.setf(std::ios::fixed);
   os.precision(3);
   os << "{\"threads\": " << effective_concurrency()
-     << ", \"procs\": " << proc::configured_procs()
      << ", \"hardware_threads\": " << std::thread::hardware_concurrency()
      << ", \"cells\": " << timings_.size() << ", \"wall_s\": " << wall_seconds_
      << ", \"cell_wall_s\": {";

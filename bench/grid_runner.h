@@ -5,10 +5,9 @@
 //
 // Determinism: every cell derives its randomness purely from its plan and
 // the experiment seed (ExperimentRunner::plan_rng), so the results are
-// independent of scheduling, IMAP_THREADS and IMAP_PROCS. The scheduler
-// dedups victims by checkpoint identity and cells by cache key, trains
-// each victim before its attacks, and runs the DAG on the thread pool
-// (IMAP_PROCS <= 1) or on forked worker processes (see
+// independent of scheduling and IMAP_THREADS. The scheduler dedups victims
+// by checkpoint identity and cells by cache key, trains each victim before
+// its attacks, and runs the DAG on the thread pool (see
 // core/experiment_dag.h).
 //
 // Timings are inclusive of stolen work wherever the timed body can wait
@@ -55,7 +54,7 @@ class GridRunner {
   void run_jobs(
       std::vector<std::pair<std::string, std::function<void()>>> jobs);
 
-  /// Merge this bench's summary (threads, procs, hardware threads, per-node
+  /// Merge this bench's summary (threads, hardware threads, per-node
   /// and total wall-clock) into BENCH_parallel.json. Call once, after all
   /// grids/jobs.
   void write_report() const;

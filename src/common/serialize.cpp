@@ -50,7 +50,7 @@ void append_u64(std::vector<std::uint8_t>& buf, std::uint64_t v) {
 /// Write `bytes` to a pid-unique `<path>.tmp.<pid>`, then atomically rename
 /// onto `path`, so a crash mid-write can only ever leave the old file (or a
 /// stray tmp), never a torn checkpoint. The pid suffix keeps concurrent
-/// fabric processes racing on the same artifact from scribbling over each
+/// processes racing on the same artifact from scribbling over each
 /// other's temporary — last rename wins with a complete file either way.
 bool write_file_atomic(const std::string& path,
                        const std::vector<std::uint8_t>& bytes) {

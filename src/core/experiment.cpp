@@ -493,7 +493,7 @@ AttackOutcome ExperimentRunner::run(const AttackPlan& raw_plan) {
   cached.plan = plan;
   if (load_cached(key, cached)) return cached;
 
-  // Per-cell lock: two fabric processes racing on the same plan serialize,
+  // Per-cell lock: two runs racing on the same plan serialize,
   // and the second finds the first's cached result on re-check. Held for
   // the whole run — a crashed holder's lock is stolen (see proc::FileLock)
   // and the replacement resumes from the crashed run's snapshot. Locks live

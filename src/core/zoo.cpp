@@ -134,7 +134,7 @@ std::shared_ptr<const nn::GaussianPolicy> Zoo::victim_shared(
   // their dense counterpart (SparseHopper deploys the Hopper victim, etc.).
   const auto path = path_for(training_env->name(), defense);
   if (auto cached = load_memoized(path)) return cached;
-  // Concurrent fabric processes wanting the same victim serialize here; the
+  // Concurrent runs wanting the same victim serialize here; the
   // loser of the race finds the winner's finished checkpoint on re-check
   // instead of training a duplicate. The re-check is memoized: when the
   // file state is unchanged since the pre-lock stat it costs one stat, not

@@ -85,7 +85,7 @@ class Zoo {
   /// checkpoint. The stat signature taken at verification time guards the
   /// entry: a lookup whose fresh stat matches returns the cached network
   /// without touching the file contents; a mismatch (artifact rewritten by
-  /// a retrain or another fabric process) re-reads and re-verifies. Returns
+  /// a retrain or another process) re-reads and re-verifies. Returns
   /// nullptr when the file does not exist.
   std::shared_ptr<const nn::GaussianPolicy> load_memoized(
       const std::string& path);

@@ -9,6 +9,7 @@
 
 #include <cctype>
 #include <cerrno>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
@@ -118,6 +119,25 @@ ParseStatus parse_request(std::string& buf, HttpRequest& out) {
   out.body = buf.substr(head_end + 4, content_length);
   buf.erase(0, total);
   return ParseStatus::Ok;
+}
+
+std::string json_escape(const std::string& s) {
+  std::string out;
+  out.reserve(s.size());
+  for (const char c : s) {
+    if (c == '"' || c == '\\') {
+      out += '\\';
+      out += c;
+    } else if (static_cast<unsigned char>(c) < 0x20) {
+      char hex[8];
+      std::snprintf(hex, sizeof hex, "\\u%04x",
+                    static_cast<unsigned>(static_cast<unsigned char>(c)));
+      out += hex;
+    } else {
+      out += c;
+    }
+  }
+  return out;
 }
 
 const char* status_text(int status) {

@@ -43,6 +43,11 @@ ParseStatus parse_request(std::string& buf, HttpRequest& out);
 std::string format_response(int status, const std::string& content_type,
                             const std::string& body);
 
+/// `s` escaped for the inside of a JSON string literal: quote and backslash
+/// get a backslash, every control character becomes \u00XX, so any text —
+/// an error message, a client-supplied name — yields well-formed JSON.
+std::string json_escape(const std::string& s);
+
 /// Reason phrase for the handful of status codes the daemon emits.
 const char* status_text(int status);
 

@@ -5,12 +5,12 @@
 
 #include "common/check.h"
 #include "core/experiment_dag.h"
+#include "serve/http.h"
 
 namespace imap::serve {
 
-JobRegistry::JobRegistry(BenchConfig cfg, int procs, int runners,
-                         ServeMetrics* metrics)
-    : cfg_(std::move(cfg)), procs_(procs), metrics_(metrics) {
+JobRegistry::JobRegistry(BenchConfig cfg, int runners, ServeMetrics* metrics)
+    : cfg_(std::move(cfg)), metrics_(metrics) {
   IMAP_CHECK_MSG(runners >= 1, "job registry needs at least one runner");
   // ThreadPool(N) owns N-1 workers (the submitter participates); jobs are
   // fire-and-forget, so size runners+1 to get `runners` dedicated threads.
@@ -45,18 +45,14 @@ void JobRegistry::run_job(std::uint64_t id) {
   State final_state = State::Done;
   std::string detail;
   try {
-    core::DagOptions dag;
-    dag.procs = procs_;
-    core::DagScheduler sched(cfg_, dag);
-    const auto outcomes = sched.run({plan});
+    const auto outcomes = core::DagScheduler(cfg_).run({plan});
     IMAP_CHECK_MSG(outcomes.size() == 1, "one plan, one outcome");
     const auto& o = outcomes[0];
     std::ostringstream os;
     os << "{\"completed\":" << (o.completed ? "true" : "false")
        << ",\"victim_mean_reward\":" << o.victim_eval.returns.mean
        << ",\"victim_success_rate\":" << o.victim_eval.success_rate
-       << ",\"curve_points\":" << o.curve.size()
-       << ",\"worker_procs\":" << sched.stats().procs << "}";
+       << ",\"curve_points\":" << o.curve.size() << "}";
     detail = os.str();
   } catch (const std::exception& e) {
     final_state = State::Failed;
@@ -98,18 +94,12 @@ std::string JobRegistry::status_json(std::uint64_t id) const {
   const Job& job = it->second;
   std::ostringstream os;
   os << "{\"id\":" << id << ",\"state\":\"" << state_name(job.state)
-     << "\",\"env\":\"" << job.plan.env_name << "\",\"attack\":\""
-     << core::to_string(job.plan.attack) << "\"";
+     << "\",\"env\":\"" << json_escape(job.plan.env_name)
+     << "\",\"attack\":\"" << json_escape(core::to_string(job.plan.attack))
+     << "\"";
   if (job.state == State::Done) os << ",\"outcome\":" << job.detail;
-  if (job.state == State::Failed) {
-    os << ",\"error\":\"";
-    for (const char c : job.detail)  // keep the JSON well-formed
-      if (c == '"' || c == '\\' || c == '\n')
-        os << ' ';
-      else
-        os << c;
-    os << "\"";
-  }
+  if (job.state == State::Failed)
+    os << ",\"error\":\"" << json_escape(job.detail) << "\"";
   os << "}";
   return os.str();
 }

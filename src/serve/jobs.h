@@ -16,9 +16,8 @@ namespace imap::serve {
 
 /// Asynchronous IMAP attack-training jobs behind POST /attack/train.
 ///
-/// A job is one AttackPlan pushed through the PR-8 experiment fabric: the
-/// runner thread builds a DagScheduler (victim node → attack node) with
-/// IMAP_PROCS worker processes and runs the plan's cell exactly as the bench
+/// A job is one AttackPlan: the runner thread builds a DagScheduler (victim
+/// node → attack node) and runs the plan's cell exactly as the bench
 /// binaries would, so a finished job lands in the shared result cache under
 /// the same cache key, and re-submitting a finished plan returns instantly
 /// from that cache. Per-cell file locks keep concurrent jobs — and external
@@ -31,10 +30,9 @@ class JobRegistry {
  public:
   enum class State { Queued, Running, Done, Failed };
 
-  /// `procs` mirrors DagOptions::procs (0 = IMAP_PROCS, <= 1 inline);
   /// `runners` is how many jobs may train concurrently.
-  JobRegistry(BenchConfig cfg, int procs, int runners = 1,
-              ServeMetrics* metrics = nullptr);
+  explicit JobRegistry(BenchConfig cfg, int runners = 1,
+                       ServeMetrics* metrics = nullptr);
   ~JobRegistry();
 
   /// Enqueue a plan; returns its job id. Never blocks on training.
@@ -62,7 +60,6 @@ class JobRegistry {
   static std::string state_name(State s);
 
   BenchConfig cfg_;
-  int procs_;
   ServeMetrics* metrics_;
   mutable std::mutex m_;
   std::condition_variable cv_;

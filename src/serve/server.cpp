@@ -3,14 +3,18 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 
 #include "common/check.h"
 #include "common/proc.h"
+#include "defense/victim_trainer.h"
+#include "env/registry.h"
 #include "nn/batch.h"
 #include "scenario/spec.h"
 
@@ -70,11 +74,7 @@ bool attack_from_string(const std::string& s, core::AttackKind& out) {
 }
 
 std::string json_error(const std::string& what) {
-  std::string body = "{\"error\":\"";
-  for (const char c : what)
-    body += (c == '"' || c == '\\' || c == '\n') ? ' ' : c;
-  body += "\"}";
-  return body;
+  return "{\"error\":\"" + json_escape(what) + "\"}";
 }
 
 }  // namespace
@@ -85,7 +85,7 @@ Server::Server(ServeOptions opts)
            opts.bench.snapshot_every),
       cache_(zoo_, opts.cache, &metrics_),
       coalescer_(opts.coalesce, &metrics_),
-      jobs_(opts.bench, opts.job_procs, opts.job_runners, &metrics_) {
+      jobs_(opts.bench, opts.job_runners, &metrics_) {
   IMAP_CHECK_MSG(opts_.threads >= 1, "server needs at least one worker");
 }
 
@@ -383,6 +383,8 @@ std::string Server::route_infer(const HttpRequest& req, int& status) {
 }
 
 std::string Server::route_attack_train(const HttpRequest& req, int& status) {
+  // Every parameter is checked before enqueue, so bad input is a 400, never
+  // a job that fails later.
   core::AttackPlan plan;
   plan.env_name = req.param("env");
   plan.scenario = req.param("scenario");
@@ -390,9 +392,16 @@ std::string Server::route_attack_train(const HttpRequest& req, int& status) {
     status = 400;
     return json_error("missing env parameter");
   }
+  if (!plan.env_name.empty()) {
+    const auto env = env::resolve_name(plan.env_name);
+    if (!env) {
+      status = 400;
+      return json_error("unknown env: " + plan.env_name);
+    }
+    plan.env_name = *env;
+  }
   if (!plan.scenario.empty()) {
-    // Validate eagerly so a malformed scenario is a 400 here, not a dead
-    // job later; the runner canonicalizes again on its side.
+    // The runner canonicalizes again on its side.
     if (!scenario::try_canonical(plan.scenario)) {
       status = 400;
       return json_error("malformed scenario: " + plan.scenario);
@@ -401,13 +410,26 @@ std::string Server::route_attack_train(const HttpRequest& req, int& status) {
       plan.env_name = scenario::parse(plan.scenario).env;
   }
   plan.defense = req.param("defense", "PPO");
+  const auto defenses = defense::all_defenses();
+  if (std::none_of(defenses.begin(), defenses.end(), [&](auto kind) {
+        return defense::to_string(kind) == plan.defense;
+      })) {
+    status = 400;
+    return json_error("unknown defense: " + plan.defense);
+  }
   const std::string attack = req.param("attack", "IMAP-PC");
   if (!attack_from_string(attack, plan.attack)) {
     status = 400;
     return json_error("unknown attack: " + attack);
   }
   plan.attack_steps = req.param_ll("steps", 0);
-  plan.eval_episodes = static_cast<int>(req.param_ll("episodes", 0));
+  const long long episodes = req.param_ll("episodes", 0);
+  if (plan.attack_steps < 0 || episodes < 0 ||
+      episodes > std::numeric_limits<int>::max()) {
+    status = 400;
+    return json_error("steps or episodes out of range");
+  }
+  plan.eval_episodes = static_cast<int>(episodes);
   const std::uint64_t id = jobs_.enqueue(plan);
   status = 202;
   return "{\"id\":" + std::to_string(id) + "}";

@@ -27,7 +27,6 @@ struct ServeOptions {
   int threads = 8;         ///< request-handler workers
   Coalescer::Options coalesce;
   ModelCache::Options cache;
-  int job_procs = 0;       ///< attack-job fabric processes (0 = IMAP_PROCS)
   int job_runners = 1;     ///< concurrently training jobs
   BenchConfig bench;       ///< zoo directory / scale / seed behind the API
 };

@@ -1,20 +1,21 @@
-// The multi-process fabric contract: framed-Archive channels, crash-safe
-// file locks, DAG-scheduled grids (including the kill-one-worker →
-// re-dispatch → resume drill) and atomic concurrent store writes.
+// The grid executor's store contract: crash-safe file locks, DAG-scheduled
+// grids (including the halt -> stale lock -> resume drill) and atomic
+// concurrent store writes. The cross-process cases fork a plain child that
+// reports through its exit status.
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
-#include <cstdint>
-#include <cstdlib>
+#include <cerrno>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <string>
 #include <tuple>
 #include <vector>
 
-#include "common/check.h"
 #include "common/proc.h"
 #include "common/serialize.h"
 #include "common/thread_pool.h"
@@ -24,76 +25,29 @@
 namespace imap {
 namespace {
 
-// ---------------------------------------------------------------------------
-// Channel framing
-// ---------------------------------------------------------------------------
-
-TEST(Channel, RoundTripThroughWorker) {
-  auto w = proc::WorkerProcess::spawn([](proc::Channel& ch) {
-    ArchiveReader req;
-    while (ch.recv(req)) {
-      ArchiveWriter rep;
-      auto r = req.section("ping/v");
-      rep.section("echo/v").write_vec(r.read_vec());
-      if (!ch.send(rep)) break;
+/// Fork a child that runs `body` and exits with its return value (1 when it
+/// throws). The child leaves via _exit, so it never runs the test binary's
+/// atexit handlers or flushes its stdio buffers.
+pid_t fork_child(const std::function<int()>& body) {
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    int rc = 1;
+    try {
+      ScopedSerial serial;  // the parent's pool threads did not survive fork
+      rc = body();
+    } catch (...) {
     }
-  });
-  const std::vector<double> payload{1.5, -2.25, 1e300, 0.0};
-  ArchiveWriter msg;
-  msg.section("ping/v").write_vec(payload);
-  ASSERT_TRUE(w.channel().send(msg));
-  ArchiveReader rep;
-  ASSERT_TRUE(w.channel().recv(rep));
-  auto r = rep.section("echo/v");
-  EXPECT_EQ(r.read_vec(), payload);
-  EXPECT_EQ(w.join(), 0);
+    ::_exit(rc);
+  }
+  return pid;
 }
 
-TEST(Channel, CleanEofWhenChildExits) {
-  auto w = proc::WorkerProcess::spawn([](proc::Channel&) {});
-  ArchiveReader rep;
-  EXPECT_FALSE(w.channel().recv(rep));  // EOF, not an exception
-  EXPECT_EQ(w.join(), 0);
-}
-
-TEST(Channel, TruncatedFrameThrows) {
-  int fds[2];
-  ASSERT_EQ(::pipe(fds), 0);
-  proc::Channel ch(fds[0], -1);
-  // Header promises a 32-byte frame; only 8 bytes arrive before EOF.
-  const std::uint8_t hdr[8] = {32, 0, 0, 0, 0, 0, 0, 0};
-  const std::uint8_t junk[8] = {1, 2, 3, 4, 5, 6, 7, 8};
-  ASSERT_EQ(::write(fds[1], hdr, 8), 8);
-  ASSERT_EQ(::write(fds[1], junk, 8), 8);
-  ::close(fds[1]);
-  ArchiveReader out;
-  EXPECT_THROW(ch.recv(out), CheckError);
-}
-
-TEST(Channel, CorruptPayloadThrows) {
-  int fds[2];
-  ASSERT_EQ(::pipe(fds), 0);
-  proc::Channel ch(fds[0], -1);
-  // A complete 16-byte frame whose payload is not a valid archive.
-  const std::uint8_t hdr[8] = {16, 0, 0, 0, 0, 0, 0, 0};
-  std::uint8_t junk[16];
-  for (int i = 0; i < 16; ++i) junk[i] = static_cast<std::uint8_t>(0xA0 + i);
-  ASSERT_EQ(::write(fds[1], hdr, 8), 8);
-  ASSERT_EQ(::write(fds[1], junk, 16), 16);
-  ::close(fds[1]);
-  ArchiveReader out;
-  EXPECT_THROW(ch.recv(out), CheckError);
-}
-
-TEST(WorkerProcess, TerminateReapsKilledChild) {
-  auto w = proc::WorkerProcess::spawn([](proc::Channel& ch) {
-    ArchiveReader req;
-    while (ch.recv(req)) {
-    }
-  });
-  ASSERT_TRUE(w.running());
-  w.terminate();
-  EXPECT_FALSE(w.running());
+/// Reap `pid`; its exit code, or -1 when it did not exit normally.
+int wait_exit(pid_t pid) {
+  int status = 0;
+  while (::waitpid(pid, &status, 0) < 0 && errno == EINTR) {
+  }
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
 }
 
 // ---------------------------------------------------------------------------
@@ -121,20 +75,16 @@ TEST(FileLock, BlocksUntilHolderReleases) {
   const auto path = dir + "/cell.lock";
   const auto marker = dir + "/marker";
   auto held = std::make_unique<proc::FileLock>(path);
-  auto w = proc::WorkerProcess::spawn([path, marker](proc::Channel& ch) {
+  const pid_t child = fork_child([&] {
     proc::FileLock lock(path);  // blocks until the parent releases
-    ArchiveWriter rep;
-    rep.section("saw").write_bool(std::filesystem::exists(marker));
-    ch.send(rep);
+    return std::filesystem::exists(marker) ? 0 : 2;
   });
+  ASSERT_GT(child, 0);
   // The marker exists strictly before the release, so a correctly-blocking
   // child can only ever observe it present.
   { std::ofstream f(marker); f << 1; }
   held.reset();
-  ArchiveReader rep;
-  ASSERT_TRUE(w.channel().recv(rep));
-  EXPECT_TRUE(rep.section("saw").read_bool());
-  EXPECT_EQ(w.join(), 0);
+  EXPECT_EQ(wait_exit(child), 0);
   std::filesystem::remove_all(dir);
 }
 
@@ -173,9 +123,7 @@ BenchConfig small_cfg(const std::string& zoo) {
 std::vector<core::AttackOutcome> serial_run(
     const BenchConfig& cfg, const std::vector<core::AttackPlan>& plans) {
   ScopedSerial inline_only;
-  core::DagOptions opts;
-  opts.procs = 1;
-  return core::DagScheduler(cfg, opts).run(plans);
+  return core::DagScheduler(cfg).run(plans);
 }
 
 void expect_outcomes_equal(const std::vector<core::AttackOutcome>& a,
@@ -228,40 +176,53 @@ TEST(DagScheduler, BuildsDedupedVictimDag) {
   std::filesystem::remove_all(cfg.zoo_dir);
 }
 
-TEST(DagScheduler, TwoProcessGridMatchesSerialRun) {
-  const auto base = testing::unique_temp_dir("fabric_dag_eq");
-  const auto ref = serial_run(small_cfg(base + "_serial"), small_grid());
+TEST(DagScheduler, HaltedGridResumesFromSnapshotsAndStaleLocks) {
+  // The crashed-run shape, in process: every attack cell halts after one
+  // training iteration (leaving its snapshot, caching no result), and each
+  // halted cell's lockfile names a dead owner, as a killed run leaves it.
+  // A rerun over the same store must steal the locks, resume every cell
+  // from its snapshot and match an undisturbed serial run bit for bit.
+  const auto base = testing::unique_temp_dir("fabric_dag_resume");
+  const auto plans = small_grid();
+  const auto ref = serial_run(small_cfg(base + "_serial"), plans);
 
-  core::DagOptions fabric_opts;
-  fabric_opts.procs = 2;
-  core::DagScheduler fabric(small_cfg(base + "_fabric"), fabric_opts);
-  const auto out = fabric.run(small_grid());
-  EXPECT_EQ(fabric.stats().procs, 2);
-  EXPECT_GE(fabric.stats().dispatched, 4);
-  EXPECT_EQ(fabric.stats().worker_deaths, 0);
+  const BenchConfig cfg = small_cfg(base + "_store");
+  BenchConfig halting = cfg;
+  halting.halt_after_iters = 1;
+  const auto halted = core::DagScheduler(halting).run(plans);
 
-  expect_outcomes_equal(ref, out);
+  core::ExperimentRunner runner(cfg);
+  std::vector<std::string> halted_keys;
+  for (std::size_t i = 0; i < plans.size(); ++i) {
+    if (halted[i].completed) continue;
+    const auto key = runner.cache_key(runner.normalize_plan(plans[i]),
+                                      plans[i].attack_steps,
+                                      plans[i].eval_episodes);
+    ASSERT_TRUE(std::filesystem::exists(cfg.zoo_dir + "/snapshots/" + key +
+                                        ".snap"))
+        << "plan " << i;
+    // A pid beyond any pid_max: the owner is gone.
+    std::ofstream(cfg.zoo_dir + "/locks/" + key + ".lock") << 999999999;
+    halted_keys.push_back(key);
+  }
+  ASSERT_GE(halted_keys.size(), 2u);
+
+  std::vector<core::AttackOutcome> out;
+  {
+    ThreadPool pool(4);
+    ScopedPool scope(pool);
+    out = core::DagScheduler(cfg).run(plans);
+  }
+  for (std::size_t i = 0; i < out.size(); ++i)
+    EXPECT_TRUE(core::identical_results(ref[i], out[i])) << "plan " << i;
+  for (const auto& key : halted_keys) {
+    EXPECT_FALSE(std::filesystem::exists(cfg.zoo_dir + "/locks/" + key +
+                                         ".lock"));
+    EXPECT_FALSE(std::filesystem::exists(cfg.zoo_dir + "/snapshots/" + key +
+                                         ".snap"));
+  }
   std::filesystem::remove_all(base + "_serial");
-  std::filesystem::remove_all(base + "_fabric");
-}
-
-TEST(DagScheduler, KilledWorkerIsRedispatchedAndResumesFromSnapshot) {
-  const auto base = testing::unique_temp_dir("fabric_dag_crash");
-  const auto ref = serial_run(small_cfg(base + "_serial"), small_grid());
-
-  core::DagOptions crash_opts;
-  crash_opts.procs = 2;
-  crash_opts.crash_nth_attack = 1;  // kill the first attack cell mid-run
-  core::DagScheduler fabric(small_cfg(base + "_fabric"), crash_opts);
-  const auto out = fabric.run(small_grid());
-  EXPECT_GE(fabric.stats().worker_deaths, 1);
-  EXPECT_GE(fabric.stats().re_dispatched, 1);
-
-  // The re-dispatched cell resumed from the crashed attempt's snapshot —
-  // and still matches the serial reference bit for bit.
-  expect_outcomes_equal(ref, out);
-  std::filesystem::remove_all(base + "_serial");
-  std::filesystem::remove_all(base + "_fabric");
+  std::filesystem::remove_all(base + "_store");
 }
 
 TEST(DagScheduler, ThreadExecutorMatchesSerialRun) {
@@ -288,16 +249,13 @@ TEST(DagScheduler, ThreadExecutorMatchesSerialRun) {
 
   ThreadPool pool(4);
   ScopedPool scope(pool);
-  core::DagOptions opts;
-  opts.procs = 1;
-  core::DagScheduler threaded(small_cfg(base + "_threads"), opts);
+  core::DagScheduler threaded(small_cfg(base + "_threads"));
   const auto out = threaded.run(plans);
   int victims = 0;
   for (const auto& n : threaded.nodes())
     victims += n.kind != core::DagNode::Kind::Attack;
   EXPECT_EQ(victims, 3);
-  EXPECT_EQ(threaded.stats().procs, 1);
-  EXPECT_EQ(threaded.stats().dispatched, threaded.stats().nodes);
+  EXPECT_EQ(threaded.node_seconds().size(), threaded.nodes().size());
 
   expect_outcomes_equal(ref, out);
   for (std::size_t i = 0; i < out.size(); ++i)
@@ -309,7 +267,7 @@ TEST(DagScheduler, ThreadExecutorMatchesSerialRun) {
 TEST(DagScheduler, RandomizedScenarioGridMatchesSerialRun) {
   // A grid mixing a baseline cell with a randomized scenario cell: the
   // scenario cell shares the baseline's victim node (one Hopper train), and
-  // the whole grid is 1-vs-N procs invariant bit for bit.
+  // the whole grid on a 4-thread pool matches the serial run bit for bit.
   std::vector<core::AttackPlan> plans;
   core::AttackPlan base;
   base.env_name = "Hopper";
@@ -334,16 +292,19 @@ TEST(DagScheduler, RandomizedScenarioGridMatchesSerialRun) {
 
   const auto ref = serial_run(small_cfg(base_dir + "_serial"), plans);
 
-  core::DagOptions fabric_opts;
-  fabric_opts.procs = 2;
-  core::DagScheduler fabric(small_cfg(base_dir + "_fabric"), fabric_opts);
-  const auto out = fabric.run(plans);
-  EXPECT_EQ(fabric.stats().worker_deaths, 0);
+  std::vector<core::AttackOutcome> out;
+  {
+    ThreadPool pool(4);
+    ScopedPool scope(pool);
+    out = core::DagScheduler(small_cfg(base_dir + "_threads")).run(plans);
+  }
 
   expect_outcomes_equal(ref, out);
+  for (std::size_t i = 0; i < out.size(); ++i)
+    EXPECT_TRUE(core::identical_results(ref[i], out[i])) << "plan " << i;
   std::filesystem::remove_all(base_dir + "_probe");
   std::filesystem::remove_all(base_dir + "_serial");
-  std::filesystem::remove_all(base_dir + "_fabric");
+  std::filesystem::remove_all(base_dir + "_threads");
 }
 
 // ---------------------------------------------------------------------------
@@ -354,20 +315,20 @@ TEST(AtomicStore, ConcurrentWritersNeverTearAReader) {
   const auto dir = testing::unique_temp_dir("fabric_atomic");
   std::filesystem::create_directories(dir);
   const auto path = dir + "/store.res";
-  const auto writer_body = [path](double value) {
-    return [path, value](proc::Channel& ch) {
+  const auto writer = [&path](double value) {
+    return fork_child([&path, value] {
       for (int i = 0; i < 40; ++i) {
         BinaryWriter w;
         w.write_vec(std::vector<double>(2000, value + i));
-        IMAP_CHECK(w.save(path));
+        if (!w.save(path)) return 2;
       }
-      ArchiveWriter rep;
-      rep.section("done").write_bool(true);
-      ch.send(rep);
-    };
+      return 0;
+    });
   };
-  auto w1 = proc::WorkerProcess::spawn(writer_body(1000.0));
-  auto w2 = proc::WorkerProcess::spawn(writer_body(2000.0));
+  const pid_t w1 = writer(1000.0);
+  const pid_t w2 = writer(2000.0);
+  ASSERT_GT(w1, 0);
+  ASSERT_GT(w2, 0);
   // Read concurrently with both writers: every observed file must be a
   // complete CRC-valid image from exactly one writer (pid-unique tmp +
   // atomic rename — never a torn interleaving).
@@ -386,24 +347,10 @@ TEST(AtomicStore, ConcurrentWritersNeverTearAReader) {
         << "mixed payload " << v[0];
     ++observed;
   }
-  ArchiveReader rep;
-  ASSERT_TRUE(w1.channel().recv(rep));
-  ASSERT_TRUE(w2.channel().recv(rep));
-  EXPECT_EQ(w1.join(), 0);
-  EXPECT_EQ(w2.join(), 0);
+  EXPECT_EQ(wait_exit(w1), 0);
+  EXPECT_EQ(wait_exit(w2), 0);
   EXPECT_GT(observed, 0);
   std::filesystem::remove_all(dir);
-}
-
-TEST(ConfiguredProcs, ReadsAndValidatesEnv) {
-  ::setenv("IMAP_PROCS", "3", 1);
-  EXPECT_EQ(proc::configured_procs(), 3);
-  ::setenv("IMAP_PROCS", "bogus", 1);
-  EXPECT_EQ(proc::configured_procs(), 1);
-  ::setenv("IMAP_PROCS", "0", 1);
-  EXPECT_EQ(proc::configured_procs(), 1);
-  ::unsetenv("IMAP_PROCS");
-  EXPECT_EQ(proc::configured_procs(), 1);
 }
 
 }  // namespace

@@ -402,7 +402,6 @@ class ServerTest : public ::testing::Test {
     opts.coalesce.max_batch = 8;
     opts.coalesce.max_wait_us = 2'000;
     opts.cache.ttl_ms = 600'000;
-    opts.job_procs = 1;  // inline fabric: fastest for a smoke job
     opts.bench.zoo_dir = dir_;
     opts.bench.scale = 0.01;
     opts.bench.seed = 7;
@@ -560,6 +559,21 @@ TEST_F(ServerTest, ErrorPaths) {
   EXPECT_EQ(status_of(roundtrip("GET", "/infer?env=Hopper")), 405);
   EXPECT_EQ(status_of(roundtrip("GET", "/no/such/route")), 404);
   EXPECT_EQ(status_of(roundtrip("GET", "/attack/status?id=99")), 404);
+
+  // /attack/train checks every parameter before a job exists.
+  for (const char* target :
+       {"/attack/train?env=NoSuchEnv", "/attack/train?env=Ho\"pper",
+        "/attack/train?env=Hopper&defense=Bogus",
+        "/attack/train?env=Hopper&steps=-5",
+        "/attack/train?env=Hopper&episodes=-1",
+        "/attack/train?env=Hopper&episodes=4294967297"})
+    EXPECT_EQ(status_of(roundtrip("POST", target)), 400) << target;
+  EXPECT_EQ(server_->jobs().total(), 0u);
+
+  // Error bodies stay well-formed JSON whatever the client sent: quotes and
+  // backslashes are escaped, control characters become \u00XX.
+  EXPECT_EQ(body_of(roundtrip("POST", "/attack/train?env=H\"o\\p\x01")),
+            "{\"error\":\"unknown env: H\\\"o\\\\p\\u0001\"}");
 }
 
 TEST_F(ServerTest, TornRequestLeavesServerServing) {

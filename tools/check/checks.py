@@ -54,9 +54,10 @@ Rules:
   ipc-framing         Raw descriptor I/O of in-memory objects
                       (`write(fd, &hdr, sizeof hdr)` and friends) is banned
                       in src/: struct layout is ABI- and padding-dependent
-                      and a torn write has no integrity check. Cross-process
-                      messages go through the Archive section API framed by
-                      proc::Channel (the sanctioned home, src/common/proc.*).
+                      and a torn write has no integrity check. Bytes that
+                      cross a process boundary go through the Archive
+                      section API (BinaryWriter / ArchiveWriter), which
+                      frames, versions and CRC-checks them.
 """
 
 from __future__ import annotations
@@ -142,10 +143,10 @@ FIXITS = {
         "or allowlist a deliberately-fused site"
     ),
     "ipc-framing": (
-        "serialize the object into an Archive section (BinaryWriter) and "
-        "move it with proc::Channel::send/recv — framed, versioned and "
-        "CRC-checked; raw `write(fd, &obj, sizeof obj)` ships padding bytes "
-        "and can tear mid-frame"
+        "serialize the object into an Archive section (BinaryWriter / "
+        "ArchiveWriter) and move the archive's bytes — framed, versioned "
+        "and CRC-checked; raw `write(fd, &obj, sizeof obj)` ships padding "
+        "bytes and can tear mid-frame"
     ),
 }
 
@@ -529,17 +530,17 @@ def _is_raw_object_buffer(arg: str) -> bool:
     return "reinterpret_cast" in arg and "&" in arg
 
 
-def check_ipc_framing(model, relpath: str, home_exempt=()):
+def check_ipc_framing(model, relpath: str):
     """Raw descriptor I/O of in-memory objects in src/.
 
     Flags free / ::-qualified write/read/send/recv/pwrite/pread/fwrite/fread
     (and the vectored forms) whose buffer argument takes an object's address
     or whose size is computed with sizeof — the `write(fd, &msg, sizeof msg)`
     shape. Byte-pointer plumbing (`write(fd, p + off, n)`) is not flagged;
-    that is what the sanctioned framing layer itself does.
+    that is how an archive's bytes move.
     """
     findings = []
-    if not relpath.startswith("src/") or relpath in home_exempt:
+    if not relpath.startswith("src/"):
         return findings
     for c in model.calls:
         # Bare or ::-qualified only (the receiver text may carry a leading
@@ -567,7 +568,7 @@ def check_ipc_framing(model, relpath: str, home_exempt=()):
             model.path, c.line, "ipc-framing",
             f"raw struct {'write' if writer else 'read'} "
             f"`{c.recv}{c.callee}(...)` with {what} — cross-process "
-            "messages must be Archive sections framed by proc::Channel"))
+            "messages must be Archive sections, framed and CRC-checked"))
     return findings
 
 

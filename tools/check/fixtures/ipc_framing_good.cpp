@@ -1,6 +1,6 @@
-// Fixture: descriptor I/O shapes the ipc-framing rule must NOT flag — the
-// sanctioned framing layer's byte-pointer plumbing, member send/recv on a
-// Channel, and non-I/O identifiers that happen to share the names. Zero
+// Fixture: descriptor I/O shapes the ipc-framing rule must NOT flag —
+// byte-pointer plumbing that moves an archive's bytes, member send/recv on
+// some class, and non-I/O identifiers that happen to share the names. Zero
 // findings.
 #include <cstddef>
 #include <cstdint>
@@ -8,7 +8,7 @@
 
 namespace imap {
 
-// Byte-pointer plumbing: what proc.cpp's write_all/read_upto do. The buffer
+// Byte-pointer plumbing, the shape of serve/http.cpp's send_all: the buffer
 // is an opaque byte cursor, the size is a runtime count — no object layout
 // crosses the descriptor.
 bool write_all(int fd, const std::uint8_t* p, std::size_t n) {
@@ -26,7 +26,7 @@ std::size_t read_upto(int fd, std::uint8_t* p, std::size_t n) {
   return rc > 0 ? static_cast<std::size_t>(rc) : 0;
 }
 
-// Member send/recv are somebody's API (proc::Channel), not descriptor I/O.
+// Member send/recv are somebody's API, not descriptor I/O.
 struct Channel {
   bool send(const std::uint8_t* bytes, std::size_t n);
   bool recv(std::uint8_t* bytes, std::size_t n);

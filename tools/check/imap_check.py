@@ -28,8 +28,9 @@ Checks (see checks.py for the full semantics):
   fma-intrinsic       FMA intrinsics / std::fma banned outside allowlisted
                       sites.
   ipc-framing         raw `write(fd, &struct, sizeof ...)`-style descriptor
-                      I/O banned in src/; cross-process messages go through
-                      Archive sections framed by proc::Channel.
+                      I/O banned in src/; bytes that cross a process
+                      boundary are Archive sections (BinaryWriter /
+                      ArchiveWriter), framed and CRC-checked.
 
 Frontends:
 
@@ -83,7 +84,6 @@ SCAN_DIRS = ("src/", "bench/", "tests/")
 # Sanctioned homes exempt from the corresponding rule (they implement it).
 RULE_HOME = {
     "nondet-source": ("src/common/rng.h", "src/common/rng.cpp"),
-    "ipc-framing": ("src/common/proc.h", "src/common/proc.cpp"),
     "raw-thread": ("src/common/thread_pool.h", "src/common/thread_pool.cpp"),
 }
 
@@ -303,8 +303,7 @@ def analyze_file(root: str, relpath: str, frontend: str, compdb_entry,
     findings += checks.check_float_eq(model)
     findings += checks.check_serialize_symmetry(model, relpath)
     findings += checks.check_fma_intrinsics(model, relpath)
-    findings += checks.check_ipc_framing(
-        model, relpath, home_exempt=RULE_HOME["ipc-framing"])
+    findings += checks.check_ipc_framing(model, relpath)
     findings += checks.check_raw_thread(
         model, relpath, home_exempt=RULE_HOME["raw-thread"])
     findings += checks.check_unordered_iter(model, relpath)

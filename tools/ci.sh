@@ -1,7 +1,6 @@
 #!/usr/bin/env bash
 # ci.sh — the one-shot correctness gate: build -> check.ast -> tier-1 ctest
-# -> checkpoint/resume drill -> fabric drill -> bench smoke -> bench-diff ->
-# serve drill. Exits nonzero on the first failing stage. Also exposed as the
+# -> checkpoint/resume drill -> bench smoke -> bench-diff -> serve drill. Exits nonzero on the first failing stage. Also exposed as the
 # `ci` CMake target (`cmake --build build --target ci`).
 #
 # Environment:
@@ -56,26 +55,6 @@ ls "${CKPT_ZOO}"/results/*.res > /dev/null 2>&1 \
   || { echo "ci: completed run cached no results"; exit 1; }
 rm -rf "${CKPT_ZOO}"
 
-stage "fabric (2-process DAG grid + crash drill + randomized scenario cell, vs serial and 4 threads)"
-# End-to-end drill of the multi-process fabric: a 4-cell victim->attack->eval
-# grid scheduled over 2 worker processes, with the first attack cell's worker
-# killed mid-run (SIGKILL-equivalent _exit without replying). The scheduler
-# must detect the death, re-dispatch the cell, resume it from its snapshot,
-# and the merged results must be bit-identical to a fresh serial run and to
-# a fresh run of the thread executor on a 4-thread pool. The
-# fourth cell is a randomized SCENARIO (channel pipeline + seeded DR drawn
-# per reset from the slot Rng) — the bit-compare proves procedural
-# randomization is factorization-invariant across the process fabric too.
-CI_SCENARIO='hopper+obs_perturb:0.075+obs_delay:1+dr[mass:0.9..1.1]@7'
-"${BUILD_DIR}/tools/scenario_ls" "${CI_SCENARIO}" \
-  || { echo "ci: scenario string failed validation"; exit 1; }
-FABRIC_ZOO="$(pwd)/${BUILD_DIR}/ci_fabric_zoo"
-rm -rf "${FABRIC_ZOO}" "${FABRIC_ZOO}_serial" "${FABRIC_ZOO}_serial_threads"
-IMAP_BENCH_SCALE=0.001 "${BUILD_DIR}/tools/fabric_grid" \
-  --procs 2 --crash-nth 1 --compare --scenario "${CI_SCENARIO}" \
-  --zoo "${FABRIC_ZOO}" --serial-zoo "${FABRIC_ZOO}_serial" || exit 1
-rm -rf "${FABRIC_ZOO}" "${FABRIC_ZOO}_serial" "${FABRIC_ZOO}_serial_threads"
-
 stage "bench-smoke (kernel suites, min_time=0.01s, probes skipped)"
 # Exercises the batched-kernel benchmarks end to end without the slow
 # speedup/kernel probes (those rewrite BENCH_*.json and are run manually —
@@ -87,12 +66,17 @@ IMAP_BENCH_NO_PROBE=1 "${BUILD_DIR}/bench/bench_micro_ppo" \
 IMAP_BENCH_NO_PROBE=1 "${BUILD_DIR}/bench/bench_micro_infer" \
   --benchmark_min_time=0.01 \
   --benchmark_filter='BM_VictimQueryBatch' || exit 1
-# Grid-executor probe at smoke scale: runs a Table-1 Hopper row serially,
-# on 4 threads and on 4 worker processes, asserting the outcomes are
-# identical. Runs from the build dir so the tracked repo-root
-# BENCH_fabric.json (regenerated manually, see README "Process fabric") is
-# not clobbered by smoke-scale numbers.
+# Grid-executor probe at smoke scale: runs a Table-1 Hopper row serially
+# and on 4 threads, asserting the outcomes are identical. Runs from the
+# build dir so the tracked repo-root BENCH_fabric.json (regenerated
+# manually, see README "Grid executor") is not clobbered by smoke-scale
+# numbers.
 ( cd "${BUILD_DIR}" && IMAP_BENCH_SCALE=0.001 ./bench/bench_fabric ) || exit 1
+# Scenario-string validation: a randomized scenario (channel pipeline +
+# seeded DR) must parse, canonicalize and expand.
+CI_SCENARIO='hopper+obs_perturb:0.075+obs_delay:1+dr[mass:0.9..1.1]@7'
+"${BUILD_DIR}/tools/scenario_ls" "${CI_SCENARIO}" \
+  || { echo "ci: scenario string failed validation"; exit 1; }
 # Serving-coalescer probe at smoke scale: every cell still runs (including
 # the bit-identity comparison against direct PolicyHandle queries — the
 # probe exits nonzero on any mismatch), just with tiny iteration counts.

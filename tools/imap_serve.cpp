@@ -17,7 +17,6 @@
 //   IMAP_SERVE_QUANT        1/0: serve victims through int8 (default 1)
 //   IMAP_SERVE_CACHE_TTL_MS model-cache TTL (default 60000)
 //   IMAP_SERVE_CACHE_CAP    resident-model capacity (default 16)
-//   IMAP_SERVE_JOB_PROCS    attack-job fabric processes (0 = IMAP_PROCS)
 //   plus the usual IMAP_ZOO_DIR / IMAP_BENCH_SCALE / IMAP_SEED knobs.
 //
 // SIGINT/SIGTERM drain in-flight requests and exit 0.
@@ -66,7 +65,6 @@ int main(int argc, char** argv) {
   opts.cache.quant = env_int("IMAP_SERVE_QUANT", 1) != 0;
   opts.cache.ttl_ms = env_int("IMAP_SERVE_CACHE_TTL_MS", 60'000);
   opts.cache.capacity = env_int("IMAP_SERVE_CACHE_CAP", 16);
-  opts.job_procs = env_int("IMAP_SERVE_JOB_PROCS", 0);
 
   bool print_port = false;
   for (int i = 1; i < argc; ++i) {

@@ -1,6 +1,6 @@
 // scenario_ls: validate, canonicalize and expand scenario strings from the
 // command line — the quickest way to answer "what exactly does this cell
-// run?" before committing a grid to the fabric.
+// run?" before committing a grid to a bench run.
 //
 //   Usage: scenario_ls [-v|--verbose] PATTERN...
 //
