@@ -36,7 +36,7 @@ int main() {
   const auto deploy_env = env::make_env(env_name);
   const double eps = env::spec(env_name).epsilon;
   const auto victim_policy = runner.zoo().victim(env_name, "PPO");
-  const auto victim = core::Zoo::as_fn(victim_policy);
+  const auto victim = core::Zoo::as_policy(victim_policy);
   const long long steps = runner.default_attack_steps(env_name);
   const int episodes = runner.default_eval_episodes(env_name);
   Rng rng(cfg.seed + 1000);
@@ -101,14 +101,10 @@ int main() {
           return 1.0;  // fixed τ, mirroring IMAP-SC without BR
         });
         trainer.train(steps);
-        auto snapshot = std::make_shared<nn::GaussianPolicy>(trainer.policy());
         Rng er(17);
         rnd_eval = attack::evaluate_attack(
-            *env, victim,
-            [snapshot](const std::vector<double>& o) {
-              return snapshot->mean_action(o);
-            },
-            eps, episodes, er);
+            *env, victim, rl::PolicyHandle::snapshot(trainer.policy()), eps,
+            episodes, er);
       });
   for (std::size_t i = 0; i < ks.size(); ++i) {
     const std::size_t k = ks[i];

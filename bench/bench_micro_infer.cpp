@@ -4,7 +4,7 @@
 // The custom main() first runs an inference probe (skipped when
 // IMAP_BENCH_NO_PROBE is set, e.g. by the CI bench-smoke stage): the same
 // frozen victim ({11, 64, 64, 3}, Hopper scale) is served through a plain
-// fp64 PolicyHandle and through an int8 handle built under ScopedVictimQuant,
+// fp64 PolicyHandle and through an int8 PolicyHandle::serving(victim, true),
 // query_batch is timed at batch 16/32/64 (min over 7 repetitions each), and
 // the per-batch throughput, speedup and the max |Δaction| between the two
 // paths are recorded in BENCH_infer.json (committed, see README). The
@@ -54,8 +54,7 @@ nn::Batch random_obs(std::size_t rows, std::size_t dim, Rng& rng) {
 void BM_VictimQueryBatch(benchmark::State& state) {
   const auto victim = make_victim();
   const bool quant = state.range(1) != 0;
-  nn::ScopedVictimQuant scope(quant);
-  rl::PolicyHandle handle(victim);
+  const auto handle = rl::PolicyHandle::serving(victim, quant);
   Rng rng(7);
   const auto b = static_cast<std::size_t>(state.range(0));
   const nn::Batch obs = random_obs(b, victim->obs_dim(), rng);
@@ -92,11 +91,8 @@ double time_queries(const rl::PolicyHandle& handle, const nn::Batch& obs,
 
 void infer_probe() {
   const auto victim = make_victim();
-  const rl::PolicyHandle fp64_handle(victim);
-  const rl::PolicyHandle int8_handle = [&victim] {
-    nn::ScopedVictimQuant on(true);
-    return rl::PolicyHandle(victim);
-  }();
+  const auto fp64_handle = rl::PolicyHandle::serving(victim, false);
+  const auto int8_handle = rl::PolicyHandle::serving(victim, true);
 
   // Accuracy first: the speedup claim is only meaningful alongside the
   // pinned error bound the tests enforce (kQuantActionTolerance).

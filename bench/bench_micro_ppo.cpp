@@ -13,9 +13,9 @@
 //    (hidden {64,64}, minibatch 64), recorded in BENCH_kernels.json
 //    (committed, see README); its bit-identity is pinned by the GoldenTrace
 //    tests;
-//  * a rollout probe — VecEnv::collect_serial (per-sample reference) vs
-//    VecEnv::collect (E = 16 lockstep slots) on two identically configured
-//    engines over the victim-wrapped Hopper, verifying the rollouts are
+//  * a rollout probe — 16 one-slot VecEnvs (the production K·E = 1 path)
+//    vs one 16-slot lockstep VecEnv, all collect() on the same slot streams
+//    over the victim-wrapped Hopper, verifying the rollouts are
 //    bit-identical and recording the steps/s in BENCH_rollout.json
 //    (committed, see README).
 // The google-benchmark suites then run as usual.
@@ -58,16 +58,8 @@ BENCHMARK_CAPTURE(BM_EnvStep, ant, std::string("Ant"));
 BENCHMARK_CAPTURE(BM_EnvStep, maze, std::string("AntUMaze"));
 BENCHMARK_CAPTURE(BM_EnvStep, fetch, std::string("FetchReach"));
 
-void BM_PolicyForward(benchmark::State& state) {
-  Rng rng(7);
-  nn::GaussianPolicy policy(17, 6, {32, 32}, rng);
-  const auto obs = rng.normal_vec(17);
-  for (auto _ : state) benchmark::DoNotOptimize(policy.mean_action(obs));
-}
-BENCHMARK(BM_PolicyForward);
-
 // Batched MLP forward through the blocked kernels: items/s is rows/s, so
-// the Arg(1) row is the per-sample baseline the larger batches amortise.
+// the Arg(1) row is the per-row query cost the larger batches amortise.
 void BM_MlpForwardBatch(benchmark::State& state) {
   Rng rng(7);
   nn::Mlp net({17, 64, 64, 6}, rng);
@@ -285,12 +277,12 @@ double buffer_checksum(const rl::RolloutBuffer& buf) {
   return sum;
 }
 
-/// Time one collection round (16 env slots, 128 steps each) through
-/// VecEnv::collect_serial or VecEnv::collect on the victim-wrapped Hopper;
-/// returns (min seconds per round, checksum of the last round) so the two
-/// engines can be compared for throughput and identity. Both engines are
-/// configured identically — same nets, same slot streams — so rep r's
-/// rollout matches across them.
+/// Time one collection round (16 env slots, 128 steps each) on the
+/// victim-wrapped Hopper, either as 16 one-slot VecEnvs (every forward a
+/// one-row batch) or as one 16-slot lockstep VecEnv; returns (min seconds
+/// per round, checksum of the last round) so the two shapes can be compared
+/// for throughput and identity. Both use the same nets and slot streams, so
+/// rep r's rollout matches across them.
 std::pair<double, double> rollout_probe_run(bool vectorized) {
   ScopedSerial serial;  // isolate the batching speedup from thread scaling
   constexpr std::size_t kSlots = 16;
@@ -302,20 +294,24 @@ std::pair<double, double> rollout_probe_run(bool vectorized) {
   nn::ValueNet value_i(proto->obs_dim(), {64, 64}, rng);
   std::vector<Rng> streams;
   for (std::size_t i = 0; i < kSlots; ++i) streams.push_back(rng.split(i));
-  rl::VecEnv vec;
-  vec.configure(*proto, streams);
+  std::vector<rl::VecEnv> engines(vectorized ? 1 : kSlots);
+  if (vectorized)
+    engines[0].configure(*proto, streams);
+  else
+    for (std::size_t i = 0; i < kSlots; ++i)
+      engines[i].configure(*proto, {streams[i]});
   const std::vector<int> budgets(kSlots, 2048 / static_cast<int>(kSlots));
   const auto round = [&] {
-    if (vectorized)
-      vec.collect(policy, value_e, value_i, budgets, 0);
-    else
-      vec.collect_serial(policy, value_e, value_i, budgets, 0);
+    // Engine i's slots start at offset i (one-slot) or 0 (lockstep).
+    for (std::size_t i = 0; i < engines.size(); ++i)
+      engines[i].collect(policy, value_e, value_i, budgets, i);
   };
   round();  // warm-up: grow buffers and workspaces
   const double secs = bench::min_seconds(7, round);
   double sum = 0.0;
-  for (std::size_t i = 0; i < kSlots; ++i)
-    sum += buffer_checksum(vec.slot(i).buf);
+  for (const auto& engine : engines)
+    for (std::size_t i = 0; i < engine.size(); ++i)
+      sum += buffer_checksum(engine.slot(i).buf);
   return {secs, sum};
 }
 
@@ -343,7 +339,8 @@ void rollout_probe() {
      << ", \"traces_identical\": " << (identical ? "true" : "false") << "}";
   bench::write_report_entry("BENCH_rollout.json", "BM_RolloutCollect",
                             os.str());
-  std::cerr << "bench_micro_ppo rollout probe: serial collect " << serial_s
+  std::cerr << "bench_micro_ppo rollout probe: 16 one-slot collects "
+            << serial_s
             << "s vs vectorized (E=16) " << vectorized_s << "s (" << speedup
             << "x); traces " << (identical ? "identical" : "DIVERGED")
             << " -> BENCH_rollout.json\n";

@@ -22,7 +22,8 @@ using namespace imap;
 namespace {
 
 void dump_trajectory(const std::string& path, const rl::Env& deploy_env,
-                     const rl::ActionFn& victim, const rl::ActionFn& attack,
+                     const rl::PolicyHandle& victim,
+                     const rl::PolicyHandle& attack,
                      double eps) {
   attack::StatePerturbationEnv env(deploy_env, victim, eps,
                                    attack::RewardMode::VictimTrue);
@@ -51,7 +52,7 @@ int main(int argc, char** argv) {
   std::cout << "Training (or loading) the " << defense << " victim on "
             << env_name << "...\n";
   const auto victim_policy = zoo.victim(env_name, defense);
-  const auto victim = core::Zoo::as_fn(victim_policy);
+  const auto victim = core::Zoo::as_policy(victim_policy);
 
   Rng rng(cfg.seed);
   Rng eval_rng(17);

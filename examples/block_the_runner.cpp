@@ -19,8 +19,10 @@ using namespace imap;
 namespace {
 
 void dump_episode(const std::string& path, const env::MultiAgentEnv& proto,
-                  const rl::ActionFn& victim, const rl::ActionFn& adversary) {
+                  const rl::PolicyHandle& victim,
+                  const rl::PolicyHandle& adversary) {
   auto game = proto.clone();
+  nn::Mlp::Workspace ws_v, ws_a;  // one per network queried each step
   Rng rng(202);
   auto [obs_v, obs_a] = game->reset(rng);
   std::ofstream f(path);
@@ -31,8 +33,8 @@ void dump_episode(const std::string& path, const env::MultiAgentEnv& proto,
     f << t << ',' << obs_a[0] * 5.0 << ',' << obs_a[1] * 3.0 << ','
       << obs_a[4] * 5.0 << ',' << obs_a[5] * 3.0 << '\n';
     const auto ma = game->step(
-        proto.victim_action_space().clamp(victim(obs_v)),
-        proto.adversary_action_space().clamp(adversary(obs_a)));
+        proto.victim_action_space().clamp(victim.query(obs_v, ws_v)),
+        proto.adversary_action_space().clamp(adversary.query(obs_a, ws_a)));
     obs_v = ma.obs_v;
     obs_a = ma.obs_a;
     if (ma.done || ma.truncated) break;
@@ -49,7 +51,7 @@ int main() {
 
   std::cout << "Training (or loading) the runner victim...\n";
   const auto victim_policy = zoo.game_victim("YouShallNotPass");
-  const auto victim = core::Zoo::as_fn(victim_policy);
+  const auto victim = core::Zoo::as_policy(victim_policy);
 
   Rng rng(cfg.seed);
   Rng eval_rng(17);

@@ -31,7 +31,7 @@ int main(int argc, char** argv) {
             << victim_steps << " steps)...\n";
   auto victim_policy = defense::train_victim(
       *env, defense::DefenseKind::Vanilla, victim_steps, {}, rng.split(1));
-  const auto victim = core::Zoo::as_fn(victim_policy);
+  const auto victim = core::Zoo::as_policy(victim_policy);
 
   const double eps = env::spec("Hopper").epsilon;
   Rng eval_rng(17);

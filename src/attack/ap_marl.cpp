@@ -8,12 +8,8 @@ ApMarl::ApMarl(const env::MultiAgentEnv& game, rl::PolicyHandle victim,
   trainer_ = std::make_unique<rl::PpoTrainer>(attack_env, ppo, rng);
 }
 
-rl::ActionFn ApMarl::adversary() const {
-  auto snapshot =
-      std::make_shared<nn::GaussianPolicy>(trainer_->policy());
-  return [snapshot](const std::vector<double>& obs) {
-    return snapshot->mean_action(obs);
-  };
+rl::PolicyHandle ApMarl::adversary() const {
+  return rl::PolicyHandle::snapshot(trainer_->policy());
 }
 
 }  // namespace imap::attack

@@ -21,7 +21,7 @@ class ApMarl {
     return trainer_->train(steps);
   }
 
-  rl::ActionFn adversary() const;
+  rl::PolicyHandle adversary() const;
   rl::PpoTrainer& trainer() { return *trainer_; }
 
   /// Attack state is exactly the PPO trainer's (the opponent-side wrapper is

@@ -13,17 +13,20 @@ namespace {
 std::vector<double> mad_direction(const nn::Mlp& net,
                                   const std::vector<double>& s, double eps,
                                   int pgd_steps) {
-  const auto mu_clean = net.forward(s);
+  // One-row batches through a local workspace: the same kernels as the
+  // batched training path, and the loop reuses their buffers across steps.
+  nn::Batch adv(1, s.size());
+  nn::Mlp::Workspace ws;
+  adv.set_row(0, s);
+  const nn::Batch& clean = net.forward_batch(adv, ws);
+  const std::vector<double> mu_clean(clean.row(0),
+                                     clean.row(0) + net.out_dim());
   // Deterministic non-zero start: at δ = 0 the objective's gradient
   // vanishes identically, so seed with a small alternating pattern.
   std::vector<double> delta(s.size());
   for (std::size_t i = 0; i < delta.size(); ++i)
     delta[i] = (i % 2 ? 0.1 : -0.1) * eps;
-  // One-row batches through a local workspace: the same kernels as the
-  // batched training path, and the loop reuses their buffers across steps.
-  nn::Batch adv(1, s.size());
   nn::Batch grad_out(1, mu_clean.size());
-  nn::Mlp::Workspace ws;
   for (int step = 0; step < pgd_steps; ++step) {
     for (std::size_t i = 0; i < s.size(); ++i) adv(0, i) = s[i] + delta[i];
     const double* mu = net.forward_batch(adv, ws).row(0);

@@ -14,14 +14,8 @@ SaRl::SaRl(const rl::Env& attack_env, rl::PpoOptions ppo, Rng rng) {
   trainer_ = std::make_unique<rl::PpoTrainer>(attack_env, ppo, rng);
 }
 
-rl::ActionFn SaRl::adversary() const {
-  // Snapshot the current policy parameters so the returned adversary is a
-  // frozen deployment artifact (training can continue independently).
-  auto snapshot =
-      std::make_shared<nn::GaussianPolicy>(trainer_->policy());
-  return [snapshot](const std::vector<double>& obs) {
-    return snapshot->mean_action(obs);
-  };
+rl::PolicyHandle SaRl::adversary() const {
+  return rl::PolicyHandle::snapshot(trainer_->policy());
 }
 
 }  // namespace imap::attack

@@ -36,8 +36,9 @@ class SaRl {
     return trainer_->train(steps);
   }
 
-  /// Deterministic adversary (mean policy) for evaluation.
-  rl::ActionFn adversary() const;
+  /// Frozen deterministic adversary (a snapshot of the mean policy) for
+  /// evaluation.
+  rl::PolicyHandle adversary() const;
 
   rl::PpoTrainer& trainer() { return *trainer_; }
 

@@ -60,7 +60,7 @@ rl::StepResult StatePerturbationEnv::finish_step(
 }
 
 rl::StepResult StatePerturbationEnv::step(const std::vector<double>& action) {
-  return finish_step(victim_.query(begin_step(action)));
+  return finish_step(victim_.query(begin_step(action), ws_));
 }
 
 OpponentEnv::OpponentEnv(const env::MultiAgentEnv& game,
@@ -105,12 +105,12 @@ rl::StepResult OpponentEnv::finish_step(
 }
 
 rl::StepResult OpponentEnv::step(const std::vector<double>& action) {
-  return finish_step(victim_.query(begin_step(action)));
+  return finish_step(victim_.query(begin_step(action), ws_));
 }
 
 rl::EvalStats evaluate_attack(const rl::Env& deploy_env,
                               rl::PolicyHandle victim,
-                              const rl::ActionFn& adversary, double eps,
+                              const rl::PolicyHandle& adversary, double eps,
                               int episodes, Rng& rng) {
   StatePerturbationEnv env(deploy_env, std::move(victim), eps,
                            RewardMode::VictimTrue);
@@ -119,7 +119,7 @@ rl::EvalStats evaluate_attack(const rl::Env& deploy_env,
 
 rl::EvalStats evaluate_opponent_attack(const env::MultiAgentEnv& game,
                                        rl::PolicyHandle victim,
-                                       const rl::ActionFn& adversary,
+                                       const rl::PolicyHandle& adversary,
                                        int episodes, Rng& rng) {
   OpponentEnv env(game, std::move(victim));
   return rl::evaluate(env, adversary, episodes, rng);

@@ -66,6 +66,7 @@ class StatePerturbationEnv : public rl::EnvBase<StatePerturbationEnv>,
   rl::BoxSpace act_space_;
   std::vector<double> cur_obs_;
   std::vector<double> perturbed_;  ///< begin_step scratch (reused)
+  nn::Mlp::Workspace ws_;          ///< step()'s victim queries (per clone)
 };
 
 /// Multi-agent threat model (Sec. 4.3): the Markov game against a frozen
@@ -114,6 +115,7 @@ class OpponentEnv : public rl::EnvBase<OpponentEnv>, public rl::SplitStepEnv {
   rl::PolicyHandle victim_;
   std::vector<double> cur_obs_v_;
   std::vector<double> pending_act_a_;  ///< begin_step scratch (reused)
+  nn::Mlp::Workspace ws_;              ///< step()'s victim queries (per clone)
 };
 
 /// Evaluate a single-agent attack: roll the deployment env under the frozen
@@ -121,14 +123,14 @@ class OpponentEnv : public rl::EnvBase<OpponentEnv>, public rl::SplitStepEnv {
 /// TRUE episode rewards and success rate.
 rl::EvalStats evaluate_attack(const rl::Env& deploy_env,
                               rl::PolicyHandle victim,
-                              const rl::ActionFn& adversary, double eps,
+                              const rl::PolicyHandle& adversary, double eps,
                               int episodes, Rng& rng);
 
 /// Evaluate a multi-agent attack; `stats.success_rate` is the VICTIM's win
 /// rate, so ASR = 1 − success_rate.
 rl::EvalStats evaluate_opponent_attack(const env::MultiAgentEnv& game,
                                        rl::PolicyHandle victim,
-                                       const rl::ActionFn& adversary,
+                                       const rl::PolicyHandle& adversary,
                                        int episodes, Rng& rng);
 
 }  // namespace imap::attack

@@ -1,7 +1,9 @@
 #include "common/config.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdlib>
+#include <stdexcept>
 #include <string>
 
 namespace imap {
@@ -18,6 +20,27 @@ double env_double(const char* name, double fallback) {
 std::string env_string(const char* name, const std::string& fallback) {
   const char* v = std::getenv(name);
   return (v && *v) ? std::string(v) : fallback;
+}
+
+long long parse_int(const std::string& knob, const std::string& text,
+                    long long lo, long long hi) {
+  long long v = 0;
+  const char* first = text.data();
+  const char* last = first + text.size();
+  const auto [end, ec] = std::from_chars(first, last, v);
+  if (first == last || ec != std::errc() || end != last || v < lo || v > hi)
+    throw std::invalid_argument(knob + ": '" + text +
+                                "' is not an integer in [" +
+                                std::to_string(lo) + ", " +
+                                std::to_string(hi) + "]");
+  return v;
+}
+
+long long env_int(const char* name, long long fallback, long long lo,
+                  long long hi) {
+  const char* v = std::getenv(name);
+  if (!v || !*v) return fallback;
+  return parse_int(name, v, lo, hi);
 }
 
 int BenchConfig::scaled(int base, int min_value) const {

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <string>
 
 namespace imap {
@@ -35,5 +36,18 @@ double env_double(const char* name, double fallback);
 
 /// Read a string env var with default.
 std::string env_string(const char* name, const std::string& fallback);
+
+/// Strict integer parse for a configuration knob: all of `text` must be a
+/// base-10 integer (optional leading '-') within [lo, hi]. Anything else —
+/// empty, trailing junk, overflow, out of range — throws
+/// std::invalid_argument whose message names `knob`, the bad text and the
+/// accepted range.
+long long parse_int(const std::string& knob, const std::string& text,
+                    long long lo, long long hi);
+
+/// Integer env knob: `fallback` when unset or empty, else parse_int(name,
+/// value, lo, hi).
+long long env_int(const char* name, long long fallback, long long lo,
+                  long long hi);
 
 }  // namespace imap

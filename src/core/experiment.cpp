@@ -224,8 +224,7 @@ AttackOutcome ExperimentRunner::run_single_agent(const AttackPlan& plan,
                                                  const std::string& key) {
   const auto deploy_env = env::make_env(plan.env_name);
   const auto victim_policy = zoo_.victim(plan.env_name, plan.defense);
-  // Network-backed handle: per-sample queries are bit-identical to the old
-  // as_fn closure, and vectorized attack rollouts can batch the victim.
+  // Network-backed handle: vectorized attack rollouts can batch the victim.
   const auto victim = Zoo::as_policy(victim_policy);
   const double eps = env::spec(plan.env_name).epsilon;
 

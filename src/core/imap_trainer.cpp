@@ -82,11 +82,8 @@ void ImapTrainer::finish_setup(const rl::Env& attack_env, ImapOptions opts,
   });
 }
 
-rl::ActionFn ImapTrainer::adversary() const {
-  auto snapshot = std::make_shared<nn::GaussianPolicy>(trainer_->policy());
-  return [snapshot](const std::vector<double>& obs) {
-    return snapshot->mean_action(obs);
-  };
+rl::PolicyHandle ImapTrainer::adversary() const {
+  return rl::PolicyHandle::snapshot(trainer_->policy());
 }
 
 void ImapTrainer::save_state(ArchiveWriter& a) const {

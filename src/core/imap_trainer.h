@@ -53,8 +53,9 @@ class ImapTrainer {
     return trainer_->train(steps);
   }
 
-  /// Frozen deterministic adversary for evaluation.
-  rl::ActionFn adversary() const;
+  /// Frozen deterministic adversary (a snapshot of the mean policy) for
+  /// evaluation.
+  rl::PolicyHandle adversary() const;
 
   rl::PpoTrainer& trainer() { return *trainer_; }
   const BiasReduction& bias_reduction() const { return br_; }

@@ -48,11 +48,17 @@ void MimicPolicy::update(const rl::RolloutBuffer& buf, int epochs,
   }
 }
 
-double MimicPolicy::kl_from(const nn::GaussianPolicy& policy,
-                            const std::vector<double>& obs) const {
-  IMAP_CHECK(obs.size() == mimic_.obs_dim());
-  return nn::diag_gaussian::kl(policy.mean_action(obs), policy.log_std(),
-                               mimic_.mean_action(obs), mimic_.log_std());
+void MimicPolicy::kl_from(const nn::GaussianPolicy& policy,
+                          const nn::Batch& obs, std::vector<double>& out) {
+  IMAP_CHECK(obs.dim() == mimic_.obs_dim());
+  IMAP_CHECK(policy.act_dim() == mimic_.act_dim());
+  const nn::Batch& mu_p = policy.mean_batch(obs, ws_policy_);
+  const nn::Batch& mu_m = mimic_.mean_batch(obs);  // the mimic's own arena
+  out.resize(obs.rows());
+  for (std::size_t n = 0; n < obs.rows(); ++n)
+    out[n] = nn::diag_gaussian::kl(mu_p.row(n), policy.log_std().data(),
+                                   mu_m.row(n), mimic_.log_std().data(),
+                                   mimic_.act_dim());
 }
 
 void MimicPolicy::save_state(BinaryWriter& w) const {

@@ -25,9 +25,11 @@ class MimicPolicy {
   void update(const rl::RolloutBuffer& buf, int epochs = 2,
               int minibatch = 128);
 
-  /// KL(π(·|obs) ‖ π_m(·|obs)) in closed form (both diagonal Gaussians).
-  double kl_from(const nn::GaussianPolicy& policy,
-                 const std::vector<double>& obs) const;
+  /// out[n] = KL(π(·|obs_n) ‖ π_m(·|obs_n)) in closed form (both diagonal
+  /// Gaussians): one batched forward of each network, each on its own
+  /// workspace, then the per-row KL. `out` is resized to obs.rows().
+  void kl_from(const nn::GaussianPolicy& policy, const nn::Batch& obs,
+               std::vector<double>& out);
 
   const nn::GaussianPolicy& policy() const { return mimic_; }
 
@@ -39,6 +41,7 @@ class MimicPolicy {
   nn::GaussianPolicy mimic_;
   nn::Adam opt_;
   Rng rng_;
+  nn::Mlp::Workspace ws_policy_;  ///< kl_from's forwards of `policy`
 };
 
 }  // namespace imap::core

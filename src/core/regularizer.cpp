@@ -227,8 +227,15 @@ class DivergenceRegularizer final : public AdversarialRegularizer {
                const nn::GaussianPolicy& policy) override {
     // J_I^D = Σ_s d(s)·KL(π^α ‖ π^{α,m})  (Eq. 11), then pull the mimic
     // toward the freshly observed behaviour so it keeps summarising the past.
-    for (std::size_t i = 0; i < buf.size(); ++i)
-      buf.rew_i[i] = std::min(mimic_.kl_from(policy, buf.obs[i]), 50.0);
+    // Chunked so the forward tapes stay bounded on long rollouts.
+    constexpr std::size_t kChunk = 1024;
+    for (std::size_t b = 0; b < buf.size(); b += kChunk) {
+      const std::size_t e = std::min(buf.size(), b + kChunk);
+      obs_b_.gather_range(buf.obs, b, e);
+      mimic_.kl_from(policy, obs_b_, kl_);
+      for (std::size_t r = 0; r < e - b; ++r)
+        buf.rew_i[b + r] = std::min(kl_[r], 50.0);
+    }
     mimic_.update(buf);
   }
 
@@ -242,6 +249,8 @@ class DivergenceRegularizer final : public AdversarialRegularizer {
  private:
   RegularizerOptions opts_;
   MimicPolicy mimic_;
+  nn::Batch obs_b_;         ///< reusable gathered-observation rows
+  std::vector<double> kl_;  ///< per-row KL of the current chunk
 };
 
 }  // namespace

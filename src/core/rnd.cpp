@@ -22,14 +22,6 @@ RndNovelty::RndNovelty(std::size_t obs_dim, std::size_t embed_dim, Rng rng,
     p[i] = wrng.normal(0.0, 0.3);
 }
 
-double RndNovelty::novelty(const std::vector<double>& s) const {
-  const auto t = target_.forward(s);
-  const auto g = predictor_.forward(s);
-  double sq = 0.0;
-  for (std::size_t i = 0; i < t.size(); ++i) sq += (g[i] - t[i]) * (g[i] - t[i]);
-  return sq;
-}
-
 void RndNovelty::update(const rl::RolloutBuffer& buf, int minibatch) {
   const std::size_t n = buf.size();
   if (n == 0) return;
@@ -66,9 +58,9 @@ void RndNovelty::update(const rl::RolloutBuffer& buf, int minibatch) {
   }
 }
 
-void RndNovelty::compute(rl::RolloutBuffer& buf) {
-  // Chunk-batched novelty sweep: ‖g(s) − f(s)‖² per row, summed in the
-  // same ascending-dim order as novelty(), so rew_i matches it bit for bit.
+void RndNovelty::score(rl::RolloutBuffer& buf) {
+  // Chunk-batched novelty sweep: ‖g(s) − f(s)‖² per row, summed in
+  // ascending-dim order.
   const std::size_t n = buf.size();
   constexpr std::size_t kChunk = 1024;
   for (std::size_t b = 0; b < n; b += kChunk) {
@@ -85,6 +77,10 @@ void RndNovelty::compute(rl::RolloutBuffer& buf) {
       buf.rew_i[b + r] = sq;
     }
   }
+}
+
+void RndNovelty::compute(rl::RolloutBuffer& buf) {
+  score(buf);
   update(buf);
 }
 

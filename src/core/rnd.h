@@ -23,18 +23,18 @@ class RndNovelty {
   RndNovelty(std::size_t obs_dim, std::size_t embed_dim, Rng rng,
              double lr = 1e-3);
 
-  /// Prediction-error novelty of one state.
-  double novelty(const std::vector<double>& s) const;
-
   /// Train the predictor toward the frozen target on the rollout states
   /// (one pass of minibatch SGD per call). Runs through the batched nn
   /// kernels; bit-identical to the historical per-sample loop.
   void update(const rl::RolloutBuffer& buf, int minibatch = 128);
 
-  /// Convenience: fill buf.rew_i with novelty then update — the same
-  /// contract as an adversarial intrinsic regularizer's compute step.
-  /// The novelty sweep is chunk-batched, bit-identical to per-state
-  /// novelty() calls.
+  /// Fill buf.rew_i with each state's prediction-error novelty
+  /// ‖g(s) − f(s)‖², in chunked batched forwards; the predictor is not
+  /// trained.
+  void score(rl::RolloutBuffer& buf);
+
+  /// Convenience: score then update — the same contract as an adversarial
+  /// intrinsic regularizer's compute step.
   void compute(rl::RolloutBuffer& buf);
 
   std::size_t embed_dim() const { return target_.out_dim(); }

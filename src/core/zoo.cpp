@@ -1,6 +1,7 @@
 #include "core/zoo.h"
 
 #include <algorithm>
+#include <cstdlib>
 #include <filesystem>
 
 #include "common/check.h"
@@ -65,15 +66,12 @@ long long Zoo::victim_steps(const std::string& scenario_or_env) const {
       4096, static_cast<long long>(static_cast<double>(base) * scale_));
 }
 
-rl::ActionFn Zoo::as_fn(const nn::GaussianPolicy& policy) {
-  auto snapshot = std::make_shared<nn::GaussianPolicy>(policy);
-  return [snapshot](const std::vector<double>& obs) {
-    return snapshot->mean_action(obs);
-  };
-}
-
 rl::PolicyHandle Zoo::as_policy(const nn::GaussianPolicy& policy) {
-  return rl::PolicyHandle::snapshot(policy);
+  static const bool quant =
+      std::atoi(env_string("IMAP_VICTIM_QUANT", "0").c_str()) == 1;
+  if (!quant) return rl::PolicyHandle::snapshot(policy);
+  return rl::PolicyHandle::serving(
+      std::make_shared<const nn::GaussianPolicy>(policy), true);
 }
 
 std::string Zoo::checkpoint_path(const std::string& scenario_or_env,

@@ -60,13 +60,10 @@ class Zoo {
   /// Warm memoized lookups do not advance it — pinned by tests.
   std::uint64_t full_loads() const;
 
-  /// Wrap a policy as the deployed black-box ActionFn (deterministic mean).
-  static rl::ActionFn as_fn(const nn::GaussianPolicy& policy);
-
-  /// Wrap a policy as a network-backed frozen handle: per-sample queries are
-  /// bit-identical to as_fn, and the vectorized rollout engine can
-  /// additionally answer them batched (one victim forward per lockstep
-  /// tick). Preferred for attack-trainer construction.
+  /// Wrap an experiment victim as a frozen handle the vectorized rollout
+  /// engine can batch (one victim forward per lockstep tick). Serves fp64,
+  /// or int8 when IMAP_VICTIM_QUANT=1 — read here, the one place that knob
+  /// applies.
   static rl::PolicyHandle as_policy(const nn::GaussianPolicy& policy);
 
   /// Training budget (environment steps) for a task, after scaling.

@@ -11,10 +11,10 @@
 namespace imap::defense {
 
 PerturbedVictimEnv::PerturbedVictimEnv(const rl::Env& inner,
-                                       rl::ActionFn adversary, double eps)
+                                       rl::PolicyHandle adversary, double eps)
     : inner_(inner.clone()), adversary_(std::move(adversary)), eps_(eps) {
   IMAP_CHECK(eps_ >= 0.0);
-  IMAP_CHECK(adversary_ != nullptr);
+  IMAP_CHECK(static_cast<bool>(adversary_));
 }
 
 PerturbedVictimEnv::PerturbedVictimEnv(const rl::Env& inner, double eps)
@@ -39,7 +39,7 @@ std::vector<double> PerturbedVictimEnv::perturb(
     scenario::apply_obs_noise(out, eps_, noise_rng_);
     return out;
   }
-  auto a = adversary_(obs);
+  auto a = adversary_.query(obs, ws_);
   IMAP_CHECK(a.size() == obs.size());
   std::vector<double> out = obs;
   for (std::size_t i = 0; i < out.size(); ++i)
@@ -93,13 +93,8 @@ AtlaTrainer::AtlaTrainer(const rl::Env& training_env, bool with_sa,
 
 void AtlaTrainer::enter_round_env() {
   IMAP_CHECK(round_adversary_ != nullptr);
-  auto snapshot = std::make_shared<nn::GaussianPolicy>(*round_adversary_);
   PerturbedVictimEnv perturbed(
-      *training_env_,
-      [snapshot](const std::vector<double>& o) {
-        return snapshot->mean_action(o);
-      },
-      eps_);
+      *training_env_, rl::PolicyHandle::snapshot(*round_adversary_), eps_);
   victim_.set_env(perturbed);
 }
 
@@ -111,14 +106,9 @@ std::vector<rl::IterStats> AtlaTrainer::run_round() {
     stats = victim_.train(victim_per_round_);
   } else {
     // (1) Train the RL adversary against the frozen victim snapshot.
-    auto victim_snapshot =
-        std::make_shared<nn::GaussianPolicy>(victim_.policy());
-    rl::ActionFn victim_fn = [victim_snapshot](const std::vector<double>& o) {
-      return victim_snapshot->mean_action(o);
-    };
     attack::SaRl adversary(
-        *training_env_, victim_fn, eps_, ppo_,
-        rng_.split(100 + static_cast<std::uint64_t>(round_)));
+        *training_env_, rl::PolicyHandle::snapshot(victim_.policy()), eps_,
+        ppo_, rng_.split(100 + static_cast<std::uint64_t>(round_)));
     adversary.train(adversary.trainer().steps_done() + adv_per_round_);
     round_adversary_ =
         std::make_unique<nn::GaussianPolicy>(adversary.trainer().policy());

@@ -7,7 +7,7 @@
 #include "common/serialize.h"
 #include "nn/gaussian.h"
 #include "rl/env.h"
-#include "rl/evaluate.h"
+#include "rl/policy_handle.h"
 #include "rl/ppo.h"
 
 namespace imap::defense {
@@ -17,14 +17,14 @@ namespace imap::defense {
 /// attack::StatePerturbationEnv, where the adversary is the agent).
 ///
 /// Two adversary forms:
-///  * an rl::ActionFn (ATLA rounds: the frozen RL adversary of the round);
+///  * a frozen rl::PolicyHandle (ATLA rounds: the RL adversary of the round);
 ///  * uniform ε-ball noise (the robust-regularizer defenses). The noise
 ///    stream is owned per clone and reseeded from the reset Rng, so every
 ///    clone is self-contained and an episode replays exactly from its
 ///    pre-reset Rng state — the property checkpoint restore relies on.
 class PerturbedVictimEnv : public rl::EnvBase<PerturbedVictimEnv> {
  public:
-  PerturbedVictimEnv(const rl::Env& inner, rl::ActionFn adversary,
+  PerturbedVictimEnv(const rl::Env& inner, rl::PolicyHandle adversary,
                      double eps);
   /// Uniform-noise mode: obs += eps·U[-1,1]^d.
   PerturbedVictimEnv(const rl::Env& inner, double eps);
@@ -46,7 +46,8 @@ class PerturbedVictimEnv : public rl::EnvBase<PerturbedVictimEnv> {
   std::vector<double> perturb(const std::vector<double>& obs);
 
   std::unique_ptr<rl::Env> inner_;
-  rl::ActionFn adversary_;
+  rl::PolicyHandle adversary_;
+  nn::Mlp::Workspace ws_;  ///< adversary queries (per clone)
   double eps_;
   bool noise_mode_ = false;
   Rng noise_rng_{0};  ///< noise mode only; reseeded at every reset

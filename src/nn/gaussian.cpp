@@ -24,24 +24,16 @@ double log_prob(const double* a, const double* mean, const double* log_std,
   return lp;
 }
 
-double log_prob(const std::vector<double>& a, const std::vector<double>& mean,
-                const std::vector<double>& log_std) {
-  IMAP_CHECK(a.size() == mean.size() && a.size() == log_std.size());
-  return log_prob(a.data(), mean.data(), log_std.data(), a.size());
-}
-
 double entropy(const std::vector<double>& log_std) {
   double h = 0.0;
   for (double ls : log_std) h += ls + 0.5 * (kLog2Pi + 1.0);
   return h;
 }
 
-double kl(const std::vector<double>& mean_p, const std::vector<double>& ls_p,
-          const std::vector<double>& mean_q, const std::vector<double>& ls_q) {
-  IMAP_CHECK(mean_p.size() == mean_q.size());
-  IMAP_CHECK(ls_p.size() == ls_q.size() && ls_p.size() == mean_p.size());
+double kl(const double* mean_p, const double* ls_p, const double* mean_q,
+          const double* ls_q, std::size_t n) {
   double kl = 0.0;
-  for (std::size_t i = 0; i < mean_p.size(); ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     const double var_p = std::exp(2.0 * ls_p[i]);
     const double var_q = std::exp(2.0 * ls_q[i]);
     const double dm = mean_p[i] - mean_q[i];
@@ -63,32 +55,6 @@ GaussianPolicy::GaussianPolicy(std::size_t obs_dim, std::size_t act_dim,
       }()),
       log_std_(act_dim, init_log_std),
       log_std_grad_(act_dim, 0.0) {}
-
-std::vector<double> GaussianPolicy::mean_action(
-    const std::vector<double>& obs) const {
-  return net_.forward(obs);
-}
-
-std::vector<double> GaussianPolicy::act(const std::vector<double>& obs,
-                                        Rng& rng) const {
-  std::vector<double> out;
-  std::vector<double> scratch;
-  act_into(obs, rng, out, scratch);
-  return out;
-}
-
-void GaussianPolicy::act_into(const std::vector<double>& obs, Rng& rng,
-                              std::vector<double>& out,
-                              std::vector<double>& scratch) const {
-  net_.forward_into(obs, out, scratch);
-  for (std::size_t i = 0; i < out.size(); ++i)
-    out[i] += std::exp(log_std_[i]) * rng.normal();
-}
-
-double GaussianPolicy::log_prob(const std::vector<double>& obs,
-                                const std::vector<double>& act) const {
-  return diag_gaussian::log_prob(act, net_.forward(obs), log_std_);
-}
 
 double GaussianPolicy::entropy() const {
   return diag_gaussian::entropy(log_std_);
@@ -212,10 +178,6 @@ ValueNet::ValueNet(std::size_t obs_dim, std::vector<std::size_t> hidden,
         sizes.push_back(1);
         return Mlp(std::move(sizes), rng);
       }()) {}
-
-double ValueNet::value(const std::vector<double>& obs) const {
-  return net_.forward(obs)[0];
-}
 
 void ValueNet::value_batch(const Batch& obs, std::vector<double>& out) {
   const Batch& o = net_.forward_batch(obs);

@@ -10,20 +10,16 @@ namespace imap::nn {
 /// Closed-form diagonal-Gaussian math shared by the policy classes.
 namespace diag_gaussian {
 
-/// Pointer core of log_prob — the batched paths call this once per row.
+/// log N(a | mean, exp(log_std)²), summed over the n dims.
 double log_prob(const double* a, const double* mean, const double* log_std,
                 std::size_t n);
-
-/// log N(a | mean, exp(log_std)²), summed over dims.
-double log_prob(const std::vector<double>& a, const std::vector<double>& mean,
-                const std::vector<double>& log_std);
 
 /// Differential entropy, summed over dims (state-independent given log_std).
 double entropy(const std::vector<double>& log_std);
 
-/// KL(p ‖ q) between two diagonal Gaussians.
-double kl(const std::vector<double>& mean_p, const std::vector<double>& ls_p,
-          const std::vector<double>& mean_q, const std::vector<double>& ls_q);
+/// KL(p ‖ q) between two n-dim diagonal Gaussians.
+double kl(const double* mean_p, const double* ls_p, const double* mean_q,
+          const double* ls_q, std::size_t n);
 
 }  // namespace diag_gaussian
 
@@ -39,22 +35,6 @@ class GaussianPolicy {
   std::size_t obs_dim() const { return net_.in_dim(); }
   std::size_t act_dim() const { return log_std_.size(); }
 
-  /// Deterministic action (the mean) — used for deployed/frozen victims.
-  std::vector<double> mean_action(const std::vector<double>& obs) const;
-
-  /// Sampled action.
-  std::vector<double> act(const std::vector<double>& obs, Rng& rng) const;
-
-  /// Allocation-free act() for per-step collection loops: the action lands
-  /// in `out`, `scratch` is the forward ping-pong partner; both buffers grow
-  /// once and are reused. Same RNG draw sequence, bit-identical to act().
-  void act_into(const std::vector<double>& obs, Rng& rng,
-                std::vector<double>& out, std::vector<double>& scratch) const;
-
-  /// log π(a|s), recomputing the forward pass.
-  double log_prob(const std::vector<double>& obs,
-                  const std::vector<double>& act) const;
-
   /// Policy entropy (state-independent).
   double entropy() const;
 
@@ -66,12 +46,11 @@ class GaussianPolicy {
   /// Inference-only batched mean forward through a caller-owned workspace —
   /// for read-only consumers (rollout collection, frozen-victim queries)
   /// that share one policy across worker threads. Each row is bit-identical
-  /// to mean_action() on that row.
+  /// to a one-row batch of that row.
   const Batch& mean_batch(const Batch& obs, Mlp::Workspace& ws) const;
 
   /// log π(a_n|s_n) for every row of a minibatch, written into `out`
-  /// (resized to obs.rows()). Bit-identical to per-row log_prob(). Records
-  /// the mean tape like mean_batch.
+  /// (resized to obs.rows()). Records the mean tape like mean_batch.
   void log_prob_batch(const Batch& obs, const Batch& act,
                       std::vector<double>& out);
 
@@ -123,17 +102,14 @@ class ValueNet {
  public:
   ValueNet(std::size_t obs_dim, std::vector<std::size_t> hidden, Rng& rng);
 
-  double value(const std::vector<double>& obs) const;
-
   /// V(s_n) for every row of a minibatch, written into `out` (resized to
   /// obs.rows()); records the batched tape for a later backward_batch.
-  /// Bit-identical to per-row value().
   void value_batch(const Batch& obs, std::vector<double>& out);
 
   /// Inference-only batched values through a caller-owned workspace — the
   /// critic sweep of the vectorized rollout engine (one critic shared by
-  /// all worker threads, one workspace per worker). Bit-identical to
-  /// per-row value().
+  /// all worker threads, one workspace per worker) and, as a one-row batch,
+  /// its episode bootstraps.
   void value_batch(const Batch& obs, Mlp::Workspace& ws,
                    std::vector<double>& out) const;
 

@@ -91,39 +91,6 @@ void quant_act(float* h, std::size_t batch, std::size_t width,
 
 }  // namespace kernel
 
-Matrix::Matrix(std::size_t rows, std::size_t cols, double fill)
-    : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
-
-Matrix Matrix::randn(std::size_t rows, std::size_t cols, Rng& rng,
-                     double stddev) {
-  Matrix m(rows, cols);
-  for (auto& x : m.data_) x = rng.normal(0.0, stddev);
-  return m;
-}
-
-std::vector<double> Matrix::matvec(const std::vector<double>& x) const {
-  IMAP_CHECK(x.size() == cols_);
-  std::vector<double> y(rows_, 0.0);
-  kernel::affine(data_.data(), nullptr, rows_, cols_, x.data(), y.data());
-  return y;
-}
-
-std::vector<double> Matrix::matvec_transposed(
-    const std::vector<double>& x) const {
-  IMAP_CHECK(x.size() == rows_);
-  std::vector<double> y(cols_, 0.0);
-  kernel::matvec_t_acc(data_.data(), rows_, cols_, x.data(), y.data());
-  return y;
-}
-
-void Matrix::add_outer(const std::vector<double>& u,
-                       const std::vector<double>& v, double scale) {
-  IMAP_CHECK(u.size() == rows_ && v.size() == cols_);
-  kernel::outer_acc(data_.data(), rows_, cols_, u.data(), v.data(), scale);
-}
-
-void Matrix::fill(double v) { std::fill(data_.begin(), data_.end(), v); }
-
 void axpy(std::vector<double>& y, double a, const std::vector<double>& x) {
   IMAP_CHECK(y.size() == x.size());
   for (std::size_t i = 0; i < y.size(); ++i) y[i] += a * x[i];

@@ -4,14 +4,13 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/rng.h"
-
 namespace imap::nn {
 
-/// The shared dense kernels every matrix/MLP code path routes through —
-/// per-sample (Matrix::matvec, Mlp::layer forward/backward) and batched
-/// (Mlp::forward_batch / backward_batch) alike. One implementation, one
-/// summation order.
+/// The shared dense kernels every MLP code path routes through. The
+/// per-sample kernels (affine, matvec_t_acc, outer_acc) define the summation
+/// order: the scalar backend's blocked loops replay them per row, and the
+/// kernel-matrix tests use them as the reference every batched backend
+/// (Mlp::forward_batch / backward_batch) is pinned against.
 ///
 /// Determinism contract: for each output element the reduction over the
 /// contraction dimension runs sequentially in ascending index order,
@@ -90,49 +89,6 @@ void quant_act(float* h, std::size_t batch, std::size_t width,
                std::size_t out_pairs, std::int16_t* qx, float* qscale);
 
 }  // namespace kernel
-
-/// Dense row-major matrix of doubles. This is deliberately a small value
-/// type: the networks in this library are tiny (observation dims ≤ 32,
-/// hidden widths ≤ 64), so clarity beats BLAS.
-class Matrix {
- public:
-  Matrix() = default;
-  Matrix(std::size_t rows, std::size_t cols, double fill = 0.0);
-
-  static Matrix randn(std::size_t rows, std::size_t cols, Rng& rng,
-                      double stddev);
-
-  double& operator()(std::size_t r, std::size_t c) {
-    return data_[r * cols_ + c];
-  }
-  double operator()(std::size_t r, std::size_t c) const {
-    return data_[r * cols_ + c];
-  }
-
-  std::size_t rows() const { return rows_; }
-  std::size_t cols() const { return cols_; }
-  std::size_t size() const { return data_.size(); }
-
-  std::vector<double>& data() { return data_; }
-  const std::vector<double>& data() const { return data_; }
-
-  /// y = M x  (x.size() == cols).
-  std::vector<double> matvec(const std::vector<double>& x) const;
-
-  /// y = Mᵀ x  (x.size() == rows).
-  std::vector<double> matvec_transposed(const std::vector<double>& x) const;
-
-  /// M += outer(u, v) * scale, with u.size()==rows, v.size()==cols.
-  void add_outer(const std::vector<double>& u, const std::vector<double>& v,
-                 double scale = 1.0);
-
-  void fill(double v);
-
- private:
-  std::size_t rows_ = 0;
-  std::size_t cols_ = 0;
-  std::vector<double> data_;
-};
 
 /// Elementwise helpers over flat vectors (used throughout the nn/rl code).
 void axpy(std::vector<double>& y, double a, const std::vector<double>& x);

@@ -1,11 +1,13 @@
 #include "nn/mlp.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <span>
 
 #include "common/check.h"
 #include "nn/kernel_backend.h"
+#include "nn/matrix.h"
 
 namespace imap::nn {
 
@@ -38,39 +40,14 @@ Mlp::Mlp(std::vector<std::size_t> sizes, Rng& rng, double init_scale)
   }
 }
 
-std::vector<double> Mlp::forward(const std::vector<double>& x) const {
-  std::vector<double> out;
-  std::vector<double> scratch;
-  forward_into(x, out, scratch);
-  return out;
-}
-
-void Mlp::forward_into(const std::vector<double>& x, std::vector<double>& out,
-                       std::vector<double>& scratch) const {
-  IMAP_CHECK_MSG(x.size() == in_dim(),
-                 "input dim " << x.size() << " != " << in_dim());
-  // Ping-pong between the two caller buffers, hoisted out of the layer loop;
-  // the shared kernel::affine keeps the summation order identical to the
-  // batched path. resize() reuses capacity, so a caller that holds out and
-  // scratch across steps pays zero allocations in steady state.
-  out.assign(x.begin(), x.end());
-  for (std::size_t li = 0; li < layers_.size(); ++li) {
-    const auto& l = layers_[li];
-    scratch.resize(l.out);
-    kernel::affine(params_.data() + l.w_off, params_.data() + l.b_off, l.out,
-                   l.in, out.data(), scratch.data());
-    if (li + 1 < layers_.size())
-      for (double& v : scratch) v = std::tanh(v);
-    std::swap(out, scratch);
-  }
-  IMAP_NCHECK_SHAPE(out.size(), out_dim(), "Mlp::forward output");
-  IMAP_NCHECK_FINITE_VEC(out, "Mlp::forward output");
+std::uint64_t Mlp::next_weight_version() {
+  // Starts at 1 so a never-built Workspace (wt_version 0) never matches.
+  static std::atomic<std::uint64_t> counter{1};
+  return counter.fetch_add(1, std::memory_order_relaxed);
 }
 
 void Mlp::ensure_transpose_cache(Workspace& ws) const {
-  if (ws.wt_owner == this && ws.wt_version == weight_version_ &&
-      ws.wt.size() == layers_.size())
-    return;
+  if (ws.wt_version == weight_version_) return;
   ws.wt.resize(layers_.size());
   for (std::size_t li = 0; li < layers_.size(); ++li) {
     const auto& l = layers_[li];
@@ -80,7 +57,6 @@ void Mlp::ensure_transpose_cache(Workspace& ws) const {
     for (std::size_t r = 0; r < l.out; ++r)
       for (std::size_t c = 0; c < l.in; ++c) t[c * l.out + r] = w[r * l.in + c];
   }
-  ws.wt_owner = this;
   ws.wt_version = weight_version_;
 }
 
@@ -193,7 +169,7 @@ void Mlp::load_state(BinaryReader& r) {
   IMAP_CHECK_MSG(p.size() == params_.size(),
                  "Mlp checkpoint has wrong parameter count");
   params_ = std::move(p);
-  ++weight_version_;  // cached transposes / quantizations are now stale
+  weight_version_ = next_weight_version();  // cached transposes are stale
 }
 
 }  // namespace imap::nn

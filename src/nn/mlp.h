@@ -6,7 +6,6 @@
 #include "common/rng.h"
 #include "common/serialize.h"
 #include "nn/batch.h"
-#include "nn/matrix.h"
 
 namespace imap::nn {
 
@@ -17,23 +16,15 @@ namespace imap::nn {
 /// treat the whole network as one parameter block; per-layer (W, b) views
 /// index into the flats. Training passes are batched: forward_batch records
 /// activations in a Workspace (caller-owned, or the network's own) and
-/// backward_batch / input_gradient_batch read them back, so a single sample
-/// is a one-row batch. Single-row forward()/forward_into() serve inference.
+/// backward_batch / input_gradient_batch read them back. forward_batch is
+/// the only forward: a single sample is a one-row batch, and per-row callers
+/// keep a Workspace for each network they query.
 class Mlp {
  public:
   /// `sizes` = {in, hidden..., out}. Weights ~ N(0, 1/sqrt(fan_in)) scaled by
   /// `init_scale`; the output layer is additionally shrunk (x0.01) which is
   /// standard for policy heads.
   Mlp(std::vector<std::size_t> sizes, Rng& rng, double init_scale = 1.0);
-
-  /// Inference forward (no caching).
-  std::vector<double> forward(const std::vector<double>& x) const;
-
-  /// Allocation-free inference forward for per-step callers: `out` receives
-  /// the output, `scratch` is the ping-pong partner; both grow once and are
-  /// reused across calls. Bit-identical to forward().
-  void forward_into(const std::vector<double>& x, std::vector<double>& out,
-                    std::vector<double>& scratch) const;
 
   /// Reusable arena for the batched kernels: the batched activation tape
   /// (pre/post per layer) plus the backward ping-pong scratch. All buffers
@@ -42,10 +33,12 @@ class Mlp {
   /// per thread; the Mlp itself stays read-only during batched forwards.
   ///
   /// The workspace also carries the per-layer column-major weight copies the
-  /// lanes-across-outputs SIMD backends read (`wt`), keyed by (owner,
-  /// weight_version): forward_batch rebuilds them only when the network's
-  /// weights actually changed, so frozen victims pay the O(out·in) transpose
-  /// once instead of on every tick. The `q*` buffers are scratch for the
+  /// lanes-across-outputs SIMD backends read (`wt`), keyed by
+  /// weight_version: forward_batch rebuilds them only when the weights it is
+  /// asked to run differ from the ones the cache was built from, so frozen
+  /// victims pay the O(out·in) transpose once instead of on every tick. Two
+  /// networks taking turns on one workspace rebuild it on every call, so
+  /// keep one workspace per network. The `q*` buffers are scratch for the
   /// int8 serving path (nn/quant.h) — plain members here so QuantizedMlp can
   /// reuse the same zero-allocation arena without a circular header.
   struct Workspace {
@@ -56,8 +49,8 @@ class Mlp {
 
     std::vector<std::vector<double>> wt;  ///< per-layer Wᵀ (in×out, i.e.
                                           ///< wt[c·out + r] = w[r·in + c])
-    const void* wt_owner = nullptr;       ///< Mlp the cache was built from
     std::uint64_t wt_version = 0;         ///< weight_version() at build time
+                                          ///< (0 = never built)
 
     std::vector<std::int16_t> qx;  ///< quantized activations (B×2·in_pairs)
     std::vector<float> qscale;     ///< per-sample dequant scales (B)
@@ -68,8 +61,8 @@ class Mlp {
 
   /// Batched inference/training forward: stacks B samples through the
   /// blocked kernels, recording the activation tape in `ws`. Returns the
-  /// output rows (a reference into `ws`, valid until the next call).
-  /// Bit-identical to calling forward() once per row.
+  /// output rows (a reference into `ws`, valid until the next call). Each
+  /// row is bit-identical to a one-row batch of that row.
   const Batch& forward_batch(const Batch& x, Workspace& ws) const;
 
   /// Convenience overload on the Mlp-owned workspace (hence non-const:
@@ -101,18 +94,23 @@ class Mlp {
   /// re-acquire it around each mutation so the version advances (writes
   /// through a stored reference are invisible to the counter).
   std::vector<double>& params() {
-    ++weight_version_;
+    weight_version_ = next_weight_version();
     return params_;
   }
   const std::vector<double>& params() const { return params_; }
 
-  /// Monotone counter identifying the current weight values; any mutable
-  /// parameter access advances it. Keys the Workspace transpose cache and
-  /// QuantizedMlp staleness checks.
+  /// Identifies the current weight values process-wide: construction,
+  /// load_state and every mutable params() access draw a fresh value from
+  /// one atomic counter, and a copy keeps its source's value (it holds the
+  /// same weights). Two live or successive networks therefore share a
+  /// version only when they hold identical weights of identical shape —
+  /// which is what keys the Workspace transpose cache and
+  /// QuantizedMlp::stale_for (an address would not: a new network can be
+  /// built where a freed one lived).
   std::uint64_t weight_version() const { return weight_version_; }
 
   /// Ensure ws.wt holds this network's current per-layer transposes.
-  /// No-op when (owner, version) already match — the steady-state path.
+  /// No-op when the version already matches — the steady-state path.
   void ensure_transpose_cache(Workspace& ws) const;
   std::vector<double>& grads() { return grads_; }
   const std::vector<double>& grads() const { return grads_; }
@@ -138,7 +136,9 @@ class Mlp {
   std::vector<LayerView> layers_;
   std::vector<double> params_;
   std::vector<double> grads_;
-  std::uint64_t weight_version_ = 0;
+  static std::uint64_t next_weight_version();
+
+  std::uint64_t weight_version_ = next_weight_version();
   Workspace ws_;  ///< owned arena for the convenience batched overloads
 };
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <cstdlib>
 #include <vector>
 
 #include "common/check.h"
@@ -63,7 +62,6 @@ void quantize_input_rows(const double* x, std::size_t b, std::size_t in,
 QuantizedMlp::QuantizedMlp(const Mlp& net)
     : in_dim_(net.in_dim()),
       out_dim_(net.out_dim()),
-      source_(&net),
       built_version_(net.weight_version()) {
   const auto& sizes = net.sizes();
   const auto& params = net.params();
@@ -149,38 +147,5 @@ const Batch& QuantizedMlp::forward_batch(const Batch& x,
     dst[i] = static_cast<double>(src[i]);
   return ws.qout;
 }
-
-std::vector<double> QuantizedMlp::forward(const std::vector<double>& x) const {
-  thread_local Mlp::Workspace ws;
-  thread_local Batch xb;
-  xb.resize(1, x.size());
-  xb.set_row(0, x);
-  const Batch& y = forward_batch(xb, ws);
-  return std::vector<double>(y.row(0), y.row(0) + out_dim_);
-}
-
-namespace {
-// -1 = follow the environment, 0/1 = ScopedVictimQuant override.
-int g_quant_override = -1;
-
-bool env_victim_quant() {
-  static const bool on = [] {
-    const char* env = std::getenv("IMAP_VICTIM_QUANT");
-    return env != nullptr && std::atoi(env) == 1;
-  }();
-  return on;
-}
-}  // namespace
-
-bool victim_quant_enabled() {
-  if (g_quant_override >= 0) return g_quant_override == 1;
-  return env_victim_quant();
-}
-
-ScopedVictimQuant::ScopedVictimQuant(bool on) : prev_(g_quant_override) {
-  g_quant_override = on ? 1 : 0;
-}
-
-ScopedVictimQuant::~ScopedVictimQuant() { g_quant_override = prev_; }
 
 }  // namespace imap::nn

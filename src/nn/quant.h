@@ -35,7 +35,9 @@ namespace imap::nn {
 /// for policy-scale networks the max |Δaction| against the fp64 Mlp stays
 /// under kQuantActionTolerance (asserted in tests/test_quant.cpp and
 /// re-measured by bench_micro_infer). Training never touches this path; it
-/// exists only for inference-heavy frozen victims (IMAP_VICTIM_QUANT=1).
+/// exists only for inference-heavy frozen victims, reached through
+/// rl::PolicyHandle::serving (the daemon, and experiment victims under
+/// IMAP_VICTIM_QUANT=1).
 ///
 /// A QuantizedMlp is a derived, in-memory artifact: it is built from a live
 /// Mlp and keyed by Mlp::weight_version(), never serialized. Checkpoint
@@ -49,10 +51,10 @@ class QuantizedMlp {
   std::size_t in_dim() const { return in_dim_; }
   std::size_t out_dim() const { return out_dim_; }
 
-  /// True when `net`'s weights changed since this quantization was built
-  /// (different object, or same object with a bumped weight_version).
+  /// True when `net` does not hold the weights this quantization was built
+  /// from (Mlp::weight_version is process-unique per weight state).
   bool stale_for(const Mlp& net) const {
-    return source_ != &net || built_version_ != net.weight_version();
+    return built_version_ != net.weight_version();
   }
 
   /// Quantized batched forward. Mirrors Mlp::forward_batch row-for-row
@@ -62,10 +64,6 @@ class QuantizedMlp {
   /// into `ws`, valid until the next call). Bit-identical across kernel
   /// backends and across batch sizes (each row is processed independently).
   const Batch& forward_batch(const Batch& x, Mlp::Workspace& ws) const;
-
-  /// Single-sample convenience over forward_batch (thread-local scratch);
-  /// bit-identical to the corresponding batched row.
-  std::vector<double> forward(const std::vector<double>& x) const;
 
  private:
   struct QLayer {
@@ -82,7 +80,6 @@ class QuantizedMlp {
   std::size_t out_dim_ = 0;
   std::size_t max_pairs_ = 0;  ///< widest layer input, in pairs
   std::size_t max_out_ = 0;    ///< widest layer output
-  const Mlp* source_ = nullptr;
   std::uint64_t built_version_ = 0;
 };
 
@@ -91,24 +88,5 @@ class QuantizedMlp {
 /// hiddens). Asserted in tests/test_quant.cpp and reported alongside the
 /// throughput numbers in BENCH_infer.json.
 inline constexpr double kQuantActionTolerance = 5e-2;
-
-/// True when frozen-victim serving should go through QuantizedMlp: the
-/// IMAP_VICTIM_QUANT environment toggle (=1, parsed once), or an active
-/// ScopedVictimQuant override. Consulted when a PolicyHandle is built, not
-/// per query — a handle constructed without quant keeps serving fp64.
-bool victim_quant_enabled();
-
-/// RAII test hook forcing victim quantization on or off for a scope,
-/// overriding the environment. Not thread-safe; flip from test setup only.
-class ScopedVictimQuant {
- public:
-  explicit ScopedVictimQuant(bool on);
-  ~ScopedVictimQuant();
-  ScopedVictimQuant(const ScopedVictimQuant&) = delete;
-  ScopedVictimQuant& operator=(const ScopedVictimQuant&) = delete;
-
- private:
-  int prev_;
-};
 
 }  // namespace imap::nn

@@ -1,18 +1,16 @@
 #include "rl/evaluate.h"
 
-#include <memory>
 #include <utility>
 
 #include "common/check.h"
-#include "nn/batch.h"
-#include "rl/split_step.h"
 
 namespace imap::rl {
 
-EvalStats evaluate(const Env& proto, const ActionFn& act, int episodes,
+EvalStats evaluate(const Env& proto, const PolicyHandle& act, int episodes,
                    Rng& rng) {
   IMAP_CHECK(episodes > 0);
   auto env = proto.clone();
+  nn::Mlp::Workspace ws;
   EvalStats out;
   long long total_len = 0;
   int successes = 0;
@@ -22,7 +20,7 @@ EvalStats evaluate(const Env& proto, const ActionFn& act, int episodes,
     double ret = 0.0;
     int len = 0;
     while (true) {
-      StepResult sr = env->step(env->action_space().clamp(act(obs)));
+      StepResult sr = env->step(env->action_space().clamp(act.query(obs, ws)));
       ret += sr.reward;
       ++len;
       if (sr.done || sr.truncated) {
@@ -41,120 +39,16 @@ EvalStats evaluate(const Env& proto, const ActionFn& act, int episodes,
   return out;
 }
 
-EvalStats evaluate_batched(const Env& proto, nn::GaussianPolicy& policy,
-                           int episodes, Rng& rng) {
-  IMAP_CHECK(episodes > 0);
-  IMAP_CHECK(policy.obs_dim() == proto.obs_dim());
-  IMAP_CHECK(policy.act_dim() == proto.act_dim());
-
-  struct Episode {
-    std::unique_ptr<Env> env;
-    Rng rng{0};
-    std::vector<double> obs;
-    double ret = 0.0;
-    int len = 0;
-    bool finished = false;
-    bool success = false;
-  };
-  std::vector<Episode> eps(static_cast<std::size_t>(episodes));
-  for (std::size_t e = 0; e < eps.size(); ++e) {
-    eps[e].env = proto.clone();
-    eps[e].rng = rng.split(static_cast<std::uint64_t>(e));
-    eps[e].obs = eps[e].env->reset(eps[e].rng);
-  }
-
-  // Victim batching: when every episode env splits its step around the SAME
-  // network-backed frozen policy (the threat-model wrappers — clones share
-  // the snapshot), a step's inner victim queries also collapse into one
-  // batched forward. SplitStepEnv guarantees the substitution is bitwise.
-  std::vector<SplitStepEnv*> split(eps.size(), nullptr);
-  bool victim_batchable = true;
-  for (std::size_t e = 0; e < eps.size(); ++e) {
-    split[e] = dynamic_cast<SplitStepEnv*>(eps[e].env.get());
-    if (split[e] == nullptr || !split[e]->frozen_policy().batched() ||
-        split[e]->frozen_policy().net() !=
-            split[0]->frozen_policy().net())
-      victim_batchable = false;
-    if (!victim_batchable) break;
-  }
-
-  nn::Batch obs_b, query_b;
-  nn::Mlp::Workspace ws_victim;
-  std::vector<std::size_t> live;
-  std::vector<double> action(proto.act_dim());
-  std::vector<double> victim_out;
-  live.reserve(eps.size());
-  for (std::size_t e = 0; e < eps.size(); ++e) live.push_back(e);
-
-  while (!live.empty()) {
-    // One batched mean forward answers every live episode this step; each
-    // row is bit-identical to policy.mean_action(obs) on that episode.
-    obs_b.resize(live.size(), proto.obs_dim());
-    for (std::size_t r = 0; r < live.size(); ++r)
-      obs_b.set_row(r, eps[live[r]].obs);
-    const nn::Batch& mu = policy.mean_batch(obs_b);
-
-    std::size_t kept = 0;
-    auto absorb = [&](Episode& ep, std::size_t r, StepResult&& sr) {
-      ep.ret += sr.reward;
-      ++ep.len;
-      if (sr.done || sr.truncated) {
-        ep.finished = true;
-        ep.success = sr.task_completed;
-      } else {
-        std::swap(ep.obs, sr.obs);
-        live[kept++] = live[r];
-      }
-    };
-    if (victim_batchable) {
-      // Phase 1 for every live episode, ONE victim forward, then phase 2.
-      query_b.resize(live.size(), split[live[0]]->query_dim());
-      for (std::size_t r = 0; r < live.size(); ++r) {
-        Episode& ep = eps[live[r]];
-        action.assign(mu.row(r), mu.row(r) + proto.act_dim());
-        query_b.set_row(r, split[live[r]]->begin_step(
-                               ep.env->action_space().clamp(action)));
-      }
-      const nn::Batch& vout =
-          split[live[0]]->frozen_policy().query_batch(query_b, ws_victim);
-      for (std::size_t r = 0; r < live.size(); ++r) {
-        victim_out.assign(vout.row(r), vout.row(r) + vout.dim());
-        absorb(eps[live[r]], r, split[live[r]]->finish_step(victim_out));
-      }
-    } else {
-      for (std::size_t r = 0; r < live.size(); ++r) {
-        Episode& ep = eps[live[r]];
-        action.assign(mu.row(r), mu.row(r) + proto.act_dim());
-        absorb(eps[live[r]], r,
-               ep.env->step(ep.env->action_space().clamp(action)));
-      }
-    }
-    live.resize(kept);
-  }
-
-  EvalStats out;
-  long long total_len = 0;
-  int successes = 0;
-  for (const auto& ep : eps) {
-    out.episode_returns.push_back(ep.ret);
-    total_len += ep.len;
-    if (ep.success) ++successes;
-  }
-  out.returns = summarize(out.episode_returns);
-  out.success_rate = static_cast<double>(successes) / episodes;
-  out.mean_length = static_cast<double>(total_len) / episodes;
-  return out;
-}
-
 std::vector<std::vector<double>> rollout_trajectory(const Env& proto,
-                                                    const ActionFn& act,
+                                                    const PolicyHandle& act,
                                                     Rng& rng) {
   auto env = proto.clone();
+  nn::Mlp::Workspace ws;
   std::vector<std::vector<double>> traj;
   auto obs = env->reset(rng);
   traj.push_back(obs);
   while (true) {
-    StepResult sr = env->step(env->action_space().clamp(act(obs)));
+    StepResult sr = env->step(env->action_space().clamp(act.query(obs, ws)));
     traj.push_back(sr.obs);
     if (sr.done || sr.truncated) break;
     obs = std::move(sr.obs);

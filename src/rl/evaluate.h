@@ -1,19 +1,12 @@
 #pragma once
 
-#include <functional>
 #include <vector>
 
 #include "common/stats.h"
-#include "nn/gaussian.h"
 #include "rl/env.h"
+#include "rl/policy_handle.h"
 
 namespace imap::rl {
-
-/// Deterministic state→action mapping — how a *deployed* policy is queried
-/// (the paper's threat model holds the victim network fixed; we evaluate its
-/// mean action).
-using ActionFn =
-    std::function<std::vector<double>(const std::vector<double>&)>;
 
 struct EvalStats {
   ReturnSummary returns;        ///< true episode rewards J_E^ν (mean ± std)
@@ -22,27 +15,16 @@ struct EvalStats {
   std::vector<double> episode_returns;
 };
 
-/// Roll `episodes` episodes of `proto` under `act` and summarise.
-EvalStats evaluate(const Env& proto, const ActionFn& act, int episodes,
+/// Roll `episodes` episodes of `proto` under the frozen policy `act` (the
+/// paper's threat model holds the deployed network fixed; we evaluate its
+/// mean action) and summarise.
+EvalStats evaluate(const Env& proto, const PolicyHandle& act, int episodes,
                    Rng& rng);
-
-/// Lock-step batched evaluation of a deterministic (mean-action) policy:
-/// all still-live episodes are answered by one batched forward per step.
-/// Episode e uses the child stream rng.split(e), so episode results are
-/// exactly equal — bitwise — to running `evaluate(proto, mean-action fn, 1,
-/// r)` with `Rng r = rng.split(e)` once per episode; only the wall-clock
-/// changes. (Non-const policy: batched forwards write its workspace.)
-/// When `proto` is a SplitStepEnv over a network-backed frozen policy (the
-/// threat-model wrappers), the per-step victim queries of all live episodes
-/// are answered by one batched victim forward as well — still bitwise equal,
-/// by the SplitStepEnv contract.
-EvalStats evaluate_batched(const Env& proto, nn::GaussianPolicy& policy,
-                           int episodes, Rng& rng);
 
 /// Dump one trajectory (state rows) for qualitative inspection (Fig. 1/2
 /// style renderings become CSVs here).
 std::vector<std::vector<double>> rollout_trajectory(const Env& proto,
-                                                    const ActionFn& act,
+                                                    const PolicyHandle& act,
                                                     Rng& rng);
 
 }  // namespace imap::rl

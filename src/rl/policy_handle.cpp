@@ -4,16 +4,6 @@
 
 namespace imap::rl {
 
-PolicyHandle::PolicyHandle(std::shared_ptr<const nn::GaussianPolicy> net)
-    : net_(std::move(net)) {
-  // Serving mode is decided here, once: the quantization is built from the
-  // frozen weights at handle-construction time and never refreshed (the
-  // handle's whole contract is that the victim does not change). Training
-  // code paths never construct handles with the toggle on.
-  if (net_ != nullptr && nn::victim_quant_enabled())
-    qnet_ = std::make_shared<const nn::QuantizedMlp>(net_->net());
-}
-
 PolicyHandle PolicyHandle::snapshot(const nn::GaussianPolicy& policy) {
   return PolicyHandle(std::make_shared<const nn::GaussianPolicy>(policy));
 }
@@ -21,16 +11,27 @@ PolicyHandle PolicyHandle::snapshot(const nn::GaussianPolicy& policy) {
 PolicyHandle PolicyHandle::serving(
     std::shared_ptr<const nn::GaussianPolicy> net, bool quantized) {
   IMAP_CHECK_MSG(net != nullptr, "serving handle needs a network");
-  PolicyHandle h;
-  h.net_ = std::move(net);
+  PolicyHandle h(std::move(net));
   if (quantized)
     h.qnet_ = std::make_shared<const nn::QuantizedMlp>(h.net_->net());
   return h;
 }
 
+std::vector<double> PolicyHandle::query(const std::vector<double>& obs,
+                                        nn::Mlp::Workspace& ws) const {
+  if (!net_) return fn_(obs);
+  // The input row holds no network state, so one per thread serves every
+  // handle.
+  thread_local nn::Batch row;
+  row.resize(1, obs.size());
+  row.set_row(0, obs);
+  const nn::Batch& out = query_batch(row, ws);
+  return std::vector<double>(out.row(0), out.row(0) + out.dim());
+}
+
 std::vector<double> PolicyHandle::query(const std::vector<double>& obs) const {
-  if (qnet_) return qnet_->forward(obs);
-  return net_ ? net_->mean_action(obs) : fn_(obs);
+  thread_local nn::Mlp::Workspace ws;
+  return query(obs, ws);
 }
 
 const nn::Batch& PolicyHandle::query_batch(const nn::Batch& obs,

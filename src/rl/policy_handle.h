@@ -1,57 +1,55 @@
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <utility>
 #include <vector>
 
 #include "nn/gaussian.h"
 #include "nn/quant.h"
-#include "rl/evaluate.h"
 
 namespace imap::rl {
 
-/// A frozen deployed policy, as handed to the threat-model wrappers and the
-/// evaluation harness. Two shapes, one call surface:
+/// Deterministic state→action mapping for truly opaque callables (scripted
+/// or random attacks). Networks are wrapped in a PolicyHandle instead.
+using ActionFn =
+    std::function<std::vector<double>(const std::vector<double>&)>;
+
+/// A frozen deployed policy — the one way code queries a frozen network
+/// (victims, trained adversaries, the serving daemon's models). Two shapes,
+/// one call surface:
 ///
 ///  * an opaque ActionFn — the fully black-box case; answerable only one
 ///    observation at a time;
-///  * a snapshot of a GaussianPolicy network, which additionally supports
-///    batched mean queries through a caller-owned workspace (query_batch),
-///    letting the vectorized rollout engine answer all lockstep slots with
-///    one kernel call.
+///  * a frozen GaussianPolicy network, answered with its deterministic mean.
+///    It additionally supports batched queries through a caller-owned
+///    workspace (query_batch), letting the vectorized rollout engine answer
+///    all lockstep slots with one kernel call.
 ///
-/// Both implicit constructors are intentional: every pre-existing ActionFn
-/// call site keeps compiling, and network-backed handles upgrade those sites
-/// to batchable victims with no signature churn. Per-sample query() is
-/// bit-identical between the two shapes when the ActionFn wraps the same
-/// network's mean_action.
+/// Both constructors are implicit so random/null/gradient attacks can pass
+/// plain functions, and shared networks their pointer, wherever a handle is
+/// expected.
 ///
-/// Serving mode is fixed at construction: when victim quantization is on
-/// (IMAP_VICTIM_QUANT=1 or a ScopedVictimQuant scope, see nn/quant.h), a
-/// network-backed handle builds an int8 QuantizedMlp once and answers BOTH
-/// query() and query_batch() through it — keeping the per-sample and
-/// batched paths bit-identical to each other in either mode, which the
-/// VecEnv lockstep-vs-serial invariants rely on. Training-side code never
-/// constructs handles under the toggle, so attacker/defender updates stay
-/// fp64 bit-exact.
+/// Serving mode is fixed at construction: the network constructor and
+/// snapshot() always serve fp64; serving(net, true) is the one int8 route
+/// (a QuantizedMlp built once from the frozen weights). Per-sample query()
+/// is a one-row query_batch in either mode, so the per-sample and batched
+/// answers are bit-identical to each other.
 class PolicyHandle {
  public:
   PolicyHandle() = default;
   // NOLINTNEXTLINE(google-explicit-constructor)
   PolicyHandle(ActionFn fn) : fn_(std::move(fn)) {}
+  /// fp64 handle over a shared frozen network.
   // NOLINTNEXTLINE(google-explicit-constructor)
-  PolicyHandle(std::shared_ptr<const nn::GaussianPolicy> net);
+  PolicyHandle(std::shared_ptr<const nn::GaussianPolicy> net)
+      : net_(std::move(net)) {}
 
-  /// Deep-copied frozen snapshot of `policy`: training can continue on the
-  /// original while the handle keeps serving the captured parameters.
+  /// Deep-copied frozen snapshot of `policy` (fp64): training can continue
+  /// on the original while the handle keeps serving the captured parameters.
   static PolicyHandle snapshot(const nn::GaussianPolicy& policy);
 
-  /// Explicit serving-mode handle: `quantized` selects the int8 path
-  /// directly instead of consulting the process-wide IMAP_VICTIM_QUANT
-  /// toggle. This is what the serving daemon uses — its model cache builds
-  /// handles from request-handler threads, where flipping the global toggle
-  /// (documented single-threaded) would race with any training job that
-  /// constructs fp64 handles concurrently.
+  /// Explicit serving-mode handle: `quantized` selects the int8 path.
   static PolicyHandle serving(std::shared_ptr<const nn::GaussianPolicy> net,
                               bool quantized);
 
@@ -74,12 +72,16 @@ class PolicyHandle {
   std::size_t obs_dim() const { return net_ ? net_->obs_dim() : 0; }
   std::size_t act_dim() const { return net_ ? net_->act_dim() : 0; }
 
-  /// Per-sample query (the deterministic mean for network-backed handles;
-  /// the quantized mean when the handle was built under the quant toggle).
+  /// Per-sample query through a caller-owned workspace: a one-row
+  /// query_batch for network handles, the function for opaque ones. Callers
+  /// in a loop keep one workspace per handle, so the network's transpose
+  /// cache stays warm.
+  std::vector<double> query(const std::vector<double>& obs,
+                            nn::Mlp::Workspace& ws) const;
+
+  /// Per-sample query on a thread-local workspace — for occasional callers
+  /// with no loop to own a workspace. Bit-identical to the overload above.
   std::vector<double> query(const std::vector<double>& obs) const;
-  std::vector<double> operator()(const std::vector<double>& obs) const {
-    return query(obs);
-  }
 
   /// Batched mean query through a caller-owned workspace. Each output row is
   /// bit-identical to query() on that row — in fp64 and quantized modes

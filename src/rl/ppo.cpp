@@ -214,8 +214,8 @@ void PpoTrainer::update(RolloutBuffer& buf, double tau, IterStats& stats) {
   // Intrinsic values are only needed when the bonus channel is active.
   const bool use_intrinsic = intrinsic_ != nullptr;
   if (use_intrinsic) {
-    // Chunked batched refresh through the critic's workspace; the values
-    // are bit-identical to per-sample value() calls.
+    // Chunked batched refresh through the critic's workspace; each value
+    // is bit-identical to a one-row batch of its row.
     constexpr std::size_t kChunk = 1024;
     for (std::size_t b = 0; b < n; b += kChunk) {
       const std::size_t e = std::min(n, b + kChunk);

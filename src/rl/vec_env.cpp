@@ -74,8 +74,10 @@ void VecEnv::record_step(EnvSlot& s, const double* act, std::size_t na,
     s.buf.done.back() = sr.done ? 1 : 0;
     s.buf.boundary.back() = 1;
     // Bootstrap with the value of the post-step state (ignored if done).
-    s.buf.last_val_e.push_back(sr.done ? 0.0 : value_e.value(sr.obs));
-    s.buf.last_val_i.push_back(sr.done ? 0.0 : value_i.value(sr.obs));
+    s.buf.last_val_e.push_back(
+        sr.done ? 0.0 : bootstrap(value_e, ws_value_e_, sr.obs));
+    s.buf.last_val_i.push_back(
+        sr.done ? 0.0 : bootstrap(value_i, ws_value_i_, sr.obs));
     s.buf.episode_returns.push_back(s.ep_return);
     s.buf.episode_surrogate.push_back(s.ep_surrogate);
     s.buf.episode_lengths.push_back(s.ep_len);
@@ -98,9 +100,17 @@ void VecEnv::close_round(EnvSlot& s, const nn::ValueNet& value_e,
   // Close the rollout: the last segment bootstraps from the current state.
   if (!s.buf.boundary.back()) {
     s.buf.boundary.back() = 1;
-    s.buf.last_val_e.push_back(value_e.value(s.cur_obs));
-    s.buf.last_val_i.push_back(value_i.value(s.cur_obs));
+    s.buf.last_val_e.push_back(bootstrap(value_e, ws_value_e_, s.cur_obs));
+    s.buf.last_val_i.push_back(bootstrap(value_i, ws_value_i_, s.cur_obs));
   }
+}
+
+double VecEnv::bootstrap(const nn::ValueNet& value, nn::Mlp::Workspace& ws,
+                         const std::vector<double>& obs) {
+  boot_b_.resize(1, obs.size());
+  boot_b_.set_row(0, obs);
+  value.value_batch(boot_b_, ws, boot_v_);
+  return boot_v_[0];
 }
 
 void VecEnv::collect(const nn::GaussianPolicy& policy,
@@ -130,9 +140,9 @@ void VecEnv::collect(const nn::GaussianPolicy& policy,
     if (obs_norm_ != nullptr) obs_norm_->update_batch(obs_b_);
 
     // One batched mean and one batched value answer the whole tick; each
-    // row is bit-identical to the per-sample forwards of collect_serial.
+    // row is bit-identical to a one-row batch of that slot alone.
     const nn::Batch& mu = policy.mean_batch(obs_b_, ws_policy_);
-    value_e.value_batch(obs_b_, ws_value_, vals_);
+    value_e.value_batch(obs_b_, ws_value_e_, vals_);
 
     act_b_.resize(live, adim);
     logp_.resize(live);
@@ -140,9 +150,8 @@ void VecEnv::collect(const nn::GaussianPolicy& policy,
       EnvSlot& s = slots_[r];
       const double* m = mu.row(r);
       double* a = act_b_.row(r);
-      // Same draw order and arithmetic as GaussianPolicy::act on the slot's
-      // own stream, and the same pointer core as log_prob — reusing the
-      // batched mean instead of two more per-sample forwards.
+      // Sample around the batched mean from the slot's own stream, then
+      // score the sample against that same mean.
       for (std::size_t d = 0; d < adim; ++d)
         a[d] = m[d] + std::exp(log_std[d]) * s.rng.normal();
       logp_[r] = nn::diag_gaussian::log_prob(a, m, log_std.data(), adim);
@@ -178,32 +187,6 @@ void VecEnv::collect(const nn::GaussianPolicy& policy,
   }
 
   for (auto& s : slots_) close_round(s, value_e, value_i);
-}
-
-void VecEnv::collect_serial(const nn::GaussianPolicy& policy,
-                            const nn::ValueNet& value_e,
-                            const nn::ValueNet& value_i,
-                            const std::vector<int>& budgets,
-                            std::size_t offset) {
-  // Per-step buffers hoisted out of both loops (act_into reuses their
-  // capacity; the step loop is allocation-free in steady state).
-  std::vector<double> action;
-  std::vector<double> act_scratch;
-  for (std::size_t i = 0; i < slots_.size(); ++i) {
-    EnvSlot& s = slots_[i];
-    const int budget = budgets[offset + i];
-    begin_round(s, budget);
-    for (int t = 0; t < budget; ++t) {
-      if (obs_norm_ != nullptr) obs_norm_->update(s.cur_obs);
-      policy.act_into(s.cur_obs, s.rng, action, act_scratch);
-      const double lp = policy.log_prob(s.cur_obs, action);
-      const double ve = value_e.value(s.cur_obs);
-      record_step(s, action.data(), action.size(), lp, ve,
-                  s.env->step(s.env->action_space().clamp(action)), value_e,
-                  value_i);
-    }
-    close_round(s, value_e, value_i);
-  }
 }
 
 namespace {

@@ -39,12 +39,11 @@ struct EnvSlot {
 /// per-sample calls of each.
 ///
 /// Determinism contract: slot i draws only from its own stream and
-/// auto-resets in place, and the batched kernels are bit-identical per row
-/// to their per-sample counterparts, so collect() fills exactly the buffers
-/// that E independent serial collections (collect_serial) would — for any E
-/// and any IMAP_THREADS. Budgets must be non-increasing across the slot
-/// range so the live slots always form a prefix (shorter budgets retire
-/// from the back).
+/// auto-resets in place, and every batched forward is bit-identical per row
+/// to a one-row batch, so collect() fills exactly the buffers that E
+/// independent one-slot VecEnvs would — for any E and any IMAP_THREADS.
+/// Budgets must be non-increasing across the slot range so the live slots
+/// always form a prefix (shorter budgets retire from the back).
 ///
 /// One VecEnv is in flight per worker thread; the policy/critics stay
 /// read-only and all mutable scratch (workspaces, stacking batches) is owned
@@ -64,25 +63,17 @@ class VecEnv {
   const EnvSlot& slot(std::size_t i) const { return slots_[i]; }
 
   /// Optional running observation tracker: when set, collect() folds all
-  /// live observations of a tick with one update_batch call and
-  /// collect_serial() feeds the same observations one update() at a time
-  /// (telemetry only — neither path feeds normalized values back into the
-  /// rollout, so the buffers stay bit-identical with or without it).
+  /// live observations of a tick with one update_batch call (telemetry
+  /// only — normalized values never feed back into the rollout, so the
+  /// buffers stay bit-identical with or without it).
   void set_obs_normalizer(VecNormalizer* norm) { obs_norm_ = norm; }
 
   /// Lockstep vectorized collection. Slot i runs budgets[offset+i] steps
-  /// into its own buffer (bit-identical to collect_serial on the same
+  /// into its own buffer (bit-identical to a one-slot VecEnv on the same
   /// state). Episode state persists across calls.
   void collect(const nn::GaussianPolicy& policy, const nn::ValueNet& value_e,
                const nn::ValueNet& value_i, const std::vector<int>& budgets,
                std::size_t offset);
-
-  /// Reference per-sample collection: each slot in turn runs the legacy
-  /// serial loop (act / log_prob / value / step per timestep). The
-  /// bit-identity baseline for collect() and the benches' serial arm.
-  void collect_serial(const nn::GaussianPolicy& policy,
-                      const nn::ValueNet& value_e, const nn::ValueNet& value_i,
-                      const std::vector<int>& budgets, std::size_t offset);
 
   /// Serialize every slot's persistent state (stream, episode scalars,
   /// in-flight episode history). load_state rebuilds each slot's env by
@@ -99,6 +90,9 @@ class VecEnv {
                    const nn::ValueNet& value_i);
   void close_round(EnvSlot& s, const nn::ValueNet& value_e,
                    const nn::ValueNet& value_i);
+  /// V(obs) as a one-row batch on the critic's own workspace.
+  double bootstrap(const nn::ValueNet& value, nn::Mlp::Workspace& ws,
+                   const std::vector<double>& obs);
 
   std::vector<EnvSlot> slots_;
   /// All slots split their step around the SAME network-backed frozen
@@ -107,9 +101,10 @@ class VecEnv {
   VecNormalizer* obs_norm_ = nullptr;
 
   // Per-engine scratch (grows to the high-water mark once, then reused).
-  nn::Mlp::Workspace ws_policy_, ws_value_, ws_victim_;
-  nn::Batch obs_b_, act_b_, query_b_;
-  std::vector<double> logp_, vals_, action_, victim_out_;
+  // One workspace per network, so each keeps its transpose cache warm.
+  nn::Mlp::Workspace ws_policy_, ws_value_e_, ws_value_i_, ws_victim_;
+  nn::Batch obs_b_, act_b_, query_b_, boot_b_;
+  std::vector<double> logp_, vals_, boot_v_, action_, victim_out_;
 };
 
 }  // namespace imap::rl

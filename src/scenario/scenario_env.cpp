@@ -113,7 +113,7 @@ rl::StepResult ScenarioEnv::finish_step(
 }
 
 rl::StepResult ScenarioEnv::step(const std::vector<double>& action) {
-  return finish_step(victim_.query(begin_step(action)));
+  return finish_step(victim_.query(begin_step(action), ws_));
 }
 
 std::unique_ptr<ScenarioEnv> make_scenario_env(const ScenarioSpec& spec,

@@ -77,6 +77,7 @@ class ScenarioEnv : public rl::EnvBase<ScenarioEnv>, public rl::SplitStepEnv {
   std::vector<double> cur_obs_;
   std::vector<double> pending_ctrl_;  ///< clamped action, begin->finish
   std::vector<double> perturbed_;     ///< begin_step scratch (reused)
+  nn::Mlp::Workspace ws_;             ///< step()'s victim queries (per clone)
 };
 
 /// Build the attack/evaluation env for a scenario: RewardMode::Adversary for

@@ -177,10 +177,10 @@ TEST(SaRl, TrainsOnAdversaryRewardAndExportsFrozenPolicy) {
   const auto adv = attacker.adversary();
   Rng rng(3);
   const auto obs = inner->reset(rng);
-  const auto a = adv(obs);
+  const auto a = adv.query(obs);
   EXPECT_EQ(a.size(), inner->obs_dim());
   // Frozen snapshot: identical output on identical input.
-  EXPECT_EQ(adv(obs), a);
+  EXPECT_EQ(adv.query(obs), a);
 }
 
 TEST(ApMarl, TrainsOnGame) {
@@ -192,7 +192,8 @@ TEST(ApMarl, TrainsOnGame) {
   }), ppo, Rng(5));
   const auto stats = attacker.train(1024);
   EXPECT_GE(stats.size(), 2u);
-  EXPECT_EQ(attacker.adversary()(std::vector<double>(11, 0.0)).size(), 2u);
+  const auto adv = attacker.adversary();
+  EXPECT_EQ(adv.query(std::vector<double>(11, 0.0)).size(), 2u);
 }
 
 }  // namespace

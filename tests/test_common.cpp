@@ -2,6 +2,8 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <stdexcept>
+#include <string>
 
 #include "common/check.h"
 #include "common/config.h"
@@ -195,6 +197,42 @@ TEST(Config, EnvParsing) {
   ::setenv("IMAP_TEST_JUNK", "abc", 1);
   EXPECT_DOUBLE_EQ(env_double("IMAP_TEST_JUNK", 4.0), 4.0);
   EXPECT_EQ(env_string("IMAP_TEST_MISSING", "dflt"), "dflt");
+}
+
+TEST(Config, ParseIntAcceptsOnlyWholeIntegersInRange) {
+  EXPECT_EQ(parse_int("--port", "0", 0, 65535), 0);
+  EXPECT_EQ(parse_int("--port", "65535", 0, 65535), 65535);
+  EXPECT_EQ(parse_int("K", "-3", -5, 5), -3);
+  for (const char* bad : {"", "abc", "12x", " 12", "12 ", "+12", "1.5",
+                          "65536", "-1", "99999999999999999999"})
+    EXPECT_THROW(parse_int("--port", bad, 0, 65535), std::invalid_argument)
+        << "'" << bad << "'";
+  try {
+    parse_int("IMAP_SERVE_PORT", "70000", 0, 65535);
+    FAIL() << "out-of-range port accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "IMAP_SERVE_PORT: '70000' is not an integer in [0, 65535]");
+  }
+}
+
+TEST(Config, EnvIntFallsBackWhenUnsetAndRejectsBadValues) {
+  ::unsetenv("IMAP_TEST_INT");
+  EXPECT_EQ(env_int("IMAP_TEST_INT", 8, 1, 256), 8);
+  ::setenv("IMAP_TEST_INT", "", 1);
+  EXPECT_EQ(env_int("IMAP_TEST_INT", 8, 1, 256), 8);
+  ::setenv("IMAP_TEST_INT", "32", 1);
+  EXPECT_EQ(env_int("IMAP_TEST_INT", 8, 1, 256), 32);
+  ::setenv("IMAP_TEST_INT", "0", 1);
+  EXPECT_THROW(env_int("IMAP_TEST_INT", 8, 1, 256), std::invalid_argument);
+  ::setenv("IMAP_TEST_INT", "banana", 1);
+  try {
+    env_int("IMAP_TEST_INT", 8, 1, 256);
+    FAIL() << "junk accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("IMAP_TEST_INT"), std::string::npos);
+  }
+  ::unsetenv("IMAP_TEST_INT");
 }
 
 }  // namespace

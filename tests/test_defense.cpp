@@ -24,16 +24,17 @@ TEST(DefenseKind, NamesRoundTrip) {
 // input perturbation (sampled corners) — the quantity the smoothness hooks
 // are supposed to shrink.
 double roughness(const nn::GaussianPolicy& pi, double eps, Rng& rng) {
+  const auto handle = rl::PolicyHandle::snapshot(pi);
   double total = 0.0;
   const int n_states = 40, n_corners = 8;
   for (int s = 0; s < n_states; ++s) {
     const auto obs = rng.normal_vec(pi.obs_dim(), 0.0, 0.3);
-    const auto mu = pi.mean_action(obs);
+    const auto mu = handle.query(obs);
     double worst = 0.0;
     for (int c = 0; c < n_corners; ++c) {
       auto adv = obs;
       for (auto& x : adv) x += rng.bernoulli(0.5) ? eps : -eps;
-      const auto mu2 = pi.mean_action(adv);
+      const auto mu2 = handle.query(adv);
       double sq = 0.0;
       for (std::size_t i = 0; i < mu.size(); ++i)
         sq += (mu2[i] - mu[i]) * (mu2[i] - mu[i]);
@@ -113,9 +114,10 @@ TEST(PerturbedVictimEnv, AppliesAdversaryToObservations) {
 
 TEST(PerturbedVictimEnv, KeepsTaskReward) {
   const auto inner = env::make_hopper();
-  PerturbedVictimEnv env(*inner, [](const std::vector<double>& o) {
+  const rl::ActionFn zero = [](const std::vector<double>& o) {
     return std::vector<double>(o.size(), 0.0);
-  }, 0.075);
+  };
+  PerturbedVictimEnv env(*inner, zero, 0.075);
   Rng rng(3);
   env.reset(rng);
   const auto sr = env.step({0.0, 0.0, 0.0});

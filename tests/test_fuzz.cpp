@@ -9,6 +9,7 @@
 #include "core/knn.h"
 #include "nn/gaussian.h"
 #include "rl/gae.h"
+#include "rl/policy_handle.h"
 
 namespace imap {
 namespace {
@@ -141,7 +142,7 @@ TEST(Fuzz, LogProbConsistentWithSampling) {
     const double h = (hi - lo) / steps;
     for (int i = 0; i < steps; ++i) {
       const double x = lo + (i + 0.5) * h;
-      integral += std::exp(nn::diag_gaussian::log_prob({x}, {mean}, {ls})) * h;
+      integral += std::exp(nn::diag_gaussian::log_prob(&x, &mean, &ls, 1)) * h;
     }
     EXPECT_NEAR(integral, 1.0, 1e-3);
   }
@@ -154,8 +155,12 @@ TEST(Fuzz, KlNonNegativeAndZeroIffEqual) {
     const auto m1 = rng.normal_vec(d), m2 = rng.normal_vec(d);
     const auto s1 = rng.uniform_vec(d, -1.0, 0.5);
     const auto s2 = rng.uniform_vec(d, -1.0, 0.5);
-    EXPECT_GE(nn::diag_gaussian::kl(m1, s1, m2, s2), -1e-12);
-    EXPECT_NEAR(nn::diag_gaussian::kl(m1, s1, m1, s1), 0.0, 1e-12);
+    EXPECT_GE(
+        nn::diag_gaussian::kl(m1.data(), s1.data(), m2.data(), s2.data(), d),
+        -1e-12);
+    EXPECT_NEAR(
+        nn::diag_gaussian::kl(m1.data(), s1.data(), m1.data(), s1.data(), d),
+        0.0, 1e-12);
   }
 }
 
@@ -166,7 +171,8 @@ TEST(Fuzz, PolicyRoundTripThroughFlatParams) {
     nn::GaussianPolicy b(4, 2, {8, 8}, rng);
     b.set_flat_params(a.flat_params());
     const auto obs = rng.normal_vec(4);
-    EXPECT_EQ(a.mean_action(obs), b.mean_action(obs));
+    EXPECT_EQ(rl::PolicyHandle::snapshot(a).query(obs),
+              rl::PolicyHandle::snapshot(b).query(obs));
     EXPECT_EQ(a.log_std(), b.log_std());
   }
 }

@@ -38,17 +38,18 @@ TEST(GradientAttack, MadMaximizesActionDeviation) {
   const auto victim = make_victim_net(rng);
   const double eps = 0.1;
   const auto attack = make_mad_attack(victim, eps, 3);
+  const auto handle = rl::PolicyHandle::snapshot(victim);
 
   double mad_dev = 0.0, rand_dev = 0.0;
   Rng qrng(7);
   const int n = 40;
   for (int i = 0; i < n; ++i) {
     const auto obs = qrng.normal_vec(11, 0.0, 0.3);
-    const auto mu = victim.mean_action(obs);
+    const auto mu = handle.query(obs);
     auto deviation = [&](const std::vector<double>& dir) {
       auto adv = obs;
       for (std::size_t c = 0; c < adv.size(); ++c) adv[c] += eps * dir[c];
-      const auto mu2 = victim.mean_action(adv);
+      const auto mu2 = handle.query(adv);
       double sq = 0.0;
       for (std::size_t c = 0; c < mu.size(); ++c)
         sq += (mu2[c] - mu[c]) * (mu2[c] - mu[c]);
@@ -75,11 +76,9 @@ TEST(GradientAttack, PlugsIntoTheThreatModel) {
   Rng rng(11);
   auto victim_policy = make_victim_net(rng);
   const auto env = env::make_hopper();
-  const rl::ActionFn victim_fn = [&victim_policy](const std::vector<double>& o) {
-    return victim_policy.mean_action(o);
-  };
   Rng er(13);
-  const auto eval = evaluate_attack(*env, victim_fn,
+  const auto eval = evaluate_attack(*env,
+                                    rl::PolicyHandle::snapshot(victim_policy),
                                     make_mad_attack(victim_policy, 0.075, 2),
                                     0.075, 5, er);
   EXPECT_EQ(eval.episode_returns.size(), 5u);

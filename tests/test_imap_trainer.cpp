@@ -2,9 +2,12 @@
 
 #include <cmath>
 
+#include "attack/ap_marl.h"
+#include "attack/sa_rl.h"
 #include "core/imap_trainer.h"
 #include "env/hopper.h"
 #include "env/you_shall_not_pass.h"
+#include "nn/matrix.h"
 
 namespace imap::core {
 namespace {
@@ -85,7 +88,77 @@ TEST(ImapTrainer, AdversaryMatchesThreatModelShape) {
   const auto adv = t.adversary();
   Rng rng(3);
   const auto obs = env->reset(rng);
-  EXPECT_EQ(adv(obs).size(), env->obs_dim());
+  EXPECT_EQ(adv.query(obs).size(), env->obs_dim());
+}
+
+/// The per-row mean the adversary closures computed before adversaries
+/// became handles: one per-sample kernel::affine per layer, tanh between.
+std::vector<double> per_row_mean(const nn::GaussianPolicy& policy,
+                                 std::vector<double> x) {
+  const auto& sizes = policy.net().sizes();
+  const auto& w = policy.net().params();
+  std::size_t off = 0;
+  for (std::size_t li = 0; li + 1 < sizes.size(); ++li) {
+    const std::size_t in = sizes[li], out = sizes[li + 1];
+    std::vector<double> y(out);
+    nn::kernel::affine(w.data() + off, w.data() + off + in * out, out, in,
+                       x.data(), y.data());
+    off += in * out + out;
+    if (li + 2 < sizes.size())
+      for (double& v : y) v = std::tanh(v);
+    x = std::move(y);
+  }
+  return x;
+}
+
+/// `adv` is a batchable frozen snapshot of `policy`: one-row queries and
+/// batched rows both equal the per-row mean bit for bit.
+void expect_frozen_mean_handle(const rl::PolicyHandle& adv,
+                               const nn::GaussianPolicy& policy) {
+  ASSERT_TRUE(adv.batched());
+  EXPECT_FALSE(adv.quantized());
+  EXPECT_NE(adv.net(), &policy);  // a snapshot, not a view
+  Rng rng(77);
+  nn::Batch obs(8, policy.obs_dim());
+  for (std::size_t r = 0; r < obs.rows(); ++r)
+    obs.set_row(r, rng.normal_vec(policy.obs_dim(), 0.0, 0.5));
+  nn::Mlp::Workspace ws;
+  const nn::Batch& batched = adv.query_batch(obs, ws);
+  for (std::size_t r = 0; r < obs.rows(); ++r) {
+    const std::vector<double> o(obs.row(r), obs.row(r) + obs.dim());
+    const auto want = per_row_mean(policy, o);
+    EXPECT_EQ(adv.query(o), want) << "row " << r;
+    for (std::size_t c = 0; c < want.size(); ++c)
+      EXPECT_EQ(batched(r, c), want[c]) << "row " << r << " col " << c;
+  }
+}
+
+TEST(Adversary, HandlesAreBatchedAndMatchPerRowMean) {
+  const auto env = env::make_hopper();
+  {
+    SCOPED_TRACE("ImapTrainer");
+    ImapTrainer t(*env, feedback_victim(), 0.075,
+                  small_opts(RegularizerType::SC), Rng(3));
+    t.iterate();
+    expect_frozen_mean_handle(t.adversary(), t.trainer().policy());
+  }
+  rl::PpoOptions ppo;
+  ppo.steps_per_iter = 512;
+  {
+    SCOPED_TRACE("SaRl");
+    attack::SaRl sa(*env, feedback_victim(), 0.075, ppo, Rng(5));
+    sa.trainer().iterate();
+    expect_frozen_mean_handle(sa.adversary(), sa.trainer().policy());
+  }
+  {
+    SCOPED_TRACE("ApMarl");
+    const auto game = env::make_you_shall_not_pass();
+    attack::ApMarl ap(*game, rl::ActionFn([](const std::vector<double>&) {
+      return std::vector<double>{-1.0, 0.0};
+    }), ppo, Rng(7));
+    ap.trainer().iterate();
+    expect_frozen_mean_handle(ap.adversary(), ap.trainer().policy());
+  }
 }
 
 TEST(ImapTrainer, DeterministicGivenSeed) {

@@ -31,10 +31,10 @@ TEST(Integration, VictimTrainingImprovesHopper) {
 
   Rng e1(17), e2(17);
   const auto young_eval = attack::evaluate_attack(
-      *env, core::Zoo::as_fn(young),
+      *env, core::Zoo::as_policy(young),
       attack::make_null_attack(env->obs_dim()), 0.075, 20, e1);
   const auto adult_eval = attack::evaluate_attack(
-      *env, core::Zoo::as_fn(adult),
+      *env, core::Zoo::as_policy(adult),
       attack::make_null_attack(env->obs_dim()), 0.075, 20, e2);
   EXPECT_GT(adult_eval.returns.mean, young_eval.returns.mean + 50.0);
 }
@@ -44,7 +44,7 @@ TEST(Integration, ImapAttackBeatsNullOnTrainedVictim) {
   Rng rng(7);
   auto victim_policy = defense::train_victim(
       *env, defense::DefenseKind::Vanilla, 80'000, {}, rng.split(1));
-  const auto victim = core::Zoo::as_fn(victim_policy);
+  const auto victim = core::Zoo::as_policy(victim_policy);
   const double eps = env::spec("Hopper").epsilon;
 
   core::ImapOptions opts;
@@ -98,7 +98,7 @@ TEST(Integration, MultiAgentPipelineSmoke) {
   rl::PpoTrainer victim_trainer(tenv, ppo, rng.split(1));
   victim_trainer.train(20'000);
   auto victim_policy = victim_trainer.policy();
-  const auto victim = core::Zoo::as_fn(victim_policy);
+  const auto victim = core::Zoo::as_policy(victim_policy);
 
   core::ImapOptions opts;
   opts.reg.type = core::RegularizerType::PC;
@@ -126,10 +126,10 @@ TEST(Integration, CheckpointedVictimBehavesIdentically) {
 
   Rng e1(31), e2(31);
   const auto a = attack::evaluate_attack(
-      *env, core::Zoo::as_fn(policy),
+      *env, core::Zoo::as_policy(policy),
       attack::make_null_attack(env->obs_dim()), 0.05, 5, e1);
   const auto b = attack::evaluate_attack(
-      *env, core::Zoo::as_fn(*loaded),
+      *env, core::Zoo::as_policy(*loaded),
       attack::make_null_attack(env->obs_dim()), 0.05, 5, e2);
   EXPECT_DOUBLE_EQ(a.returns.mean, b.returns.mean);
   std::remove(path.c_str());

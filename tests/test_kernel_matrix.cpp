@@ -88,7 +88,7 @@ void run_affine_cell(const std::string& backend, std::size_t in,
   for (std::size_t i = 0; i < ref.size(); ++i)
     ASSERT_EQ(ref[i], got_wt[i]) << "cached wt, element " << i;
 
-  // Null bias is part of the kernel contract (Matrix::matvec uses it).
+  // Null bias is part of the kernel contract (it means bias 0).
   std::vector<double> ref0(batch * out), got0(batch * out, 0.0);
   for (std::size_t n = 0; n < batch; ++n)
     kernel::affine(w.data(), nullptr, out, in, x.data() + n * in,

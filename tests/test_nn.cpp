@@ -14,28 +14,6 @@
 namespace imap::nn {
 namespace {
 
-TEST(Matrix, MatvecAndTranspose) {
-  Matrix m(2, 3);
-  // [1 2 3; 4 5 6]
-  double v = 1.0;
-  for (std::size_t r = 0; r < 2; ++r)
-    for (std::size_t c = 0; c < 3; ++c) m(r, c) = v++;
-  const auto y = m.matvec({1.0, 0.0, -1.0});
-  EXPECT_DOUBLE_EQ(y[0], -2.0);
-  EXPECT_DOUBLE_EQ(y[1], -2.0);
-  const auto yt = m.matvec_transposed({1.0, 1.0});
-  EXPECT_DOUBLE_EQ(yt[0], 5.0);
-  EXPECT_DOUBLE_EQ(yt[1], 7.0);
-  EXPECT_DOUBLE_EQ(yt[2], 9.0);
-}
-
-TEST(Matrix, AddOuter) {
-  Matrix m(2, 2);
-  m.add_outer({1.0, 2.0}, {3.0, 4.0}, 0.5);
-  EXPECT_DOUBLE_EQ(m(0, 0), 1.5);
-  EXPECT_DOUBLE_EQ(m(1, 1), 4.0);
-}
-
 TEST(VectorOps, Basics) {
   std::vector<double> y{1, 2};
   axpy(y, 2.0, {3, 4});
@@ -63,7 +41,9 @@ TEST(Mlp, InputGradientMatchesBackward) {
 TEST(Mlp, RejectsWrongInputDim) {
   Rng rng(1);
   Mlp net({3, 4, 2}, rng);
-  EXPECT_THROW(net.forward({1.0, 2.0}), CheckError);
+  Batch x(1, 2);
+  x.fill(1.0);
+  EXPECT_THROW(net.forward_batch(x), CheckError);
 }
 
 TEST(Adam, MinimizesQuadratic) {
@@ -86,12 +66,19 @@ TEST(Adam, ClipsGlobalNorm) {
   EXPECT_LT(std::abs(p[0]), 2.0);
 }
 
+/// 1-D log density and KL through the pointer cores.
+double log_prob1(double a, double mean, double log_std) {
+  return diag_gaussian::log_prob(&a, &mean, &log_std, 1);
+}
+double kl1(double mp, double lp, double mq, double lq) {
+  return diag_gaussian::kl(&mp, &lp, &mq, &lq, 1);
+}
+
 TEST(DiagGaussian, LogProbMatchesClosedForm) {
   // 1-D standard normal at 0: log(1/sqrt(2π)).
-  EXPECT_NEAR(diag_gaussian::log_prob({0.0}, {0.0}, {0.0}),
-              -0.5 * std::log(2 * M_PI), 1e-12);
+  EXPECT_NEAR(log_prob1(0.0, 0.0, 0.0), -0.5 * std::log(2 * M_PI), 1e-12);
   // Scaling: N(0, e²) at x=e has logp = -0.5 - 1 - 0.5 ln 2π.
-  EXPECT_NEAR(diag_gaussian::log_prob({std::exp(1.0)}, {0.0}, {1.0}),
+  EXPECT_NEAR(log_prob1(std::exp(1.0), 0.0, 1.0),
               -0.5 - 1.0 - 0.5 * std::log(2 * M_PI), 1e-12);
 }
 
@@ -99,32 +86,12 @@ TEST(DiagGaussian, EntropyAndKl) {
   EXPECT_NEAR(diag_gaussian::entropy({0.0}),
               0.5 * std::log(2 * M_PI * std::exp(1.0)), 1e-12);
   // KL(p‖p) = 0.
-  EXPECT_NEAR(diag_gaussian::kl({1.0, 2.0}, {0.1, -0.2}, {1.0, 2.0},
-                                {0.1, -0.2}),
+  const std::vector<double> m{1.0, 2.0}, ls{0.1, -0.2};
+  EXPECT_NEAR(diag_gaussian::kl(m.data(), ls.data(), m.data(), ls.data(), 2),
               0.0, 1e-12);
   // KL between unit Gaussians with mean shift δ is δ²/2.
-  EXPECT_NEAR(diag_gaussian::kl({1.0}, {0.0}, {0.0}, {0.0}), 0.5, 1e-12);
-  EXPECT_GT(diag_gaussian::kl({0.0}, {1.0}, {0.0}, {0.0}), 0.0);
-}
-
-TEST(GaussianPolicy, SampleStatisticsMatchParameters) {
-  Rng rng(9);
-  GaussianPolicy pi(3, 2, {16}, rng, /*init_log_std=*/-0.5);
-  const auto obs = rng.normal_vec(3);
-  const auto mu = pi.mean_action(obs);
-  std::vector<double> acc(2, 0.0), acc2(2, 0.0);
-  const int n = 20000;
-  for (int i = 0; i < n; ++i) {
-    const auto a = pi.act(obs, rng);
-    for (int d = 0; d < 2; ++d) {
-      acc[d] += a[d];
-      acc2[d] += (a[d] - mu[d]) * (a[d] - mu[d]);
-    }
-  }
-  for (int d = 0; d < 2; ++d) {
-    EXPECT_NEAR(acc[d] / n, mu[d], 0.02);
-    EXPECT_NEAR(std::sqrt(acc2[d] / n), std::exp(-0.5), 0.02);
-  }
+  EXPECT_NEAR(kl1(1.0, 0.0, 0.0, 0.0), 0.5, 1e-12);
+  EXPECT_GT(kl1(0.0, 1.0, 0.0, 0.0), 0.0);
 }
 
 TEST(GaussianPolicy, BackwardLogpMatchesFiniteDifferences) {
@@ -142,15 +109,20 @@ TEST(GaussianPolicy, BackwardLogpMatchesFiniteDifferences) {
   const auto analytic = pi.flat_grads();
 
   auto params = pi.flat_params();
+  std::vector<double> logp;
+  auto log_prob = [&] {
+    pi.log_prob_batch(obs_b, act_b, logp);
+    return logp[0];
+  };
   const double h = 1e-6;
   for (std::size_t i = 0; i < params.size(); i += 5) {
     auto p = params;
     p[i] += h;
     pi.set_flat_params(p);
-    const double lp = pi.log_prob(obs, act);
+    const double lp = log_prob();
     p[i] = params[i] - h;
     pi.set_flat_params(p);
-    const double lm = pi.log_prob(obs, act);
+    const double lm = log_prob();
     pi.set_flat_params(params);
     EXPECT_NEAR(analytic[i], (lp - lm) / (2 * h), 1e-4) << "param " << i;
   }
@@ -174,13 +146,17 @@ TEST(ValueNet, BackwardMatchesFiniteDifferences) {
   v.value_batch(obs_b, vals);
   v.backward_batch({1.0});
   const auto analytic = v.grads();
+  auto value = [&] {
+    v.value_batch(obs_b, vals);
+    return vals[0];
+  };
   const double h = 1e-6;
   for (std::size_t i = 0; i < v.params().size(); i += 3) {
     const double orig = v.params()[i];
     v.params()[i] = orig + h;
-    const double vp = v.value(obs);
+    const double vp = value();
     v.params()[i] = orig - h;
-    const double vm = v.value(obs);
+    const double vm = value();
     v.params()[i] = orig;
     EXPECT_NEAR(analytic[i], (vp - vm) / (2 * h), 1e-4);
   }
@@ -195,8 +171,12 @@ TEST(Checkpoint, PolicyRoundTrip) {
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(loaded->obs_dim(), 5u);
   EXPECT_EQ(loaded->act_dim(), 3u);
-  const auto obs = rng.normal_vec(5);
-  EXPECT_EQ(loaded->mean_action(obs), pi.mean_action(obs));
+  Batch obs(1, 5);
+  obs.set_row(0, rng.normal_vec(5));
+  Mlp::Workspace ws_loaded, ws_pi;
+  const Batch& a = loaded->mean_batch(obs, ws_loaded);
+  const Batch& b = pi.mean_batch(obs, ws_pi);
+  for (std::size_t i = 0; i < 3; ++i) EXPECT_EQ(a(0, i), b(0, i));
   std::remove(path.c_str());
 }
 
@@ -211,8 +191,13 @@ TEST(Checkpoint, ValueNetRoundTrip) {
   write_value_net(w, v);
   BinaryReader r(std::vector<std::uint8_t>(w.buffer()));
   const auto v2 = read_value_net(r);
-  const auto obs = rng.normal_vec(4);
-  EXPECT_DOUBLE_EQ(v2.value(obs), v.value(obs));
+  Batch obs(1, 4);
+  obs.set_row(0, rng.normal_vec(4));
+  Mlp::Workspace ws;
+  std::vector<double> a, b;
+  v2.value_batch(obs, ws, a);
+  v.value_batch(obs, b);
+  EXPECT_DOUBLE_EQ(a[0], b[0]);
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // Tests for the batched kernel layer (nn/batch.h, Mlp::forward_batch /
 // backward_batch and the batched policy/critic APIs):
 //  * bitwise parity — every batched result must equal a run of 1-row calls
-//    (and, for forwards, the single-row inference path) exactly, not
-//    approximately (the determinism contract in DESIGN.md);
+//    exactly, not approximately (the determinism contract in DESIGN.md);
+//  * the Workspace transpose cache follows the weights, not the address;
 //  * finite-difference correctness of the batched backward;
 //  * the zero-allocation guarantee of the Workspace arena in steady state.
 // The end-to-end PPO update is pinned by the golden digests (test_golden).
@@ -94,14 +94,14 @@ TEST_P(MlpBatchParity, ForwardMatchesPerSampleBitwise) {
   Mlp net({5, 16, 8, 3}, rng);
   const Batch x = random_batch(bs, 5, rng);
 
-  Mlp::Workspace ws;
+  Mlp::Workspace ws, ws1;
   const Batch& y = net.forward_batch(x, ws);
   ASSERT_EQ(y.rows(), bs);
   ASSERT_EQ(y.dim(), 3u);
   for (std::size_t r = 0; r < bs; ++r) {
-    const auto yr = net.forward(row_vec(x, r));
+    const Batch& yr = net.forward_batch(one_row(x, r), ws1);
     for (std::size_t c = 0; c < 3; ++c)
-      EXPECT_EQ(y(r, c), yr[c]) << "row " << r << " col " << c;
+      EXPECT_EQ(y(r, c), yr(0, c)) << "row " << r << " col " << c;
   }
 }
 
@@ -223,11 +223,13 @@ TEST(GaussianPolicyBatch, LogProbBatchMatchesPerSample) {
   const Batch obs = random_batch(bs, 6, rng);
   const Batch act = random_batch(bs, 3, rng);
 
-  std::vector<double> lp;
+  std::vector<double> lp, lp1;
   pol.log_prob_batch(obs, act, lp);
   ASSERT_EQ(lp.size(), bs);
-  for (std::size_t r = 0; r < bs; ++r)
-    EXPECT_EQ(lp[r], pol.log_prob(row_vec(obs, r), row_vec(act, r)));
+  for (std::size_t r = 0; r < bs; ++r) {
+    pol.log_prob_batch(one_row(obs, r), one_row(act, r), lp1);
+    EXPECT_EQ(lp[r], lp1[0]);
+  }
 }
 
 TEST(GaussianPolicyBatch, BackwardLogpBatchMatchesPerSampleBitwise) {
@@ -277,12 +279,51 @@ TEST(ValueNetBatch, ValueAndBackwardMatchPerSampleBitwise) {
   serial.zero_grad();
   std::vector<double> v1;
   for (std::size_t r = 0; r < bs; ++r) {
-    EXPECT_EQ(v[r], serial.value(row_vec(obs, r)));
     serial.value_batch(one_row(obs, r), v1);
     EXPECT_EQ(v[r], v1[0]);
     serial.backward_batch({coeff[r]});
   }
   EXPECT_EQ(batched.grads(), serial.grads());
+}
+
+// A network built where a freed one lived must not be served the freed
+// network's cached weight transposes through a shared workspace. Placement
+// new pins both networks to one address.
+TEST(MlpBatch, NetworkAtFreedAddressGetsItsOwnTransposes) {
+  Rng rng(47);
+  const Batch x = random_batch(64, 11, rng);
+  alignas(Mlp) unsigned char storage[sizeof(Mlp)];
+  Mlp::Workspace shared, fresh;
+
+  Rng ra(1);
+  Mlp* a = new (storage) Mlp({11, 64, 64, 3}, ra);
+  a->forward_batch(x, shared);
+  a->~Mlp();
+
+  Rng rb(2);
+  Mlp* b = new (storage) Mlp({11, 64, 64, 3}, rb);
+  const Batch got = b->forward_batch(x, shared);
+  const Batch& want = b->forward_batch(x, fresh);
+  for (std::size_t r = 0; r < 64; ++r)
+    for (std::size_t c = 0; c < 3; ++c)
+      EXPECT_EQ(got(r, c), want(r, c)) << "row " << r << " col " << c;
+  b->~Mlp();
+}
+
+// weight_version identifies weights: a copy shares its source's version,
+// separately built networks and every mutable access get fresh ones.
+TEST(MlpBatch, WeightVersionFollowsTheWeights) {
+  Rng rng(53), rng2(53);
+  Mlp a({4, 8, 2}, rng);
+  Mlp twin({4, 8, 2}, rng2);
+  const Mlp copy = a;
+  EXPECT_EQ(copy.weight_version(), a.weight_version());
+  EXPECT_NE(twin.weight_version(), a.weight_version());
+  const auto before = a.weight_version();
+  a.params()[0] += 1.0;
+  EXPECT_NE(a.weight_version(), before);
+  EXPECT_NE(a.weight_version(), twin.weight_version());
+  EXPECT_EQ(copy.weight_version(), before);
 }
 
 // The Workspace arena must stop allocating once warm: after one forward/

@@ -1,9 +1,9 @@
 // QuantizedMlp + victim-quant serving path (nn/quant.h): accuracy is
 // tolerance-pinned against the fp64 network, the quantized forward is
 // bit-identical across batch sizes and kernel backends, staleness tracking
-// follows the Mlp weight version, and PolicyHandle routes BOTH query() and
-// query_batch() through the same quantized network so the lockstep-vs-serial
-// invariants of the rollout engine survive quant mode.
+// follows the Mlp weight version, and a PolicyHandle::serving(net, true)
+// handle routes BOTH query() and query_batch() through the same quantized
+// network so the one-row and batched answers agree in quant mode.
 
 #include <gtest/gtest.h>
 
@@ -26,7 +26,6 @@ using imap::nn::Batch;
 using imap::nn::GaussianPolicy;
 using imap::nn::Mlp;
 using imap::nn::QuantizedMlp;
-using imap::nn::ScopedVictimQuant;
 using imap::rl::PolicyHandle;
 
 Batch random_batch(std::size_t rows, std::size_t dim, Rng& rng) {
@@ -63,14 +62,15 @@ TEST(QuantizedMlp, BatchedRowsMatchSingleSampleBitwise) {
   Rng rng(103);
   Mlp net = victim_net(rng);
   const QuantizedMlp qnet(net);
-  Mlp::Workspace ws;
+  Mlp::Workspace ws, ws1;
   const Batch obs = random_batch(17, 11, rng);
   const Batch& batched = qnet.forward_batch(obs, ws);
+  Batch row(1, obs.dim());
   for (std::size_t r = 0; r < obs.rows(); ++r) {
-    std::vector<double> row(obs.row(r), obs.row(r) + obs.dim());
-    const auto single = qnet.forward(row);
+    row.set_row(0, std::vector<double>(obs.row(r), obs.row(r) + obs.dim()));
+    const Batch& single = qnet.forward_batch(row, ws1);
     for (std::size_t c = 0; c < qnet.out_dim(); ++c)
-      ASSERT_EQ(single[c], batched(r, c)) << "row " << r << " dim " << c;
+      ASSERT_EQ(single(0, c), batched(r, c)) << "row " << r << " dim " << c;
   }
 }
 
@@ -109,19 +109,11 @@ TEST(QuantizedMlp, StaleForTracksWeightVersion) {
 
   Rng rng2(109);
   Mlp other = victim_net(rng2);
-  EXPECT_TRUE(qnet.stale_for(other));  // different object, same weights
-}
+  EXPECT_TRUE(qnet.stale_for(other));  // built separately, same weights
 
-TEST(VictimQuant, ScopedToggleOverridesEnvironment) {
-  {
-    ScopedVictimQuant on(true);
-    EXPECT_TRUE(imap::nn::victim_quant_enabled());
-    {
-      ScopedVictimQuant off(false);
-      EXPECT_FALSE(imap::nn::victim_quant_enabled());
-    }
-    EXPECT_TRUE(imap::nn::victim_quant_enabled());
-  }
+  const Mlp copy = net;  // a copy holds the same weights, so is not stale
+  const QuantizedMlp qcopy(net);
+  EXPECT_FALSE(qcopy.stale_for(copy));
 }
 
 TEST(VictimQuant, HandleModeFixedAtConstruction) {
@@ -129,23 +121,18 @@ TEST(VictimQuant, HandleModeFixedAtConstruction) {
   auto policy = std::make_shared<const GaussianPolicy>(
       11, 3, std::vector<std::size_t>{32, 32}, rng);
 
-  PolicyHandle plain(policy);
-  EXPECT_FALSE(plain.quantized());
-
-  ScopedVictimQuant on(true);
-  PolicyHandle quant(policy);
-  EXPECT_TRUE(quant.quantized());
-  // The toggle is consulted at construction only — the earlier handle keeps
-  // serving fp64 even while the scope is active.
-  EXPECT_FALSE(plain.quantized());
+  // serving(net, true) is the one int8 route; every other constructor
+  // serves fp64.
+  EXPECT_FALSE(PolicyHandle(policy).quantized());
+  EXPECT_FALSE(PolicyHandle::serving(policy, false).quantized());
+  EXPECT_TRUE(PolicyHandle::serving(policy, true).quantized());
 }
 
 TEST(VictimQuant, QueryMatchesQueryBatchBitwiseInQuantMode) {
   Rng rng(127);
   auto policy = std::make_shared<const GaussianPolicy>(
       11, 3, std::vector<std::size_t>{32, 32}, rng);
-  ScopedVictimQuant on(true);
-  PolicyHandle handle(policy);
+  const PolicyHandle handle = PolicyHandle::serving(policy, true);
   ASSERT_TRUE(handle.quantized());
 
   const Batch obs = random_batch(9, 11, rng);
@@ -164,9 +151,8 @@ TEST(VictimQuant, QuantizedQueriesStayWithinToleranceOfFp64) {
   Rng rng(131);
   auto policy = std::make_shared<const GaussianPolicy>(
       11, 3, std::vector<std::size_t>{32, 32}, rng);
-  PolicyHandle exact(policy);
-  ScopedVictimQuant on(true);
-  PolicyHandle quant(policy);
+  const PolicyHandle exact(policy);
+  const PolicyHandle quant = PolicyHandle::serving(policy, true);
 
   double max_err = 0.0;
   for (int i = 0; i < 32; ++i) {
@@ -181,12 +167,11 @@ TEST(VictimQuant, QuantizedQueriesStayWithinToleranceOfFp64) {
   EXPECT_LE(max_err, imap::nn::kQuantActionTolerance);
 }
 
-TEST(VictimQuant, SnapshotRespectsToggle) {
+TEST(VictimQuant, SnapshotAlwaysServesFp64) {
   Rng rng(137);
   GaussianPolicy policy(11, 3, {32, 32}, rng);
-  ScopedVictimQuant on(true);
-  PolicyHandle handle = PolicyHandle::snapshot(policy);
-  EXPECT_TRUE(handle.quantized());
+  const PolicyHandle handle = PolicyHandle::snapshot(policy);
+  EXPECT_FALSE(handle.quantized());
   EXPECT_TRUE(handle.batched());
 }
 

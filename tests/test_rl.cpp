@@ -148,12 +148,9 @@ TEST(Ppo, LearnsTheLineTask) {
   // Optimal return ≈ −(ramp-in cost) ≈ −9; random policy scores ≈ −180.
   EXPECT_GT(stats.back().mean_return, -40.0);
   // Deterministic evaluation should park next to x = 3.
-  auto policy = trainer.policy();
   Rng eval_rng(11);
-  const auto eval = evaluate(
-      env,
-      [&policy](const std::vector<double>& o) { return policy.mean_action(o); },
-      20, eval_rng);
+  const auto eval = evaluate(env, PolicyHandle::snapshot(trainer.policy()),
+                             20, eval_rng);
   EXPECT_GT(eval.returns.mean, -30.0);
   EXPECT_GT(eval.success_rate, 0.8);
 }
@@ -205,10 +202,9 @@ TEST(Evaluate, CountsSuccessesAndLengths) {
   Rng rng(3);
   // A hand-written optimal controller.
   const auto stats = evaluate(
-      env,
-      [](const std::vector<double>& o) {
+      env, ActionFn([](const std::vector<double>& o) {
         return std::vector<double>{o[0] < 3.0 ? 1.0 : -1.0};
-      },
+      }),
       10, rng);
   EXPECT_EQ(stats.episode_returns.size(), 10u);
   EXPECT_DOUBLE_EQ(stats.success_rate, 1.0);
@@ -216,42 +212,13 @@ TEST(Evaluate, CountsSuccessesAndLengths) {
   EXPECT_GT(stats.returns.mean, -30.0);
 }
 
-// evaluate_batched's contract: episode e equals — exactly — a one-episode
-// serial evaluate() run on the child stream rng.split(e).
-TEST(Evaluate, BatchedMatchesPerEpisodeSerialExactly) {
-  LineEnv env;
-  Rng rng_train(5);
-  nn::GaussianPolicy policy(env.obs_dim(), env.act_dim(), {8, 8}, rng_train);
-
-  constexpr int kEpisodes = 6;
-  Rng rng_batched(21);
-  const auto batched = evaluate_batched(env, policy, kEpisodes, rng_batched);
-  ASSERT_EQ(batched.episode_returns.size(), static_cast<std::size_t>(kEpisodes));
-
-  Rng rng_serial(21);
-  long long total_len = 0;
-  for (int e = 0; e < kEpisodes; ++e) {
-    Rng er = rng_serial.split(static_cast<std::uint64_t>(e));
-    const auto serial = evaluate(
-        env,
-        [&policy](const std::vector<double>& o) {
-          return policy.mean_action(o);
-        },
-        1, er);
-    EXPECT_EQ(batched.episode_returns[static_cast<std::size_t>(e)],
-              serial.episode_returns[0])
-        << "episode " << e;
-    total_len += static_cast<long long>(serial.mean_length);
-  }
-  EXPECT_DOUBLE_EQ(batched.mean_length,
-                   static_cast<double>(total_len) / kEpisodes);
-}
-
 TEST(Evaluate, TrajectoryEndsAtBoundary) {
   LineEnv env;
   Rng rng(3);
   const auto traj = rollout_trajectory(
-      env, [](const std::vector<double>&) { return std::vector<double>{0.0}; },
+      env, ActionFn([](const std::vector<double>&) {
+        return std::vector<double>{0.0};
+      }),
       rng);
   EXPECT_EQ(traj.size(), 61u);  // initial obs + 60 steps (truncation)
 }

@@ -6,38 +6,38 @@
 namespace imap::core {
 namespace {
 
-rl::RolloutBuffer cluster(double center, std::size_t n, Rng& rng) {
+rl::RolloutBuffer cluster(double center, std::size_t n, Rng& rng,
+                          double sd = 0.1) {
   rl::RolloutBuffer buf;
   for (std::size_t i = 0; i < n; ++i) {
-    auto s = rng.normal_vec(3, 0.0, 0.1);
+    auto s = rng.normal_vec(3, 0.0, sd);
     s[0] += center;
     buf.add(std::move(s), {0.0}, 0.0, 0.0, 0.0);
   }
   return buf;
 }
 
+/// Mean novelty over the buffer's states, read from the batched sweep.
+double mean_novelty(RndNovelty& rnd, rl::RolloutBuffer& buf) {
+  rnd.score(buf);
+  return mean(buf.rew_i);
+}
+
 TEST(Rnd, NoveltyIsNonNegative) {
   Rng rng(3);
   RndNovelty rnd(3, 8, rng);
-  for (int i = 0; i < 20; ++i)
-    EXPECT_GE(rnd.novelty(rng.normal_vec(3)), 0.0);
+  auto buf = cluster(0.0, 20, rng, /*sd=*/1.0);
+  rnd.score(buf);
+  for (const double v : buf.rew_i) EXPECT_GE(v, 0.0);
 }
 
 TEST(Rnd, FamiliarityReducesNovelty) {
   Rng rng(5);
   RndNovelty rnd(3, 8, rng);
   auto buf = cluster(0.0, 256, rng);
-  const double before = mean([&] {
-    std::vector<double> v;
-    for (const auto& s : buf.obs) v.push_back(rnd.novelty(s));
-    return v;
-  }());
+  const double before = mean_novelty(rnd, buf);
   for (int pass = 0; pass < 30; ++pass) rnd.update(buf);
-  const double after = mean([&] {
-    std::vector<double> v;
-    for (const auto& s : buf.obs) v.push_back(rnd.novelty(s));
-    return v;
-  }());
+  const double after = mean_novelty(rnd, buf);
   EXPECT_LT(after, 0.5 * before);
 }
 
@@ -49,16 +49,10 @@ TEST(Rnd, NovelRegionStaysNovel) {
 
   // States far from the training cluster keep a larger error than the
   // cluster itself.
-  double familiar = 0.0, novel = 0.0;
   Rng qrng(9);
-  for (int i = 0; i < 32; ++i) {
-    auto near = qrng.normal_vec(3, 0.0, 0.1);
-    auto far = qrng.normal_vec(3, 0.0, 0.1);
-    far[0] += 4.0;
-    familiar += rnd.novelty(near);
-    novel += rnd.novelty(far);
-  }
-  EXPECT_GT(novel, familiar);
+  auto near = cluster(0.0, 32, qrng);
+  auto far = cluster(4.0, 32, qrng);
+  EXPECT_GT(mean_novelty(rnd, far), mean_novelty(rnd, near));
 }
 
 TEST(Rnd, ComputeFillsIntrinsicChannel) {
@@ -78,11 +72,10 @@ TEST(Rnd, ExhibitsTheForgettingProblem) {
   RndNovelty rnd(3, 8, rng);
   auto region_a = cluster(0.0, 256, rng);
   for (int pass = 0; pass < 150; ++pass) rnd.update(region_a);
-  auto mean_novelty_a = [&] {
-    double acc = 0.0;
-    for (int i = 0; i < 64; ++i) acc += rnd.novelty(region_a.obs[i]);
-    return acc / 64.0;
-  };
+  rl::RolloutBuffer probe_a;
+  for (int i = 0; i < 64; ++i)
+    probe_a.add(region_a.obs[i], {0.0}, 0.0, 0.0, 0.0);
+  auto mean_novelty_a = [&] { return mean_novelty(rnd, probe_a); };
   const double a_when_fresh = mean_novelty_a();
 
   auto region_b = cluster(6.0, 256, rng);

@@ -1,6 +1,6 @@
 // The determinism contract of the vectorized rollout engine: the lockstep
 // batched collection (one policy/value/victim forward per tick) fills
-// buffers bit-identical to E independent serial collections, for any E, any
+// buffers bit-identical to E independent one-slot engines, for any E, any
 // thread count and any (workers × slots) factorization of the total.
 
 #include <gtest/gtest.h>
@@ -54,9 +54,28 @@ void expect_buffers_identical(const rl::RolloutBuffer& a,
   EXPECT_EQ(a.episode_lengths, b.episode_lengths);
 }
 
-/// Run collect() and collect_serial() on identically-seeded twin engines over
-/// `proto` and require every slot's buffer to match bitwise.
-void expect_vectorized_matches_serial(const rl::Env& proto, std::size_t e,
+/// One one-slot engine per stream: engine i alone is the reference for
+/// slot i of a lockstep engine configured with the same streams.
+std::vector<rl::VecEnv> one_slot_engines(const rl::Env& proto,
+                                         const std::vector<Rng>& streams) {
+  std::vector<rl::VecEnv> refs(streams.size());
+  for (std::size_t i = 0; i < streams.size(); ++i)
+    refs[i].configure(proto, {streams[i]});
+  return refs;
+}
+
+/// Engine i collects budgets[i] steps (offset i into the shared budgets).
+void collect_each(std::vector<rl::VecEnv>& refs,
+                  const nn::GaussianPolicy& policy,
+                  const nn::ValueNet& value_e, const nn::ValueNet& value_i,
+                  const std::vector<int>& budgets) {
+  for (std::size_t i = 0; i < refs.size(); ++i)
+    refs[i].collect(policy, value_e, value_i, budgets, i);
+}
+
+/// Run an E-slot collect() and E one-slot collect()s over `proto` on the
+/// same streams and require every slot's buffer to match bitwise.
+void expect_lockstep_matches_one_slot(const rl::Env& proto, std::size_t e,
                                       int steps_per_slot) {
   Rng net_rng(17);
   nn::GaussianPolicy policy(proto.obs_dim(), proto.act_dim(), {16, 16},
@@ -64,21 +83,21 @@ void expect_vectorized_matches_serial(const rl::Env& proto, std::size_t e,
   nn::ValueNet value_e(proto.obs_dim(), {16, 16}, net_rng);
   nn::ValueNet value_i(proto.obs_dim(), {16, 16}, net_rng);
 
-  rl::VecEnv vec, ref;
+  rl::VecEnv vec;
   vec.configure(proto, make_streams(e, 23));
-  ref.configure(proto, make_streams(e, 23));
+  auto refs = one_slot_engines(proto, make_streams(e, 23));
 
   const std::vector<int> budgets(e, steps_per_slot);
   // Two rounds: the second starts from persisted mid-episode state, so the
   // cross-call episode carry is covered too.
   for (int round = 0; round < 2; ++round) {
     vec.collect(policy, value_e, value_i, budgets, 0);
-    ref.collect_serial(policy, value_e, value_i, budgets, 0);
+    collect_each(refs, policy, value_e, value_i, budgets);
     for (std::size_t i = 0; i < e; ++i) {
       SCOPED_TRACE("round " + std::to_string(round) + " slot " +
                    std::to_string(i));
-      expect_buffers_identical(vec.slot(i).buf, ref.slot(i).buf);
-      EXPECT_EQ(vec.slot(i).ep_successes, ref.slot(i).ep_successes);
+      expect_buffers_identical(vec.slot(i).buf, refs[i].slot(0).buf);
+      EXPECT_EQ(vec.slot(i).ep_successes, refs[i].slot(0).ep_successes);
     }
   }
 }
@@ -86,13 +105,13 @@ void expect_vectorized_matches_serial(const rl::Env& proto, std::size_t e,
 TEST(VecEnv, LockstepMatchesSerialOnDenseTask) {
   const auto env = env::make_env("Hopper");
   for (const std::size_t e : {std::size_t{1}, std::size_t{4}, std::size_t{16}})
-    expect_vectorized_matches_serial(*env, e, 96);
+    expect_lockstep_matches_one_slot(*env, e, 96);
 }
 
 TEST(VecEnv, LockstepMatchesSerialOnSparseTask) {
   const auto env = env::make_env("SparseHopper");
   for (const std::size_t e : {std::size_t{1}, std::size_t{4}, std::size_t{16}})
-    expect_vectorized_matches_serial(*env, e, 96);
+    expect_lockstep_matches_one_slot(*env, e, 96);
 }
 
 TEST(VecEnv, RaggedBudgetsKeepLiveSlotsAPrefix) {
@@ -102,17 +121,17 @@ TEST(VecEnv, RaggedBudgetsKeepLiveSlotsAPrefix) {
   nn::ValueNet value_e(env->obs_dim(), {16, 16}, net_rng);
   nn::ValueNet value_i(env->obs_dim(), {16, 16}, net_rng);
 
-  rl::VecEnv vec, ref;
+  rl::VecEnv vec;
   vec.configure(*env, make_streams(4, 31));
-  ref.configure(*env, make_streams(4, 31));
+  auto refs = one_slot_engines(*env, make_streams(4, 31));
 
   // Non-increasing, including a zero-budget slot (must stay untouched).
   const std::vector<int> budgets{70, 70, 33, 0};
   vec.collect(policy, value_e, value_i, budgets, 0);
-  ref.collect_serial(policy, value_e, value_i, budgets, 0);
+  collect_each(refs, policy, value_e, value_i, budgets);
   for (std::size_t i = 0; i < 4; ++i) {
     SCOPED_TRACE("slot " + std::to_string(i));
-    expect_buffers_identical(vec.slot(i).buf, ref.slot(i).buf);
+    expect_buffers_identical(vec.slot(i).buf, refs[i].slot(0).buf);
   }
   EXPECT_EQ(vec.slot(3).buf.size(), 0u);
 }
@@ -126,7 +145,7 @@ TEST(VecEnv, BatchedVictimPathMatchesSerialOnStatePerturbation) {
                             victim_rng);
   attack::StatePerturbationEnv proto(*inner, rl::PolicyHandle::snapshot(victim),
                                      0.075, attack::RewardMode::Adversary);
-  expect_vectorized_matches_serial(proto, 8, 80);
+  expect_lockstep_matches_one_slot(proto, 8, 80);
 }
 
 TEST(VecEnv, OpaqueVictimCollectsSameTraceAsNetworkHandle) {
@@ -137,12 +156,13 @@ TEST(VecEnv, OpaqueVictimCollectsSameTraceAsNetworkHandle) {
   auto victim = std::make_shared<nn::GaussianPolicy>(
       inner->obs_dim(), inner->act_dim(), std::vector<std::size_t>{16, 16},
       victim_rng);
-  attack::StatePerturbationEnv net_proto(*inner, rl::PolicyHandle(victim),
-                                         0.075, attack::RewardMode::Adversary);
+  const rl::PolicyHandle handle(victim);
+  attack::StatePerturbationEnv net_proto(*inner, handle, 0.075,
+                                         attack::RewardMode::Adversary);
   attack::StatePerturbationEnv fn_proto(
       *inner,
-      rl::ActionFn([victim](const std::vector<double>& o) {
-        return victim->mean_action(o);
+      rl::ActionFn([handle](const std::vector<double>& o) {
+        return handle.query(o);
       }),
       0.075, attack::RewardMode::Adversary);
 
@@ -170,7 +190,7 @@ TEST(VecEnv, BatchedVictimPathMatchesSerialOnOpponentGame) {
   nn::GaussianPolicy victim(game->victim_obs_dim(), game->victim_act_dim(),
                             {16, 16}, victim_rng);
   attack::OpponentEnv proto(*game, rl::PolicyHandle::snapshot(victim));
-  expect_vectorized_matches_serial(proto, 8, 80);
+  expect_lockstep_matches_one_slot(proto, 8, 80);
 }
 
 std::vector<rl::IterStats> run_trainer(const rl::Env& proto,
@@ -322,18 +342,18 @@ TEST(VecEnv, ObsNormalizerSeesTheSameStreamOnBothPaths) {
   nn::ValueNet value_e(env->obs_dim(), {16, 16}, net_rng);
   nn::ValueNet value_i(env->obs_dim(), {16, 16}, net_rng);
 
-  rl::VecEnv vec, ref;
+  rl::VecEnv vec;
   vec.configure(*env, make_streams(4, 73));
-  ref.configure(*env, make_streams(4, 73));
+  auto refs = one_slot_engines(*env, make_streams(4, 73));
   rl::VecNormalizer vec_norm(env->obs_dim()), ref_norm(env->obs_dim());
   vec.set_obs_normalizer(&vec_norm);
-  ref.set_obs_normalizer(&ref_norm);
+  for (auto& ref : refs) ref.set_obs_normalizer(&ref_norm);
 
   const std::vector<int> budgets(4, 64);
   vec.collect(policy, value_e, value_i, budgets, 0);
-  ref.collect_serial(policy, value_e, value_i, budgets, 0);
+  collect_each(refs, policy, value_e, value_i, budgets);
 
-  // Both paths fold the same observation multiset (tick-major vs slot-major
+  // Both sides fold the same observation multiset (tick-major vs slot-major
   // order), so the merged moments agree to merge tolerance — and the buffers
   // stay bit-identical (the tracker is telemetry only).
   ASSERT_EQ(vec_norm.count(), ref_norm.count());
@@ -344,7 +364,47 @@ TEST(VecEnv, ObsNormalizerSeesTheSameStreamOnBothPaths) {
     EXPECT_NEAR(vv[i], rv[i], 1e-10 * (1.0 + rv[i]));
   }
   for (std::size_t i = 0; i < 4; ++i)
-    expect_buffers_identical(vec.slot(i).buf, ref.slot(i).buf);
+    expect_buffers_identical(vec.slot(i).buf, refs[i].slot(0).buf);
+}
+
+TEST(GaussianPolicy, SampleStatisticsMatchParameters) {
+  // collect() samples a ~ N(μ(s), diag(exp(log_std))²) from each slot's
+  // stream: the standardized residuals (a − μ(s))·exp(−log_std) of the
+  // recorded actions must be ≈ N(0, 1) in every action dim.
+  const auto env = env::make_env("Hopper");
+  Rng net_rng(9);
+  nn::GaussianPolicy policy(env->obs_dim(), env->act_dim(), {16}, net_rng,
+                            /*init_log_std=*/-0.5);
+  nn::ValueNet value_e(env->obs_dim(), {16}, net_rng);
+  nn::ValueNet value_i(env->obs_dim(), {16}, net_rng);
+  rl::VecEnv vec;
+  vec.configure(*env, make_streams(4, 19));
+  vec.collect(policy, value_e, value_i, std::vector<int>(4, 5000), 0);
+
+  const std::size_t adim = env->act_dim();
+  std::vector<double> sum(adim, 0.0), sum2(adim, 0.0);
+  double n = 0.0;
+  nn::Mlp::Workspace ws;
+  nn::Batch obs;
+  for (std::size_t i = 0; i < vec.size(); ++i) {
+    const rl::RolloutBuffer& buf = vec.slot(i).buf;
+    obs.gather_range(buf.obs, 0, buf.size());
+    const nn::Batch& mu = policy.mean_batch(obs, ws);
+    for (std::size_t t = 0; t < buf.size(); ++t) {
+      for (std::size_t d = 0; d < adim; ++d) {
+        const double z =
+            (buf.act[t][d] - mu(t, d)) * std::exp(-policy.log_std()[d]);
+        sum[d] += z;
+        sum2[d] += z * z;
+      }
+      n += 1.0;
+    }
+  }
+  ASSERT_EQ(n, 20000.0);
+  for (std::size_t d = 0; d < adim; ++d) {
+    EXPECT_NEAR(sum[d] / n, 0.0, 0.03) << "dim " << d;
+    EXPECT_NEAR(std::sqrt(sum2[d] / n), 1.0, 0.03) << "dim " << d;
+  }
 }
 
 }  // namespace

@@ -78,16 +78,17 @@ TEST_F(ZooTest, GameVictimMatchesGameShape) {
   EXPECT_EQ(v.act_dim(), game->victim_act_dim());
 }
 
-TEST_F(ZooTest, AsFnIsFrozenDeterministicSnapshot) {
+TEST_F(ZooTest, AsPolicyIsFrozenDeterministicSnapshot) {
   Zoo zoo(dir_, 0.01, 7);
   auto v = zoo.victim("Hopper", "PPO");
-  const auto fn = Zoo::as_fn(v);
+  const auto fn = Zoo::as_policy(v);
+  EXPECT_TRUE(fn.batched());
   Rng rng(3);
   const auto obs = rng.normal_vec(11, 0.0, 0.1);
-  const auto a = fn(obs);
+  const auto a = fn.query(obs);
   // Mutating the original policy must not affect the snapshot.
   for (auto& w : v.net().params()) w = 0.0;
-  EXPECT_EQ(fn(obs), a);
+  EXPECT_EQ(fn.query(obs), a);
 }
 
 TEST_F(ZooTest, VictimStepBudgetsScale) {

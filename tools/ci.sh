@@ -87,8 +87,8 @@ CI_SCENARIO='hopper+obs_perturb:0.075+obs_delay:1+dr[mass:0.9..1.1]@7'
 
 stage "bench-diff (rollout steps/s gate vs tracked BENCH_rollout.json)"
 # Regenerate the rollout-collection probe in the build dir (min-of-7
-# rounds of VecEnv::collect_serial vs VecEnv::collect on 16 slots,
-# bit-identity asserted) and gate it against
+# rounds of 16 one-slot VecEnv::collect calls vs one 16-slot lockstep
+# VecEnv::collect, bit-identity asserted) and gate it against
 # the tracked baseline: a >10% steps/s regression fails the stage. One warm
 # retry absorbs cold-start noise (page cache, CPU frequency ramp); a real
 # regression fails both runs.

@@ -9,15 +9,17 @@
 //   Usage: imap_serve [--port N] [--print-port]
 //
 // Configuration (flags override environment):
-//   IMAP_SERVE_PORT         listen port (default 8950; 0 = ephemeral)
-//   IMAP_SERVE_THREADS      request-handler workers (default 8)
-//   IMAP_SERVE_MAX_BATCH    rows per coalesced forward (default 32)
-//   IMAP_SERVE_MAX_WAIT_US  batching deadline in microseconds (default 200)
+//   IMAP_SERVE_PORT         listen port, 0..65535 (default 8950; 0 = ephemeral)
+//   IMAP_SERVE_THREADS      request-handler workers, 1..256 (default 8)
+//   IMAP_SERVE_MAX_BATCH    rows per coalesced forward, 0..4096 (default 32)
+//   IMAP_SERVE_MAX_WAIT_US  batching deadline in microseconds, 0..10^7
+//                           (default 200)
 //   IMAP_SERVE_COALESCE     1/0: cross-connection coalescing (default 1)
 //   IMAP_SERVE_QUANT        1/0: serve victims through int8 (default 1)
-//   IMAP_SERVE_CACHE_TTL_MS model-cache TTL (default 60000)
-//   IMAP_SERVE_CACHE_CAP    resident-model capacity (default 16)
+//   IMAP_SERVE_CACHE_TTL_MS model-cache TTL, 0..86400000 (default 60000)
+//   IMAP_SERVE_CACHE_CAP    resident-model capacity, 1..4096 (default 16)
 //   plus the usual IMAP_ZOO_DIR / IMAP_BENCH_SCALE / IMAP_SEED knobs.
+// A malformed or out-of-range integer (flag or env) exits 1 naming the knob.
 //
 // SIGINT/SIGTERM drain in-flight requests and exit 0.
 
@@ -26,6 +28,7 @@
 #include <csignal>
 #include <cstdlib>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 
 #include "common/config.h"
@@ -48,35 +51,46 @@ void on_signal(int) {
   }
 }
 
-int env_int(const char* name, int fallback) {
-  return static_cast<int>(imap::env_double(name, fallback));
+constexpr long long kMaxPort = 65535;
+
+int env_knob(const char* name, int fallback, long long lo, long long hi) {
+  return static_cast<int>(imap::env_int(name, fallback, lo, hi));
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   imap::serve::ServeOptions opts;
-  opts.bench = imap::BenchConfig::from_env();
-  opts.port = static_cast<std::uint16_t>(env_int("IMAP_SERVE_PORT", 8950));
-  opts.threads = env_int("IMAP_SERVE_THREADS", 8);
-  opts.coalesce.max_batch = env_int("IMAP_SERVE_MAX_BATCH", 32);
-  opts.coalesce.max_wait_us = env_int("IMAP_SERVE_MAX_WAIT_US", 200);
-  opts.coalesce.enabled = env_int("IMAP_SERVE_COALESCE", 1) != 0;
-  opts.cache.quant = env_int("IMAP_SERVE_QUANT", 1) != 0;
-  opts.cache.ttl_ms = env_int("IMAP_SERVE_CACHE_TTL_MS", 60'000);
-  opts.cache.capacity = env_int("IMAP_SERVE_CACHE_CAP", 16);
-
   bool print_port = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--port" && i + 1 < argc) {
-      opts.port = static_cast<std::uint16_t>(std::stoi(argv[++i]));
-    } else if (arg == "--print-port") {
-      print_port = true;
-    } else {
-      std::cerr << "imap_serve: unknown flag " << arg << "\n";
-      return 1;
+  try {
+    opts.bench = imap::BenchConfig::from_env();
+    opts.port = static_cast<std::uint16_t>(
+        imap::env_int("IMAP_SERVE_PORT", 8950, 0, kMaxPort));
+    opts.threads = env_knob("IMAP_SERVE_THREADS", 8, 1, 256);
+    opts.coalesce.max_batch = env_knob("IMAP_SERVE_MAX_BATCH", 32, 0, 4096);
+    opts.coalesce.max_wait_us =
+        imap::env_int("IMAP_SERVE_MAX_WAIT_US", 200, 0, 10'000'000);
+    opts.coalesce.enabled = env_knob("IMAP_SERVE_COALESCE", 1, 0, 1) != 0;
+    opts.cache.quant = env_knob("IMAP_SERVE_QUANT", 1, 0, 1) != 0;
+    opts.cache.ttl_ms =
+        imap::env_int("IMAP_SERVE_CACHE_TTL_MS", 60'000, 0, 86'400'000);
+    opts.cache.capacity = env_knob("IMAP_SERVE_CACHE_CAP", 16, 1, 4096);
+
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      if (arg == "--port" && i + 1 < argc) {
+        opts.port = static_cast<std::uint16_t>(
+            imap::parse_int("--port", argv[++i], 0, kMaxPort));
+      } else if (arg == "--print-port") {
+        print_port = true;
+      } else {
+        std::cerr << "imap_serve: unknown flag " << arg << "\n";
+        return 1;
+      }
     }
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "imap_serve: " << e.what() << "\n";
+    return 1;
   }
 
   int wake[2];
