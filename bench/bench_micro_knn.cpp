@@ -4,6 +4,7 @@
 #include <benchmark/benchmark.h>
 
 #include "core/knn.h"
+#include "core/regularizer.h"
 
 using imap::Rng;
 using imap::core::KnnBuffer;
@@ -63,5 +64,38 @@ void BM_PcBonusPass(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PcBonusPass)->Unit(benchmark::kMillisecond);
+
+// The production call: make_regularizer(PC)->compute() on a fixed 2048-row,
+// 11-wide rollout (Hopper's observation width) against a full 4096-row
+// union buffer. Each iteration scans D_k and B for every row on the thread
+// pool (IMAP_THREADS), then folds the rollout into B by reservoir sampling,
+// so B stays full.
+void BM_PcRegularizerCompute(benchmark::State& state) {
+  constexpr std::size_t obs_dim = 11, act_dim = 3, rows = 2048;
+  imap::core::RegularizerOptions opts;
+  opts.type = imap::core::RegularizerType::PC;
+  opts.pc_capacity = 4096;
+  auto reg = imap::core::make_regularizer(opts, obs_dim, act_dim, Rng(42));
+  Rng rng(7);
+  const imap::nn::GaussianPolicy policy(obs_dim, act_dim, {8}, rng);
+  auto rollout = [&] {
+    imap::rl::RolloutBuffer buf;
+    for (std::size_t i = 0; i < rows; ++i)
+      buf.add(rng.normal_vec(obs_dim), {0.0, 0.0, 0.0}, 0.0, 0.0, 0.0);
+    return buf;
+  };
+  // Two earlier rollouts fill B to capacity.
+  for (int i = 0; i < 2; ++i) {
+    auto fill = rollout();
+    reg->compute(fill, policy);
+  }
+  auto buf = rollout();
+  for (auto _ : state) {
+    reg->compute(buf, policy);
+    benchmark::DoNotOptimize(buf.rew_i.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_PcRegularizerCompute)->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -1,43 +1,22 @@
 #include "core/knn.h"
 
-#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <vector>
 
 #include "common/check.h"
-#include "common/thread_pool.h"
+#include "nn/kernel_backend.h"
 
 namespace imap::core {
 
 namespace {
 
-/// Rows scanned per parallel chunk; below one chunk the scan stays serial.
-constexpr std::size_t kParallelRowChunk = 512;
+using nn::kernel::kKnnLanes;
+using nn::kernel::knn_blocked_index;
 
-constexpr std::size_t kMaxK = 16;
-
-/// Scan rows [rb, re) and fold their squared distances to `s` into the
-/// sorted top-k buffer `best` (ascending, size k).
-void scan_rows(const double* data, std::size_t dim, std::size_t rb,
-               std::size_t re, const double* s, std::size_t k, double* best) {
-  for (std::size_t r = rb; r < re; ++r) {
-    const double* row = data + r * dim;
-    double sq = 0.0;
-    for (std::size_t c = 0; c < dim; ++c) {
-      const double d = row[c] - s[c];
-      sq += d * d;
-    }
-    if (sq < best[k - 1]) {
-      // Insertion into the sorted top-k.
-      std::size_t pos = k - 1;
-      while (pos > 0 && best[pos - 1] > sq) {
-        best[pos] = best[pos - 1];
-        --pos;
-      }
-      best[pos] = sq;
-    }
-  }
+/// Doubles held by `rows` rows in the blocked layout (whole blocks).
+std::size_t blocked_size(std::size_t rows, std::size_t dim) {
+  return (rows + kKnnLanes - 1) / kKnnLanes * kKnnLanes * dim;
 }
 
 }  // namespace
@@ -47,22 +26,26 @@ KnnBuffer::KnnBuffer(std::size_t dim, std::size_t capacity, std::size_t k,
     : dim_(dim), capacity_(capacity), k_(k), rng_(rng) {
   IMAP_CHECK(dim_ > 0);
   IMAP_CHECK(capacity_ >= k_ && k_ >= 1);
-  IMAP_CHECK(k_ <= kMaxK);
-  data_.reserve(capacity_ * dim_);
+  IMAP_CHECK(k_ <= nn::kernel::kKnnMaxK);
+  blocks_.reserve(blocked_size(capacity_, dim_));
 }
 
 void KnnBuffer::add(const double* s) {
   ++total_;
+  std::size_t slot = size_;
   if (size_ < capacity_) {
-    data_.insert(data_.end(), s, s + dim_);
+    if (size_ % kKnnLanes == 0)
+      blocks_.resize(blocks_.size() + kKnnLanes * dim_, 0.0);
     ++size_;
-    return;
+  } else {
+    // Reservoir sampling: replace a uniform slot with probability cap/total.
+    slot = static_cast<std::size_t>(
+        rng_.uniform_int(0, static_cast<int>(total_) - 1));
+    if (slot >= capacity_) return;
   }
-  // Reservoir sampling: replace a uniform slot with probability cap/total.
-  const auto j = static_cast<std::size_t>(
-      rng_.uniform_int(0, static_cast<int>(total_) - 1));
-  if (j < capacity_) std::copy(s, s + dim_, data_.begin() +
-                                   static_cast<std::ptrdiff_t>(j * dim_));
+  // One column of the slot's block: stride kKnnLanes between features.
+  double* lane = blocks_.data() + knn_blocked_index(slot, 0, dim_);
+  for (std::size_t c = 0; c < dim_; ++c) lane[c * kKnnLanes] = s[c];
 }
 
 void KnnBuffer::add(const std::vector<double>& s) {
@@ -71,56 +54,22 @@ void KnnBuffer::add(const std::vector<double>& s) {
   add(s.data());
 }
 
-double KnnBuffer::knn_distance_sq(const double* s) const {
-  if (size_ < k_) return std::numeric_limits<double>::infinity();
-
-  if (size_ < 2 * kParallelRowChunk || effective_concurrency() <= 1) {
-    double best[kMaxK];
-    std::fill(best, best + k_, std::numeric_limits<double>::infinity());
-    scan_rows(data_.data(), dim_, 0, size_, s, k_, best);
-    IMAP_NCHECK_BOUNDS(best[k_ - 1], 0.0,
-                       std::numeric_limits<double>::infinity(),
-                       "knn.distance_sq");
-    return best[k_ - 1];
-  }
-
-  // Parallel scan: each chunk keeps its own exact top-k over its row range,
-  // then the per-chunk lists are merged. The global k-th smallest distance
-  // is exact regardless of how the rows were partitioned, so the result is
-  // identical to the serial scan (and to any thread count).
-  const std::size_t nchunks = (size_ + kParallelRowChunk - 1) /
-                              kParallelRowChunk;
-  std::vector<double> chunk_best(nchunks * k_,
-                                 std::numeric_limits<double>::infinity());
-  parallel_for(
-      nchunks,
-      [&](std::size_t i) {
-        const std::size_t rb = i * size_ / nchunks;
-        const std::size_t re = (i + 1) * size_ / nchunks;
-        scan_rows(data_.data(), dim_, rb, re, s, k_,
-                  chunk_best.data() + i * k_);
-      },
-      /*grain=*/1);
-
-  double best[kMaxK];
-  std::fill(best, best + k_, std::numeric_limits<double>::infinity());
-  for (std::size_t i = 0; i < nchunks * k_; ++i) {
-    const double sq = chunk_best[i];
-    if (sq < best[k_ - 1]) {
-      std::size_t pos = k_ - 1;
-      while (pos > 0 && best[pos - 1] > sq) {
-        best[pos] = best[pos - 1];
-        --pos;
-      }
-      best[pos] = sq;
-    }
-  }
+void KnnBuffer::knn_distance_sq_batch(const double* queries, std::size_t n,
+                                      std::size_t stride, double* out) const {
+  IMAP_CHECK(stride >= dim_);
+  nn::kernel::active_backend().knn_scan(blocks_.data(), size_, dim_, k_,
+                                        queries, n, stride, out);
   // +Inf is the legitimate "fewer than k neighbours" sentinel, so the guard
   // only excludes NaN and negative distances.
-  IMAP_NCHECK_BOUNDS(best[k_ - 1], 0.0,
-                     std::numeric_limits<double>::infinity(),
-                     "knn.distance_sq");
-  return best[k_ - 1];
+  for (std::size_t i = 0; i < n; ++i)
+    IMAP_NCHECK_BOUNDS(out[i], 0.0, std::numeric_limits<double>::infinity(),
+                       "knn.distance_sq");
+}
+
+double KnnBuffer::knn_distance_sq(const double* s) const {
+  double sq = 0.0;
+  knn_distance_sq_batch(s, 1, dim_, &sq);
+  return sq;
 }
 
 double KnnBuffer::knn_distance(const double* s) const {
@@ -145,7 +94,7 @@ double KnnBuffer::density(const std::vector<double>& s) const {
 }
 
 void KnnBuffer::clear() {
-  data_.clear();
+  blocks_.clear();
   size_ = 0;
   total_ = 0;
 }
@@ -157,7 +106,12 @@ void KnnBuffer::save_state(BinaryWriter& w) const {
   rng_.save_state(w);
   w.write_u64(size_);
   w.write_u64(total_);
-  w.write_vec(data_);
+  // Gather the blocked rows into the row-major wire format.
+  std::vector<double> rows(size_ * dim_);
+  for (std::size_t r = 0; r < size_; ++r)
+    for (std::size_t c = 0; c < dim_; ++c)
+      rows[r * dim_ + c] = blocks_[knn_blocked_index(r, c, dim_)];
+  w.write_vec(rows);
 }
 
 void KnnBuffer::load_state(BinaryReader& r) {
@@ -165,11 +119,26 @@ void KnnBuffer::load_state(BinaryReader& r) {
                      r.read_u64() == k_,
                  "KNN checkpoint has wrong geometry");
   rng_.load_state(r);
-  size_ = r.read_u64();
-  total_ = r.read_u64();
-  data_ = r.read_vec();
-  IMAP_CHECK_MSG(data_.size() == size_ * dim_, "corrupt KNN checkpoint");
-  data_.reserve(capacity_ * dim_);
+  const std::size_t size = r.read_u64();
+  const std::size_t total = r.read_u64();
+  // Bound the row count before it multiplies dim_: an unchecked size can
+  // wrap size·dim around to match a short row vector. Every buffer add()
+  // builds has size == min(total, capacity).
+  IMAP_CHECK_MSG(size <= capacity_ && size <= total &&
+                     (size == capacity_ || size == total),
+                 "corrupt KNN checkpoint: " << size << " rows, " << total
+                                            << " added, capacity "
+                                            << capacity_);
+  const std::vector<double> rows = r.read_vec();
+  IMAP_CHECK_MSG(rows.size() == size * dim_, "corrupt KNN checkpoint");
+  // Scatter the row-major wire rows into the blocked layout (within the
+  // capacity the constructor reserved).
+  blocks_.assign(blocked_size(size, dim_), 0.0);
+  for (std::size_t i = 0; i < size; ++i)
+    for (std::size_t c = 0; c < dim_; ++c)
+      blocks_[knn_blocked_index(i, c, dim_)] = rows[i * dim_ + c];
+  size_ = size;
+  total_ = total;
 }
 
 }  // namespace imap::core

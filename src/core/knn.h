@@ -23,10 +23,17 @@ class KnnBuffer {
   void add(const double* s);
   void add(const std::vector<double>& s);
 
-  /// Euclidean distance from `s` to its k-th nearest stored neighbour.
-  /// Returns +inf when fewer than k states are stored. Large buffers are
-  /// scanned in parallel chunks with an exact per-chunk top-k merge, so the
-  /// result is identical to the serial scan for any thread count.
+  /// Squared k-th-neighbour distance of n queries: query i is the dim()
+  /// values at queries + i·stride (stride ≥ dim()), its result goes to
+  /// out[i]; +inf when fewer than k states are stored. One scan of the
+  /// stored rows through the active kernel backend's knn_scan, with no
+  /// internal threading — callers split large query sets across threads.
+  /// Bit-identical on every backend and for any split of the queries.
+  void knn_distance_sq_batch(const double* queries, std::size_t n,
+                             std::size_t stride, double* out) const;
+
+  /// Euclidean distance from `s` to its k-th nearest stored neighbour (a
+  /// batch of one). Returns +inf when fewer than k states are stored.
   double knn_distance(const double* s) const;
   double knn_distance(const std::vector<double>& s) const;
 
@@ -47,7 +54,8 @@ class KnnBuffer {
   void clear();
 
   /// Serialize the stored rows, reservoir counters and sampling stream so a
-  /// restored buffer continues the exact reservoir sequence.
+  /// restored buffer continues the exact reservoir sequence. The rows go on
+  /// the wire row-major in slot order, independent of the in-memory layout.
   void save_state(BinaryWriter& w) const;
   void load_state(BinaryReader& r);
 
@@ -56,7 +64,9 @@ class KnnBuffer {
   std::size_t capacity_;
   std::size_t k_;
   Rng rng_;
-  std::vector<double> data_;  ///< row-major, size_ rows of dim_
+  /// size_ rows in the blocked [block][col][lane] layout of
+  /// nn::kernel::knn_blocked_index; unused lanes of the last block are 0.
+  std::vector<double> blocks_;
   std::size_t size_ = 0;
   std::size_t total_ = 0;
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "common/check.h"
 #include "common/thread_pool.h"
@@ -34,25 +35,53 @@ std::vector<double> ObsSlice::project(const std::vector<double>& s) const {
           s.begin() + static_cast<std::ptrdiff_t>(end)};
 }
 
+void ObsSlice::project(const std::vector<double>& s, double* out) const {
+  if (whole()) {
+    std::copy(s.begin(), s.end(), out);
+    return;
+  }
+  IMAP_CHECK(end <= s.size() && begin < end);
+  std::copy(s.begin() + static_cast<std::ptrdiff_t>(begin),
+            s.begin() + static_cast<std::ptrdiff_t>(end), out);
+}
+
 namespace {
 
 double finite_or_zero(double x) { return std::isfinite(x) ? x : 0.0; }
+
+/// Project every rollout state onto `slice` into one contiguous n×d
+/// row-major matrix, with the per-row checks of ObsSlice::project and
+/// KnnBuffer::add: the row has the buffer's width d, the slice fits the
+/// state, and every projected value is finite.
+std::vector<double> project_rows(const rl::RolloutBuffer& buf,
+                                 const ObsSlice& slice, std::size_t d) {
+  std::vector<double> rows(buf.size() * d);
+  for (std::size_t i = 0; i < buf.size(); ++i) {
+    IMAP_CHECK(slice.dim(buf.obs[i].size()) == d);
+    double* row = rows.data() + i * d;
+    slice.project(buf.obs[i], row);
+    IMAP_NCHECK_FINITE_VEC(std::span<const double>(row, d),
+                           "KnnBuffer::add state");
+  }
+  return rows;
+}
 
 /// One marginal of the SC-driven bonus: the KNN form of the entropy
 /// gradient, log(1 + ‖s − s*_{D_k}‖), over the rollout's own states.
 void add_sc_term(rl::RolloutBuffer& buf, const ObsSlice& slice, double weight,
                  std::size_t obs_dim, std::size_t k, Rng& rng) {
+  const std::size_t n = buf.size();
   const std::size_t d = slice.dim(obs_dim);
-  KnnBuffer dk(d, buf.size(), k, rng.split(rng.next_u64()));
-  std::vector<std::vector<double>> proj(buf.size());
-  for (std::size_t i = 0; i < buf.size(); ++i) {
-    proj[i] = slice.project(buf.obs[i]);
-    dk.add(proj[i]);
-  }
-  // Queries are independent and each writes only its own rew_i slot.
-  parallel_for_chunked(buf.size(), 0, [&](std::size_t b, std::size_t e) {
+  KnnBuffer dk(d, n, k, rng.split(rng.next_u64()));
+  const std::vector<double> proj = project_rows(buf, slice, d);
+  for (std::size_t i = 0; i < n; ++i) dk.add(proj.data() + i * d);
+  // Query ranges are independent and each writes only its own sq/rew_i
+  // slots; one batched scan per range.
+  std::vector<double> sq(n);
+  parallel_for_chunked(n, 0, [&](std::size_t b, std::size_t e) {
+    dk.knn_distance_sq_batch(proj.data() + b * d, e - b, d, sq.data() + b);
     for (std::size_t i = b; i < e; ++i) {
-      const double dist = dk.knn_distance(proj[i]);
+      const double dist = std::sqrt(sq[i]);
       buf.rew_i[i] += weight * finite_or_zero(std::log1p(dist));
     }
   });
@@ -102,24 +131,27 @@ class PcMarginal {
         rng_(rng.split(0x9c9c9c9cULL)) {}
 
   void add_bonus(rl::RolloutBuffer& buf, double weight, std::size_t obs_dim) {
+    const std::size_t n = buf.size();
     const std::size_t d = slice_.dim(obs_dim);
-    KnnBuffer dk(d, buf.size(), k_, rng_.split(rng_.next_u64()));
-    std::vector<std::vector<double>> proj(buf.size());
-    for (std::size_t i = 0; i < buf.size(); ++i) {
-      proj[i] = slice_.project(buf.obs[i]);
-      dk.add(proj[i]);
-    }
-    // Queries are independent and each writes only its own rew_i slot; the
-    // union buffer is read-only until the fold below.
-    parallel_for_chunked(buf.size(), 0, [&](std::size_t b, std::size_t e) {
+    KnnBuffer dk(d, n, k_, rng_.split(rng_.next_u64()));
+    const std::vector<double> proj = project_rows(buf, slice_, d);
+    for (std::size_t i = 0; i < n; ++i) dk.add(proj.data() + i * d);
+    // Query ranges are independent and each writes only its own sq/rew_i
+    // slots; one batched scan per buffer per range. The union buffer is
+    // read-only until the fold below.
+    const bool use_b = union_buffer_.size() >= k_;
+    std::vector<double> sq_dk(n), sq_b(use_b ? n : 0);
+    parallel_for_chunked(n, 0, [&](std::size_t b, std::size_t e) {
+      const double* q = proj.data() + b * d;
+      dk.knn_distance_sq_batch(q, e - b, d, sq_dk.data() + b);
+      if (use_b)
+        union_buffer_.knn_distance_sq_batch(q, e - b, d, sq_b.data() + b);
       for (std::size_t i = b; i < e; ++i) {
-        const double dist_dk = dk.knn_distance(proj[i]);
+        const double dist_dk = std::sqrt(sq_dk[i]);
         // ∇ of Σ√(d/ρ) with d ≈ 1/dist_{D_k}, ρ ≈ 1/dist_B gives a bonus
         // ∝ √(dist_{D_k} · dist_B): large where BOTH the fresh policy and the
         // whole explored region ρ^α are thin — novelty beyond the frontier.
-        const double dist_b = union_buffer_.size() >= k_
-                                  ? union_buffer_.knn_distance(proj[i])
-                                  : dist_dk;
+        const double dist_b = use_b ? std::sqrt(sq_b[i]) : dist_dk;
         buf.rew_i[i] += weight * finite_or_zero(
                                      std::sqrt(std::max(0.0, dist_dk) *
                                                std::max(0.0, dist_b)));
@@ -127,7 +159,7 @@ class PcMarginal {
     });
     IMAP_NCHECK_FINITE_VEC(buf.rew_i, "regularizer.pc_bonus");
     // Only now fold the fresh trajectories into B (they represent π_k).
-    for (std::size_t i = 0; i < buf.size(); ++i) union_buffer_.add(proj[i]);
+    for (std::size_t i = 0; i < n; ++i) union_buffer_.add(proj.data() + i * d);
   }
 
   void save_state(BinaryWriter& w) const {

@@ -30,6 +30,8 @@ struct ObsSlice {
     return whole() ? full_dim : end - begin;
   }
   std::vector<double> project(const std::vector<double>& s) const;
+  /// project() into `out`, which holds dim(s.size()) values.
+  void project(const std::vector<double>& s, double* out) const;
 };
 
 struct RegularizerOptions {

@@ -366,6 +366,46 @@ void avx2_quant_act(float* h, std::size_t batch, std::size_t width,
   }
 }
 
+namespace {
+
+/// knn_scan lanes: two ymm (rows 0-3 and 4-7) hold one column of an
+/// eight-row block.
+struct Avx2Rows {
+  struct Vec {
+    __m256d lo, hi;
+  };
+  static Vec zero() { return {_mm256_setzero_pd(), _mm256_setzero_pd()}; }
+  static Vec load(const double* p) {
+    return {_mm256_loadu_pd(p), _mm256_loadu_pd(p + 4)};
+  }
+  static Vec acc_sq(Vec acc, Vec x, double q) {
+    const __m256d qv = _mm256_set1_pd(q);
+    const __m256d d0 = _mm256_sub_pd(x.lo, qv);
+    const __m256d d1 = _mm256_sub_pd(x.hi, qv);
+    return {_mm256_add_pd(acc.lo, _mm256_mul_pd(d0, d0)),
+            _mm256_add_pd(acc.hi, _mm256_mul_pd(d1, d1))};
+  }
+  static unsigned lt_mask(Vec a, double t) {
+    const __m256d tv = _mm256_set1_pd(t);
+    return static_cast<unsigned>(
+        _mm256_movemask_pd(_mm256_cmp_pd(a.lo, tv, _CMP_LT_OQ)) |
+        (_mm256_movemask_pd(_mm256_cmp_pd(a.hi, tv, _CMP_LT_OQ)) << 4));
+  }
+  static void store(double* p, Vec a) {
+    _mm256_storeu_pd(p, a.lo);
+    _mm256_storeu_pd(p + 4, a.hi);
+  }
+};
+
+}  // namespace
+
+void avx2_knn_scan(const double* blocks, std::size_t rows, std::size_t dim,
+                   std::size_t k, const double* queries, std::size_t nq,
+                   std::size_t stride, double* kth) {
+  knn_scan_tiled<Avx2Rows, 1, 2>(blocks, rows, dim, k, queries, nq, stride,
+                                 kth);
+}
+
 }  // namespace imap::nn::kernel::detail
 
 #endif  // IMAP_KERNEL_AVX2

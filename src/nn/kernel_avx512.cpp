@@ -388,6 +388,32 @@ void avx512_quant_act(float* h, std::size_t batch, std::size_t width,
   }
 }
 
+namespace {
+
+/// knn_scan lanes: one zmm holds one column of an eight-row block.
+struct Avx512Rows {
+  using Vec = __m512d;
+  static Vec zero() { return _mm512_setzero_pd(); }
+  static Vec load(const double* p) { return _mm512_loadu_pd(p); }
+  static Vec acc_sq(Vec acc, Vec x, double q) {
+    const Vec d = _mm512_sub_pd(x, _mm512_set1_pd(q));
+    return _mm512_add_pd(acc, _mm512_mul_pd(d, d));
+  }
+  static unsigned lt_mask(Vec a, double t) {
+    return _mm512_cmp_pd_mask(a, _mm512_set1_pd(t), _CMP_LT_OQ);
+  }
+  static void store(double* p, Vec a) { _mm512_storeu_pd(p, a); }
+};
+
+}  // namespace
+
+void avx512_knn_scan(const double* blocks, std::size_t rows, std::size_t dim,
+                     std::size_t k, const double* queries, std::size_t nq,
+                     std::size_t stride, double* kth) {
+  knn_scan_tiled<Avx512Rows, 2, 8>(blocks, rows, dim, k, queries, nq, stride,
+                                   kth);
+}
+
 }  // namespace imap::nn::kernel::detail
 
 #endif  // IMAP_KERNEL_AVX512

@@ -36,6 +36,7 @@ const KernelBackend kScalar = {
     &detail::scalar_batch_outer_acc,
     &detail::scalar_quant_affine,
     &detail::scalar_quant_act,
+    &detail::scalar_knn_scan,
     /*wants_transposed=*/false,
     /*min_batch_affine=*/1,
     /*min_batch_affine_cached=*/1,
@@ -49,6 +50,7 @@ const KernelBackend kAvx2 = {
     &detail::avx2_batch_outer_acc,
     &detail::avx2_quant_affine,
     &detail::avx2_quant_act,
+    &detail::avx2_knn_scan,
     /*wants_transposed=*/true,
     /*min_batch_affine=*/2,
     /*min_batch_affine_cached=*/1,
@@ -63,6 +65,7 @@ const KernelBackend kAvx512 = {
     &detail::avx512_batch_outer_acc,
     &detail::avx512_quant_affine,
     &detail::avx512_quant_act,
+    &detail::avx512_knn_scan,
     /*wants_transposed=*/true,
     /*min_batch_affine=*/2,
     /*min_batch_affine_cached=*/1,
@@ -77,6 +80,7 @@ const KernelBackend kNeon = {
     &detail::neon_batch_outer_acc,
     /*quant_affine=*/nullptr,
     /*quant_act=*/nullptr,
+    &detail::neon_knn_scan,
     /*wants_transposed=*/true,
     /*min_batch_affine=*/4,
     /*min_batch_affine_cached=*/1,

@@ -39,6 +39,25 @@ inline std::size_t quant_packed_index(std::size_t r, std::size_t c,
          (p * w + (r - full * kQuantTile)) * 2 + c % 2;
 }
 
+/// Rows per block of the KNN buffer layout (see knn_blocked_index): one
+/// AVX-512 vector, two AVX2 vectors or four NEON vectors of fp64 lanes.
+inline constexpr std::size_t kKnnLanes = 8;
+
+/// Largest neighbour rank k a knn_scan call accepts (its per-query top-k
+/// lists live on the stack).
+inline constexpr std::size_t kKnnMaxK = 16;
+
+/// Flat index of element (row r, column c) in the blocked KNN buffer layout
+/// [block][col][lane]: kKnnLanes consecutive rows form a block, and within a
+/// block each column's kKnnLanes values are contiguous, so one vector load
+/// reads one column of eight independent rows. A partial last block keeps
+/// its unused lanes allocated (read by the kernels, never reported).
+/// Shared by core::KnnBuffer, every backend kernel, and the layout tests.
+inline std::size_t knn_blocked_index(std::size_t r, std::size_t c,
+                                     std::size_t dim) {
+  return ((r / kKnnLanes) * dim + c) * kKnnLanes + r % kKnnLanes;
+}
+
 /// One SIMD (or scalar) implementation of the batched kernel set. Backends
 /// are compiled-in per architecture (scalar everywhere; avx2/avx512 on
 /// x86-64; neon on aarch64) and selected at runtime: CPUID picks the widest
@@ -98,6 +117,18 @@ struct KernelBackend {
   /// Null ⇒ dispatch falls back to scalar.
   void (*quant_act)(float* h, std::size_t batch, std::size_t width,
                     std::size_t out_pairs, std::int16_t* qx, float* qscale);
+
+  /// KNN scan: for each query i (dim values at queries + i·stride) write
+  /// to kth[i] the k-th smallest squared Euclidean distance to the `rows`
+  /// rows of `blocks` (blocked layout, see knn_blocked_index), or +inf when
+  /// rows < k. 1 ≤ k ≤ kKnnMaxK. Lanes run across independent buffer rows;
+  /// each (query, row) pair accumulates sq += d·d over c = 0..dim-1 left to
+  /// right with separate mul/add, and the k-th smallest value of that set
+  /// does not depend on visit order, so every backend returns the same bits.
+  /// No internal threading: callers split the queries.
+  void (*knn_scan)(const double* blocks, std::size_t rows, std::size_t dim,
+                   std::size_t k, const double* queries, std::size_t nq,
+                   std::size_t stride, double* kth);
 
   /// True when batch_affine vectorises across output lanes and therefore
   /// profits from the caller-cached transpose (Mlp::Workspace::wt).

@@ -1,8 +1,11 @@
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 
 #include "nn/kernel_backend.h"  // kQuantTile / quant_packed_index layout
 
@@ -45,6 +48,105 @@ inline std::int16_t quant_code(float v) {
   return static_cast<std::int16_t>(code);
 }
 
+// --- shared KNN scan --------------------------------------------------------
+// Every backend TU is compiled with different ISA flags, so the helpers below
+// have internal linkage (static functions; templates instantiated only with
+// TU-local lane types): the linker can never hand one backend's machine code
+// to another.
+
+/// Fold the squared distance `sq` into the ascending top-k list `best`
+/// (size k). Strict `<` against the current k-th best: an equal value
+/// leaves the list unchanged, so the sorted list is the k smallest values
+/// seen whatever order they arrive in (NaN is never inserted).
+static inline void knn_insert(double* best, std::size_t k, double sq) {
+  if (!(sq < best[k - 1])) return;
+  std::size_t pos = k - 1;
+  while (pos > 0 && best[pos - 1] > sq) {
+    best[pos] = best[pos - 1];
+    --pos;
+  }
+  best[pos] = sq;
+}
+
+/// Q queries against R consecutive row blocks starting at `blk` (`left`
+/// rows remain from there; more than (R−1)·kKnnLanes). `V` is a backend's
+/// lane type: V::Vec holds one block column (kKnnLanes rows), and
+///   V::zero(), V::load(p), V::acc_sq(acc, x, q) = acc + (x − q)·(x − q)
+///   (separate sub, mul, add), V::lt_mask(acc, t) (bit l set when lane l
+///   < t, false for NaN), V::store(p, acc).
+/// Each loaded column feeds Q·R independent accumulator chains; a query's
+/// top-k is touched only for lanes that beat its current k-th best, and
+/// lanes past the last row are masked off. Forced inline: as an outlined
+/// call per row block (with its vzeroupper) it cost more than the block.
+template <class V, std::size_t Q, std::size_t R>
+[[gnu::always_inline]] inline void knn_step(const double* blk,
+                                            std::size_t left, std::size_t dim,
+                                            std::size_t k, const double* q,
+                                            std::size_t stride,
+                                            double (*best)[kKnnMaxK]) {
+  typename V::Vec acc[Q][R];
+  for (auto& row : acc)
+    for (auto& a : row) a = V::zero();
+  for (std::size_t c = 0; c < dim; ++c) {
+    typename V::Vec x[R];
+    for (std::size_t h = 0; h < R; ++h)
+      x[h] = V::load(blk + (h * dim + c) * kKnnLanes);
+    for (std::size_t j = 0; j < Q; ++j) {
+      const double qc = q[j * stride + c];
+      for (std::size_t h = 0; h < R; ++h)
+        acc[j][h] = V::acc_sq(acc[j][h], x[h], qc);
+    }
+  }
+  for (std::size_t h = 0; h < R; ++h) {
+    const std::size_t rem = left - h * kKnnLanes;
+    const unsigned live = rem >= kKnnLanes ? 0xffu : (1u << rem) - 1u;
+    for (std::size_t j = 0; j < Q; ++j) {
+      unsigned m = V::lt_mask(acc[j][h], best[j][k - 1]) & live;
+      if (m == 0) continue;
+      alignas(64) double sq[kKnnLanes] = {};
+      V::store(sq, acc[j][h]);
+      for (; m != 0; m &= m - 1)
+        knn_insert(best[j], k, sq[std::countr_zero(m)]);
+    }
+  }
+}
+
+/// Q queries against every row: R row blocks per step while they last,
+/// then one block at a time.
+template <class V, std::size_t Q, std::size_t R>
+void knn_tile(const double* blocks, std::size_t rows, std::size_t dim,
+              std::size_t k, const double* q, std::size_t stride,
+              double* kth) {
+  double best[Q][kKnnMaxK];
+  for (auto& b : best)
+    std::fill(b, b + k, std::numeric_limits<double>::infinity());
+  std::size_t r0 = 0;
+  for (; r0 + R * kKnnLanes <= rows; r0 += R * kKnnLanes)
+    knn_step<V, Q, R>(blocks + r0 * dim, rows - r0, dim, k, q, stride, best);
+  for (; r0 < rows; r0 += kKnnLanes)
+    knn_step<V, Q, 1>(blocks + r0 * dim, rows - r0, dim, k, q, stride, best);
+  for (std::size_t j = 0; j < Q; ++j) kth[j] = best[j][k - 1];
+}
+
+/// The knn_scan entry of a SIMD backend: query tiles of kKnnQueryTile
+/// sharing each row-block load (kTileRows blocks per step), then leftover
+/// queries one at a time over kSingleRows blocks per step — enough
+/// independent add chains to hide the add latency either way.
+template <class V, std::size_t kTileRows, std::size_t kSingleRows>
+void knn_scan_tiled(const double* blocks, std::size_t rows, std::size_t dim,
+                    std::size_t k, const double* queries, std::size_t nq,
+                    std::size_t stride, double* kth) {
+  constexpr std::size_t kKnnQueryTile = 4;
+  std::size_t i = 0;
+  for (; i + kKnnQueryTile <= nq; i += kKnnQueryTile)
+    knn_tile<V, kKnnQueryTile, kTileRows>(blocks, rows, dim, k,
+                                          queries + i * stride, stride,
+                                          kth + i);
+  for (; i < nq; ++i)
+    knn_tile<V, 1, kSingleRows>(blocks, rows, dim, k, queries + i * stride,
+                                stride, kth + i);
+}
+
 // --- scalar reference (always compiled) ------------------------------------
 void scalar_batch_affine(const double* w, const double* wt, const double* b,
                          std::size_t out, std::size_t in, const double* x,
@@ -60,6 +162,9 @@ void scalar_quant_affine(const std::int16_t* wq_packed, const float* row_scale,
                          const float* xscale, std::size_t batch, float* y);
 void scalar_quant_act(float* h, std::size_t batch, std::size_t width,
                       std::size_t out_pairs, std::int16_t* qx, float* qscale);
+void scalar_knn_scan(const double* blocks, std::size_t rows, std::size_t dim,
+                     std::size_t k, const double* queries, std::size_t nq,
+                     std::size_t stride, double* kth);
 
 // --- avx2 (x86-64; TU compiled with -mavx2 -mno-fma) -----------------------
 #ifdef IMAP_KERNEL_AVX2
@@ -77,6 +182,9 @@ void avx2_quant_affine(const std::int16_t* wq_packed, const float* row_scale,
                        const float* xscale, std::size_t batch, float* y);
 void avx2_quant_act(float* h, std::size_t batch, std::size_t width,
                     std::size_t out_pairs, std::int16_t* qx, float* qscale);
+void avx2_knn_scan(const double* blocks, std::size_t rows, std::size_t dim,
+                   std::size_t k, const double* queries, std::size_t nq,
+                   std::size_t stride, double* kth);
 #endif
 
 // --- avx512 (x86-64; TU compiled with -mavx512f -mavx512bw) ----------------
@@ -95,6 +203,9 @@ void avx512_quant_affine(const std::int16_t* wq_packed, const float* row_scale,
                          const float* xscale, std::size_t batch, float* y);
 void avx512_quant_act(float* h, std::size_t batch, std::size_t width,
                       std::size_t out_pairs, std::int16_t* qx, float* qscale);
+void avx512_knn_scan(const double* blocks, std::size_t rows, std::size_t dim,
+                     std::size_t k, const double* queries, std::size_t nq,
+                     std::size_t stride, double* kth);
 #endif
 
 // --- neon (aarch64; asimd is baseline, no extra ISA flags needed) ----------
@@ -107,6 +218,9 @@ void neon_batch_matvec_t(const double* w, std::size_t out, std::size_t in,
 void neon_batch_outer_acc(const double* g, const double* x, std::size_t batch,
                           std::size_t out, std::size_t in, double* dw,
                           double* db);
+void neon_knn_scan(const double* blocks, std::size_t rows, std::size_t dim,
+                   std::size_t k, const double* queries, std::size_t nq,
+                   std::size_t stride, double* kth);
 #endif
 
 }  // namespace imap::nn::kernel::detail

@@ -160,6 +160,54 @@ void neon_batch_outer_acc(const double* g, const double* x, std::size_t batch,
   }
 }
 
+namespace {
+
+/// knn_scan lanes: four 2-lane vectors hold one column of an eight-row
+/// block.
+struct NeonRows {
+  struct Vec {
+    float64x2_t v[4];
+  };
+  static Vec zero() {
+    const float64x2_t z = vdupq_n_f64(0.0);
+    return {{z, z, z, z}};
+  }
+  static Vec load(const double* p) {
+    return {{vld1q_f64(p), vld1q_f64(p + 2), vld1q_f64(p + 4),
+             vld1q_f64(p + 6)}};
+  }
+  static Vec acc_sq(Vec acc, Vec x, double q) {
+    const float64x2_t qv = vdupq_n_f64(q);
+    for (int h = 0; h < 4; ++h) {
+      const float64x2_t d = vsubq_f64(x.v[h], qv);
+      acc.v[h] = vaddq_f64(acc.v[h], vmulq_f64(d, d));
+    }
+    return acc;
+  }
+  static unsigned lt_mask(Vec a, double t) {
+    const float64x2_t tv = vdupq_n_f64(t);
+    unsigned m = 0;
+    for (int h = 0; h < 4; ++h) {
+      const uint64x2_t lt = vcltq_f64(a.v[h], tv);
+      m |= static_cast<unsigned>(vgetq_lane_u64(lt, 0) & 1u) << (2 * h);
+      m |= static_cast<unsigned>(vgetq_lane_u64(lt, 1) & 1u) << (2 * h + 1);
+    }
+    return m;
+  }
+  static void store(double* p, Vec a) {
+    for (int h = 0; h < 4; ++h) vst1q_f64(p + 2 * h, a.v[h]);
+  }
+};
+
+}  // namespace
+
+void neon_knn_scan(const double* blocks, std::size_t rows, std::size_t dim,
+                   std::size_t k, const double* queries, std::size_t nq,
+                   std::size_t stride, double* kth) {
+  knn_scan_tiled<NeonRows, 1, 2>(blocks, rows, dim, k, queries, nq, stride,
+                                 kth);
+}
+
 }  // namespace imap::nn::kernel::detail
 
 #endif  // IMAP_KERNEL_NEON

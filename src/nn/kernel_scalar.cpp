@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <limits>
 
 #include "nn/kernel_impl.h"
 #include "nn/matrix.h"
@@ -183,6 +184,34 @@ void scalar_quant_act(float* h, std::size_t batch, std::size_t width,
       qscale[n] = 0.0f;
     }
     for (std::size_t c = width; c < stride; ++c) qn[c] = 0;
+  }
+}
+
+void scalar_knn_scan(const double* blocks, std::size_t rows, std::size_t dim,
+                     std::size_t k, const double* queries, std::size_t nq,
+                     std::size_t stride, double* kth) {
+  // Reference chain: per (query, row) sq = 0, then sq += d·d for c = 0..
+  // dim-1. The lane loop is innermost so the eight chains of a block advance
+  // together over one contiguous column; lanes past `rows` are computed on
+  // the block's padding and never folded into the top-k.
+  for (std::size_t i = 0; i < nq; ++i) {
+    const double* q = queries + i * stride;
+    double best[kKnnMaxK];
+    std::fill(best, best + k, std::numeric_limits<double>::infinity());
+    for (std::size_t r0 = 0; r0 < rows; r0 += kKnnLanes) {
+      const double* blk = blocks + r0 * dim;
+      double sq[kKnnLanes] = {};
+      for (std::size_t c = 0; c < dim; ++c) {
+        const double* col = blk + c * kKnnLanes;
+        for (std::size_t l = 0; l < kKnnLanes; ++l) {
+          const double d = col[l] - q[c];
+          sq[l] += d * d;
+        }
+      }
+      const std::size_t live = std::min(kKnnLanes, rows - r0);
+      for (std::size_t l = 0; l < live; ++l) knn_insert(best, k, sq[l]);
+    }
+    kth[i] = best[k - 1];
   }
 }
 

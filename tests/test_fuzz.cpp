@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "core/knn.h"
 #include "nn/gaussian.h"
@@ -93,20 +94,52 @@ TEST(Fuzz, GaeMatchesNaiveReference) {
 
 TEST(Fuzz, KnnMatchesBruteForceUnderInterleavedOps) {
   Rng rng(202);
-  for (int trial = 0; trial < 10; ++trial) {
-    const std::size_t dim = 1 + static_cast<std::size_t>(rng.uniform_int(0, 5));
-    const std::size_t k = 1 + static_cast<std::size_t>(rng.uniform_int(0, 3));
-    const std::size_t cap = 256;  // below capacity: buffer stores everything
-    core::KnnBuffer buf(dim, cap, k, rng.split(trial));
+  for (int trial = 0; trial < 16; ++trial) {
+    const std::size_t dim =
+        1 + static_cast<std::size_t>(rng.uniform_int(0, 16));
+    const std::size_t k = 1 + static_cast<std::size_t>(rng.uniform_int(0, 5));
+    // Even trials stay below capacity (the buffer stores everything); odd
+    // trials overfill a small buffer so reservoir replacement runs.
+    const std::size_t cap =
+        trial % 2 == 0 ? 256
+                       : k + static_cast<std::size_t>(rng.uniform_int(0, 40));
+    Rng buf_rng = rng.split(static_cast<std::uint64_t>(trial));
+    core::KnnBuffer buf(dim, cap, k, buf_rng);
+    // The mirror replays the reservoir rule on a copy of the buffer's
+    // stream: once full, the t-th add replaces slot j ~ U[0, t) if j < cap.
+    Rng mirror_rng = buf_rng;
     std::vector<std::vector<double>> mirror;
+    std::size_t total = 0;
 
     for (int op = 0; op < 150; ++op) {
-      if (mirror.size() < cap && (mirror.empty() || rng.bernoulli(0.7))) {
+      if (mirror.empty() || rng.bernoulli(0.7)) {
         auto s = rng.normal_vec(dim, 0.0, 3.0);
         buf.add(s);
-        mirror.push_back(std::move(s));
-      } else {
-        const auto q = rng.normal_vec(dim, 0.0, 3.0);
+        ++total;
+        if (mirror.size() < cap) {
+          mirror.push_back(std::move(s));
+        } else {
+          const auto j = static_cast<std::size_t>(
+              mirror_rng.uniform_int(0, static_cast<int>(total) - 1));
+          if (j < cap) mirror[j] = std::move(s);
+        }
+        ASSERT_EQ(buf.size(), mirror.size());
+        ASSERT_EQ(buf.total_added(), total);
+        continue;
+      }
+      // A batch of queries at a padded stride, each checked against the
+      // brute force and, bitwise, against its single-query result.
+      const std::size_t nq =
+          1 + static_cast<std::size_t>(rng.uniform_int(0, 8));
+      const std::size_t stride = dim + 2;
+      std::vector<double> queries(nq * stride, 0.0);
+      for (std::size_t i = 0; i < nq; ++i)
+        for (std::size_t c = 0; c < dim; ++c)
+          queries[i * stride + c] = rng.normal(0.0, 3.0);
+      std::vector<double> got(nq);
+      buf.knn_distance_sq_batch(queries.data(), nq, stride, got.data());
+      for (std::size_t i = 0; i < nq; ++i) {
+        const double* q = queries.data() + i * stride;
         std::vector<double> dists;
         for (const auto& p : mirror) {
           double sq = 0;
@@ -114,14 +147,16 @@ TEST(Fuzz, KnnMatchesBruteForceUnderInterleavedOps) {
             sq += (p[c] - q[c]) * (p[c] - q[c]);
           dists.push_back(std::sqrt(sq));
         }
-        const double got = buf.knn_distance(q);
+        ASSERT_EQ(got[i], buf.knn_distance_sq(q)) << "query " << i;
+        ASSERT_EQ(std::sqrt(got[i]), buf.knn_distance(q)) << "query " << i;
         if (dists.size() < k) {
-          ASSERT_TRUE(std::isinf(got));
+          ASSERT_TRUE(std::isinf(got[i]));
         } else {
           std::nth_element(dists.begin(),
                            dists.begin() + static_cast<std::ptrdiff_t>(k - 1),
                            dists.end());
-          ASSERT_NEAR(got, dists[k - 1], 1e-9);
+          ASSERT_NEAR(std::sqrt(got[i]), dists[k - 1], 1e-9)
+              << "trial " << trial << " query " << i;
         }
       }
     }

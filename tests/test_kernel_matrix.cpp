@@ -10,8 +10,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -219,6 +221,67 @@ void run_quant_act_cell(const std::string& backend, std::size_t /*in*/,
     ASSERT_EQ(ref_s[n], got_s[n]) << "scale row " << n;
 }
 
+// Brute-force k-th smallest squared distance of `q` to n row-major rows,
+// each row summed in the knn_scan reference chain (sq += d·d, c ascending).
+double brute_kth_sq(const std::vector<double>& rows, std::size_t n,
+                    std::size_t dim, const double* q, std::size_t k) {
+  if (n < k) return std::numeric_limits<double>::infinity();
+  std::vector<double> sq(n);
+  for (std::size_t r = 0; r < n; ++r) {
+    double s = 0.0;
+    for (std::size_t c = 0; c < dim; ++c) {
+      const double d = rows[r * dim + c] - q[c];
+      s += d * d;
+    }
+    sq[r] = s;
+  }
+  std::sort(sq.begin(), sq.end());
+  return sq[k - 1];
+}
+
+void run_knn_scan_cell(const std::string& backend, std::size_t n,
+                       std::size_t dim, std::size_t k) {
+  std::string why;
+  const auto* be = lookup(backend, why);
+  if (be == nullptr) GTEST_SKIP() << why;
+  Rng rng = shaped_rng(n, dim, k);
+  auto rows = randn_vec(n * dim, rng);
+  // Duplicate rows tie at the k-th rank.
+  for (std::size_t dup : {n / 2, n - 1})
+    for (std::size_t c = 0; c < dim; ++c) rows[dup * dim + c] = rows[c];
+
+  // Blocked layout; the unused lanes of the last block stay 0.
+  std::vector<double> blocks((n + kernel::kKnnLanes - 1) /
+                                 kernel::kKnnLanes * kernel::kKnnLanes * dim,
+                             0.0);
+  for (std::size_t r = 0; r < n; ++r)
+    for (std::size_t c = 0; c < dim; ++c)
+      blocks[kernel::knn_blocked_index(r, c, dim)] = rows[r * dim + c];
+
+  // Seven queries (one four-query tile plus three single ones) at a stride
+  // wider than dim whose gap holds NaN the kernel must never read. Query 0
+  // equals stored row 0 (and its duplicates); query 1 is the zero vector,
+  // which an unmasked padding lane would match at distance 0.
+  constexpr std::size_t nq = 7;
+  const std::size_t stride = dim + 3;
+  std::vector<double> q(nq * stride, std::numeric_limits<double>::quiet_NaN());
+  for (std::size_t i = 0; i < nq; ++i)
+    for (std::size_t c = 0; c < dim; ++c)
+      q[i * stride + c] = i == 0   ? rows[c]
+                          : i == 1 ? 0.0
+                                   : rng.normal(0.0, 1.0);
+
+  std::vector<double> ref(nq, -1.0), got(nq, -1.0);
+  kernel::scalar_backend().knn_scan(blocks.data(), n, dim, k, q.data(), nq,
+                                    stride, ref.data());
+  be->knn_scan(blocks.data(), n, dim, k, q.data(), nq, stride, got.data());
+  for (std::size_t i = 0; i < nq; ++i) {
+    const double brute = brute_kth_sq(rows, n, dim, q.data() + i * stride, k);
+    ASSERT_EQ(brute, ref[i]) << "scalar vs brute force, query " << i;
+    ASSERT_EQ(ref[i], got[i]) << "backend vs scalar, query " << i;
+  }
+}
+
 // --- the generated matrix ---------------------------------------------------
 // Shapes: in/out/batch spanning 1, odd, lane-multiple (4/8/16-wide SIMD
 // blocks plus their 16-element unrolled variants), and large. X(tag, in,
@@ -265,6 +328,40 @@ IMAP_KERNEL_SHAPE_LIST(IMAP_CELL_AVX512)
 #define IMAP_CELL_NEON(tag, in_, out_, batch_) \
   IMAP_KERNEL_CELL(neon, tag, in_, out_, batch_)
 IMAP_KERNEL_SHAPE_LIST(IMAP_CELL_NEON)
+
+// KNN scan shapes: row counts with n % 8 in {0, 1, 7} (whole, one-lane and
+// seven-lane last blocks), k in {1, 3, 16 = kKnnMaxK}, dim in {1, 11, 17}.
+// N15_D17_K16 has fewer rows than k (every result +inf). X(tag, n, dim, k).
+#define IMAP_KNN_SHAPE_LIST(X) \
+  X(N1_D11_K1, 1, 11, 1)       \
+  X(N8_D1_K1, 8, 1, 1)         \
+  X(N9_D11_K3, 9, 11, 3)       \
+  X(N15_D17_K16, 15, 17, 16)   \
+  X(N16_D17_K16, 16, 17, 16)   \
+  X(N17_D1_K16, 17, 1, 16)     \
+  X(N23_D11_K1, 23, 11, 1)     \
+  X(N64_D11_K3, 64, 11, 3)     \
+  X(N129_D17_K3, 129, 17, 3)   \
+  X(N199_D1_K16, 199, 1, 16)
+
+#define IMAP_KNN_CELL(backend, tag, n_, dim_, k_) \
+  TEST(KernelMatrix_##backend, KnnScan_##tag) {   \
+    run_knn_scan_cell(#backend, n_, dim_, k_);    \
+  }
+
+#define IMAP_KNN_SCALAR(tag, n_, dim_, k_) \
+  IMAP_KNN_CELL(scalar, tag, n_, dim_, k_)
+IMAP_KNN_SHAPE_LIST(IMAP_KNN_SCALAR)
+
+#define IMAP_KNN_AVX2(tag, n_, dim_, k_) IMAP_KNN_CELL(avx2, tag, n_, dim_, k_)
+IMAP_KNN_SHAPE_LIST(IMAP_KNN_AVX2)
+
+#define IMAP_KNN_AVX512(tag, n_, dim_, k_) \
+  IMAP_KNN_CELL(avx512, tag, n_, dim_, k_)
+IMAP_KNN_SHAPE_LIST(IMAP_KNN_AVX512)
+
+#define IMAP_KNN_NEON(tag, n_, dim_, k_) IMAP_KNN_CELL(neon, tag, n_, dim_, k_)
+IMAP_KNN_SHAPE_LIST(IMAP_KNN_NEON)
 
 // --- dispatch-level behaviour ----------------------------------------------
 

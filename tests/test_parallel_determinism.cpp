@@ -5,13 +5,12 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <filesystem>
 #include <vector>
 
 #include "common/thread_pool.h"
 #include "core/experiment.h"
-#include "core/knn.h"
+#include "core/regularizer.h"
 #include "env/registry.h"
 #include "rl/ppo.h"
 
@@ -86,29 +85,49 @@ TEST(ParallelDeterminism, LegacySerialOptionsUnaffectedByPool) {
 }
 
 TEST(ParallelDeterminism, KnnQueriesIdenticalFor1And4Threads) {
-  constexpr std::size_t dim = 8, rows = 3000, k = 3;
-  Rng rng(42);
-  core::KnnBuffer buf(dim, rows, k, rng.split(1));
-  for (std::size_t i = 0; i < rows; ++i) buf.add(rng.normal_vec(dim));
+  // KnnBuffer scans have no threads of their own: the PC and SC regularizers
+  // split their rollout queries across the pool, one batched scan per range.
+  // Their bonuses must not depend on that split. Both run single-agent and
+  // with two slices (Eq. 7 / Eq. 9); three 600-row rollouts push each PC
+  // union buffer (capacity 1024) past capacity into reservoir replacement.
+  constexpr std::size_t obs_dim = 11, act_dim = 2, rows = 600;
+  Rng policy_rng(99);
+  const nn::GaussianPolicy policy(obs_dim, act_dim, {8}, policy_rng);
+  ThreadPool pool(4);
 
-  std::vector<std::vector<double>> queries;
-  for (int q = 0; q < 32; ++q) queries.push_back(rng.normal_vec(dim));
+  auto bonuses = [&](const core::RegularizerOptions& opts, bool pooled) {
+    auto reg = core::make_regularizer(opts, obs_dim, act_dim, Rng(5));
+    Rng data(17);
+    std::vector<std::vector<double>> out;
+    for (int it = 0; it < 3; ++it) {
+      rl::RolloutBuffer buf;
+      for (std::size_t i = 0; i < rows; ++i)
+        buf.add(data.normal_vec(obs_dim), {0.0, 0.0}, 0.0, 0.0, 0.0);
+      if (pooled) {
+        ScopedPool scope(pool);
+        reg->compute(buf, policy);
+      } else {
+        ScopedSerial serial;
+        reg->compute(buf, policy);
+      }
+      out.push_back(buf.rew_i);
+    }
+    return out;
+  };
 
-  std::vector<double> serial_d, pooled_d;
-  {
-    ScopedSerial serial;
-    for (const auto& q : queries) serial_d.push_back(buf.knn_distance(q));
-  }
-  {
-    ThreadPool pool(4);
-    ScopedPool scope(pool);
-    for (const auto& q : queries) pooled_d.push_back(buf.knn_distance(q));
-  }
-  EXPECT_EQ(serial_d, pooled_d);
-
-  // The sq path must agree with the public distance exactly.
-  for (std::size_t i = 0; i < queries.size(); ++i)
-    EXPECT_EQ(std::sqrt(buf.knn_distance_sq(queries[i])), serial_d[i]);
+  for (const auto type : {core::RegularizerType::PC, core::RegularizerType::SC})
+    for (const bool two_slices : {false, true}) {
+      core::RegularizerOptions opts;
+      opts.type = type;
+      opts.pc_capacity = 1024;
+      if (two_slices) {
+        opts.adversary_slice = {0, 6};
+        opts.victim_slice = {6, obs_dim};
+      }
+      EXPECT_EQ(bonuses(opts, false), bonuses(opts, true))
+          << core::to_string(type)
+          << (two_slices ? " two slices" : " single agent");
+    }
 }
 
 TEST(ParallelDeterminism, ExperimentCellIdenticalFor1And4Threads) {

@@ -47,6 +47,14 @@ TEST(ObsSlice, ProjectionSemantics) {
   ObsSlice mid{1, 3};
   EXPECT_EQ(mid.project(s), (std::vector<double>{1.0, 2.0}));
   EXPECT_EQ(mid.dim(4), 2u);
+  // The in-place form writes the same values.
+  std::vector<double> row(2, -1.0);
+  mid.project(s, row.data());
+  EXPECT_EQ(row, (std::vector<double>{1.0, 2.0}));
+  std::vector<double> full(4, -1.0);
+  whole.project(s, full.data());
+  EXPECT_EQ(full, s);
+  EXPECT_THROW((ObsSlice{3, 5}.project(s, row.data())), CheckError);
 }
 
 TEST(ScRegularizer, RewardsNovelStates) {

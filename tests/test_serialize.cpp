@@ -318,6 +318,62 @@ TEST_F(SerializeTest, KnnBufferRoundTripContinuesReservoir) {
   EXPECT_THROW(wrong.load_state(r2), CheckError);
 }
 
+TEST_F(SerializeTest, KnnBufferWireFormatIsRowMajorInsertionOrder) {
+  // The wire format is independent of the in-memory layout: an
+  // under-capacity buffer saves its rows in insertion order, row-major.
+  core::KnnBuffer knn(3, 16, 2, Rng(13));
+  Rng rng(7);
+  std::vector<double> rows;
+  for (int i = 0; i < 11; ++i) {
+    const auto s = rng.normal_vec(3);
+    rows.insert(rows.end(), s.begin(), s.end());
+    knn.add(s);
+  }
+  BinaryWriter got;
+  knn.save_state(got);
+
+  BinaryWriter want;
+  want.write_u64(3);   // dim
+  want.write_u64(16);  // capacity
+  want.write_u64(2);   // k
+  Rng(13).save_state(want);  // under capacity no reservoir draw was made
+  want.write_u64(11);  // stored rows
+  want.write_u64(11);  // rows ever added
+  want.write_vec(rows);
+  EXPECT_EQ(got.buffer(), want.buffer());
+}
+
+TEST_F(SerializeTest, KnnBufferRejectsCorruptRowCounts) {
+  auto image = [](std::uint64_t size, std::uint64_t total,
+                  const std::vector<double>& rows) {
+    BinaryWriter w;
+    w.write_u64(8);   // dim
+    w.write_u64(16);  // capacity
+    w.write_u64(1);   // k
+    Rng(0).save_state(w);
+    w.write_u64(size);
+    w.write_u64(total);
+    w.write_vec(rows);
+    return w;
+  };
+  auto load = [](const BinaryWriter& w) {
+    core::KnnBuffer knn(8, 16, 1, Rng(0));
+    BinaryReader r(w.buffer());
+    knn.load_state(r);
+    return knn;
+  };
+  // 2^61 rows · 8 columns wraps to 0 in 64 bits and would match the empty
+  // row vector; the row count must be bounded before the product.
+  EXPECT_THROW(load(image(std::uint64_t{1} << 61, 1, {})), CheckError);
+  // More rows than were ever added, or an under-full buffer that dropped
+  // rows, cannot come from add().
+  EXPECT_THROW(load(image(4, 2, std::vector<double>(32, 0.0))), CheckError);
+  EXPECT_THROW(load(image(4, 9, std::vector<double>(32, 0.0))), CheckError);
+  // The consistent images load.
+  EXPECT_EQ(load(image(4, 4, std::vector<double>(32, 0.0))).size(), 4u);
+  EXPECT_EQ(load(image(16, 40, std::vector<double>(128, 0.0))).size(), 16u);
+}
+
 TEST_F(SerializeTest, BiasReductionRoundTripContinuesDual) {
   core::BiasReduction br(true, 5.0, 1.0);
   for (int i = 0; i < 5; ++i) br.observe(0.1 * i);

@@ -66,6 +66,10 @@ IMAP_BENCH_NO_PROBE=1 "${BUILD_DIR}/bench/bench_micro_ppo" \
 IMAP_BENCH_NO_PROBE=1 "${BUILD_DIR}/bench/bench_micro_infer" \
   --benchmark_min_time=0.01 \
   --benchmark_filter='BM_VictimQueryBatch' || exit 1
+"${BUILD_DIR}/bench/bench_micro_knn" \
+  --benchmark_min_time=0.01 \
+  --benchmark_filter='BM_KnnQuery|BM_PcBonusPass|BM_PcRegularizerCompute' \
+  || exit 1
 # Grid-executor probe at smoke scale: runs a Table-1 Hopper row serially
 # and on 4 threads, asserting the outcomes are identical. Runs from the
 # build dir so the tracked repo-root BENCH_fabric.json (regenerated
