@@ -9,8 +9,8 @@
 
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include "common/check.h"
@@ -23,13 +23,17 @@ std::string HttpRequest::param(const std::string& name,
   return it == params.end() ? fallback : it->second;
 }
 
-long long HttpRequest::param_ll(const std::string& name,
-                                long long fallback) const {
+std::optional<long long> HttpRequest::param_ll(const std::string& name,
+                                               long long fallback) const {
   const auto it = params.find(name);
   if (it == params.end() || it->second.empty()) return fallback;
-  char* end = nullptr;
-  const long long v = std::strtoll(it->second.c_str(), &end, 10);
-  return (end != nullptr && *end == '\0') ? v : fallback;
+  const std::string& s = it->second;
+  // from_chars: out of range is an error, never a saturated LLONG_MAX.
+  long long v = 0;
+  const auto res = std::from_chars(s.data(), s.data() + s.size(), v);
+  if (res.ec != std::errc{} || res.ptr != s.data() + s.size())
+    return std::nullopt;
+  return v;
 }
 
 namespace {
@@ -102,12 +106,17 @@ ParseStatus parse_request(std::string& buf, HttpRequest& out) {
     const std::size_t colon = buf.find(':', pos);
     if (colon != std::string::npos && colon < eol &&
         header_name_is(buf, pos, colon, "content-length")) {
-      std::size_t v = colon + 1;
-      while (v < eol && buf[v] == ' ') ++v;
-      char* end = nullptr;
-      // strtoull stops at the '\r' terminating the header line.
-      const unsigned long long n = std::strtoull(buf.c_str() + v, &end, 10);
-      if (end == buf.c_str() + v) return ParseStatus::Bad;
+      // Digits only, optionally padded by spaces and tabs. A sign, trailing
+      // junk or a value over the request bound is malformed, checked before
+      // the size sum below so that sum cannot wrap.
+      const char* p = buf.data() + colon + 1;
+      const char* last = buf.data() + eol;
+      while (p != last && (*p == ' ' || *p == '\t')) ++p;
+      while (last != p && (last[-1] == ' ' || last[-1] == '\t')) --last;
+      std::uint64_t n = 0;
+      const auto res = std::from_chars(p, last, n);
+      if (res.ec != std::errc{} || res.ptr != last || n > kMaxRequestBytes)
+        return ParseStatus::Bad;
       content_length = static_cast<std::size_t>(n);
     }
     pos = eol + 2;

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 
 namespace imap::serve {
@@ -20,7 +21,10 @@ struct HttpRequest {
   /// Query parameter by name, or `fallback` when absent.
   std::string param(const std::string& name,
                     const std::string& fallback = "") const;
-  long long param_ll(const std::string& name, long long fallback) const;
+  /// Integer query parameter: `fallback` when absent or empty, nullopt when
+  /// present but not a decimal integer in range (the route answers 400).
+  std::optional<long long> param_ll(const std::string& name,
+                                    long long fallback) const;
 };
 
 enum class ParseStatus {

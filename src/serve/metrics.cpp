@@ -73,6 +73,9 @@ std::string ServeMetrics::render() const {
      << "imap_serve_infer_latency_us_p99 " << infer_latency_us.percentile(99.0)
      << '\n'
      << "imap_serve_batch_size_max " << batch_size.max() << '\n';
+  histogram_lines(os, "coalesce_wait_us", coalesce_wait_us,
+                  "coalescer batch leader's wait for followers in "
+                  "microseconds, one sample per gathered batch");
   return os.str();
 }
 

@@ -228,14 +228,19 @@ bool Server::pump_conn(int fd, Conn& conn) {
       break;
   }
   conn.busy = true;
-  pool_->submit(
-      [this, fd, r = std::move(req)]() mutable {
-        handle_request(fd, std::move(r));
-      });
+  // Admitted here, not in the handler, so a batch leader already waiting
+  // knows this request is on its way. Shared because ThreadPool tasks must
+  // be copyable; a task dropped unrun still ends the admission.
+  auto admission = std::make_shared<Coalescer::Admission>(
+      req.path == "/infer" ? coalescer_.admit() : Coalescer::Admission{});
+  pool_->submit([this, fd, r = std::move(req), admission]() mutable {
+    handle_request(fd, std::move(r), std::move(*admission));
+  });
   return true;
 }
 
-void Server::handle_request(int fd, HttpRequest req) {
+void Server::handle_request(int fd, HttpRequest req,
+                            Coalescer::Admission admission) {
   // Wall clock feeds only the /metrics latency histogram — serving
   // telemetry, never simulation state, so seed-reproducibility is intact.
   const auto t0 = std::chrono::steady_clock::now();  // imap-check: allow(nondet-source)
@@ -244,7 +249,7 @@ void Server::handle_request(int fd, HttpRequest req) {
   std::string content_type = "application/json";
   std::string body;
   try {
-    body = dispatch(req, status, content_type);
+    body = dispatch(req, status, content_type, std::move(admission));
   } catch (const CheckError& e) {
     status = 400;
     content_type = "application/json";
@@ -273,7 +278,8 @@ void Server::handle_request(int fd, HttpRequest req) {
 }
 
 std::string Server::dispatch(const HttpRequest& req, int& status,
-                             std::string& content_type) {
+                             std::string& content_type,
+                             Coalescer::Admission admission) {
   if (req.path == "/health") {
     std::string body = "{\"status\":\"ok\",\"models\":";
     body += std::to_string(cache_.size());
@@ -292,7 +298,7 @@ std::string Server::dispatch(const HttpRequest& req, int& status,
       return json_error("POST only");
     }
     content_type = "text/plain";
-    return route_infer(req, status);
+    return route_infer(req, status, std::move(admission));
   }
   if (req.path == "/attack/train") {
     if (req.method != "POST") {
@@ -319,7 +325,8 @@ std::string Server::dispatch(const HttpRequest& req, int& status,
   return json_error("no such route");
 }
 
-std::string Server::route_infer(const HttpRequest& req, int& status) {
+std::string Server::route_infer(const HttpRequest& req, int& status,
+                                Coalescer::Admission admission) {
   metrics_.infer_requests.inc();
   // `scenario` names a full threat-model scenario string; `env` is the
   // historical spelling (and any env name IS a trivial scenario), so the two
@@ -364,11 +371,14 @@ std::string Server::route_infer(const HttpRequest& req, int& status) {
   const std::size_t act = model->handle.act_dim();
   if (rows.size() == 1) {
     // Single row: ride the cross-connection coalescer.
-    const std::vector<double> action = coalescer_.infer(model, rows[0]);
+    const std::vector<double> action =
+        coalescer_.infer(model, rows[0], std::move(admission));
     append_row(out, action.data(), act);
     return out;
   }
-  // A multi-row body is already a batch — straight to the kernel.
+  // A multi-row body is already a batch — straight to the kernel, and no
+  // leader should wait for it.
+  admission.release();
   thread_local nn::Mlp::Workspace ws;
   thread_local nn::Batch in;
   in.resize(rows.size(), model->handle.obs_dim());
@@ -422,26 +432,27 @@ std::string Server::route_attack_train(const HttpRequest& req, int& status) {
     status = 400;
     return json_error("unknown attack: " + attack);
   }
-  plan.attack_steps = req.param_ll("steps", 0);
-  const long long episodes = req.param_ll("episodes", 0);
-  if (plan.attack_steps < 0 || episodes < 0 ||
-      episodes > std::numeric_limits<int>::max()) {
+  const auto steps = req.param_ll("steps", 0);
+  const auto episodes = req.param_ll("episodes", 0);
+  if (!steps || !episodes || *steps < 0 || *episodes < 0 ||
+      *episodes > std::numeric_limits<int>::max()) {
     status = 400;
-    return json_error("steps or episodes out of range");
+    return json_error("steps or episodes malformed or out of range");
   }
-  plan.eval_episodes = static_cast<int>(episodes);
+  plan.attack_steps = *steps;
+  plan.eval_episodes = static_cast<int>(*episodes);
   const std::uint64_t id = jobs_.enqueue(plan);
   status = 202;
   return "{\"id\":" + std::to_string(id) + "}";
 }
 
 std::string Server::route_attack_status(const HttpRequest& req, int& status) {
-  const long long id = req.param_ll("id", -1);
-  if (id < 0) {
+  const auto id = req.param_ll("id", -1);
+  if (!id || *id < 0) {
     status = 400;
     return json_error("missing id parameter");
   }
-  std::string body = jobs_.status_json(static_cast<std::uint64_t>(id));
+  std::string body = jobs_.status_json(static_cast<std::uint64_t>(*id));
   if (body.empty()) {
     status = 404;
     return json_error("no such job");

@@ -78,17 +78,23 @@ class Server {
 
   void loop();
   /// Pool task: route, respond, report the fd back to the loop.
-  void handle_request(int fd, HttpRequest req);
+  /// `admission` is the coalescer's count of this /infer request (empty for
+  /// other routes); it ends before the response is written.
+  void handle_request(int fd, HttpRequest req,
+                      Coalescer::Admission admission);
   std::string dispatch(const HttpRequest& req, int& status,
-                       std::string& content_type);
+                       std::string& content_type,
+                       Coalescer::Admission admission);
 
-  std::string route_infer(const HttpRequest& req, int& status);
+  std::string route_infer(const HttpRequest& req, int& status,
+                          Coalescer::Admission admission);
   std::string route_attack_train(const HttpRequest& req, int& status);
   std::string route_attack_status(const HttpRequest& req, int& status);
 
   /// Parse complete requests buffered on an idle connection; dispatch the
   /// first and keep the rest (HTTP/1.1: one in-flight request per
-  /// connection). Returns false when the connection turned bad (400 sent).
+  /// connection); a dispatched /infer is admitted to the coalescer. Returns
+  /// false when the connection turned bad (400 sent).
   bool pump_conn(int fd, Conn& conn);
   void wake_loop();
 

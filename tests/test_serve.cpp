@@ -4,10 +4,13 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <charconv>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -117,6 +120,40 @@ TEST(HttpParse, MalformedRequestLine) {
   EXPECT_EQ(parse_request(buf, req), ParseStatus::Bad);
 }
 
+TEST(HttpParse, ContentLengthIsDigitsOnly) {
+  // A signed, overflowing or junk-trailed length is malformed, and nothing
+  // is consumed: a wrapped size would leave body bytes behind to parse as
+  // the next request.
+  for (const std::string cl :
+       {"-1", "+5", "18446744073709551615", "99999999999999999999999", "5x",
+        "5 5", "", "8388609"}) {
+    const std::string sent = "POST /infer HTTP/1.1\r\nContent-Length: " + cl +
+                             "\r\n\r\n1 2 3GET /health HTTP/1.1\r\n\r\n";
+    std::string buf = sent;
+    HttpRequest req;
+    EXPECT_EQ(parse_request(buf, req), ParseStatus::Bad) << cl;
+    EXPECT_EQ(buf, sent) << cl;
+  }
+  // Spaces and tabs around the digits are header whitespace, not junk.
+  std::string buf = "POST /x HTTP/1.1\r\nContent-Length: \t5 \r\n\r\n1 2 3";
+  HttpRequest req;
+  ASSERT_EQ(parse_request(buf, req), ParseStatus::Ok);
+  EXPECT_EQ(req.body, "1 2 3");
+  EXPECT_TRUE(buf.empty());
+}
+
+TEST(HttpParse, IntegerParamsRejectMalformedAndOutOfRange) {
+  std::string buf =
+      "GET /x?big=99999999999999999999&neg=-3&junk=12z&empty= HTTP/1.1\r\n\r\n";
+  HttpRequest req;
+  ASSERT_EQ(parse_request(buf, req), ParseStatus::Ok);
+  EXPECT_FALSE(req.param_ll("big", 0).has_value());
+  EXPECT_FALSE(req.param_ll("junk", 0).has_value());
+  EXPECT_EQ(req.param_ll("neg", 0), -3);
+  EXPECT_EQ(req.param_ll("empty", 5), 5);
+  EXPECT_EQ(req.param_ll("absent", 5), 5);
+}
+
 TEST(HttpParse, ResponseRoundTripShape) {
   const std::string r = format_response(200, "text/plain", "hello");
   EXPECT_NE(r.find("HTTP/1.1 200 OK\r\n"), std::string::npos);
@@ -155,12 +192,20 @@ TEST_F(CoalescerTest, ScatterGatherBitIdenticalToDirectQuery) {
   copts.max_wait_us = 200'000;
   Coalescer co(copts, &metrics);
 
+  // Admitted up front, as the server's poll loop does: the leader then
+  // knows followers are coming, however late their threads start.
   constexpr std::size_t kClients = 16;
+  std::vector<Coalescer::Admission> admissions;
+  for (std::size_t i = 0; i < kClients; ++i) admissions.push_back(co.admit());
   std::vector<std::vector<double>> got(kClients);
   ThreadPool pool(kClients + 1);
   ScopedPool scope(pool);
   parallel_for(
-      kClients, [&](std::size_t i) { got[i] = co.infer(m, make_obs(i)); }, 1);
+      kClients,
+      [&](std::size_t i) {
+        got[i] = co.infer(m, make_obs(i), std::move(admissions[i]));
+      },
+      1);
 
   for (std::size_t i = 0; i < kClients; ++i)
     EXPECT_EQ(got[i], m->handle.query(make_obs(i))) << "client " << i;
@@ -181,10 +226,155 @@ TEST_F(CoalescerTest, DeadlineFlushesPartialBatch) {
   copts.max_wait_us = 20'000;
   Coalescer co(copts, &metrics);
 
+  // An admitted request that never joins keeps the leader waiting.
+  const Coalescer::Admission never_joins = co.admit();
   const auto obs = make_obs(42);
   EXPECT_EQ(co.infer(m, obs), m->handle.query(obs));
   EXPECT_EQ(metrics.coalesced_batches.get(), 1u);
   EXPECT_EQ(metrics.batch_size.max(), 1u);  // flushed by the deadline alone
+  EXPECT_EQ(metrics.coalesce_wait_us.count(), 1u);
+  EXPECT_GE(metrics.coalesce_wait_us.max(), 19'000u);
+}
+
+/// Microseconds since `t0`, for generously bounded wait assertions.
+long long us_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration_cast<std::chrono::microseconds>(
+             std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+/// Runs `body` on a worker thread; `done()` reports whether it returned.
+class Background {
+ public:
+  explicit Background(std::function<void()> body) {
+    pool_.submit([this, body = std::move(body)] {
+      body();
+      done_.store(true);
+    });
+  }
+  bool done() const { return done_.load(); }
+  /// Poll until done, for at most `ms` milliseconds.
+  bool wait(int ms) {
+    for (int i = 0; i < ms && !done(); ++i) sleep_ms(1);
+    return done();
+  }
+
+ private:
+  std::atomic<bool> done_{false};
+  ThreadPool pool_{2};
+};
+
+constexpr long long kLongWaitUs = 10'000'000;  // 10 s: never reached here
+
+TEST_F(CoalescerTest, LoneRequestDoesNotWaitForDeadline) {
+  ServeMetrics metrics;
+  ModelCache cache(*zoo_, {}, &metrics);
+  const auto m = model(cache, 4);
+  Coalescer::Options copts;
+  copts.max_wait_us = kLongWaitUs;
+  Coalescer co(copts, &metrics);
+
+  const auto obs = make_obs(8);
+  auto t0 = std::chrono::steady_clock::now();
+  EXPECT_EQ(co.infer(m, obs), m->handle.query(obs));
+  EXPECT_LT(us_since(t0), 1'000'000);
+  t0 = std::chrono::steady_clock::now();
+  EXPECT_EQ(co.infer(m, obs, co.admit()), m->handle.query(obs));
+  EXPECT_LT(us_since(t0), 1'000'000);
+  EXPECT_EQ(metrics.coalesced_batches.get(), 2u);
+}
+
+TEST_F(CoalescerTest, UnjoinedAdmissionHoldsLeaderUntilReleased) {
+  ServeMetrics metrics;
+  ModelCache cache(*zoo_, {}, &metrics);
+  const auto m = model(cache, 12);
+  Coalescer::Options copts;
+  copts.max_wait_us = kLongWaitUs;
+  Coalescer co(copts, &metrics);
+
+  Coalescer::Admission pending = co.admit();
+  const auto obs = make_obs(3);
+  std::vector<double> got;
+  const auto t0 = std::chrono::steady_clock::now();
+  Background leader([&] { got = co.infer(m, obs); });
+  sleep_ms(100);
+  EXPECT_FALSE(leader.done());  // still waiting for the admitted request
+  pending.release();
+  ASSERT_TRUE(leader.wait(5'000));
+  EXPECT_LT(us_since(t0), kLongWaitUs / 2);
+  EXPECT_EQ(got, m->handle.query(obs));
+}
+
+TEST_F(CoalescerTest, WidthMismatchEndsItsAdmission) {
+  ServeMetrics metrics;
+  ModelCache cache(*zoo_, {}, &metrics);
+  const auto m = model(cache, 13);
+  Coalescer::Options copts;
+  copts.max_wait_us = kLongWaitUs;
+  Coalescer co(copts, &metrics);
+
+  EXPECT_THROW(co.infer(m, make_obs(1, 7), co.admit()), CheckError);
+  const auto obs = make_obs(2);
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_EQ(co.infer(m, obs), m->handle.query(obs));
+  EXPECT_LT(us_since(t0), 1'000'000);
+}
+
+TEST_F(CoalescerTest, LeaderWaitsToMatchPreviousBatch) {
+  ServeMetrics metrics;
+  ModelCache cache(*zoo_, {}, &metrics);
+  const auto m = model(cache, 14);
+  Coalescer::Options copts;
+  copts.max_batch = 64;
+  copts.max_wait_us = kLongWaitUs;
+  Coalescer co(copts, &metrics);
+
+  // A batch of 4: all four admitted before any joins.
+  {
+    std::vector<Coalescer::Admission> admissions;
+    for (int i = 0; i < 4; ++i) admissions.push_back(co.admit());
+    ThreadPool pool(5);
+    ScopedPool scope(pool);
+    parallel_for(
+        4,
+        [&](std::size_t i) {
+          (void)co.infer(m, make_obs(i), std::move(admissions[i]));
+        },
+        1);
+  }
+  ASSERT_EQ(metrics.coalesced_batches.get(), 1u);
+  ASSERT_EQ(metrics.batch_size.max(), 4u);
+
+  // Three rows and nothing admitted: the leader holds out for a fourth.
+  const auto t0 = std::chrono::steady_clock::now();
+  std::vector<std::vector<double>> got(4);
+  std::vector<std::unique_ptr<Background>> rows;
+  for (std::size_t i = 0; i < 3; ++i)
+    rows.push_back(std::make_unique<Background>(
+        [&, i] { got[i] = co.infer(m, make_obs(10 + i)); }));
+  sleep_ms(100);
+  for (const auto& r : rows) EXPECT_FALSE(r->done());
+  EXPECT_EQ(metrics.coalesced_batches.get(), 1u);
+
+  got[3] = co.infer(m, make_obs(13));
+  for (const auto& r : rows) ASSERT_TRUE(r->wait(5'000));
+  EXPECT_LT(us_since(t0), kLongWaitUs / 2);
+  EXPECT_EQ(metrics.coalesced_batches.get(), 2u);
+  EXPECT_EQ(metrics.batch_size.sum(), 8u);
+  for (std::size_t i = 0; i < 4; ++i)
+    EXPECT_EQ(got[i], m->handle.query(make_obs(10 + i))) << "row " << i;
+}
+
+TEST_F(CoalescerTest, HotSwapsKeepPerModelStateBounded) {
+  ServeMetrics metrics;
+  ModelCache cache(*zoo_, {}, &metrics);
+  Coalescer co({}, &metrics);
+  const auto obs = make_obs(5);
+  for (std::uint64_t swap = 0; swap < 20; ++swap) {
+    const auto m = model(cache, 300 + swap);  // replaces the previous one
+    EXPECT_EQ(co.infer(m, obs), m->handle.query(obs));
+  }
+  EXPECT_LE(co.tracked_models(), 2u);
 }
 
 TEST_F(CoalescerTest, DistinctVictimsNeverShareABatch) {
@@ -566,7 +756,9 @@ TEST_F(ServerTest, ErrorPaths) {
         "/attack/train?env=Hopper&defense=Bogus",
         "/attack/train?env=Hopper&steps=-5",
         "/attack/train?env=Hopper&episodes=-1",
-        "/attack/train?env=Hopper&episodes=4294967297"})
+        "/attack/train?env=Hopper&episodes=4294967297",
+        "/attack/train?env=Hopper&steps=99999999999999999999",
+        "/attack/train?env=Hopper&steps=12abc"})
     EXPECT_EQ(status_of(roundtrip("POST", target)), 400) << target;
   EXPECT_EQ(server_->jobs().total(), 0u);
 

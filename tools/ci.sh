@@ -111,12 +111,14 @@ fi
 
 stage "serve (daemon lifecycle: start, concurrent smoke, clean shutdown)"
 # End-to-end drill of the imap_serve daemon as a real process: ephemeral
-# port, resident victim trained at smoke scale on first /infer, concurrent
-# curl clients, Prometheus scrape, then SIGTERM and a clean exit.
+# port, resident victim trained at smoke scale on the warm-up /infer, a lone
+# /infer that must not wait out the 2 s coalescing deadline, concurrent curl
+# clients, Prometheus scrape, then SIGTERM and a clean exit.
 SERVE_ZOO="$(pwd)/${BUILD_DIR}/ci_serve_zoo"
 SERVE_LOG="$(pwd)/${BUILD_DIR}/ci_serve_port"
 rm -rf "${SERVE_ZOO}" "${SERVE_LOG}"
 IMAP_ZOO_DIR="${SERVE_ZOO}" IMAP_BENCH_SCALE=0.01 IMAP_SERVE_PORT=0 \
+  IMAP_SERVE_MAX_WAIT_US=2000000 \
   "${BUILD_DIR}/tools/imap_serve" --print-port > "${SERVE_LOG}" &
 SERVE_PID=$!
 for _ in $(seq 1 50); do
@@ -127,9 +129,20 @@ SERVE_PORT="$(head -n1 "${SERVE_LOG}")"
 [ -n "${SERVE_PORT}" ] || { echo "ci: imap_serve printed no port"; exit 1; }
 curl -fsS "http://127.0.0.1:${SERVE_PORT}/health" | grep -q '"status":"ok"' \
   || { echo "ci: /health failed"; kill "${SERVE_PID}"; exit 1; }
+SERVE_OBS="$(python3 -c 'print(" ".join(["0.01"] * 11))')"
+# Warm-up /infer trains the victim; then a lone /infer has nobody to wait
+# for, so it must answer well inside the 2 s deadline.
+curl -fsS -o /dev/null -d "${SERVE_OBS}" \
+  "http://127.0.0.1:${SERVE_PORT}/infer?env=Hopper" \
+  || { echo "ci: warm-up /infer failed"; kill "${SERVE_PID}"; exit 1; }
+SERVE_LONE_S="$(curl -fsS -o /dev/null -w '%{time_total}' -d "${SERVE_OBS}" \
+  "http://127.0.0.1:${SERVE_PORT}/infer?env=Hopper")" \
+  || { echo "ci: lone /infer failed"; kill "${SERVE_PID}"; exit 1; }
+python3 -c "import sys; sys.exit(0 if float('${SERVE_LONE_S}') < 1.0 else 1)" \
+  || { echo "ci: lone /infer took ${SERVE_LONE_S}s (waited out the deadline)"
+       kill "${SERVE_PID}"; exit 1; }
 # Concurrent inference smoke: identical observations must produce identical
 # action rows whether or not they shared a coalesced batch.
-SERVE_OBS="$(python3 -c 'print(" ".join(["0.01"] * 11))')"
 for i in 1 2 3 4; do
   curl -fsS -d "${SERVE_OBS}" \
     "http://127.0.0.1:${SERVE_PORT}/infer?env=Hopper" \
@@ -141,9 +154,11 @@ for i in 2 3 4; do
     || { echo "ci: concurrent /infer rows diverged"; kill "${SERVE_PID}"; exit 1; }
 done
 [ -s "${SERVE_LOG}.1" ] || { echo "ci: /infer empty"; kill "${SERVE_PID}"; exit 1; }
-curl -fsS "http://127.0.0.1:${SERVE_PORT}/metrics" \
-  | grep -q '^imap_serve_infer_requests_total 4$' \
-  || { echo "ci: /metrics did not count 4 infers"; kill "${SERVE_PID}"; exit 1; }
+SERVE_METRICS="$(curl -fsS "http://127.0.0.1:${SERVE_PORT}/metrics")"
+grep -q '^imap_serve_infer_requests_total 6$' <<< "${SERVE_METRICS}" \
+  || { echo "ci: /metrics did not count 6 infers"; kill "${SERVE_PID}"; exit 1; }
+grep -q '^imap_serve_coalesce_wait_us_count ' <<< "${SERVE_METRICS}" \
+  || { echo "ci: /metrics has no coalesce_wait_us"; kill "${SERVE_PID}"; exit 1; }
 kill -TERM "${SERVE_PID}"
 wait "${SERVE_PID}"
 SERVE_RC=$?

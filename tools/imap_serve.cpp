@@ -4,7 +4,8 @@
 // answers HTTP on 127.0.0.1 (see src/serve/server.h for the route table).
 // Concurrent single-row /infer requests for the same victim are coalesced
 // into one batched int8 forward — responses stay bit-identical to direct
-// per-request queries.
+// per-request queries. A batch leader waits for followers only while
+// another admitted /infer can still join; a lone request answers at once.
 //
 //   Usage: imap_serve [--port N] [--print-port]
 //
@@ -12,8 +13,8 @@
 //   IMAP_SERVE_PORT         listen port, 0..65535 (default 8950; 0 = ephemeral)
 //   IMAP_SERVE_THREADS      request-handler workers, 1..256 (default 8)
 //   IMAP_SERVE_MAX_BATCH    rows per coalesced forward, 0..4096 (default 32)
-//   IMAP_SERVE_MAX_WAIT_US  batching deadline in microseconds, 0..10^7
-//                           (default 200)
+//   IMAP_SERVE_MAX_WAIT_US  upper bound on a batch leader's wait for
+//                           followers in microseconds, 0..10^7 (default 200)
 //   IMAP_SERVE_COALESCE     1/0: cross-connection coalescing (default 1)
 //   IMAP_SERVE_QUANT        1/0: serve victims through int8 (default 1)
 //   IMAP_SERVE_CACHE_TTL_MS model-cache TTL, 0..86400000 (default 60000)

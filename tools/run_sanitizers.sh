@@ -6,8 +6,9 @@
 #
 #   ASan  : full tier-1 suite (heap/stack corruption, leaks).
 #   UBSan : full tier-1 suite (signed overflow, bad shifts, misaligned loads).
-#   TSan  : thread-pool and parallel-determinism suites — the paths PR 1 made
-#           concurrent; the full suite under TSan is ~20x and adds nothing.
+#   TSan  : thread-pool, parallel-determinism, coalescer and server suites —
+#           the concurrent paths; the full suite under TSan is ~20x and adds
+#           nothing.
 #
 # Usage: tools/run_sanitizers.sh [asan|ubsan|tsan ...]   (default: all three)
 set -u
