@@ -18,13 +18,13 @@
 #include <memory>
 
 #include "attack/gradient_attack.h"
-#include "attack/sa_rl.h"
-#include "attack/threat_model.h"
+#include "attack/ppo_attacker.h"
 #include "common/table.h"
 #include "core/experiment.h"
 #include "core/rnd.h"
 #include "env/registry.h"
 #include "grid_runner.h"
+#include "scenario/scenario_env.h"
 
 using namespace imap;
 using core::AttackKind;
@@ -37,6 +37,7 @@ int main() {
   const double eps = env::spec(env_name).epsilon;
   const auto victim_policy = runner.zoo().victim(env_name, "PPO");
   const auto victim = core::Zoo::as_policy(victim_policy);
+  const auto threat = scenario::state_perturbation(env_name, eps);
   const long long steps = runner.default_attack_steps(env_name);
   const int episodes = runner.default_eval_episodes(env_name);
   Rng rng(cfg.seed + 1000);
@@ -59,6 +60,16 @@ int main() {
   const auto& sarl_outcome = outcomes[2];
   const auto& imap_sc_outcome = outcomes[4];
 
+  // The victim's true reward on `env` under `adversary`'s perturbations.
+  const auto evaluate = [&](const rl::Env& env,
+                            const rl::PolicyHandle& adversary) {
+    Rng er(17);
+    return rl::evaluate(
+        scenario::ScenarioEnv(env, threat, victim,
+                              scenario::RewardMode::VictimTrue),
+        adversary, episodes, er);
+  };
+
   // Custom jobs: each owns its env clone and a pre-split Rng stream.
   rl::EvalStats fgsm_eval, mad_eval, relaxed_eval, rnd_eval;
   const std::vector<std::size_t> ks = {1, 3, 8};
@@ -66,34 +77,27 @@ int main() {
 
   std::vector<std::pair<std::string, std::function<void()>>> jobs;
   jobs.emplace_back("A/FGSM", [&, env = std::shared_ptr<rl::Env>(deploy_env->clone())] {
-    Rng er(17);
-    fgsm_eval = attack::evaluate_attack(
-        *env, victim, attack::make_fgsm_attack(victim_policy, eps), eps,
-        episodes, er);
+    fgsm_eval = evaluate(*env, attack::make_fgsm_attack(victim_policy, eps));
   });
   jobs.emplace_back("A/MAD", [&, env = std::shared_ptr<rl::Env>(deploy_env->clone())] {
-    Rng er(17);
-    mad_eval = attack::evaluate_attack(
-        *env, victim, attack::make_mad_attack(victim_policy, eps, 3), eps,
-        episodes, er);
+    mad_eval = evaluate(*env, attack::make_mad_attack(victim_policy, eps, 3));
   });
   jobs.emplace_back(
       "B/relaxed-SA-RL",
       [&, env = std::shared_ptr<rl::Env>(deploy_env->clone()), job_rng = rng.split(1)]() mutable {
-        attack::SaRl relaxed(*env, victim, eps, {}, job_rng,
-                             /*relaxed=*/true);
+        attack::PpoAttacker relaxed(
+            scenario::ScenarioEnv(*env, threat, victim,
+                                  scenario::RewardMode::AdversaryRelaxed),
+            {}, job_rng);
         relaxed.train(steps);
-        Rng er(17);
-        relaxed_eval = attack::evaluate_attack(*env, victim,
-                                               relaxed.adversary(), eps,
-                                               episodes, er);
+        relaxed_eval = evaluate(*env, relaxed.adversary());
       });
   jobs.emplace_back(
       "C/RND",
       [&, env = std::shared_ptr<rl::Env>(deploy_env->clone()), trainer_rng = rng.split(2),
        rnd_rng = rng.split(3)]() mutable {
-        attack::StatePerturbationEnv attack_env(*env, victim, eps,
-                                                attack::RewardMode::Adversary);
+        scenario::ScenarioEnv attack_env(*env, threat, victim,
+                                         scenario::RewardMode::Adversary);
         rl::PpoTrainer trainer(attack_env, rl::PpoOptions{}, trainer_rng);
         core::RndNovelty rnd(attack_env.obs_dim(), 16, rnd_rng);
         trainer.set_intrinsic_hook([&rnd](rl::RolloutBuffer& buf) {
@@ -101,10 +105,8 @@ int main() {
           return 1.0;  // fixed τ, mirroring IMAP-SC without BR
         });
         trainer.train(steps);
-        Rng er(17);
-        rnd_eval = attack::evaluate_attack(
-            *env, victim, rl::PolicyHandle::snapshot(trainer.policy()), eps,
-            episodes, er);
+        rnd_eval =
+            evaluate(*env, rl::PolicyHandle::snapshot(trainer.policy()));
       });
   for (std::size_t i = 0; i < ks.size(); ++i) {
     const std::size_t k = ks[i];
@@ -116,12 +118,12 @@ int main() {
           opts.reg.type = core::RegularizerType::SC;
           opts.reg.knn_k = k;
           opts.surrogate_scale = env->max_steps();
-          core::ImapTrainer attacker(*env, victim, eps, opts, job_rng);
+          core::ImapTrainer attacker(
+              scenario::ScenarioEnv(*env, threat, victim,
+                                    scenario::RewardMode::Adversary),
+              opts, job_rng);
           attacker.train(steps);
-          Rng er(17);
-          k_evals[i] = attack::evaluate_attack(*env, victim,
-                                               attacker.adversary(), eps,
-                                               episodes, er);
+          k_evals[i] = evaluate(*env, attacker.adversary());
         });
   }
   grid.run_jobs(std::move(jobs));

@@ -29,13 +29,13 @@
 #include <sstream>
 #include <vector>
 
-#include "attack/threat_model.h"
 #include "common/thread_pool.h"
 #include "env/registry.h"
 #include "grid_runner.h"
 #include "nn/batch.h"
 #include "rl/ppo.h"
 #include "rl/vec_env.h"
+#include "scenario/scenario_env.h"
 
 using namespace imap;
 
@@ -99,17 +99,18 @@ void BM_PpoUpdate(benchmark::State& state) {
 }
 BENCHMARK(BM_PpoUpdate)->Unit(benchmark::kMillisecond);
 
-/// The attack-rollout MDP the collection benchmarks run on: Hopper wrapped
-/// in StatePerturbationEnv over a network-backed frozen victim, so every
-/// step pays a victim forward — the case the vectorized engine batches.
-std::unique_ptr<attack::StatePerturbationEnv> make_collect_proto() {
-  const auto inner = env::make_env("Hopper");
+/// The attack-rollout MDP the collection benchmarks run on: Hopper under
+/// the obs_perturb threat model over a network-backed frozen victim, so
+/// every step pays a victim forward — the case the vectorized engine batches.
+std::unique_ptr<scenario::ScenarioEnv> make_collect_proto() {
+  const auto spec = scenario::parse("hopper+obs_perturb:0.075");
+  const auto inner = env::make_env(spec.env);
   Rng victim_rng(11);
   nn::GaussianPolicy victim(inner->obs_dim(), inner->act_dim(), {64, 64},
                             victim_rng);
-  return std::make_unique<attack::StatePerturbationEnv>(
-      *inner, rl::PolicyHandle::snapshot(victim), 0.075,
-      attack::RewardMode::Adversary);
+  return std::make_unique<scenario::ScenarioEnv>(
+      *inner, spec, rl::PolicyHandle::snapshot(victim),
+      scenario::RewardMode::Adversary);
 }
 
 // Rollout collection throughput: Arg = E lockstep env slots, all through the
@@ -327,7 +328,7 @@ void rollout_probe() {
   std::ostringstream os;
   os.setf(std::ios::fixed);
   os.precision(5);
-  os << "{\"env\": \"Hopper\", \"threat_model\": \"StatePerturbationEnv\""
+  os << "{\"env\": \"Hopper\", \"threat_model\": \"obs_perturb\""
      << ", \"hidden\": [64, 64], \"steps_per_iter\": 2048"
      << ", \"envs_per_worker\": 16, \"serial_collect_s\": " << serial_s
      << ", \"vectorized_collect_s\": " << vectorized_s;

@@ -8,25 +8,21 @@
 #include <fstream>
 #include <iostream>
 
+#include "attack/ppo_attacker.h"
 #include "attack/random_attack.h"
-#include "attack/sa_rl.h"
-#include "attack/threat_model.h"
 #include "common/config.h"
 #include "core/imap_trainer.h"
 #include "core/zoo.h"
 #include "env/registry.h"
 #include "rl/evaluate.h"
+#include "scenario/scenario_env.h"
 
 using namespace imap;
 
 namespace {
 
-void dump_trajectory(const std::string& path, const rl::Env& deploy_env,
-                     const rl::PolicyHandle& victim,
-                     const rl::PolicyHandle& attack,
-                     double eps) {
-  attack::StatePerturbationEnv env(deploy_env, victim, eps,
-                                   attack::RewardMode::VictimTrue);
+void dump_trajectory(const std::string& path, const rl::Env& env,
+                     const rl::PolicyHandle& attack) {
   Rng rng(101);
   const auto traj = rl::rollout_trajectory(env, attack, rng);
   std::ofstream f(path);
@@ -46,20 +42,24 @@ int main(int argc, char** argv) {
   const auto cfg = BenchConfig::from_env();
 
   core::Zoo zoo(cfg.zoo_dir, cfg.scale, cfg.seed);
-  const auto deploy_env = env::make_env(env_name);
-  const double eps = env::spec(env_name).epsilon;
+  // The paper's threat model: obs_perturb at the registry ε.
+  const auto spec = scenario::with_default_threat(scenario::parse(env_name));
 
   std::cout << "Training (or loading) the " << defense << " victim on "
             << env_name << "...\n";
   const auto victim_policy = zoo.victim(env_name, defense);
   const auto victim = core::Zoo::as_policy(victim_policy);
+  const scenario::ScenarioEnv attack_env(spec, victim,
+                                         scenario::RewardMode::Adversary);
+  const scenario::ScenarioEnv eval_env(spec, victim,
+                                       scenario::RewardMode::VictimTrue);
 
   Rng rng(cfg.seed);
   Rng eval_rng(17);
   const int episodes = 40;
-  const auto clean = attack::evaluate_attack(
-      *deploy_env, victim, attack::make_null_attack(deploy_env->obs_dim()),
-      eps, episodes, eval_rng);
+  const auto clean = rl::evaluate(
+      eval_env, attack::make_null_attack(eval_env.act_dim()), episodes,
+      eval_rng);
   std::cout << "No attack:  " << clean.returns.mean << " +/- "
             << clean.returns.stddev << "\n";
 
@@ -67,28 +67,26 @@ int main(int argc, char** argv) {
       std::max<long long>(8192, static_cast<long long>(120'000 * cfg.scale));
 
   std::cout << "Training SA-RL (baseline)...\n";
-  attack::SaRl sa_rl(*deploy_env, victim, eps, {}, rng.split(1));
+  attack::PpoAttacker sa_rl(attack_env, {}, rng.split(1));
   sa_rl.train(steps);
-  const auto sa_eval = attack::evaluate_attack(
-      *deploy_env, victim, sa_rl.adversary(), eps, episodes, eval_rng);
+  const auto sa_eval =
+      rl::evaluate(eval_env, sa_rl.adversary(), episodes, eval_rng);
   std::cout << "SA-RL:      " << sa_eval.returns.mean << " +/- "
             << sa_eval.returns.stddev << "\n";
-  dump_trajectory("traj_sa_rl.csv", *deploy_env, victim, sa_rl.adversary(),
-                  eps);
+  dump_trajectory("traj_sa_rl.csv", eval_env, sa_rl.adversary());
 
   std::cout << "Training IMAP-PC+BR (this paper)...\n";
   core::ImapOptions opts;
   opts.reg.type = core::RegularizerType::PC;
   opts.bias_reduction = true;
-  opts.surrogate_scale = deploy_env->max_steps();
-  core::ImapTrainer imap(*deploy_env, victim, eps, opts, rng.split(2));
+  opts.surrogate_scale = eval_env.max_steps();
+  core::ImapTrainer imap(attack_env, opts, rng.split(2));
   imap.train(steps);
-  const auto imap_eval = attack::evaluate_attack(
-      *deploy_env, victim, imap.adversary(), eps, episodes, eval_rng);
+  const auto imap_eval =
+      rl::evaluate(eval_env, imap.adversary(), episodes, eval_rng);
   std::cout << "IMAP-PC+BR: " << imap_eval.returns.mean << " +/- "
             << imap_eval.returns.stddev << "\n";
-  dump_trajectory("traj_imap.csv", *deploy_env, victim, imap.adversary(),
-                  eps);
+  dump_trajectory("traj_imap.csv", eval_env, imap.adversary());
 
   std::cout << "\nVictim drop: SA-RL "
             << 100.0 * (1.0 - sa_eval.returns.mean / clean.returns.mean)

@@ -6,7 +6,7 @@
 #include <fstream>
 #include <iostream>
 
-#include "attack/ap_marl.h"
+#include "attack/ppo_attacker.h"
 #include "attack/threat_model.h"
 #include "common/config.h"
 #include "core/imap_trainer.h"
@@ -52,6 +52,7 @@ int main() {
   std::cout << "Training (or loading) the runner victim...\n";
   const auto victim_policy = zoo.game_victim("YouShallNotPass");
   const auto victim = core::Zoo::as_policy(victim_policy);
+  const attack::OpponentEnv attack_env(*game, victim);
 
   Rng rng(cfg.seed);
   Rng eval_rng(17);
@@ -61,10 +62,10 @@ int main() {
 
   std::cout << "Training AP-MARL blocker (baseline, dithering "
                "exploration)...\n";
-  attack::ApMarl ap_marl(*game, victim, {}, rng.split(1));
+  attack::PpoAttacker ap_marl(attack_env, {}, rng.split(1));
   ap_marl.train(steps);
-  const auto ap_eval = attack::evaluate_opponent_attack(
-      *game, victim, ap_marl.adversary(), episodes, eval_rng);
+  const auto ap_eval =
+      rl::evaluate(attack_env, ap_marl.adversary(), episodes, eval_rng);
   std::cout << "AP-MARL ASR:    " << 100.0 * (1.0 - ap_eval.success_rate)
             << "%\n";
   dump_episode("episode_ap_marl.csv", *game, victim, ap_marl.adversary());
@@ -74,10 +75,11 @@ int main() {
   core::ImapOptions opts;
   opts.reg.type = core::RegularizerType::PC;
   opts.bias_reduction = true;
-  core::ImapTrainer imap(*game, victim, opts, rng.split(2));
+  core::ImapTrainer imap(attack_env, core::with_game_marginals(opts, *game),
+                         rng.split(2));
   imap.train(steps);
-  const auto imap_eval = attack::evaluate_opponent_attack(
-      *game, victim, imap.adversary(), episodes, eval_rng);
+  const auto imap_eval =
+      rl::evaluate(attack_env, imap.adversary(), episodes, eval_rng);
   std::cout << "IMAP-PC+BR ASR: " << 100.0 * (1.0 - imap_eval.success_rate)
             << "%\n";
   dump_episode("episode_imap.csv", *game, victim, imap.adversary());

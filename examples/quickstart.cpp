@@ -11,12 +11,12 @@
 #include <iostream>
 
 #include "attack/random_attack.h"
-#include "attack/threat_model.h"
 #include "core/imap_trainer.h"
 #include "core/zoo.h"
 #include "defense/victim_trainer.h"
 #include "env/registry.h"
 #include "rl/evaluate.h"
+#include "scenario/scenario_env.h"
 
 using namespace imap;
 
@@ -33,11 +33,18 @@ int main(int argc, char** argv) {
       *env, defense::DefenseKind::Vanilla, victim_steps, {}, rng.split(1));
   const auto victim = core::Zoo::as_policy(victim_policy);
 
-  const double eps = env::spec("Hopper").epsilon;
+  // The threat model: the adversary adds a^α with ‖a^α‖∞ ≤ ε to the
+  // victim's observation (obs_perturb at the registry ε). The attack trains
+  // on the adversary's reward and is evaluated on the victim's true reward.
+  const auto threat = scenario::with_default_threat(scenario::parse("hopper"));
+  const double eps = threat.epsilon();
+  const scenario::ScenarioEnv attack_env(threat, victim,
+                                         scenario::RewardMode::Adversary);
+  const scenario::ScenarioEnv eval_env(threat, victim,
+                                       scenario::RewardMode::VictimTrue);
   Rng eval_rng(17);
-  const auto clean = attack::evaluate_attack(
-      *env, victim, attack::make_null_attack(env->obs_dim()), eps, 50,
-      eval_rng);
+  const auto clean = rl::evaluate(
+      eval_env, attack::make_null_attack(eval_env.act_dim()), 50, eval_rng);
   std::cout << "      victim reward (no attack):  " << clean.returns.mean
             << " +/- " << clean.returns.stddev << "\n";
 
@@ -50,13 +57,13 @@ int main(int argc, char** argv) {
   opts.reg.type = core::RegularizerType::PC;
   opts.bias_reduction = true;
   opts.surrogate_scale = env->max_steps();
-  core::ImapTrainer attacker(*env, victim, eps, opts, rng.split(2));
+  core::ImapTrainer attacker(attack_env, opts, rng.split(2));
   attacker.train(attack_steps);
 
   // 3. Evaluate the victim under attack.
   std::cout << "[3/3] evaluating the attack...\n";
-  const auto attacked = attack::evaluate_attack(
-      *env, victim, attacker.adversary(), eps, 50, eval_rng);
+  const auto attacked =
+      rl::evaluate(eval_env, attacker.adversary(), 50, eval_rng);
   std::cout << "      victim reward (IMAP-PC):    " << attacked.returns.mean
             << " +/- " << attacked.returns.stddev << "\n";
   std::cout << "      performance drop:           "

@@ -6,9 +6,8 @@
 
 #include "common/serialize.h"
 
-#include "attack/ap_marl.h"
+#include "attack/ppo_attacker.h"
 #include "attack/random_attack.h"
-#include "attack/sa_rl.h"
 #include "common/check.h"
 #include "common/proc.h"
 #include "env/registry.h"
@@ -46,6 +45,11 @@ RegularizerType regularizer_of(AttackKind kind) {
   }
   IMAP_CHECK_MSG(false, to_string(kind) << " is not an IMAP attack");
   return RegularizerType::SC;  // unreachable
+}
+
+bool attack_supported(const std::string& env_name, AttackKind kind) {
+  const bool game = env::spec(env_name).type == env::TaskType::MultiAgent;
+  return is_imap(kind) || game == (kind == AttackKind::ApMarl);
 }
 
 std::vector<AttackKind> imap_attacks() {
@@ -106,8 +110,7 @@ Rng ExperimentRunner::plan_rng(const AttackPlan& plan) const {
   return seeder.split(stream ^ 0xa77ac4ULL);
 }
 
-ImapOptions ExperimentRunner::imap_options(const AttackPlan& plan,
-                                           const std::string& env_name) const {
+ImapOptions ExperimentRunner::imap_options(const AttackPlan& plan) const {
   ImapOptions opts;
   opts.reg.type = regularizer_of(plan.attack);
   opts.reg.xi = plan.xi;
@@ -115,10 +118,14 @@ ImapOptions ExperimentRunner::imap_options(const AttackPlan& plan,
   opts.eta = plan.eta;
   opts.tau0 = plan.tau0;
   opts.ppo = attack_ppo_options();
+  const auto type = env::spec(plan.env_name).type;
   // Dense tasks: per-step surrogate indicators sum to O(max_steps) per
   // episode; normalise so BR's η has a task-independent meaning.
-  if (env::spec(env_name).type == env::TaskType::DenseLocomotion)
-    opts.surrogate_scale = env::make_env(env_name)->max_steps();
+  if (type == env::TaskType::DenseLocomotion)
+    opts.surrogate_scale = env::make_env(plan.env_name)->max_steps();
+  if (type == env::TaskType::MultiAgent)
+    opts = with_game_marginals(std::move(opts),
+                               *env::make_multiagent_env(plan.env_name));
   return opts;
 }
 
@@ -182,7 +189,7 @@ struct ResumeCfg {
   long long halt_after = 0;  ///< stop after N iterations this process
 };
 
-/// Drive `attacker` (SaRl / ApMarl / ImapTrainer) to `steps`, resuming from
+/// Drive `attacker` (PpoAttacker / ImapTrainer) to `steps`, resuming from
 /// and periodically writing a snapshot that carries the trainer state plus
 /// the learning curve so far. Returns false if halted early by halt_after.
 template <typename Attacker>
@@ -218,195 +225,95 @@ bool train_attacker(Attacker& attacker, long long steps, const ResumeCfg& rc,
   return true;
 }
 
+/// The two views of one cell: the adversary's training env and the
+/// VictimTrue env the attack is evaluated on. A game is an OpponentEnv; a
+/// single-agent cell is a ScenarioEnv, and a classic cell (empty scenario)
+/// is its env under the registry-ε obs_perturb channel, whatever the attack.
+struct CellEnvs {
+  std::unique_ptr<rl::Env> attack;
+  std::unique_ptr<rl::Env> eval;
+};
+
+CellEnvs make_cell_envs(const AttackPlan& plan,
+                        const rl::PolicyHandle& victim) {
+  if (env::spec(plan.env_name).type == env::TaskType::MultiAgent) {
+    const auto game = env::make_multiagent_env(plan.env_name);
+    return {std::make_unique<attack::OpponentEnv>(*game, victim),
+            std::make_unique<attack::OpponentEnv>(*game, victim)};
+  }
+  const auto spec =
+      plan.scenario.empty()
+          ? scenario::with_default_threat(scenario::parse(plan.env_name))
+          : scenario::parse(plan.scenario);
+  const auto inner = env::make_env(spec.env);
+  return {std::make_unique<scenario::ScenarioEnv>(
+              *inner, spec, victim, scenario::RewardMode::Adversary),
+          std::make_unique<scenario::ScenarioEnv>(
+              *inner, spec, victim, scenario::RewardMode::VictimTrue)};
+}
+
 }  // namespace
 
-AttackOutcome ExperimentRunner::run_single_agent(const AttackPlan& plan,
-                                                 const std::string& key) {
-  const auto deploy_env = env::make_env(plan.env_name);
-  const auto victim_policy = zoo_.victim(plan.env_name, plan.defense);
+AttackOutcome ExperimentRunner::run_cell(const AttackPlan& plan,
+                                         const std::string& key,
+                                         long long steps, int episodes) {
+  const bool game = env::spec(plan.env_name).type == env::TaskType::MultiAgent;
+  const auto victim_policy = game ? zoo_.game_victim(plan.env_name)
+                                  : zoo_.victim(plan.env_name, plan.defense);
   // Network-backed handle: vectorized attack rollouts can batch the victim.
   const auto victim = Zoo::as_policy(victim_policy);
-  const double eps = env::spec(plan.env_name).epsilon;
+  const CellEnvs envs = make_cell_envs(plan, victim);
 
   Rng rng = plan_rng(plan);
-  const long long steps =
-      plan.attack_steps ? plan.attack_steps
-                        : default_attack_steps(plan.env_name);
-  const int episodes = plan.eval_episodes
-                           ? plan.eval_episodes
-                           : default_eval_episodes(plan.env_name);
-
+  Rng eval_rng = rng.split(0xe7a1ULL);
+  const ResumeCfg rc{snapshot_path(key), cfg_.snapshot_every,
+                     cfg_.halt_after_iters};
   AttackOutcome out;
   out.plan = plan;
-  Rng eval_rng = rng.split(0xe7a1ULL);
-
+  rl::PolicyHandle adversary;
   switch (plan.attack) {
-    case AttackKind::None: {
-      out.victim_eval = attack::evaluate_attack(
-          *deploy_env, victim, attack::make_null_attack(deploy_env->obs_dim()),
-          eps, episodes, eval_rng);
-      return out;
+    case AttackKind::None:
+      adversary = attack::make_null_attack(envs.eval->act_dim());
+      break;
+    case AttackKind::Random:
+      adversary =
+          attack::make_random_attack(envs.eval->act_dim(), rng.split(3));
+      break;
+    case AttackKind::SaRl:
+    case AttackKind::ApMarl: {
+      attack::PpoAttacker attacker(*envs.attack, attack_ppo_options(), rng);
+      out.completed = train_attacker(attacker, steps, rc, out.curve);
+      adversary = attacker.adversary();
+      break;
     }
-    case AttackKind::Random: {
-      out.victim_eval = attack::evaluate_attack(
-          *deploy_env, victim,
-          attack::make_random_attack(deploy_env->obs_dim(), rng.split(3)),
-          eps, episodes, eval_rng);
-      return out;
-    }
-    case AttackKind::SaRl: {
-      attack::SaRl attacker(*deploy_env, victim, eps, attack_ppo_options(),
-                            rng);
-      out.completed = train_attacker(
-          attacker, steps,
-          {snapshot_path(key), cfg_.snapshot_every, cfg_.halt_after_iters},
-          out.curve);
-      if (!out.completed) return out;
-      out.victim_eval = attack::evaluate_attack(
-          *deploy_env, victim, attacker.adversary(), eps, episodes, eval_rng);
-      return out;
-    }
-    case AttackKind::ApMarl:
-      IMAP_CHECK_MSG(false, "AP-MARL is a multi-agent attack");
-      return out;
     default: {
-      ImapTrainer attacker(*deploy_env, victim, eps,
-                           imap_options(plan, plan.env_name), rng);
-      out.completed = train_attacker(
-          attacker, steps,
-          {snapshot_path(key), cfg_.snapshot_every, cfg_.halt_after_iters},
-          out.curve);
-      if (!out.completed) return out;
-      out.victim_eval = attack::evaluate_attack(
-          *deploy_env, victim, attacker.adversary(), eps, episodes, eval_rng);
-      return out;
+      ImapTrainer attacker(*envs.attack, imap_options(plan), rng);
+      out.completed = train_attacker(attacker, steps, rc, out.curve);
+      adversary = attacker.adversary();
+      break;
     }
   }
-}
-
-AttackOutcome ExperimentRunner::run_scenario(const AttackPlan& plan,
-                                             const std::string& key) {
-  const auto spec = scenario::parse(plan.scenario);
-  const auto victim_policy = zoo_.victim(spec.env, plan.defense);
-  const auto victim = Zoo::as_policy(victim_policy);
-
-  Rng rng = plan_rng(plan);
-  const long long steps =
-      plan.attack_steps ? plan.attack_steps
-                        : default_attack_steps(plan.env_name);
-  const int episodes = plan.eval_episodes
-                           ? plan.eval_episodes
-                           : default_eval_episodes(plan.env_name);
-
-  AttackOutcome out;
-  out.plan = plan;
-  Rng eval_rng = rng.split(0xe7a1ULL);
-
-  // Deployment view: the victim's TRUE reward under the full channel stack
-  // (delay/dropout/noise/dr hit the victim even when no adversary acts).
-  const auto eval_env = scenario::make_scenario_env(
-      spec, victim, attack::RewardMode::VictimTrue);
-
-  switch (plan.attack) {
-    case AttackKind::None: {
-      out.victim_eval = rl::evaluate(
-          *eval_env, attack::make_null_attack(eval_env->act_dim()), episodes,
-          eval_rng);
-      return out;
-    }
-    case AttackKind::Random: {
-      out.victim_eval = rl::evaluate(
-          *eval_env,
-          attack::make_random_attack(eval_env->act_dim(), rng.split(3)),
-          episodes, eval_rng);
-      return out;
-    }
-    case AttackKind::SaRl: {
-      const auto attack_env = scenario::make_scenario_env(
-          spec, victim, attack::RewardMode::Adversary);
-      attack::SaRl attacker(*attack_env, attack_ppo_options(), rng);
-      out.completed = train_attacker(
-          attacker, steps,
-          {snapshot_path(key), cfg_.snapshot_every, cfg_.halt_after_iters},
-          out.curve);
-      if (!out.completed) return out;
-      out.victim_eval =
-          rl::evaluate(*eval_env, attacker.adversary(), episodes, eval_rng);
-      return out;
-    }
-    case AttackKind::ApMarl:
-      IMAP_CHECK_MSG(false, "AP-MARL has no scenario-layer threat model");
-      return out;
-    default: {
-      ImapTrainer attacker(
-          *scenario::make_scenario_env(spec, victim,
-                                       attack::RewardMode::Adversary),
-          imap_options(plan, plan.env_name), rng);
-      out.completed = train_attacker(
-          attacker, steps,
-          {snapshot_path(key), cfg_.snapshot_every, cfg_.halt_after_iters},
-          out.curve);
-      if (!out.completed) return out;
-      out.victim_eval =
-          rl::evaluate(*eval_env, attacker.adversary(), episodes, eval_rng);
-      return out;
-    }
-  }
-}
-
-AttackOutcome ExperimentRunner::run_multi_agent(const AttackPlan& plan,
-                                                const std::string& key) {
-  const auto game = env::make_multiagent_env(plan.env_name);
-  const auto victim_policy = zoo_.game_victim(plan.env_name);
-  const auto victim = Zoo::as_policy(victim_policy);
-
-  Rng rng = plan_rng(plan);
-  const long long steps =
-      plan.attack_steps ? plan.attack_steps
-                        : default_attack_steps(plan.env_name);
-  const int episodes = plan.eval_episodes
-                           ? plan.eval_episodes
-                           : default_eval_episodes(plan.env_name);
-
-  AttackOutcome out;
-  out.plan = plan;
-  Rng eval_rng = rng.split(0xe7a1ULL);
-
-  if (plan.attack == AttackKind::ApMarl) {
-    attack::ApMarl attacker(*game, victim, attack_ppo_options(), rng);
-    out.completed = train_attacker(
-        attacker, steps,
-        {snapshot_path(key), cfg_.snapshot_every, cfg_.halt_after_iters},
-        out.curve);
-    if (!out.completed) return out;
-    out.victim_eval = attack::evaluate_opponent_attack(
-        *game, victim, attacker.adversary(), episodes, eval_rng);
-    return out;
-  }
-  IMAP_CHECK_MSG(is_imap(plan.attack),
-                 to_string(plan.attack) << " unsupported in multi-agent");
-  ImapTrainer attacker(*game, victim, imap_options(plan, plan.env_name), rng);
-  out.completed = train_attacker(
-      attacker, steps,
-      {snapshot_path(key), cfg_.snapshot_every, cfg_.halt_after_iters},
-      out.curve);
-  if (!out.completed) return out;
-  out.victim_eval = attack::evaluate_opponent_attack(
-      *game, victim, attacker.adversary(), episodes, eval_rng);
+  // A halted run is evaluated when it resumes and completes.
+  if (out.completed)
+    out.victim_eval = rl::evaluate(*envs.eval, adversary, episodes, eval_rng);
   return out;
 }
 
 AttackPlan ExperimentRunner::normalize_plan(AttackPlan plan) const {
-  if (plan.scenario.empty()) return plan;
-  auto spec = scenario::parse(plan.scenario);
-  // An attack needs an adversary-controlled channel; when the scenario names
-  // none, the registry-ε obs_perturb default becomes explicit so the cell's
-  // identity string says exactly what ran.
-  if (!spec.trivial() && plan.attack != AttackKind::None &&
-      !spec.attackable())
-    spec = scenario::with_default_threat(std::move(spec));
-  plan.env_name = spec.env;
-  plan.scenario = spec.trivial() ? std::string() : spec.canonical();
+  if (!plan.scenario.empty()) {
+    auto spec = scenario::parse(plan.scenario);
+    // An attack needs an adversary-controlled channel; when the scenario
+    // names none, the registry-ε obs_perturb default becomes explicit so the
+    // cell's identity string says exactly what ran.
+    if (!spec.trivial() && plan.attack != AttackKind::None &&
+        !spec.attackable())
+      spec = scenario::with_default_threat(std::move(spec));
+    plan.env_name = spec.env;
+    plan.scenario = spec.trivial() ? std::string() : spec.canonical();
+  }
+  IMAP_CHECK_MSG(attack_supported(plan.env_name, plan.attack),
+                 to_string(plan.attack) << " does not run on "
+                                        << plan.env_name);
   return plan;
 }
 
@@ -501,11 +408,7 @@ AttackOutcome ExperimentRunner::run(const AttackPlan& raw_plan) {
   proc::FileLock lock(cfg_.zoo_dir + "/locks/" + key + ".lock");
   if (load_cached(key, cached)) return cached;
 
-  AttackOutcome out =
-      !plan.scenario.empty() ? run_scenario(plan, key)
-      : env::spec(plan.env_name).type == env::TaskType::MultiAgent
-          ? run_multi_agent(plan, key)
-          : run_single_agent(plan, key);
+  AttackOutcome out = run_cell(plan, key, steps, episodes);
   // A halted run left a snapshot, not a result — resume before caching.
   if (out.completed) store_cached(key, out);
   return out;

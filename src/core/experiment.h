@@ -32,6 +32,10 @@ enum class AttackKind {
 
 std::string to_string(AttackKind kind);
 bool is_imap(AttackKind kind);
+/// The task × attack matrix: AP-MARL runs only on games; None, Random and
+/// SA-RL only on single-agent tasks (classic or scenario); IMAP on both.
+/// normalize_plan rejects the other pairs before any victim trains.
+bool attack_supported(const std::string& env_name, AttackKind kind);
 RegularizerType regularizer_of(AttackKind kind);
 
 /// IMAP attack variants in Table 1/2 column order.
@@ -120,23 +124,22 @@ class ExperimentRunner {
   /// env_name from the spec, collapse trivial scenarios onto the classic
   /// empty-scenario plan, and make the implicit default threat explicit
   /// (obs_perturb at the registry ε) when an attack needs a controlled
-  /// channel the scenario doesn't name. run() and the DAG builder apply
-  /// this before any key is derived, so equal scenarios share one cell
-  /// however they were spelled.
+  /// channel the scenario doesn't name. Then reject (CheckError) a task ×
+  /// attack pair that attack_supported refuses. run() and the DAG builder
+  /// apply this before any key is derived or any victim trains, so equal
+  /// scenarios share one cell however they were spelled.
   AttackPlan normalize_plan(AttackPlan plan) const;
 
  private:
-  AttackOutcome run_single_agent(const AttackPlan& plan,
-                                 const std::string& key);
-  AttackOutcome run_multi_agent(const AttackPlan& plan,
-                                const std::string& key);
-  /// Non-trivial scenario plans: channel-pipeline attack env + evaluation.
-  AttackOutcome run_scenario(const AttackPlan& plan, const std::string& key);
+  /// The one cell body, for a normalized plan with resolved budgets: load
+  /// the victim, build the cell's (attack env, eval env) pair, train the
+  /// attack and evaluate it on the VictimTrue view.
+  AttackOutcome run_cell(const AttackPlan& plan, const std::string& key,
+                         long long steps, int episodes);
   /// Mid-training snapshot file for one cached run (under
   /// <zoo_dir>/snapshots; the directory is created on first write).
   std::string snapshot_path(const std::string& key) const;
-  ImapOptions imap_options(const AttackPlan& plan,
-                           const std::string& env_name) const;
+  ImapOptions imap_options(const AttackPlan& plan) const;
   Rng plan_rng(const AttackPlan& plan) const;
   /// Result-cache read with a stat-signature memo in front: a result file
   /// already parsed by this process is reused as long as its on-disk

@@ -19,56 +19,30 @@ std::vector<double> estimate_initial_state(const rl::Env& env,
   return acc;
 }
 
-ImapTrainer::ImapTrainer(const rl::Env& deploy_env, rl::PolicyHandle victim,
-                         double eps, ImapOptions opts, Rng rng)
-    : opts_(opts), br_(opts.bias_reduction, opts.eta, opts.tau0) {
-  attack::StatePerturbationEnv attack_env(deploy_env, std::move(victim), eps,
-                                          attack::RewardMode::Adversary);
-  if (opts_.reg.type == RegularizerType::R && opts_.reg.risk_target.empty()) {
-    Rng init_rng = rng.split(0x5eedULL);
-    opts_.reg.risk_target =
-        estimate_initial_state(attack_env, opts_.reg, 16, init_rng);
+ImapOptions with_game_marginals(ImapOptions opts,
+                                const env::MultiAgentEnv& game) {
+  if (opts.reg.victim_slice.whole()) {
+    const auto [vb, ve] = game.victim_obs_range();
+    const auto [ab, ae] = game.adversary_obs_range();
+    opts.reg.victim_slice = {vb, ve};
+    opts.reg.adversary_slice = {ab, ae};
   }
-  finish_setup(attack_env, opts_, rng);
-}
-
-ImapTrainer::ImapTrainer(const env::MultiAgentEnv& game,
-                         rl::PolicyHandle victim, ImapOptions opts, Rng rng)
-    : opts_(opts), br_(opts.bias_reduction, opts.eta, opts.tau0) {
-  attack::OpponentEnv attack_env(game, std::move(victim));
-  // Default marginals: the game's joint-state projections (Eq. 7 / Eq. 9).
-  if (opts_.reg.victim_slice.whole()) {
-    const auto [vb, ve] = attack_env.victim_obs_range();
-    const auto [ab, ae] = attack_env.adversary_obs_range();
-    opts_.reg.victim_slice = {vb, ve};
-    opts_.reg.adversary_slice = {ab, ae};
-  }
-  if (opts_.reg.type == RegularizerType::R && opts_.reg.risk_target.empty()) {
-    Rng init_rng = rng.split(0x5eedULL);
-    opts_.reg.risk_target =
-        estimate_initial_state(attack_env, opts_.reg, 16, init_rng);
-  }
-  finish_setup(attack_env, opts_, rng);
+  return opts;
 }
 
 ImapTrainer::ImapTrainer(const rl::Env& attack_env, ImapOptions opts, Rng rng)
-    : opts_(opts), br_(opts.bias_reduction, opts.eta, opts.tau0) {
+    : opts_(std::move(opts)), br_(opts_.bias_reduction, opts_.eta, opts_.tau0) {
+  IMAP_CHECK(opts_.surrogate_scale > 0.0);
   if (opts_.reg.type == RegularizerType::R && opts_.reg.risk_target.empty()) {
     Rng init_rng = rng.split(0x5eedULL);
     opts_.reg.risk_target =
         estimate_initial_state(attack_env, opts_.reg, 16, init_rng);
   }
-  finish_setup(attack_env, opts_, rng);
-}
-
-void ImapTrainer::finish_setup(const rl::Env& attack_env, ImapOptions opts,
-                               Rng rng) {
-  reg_ = make_regularizer(opts.reg, attack_env.obs_dim(),
+  reg_ = make_regularizer(opts_.reg, attack_env.obs_dim(),
                           attack_env.act_dim(), rng.split(0x4e67ULL));
   trainer_ =
-      std::make_unique<rl::PpoTrainer>(attack_env, opts.ppo, rng.split(1));
+      std::make_unique<rl::PpoTrainer>(attack_env, opts_.ppo, rng.split(1));
 
-  IMAP_CHECK(opts_.surrogate_scale > 0.0);
   // Algorithm 1's optimizing stage: bonuses from the chosen regularizer,
   // then the BR temperature for this iteration.
   trainer_->set_intrinsic_hook([this](rl::RolloutBuffer& buf) {

@@ -22,6 +22,12 @@ struct ImapOptions {
   rl::PpoOptions ppo;
 };
 
+/// The multi-agent regularizer marginals (Eq. 7 / Eq. 9): unless `opts`
+/// already names a victim slice, Π_{S^ν}/Π_{S^α} become the game's
+/// joint-state projections of the adversary observation.
+ImapOptions with_game_marginals(ImapOptions opts,
+                                const env::MultiAgentEnv& game);
+
 /// IMAP: Intrinsically Motivated Adversarial Policy learning — the paper's
 /// core contribution. A PPO adversary over the black-box threat-model MDP,
 /// augmented with an adversarial intrinsic regularizer (SC/PC/R/D) entering
@@ -29,24 +35,27 @@ struct ImapOptions {
 /// by Bias-Reduction (Eq. 15–17) when enabled.
 class ImapTrainer {
  public:
-  /// Single-agent form: state-perturbation attack within ‖a^α‖∞ ≤ ε. If the
-  /// R regularizer is selected and no risk_target is set, s₀^ν is estimated
-  /// from a handful of environment resets. A network-backed victim handle
-  /// lets the vectorized rollout engine batch victim queries.
-  ImapTrainer(const rl::Env& deploy_env, rl::PolicyHandle victim, double eps,
-              ImapOptions opts, Rng rng);
-
-  /// Multi-agent form: opponent-control attack on a Markov game; the
-  /// regularizer marginals default to the game's Π_{S^ν}/Π_{S^α} ranges.
-  ImapTrainer(const env::MultiAgentEnv& game, rl::PolicyHandle victim,
-              ImapOptions opts, Rng rng);
-
-  /// Pre-built attack-view env (e.g. a scenario::ScenarioEnv in Adversary
-  /// mode). Rng split discipline matches the single-agent ctor exactly:
-  /// split(0x5eed) for R-target estimation, split(0x4e67) for the
-  /// regularizer, split(1) for the PPO trainer — so a trivial scenario spec
-  /// reproduces the classic ctor bit-for-bit.
+  /// IMAP over a given attack env: a scenario::ScenarioEnv in
+  /// RewardMode::Adversary for single-agent tasks, an attack::OpponentEnv
+  /// for games (pass the game's marginals through with_game_marginals).
+  /// If the R regularizer is selected and no risk_target is set, s₀^ν is
+  /// estimated from 16 resets of the attack env. Rng splits: 0x5eed for
+  /// that estimate, 0x4e67 for the regularizer, 1 for the PPO trainer.
   ImapTrainer(const rl::Env& attack_env, ImapOptions opts, Rng rng);
+
+  // Forwarders onto the constructor above. The traced cell in
+  // e2ebench/cpp/cell.cpp compiles against them; ROADMAP item 5(a) deletes
+  // them together with that cell (see also attack/threat_model.h).
+  ImapTrainer(const rl::Env& deploy_env, rl::PolicyHandle victim, double eps,
+              ImapOptions opts, Rng rng)
+      : ImapTrainer(attack::StatePerturbationEnv(deploy_env, std::move(victim),
+                                                 eps,
+                                                 attack::RewardMode::Adversary),
+                    std::move(opts), rng) {}
+  ImapTrainer(const env::MultiAgentEnv& game, rl::PolicyHandle victim,
+              ImapOptions opts, Rng rng)
+      : ImapTrainer(attack::OpponentEnv(game, std::move(victim)),
+                    with_game_marginals(std::move(opts), game), rng) {}
 
   rl::IterStats iterate() { return trainer_->iterate(); }
   std::vector<rl::IterStats> train(long long steps) {
@@ -72,8 +81,6 @@ class ImapTrainer {
   bool restore(const std::string& path);
 
  private:
-  void finish_setup(const rl::Env& attack_env, ImapOptions opts, Rng rng);
-
   ImapOptions opts_;
   BiasReduction br_;
   std::unique_ptr<AdversarialRegularizer> reg_;

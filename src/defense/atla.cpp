@@ -2,11 +2,12 @@
 
 #include <algorithm>
 
-#include "attack/sa_rl.h"
+#include "attack/ppo_attacker.h"
 #include "common/check.h"
 #include "defense/sa_regularizer.h"
 #include "nn/checkpoint.h"
 #include "scenario/channels.h"
+#include "scenario/scenario_env.h"
 
 namespace imap::defense {
 
@@ -106,8 +107,12 @@ std::vector<rl::IterStats> AtlaTrainer::run_round() {
     stats = victim_.train(victim_per_round_);
   } else {
     // (1) Train the RL adversary against the frozen victim snapshot.
-    attack::SaRl adversary(
-        *training_env_, rl::PolicyHandle::snapshot(victim_.policy()), eps_,
+    attack::PpoAttacker adversary(
+        scenario::ScenarioEnv(
+            *training_env_,
+            scenario::state_perturbation(training_env_->name(), eps_),
+            rl::PolicyHandle::snapshot(victim_.policy()),
+            scenario::RewardMode::Adversary),
         ppo_, rng_.split(100 + static_cast<std::uint64_t>(round_)));
     adversary.train(adversary.trainer().steps_done() + adv_per_round_);
     round_adversary_ =

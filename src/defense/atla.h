@@ -13,8 +13,8 @@
 namespace imap::defense {
 
 /// The victim's side of adversarial training: an env whose observations are
-/// corrupted by a FIXED adversary (the converse of
-/// attack::StatePerturbationEnv, where the adversary is the agent).
+/// corrupted by a FIXED adversary (the converse of the threat-model
+/// scenario::ScenarioEnv, where the adversary is the agent).
 ///
 /// Two adversary forms:
 ///  * a frozen rl::PolicyHandle (ATLA rounds: the RL adversary of the round);

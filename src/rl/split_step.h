@@ -10,8 +10,9 @@ namespace imap::rl {
 
 /// Mixin interface for wrapper environments whose step() is exactly one
 /// frozen-policy query sandwiched between pre- and post-transition code —
-/// the shape of both threat-model wrappers (StatePerturbationEnv queries the
-/// victim on a perturbed observation, OpponentEnv on the victim-side state).
+/// the shape of both threat models (scenario::ScenarioEnv queries the victim
+/// on the channel-corrupted observation, attack::OpponentEnv on the
+/// victim-side state).
 ///
 /// Splitting the step lets the vectorized rollout engine run phase 1 for all
 /// lockstep slots, answer every query with ONE batched victim forward, and

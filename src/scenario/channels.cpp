@@ -44,8 +44,7 @@ ChannelPipeline::ChannelPipeline(const ScenarioSpec& spec,
 void ChannelPipeline::begin_episode(Rng& rng, double budget_scale) {
   // One reseed draw per stochastic channel PRESENT, in pipeline order, so a
   // scenario without stochastic channels consumes no extra slot-Rng draws
-  // (keeping e.g. `env+obs_perturb:eps` rollouts bit-identical to the
-  // legacy StatePerturbationEnv's).
+  // (an `env+obs_perturb:eps` reset draws only the inner env's own).
   if (dropout_p_ >= 0.0) dropout_rng_ = Rng(rng.next_u64());
   if (noise_eps_ >= 0.0) noise_rng_ = Rng(rng.next_u64());
   ring_head_ = 0;

@@ -8,12 +8,12 @@
 
 namespace imap::scenario {
 
-/// The two shared perturbation primitives. Both threat-model wrappers apply
-/// them with exactly these loops, so porting a wrapper onto the pipeline is
-/// bit-compatible by construction.
+/// The two perturbation primitives: the arithmetic of the obs_perturb and
+/// obs_noise channels. defense::PerturbedVictimEnv's noise mode runs the
+/// same obs_noise loop, so the two stay bit-compatible by construction.
 
-/// obs[i] += eps * ctrl[i] — the SA-MDP observation perturbation
-/// (attack::StatePerturbationEnv::begin_step's arithmetic). `ctrl` must be
+/// obs[i] += eps * ctrl[i] — the SA-MDP observation perturbation of the
+/// obs_perturb channel (ScenarioEnv::begin_step). `ctrl` must be
 /// pre-clamped to [-1, 1] and at least obs.size() wide.
 void apply_obs_perturb(std::vector<double>& obs, const double* ctrl,
                        double eps);

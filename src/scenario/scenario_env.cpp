@@ -20,13 +20,13 @@ std::uint64_t mix(std::uint64_t x) {
 
 }  // namespace
 
-ScenarioEnv::ScenarioEnv(const ScenarioSpec& spec, rl::PolicyHandle victim,
-                         attack::RewardMode mode)
-    : spec_(spec),
-      inner_(env::make_env(spec.env)),
+ScenarioEnv::ScenarioEnv(const rl::Env& inner, ScenarioSpec spec,
+                         rl::PolicyHandle victim, RewardMode mode)
+    : spec_(std::move(spec)),
+      inner_(inner.clone()),
       victim_(std::move(victim)),
       mode_(mode),
-      pipeline_(spec, inner_->obs_dim(), inner_->act_dim()),
+      pipeline_(spec_, inner_->obs_dim(), inner_->act_dim()),
       act_space_(std::max<std::size_t>(1, pipeline_.ctrl_dim()), 1.0) {
   IMAP_CHECK(static_cast<bool>(victim_));
   for (const auto& r : spec_.dr)
@@ -36,6 +36,10 @@ ScenarioEnv::ScenarioEnv(const ScenarioSpec& spec, rl::PolicyHandle victim,
                          << spec_.env
                          << "' does not support dynamics randomization");
 }
+
+ScenarioEnv::ScenarioEnv(const ScenarioSpec& spec, rl::PolicyHandle victim,
+                         RewardMode mode)
+    : ScenarioEnv(*env::make_env(spec.env), spec, std::move(victim), mode) {}
 
 ScenarioEnv::ScenarioEnv(const ScenarioEnv& other)
     : spec_(other.spec_),
@@ -104,9 +108,9 @@ rl::StepResult ScenarioEnv::finish_step(
   pipeline_.corrupt_obs(sr.obs);
   cur_obs_ = sr.obs;
 
-  if (mode_ == attack::RewardMode::Adversary)
+  if (mode_ == RewardMode::Adversary)
     sr.reward = -sr.surrogate;
-  else if (mode_ == attack::RewardMode::AdversaryRelaxed)
+  else if (mode_ == RewardMode::AdversaryRelaxed)
     sr.reward = -sr.reward;
   // VictimTrue keeps the inner reward untouched.
   return sr;
@@ -114,12 +118,6 @@ rl::StepResult ScenarioEnv::finish_step(
 
 rl::StepResult ScenarioEnv::step(const std::vector<double>& action) {
   return finish_step(victim_.query(begin_step(action), ws_));
-}
-
-std::unique_ptr<ScenarioEnv> make_scenario_env(const ScenarioSpec& spec,
-                                               rl::PolicyHandle victim,
-                                               attack::RewardMode mode) {
-  return std::make_unique<ScenarioEnv>(spec, std::move(victim), mode);
 }
 
 }  // namespace imap::scenario

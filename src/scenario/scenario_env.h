@@ -2,7 +2,6 @@
 
 #include <memory>
 
-#include "attack/threat_model.h"
 #include "rl/env.h"
 #include "rl/policy_handle.h"
 #include "rl/split_step.h"
@@ -11,12 +10,26 @@
 
 namespace imap::scenario {
 
-/// One scenario instance: the base environment wrapped in the full
-/// perturbation-channel pipeline plus per-reset domain randomization, hosted
-/// behind the same rl::SplitStepEnv contract as attack::StatePerturbationEnv
-/// — so the vectorized rollout engine still answers every lockstep slot's
-/// victim query with ONE batched forward per tick, whatever the channel
-/// stack.
+/// Whose reward the threat-model env reports. Attack TRAINING uses Adversary
+/// (J_AP = −r̂, the black-box surrogate objective, Eq. 3); attack EVALUATION
+/// uses VictimTrue so the harness can report the victim's real episode
+/// rewards J_E^ν under attack (the paper's Table 1/2 metric).
+/// AdversaryRelaxed is the ORIGINAL SA-RL threat model (paper Sec. 4.2:
+/// "SA-RL relaxed the second assumption"): the adversary trains on the
+/// negated TRUE victim reward −r_E^ν — information a black-box attacker
+/// would not have. Kept for the ablation bench.
+enum class RewardMode { Adversary, VictimTrue, AdversaryRelaxed };
+
+/// The single-agent threat model (Sec. 4.3) and every scenario built on it:
+/// an inner environment wrapped in the perturbation-channel pipeline plus
+/// per-reset domain randomization. With one `obs_perturb:ε` channel it is
+/// the paper's state adversary — the attacker observes the true state s and
+/// the frozen victim acts on s + a^α with ‖a^α‖∞ ≤ ε.
+///
+/// The victim query is exposed through rl::SplitStepEnv (begin_step returns
+/// the perturbed observation, finish_step consumes the victim's raw output),
+/// so the vectorized rollout engine answers every lockstep slot's victim
+/// query with ONE batched forward per tick, whatever the channel stack.
 ///
 /// As an rl::Env the *agent* is the adversary; its action is the
 /// concatenation of the controlled channels' slices (see ChannelPipeline).
@@ -30,11 +43,17 @@ namespace imap::scenario {
 /// stochastic channel present. Everything downstream is a pure function of
 /// those draws and the action sequence, so randomized rollouts are
 /// bit-identical across any workers×slots×procs factorization and episodes
-/// replay exactly from their pre-reset Rng state (snapshot restore).
+/// replay exactly from their pre-reset Rng state (snapshot restore). An
+/// `obs_perturb`-only scenario draws nothing but the inner env's own draws.
 class ScenarioEnv : public rl::EnvBase<ScenarioEnv>, public rl::SplitStepEnv {
  public:
+  /// The scenario over a given inner env; `spec.env` only names it (the
+  /// canonical string, name()), and the channels and dr apply to `inner`.
+  ScenarioEnv(const rl::Env& inner, ScenarioSpec spec,
+              rl::PolicyHandle victim, RewardMode mode);
+  /// The scenario over its registry env `spec.env`.
   ScenarioEnv(const ScenarioSpec& spec, rl::PolicyHandle victim,
-              attack::RewardMode mode);
+              RewardMode mode);
   ScenarioEnv(const ScenarioEnv& other);
   ScenarioEnv& operator=(const ScenarioEnv&) = delete;
 
@@ -69,7 +88,7 @@ class ScenarioEnv : public rl::EnvBase<ScenarioEnv>, public rl::SplitStepEnv {
   ScenarioSpec spec_;
   std::unique_ptr<rl::Env> inner_;
   rl::PolicyHandle victim_;
-  attack::RewardMode mode_;
+  RewardMode mode_;
   ChannelPipeline pipeline_;
   rl::BoxSpace act_space_;
   rl::DynamicsScales dynamics_;
@@ -79,12 +98,5 @@ class ScenarioEnv : public rl::EnvBase<ScenarioEnv>, public rl::SplitStepEnv {
   std::vector<double> perturbed_;     ///< begin_step scratch (reused)
   nn::Mlp::Workspace ws_;             ///< step()'s victim queries (per clone)
 };
-
-/// Build the attack/evaluation env for a scenario: RewardMode::Adversary for
-/// attack training, RewardMode::VictimTrue for evaluation (exactly the
-/// threat_model.h conventions).
-std::unique_ptr<ScenarioEnv> make_scenario_env(const ScenarioSpec& spec,
-                                               rl::PolicyHandle victim,
-                                               attack::RewardMode mode);
 
 }  // namespace imap::scenario

@@ -38,7 +38,7 @@ double parse_num(const std::string& s, const char* what) {
   const auto res = std::from_chars(b, e, v);
   IMAP_CHECK_MSG(res.ec == std::errc() && res.ptr == e && std::isfinite(v),
                  "scenario: bad " << what << " '" << s << "'");
-  return v;
+  return v + 0.0;  // -0 + 0 == +0: "-0" and "0" name one scenario
 }
 
 void validate_channel(const ChannelSpec& c) {
@@ -298,6 +298,14 @@ ScenarioSpec with_default_threat(ScenarioSpec spec) {
   c.kind = ChannelKind::ObsPerturb;
   c.param = env::spec(spec.env).epsilon;
   spec.channels.insert(spec.channels.begin(), c);
+  return spec;
+}
+
+ScenarioSpec state_perturbation(std::string env, double eps) {
+  ScenarioSpec spec;
+  spec.env = std::move(env);
+  spec.channels.push_back({ChannelKind::ObsPerturb, eps});
+  validate_channel(spec.channels.front());
   return spec;
 }
 

@@ -93,6 +93,12 @@ std::optional<std::string> try_canonical(const std::string& text);
 /// so the implicit default becomes explicit in the cell's identity string.
 ScenarioSpec with_default_threat(ScenarioSpec spec);
 
+/// The paper's single-agent threat model (Sec. 4.3) as a spec: `env` with
+/// one obs_perturb:eps channel. `env` only names the env, so this also
+/// describes a ScenarioEnv over a given inner env that is not in the
+/// registry. Throws CheckError when eps < 0.
+ScenarioSpec state_perturbation(std::string env, double eps);
+
 /// Expand a scenario pattern into concrete scenarios:
 ///   * the env component may be '*' (every single-agent task) or a
 ///     comma-separated alternation ("hopper,walker2d");

@@ -416,8 +416,9 @@ std::string Server::route_attack_train(const HttpRequest& req, int& status) {
       status = 400;
       return json_error("malformed scenario: " + plan.scenario);
     }
-    if (plan.env_name.empty())
-      plan.env_name = scenario::parse(plan.scenario).env;
+    // The scenario names the cell's env, as normalize_plan resolves it, so
+    // the task × attack check below judges the cell that would run.
+    plan.env_name = scenario::parse(plan.scenario).env;
   }
   plan.defense = req.param("defense", "PPO");
   const auto defenses = defense::all_defenses();
@@ -431,6 +432,10 @@ std::string Server::route_attack_train(const HttpRequest& req, int& status) {
   if (!attack_from_string(attack, plan.attack)) {
     status = 400;
     return json_error("unknown attack: " + attack);
+  }
+  if (!core::attack_supported(plan.env_name, plan.attack)) {
+    status = 400;
+    return json_error(attack + " does not run on " + plan.env_name);
   }
   const auto steps = req.param_ll("steps", 0);
   const auto episodes = req.param_ll("episodes", 0);

@@ -2,12 +2,12 @@
 
 #include <cmath>
 
-#include "attack/ap_marl.h"
+#include "attack/ppo_attacker.h"
 #include "attack/random_attack.h"
-#include "attack/sa_rl.h"
 #include "attack/threat_model.h"
 #include "env/hopper.h"
 #include "env/you_shall_not_pass.h"
+#include "scenario/scenario_env.h"
 
 namespace imap::attack {
 namespace {
@@ -23,10 +23,23 @@ rl::ActionFn feedback_victim() {
   };
 }
 
+using scenario::RewardMode;
+using scenario::ScenarioEnv;
+
+// The StatePerturbationEnv suites test the single-agent threat model of
+// Sec. 4.3: a ScenarioEnv over a given inner env whose one channel is
+// obs_perturb:eps.
+ScenarioEnv state_perturbation_env(const rl::Env& inner,
+                                   rl::PolicyHandle victim, double eps,
+                                   RewardMode mode) {
+  return ScenarioEnv(inner, scenario::state_perturbation(inner.name(), eps),
+                     std::move(victim), mode);
+}
+
 TEST(StatePerturbationEnv, AgentIsTheAdversary) {
   const auto inner = env::make_hopper();
-  StatePerturbationEnv env(*inner, feedback_victim(), 0.075,
-                           RewardMode::Adversary);
+  auto env = state_perturbation_env(*inner, feedback_victim(), 0.075,
+                                    RewardMode::Adversary);
   EXPECT_EQ(env.obs_dim(), inner->obs_dim());
   EXPECT_EQ(env.act_dim(), inner->obs_dim());  // perturbation per obs dim
   EXPECT_DOUBLE_EQ(env.epsilon(), 0.075);
@@ -34,8 +47,8 @@ TEST(StatePerturbationEnv, AgentIsTheAdversary) {
 
 TEST(StatePerturbationEnv, AdversaryRewardIsNegativeSurrogate) {
   const auto inner = env::make_hopper();
-  StatePerturbationEnv env(*inner, feedback_victim(), 0.075,
-                           RewardMode::Adversary);
+  auto env = state_perturbation_env(*inner, feedback_victim(), 0.075,
+                                    RewardMode::Adversary);
   Rng rng(3);
   env.reset(rng);
   const std::vector<double> zero(env.act_dim(), 0.0);
@@ -50,10 +63,10 @@ TEST(StatePerturbationEnv, AdversaryRewardIsNegativeSurrogate) {
 
 TEST(StatePerturbationEnv, VictimTrueModeKeepsTaskReward) {
   const auto inner = env::make_hopper();
-  StatePerturbationEnv adv_env(*inner, feedback_victim(), 0.0,
-                               RewardMode::Adversary);
-  StatePerturbationEnv true_env(*inner, feedback_victim(), 0.0,
-                                RewardMode::VictimTrue);
+  auto adv_env = state_perturbation_env(*inner, feedback_victim(), 0.0,
+                                        RewardMode::Adversary);
+  auto true_env = state_perturbation_env(*inner, feedback_victim(), 0.0,
+                                         RewardMode::VictimTrue);
   Rng r1(5), r2(5);
   adv_env.reset(r1);
   true_env.reset(r2);
@@ -68,8 +81,8 @@ TEST(StatePerturbationEnv, VictimTrueModeKeepsTaskReward) {
 TEST(StatePerturbationEnv, ZeroEpsilonIsNoAttack) {
   const auto inner = env::make_hopper();
   // With ε = 0 even a saturated adversary changes nothing.
-  StatePerturbationEnv env(*inner, feedback_victim(), 0.0,
-                           RewardMode::VictimTrue);
+  auto env = state_perturbation_env(*inner, feedback_victim(), 0.0,
+                                    RewardMode::VictimTrue);
   auto plain = inner->clone();
   Rng r1(7), r2(7);
   env.reset(r1);
@@ -91,7 +104,8 @@ TEST(StatePerturbationEnv, PerturbationIsLinfBounded) {
     return std::vector<double>(3, 0.0);
   };
   const double eps = 0.075;
-  StatePerturbationEnv env(*inner, recorder, eps, RewardMode::Adversary);
+  auto env =
+      state_perturbation_env(*inner, recorder, eps, RewardMode::Adversary);
   Rng rng(3);
   const auto true_obs = env.reset(rng);
   std::vector<double> dir(env.act_dim());
@@ -171,7 +185,10 @@ TEST(SaRl, TrainsOnAdversaryRewardAndExportsFrozenPolicy) {
   const auto inner = env::make_hopper();
   rl::PpoOptions ppo;
   ppo.steps_per_iter = 512;
-  SaRl attacker(*inner, feedback_victim(), 0.075, ppo, Rng(5));
+  PpoAttacker attacker(
+      state_perturbation_env(*inner, feedback_victim(), 0.075,
+                             RewardMode::Adversary),
+      ppo, Rng(5));
   const auto stats = attacker.train(2048);
   EXPECT_GE(stats.size(), 4u);
   const auto adv = attacker.adversary();
@@ -187,9 +204,11 @@ TEST(ApMarl, TrainsOnGame) {
   const auto game = env::make_you_shall_not_pass();
   rl::PpoOptions ppo;
   ppo.steps_per_iter = 512;
-  ApMarl attacker(*game, rl::ActionFn([](const std::vector<double>&) {
-    return std::vector<double>{-1.0, 0.0};
-  }), ppo, Rng(5));
+  PpoAttacker attacker(
+      OpponentEnv(*game, rl::ActionFn([](const std::vector<double>&) {
+        return std::vector<double>{-1.0, 0.0};
+      })),
+      ppo, Rng(5));
   const auto stats = attacker.train(1024);
   EXPECT_GE(stats.size(), 2u);
   const auto adv = attacker.adversary();

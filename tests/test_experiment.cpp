@@ -7,6 +7,7 @@
 #include "common/check.h"
 #include "common/serialize.h"
 #include "core/experiment.h"
+#include "core/experiment_dag.h"
 #include "temp_dir.h"
 
 namespace imap::core {
@@ -249,14 +250,56 @@ TEST_F(ExperimentTest, MultiAgentPlanRoutesToOpponentAttack) {
   EXPECT_FALSE(out.curve.empty());
 }
 
-TEST_F(ExperimentTest, SingleAgentRejectsApMarl) {
+TEST_F(ExperimentTest, InvalidTaskAttackPairsFailBeforeAnyVictimTrains) {
+  // The accept side of the task × attack matrix: IMAP everywhere, AP-MARL
+  // only on games, the single-agent attacks only off them.
+  const AttackKind all[] = {AttackKind::None,   AttackKind::Random,
+                            AttackKind::SaRl,   AttackKind::ApMarl,
+                            AttackKind::ImapSC, AttackKind::ImapPC,
+                            AttackKind::ImapR,  AttackKind::ImapD};
+  for (const auto kind : all) {
+    SCOPED_TRACE(to_string(kind));
+    EXPECT_EQ(attack_supported("Hopper", kind), kind != AttackKind::ApMarl);
+    EXPECT_EQ(attack_supported("YouShallNotPass", kind),
+              is_imap(kind) || kind == AttackKind::ApMarl);
+  }
+
+  // The reject side fails in normalize_plan, which run() and the DAG
+  // builder apply before any victim trains.
+  struct Case {
+    const char* env_name;
+    const char* scenario;
+    AttackKind attack;
+  };
+  const Case rejected[] = {
+      {"Hopper", "", AttackKind::ApMarl},
+      {"", "hopper+obs_delay:2", AttackKind::ApMarl},
+      {"YouShallNotPass", "", AttackKind::None},
+      {"YouShallNotPass", "", AttackKind::Random},
+      {"YouShallNotPass", "", AttackKind::SaRl},
+      {"", "youshallnotpass", AttackKind::SaRl},
+  };
   ExperimentRunner runner(cfg_);
-  AttackPlan plan;
-  plan.env_name = "Hopper";
-  plan.attack = AttackKind::ApMarl;
-  plan.attack_steps = 4096;
-  plan.eval_episodes = 5;
-  EXPECT_THROW(runner.run(plan), CheckError);
+  for (const auto& c : rejected) {
+    SCOPED_TRACE(std::string(c.env_name) + c.scenario + " × " +
+                 to_string(c.attack));
+    AttackPlan plan;
+    plan.env_name = c.env_name;
+    plan.scenario = c.scenario;
+    plan.attack = c.attack;
+    plan.attack_steps = 4096;
+    plan.eval_episodes = 5;
+    EXPECT_THROW(runner.normalize_plan(plan), CheckError);
+    EXPECT_THROW(runner.run(plan), CheckError);
+    EXPECT_THROW(DagScheduler(cfg_).run({plan}), CheckError);
+  }
+  // No victim checkpoint (or victim snapshot) was written.
+  if (std::filesystem::exists(cfg_.zoo_dir))
+    for (const auto& e :
+         std::filesystem::recursive_directory_iterator(cfg_.zoo_dir)) {
+      EXPECT_NE(e.path().extension(), ".pol") << e.path();
+      EXPECT_NE(e.path().extension(), ".snap") << e.path();
+    }
 }
 
 }  // namespace

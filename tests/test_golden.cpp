@@ -98,14 +98,18 @@ std::shared_ptr<nn::GaussianPolicy> random_victim(std::size_t obs_dim,
       obs_dim, act_dim, std::vector<std::size_t>{16, 16}, vr);
 }
 
-/// Hopper state-perturbation attack view on a random frozen victim.
-std::uint32_t hopper_victim_digest(const rl::PpoOptions& opts) {
+/// Hopper's classic threat model (obs_perturb at the registry ε) as the
+/// adversary's view on a random frozen victim: a paper cell's attack env.
+scenario::ScenarioEnv hopper_attack_env() {
   const auto inner = env::make_env("Hopper");
-  attack::StatePerturbationEnv proto(
-      *inner,
+  return scenario::ScenarioEnv(
+      *inner, scenario::with_default_threat(scenario::parse("hopper")),
       rl::PolicyHandle(random_victim(inner->obs_dim(), inner->act_dim())),
-      env::spec("Hopper").epsilon, attack::RewardMode::Adversary);
-  return train_digest(proto, opts);
+      scenario::RewardMode::Adversary);
+}
+
+std::uint32_t hopper_victim_digest(const rl::PpoOptions& opts) {
+  return train_digest(hopper_attack_env(), opts);
 }
 
 /// YouShallNotPass opponent-control attack view on a random frozen victim.
@@ -119,10 +123,7 @@ std::uint32_t ysnp_opponent_digest(const rl::PpoOptions& opts) {
 
 /// IMAP attack on Hopper under the given options.
 std::uint32_t imap_digest(const core::ImapOptions& o) {
-  const auto env = env::make_env("Hopper");
-  core::ImapTrainer t(
-      *env, rl::PolicyHandle(random_victim(env->obs_dim(), env->act_dim())),
-      env::spec("Hopper").epsilon, o, Rng(3));
+  core::ImapTrainer t(hopper_attack_env(), o, Rng(3));
   std::vector<rl::IterStats> stats;
   for (int i = 0; i < kIters; ++i) stats.push_back(t.iterate());
   return digest_of(t.trainer(), stats);
@@ -153,12 +154,12 @@ const std::vector<GoldenCase>& golden_cases() {
              "hopper+obs_perturb:0.075+obs_delay:2+obs_dropout:0.2"
              "+obs_noise:0.05+budget:0.5+dr[gain:0.9..1.1,mass:0.8..1.2]@7");
          const auto inner = env::make_env(spec.env);
-         const auto proto = scenario::make_scenario_env(
-             spec,
+         const scenario::ScenarioEnv proto(
+             *inner, spec,
              rl::PolicyHandle(
                  random_victim(inner->obs_dim(), inner->act_dim())),
-             attack::RewardMode::Adversary);
-         return train_digest(*proto, golden_opts(4, 2));
+             scenario::RewardMode::Adversary);
+         return train_digest(proto, golden_opts(4, 2));
        }},
       {"imap_pc_br",
        [] {

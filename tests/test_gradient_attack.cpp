@@ -4,10 +4,11 @@
 
 #include "attack/gradient_attack.h"
 #include "common/check.h"
+#include "attack/ppo_attacker.h"
 #include "attack/random_attack.h"
-#include "attack/sa_rl.h"
 #include "attack/threat_model.h"
 #include "env/hopper.h"
+#include "scenario/scenario_env.h"
 
 namespace imap::attack {
 namespace {
@@ -96,11 +97,13 @@ TEST(RelaxedSaRl, TrainsOnTrueRewardChannel) {
   rl::ActionFn victim = [](const std::vector<double>&) {
     return std::vector<double>{0.2, 0.2, 0.2};
   };
-  // The relaxed wrapper must report the NEGATED true reward to the learner.
-  StatePerturbationEnv relaxed(*env, victim, 0.075,
-                               RewardMode::AdversaryRelaxed);
-  StatePerturbationEnv true_mode(*env, victim, 0.075,
-                                 RewardMode::VictimTrue);
+  // The relaxed threat model must report the NEGATED true reward to the
+  // learner.
+  const auto threat = scenario::state_perturbation(env->name(), 0.075);
+  scenario::ScenarioEnv relaxed(*env, threat, victim,
+                                scenario::RewardMode::AdversaryRelaxed);
+  scenario::ScenarioEnv true_mode(*env, threat, victim,
+                                  scenario::RewardMode::VictimTrue);
   Rng r1(3), r2(3);
   relaxed.reset(r1);
   true_mode.reset(r2);
@@ -111,7 +114,7 @@ TEST(RelaxedSaRl, TrainsOnTrueRewardChannel) {
 
   rl::PpoOptions ppo;
   ppo.steps_per_iter = 512;
-  SaRl attacker(*env, victim, 0.075, ppo, Rng(5), /*relaxed=*/true);
+  PpoAttacker attacker(relaxed, ppo, Rng(5));
   const auto stats = attacker.train(1024);
   EXPECT_FALSE(stats.empty());
 }

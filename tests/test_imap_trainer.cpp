@@ -2,8 +2,8 @@
 
 #include <cmath>
 
-#include "attack/ap_marl.h"
-#include "attack/sa_rl.h"
+#include "attack/ppo_attacker.h"
+#include "attack/threat_model.h"
 #include "core/imap_trainer.h"
 #include "env/hopper.h"
 #include "env/you_shall_not_pass.h"
@@ -145,17 +145,25 @@ TEST(Adversary, HandlesAreBatchedAndMatchPerRowMean) {
   rl::PpoOptions ppo;
   ppo.steps_per_iter = 512;
   {
-    SCOPED_TRACE("SaRl");
-    attack::SaRl sa(*env, feedback_victim(), 0.075, ppo, Rng(5));
+    SCOPED_TRACE("SA-RL");
+    attack::PpoAttacker sa(
+        scenario::ScenarioEnv(*env,
+                              scenario::state_perturbation(env->name(), 0.075),
+                              feedback_victim(),
+                              scenario::RewardMode::Adversary),
+        ppo, Rng(5));
     sa.trainer().iterate();
     expect_frozen_mean_handle(sa.adversary(), sa.trainer().policy());
   }
   {
-    SCOPED_TRACE("ApMarl");
+    SCOPED_TRACE("AP-MARL");
     const auto game = env::make_you_shall_not_pass();
-    attack::ApMarl ap(*game, rl::ActionFn([](const std::vector<double>&) {
-      return std::vector<double>{-1.0, 0.0};
-    }), ppo, Rng(7));
+    attack::PpoAttacker ap(
+        attack::OpponentEnv(*game,
+                            rl::ActionFn([](const std::vector<double>&) {
+                              return std::vector<double>{-1.0, 0.0};
+                            })),
+        ppo, Rng(7));
     ap.trainer().iterate();
     expect_frozen_mean_handle(ap.adversary(), ap.trainer().policy());
   }

@@ -4,7 +4,6 @@
 #include <limits>
 #include <vector>
 
-#include "attack/threat_model.h"
 #include "common/check.h"
 #include "env/hopper.h"
 #include "env/registry.h"
@@ -54,6 +53,12 @@ TEST(ScenarioSpec, CanonicalSortsChannelsAndDrAndRoundTrips) {
   EXPECT_EQ(spec.dr[1].key, "mass");
   EXPECT_TRUE(spec.has_seed);
   EXPECT_EQ(spec.seed, 7u);
+  // Negative zero is zero: one scenario, one canonical string.
+  EXPECT_EQ(canonical("hopper+obs_perturb:-0"), "Hopper+obs_perturb:0");
+  EXPECT_EQ(canonical("hopper+obs_noise:-0.0"), "Hopper+obs_noise:0");
+  EXPECT_EQ(canonical("hopper+obs_dropout:-0"), "Hopper+obs_dropout:0");
+  EXPECT_EQ(canonical("hopper+act_perturb:-0+obs_perturb:-0.0"),
+            canonical("hopper+obs_perturb:0+act_perturb:0"));
 }
 
 TEST(ScenarioSpec, ChannelDefaultsResolveFromRegistry) {
@@ -80,6 +85,15 @@ TEST(ScenarioSpec, WithDefaultThreatMakesImplicitChannelExplicit) {
   // Already-attackable specs pass through unchanged.
   const auto same = with_default_threat(parse("hopper+act_perturb:0.1"));
   EXPECT_EQ(same.canonical(), "Hopper+act_perturb:0.1");
+}
+
+TEST(ScenarioSpec, StatePerturbationIsOneObsPerturbChannel) {
+  EXPECT_EQ(state_perturbation("Hopper", 0.075).canonical(),
+            canonical("hopper+obs_perturb:0.075"));
+  // The env name only labels a given inner env; it need not be registered.
+  EXPECT_EQ(state_perturbation("Hopper+Perturbed", 0.1).canonical(),
+            "Hopper+Perturbed+obs_perturb:0.1");
+  EXPECT_THROW(state_perturbation("Hopper", -0.1), CheckError);
 }
 
 TEST(ScenarioSpec, MalformedSpecsThrowPointedErrors) {
@@ -143,45 +157,14 @@ TEST(ChannelPrimitives, ObsNoiseIsTheLegacyLoop) {
   EXPECT_EQ(a, b);
 }
 
-// The obs_perturb-only scenario must be bit-identical to the legacy
-// StatePerturbationEnv — same Rng draws, same arithmetic, same rewards —
-// so cells that migrate to scenario strings reproduce their history.
-TEST(ScenarioEnv, ObsPerturbOnlyMatchesStatePerturbationEnvBitwise) {
-  const auto spec = parse("hopper+obs_perturb:0.075");
-  ScenarioEnv scen(spec, feedback_victim(), attack::RewardMode::Adversary);
-  const auto inner = env::make_hopper();
-  attack::StatePerturbationEnv legacy(*inner, feedback_victim(), 0.075,
-                                      attack::RewardMode::Adversary);
-  EXPECT_EQ(scen.act_dim(), legacy.act_dim());
-
-  Rng r1(21), r2(21), act_rng(5);
-  for (int ep = 0; ep < 2; ++ep) {
-    auto o1 = scen.reset(r1);
-    auto o2 = legacy.reset(r2);
-    ASSERT_EQ(o1, o2);
-    for (int t = 0; t < 80; ++t) {
-      std::vector<double> a(scen.act_dim());
-      for (auto& x : a) x = act_rng.uniform(-1.5, 1.5);
-      const auto s1 = scen.step(a);
-      const auto s2 = legacy.step(a);
-      ASSERT_EQ(s1.obs, s2.obs);
-      ASSERT_EQ(s1.reward, s2.reward);
-      ASSERT_EQ(s1.surrogate, s2.surrogate);
-      ASSERT_EQ(s1.done, s2.done);
-      ASSERT_EQ(s1.truncated, s2.truncated);
-      if (s1.done || s1.truncated) break;
-    }
-  }
-}
-
 // The SplitStepEnv contract, bitwise, for the FULL channel stack: step(a)
 // must equal finish_step(victim.query(begin_step(a))) on a twin env.
 TEST(ScenarioEnv, SplitStepContractHoldsForAllChannels) {
   const auto spec = parse(
       "hopper+obs_perturb:0.1+act_perturb:0.05+obs_delay:2+obs_dropout:0.3"
       "+obs_noise:0.05+budget:0.5+dr[gain:0.9..1.1,mass:0.8..1.2]@3");
-  ScenarioEnv a(spec, feedback_victim(), attack::RewardMode::Adversary);
-  ScenarioEnv b(spec, feedback_victim(), attack::RewardMode::Adversary);
+  ScenarioEnv a(spec, feedback_victim(), RewardMode::Adversary);
+  ScenarioEnv b(spec, feedback_victim(), RewardMode::Adversary);
   EXPECT_EQ(a.act_dim(), a.obs_dim() + env::make_hopper()->act_dim());
 
   Rng r1(33), r2(33), act_rng(7);
@@ -206,7 +189,7 @@ TEST(ScenarioEnv, SplitStepContractHoldsForAllChannels) {
 TEST(ScenarioEnv, SeededDrFamiliesAreDeterministicAndDistinct) {
   const auto run = [](const std::string& text, std::uint64_t slot_seed) {
     ScenarioEnv env(parse(text), feedback_victim(),
-                    attack::RewardMode::VictimTrue);
+                    RewardMode::VictimTrue);
     Rng rng(slot_seed), act_rng(9);
     std::vector<double> trace = env.reset(rng);
     for (int t = 0; t < 40; ++t) {
@@ -236,7 +219,7 @@ TEST(ScenarioEnv, BudgetDepletesThenSilencesThePerturbation) {
   // the full ε, the second gets the 0.025 remainder, the third is free-of-
   // charge zero perturbation (the victim sees the true state).
   ScenarioEnv env(parse("hopper+obs_perturb:0.075+budget:0.1"),
-                  feedback_victim(), attack::RewardMode::Adversary);
+                  feedback_victim(), RewardMode::Adversary);
   Rng rng(3);
   env.reset(rng);
   EXPECT_DOUBLE_EQ(env.budget_remaining(), 0.1);
@@ -266,7 +249,7 @@ TEST(ScenarioEnv, BudgetDepletesThenSilencesThePerturbation) {
 
 TEST(ScenarioEnv, UncontrolledScenarioExposesDummyActionDim) {
   ScenarioEnv env(parse("hopper+obs_noise:0.05+obs_delay:2"),
-                  feedback_victim(), attack::RewardMode::VictimTrue);
+                  feedback_victim(), RewardMode::VictimTrue);
   EXPECT_EQ(env.act_dim(), 1u);  // ignored dummy keeps PPO/eval machinery alive
   EXPECT_EQ(env.budget_remaining(),
             std::numeric_limits<double>::infinity());
@@ -280,7 +263,7 @@ TEST(ScenarioEnv, ObsDelayDeliversStaleObservations) {
   // With an enormous ε-free delay-only scenario, the victim's view at step t
   // is the TRUE observation from step t-k; compare against an undelayed twin.
   ScenarioEnv delayed(parse("hopper+obs_delay:2"), feedback_victim(),
-                      attack::RewardMode::VictimTrue);
+                      RewardMode::VictimTrue);
   const auto plain = env::make_hopper();
   Rng r1(17), r2(17);
   std::vector<std::vector<double>> true_obs;
@@ -307,12 +290,12 @@ TEST(ScenarioEnv, DynamicsRandomizationNeedsEnvSupport) {
   // construction, not silently no-op at reset.
   EXPECT_THROW(ScenarioEnv(parse("fetchreach+obs_perturb:0.1"
                                  "+dr[mass:0.8..1.2]"),
-                           feedback_victim(), attack::RewardMode::Adversary),
+                           feedback_victim(), RewardMode::Adversary),
                CheckError);
   // dr[budget] alone needs no dynamics hook.
   ScenarioEnv ok(parse("hopper+obs_perturb:0.075+dr[budget:0.5..1]"
                        "+budget:0.2"),
-                 feedback_victim(), attack::RewardMode::Adversary);
+                 feedback_victim(), RewardMode::Adversary);
   Rng rng(3);
   ok.reset(rng);
   EXPECT_GE(ok.budget_remaining(), 0.1);
@@ -321,7 +304,7 @@ TEST(ScenarioEnv, DynamicsRandomizationNeedsEnvSupport) {
 
 TEST(ScenarioEnv, NameIsTheCanonicalScenarioString) {
   ScenarioEnv env(parse("hopper+obs_delay:2+obs_perturb"), feedback_victim(),
-                  attack::RewardMode::VictimTrue);
+                  RewardMode::VictimTrue);
   EXPECT_EQ(env.name(), "Hopper+obs_perturb:0.075+obs_delay:2");
 }
 

@@ -758,7 +758,10 @@ TEST_F(ServerTest, ErrorPaths) {
         "/attack/train?env=Hopper&episodes=-1",
         "/attack/train?env=Hopper&episodes=4294967297",
         "/attack/train?env=Hopper&steps=99999999999999999999",
-        "/attack/train?env=Hopper&steps=12abc"})
+        "/attack/train?env=Hopper&steps=12abc",
+        "/attack/train?env=Hopper&attack=AP-MARL",
+        "/attack/train?env=YouShallNotPass&attack=SA-RL",
+        "/attack/train?env=Hopper&scenario=youshallnotpass&attack=SA-RL"})
     EXPECT_EQ(status_of(roundtrip("POST", target)), 400) << target;
   EXPECT_EQ(server_->jobs().total(), 0u);
 

@@ -137,14 +137,16 @@ TEST(VecEnv, RaggedBudgetsKeepLiveSlotsAPrefix) {
 }
 
 TEST(VecEnv, BatchedVictimPathMatchesSerialOnStatePerturbation) {
-  // The threat-model wrapper splits its step around a network-backed frozen
-  // victim, so collect() also batches the victim queries — still bitwise.
+  // The threat model splits its step around a network-backed frozen victim,
+  // so collect() also batches the victim queries — still bitwise.
   const auto inner = env::make_env("Hopper");
   Rng victim_rng(41);
   nn::GaussianPolicy victim(inner->obs_dim(), inner->act_dim(), {16, 16},
                             victim_rng);
-  attack::StatePerturbationEnv proto(*inner, rl::PolicyHandle::snapshot(victim),
-                                     0.075, attack::RewardMode::Adversary);
+  scenario::ScenarioEnv proto(*inner,
+                              scenario::state_perturbation("Hopper", 0.075),
+                              rl::PolicyHandle::snapshot(victim),
+                              scenario::RewardMode::Adversary);
   expect_lockstep_matches_one_slot(proto, 8, 80);
 }
 
@@ -157,14 +159,15 @@ TEST(VecEnv, OpaqueVictimCollectsSameTraceAsNetworkHandle) {
       inner->obs_dim(), inner->act_dim(), std::vector<std::size_t>{16, 16},
       victim_rng);
   const rl::PolicyHandle handle(victim);
-  attack::StatePerturbationEnv net_proto(*inner, handle, 0.075,
-                                         attack::RewardMode::Adversary);
-  attack::StatePerturbationEnv fn_proto(
-      *inner,
+  const auto threat = scenario::state_perturbation("Hopper", 0.075);
+  scenario::ScenarioEnv net_proto(*inner, threat, handle,
+                                  scenario::RewardMode::Adversary);
+  scenario::ScenarioEnv fn_proto(
+      *inner, threat,
       rl::ActionFn([handle](const std::vector<double>& o) {
         return handle.query(o);
       }),
-      0.075, attack::RewardMode::Adversary);
+      scenario::RewardMode::Adversary);
 
   Rng net_rng(47);
   nn::GaussianPolicy policy(net_proto.obs_dim(), net_proto.act_dim(), {16, 16},
@@ -287,10 +290,10 @@ TEST(VecEnv, TrainerTraceInvariantAcrossWorkerSlotFactorizations) {
     Rng vr(11);
     nn::GaussianPolicy victim(inner->obs_dim(), inner->act_dim(), {16, 16},
                               vr);
-    const auto proto = scenario::make_scenario_env(
-        spec, rl::PolicyHandle::snapshot(victim),
-        attack::RewardMode::Adversary);
-    expect_factorization_invariant(*proto);
+    const scenario::ScenarioEnv proto(*inner, spec,
+                                      rl::PolicyHandle::snapshot(victim),
+                                      scenario::RewardMode::Adversary);
+    expect_factorization_invariant(proto);
   }
 }
 

@@ -34,6 +34,9 @@ Rules:
                       are included relative to src/). The header trio is
                       matched on comment-stripped source lines, because the
                       tokenizer drops preprocessor directives.
+  include-direction   No #include "attack/..." in src/scenario/: the
+                      single-agent threat model lives in scenario/ and
+                      attack/ builds on it, so the dependency runs one way.
   hot-loop-alloc      Allocating declarations (std::vector<numeric>, nested
                       vectors, std::string) inside loop bodies in hot-path
                       layers, *after* resolving using/typedef aliases and
@@ -114,6 +117,11 @@ FIXITS = {
     "parent-include": (
         'include project headers relative to src/ (e.g. "common/rng.h"), not '
         "via parent-relative paths"
+    ),
+    "include-direction": (
+        "src/scenario/ must not depend on src/attack/; move what scenario/ "
+        "needs into scenario/ (attack/ includes scenario/, never the "
+        "reverse)"
     ),
     "hot-loop-alloc": (
         "hoist the allocating declaration out of the loop and reuse it "
@@ -481,20 +489,23 @@ def check_unordered_iter(model, relpath: str):
 
 
 # ---------------------------------------------------------------------------
-# header hygiene: pragma-once, using-ns-header, parent-include
+# header hygiene: pragma-once, using-ns-header, parent-include,
+# include-direction
 # ---------------------------------------------------------------------------
 
 _PRAGMA_ONCE_RE = re.compile(r"^\s*#\s*pragma\s+once\b")
 _USING_NS_RE = re.compile(r"^\s*using\s+namespace\s+\w")
 _PARENT_INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"(?:\.\./|[^"]*/\.\./)')
+_ATTACK_INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"attack/')
 
 
 def check_header_hygiene(relpath: str, lines):
-    """The header trio, matched on comment-stripped source lines (the
-    tokenizer drops preprocessor directives, and include paths live in
-    string literals)."""
+    """The header trio plus the scenario/ -> attack/ include ban, matched on
+    comment-stripped source lines (the tokenizer drops preprocessor
+    directives, and include paths live in string literals)."""
     findings = []
     is_header = relpath.endswith((".h", ".hpp"))
+    in_scenario = relpath.startswith("src/scenario/")
     if is_header and not any(_PRAGMA_ONCE_RE.match(l) for l in lines):
         findings.append(Finding(relpath, 1, "pragma-once",
                                 "header is missing #pragma once"))
@@ -505,6 +516,9 @@ def check_header_hygiene(relpath: str, lines):
         if _PARENT_INCLUDE_RE.match(line):
             findings.append(Finding(relpath, idx, "parent-include",
                                     "parent-relative #include"))
+        if in_scenario and _ATTACK_INCLUDE_RE.match(line):
+            findings.append(Finding(relpath, idx, "include-direction",
+                                    "src/scenario/ includes attack/"))
     return findings
 
 

@@ -17,6 +17,7 @@ Checks (see checks.py for the full semantics):
   pragma-once         headers carry #pragma once.
   using-ns-header     no `using namespace` in headers.
   parent-include      no parent-relative #include "../...".
+  include-direction   no #include "attack/..." in src/scenario/.
   hot-loop-alloc      allocating declarations inside loops in hot-path layers,
                       resolved through typedefs, `auto`, and std::string.
   float-eq            ==/!= on floating expressions, typed via the AST.

@@ -269,6 +269,21 @@ class TestHeaderHygiene(unittest.TestCase):
                          [(3, "parent-include")])
 
 
+class TestIncludeDirection(unittest.TestCase):
+    def test_scenario_layer_may_not_include_attack(self):
+        fs = check_fixture("include_direction_bad.h",
+                           "src/scenario/include_direction_bad.h")
+        self.assertEqual([(f.line, f.rule) for f in fs],
+                         [(6, "include-direction")])
+
+    def test_other_layers_may_include_attack(self):
+        for rel in ("src/core/include_direction_bad.h",
+                    "src/attack/include_direction_bad.h",
+                    "tests/include_direction_bad.h"):
+            self.assertEqual(check_fixture("include_direction_bad.h", rel),
+                             [], rel)
+
+
 class TestFmaIntrinsic(unittest.TestCase):
     def test_bad_fixture_flags_fused_forms_only(self):
         fs = check_fixture("fma_intrinsic_bad.cpp",
