@@ -1,11 +1,11 @@
 // Micro-benchmarks of the RL substrate: environment stepping, the batched
-// nn kernels and PPO training throughput — the cost model behind the bench
-// budgets.
+// nn kernels (the tanh activation per backend) and PPO training throughput —
+// the cost model behind the bench budgets.
 //
 // The custom main() first runs three probes (skipped when
 // IMAP_BENCH_NO_PROBE is set, e.g. by the CI bench-smoke stage):
 //  * a parallel-speedup probe — the same PPO configuration (4 rollout
-//    workers, auto gradient shards) timed once pinned serial (ScopedSerial)
+//    workers) timed once pinned serial (ScopedSerial)
 //    and once on a dedicated 4-thread pool (ScopedPool), verifying the
 //    traces match bit-for-bit and recording the timings in
 //    BENCH_parallel.json;
@@ -33,6 +33,8 @@
 #include "env/registry.h"
 #include "grid_runner.h"
 #include "nn/batch.h"
+#include "nn/kernel_backend.h"
+#include "nn/matrix.h"
 #include "rl/ppo.h"
 #include "rl/vec_env.h"
 #include "scenario/scenario_env.h"
@@ -76,6 +78,29 @@ void BM_MlpForwardBatch(benchmark::State& state) {
                           static_cast<int64_t>(b));
 }
 BENCHMARK(BM_MlpForwardBatch)->Arg(1)->Arg(16)->Arg(64)->Arg(256);
+
+// The hidden-layer activation alone, kernel::tanh_rows under one forced
+// backend over 4096 values spread across both of its branches: items/s is
+// elements/s.
+void BM_TanhRows(benchmark::State& state, const std::string& backend) {
+  nn::kernel::ScopedBackend forced(backend);
+  if (!forced.activated()) {
+    state.SkipWithError("backend not available on this host");
+    return;
+  }
+  Rng rng(7);
+  std::vector<double> x(4096), y(4096);
+  for (auto& v : x) v = rng.normal(0.0, 2.0);
+  for (auto _ : state) {
+    nn::kernel::tanh_rows(x.data(), x.size(), y.data());
+    benchmark::DoNotOptimize(y.data());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(x.size()));
+}
+BENCHMARK_CAPTURE(BM_TanhRows, scalar, std::string("scalar"));
+BENCHMARK_CAPTURE(BM_TanhRows, avx2, std::string("avx2"));
+BENCHMARK_CAPTURE(BM_TanhRows, avx512, std::string("avx512"));
 
 // The optimisation stage alone (sampling excluded) on one fixed rollout.
 void BM_PpoUpdate(benchmark::State& state) {
@@ -156,14 +181,13 @@ void BM_PpoIteration(benchmark::State& state) {
 }
 BENCHMARK(BM_PpoIteration)->Arg(512)->Arg(2048)->Unit(benchmark::kMillisecond);
 
-// Parallel PPO iteration: 4 rollout workers + auto gradient shards on the
-// process pool (serial unless IMAP_THREADS / the core count allows more).
+// Parallel PPO iteration: 4 rollout workers on the process pool (serial
+// unless IMAP_THREADS / the core count allows more).
 void BM_PpoIterationParallel(benchmark::State& state) {
   auto env = env::make_env("Hopper");
   rl::PpoOptions opts;
   opts.steps_per_iter = static_cast<int>(state.range(0));
   opts.num_workers = 4;
-  opts.grad_shards = 0;  // auto from minibatch
   rl::PpoTrainer trainer(*env, opts, Rng(7));
   for (auto _ : state) {
     auto stats = trainer.iterate();
@@ -184,7 +208,6 @@ std::pair<double, double> probe_run(int iters) {
   rl::PpoOptions opts;
   opts.steps_per_iter = 2048;
   opts.num_workers = 4;
-  opts.grad_shards = 0;
   rl::PpoTrainer trainer(*env, opts, Rng(7));
   const auto t0 = std::chrono::steady_clock::now();
   double last = 0.0;

@@ -11,7 +11,11 @@ namespace imap {
 /// result-cache artifact: `Zoo::path_for` and `ExperimentRunner::cache_key`
 /// fold it into their names, and `ArchiveReader::load` rejects files written
 /// under any other version with a CheckError (never a silent mis-read).
-constexpr std::uint64_t kFormatVersion = 2;
+/// Bump it for a payload layout change and also for a change to trained
+/// numerics (the same seed training to different weights), so cached
+/// victims and results from the old numerics are retrained, not reused.
+/// v3: the MLP hidden activation is kernel::tanh_rows, not std::tanh.
+constexpr std::uint64_t kFormatVersion = 3;
 
 /// CRC-32 (IEEE 802.3 polynomial, reflected) over `n` bytes, continuing from
 /// `seed` (pass the previous return value to checksum in chunks).

@@ -30,34 +30,33 @@ PerturbedVictimEnv::PerturbedVictimEnv(const PerturbedVictimEnv& other)
       noise_mode_(other.noise_mode_),
       noise_rng_(other.noise_rng_) {}
 
-std::vector<double> PerturbedVictimEnv::perturb(
-    const std::vector<double>& obs) {
+void PerturbedVictimEnv::perturb(std::vector<double>& obs) {
   if (noise_mode_) {
     // The scenario layer's obs_noise channel primitive: one U[-1,1] draw per
     // element in index order — bit-identical to the hand-rolled loop this
     // replaced, so existing robust-defense checkpoints stay valid.
-    std::vector<double> out = obs;
-    scenario::apply_obs_noise(out, eps_, noise_rng_);
-    return out;
+    scenario::apply_obs_noise(obs, eps_, noise_rng_);
+    return;
   }
-  auto a = adversary_.query(obs, ws_);
+  // The adversary reads the clean observation before any element changes.
+  const auto a = adversary_.query(obs, ws_);
   IMAP_CHECK(a.size() == obs.size());
-  std::vector<double> out = obs;
-  for (std::size_t i = 0; i < out.size(); ++i)
-    out[i] += eps_ * std::clamp(a[i], -1.0, 1.0);
-  return out;
+  for (std::size_t i = 0; i < obs.size(); ++i)
+    obs[i] += eps_ * std::clamp(a[i], -1.0, 1.0);
 }
 
 std::vector<double> PerturbedVictimEnv::reset(Rng& rng) {
   // The noise stream is a pure function of the reset Rng, so a checkpointed
   // episode replays exactly from its captured pre-reset state.
   if (noise_mode_) noise_rng_ = Rng(rng.next_u64());
-  return perturb(inner_->reset(rng));
+  std::vector<double> obs = inner_->reset(rng);
+  perturb(obs);
+  return obs;
 }
 
 rl::StepResult PerturbedVictimEnv::step(const std::vector<double>& action) {
   rl::StepResult sr = inner_->step(action);
-  sr.obs = perturb(sr.obs);
+  perturb(sr.obs);
   return sr;
 }
 

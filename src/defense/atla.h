@@ -43,7 +43,8 @@ class PerturbedVictimEnv : public rl::EnvBase<PerturbedVictimEnv> {
   rl::StepResult step(const std::vector<double>& action) override;
 
  private:
-  std::vector<double> perturb(const std::vector<double>& obs);
+  /// Perturb `obs` in place (adversary or noise mode).
+  void perturb(std::vector<double>& obs);
 
   std::unique_ptr<rl::Env> inner_;
   rl::PolicyHandle adversary_;

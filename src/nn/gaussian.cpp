@@ -152,15 +152,6 @@ void GaussianPolicy::flat_grads_into(std::vector<double>& out) const {
             out.begin() + static_cast<std::ptrdiff_t>(net_.grads().size()));
 }
 
-void GaussianPolicy::accumulate_flat_grads(const std::vector<double>& g) {
-  IMAP_CHECK(g.size() == n_params());
-  auto& ng = net_.grads();
-  for (std::size_t i = 0; i < ng.size(); ++i) ng[i] += g[i];
-  const std::size_t off = ng.size();
-  for (std::size_t i = 0; i < log_std_grad_.size(); ++i)
-    log_std_grad_[i] += g[off + i];
-}
-
 void GaussianPolicy::zero_grad() {
   net_.zero_grad();
   std::fill(log_std_grad_.begin(), log_std_grad_.end(), 0.0);

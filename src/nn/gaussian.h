@@ -74,9 +74,6 @@ class GaussianPolicy {
   /// buffer (resized on first use, reused afterwards).
   void flat_params_into(std::vector<double>& out) const;
   void flat_grads_into(std::vector<double>& out) const;
-  /// Add a flat gradient vector (same layout as flat_grads) into the
-  /// gradient buffers — used to fold sharded accumulators back in.
-  void accumulate_flat_grads(const std::vector<double>& g);
   void zero_grad();
 
   /// Keep the exploration noise in a sane range after optimiser steps.

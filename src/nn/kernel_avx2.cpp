@@ -397,7 +397,41 @@ struct Avx2Rows {
   }
 };
 
+/// tanh_rows lanes: four doubles per ymm.
+struct Avx2Tanh {
+  using Vec = __m256d;
+  static constexpr std::size_t kWidth = 4;
+  static Vec load(const double* p) { return _mm256_loadu_pd(p); }
+  static void store(double* p, Vec v) { _mm256_storeu_pd(p, v); }
+  static Vec set1(double v) { return _mm256_set1_pd(v); }
+  static Vec add(Vec a, Vec b) { return _mm256_add_pd(a, b); }
+  static Vec sub(Vec a, Vec b) { return _mm256_sub_pd(a, b); }
+  static Vec mul(Vec a, Vec b) { return _mm256_mul_pd(a, b); }
+  static Vec div(Vec a, Vec b) { return _mm256_div_pd(a, b); }
+  static Vec min(Vec a, Vec b) { return _mm256_min_pd(a, b); }
+  static Vec lt(Vec a, Vec b) { return _mm256_cmp_pd(a, b, _CMP_LT_OQ); }
+  static Vec select(Vec m, Vec yes, Vec no) {
+    return _mm256_blendv_pd(no, yes, m);
+  }
+  static Vec and_bits(Vec a, Vec b) { return _mm256_and_pd(a, b); }
+  static Vec or_bits(Vec a, Vec b) { return _mm256_or_pd(a, b); }
+  static Vec xor_bits(Vec a, Vec b) { return _mm256_xor_pd(a, b); }
+  static Vec pow2(Vec kd) {
+    const __m256i n = _mm256_sub_epi64(
+        _mm256_castpd_si256(kd),
+        _mm256_castpd_si256(_mm256_set1_pd(kTanhRound)));
+    const __m256i bias =
+        _mm256_set1_epi64x(static_cast<long long>(kTanhExpBias));
+    return _mm256_castsi256_pd(
+        _mm256_slli_epi64(_mm256_add_epi64(n, bias), 52));
+  }
+};
+
 }  // namespace
+
+void avx2_tanh_rows(const double* x, std::size_t n, double* y) {
+  tanh_rows_vec<Avx2Tanh>(x, n, y);
+}
 
 void avx2_knn_scan(const double* blocks, std::size_t rows, std::size_t dim,
                    std::size_t k, const double* queries, std::size_t nq,

@@ -405,7 +405,53 @@ struct Avx512Rows {
   static void store(double* p, Vec a) { _mm512_storeu_pd(p, a); }
 };
 
+/// tanh_rows lanes: eight doubles per zmm. AVX-512F has no fp64 logic ops
+/// (those are AVX-512DQ), so the sign bits go through the integer forms.
+struct Avx512Tanh {
+  using Vec = __m512d;
+  static constexpr std::size_t kWidth = 8;
+  static Vec load(const double* p) { return _mm512_loadu_pd(p); }
+  static void store(double* p, Vec v) { _mm512_storeu_pd(p, v); }
+  static Vec set1(double v) { return _mm512_set1_pd(v); }
+  static Vec add(Vec a, Vec b) { return _mm512_add_pd(a, b); }
+  static Vec sub(Vec a, Vec b) { return _mm512_sub_pd(a, b); }
+  static Vec mul(Vec a, Vec b) { return _mm512_mul_pd(a, b); }
+  static Vec div(Vec a, Vec b) { return _mm512_div_pd(a, b); }
+  static Vec min(Vec a, Vec b) { return _mm512_min_pd(a, b); }
+  static __mmask8 lt(Vec a, Vec b) {
+    return _mm512_cmp_pd_mask(a, b, _CMP_LT_OQ);
+  }
+  static Vec select(__mmask8 m, Vec yes, Vec no) {
+    return _mm512_mask_blend_pd(m, no, yes);
+  }
+  static Vec and_bits(Vec a, Vec b) {
+    return _mm512_castsi512_pd(
+        _mm512_and_si512(_mm512_castpd_si512(a), _mm512_castpd_si512(b)));
+  }
+  static Vec or_bits(Vec a, Vec b) {
+    return _mm512_castsi512_pd(
+        _mm512_or_si512(_mm512_castpd_si512(a), _mm512_castpd_si512(b)));
+  }
+  static Vec xor_bits(Vec a, Vec b) {
+    return _mm512_castsi512_pd(
+        _mm512_xor_si512(_mm512_castpd_si512(a), _mm512_castpd_si512(b)));
+  }
+  static Vec pow2(Vec kd) {
+    const __m512i n = _mm512_sub_epi64(
+        _mm512_castpd_si512(kd),
+        _mm512_castpd_si512(_mm512_set1_pd(kTanhRound)));
+    const __m512i bias =
+        _mm512_set1_epi64(static_cast<long long>(kTanhExpBias));
+    return _mm512_castsi512_pd(
+        _mm512_slli_epi64(_mm512_add_epi64(n, bias), 52));
+  }
+};
+
 }  // namespace
+
+void avx512_tanh_rows(const double* x, std::size_t n, double* y) {
+  tanh_rows_vec<Avx512Tanh>(x, n, y);
+}
 
 void avx512_knn_scan(const double* blocks, std::size_t rows, std::size_t dim,
                      std::size_t k, const double* queries, std::size_t nq,

@@ -37,6 +37,7 @@ const KernelBackend kScalar = {
     &detail::scalar_quant_affine,
     &detail::scalar_quant_act,
     &detail::scalar_knn_scan,
+    &detail::scalar_tanh_rows,
     /*wants_transposed=*/false,
     /*min_batch_affine=*/1,
     /*min_batch_affine_cached=*/1,
@@ -51,6 +52,7 @@ const KernelBackend kAvx2 = {
     &detail::avx2_quant_affine,
     &detail::avx2_quant_act,
     &detail::avx2_knn_scan,
+    &detail::avx2_tanh_rows,
     /*wants_transposed=*/true,
     /*min_batch_affine=*/2,
     /*min_batch_affine_cached=*/1,
@@ -66,6 +68,7 @@ const KernelBackend kAvx512 = {
     &detail::avx512_quant_affine,
     &detail::avx512_quant_act,
     &detail::avx512_knn_scan,
+    &detail::avx512_tanh_rows,
     /*wants_transposed=*/true,
     /*min_batch_affine=*/2,
     /*min_batch_affine_cached=*/1,
@@ -81,6 +84,7 @@ const KernelBackend kNeon = {
     /*quant_affine=*/nullptr,
     /*quant_act=*/nullptr,
     &detail::neon_knn_scan,
+    /*tanh_rows=*/nullptr,
     /*wants_transposed=*/true,
     /*min_batch_affine=*/4,
     /*min_batch_affine_cached=*/1,

@@ -130,6 +130,14 @@ struct KernelBackend {
                    std::size_t k, const double* queries, std::size_t nq,
                    std::size_t stride, double* kth);
 
+  /// y[i] = tanh(x[i]) for i < n, in fp64: the hidden-layer activation of
+  /// Mlp::forward_batch. One op DAG (nn/kernel_impl.h tanh_fp64) — range
+  /// reduction plus fixed rationals, separate mul/add/div, no FMA — so every
+  /// backend returns the same bits, within 2 ulp of std::tanh; NaN maps to
+  /// NaN, ±0 and subnormals to themselves, ±inf to ±1. x == y is allowed.
+  /// Null ⇒ dispatch falls back to scalar.
+  void (*tanh_rows)(const double* x, std::size_t n, double* y);
+
   /// True when batch_affine vectorises across output lanes and therefore
   /// profits from the caller-cached transpose (Mlp::Workspace::wt).
   bool wants_transposed;

@@ -38,6 +38,129 @@ inline float quant_fast_tanh(float x) {
   return p / q;
 }
 
+// --- shared fp64 tanh -------------------------------------------------------
+// The training activation (Mlp::forward_batch). One op DAG, evaluated by the
+// scalar body below and replayed op for op by the avx2/avx512 tanh_rows
+// bodies (separate mul/add/div, no FMA, the same constants), so every
+// backend returns the same bits. Both branches are computed and one is
+// picked without a branch; ≤ 2 ulp from std::tanh (tests/test_kernel_matrix).
+
+/// Below this |x| the odd rational is used, at or above it the exp form.
+inline constexpr double kTanhSmall = 0.625;
+/// |x| clamp: tanh(20) already rounds to 1, and 2·20/ln2 keeps 2ⁿ finite.
+inline constexpr double kTanhClamp = 20.0;
+inline constexpr double kTanhLog2e = 1.4426950408889634073599;
+/// ln 2 split so that n·kTanhLn2Hi is exact for every n the clamp allows.
+inline constexpr double kTanhLn2Hi = 6.93145751953125e-1;
+inline constexpr double kTanhLn2Lo = 1.42860682030941723212e-6;
+/// 1.5·2⁵²: adding it rounds to an integer held in the low mantissa bits.
+inline constexpr double kTanhRound = 6755399441055744.0;
+/// exp(r) = 1 + 2·r·P(r²) / (Q(r²) − r·P(r²)) for |r| ≤ ln2/2.
+inline constexpr double kTanhP0 = 1.26177193074810590878e-4;
+inline constexpr double kTanhP1 = 3.02994407707441961300e-2;
+inline constexpr double kTanhP2 = 9.99999999999999999910e-1;
+inline constexpr double kTanhQ0 = 3.00198505138664455042e-6;
+inline constexpr double kTanhQ1 = 2.52448340349684104192e-3;
+inline constexpr double kTanhQ2 = 2.27265548208155028766e-1;
+inline constexpr double kTanhQ3 = 2.00000000000000000009e0;
+/// tanh(x) = x + x·z·S(z) / T(z), z = x², T monic, for |x| < kTanhSmall.
+inline constexpr double kTanhS0 = -9.64399179425052238628e-1;
+inline constexpr double kTanhS1 = -9.92877231001918586564e1;
+inline constexpr double kTanhS2 = -1.61468768441708447952e3;
+inline constexpr double kTanhT0 = 1.12811678491632931402e2;
+inline constexpr double kTanhT1 = 2.23548839060100448583e3;
+inline constexpr double kTanhT2 = 4.84406305325125486048e3;
+inline constexpr std::uint64_t kTanhSignBit = 0x8000000000000000ULL;
+inline constexpr std::uint64_t kTanhExpBias = 1023;
+
+/// The scalar tanh body; internal linkage, so each backend TU keeps its own
+/// copy compiled with its own flags. With a = min(|x|, 20) (NaN stays NaN,
+/// so NaN in gives NaN out), 2a = n·ln2 + r and p = r·P(r²), q = Q(r²):
+///   e = exp(2a) = (1 + 2·p/(q − p))·2ⁿ,  big = 1 − 2/(e + 1);
+/// with z = x²: small = |x| + ((|x|·z)·S(z))/T(z). The result is
+/// |x| < 0.625 ? small : big with the sign of x OR-ed back in. ±0 and
+/// subnormals take the small branch and come back unchanged; ±inf clamp
+/// to ±1.
+static inline double tanh_fp64(double x) {
+  const std::uint64_t bits = std::bit_cast<std::uint64_t>(x);
+  const std::uint64_t sign = bits & kTanhSignBit;
+  const double ax = std::bit_cast<double>(bits ^ sign);
+
+  const double a = kTanhClamp < ax ? kTanhClamp : ax;
+  const double t = a + a;
+  const double kd = t * kTanhLog2e + kTanhRound;
+  const double nd = kd - kTanhRound;
+  const double r = (t - nd * kTanhLn2Hi) - nd * kTanhLn2Lo;
+  const double rr = r * r;
+  const double px = r * ((kTanhP0 * rr + kTanhP1) * rr + kTanhP2);
+  const double qx = ((kTanhQ0 * rr + kTanhQ1) * rr + kTanhQ2) * rr + kTanhQ3;
+  const double er = 1.0 + 2.0 * (px / (qx - px));
+  const std::uint64_t n = std::bit_cast<std::uint64_t>(kd) -
+                          std::bit_cast<std::uint64_t>(kTanhRound);
+  const double e = er * std::bit_cast<double>((n + kTanhExpBias) << 52);
+  const double big = 1.0 - 2.0 / (e + 1.0);
+
+  const double z = ax * ax;
+  const double s = (kTanhS0 * z + kTanhS1) * z + kTanhS2;
+  const double q = ((z + kTanhT0) * z + kTanhT1) * z + kTanhT2;
+  const double small = ax + ((ax * z) * s) / q;
+
+  const double y = ax < kTanhSmall ? small : big;
+  return std::bit_cast<double>(std::bit_cast<std::uint64_t>(y) | sign);
+}
+
+/// The SIMD tanh_rows body: tanh_fp64's op DAG on V::kWidth lanes at a
+/// time, the n % kWidth tail through tanh_fp64 itself. `V` is a backend's
+/// TU-local lane type providing load/store/set1, add/sub/mul/div,
+/// min(a, b) = a < b ? a : b (so min(kTanhClamp, NaN) is NaN, as in the
+/// scalar clamp), lt(a, b) → a lane mask (false for NaN), select(m, yes,
+/// no), bitwise and_bits/or_bits/xor_bits, and pow2(kd) = the double with
+/// exponent field bits(kd) − bits(kTanhRound) + kTanhExpBias, i.e. 2ⁿ.
+template <class V>
+void tanh_rows_vec(const double* x, std::size_t n, double* y) {
+  using Vec = typename V::Vec;
+  const auto c = [](double v) { return V::set1(v); };
+  const Vec sign_bit = c(std::bit_cast<double>(kTanhSignBit));
+  std::size_t i = 0;
+  for (; i + V::kWidth <= n; i += V::kWidth) {
+    const Vec xv = V::load(x + i);
+    const Vec sign = V::and_bits(xv, sign_bit);
+    const Vec ax = V::xor_bits(xv, sign);
+
+    const Vec a = V::min(c(kTanhClamp), ax);
+    const Vec t = V::add(a, a);
+    const Vec kd = V::add(V::mul(t, c(kTanhLog2e)), c(kTanhRound));
+    const Vec nd = V::sub(kd, c(kTanhRound));
+    const Vec r = V::sub(V::sub(t, V::mul(nd, c(kTanhLn2Hi))),
+                         V::mul(nd, c(kTanhLn2Lo)));
+    const Vec rr = V::mul(r, r);
+    const Vec px = V::mul(
+        r, V::add(V::mul(V::add(V::mul(c(kTanhP0), rr), c(kTanhP1)), rr),
+                  c(kTanhP2)));
+    const Vec qx = V::add(
+        V::mul(V::add(V::mul(V::add(V::mul(c(kTanhQ0), rr), c(kTanhQ1)), rr),
+                      c(kTanhQ2)),
+               rr),
+        c(kTanhQ3));
+    const Vec er =
+        V::add(c(1.0), V::mul(c(2.0), V::div(px, V::sub(qx, px))));
+    const Vec e = V::mul(er, V::pow2(kd));
+    const Vec big = V::sub(c(1.0), V::div(c(2.0), V::add(e, c(1.0))));
+
+    const Vec z = V::mul(ax, ax);
+    const Vec s = V::add(
+        V::mul(V::add(V::mul(c(kTanhS0), z), c(kTanhS1)), z), c(kTanhS2));
+    const Vec q = V::add(
+        V::mul(V::add(V::mul(V::add(z, c(kTanhT0)), z), c(kTanhT1)), z),
+        c(kTanhT2));
+    const Vec small = V::add(ax, V::div(V::mul(V::mul(ax, z), s), q));
+
+    const Vec pick = V::select(V::lt(ax, c(kTanhSmall)), small, big);
+    V::store(y + i, V::or_bits(pick, sign));
+  }
+  for (; i < n; ++i) y[i] = tanh_fp64(x[i]);
+}
+
 /// Round-to-nearest-even int8 code of `v` (already scaled into ±127 plus
 /// rounding slack), clamped. Matches _mm*_cvtps_epi32 under the default
 /// MXCSR/FPCR rounding mode.
@@ -165,6 +288,7 @@ void scalar_quant_act(float* h, std::size_t batch, std::size_t width,
 void scalar_knn_scan(const double* blocks, std::size_t rows, std::size_t dim,
                      std::size_t k, const double* queries, std::size_t nq,
                      std::size_t stride, double* kth);
+void scalar_tanh_rows(const double* x, std::size_t n, double* y);
 
 // --- avx2 (x86-64; TU compiled with -mavx2 -mno-fma) -----------------------
 #ifdef IMAP_KERNEL_AVX2
@@ -185,6 +309,7 @@ void avx2_quant_act(float* h, std::size_t batch, std::size_t width,
 void avx2_knn_scan(const double* blocks, std::size_t rows, std::size_t dim,
                    std::size_t k, const double* queries, std::size_t nq,
                    std::size_t stride, double* kth);
+void avx2_tanh_rows(const double* x, std::size_t n, double* y);
 #endif
 
 // --- avx512 (x86-64; TU compiled with -mavx512f -mavx512bw) ----------------
@@ -206,6 +331,7 @@ void avx512_quant_act(float* h, std::size_t batch, std::size_t width,
 void avx512_knn_scan(const double* blocks, std::size_t rows, std::size_t dim,
                      std::size_t k, const double* queries, std::size_t nq,
                      std::size_t stride, double* kth);
+void avx512_tanh_rows(const double* x, std::size_t n, double* y);
 #endif
 
 // --- neon (aarch64; asimd is baseline, no extra ISA flags needed) ----------

@@ -215,4 +215,8 @@ void scalar_knn_scan(const double* blocks, std::size_t rows, std::size_t dim,
   }
 }
 
+void scalar_tanh_rows(const double* x, std::size_t n, double* y) {
+  for (std::size_t i = 0; i < n; ++i) y[i] = tanh_fp64(x[i]);
+}
+
 }  // namespace imap::nn::kernel::detail

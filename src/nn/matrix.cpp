@@ -89,6 +89,12 @@ void quant_act(float* h, std::size_t batch, std::size_t width,
   fn(h, batch, width, out_pairs, qx, qscale);
 }
 
+void tanh_rows(const double* x, std::size_t n, double* y) {
+  const KernelBackend& be = active_backend();
+  auto fn = be.tanh_rows ? be.tanh_rows : scalar_backend().tanh_rows;
+  fn(x, n, y);
+}
+
 }  // namespace kernel
 
 void axpy(std::vector<double>& y, double a, const std::vector<double>& x) {

@@ -88,6 +88,11 @@ void quant_affine(const std::int16_t* wq_packed, const float* row_scale,
 void quant_act(float* h, std::size_t batch, std::size_t width,
                std::size_t out_pairs, std::int16_t* qx, float* qscale);
 
+/// y[i] = tanh(x[i]) for i < n: the deterministic fp64 activation of the
+/// MLP forward (within 2 ulp of std::tanh, the same bits on every backend;
+/// see KernelBackend::tanh_rows). Dispatches like quant_affine.
+void tanh_rows(const double* x, std::size_t n, double* y);
+
 }  // namespace kernel
 
 /// Elementwise helpers over flat vectors (used throughout the nn/rl code).

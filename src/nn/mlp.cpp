@@ -86,7 +86,7 @@ const Batch& Mlp::forward_batch(const Batch& x, Workspace& ws) const {
     double* dst = post.data();
     const std::size_t nel = b * l.out;
     if (li + 1 < layers_.size()) {
-      for (std::size_t i = 0; i < nel; ++i) dst[i] = std::tanh(src[i]);
+      kernel::tanh_rows(src, nel, dst);
     } else {
       std::copy(src, src + nel, dst);
     }

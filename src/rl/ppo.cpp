@@ -32,7 +32,6 @@ PpoTrainer::PpoTrainer(const Env& proto, PpoOptions opts, Rng rng)
   IMAP_CHECK(opts_.minibatch > 0);
   IMAP_CHECK(opts_.num_workers >= 1);
   IMAP_CHECK(opts_.envs_per_worker >= 1);
-  IMAP_CHECK(opts_.grad_shards >= 0);
 }
 
 void PpoTrainer::set_env(const Env& proto) {
@@ -110,28 +109,10 @@ void PpoTrainer::collect(RolloutBuffer& buf) {
   steps_done_ += opts_.steps_per_iter;
 }
 
-int PpoTrainer::shard_count() const {
-  if (opts_.grad_shards > 0) return opts_.grad_shards;
-  // Auto: one shard per ~16 samples, capped — derived from the minibatch
-  // option only, never from the thread count (determinism contract).
-  return std::clamp(opts_.minibatch / 16, 1, 16);
-}
-
-void PpoTrainer::ensure_shards(int n_shards) {
-  if (shards_.size() == static_cast<std::size_t>(n_shards)) return;
-  shards_.clear();
-  shards_.reserve(static_cast<std::size_t>(n_shards));
-  for (int s = 0; s < n_shards; ++s)
-    shards_.push_back(
-        ShardScratch{*policy_, *value_e_, *value_i_, {}, {}, {}});
-}
-
 PpoTrainer::BatchPartial PpoTrainer::process_range(
-    nn::GaussianPolicy& pol, nn::ValueNet& ve, nn::ValueNet* vi,
     const RolloutBuffer& buf, const std::vector<std::size_t>& order,
     std::size_t b, std::size_t e, const std::vector<double>& adv,
-    const GaeResult& gae_e, const GaeResult* gae_i, double inv_bs,
-    UpdateScratch& scratch) const {
+    const GaeResult& gae_e, const GaeResult* gae_i, double inv_bs) {
   BatchPartial out;
   if (e <= b) return out;
 
@@ -140,21 +121,21 @@ PpoTrainer::BatchPartial PpoTrainer::process_range(
   // it is the active minimum; inactive samples keep coefficient 0.0, which
   // the fixed-summation-order kernels treat as an exact bitwise no-op.
   const std::size_t bs = e - b;
-  scratch.obs.gather(buf.obs, order, b, e);
-  scratch.act.gather(buf.act, order, b, e);
-  const nn::Batch& mean = pol.mean_batch(scratch.obs);
-  const std::size_t adim = pol.act_dim();
-  scratch.coeff.resize(bs);
+  scratch_.obs.gather(buf.obs, order, b, e);
+  scratch_.act.gather(buf.act, order, b, e);
+  const nn::Batch& mean = policy_->mean_batch(scratch_.obs);
+  const std::size_t adim = policy_->act_dim();
+  scratch_.coeff.resize(bs);
   for (std::size_t n = 0; n < bs; ++n) {
     const std::size_t idx = order[b + n];
     const double lp_new = nn::diag_gaussian::log_prob(
-        scratch.act.row(n), mean.row(n), pol.log_std().data(), adim);
+        scratch_.act.row(n), mean.row(n), policy_->log_std().data(), adim);
     const double ratio = std::exp(lp_new - buf.logp[idx]);
     IMAP_NCHECK_FINITE(ratio, "ppo.ratio");
     const double a = adv[idx];
     const bool active =
         (a >= 0.0) ? (ratio < 1.0 + opts_.clip) : (ratio > 1.0 - opts_.clip);
-    scratch.coeff[n] = active ? -a * ratio * inv_bs : 0.0;
+    scratch_.coeff[n] = active ? -a * ratio * inv_bs : 0.0;
     out.pol_loss += -std::min(ratio * a,
                               std::clamp(ratio, 1.0 - opts_.clip,
                                          1.0 + opts_.clip) *
@@ -162,27 +143,27 @@ PpoTrainer::BatchPartial PpoTrainer::process_range(
     out.kl += buf.logp[idx] - lp_new;
     ++out.samples;
   }
-  pol.backward_logp_batch(scratch.act, scratch.coeff);
+  policy_->backward_logp_batch(scratch_.act, scratch_.coeff);
 
   // Extrinsic critic regression: dL/dV = vf_coef · (V − R) / bs.
-  ve.value_batch(scratch.obs, scratch.vals);
-  scratch.vcoeff.resize(bs);
+  value_e_->value_batch(scratch_.obs, scratch_.vals);
+  scratch_.vcoeff.resize(bs);
   for (std::size_t n = 0; n < bs; ++n) {
     const std::size_t idx = order[b + n];
-    const double verr = scratch.vals[n] - gae_e.returns[idx];
-    scratch.vcoeff[n] = opts_.vf_coef * verr * inv_bs;
+    const double verr = scratch_.vals[n] - gae_e.returns[idx];
+    scratch_.vcoeff[n] = opts_.vf_coef * verr * inv_bs;
     out.val_loss += 0.5 * verr * verr;
   }
-  ve.backward_batch(scratch.vcoeff);
+  value_e_->backward_batch(scratch_.vcoeff);
 
-  if (vi) {
-    vi->value_batch(scratch.obs, scratch.vals);
+  if (gae_i != nullptr) {
+    value_i_->value_batch(scratch_.obs, scratch_.vals);
     for (std::size_t n = 0; n < bs; ++n) {
       const std::size_t idx = order[b + n];
-      const double vierr = scratch.vals[n] - gae_i->returns[idx];
-      scratch.vcoeff[n] = opts_.vf_coef * vierr * inv_bs;
+      const double vierr = scratch_.vals[n] - gae_i->returns[idx];
+      scratch_.vcoeff[n] = opts_.vf_coef * vierr * inv_bs;
     }
-    vi->backward_batch(scratch.vcoeff);
+    value_i_->backward_batch(scratch_.vcoeff);
   }
 
   IMAP_NCHECK_FINITE(out.pol_loss, "ppo.pol_loss");
@@ -190,23 +171,6 @@ PpoTrainer::BatchPartial PpoTrainer::process_range(
   IMAP_NCHECK_FINITE(out.kl, "ppo.kl");
   return out;
 }
-
-namespace {
-
-/// In-place pairwise tree reduction of per-shard vectors, in a fixed order
-/// that depends only on the shard count: identical for any thread count.
-template <class Get>
-void tree_reduce(std::size_t n_shards, const Get& vec_of) {
-  for (std::size_t stride = 1; stride < n_shards; stride <<= 1) {
-    for (std::size_t i = 0; i + stride < n_shards; i += 2 * stride) {
-      auto& dst = vec_of(i);
-      const auto& src = vec_of(i + stride);
-      for (std::size_t j = 0; j < dst.size(); ++j) dst[j] += src[j];
-    }
-  }
-}
-
-}  // namespace
 
 void PpoTrainer::update(RolloutBuffer& buf, double tau, IterStats& stats) {
   const std::size_t n = buf.size();
@@ -246,9 +210,6 @@ void PpoTrainer::update(RolloutBuffer& buf, double tau, IterStats& stats) {
   std::vector<std::size_t> order(n);
   std::iota(order.begin(), order.end(), 0);
 
-  const int n_shards = shard_count();
-  if (n_shards > 1) ensure_shards(n_shards);
-
   double pol_loss_acc = 0.0, val_loss_acc = 0.0, kl_acc = 0.0;
   std::size_t loss_count = 0;
 
@@ -270,83 +231,17 @@ void PpoTrainer::update(RolloutBuffer& buf, double tau, IterStats& stats) {
       const std::size_t bs = end - start;
       const double inv_bs = 1.0 / static_cast<double>(bs);
 
-      if (n_shards <= 1) {
-        // Legacy serial accumulation on the master networks.
-        policy_->zero_grad();
-        value_e_->zero_grad();
-        if (use_intrinsic) value_i_->zero_grad();
-        const BatchPartial p = process_range(
-            *policy_, *value_e_, use_intrinsic ? value_i_.get() : nullptr,
-            buf, order, start, end, adv, gae_e,
-            use_intrinsic ? &gae_i : nullptr, inv_bs, scratch_);
-        pol_loss_acc += p.pol_loss;
-        val_loss_acc += p.val_loss;
-        epoch_kl += p.kl;
-        epoch_samples += p.samples;
-        loss_count += p.samples;
-      } else {
-        // Sharded accumulation: shard s owns batch slice
-        // [s·bs/S, (s+1)·bs/S) and its own gradient buffers; shard buffers
-        // are then tree-reduced in a fixed order. The slice map and the
-        // reduction tree depend only on (bs, S) — never the thread count.
-        policy_->flat_params_into(master_params_);
-        parallel_for(
-            static_cast<std::size_t>(n_shards),
-            [&](std::size_t s) {
-              auto& sh = shards_[s];
-              sh.policy.set_flat_params(master_params_);
-              sh.policy.zero_grad();
-              // const access on the master nets: the non-const params()
-              // bumps weight_version_, which all shards would race on
-              sh.value_e.net().params() =
-                  std::as_const(*value_e_).net().params();
-              sh.value_e.zero_grad();
-              if (use_intrinsic) {
-                sh.value_i.net().params() =
-                    std::as_const(*value_i_).net().params();
-                sh.value_i.zero_grad();
-              }
-              const std::size_t sb =
-                  start + s * bs / static_cast<std::size_t>(n_shards);
-              const std::size_t se =
-                  start + (s + 1) * bs / static_cast<std::size_t>(n_shards);
-              sh.partial = process_range(
-                  sh.policy, sh.value_e,
-                  use_intrinsic ? &sh.value_i : nullptr, buf, order, sb, se,
-                  adv, gae_e, use_intrinsic ? &gae_i : nullptr, inv_bs,
-                  sh.scratch);
-              sh.policy.flat_grads_into(sh.pol_grads);
-            },
-            /*grain=*/1);
-
-        const auto ns = static_cast<std::size_t>(n_shards);
-        tree_reduce(ns, [&](std::size_t i) -> std::vector<double>& {
-          return shards_[i].pol_grads;
-        });
-        tree_reduce(ns, [&](std::size_t i) -> std::vector<double>& {
-          return shards_[i].value_e.grads();
-        });
-        if (use_intrinsic)
-          tree_reduce(ns, [&](std::size_t i) -> std::vector<double>& {
-            return shards_[i].value_i.grads();
-          });
-
-        policy_->zero_grad();
-        policy_->accumulate_flat_grads(shards_[0].pol_grads);
-        value_e_->zero_grad();
-        value_e_->grads() = shards_[0].value_e.grads();
-        if (use_intrinsic) {
-          value_i_->zero_grad();
-          value_i_->grads() = shards_[0].value_i.grads();
-        }
-        for (const auto& sh : shards_) {
-          pol_loss_acc += sh.partial.pol_loss;
-          val_loss_acc += sh.partial.val_loss;
-          epoch_kl += sh.partial.kl;
-          epoch_samples += sh.partial.samples;
-          loss_count += sh.partial.samples;
-        }
-      }
+      policy_->zero_grad();
+      value_e_->zero_grad();
+      if (use_intrinsic) value_i_->zero_grad();
+      const BatchPartial p =
+          process_range(buf, order, start, end, adv, gae_e,
+                        use_intrinsic ? &gae_i : nullptr, inv_bs);
+      pol_loss_acc += p.pol_loss;
+      val_loss_acc += p.val_loss;
+      epoch_kl += p.kl;
+      epoch_samples += p.samples;
+      loss_count += p.samples;
 
       if (opts_.ent_coef > 0.0) policy_->backward_entropy(-opts_.ent_coef);
       if (reg_) {

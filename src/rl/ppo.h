@@ -42,12 +42,6 @@ struct PpoOptions {
   /// (workers × slots) factorization of the same total is bit-identical.
   /// At K·E = 1 the one slot draws from the trainer stream itself.
   int envs_per_worker = 1;
-  /// Gradient-accumulation shards per minibatch: each shard back-propagates
-  /// a fixed contiguous slice of the batch into its own gradient buffer and
-  /// the shard buffers are reduced in a fixed tree order, so the result is
-  /// identical for any thread count. 1 = legacy serial accumulation
-  /// (bit-identical to older builds); 0 = pick from the minibatch size.
-  int grad_shards = 1;
 };
 
 /// Per-iteration diagnostics.
@@ -144,10 +138,9 @@ class PpoTrainer {
     std::size_t samples = 0;
   };
 
-  /// Reusable gathered-minibatch buffers for the minibatch update. Each
-  /// accumulation context (the serial path and every gradient shard) owns
-  /// one so buffers grow to the minibatch high-water mark once and are then
-  /// reused — zero heap allocations per minibatch in steady state.
+  /// Reusable gathered-minibatch buffers for the minibatch update: they grow
+  /// to the minibatch high-water mark once and are then reused — zero heap
+  /// allocations per minibatch in steady state.
   struct UpdateScratch {
     nn::Batch obs;               ///< gathered observation rows
     nn::Batch act;               ///< gathered action rows
@@ -156,31 +149,17 @@ class PpoTrainer {
     std::vector<double> vcoeff;  ///< per-sample critic dL/dV coefficients
   };
 
-  /// One gradient-accumulation shard's scratch networks and outputs.
-  struct ShardScratch {
-    nn::GaussianPolicy policy;
-    nn::ValueNet value_e;
-    nn::ValueNet value_i;
-    std::vector<double> pol_grads;
-    BatchPartial partial;
-    UpdateScratch scratch;
-  };
-
   void ensure_workers();
-  int shard_count() const;
-  void ensure_shards(int n_shards);
 
-  /// Accumulate policy/value gradients and loss partials for
-  /// order[b..e) into the given networks. Shared by the serial path
-  /// (master networks) and the sharded path (scratch clones); the math and
-  /// per-sample order are identical in both.
-  BatchPartial process_range(nn::GaussianPolicy& pol, nn::ValueNet& ve,
-                             nn::ValueNet* vi, const RolloutBuffer& buf,
+  /// Accumulate policy/value gradients and loss partials for the minibatch
+  /// order[b..e) into the trainer's networks (`use_intrinsic` adds the
+  /// intrinsic critic's regression).
+  BatchPartial process_range(const RolloutBuffer& buf,
                              const std::vector<std::size_t>& order,
                              std::size_t b, std::size_t e,
                              const std::vector<double>& adv,
                              const GaeResult& gae_e, const GaeResult* gae_i,
-                             double inv_bs, UpdateScratch& scratch) const;
+                             double inv_bs);
 
   PpoOptions opts_;
   std::unique_ptr<Env> env_;  ///< prototype the rollout slots are cloned from
@@ -196,12 +175,10 @@ class PpoTrainer {
 
   std::vector<VecEnv> workers_;          ///< K vectorized rollout workers
   std::vector<int> slot_budgets_;        ///< per-global-slot step budgets
-  std::vector<ShardScratch> shards_;     ///< gradient shards (lazy)
   RolloutBuffer rollout_;                ///< reused across iterations
 
   // Hot-path scratch reused across update() calls (capacity only grows).
-  UpdateScratch scratch_;                ///< serial-path minibatch buffers
-  std::vector<double> master_params_;    ///< flat params snapshot for shards
+  UpdateScratch scratch_;                ///< minibatch buffers
   std::vector<double> flat_p_;           ///< optimiser param staging
   std::vector<double> flat_g_;           ///< optimiser grad staging
   std::vector<std::size_t> reg_batch_;   ///< minibatch indices for reg_ hook

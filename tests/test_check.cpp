@@ -1,8 +1,14 @@
 // Numeric-guard layer, enabled path: IMAP_NCHECK_* must fire on NaN / Inf /
 // shape mismatch / out-of-bounds values. The macro is forced on for this TU
 // so the test is meaningful even in builds configured without
-// -DIMAP_CHECK_NUMERICS=ON (the guards are per-translation-unit).
+// -DIMAP_CHECK_NUMERICS=ON (the guards are per-translation-unit). A build
+// configured with it defines it for every TU, the library's included, which
+// IMAP_LIBRARY_NUMERIC_GUARDS records before the force.
+#ifdef IMAP_CHECK_NUMERICS
+#define IMAP_LIBRARY_NUMERIC_GUARDS 1
+#else
 #define IMAP_CHECK_NUMERICS 1
+#endif
 
 #include "common/check.h"
 
@@ -11,6 +17,10 @@
 #include <cmath>
 #include <limits>
 #include <vector>
+
+#include "common/rng.h"
+#include "nn/batch.h"
+#include "nn/mlp.h"
 
 namespace imap {
 namespace {
@@ -68,6 +78,29 @@ TEST(NumericGuardEnabled, BoundsGuardRejectsNanAndOutOfRange) {
   EXPECT_THROW(IMAP_NCHECK_BOUNDS(1.5, 0.0, 1.0, "gamma"), NumericError);
   EXPECT_THROW(IMAP_NCHECK_BOUNDS(-0.1, 0.0, 1.0, "gamma"), NumericError);
   EXPECT_THROW(IMAP_NCHECK_BOUNDS(kNan, 0.0, 1.0, "gamma"), NumericError);
+}
+
+// A NaN hidden pre-activation must reach the output guard of
+// Mlp::forward_batch as NaN: the activation maps NaN to NaN (a clamp such as
+// `|x| < 20 ? |x| : 20` would turn it into ±1 and hide it). With the
+// library's guards compiled in the forward throws; without them the NaN row
+// must come out NaN while the finite row stays finite.
+TEST(NumericGuardEnabled, MlpForwardNanPreActivationIsNotMasked) {
+  Rng rng(3);
+  const nn::Mlp net({3, 8, 8, 2}, rng);
+  nn::Batch x(2, 3);
+  x.set_row(0, {0.1, -0.2, 0.3});
+  x.set_row(1, {0.1, kNan, 0.3});
+  nn::Mlp::Workspace ws;
+#ifdef IMAP_LIBRARY_NUMERIC_GUARDS
+  EXPECT_THROW(net.forward_batch(x, ws), NumericError);
+#else
+  const nn::Batch& y = net.forward_batch(x, ws);
+  for (std::size_t c = 0; c < y.dim(); ++c) {
+    EXPECT_TRUE(std::isfinite(y(0, c))) << "column " << c;
+    EXPECT_TRUE(std::isnan(y(1, c))) << "column " << c;
+  }
+#endif
 }
 
 TEST(NumericGuardEnabled, NumericErrorIsACheckError) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/check.h"
@@ -95,21 +96,37 @@ INSTANTIATE_TEST_SUITE_P(AllHooks, HookSmoothing,
                          ::testing::Values("SA", "RADIAL", "WocaR"),
                          [](const auto& param_info) { return param_info.param; });
 
+// Reset and step observations are inner + ε·clamp(a, −1, 1) bit for bit,
+// with the adversary reading the clean inner observation; its outputs span
+// both clamp bounds and the unclamped middle.
 TEST(PerturbedVictimEnv, AppliesAdversaryToObservations) {
   const auto inner = env::make_hopper();
-  // Constant worst-case adversary: +1 on every dim.
-  rl::ActionFn adv = [](const std::vector<double>& o) {
-    return std::vector<double>(o.size(), 1.0);
+  const rl::ActionFn adv = [](const std::vector<double>& o) {
+    std::vector<double> a(o.size());
+    for (std::size_t i = 0; i < o.size(); ++i)
+      a[i] = 7.0 * o[i] + (i % 3 == 0 ? 2.5 : i % 3 == 1 ? -2.5 : 0.1);
+    return a;
   };
   const double eps = 0.075;
+  const auto expected = [&](const std::vector<double>& clean) {
+    const auto a = adv(clean);
+    std::vector<double> out = clean;
+    for (std::size_t i = 0; i < out.size(); ++i)
+      out[i] = clean[i] + eps * std::clamp(a[i], -1.0, 1.0);
+    return out;
+  };
   PerturbedVictimEnv env(*inner, adv, eps);
   auto plain = inner->clone();
   Rng r1(5), r2(5);
-  const auto o_pert = env.reset(r1);
-  const auto o_plain = plain->reset(r2);
-  ASSERT_EQ(o_pert.size(), o_plain.size());
-  for (std::size_t i = 0; i < o_pert.size(); ++i)
-    EXPECT_NEAR(o_pert[i] - o_plain[i], eps, 1e-12);
+  EXPECT_EQ(env.reset(r1), expected(plain->reset(r2)));
+  const std::vector<double> action{0.3, -0.2, 0.1};
+  for (int t = 0; t < 20; ++t) {
+    const auto sp = env.step(action);
+    const auto sc = plain->step(action);
+    EXPECT_EQ(sp.obs, expected(sc.obs)) << "step " << t;
+    EXPECT_EQ(sp.reward, sc.reward) << "step " << t;
+    if (sc.done || sc.truncated) break;
+  }
 }
 
 TEST(PerturbedVictimEnv, KeepsTaskReward) {

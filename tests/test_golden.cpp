@@ -2,8 +2,8 @@
 // training-side gradient paths. Each PPO case trains a small run and folds
 // its final parameters and per-iteration statistics into one CRC-32;
 // tests/golden/ppo_traces.txt pins the expected value. Any change to the
-// numeric trace of a covered path — collection, the batched update,
-// gradient sharding, the intrinsic channel, a defense hook, the IMAP-D
+// numeric trace of a covered path — collection, the batched update, the
+// intrinsic channel, a defense hook, the IMAP-D
 // mimic fit, the MAD input gradient — fails here, on every thread count and
 // kernel backend.
 //
@@ -138,12 +138,6 @@ const std::vector<GoldenCase>& golden_cases() {
   static const std::vector<GoldenCase> cases{
       {"hopper_ke1",
        [] { return train_digest(*env::make_env("Hopper"), golden_opts()); }},
-      {"hopper_grad_shards4",
-       [] {
-         auto opts = golden_opts();
-         opts.grad_shards = 4;
-         return train_digest(*env::make_env("Hopper"), opts);
-       }},
       {"hopper_victim_4x2",
        [] { return hopper_victim_digest(golden_opts(4, 2)); }},
       {"ysnp_opponent_4x2",

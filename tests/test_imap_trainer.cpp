@@ -7,6 +7,7 @@
 #include "core/imap_trainer.h"
 #include "env/hopper.h"
 #include "env/you_shall_not_pass.h"
+#include "nn/kernel_backend.h"
 #include "nn/matrix.h"
 
 namespace imap::core {
@@ -92,7 +93,8 @@ TEST(ImapTrainer, AdversaryMatchesThreatModelShape) {
 }
 
 /// The per-row mean the adversary closures computed before adversaries
-/// became handles: one per-sample kernel::affine per layer, tanh between.
+/// became handles: one per-sample kernel::affine per layer, with the scalar
+/// backend's tanh_rows between (every backend returns its bits).
 std::vector<double> per_row_mean(const nn::GaussianPolicy& policy,
                                  std::vector<double> x) {
   const auto& sizes = policy.net().sizes();
@@ -105,7 +107,7 @@ std::vector<double> per_row_mean(const nn::GaussianPolicy& policy,
                        x.data(), y.data());
     off += in * out + out;
     if (li + 2 < sizes.size())
-      for (double& v : y) v = std::tanh(v);
+      nn::kernel::scalar_backend().tanh_rows(y.data(), y.size(), y.data());
     x = std::move(y);
   }
   return x;

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -281,6 +282,202 @@ void run_knn_scan_cell(const std::string& backend, std::size_t n,
     ASSERT_EQ(ref[i], got[i]) << "backend vs scalar, query " << i;
   }
 }
+
+// --- tanh_rows ------------------------------------------------------------
+
+// NaN ⇔ NaN (payloads are not part of the contract), every other value
+// bitwise — so ±0 compare by sign too.
+void expect_same_tanh(double ref, double got, std::size_t i, double x) {
+  if (std::isnan(ref)) {
+    ASSERT_TRUE(std::isnan(got)) << "element " << i << " x=" << x;
+    return;
+  }
+  ASSERT_EQ(std::bit_cast<std::uint64_t>(ref),
+            std::bit_cast<std::uint64_t>(got))
+      << "element " << i << " x=" << x << " ref=" << ref << " got=" << got;
+}
+
+// Edge inputs the vector bodies must treat like the scalar one: signed
+// zeros, infinities, NaN, subnormals, the 0.625 branch switch and the point
+// where tanh rounds to 1.
+const std::vector<double>& tanh_specials() {
+  static const std::vector<double> v = {
+      0.0,
+      -0.0,
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::quiet_NaN(),
+      std::numeric_limits<double>::denorm_min(),
+      -1e-310,
+      std::numeric_limits<double>::min(),
+      0.625,
+      -std::nextafter(0.625, 0.0),
+      19.0615,
+      -20.0,
+      1e300};
+  return v;
+}
+
+// Every compiled backend against the scalar reference at n = `n` (vector
+// bodies plus their scalar tails), out of place and in place.
+void run_tanh_rows_cell(const std::string& backend, std::size_t n) {
+  std::string why;
+  const auto* be = lookup(backend, why);
+  if (be == nullptr) GTEST_SKIP() << why;
+  if (be->tanh_rows == nullptr)
+    GTEST_SKIP() << backend << " has no tanh kernel (dispatch uses scalar)";
+  Rng rng = shaped_rng(n, 1, 1);
+  std::vector<double> x(n);
+  const auto& sp = tanh_specials();
+  // Specials at every third slot; the rest alternate between the small
+  // (|x| < 0.625) and the exp branch.
+  for (std::size_t i = 0; i < n; ++i)
+    x[i] = i % 3 == 1   ? sp[(i / 3) % sp.size()]
+           : i % 2 == 0 ? rng.normal(0.0, 0.3)
+                        : rng.normal(0.0, 4.0);
+  std::vector<double> ref(n, -7.0), got(n, -7.0);
+  kernel::scalar_backend().tanh_rows(x.data(), n, ref.data());
+  be->tanh_rows(x.data(), n, got.data());
+  std::vector<double> inplace = x;
+  be->tanh_rows(inplace.data(), n, inplace.data());
+  for (std::size_t i = 0; i < n; ++i) {
+    expect_same_tanh(ref[i], got[i], i, x[i]);
+    expect_same_tanh(ref[i], inplace[i], i, x[i]);
+  }
+}
+
+// Distance in representable doubles between two finite values, counted
+// across zero (the sign-magnitude bits mapped onto one ordered line).
+std::int64_t ulp_distance(double a, double b) {
+  const auto key = [](double v) {
+    const auto i = std::bit_cast<std::int64_t>(v);
+    return i < 0 ? std::numeric_limits<std::int64_t>::min() - i : i;
+  };
+  const std::int64_t d = key(a) - key(b);
+  return d < 0 ? -d : d;
+}
+
+// ≤ 2 ulp from std::tanh (the es_test testTanh pattern: a dense generated
+// sweep with a bound in units of the format's epsilon): a seeded sweep over
+// [-25, 25], log-spaced magnitudes down to the subnormals, 2000 neighbours
+// on each side of the 0.625 switch, and the run up to saturation.
+void run_tanh_accuracy(const std::string& backend) {
+  std::string why;
+  const auto* be = lookup(backend, why);
+  if (be == nullptr) GTEST_SKIP() << why;
+  if (be->tanh_rows == nullptr)
+    GTEST_SKIP() << backend << " has no tanh kernel (dispatch uses scalar)";
+  std::vector<double> x;
+  Rng rng(20241);
+  for (int i = 0; i < 400000; ++i) x.push_back(rng.uniform(-25.0, 25.0));
+  for (double m = 1e-320; m < 30.0; m *= 1.01) {
+    x.push_back(m);
+    x.push_back(-m);
+  }
+  for (double edge : {0.625, -0.625}) {
+    double lo = edge, hi = edge;
+    for (int i = 0; i < 2000; ++i) {
+      lo = std::nextafter(lo, 0.0);
+      hi = std::nextafter(hi, 2.0 * edge);
+      x.push_back(lo);
+      x.push_back(hi);
+    }
+  }
+  for (double v = 18.0; v <= 21.0; v += 1.0 / 1024.0) {
+    x.push_back(v);
+    x.push_back(-v);
+  }
+  std::vector<double> y(x.size());
+  be->tanh_rows(x.data(), x.size(), y.data());
+  std::int64_t worst = 0;
+  double worst_x = 0.0;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    const std::int64_t d = ulp_distance(y[i], std::tanh(x[i]));
+    if (d > worst) {
+      worst = d;
+      worst_x = x[i];
+    }
+  }
+  EXPECT_LE(worst, 2) << "worst at x=" << worst_x << " over " << x.size()
+                      << " points";
+}
+
+// The contract's edge cases, each run through a full vector body (16 copies)
+// and through the scalar tail (n = 1).
+void run_tanh_edge_cases(const std::string& backend) {
+  std::string why;
+  const auto* be = lookup(backend, why);
+  if (be == nullptr) GTEST_SKIP() << why;
+  if (be->tanh_rows == nullptr)
+    GTEST_SKIP() << backend << " has no tanh kernel (dispatch uses scalar)";
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double sub = std::numeric_limits<double>::denorm_min();
+  const auto tanh_of = [&](double v, std::size_t n) {
+    std::vector<double> in(n, v), out(n, -7.0);
+    be->tanh_rows(in.data(), n, out.data());
+    for (std::size_t i = 1; i < n; ++i)
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(out[0]),
+                std::bit_cast<std::uint64_t>(out[i]))
+          << "lane " << i;
+    return out[0];
+  };
+  for (std::size_t n : {std::size_t{16}, std::size_t{1}}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    EXPECT_EQ(tanh_of(0.0, n), 0.0);
+    EXPECT_FALSE(std::signbit(tanh_of(0.0, n)));
+    EXPECT_EQ(tanh_of(-0.0, n), 0.0);
+    EXPECT_TRUE(std::signbit(tanh_of(-0.0, n)));
+    EXPECT_EQ(tanh_of(inf, n), 1.0);
+    EXPECT_EQ(tanh_of(-inf, n), -1.0);
+    EXPECT_TRUE(std::isnan(tanh_of(nan, n)));
+    EXPECT_TRUE(std::isnan(tanh_of(-nan, n)));
+    for (double v : {sub, -sub, 1e-310, -3.3e-309,
+                     std::numeric_limits<double>::min(), 1e-200})
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(tanh_of(v, n)),
+                std::bit_cast<std::uint64_t>(v))
+          << "x=" << v;
+    EXPECT_EQ(tanh_of(19.1, n), 1.0);
+    EXPECT_EQ(tanh_of(-1e300, n), -1.0);
+  }
+}
+
+#define IMAP_TANH_SIZE_LIST(X) \
+  X(N1, 1)                     \
+  X(N7, 7)                     \
+  X(N8, 8)                     \
+  X(N9, 9)                     \
+  X(N15, 15)                   \
+  X(N16, 16)                   \
+  X(N17, 17)                   \
+  X(N1000, 1000)
+
+#define IMAP_TANH_CELLS(backend)                       \
+  TEST(KernelMatrix_##backend, TanhRowsWithinTwoUlp) { \
+    run_tanh_accuracy(#backend);                       \
+  }                                                    \
+  TEST(KernelMatrix_##backend, TanhRowsEdgeCases) {    \
+    run_tanh_edge_cases(#backend);                     \
+  }
+
+#define IMAP_TANH_CELL(backend, tag, n_)          \
+  TEST(KernelMatrix_##backend, TanhRows_##tag) {  \
+    run_tanh_rows_cell(#backend, n_);             \
+  }
+
+IMAP_TANH_CELLS(scalar)
+IMAP_TANH_CELLS(avx2)
+IMAP_TANH_CELLS(avx512)
+IMAP_TANH_CELLS(neon)
+
+#define IMAP_TANH_AVX2(tag, n_) IMAP_TANH_CELL(avx2, tag, n_)
+IMAP_TANH_SIZE_LIST(IMAP_TANH_AVX2)
+
+#define IMAP_TANH_AVX512(tag, n_) IMAP_TANH_CELL(avx512, tag, n_)
+IMAP_TANH_SIZE_LIST(IMAP_TANH_AVX512)
+
+#define IMAP_TANH_NEON(tag, n_) IMAP_TANH_CELL(neon, tag, n_)
+IMAP_TANH_SIZE_LIST(IMAP_TANH_NEON)
 
 // --- the generated matrix ---------------------------------------------------
 // Shapes: in/out/batch spanning 1, odd, lane-multiple (4/8/16-wide SIMD

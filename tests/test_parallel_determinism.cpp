@@ -1,5 +1,5 @@
 // The determinism contract of the parallel execution layer: structural
-// options (worker count K, gradient shards S) fix the numeric trace, the
+// options (worker count K, slots per worker E) fix the numeric trace, the
 // thread count never does. Everything here compares serial execution
 // (ScopedSerial) against a real 4-thread pool (ScopedPool) bit-for-bit.
 
@@ -45,7 +45,6 @@ TEST(ParallelDeterminism, PpoTraceIdenticalFor1And4Threads) {
   rl::PpoOptions opts;
   opts.steps_per_iter = 512;
   opts.num_workers = 4;
-  opts.grad_shards = 0;  // auto — derived from minibatch, not thread count
 
   std::vector<double> serial_params, pooled_params;
   std::vector<rl::IterStats> serial_stats, pooled_stats;
@@ -63,9 +62,9 @@ TEST(ParallelDeterminism, PpoTraceIdenticalFor1And4Threads) {
 }
 
 TEST(ParallelDeterminism, LegacySerialOptionsUnaffectedByPool) {
-  // The library defaults (K·E = 1: one lockstep slot on the trainer stream;
-  // grad_shards = 1: unsharded accumulation) are what production trainers
-  // run; a pool must not change a single bit of them.
+  // The library defaults (K·E = 1: one lockstep slot on the trainer stream)
+  // are what production trainers run; a pool must not change a single bit
+  // of them.
   rl::PpoOptions opts;
   opts.steps_per_iter = 512;
 

@@ -527,7 +527,9 @@ TEST_F(ModelCacheTest, ModelsJsonListsResidentEntries) {
   cache.put("Hopper", "PPO", make_net(1));
   const std::string json = cache.render_json();
   EXPECT_NE(json.find("\"env\":\"Hopper\""), std::string::npos);
-  EXPECT_NE(json.find("\"archive_version\":2"), std::string::npos);
+  EXPECT_NE(json.find("\"archive_version\":" +
+                      std::to_string(kFormatVersion)),
+            std::string::npos);
 }
 
 TEST_F(ModelCacheTest, ScenarioEntriesCarryThreatModelAndShareTheCheckpoint) {

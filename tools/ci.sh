@@ -62,7 +62,8 @@ stage "bench-smoke (kernel suites, min_time=0.01s, probes skipped)"
 # google-benchmark predates the "0.01s" suffix syntax.
 IMAP_BENCH_NO_PROBE=1 "${BUILD_DIR}/bench/bench_micro_ppo" \
   --benchmark_min_time=0.01 \
-  --benchmark_filter='BM_MlpForwardBatch|BM_PpoUpdate|BM_RolloutCollect' || exit 1
+  --benchmark_filter='BM_TanhRows|BM_MlpForwardBatch|BM_PpoUpdate|BM_RolloutCollect' \
+  || exit 1
 IMAP_BENCH_NO_PROBE=1 "${BUILD_DIR}/bench/bench_micro_infer" \
   --benchmark_min_time=0.01 \
   --benchmark_filter='BM_VictimQueryBatch' || exit 1
