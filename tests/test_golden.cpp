@@ -3,9 +3,9 @@
 // its final parameters and per-iteration statistics into one CRC-32;
 // tests/golden/ppo_traces.txt pins the expected value. Any change to the
 // numeric trace of a covered path — collection, the batched update, the
-// intrinsic channel, a defense hook, the IMAP-D
-// mimic fit, the MAD input gradient — fails here, on every thread count and
-// kernel backend.
+// intrinsic channel, a defense hook, the IMAP-D mimic fit, the MLP input
+// gradient and the MAD directions built on it — fails here, on every thread
+// count and kernel backend.
 //
 // Regenerating after a deliberate numerics change: a mismatch prints the
 // full replacement file; paste it over tests/golden/ppo_traces.txt.
@@ -30,7 +30,9 @@
 #include "defense/sa_regularizer.h"
 #include "env/multiagent.h"
 #include "env/registry.h"
+#include "nn/batch.h"
 #include "nn/gaussian.h"
+#include "nn/mlp.h"
 #include "rl/ppo.h"
 #include "scenario/scenario_env.h"
 #include "scenario/spec.h"
@@ -199,6 +201,26 @@ const std::vector<GoldenCase>& golden_cases() {
          Rng obs_rng(5);
          Digest d;
          for (int i = 0; i < 64; ++i) d.add(attack(obs_rng.normal_vec(11)));
+         return d.value();
+       }},
+      {"mlp_input_grad",
+       [] {
+         // The raw dL/dinput rows behind MAD: mad_pgd3 keeps only their
+         // signs, so this case is the one that sees their low bits move.
+         const auto victim = random_victim(11, 3);
+         const nn::Mlp& net = victim->net();
+         Rng rng(5);
+         nn::Batch obs(32, 11), grad_out(32, 3);
+         for (std::size_t r = 0; r < 32; ++r) {
+           obs.set_row(r, rng.normal_vec(11));
+           grad_out.set_row(r, rng.normal_vec(3));
+         }
+         nn::Mlp::Workspace ws;
+         net.forward_batch(obs, ws);
+         const nn::Batch& g = net.input_gradient_batch(ws, grad_out);
+         Digest d;
+         for (std::size_t r = 0; r < g.rows(); ++r)
+           d.add(std::vector<double>(g.row(r), g.row(r) + g.dim()));
          return d.value();
        }},
   };
