@@ -1,5 +1,5 @@
-// bench_fabric: the grid-executor probe, recorded in the tracked
-// BENCH_fabric.json (see README "Grid executor"). One Table-1 Hopper row
+// bench_fabric: the grid-executor probe, merged into BENCH_parallel.json in
+// the working directory (see README "Grid executor"). One Table-1 Hopper row
 // — 6 victims (PPO, ATLA, SA, ATLA-SA, RADIAL, WocaR) × 7 attacks, 42
 // cells — runs through core::DagScheduler twice, each into a fresh store
 // so nothing is cached: serially (ScopedSerial) and on a 4-thread pool.
@@ -119,12 +119,12 @@ int main() {
        << "\": " << serial.node_secs[i].second;
   }
   os << "}}}";
-  bench::write_report_entry("BENCH_fabric.json", "bench_fabric", os.str());
+  bench::write_parallel_report_entry("bench_fabric", os.str());
   std::cerr << "bench_fabric: Hopper row (" << serial.out.size()
             << " cells, scale " << cfg.scale << ") serial " << serial.seconds
             << "s, " << kWidth << " threads " << threads.seconds
             << "s; outcomes "
-            << (ok ? "identical" : "DIVERGED") << " -> BENCH_fabric.json\n";
+            << (ok ? "identical" : "DIVERGED") << " -> BENCH_parallel.json\n";
   // Wall-clock varies with the host; identity never may. Nonzero exit makes
   // the ci bench-smoke stage a real gate on divergence.
   return ok ? 0 : 1;

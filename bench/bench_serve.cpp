@@ -10,14 +10,14 @@
 // single-row /infer requests back to back; every response is compared
 // bit-for-bit against a direct PolicyHandle::query through the same
 // quantization mode, so the speedup claim and the correctness claim come
-// from the same run. Results land in BENCH_serve.json (committed, see
-// README); the headline number is qps(32 clients, coalesced, int8) /
-// qps(32 clients, batch-1, int8).
+// from the same run. Results are merged into BENCH_parallel.json in the
+// working directory under "bench_serve"; the headline number is qps(32
+// clients, coalesced, int8) / qps(32 clients, batch-1, int8).
 //
 // Knobs: IMAP_BENCH_SERVE_ITERS (requests per client per rep, default 12),
-// IMAP_BENCH_SERVE_REPS (default 7) — the CI bench-smoke stage shrinks both.
-// Exit status is 1 on any bit-identity mismatch; perf numbers never fail
-// the run (they are tracked, not gated, at bench time).
+// IMAP_BENCH_SERVE_REPS (default 7), each an integer in [1, 1000000] — the
+// CI bench-smoke stage shrinks both. Exit status is 1 on any bit-identity
+// mismatch; perf numbers never fail the run.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -193,8 +193,9 @@ CellResult run_cell(const std::shared_ptr<const nn::GaussianPolicy>& victim,
 
 int main() {
   const int iters =
-      static_cast<int>(env_double("IMAP_BENCH_SERVE_ITERS", 12));
-  const int reps = static_cast<int>(env_double("IMAP_BENCH_SERVE_REPS", 7));
+      static_cast<int>(env_int("IMAP_BENCH_SERVE_ITERS", 12, 1, 1'000'000));
+  const int reps =
+      static_cast<int>(env_int("IMAP_BENCH_SERVE_REPS", 7, 1, 1'000'000));
   const std::string zoo_dir =
       "/tmp/imap_bench_serve_zoo_" + std::to_string(::getpid());
   std::filesystem::remove_all(zoo_dir);
@@ -252,12 +253,12 @@ int main() {
   os << "], \"speedup_32_int8_coalesced_vs_batch1\": " << speedup
      << ", \"bit_identical\": " << (mismatches == 0 ? "true" : "false")
      << "}";
-  bench::write_report_entry("BENCH_serve.json", "serve_probe", os.str());
+  bench::write_parallel_report_entry("bench_serve", os.str());
 
   std::cerr << "bench_serve: 32-client int8 coalescing speedup "
             << std::setprecision(2) << speedup << "x vs batch-1 server path ("
             << (mismatches == 0 ? "all responses bit-identical"
                                 : "BIT-IDENTITY FAILURES")
-            << ") -> BENCH_serve.json\n";
+            << ") -> BENCH_parallel.json\n";
   return mismatches == 0 ? 0 : 1;
 }

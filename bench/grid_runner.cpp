@@ -179,8 +179,9 @@ double min_seconds(int reps, const std::function<void()>& fn) {
   return best;
 }
 
-void write_report_entry(const std::string& path, const std::string& key,
-                        const std::string& entry_json) {
+void write_parallel_report_entry(const std::string& bench_name,
+                                 const std::string& entry_json) {
+  const std::string path = "BENCH_parallel.json";
   std::vector<std::pair<std::string, std::string>> entries;
   if (std::filesystem::exists(path)) {
     std::ifstream in(path);
@@ -190,11 +191,11 @@ void write_report_entry(const std::string& path, const std::string& key,
   }
   bool replaced = false;
   for (auto& [k, v] : entries)
-    if (k == key) {
+    if (k == bench_name) {
       v = entry_json;
       replaced = true;
     }
-  if (!replaced) entries.emplace_back(key, entry_json);
+  if (!replaced) entries.emplace_back(bench_name, entry_json);
 
   std::ofstream out(path);
   out << "{\n";
@@ -203,11 +204,6 @@ void write_report_entry(const std::string& path, const std::string& key,
     out << (i + 1 < entries.size() ? ",\n" : "\n");
   }
   out << "}\n";
-}
-
-void write_parallel_report_entry(const std::string& bench_name,
-                                 const std::string& entry_json) {
-  write_report_entry("BENCH_parallel.json", bench_name, entry_json);
 }
 
 }  // namespace imap::bench

@@ -73,16 +73,9 @@ class GridRunner {
 /// is the robust estimate of the cost. Warm-up runs are the caller's.
 double min_seconds(int reps, const std::function<void()>& fn);
 
-/// Merge `entry_json` (a JSON value) under key `key` into the flat JSON
-/// object at `path` (created if missing), preserving other keys' entries.
-/// Used for the committed bench reports (BENCH_parallel.json,
-/// BENCH_kernels.json).
-void write_report_entry(const std::string& path, const std::string& key,
-                        const std::string& entry_json);
-
-/// Merge `entry_json` (a JSON value) under key `bench_name` into
-/// BENCH_parallel.json in the working directory, preserving other benches'
-/// entries.
+/// Merge `entry_json` (a JSON value) under key `bench_name` into the flat
+/// JSON object in BENCH_parallel.json in the working directory (created if
+/// missing), preserving other benches' entries.
 void write_parallel_report_entry(const std::string& bench_name,
                                  const std::string& entry_json);
 

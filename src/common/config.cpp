@@ -2,20 +2,13 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
 namespace imap {
-
-double env_double(const char* name, double fallback) {
-  const char* v = std::getenv(name);
-  if (!v || !*v) return fallback;
-  char* end = nullptr;
-  const double parsed = std::strtod(v, &end);
-  if (end == v) return fallback;
-  return parsed;
-}
 
 std::string env_string(const char* name, const std::string& fallback) {
   const char* v = std::getenv(name);
@@ -44,19 +37,41 @@ long long env_int(const char* name, long long fallback, long long lo,
 }
 
 int BenchConfig::scaled(int base, int min_value) const {
-  const double s = static_cast<double>(base) * scale;
+  // Clamped before the cast: a huge scale must not overflow int.
+  const double s = std::min(static_cast<double>(base) * scale,
+                            double{std::numeric_limits<int>::max()});
   return std::max(min_value, static_cast<int>(s));
 }
 
+namespace {
+
+/// Budget-multiplier env knob: `fallback` when unset or empty, else all of
+/// the value must be a finite number > 0, or std::invalid_argument names
+/// the knob.
+double env_scale(const char* name, double fallback) {
+  const char* v = std::getenv(name);
+  if (!v || !*v) return fallback;
+  const std::string text(v);
+  double s = 0.0;
+  const char* last = text.data() + text.size();
+  const auto [end, ec] = std::from_chars(text.data(), last, s);
+  if (ec != std::errc() || end != last || !std::isfinite(s) || s <= 0.0)
+    throw std::invalid_argument(std::string(name) + ": '" + text +
+                                "' is not a finite number > 0");
+  return s;
+}
+
+}  // namespace
+
 BenchConfig BenchConfig::from_env() {
+  constexpr long long kMax = std::numeric_limits<long long>::max();
   BenchConfig cfg;
-  cfg.scale = env_double("IMAP_BENCH_SCALE", 1.0);
+  cfg.scale = env_scale("IMAP_BENCH_SCALE", 1.0);
   cfg.zoo_dir = env_string("IMAP_ZOO_DIR", "./zoo");
-  cfg.seed = static_cast<std::uint64_t>(env_double("IMAP_SEED", 7.0));
-  cfg.snapshot_every =
-      static_cast<int>(env_double("IMAP_SNAPSHOT_EVERY", 0.0));
-  cfg.halt_after_iters =
-      static_cast<long long>(env_double("IMAP_HALT_AFTER_ITERS", 0.0));
+  cfg.seed = static_cast<std::uint64_t>(env_int("IMAP_SEED", 7, 0, kMax));
+  cfg.snapshot_every = static_cast<int>(env_int(
+      "IMAP_SNAPSHOT_EVERY", 0, 0, std::numeric_limits<int>::max()));
+  cfg.halt_after_iters = env_int("IMAP_HALT_AFTER_ITERS", 0, 0, kMax);
   return cfg;
 }
 

@@ -6,9 +6,11 @@
 namespace imap {
 
 /// Runtime knobs shared by the bench harnesses, read once from the
-/// environment:
+/// environment. A malformed or out-of-range value makes from_env() throw
+/// std::invalid_argument naming the knob; it never falls back silently.
 ///   IMAP_BENCH_SCALE — multiplies all training-step and eval-episode budgets
-///                      (default 1.0; use e.g. 0.1 for a smoke run).
+///                      (default 1.0; a finite number > 0; use e.g. 0.1 for a
+///                      smoke run).
 ///   IMAP_ZOO_DIR     — directory for cached victim checkpoints
 ///                      (default "./zoo").
 ///   IMAP_SEED        — base experiment seed (default 7).
@@ -30,9 +32,6 @@ struct BenchConfig {
 
   static BenchConfig from_env();
 };
-
-/// Read a double env var with default.
-double env_double(const char* name, double fallback);
 
 /// Read a string env var with default.
 std::string env_string(const char* name, const std::string& fallback);

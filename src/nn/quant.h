@@ -85,8 +85,9 @@ class QuantizedMlp {
 
 /// Tested ceiling on max |Δaction| between QuantizedMlp and the fp64 Mlp for
 /// the policy networks this library builds (unit-scale observations, tanh
-/// hiddens). Asserted in tests/test_quant.cpp and reported alongside the
-/// throughput numbers in BENCH_infer.json.
+/// hiddens). Asserted in tests/test_quant.cpp
+/// (QuantizedMlp.ActionErrorWithinPinnedTolerance and
+/// VictimQuant.QuantizedQueriesStayWithinToleranceOfFp64).
 inline constexpr double kQuantActionTolerance = 5e-2;
 
 }  // namespace imap::nn

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
+#include <limits>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "common/check.h"
 #include "common/config.h"
@@ -190,13 +193,52 @@ TEST(Config, ScaledClampsToMinimum) {
   EXPECT_EQ(cfg.scaled(100), 200);
 }
 
+TEST(Config, ScaledDoesNotOverflowOnHugeScale) {
+  BenchConfig cfg;
+  cfg.scale = 1e30;
+  EXPECT_EQ(cfg.scaled(100), std::numeric_limits<int>::max());
+}
+
 TEST(Config, EnvParsing) {
-  ::setenv("IMAP_TEST_DOUBLE", "2.5", 1);
-  EXPECT_DOUBLE_EQ(env_double("IMAP_TEST_DOUBLE", 1.0), 2.5);
-  EXPECT_DOUBLE_EQ(env_double("IMAP_TEST_MISSING", 1.0), 1.0);
-  ::setenv("IMAP_TEST_JUNK", "abc", 1);
-  EXPECT_DOUBLE_EQ(env_double("IMAP_TEST_JUNK", 4.0), 4.0);
   EXPECT_EQ(env_string("IMAP_TEST_MISSING", "dflt"), "dflt");
+}
+
+TEST(Config, FromEnvReadsWellFormedKnobs) {
+  ::setenv("IMAP_BENCH_SCALE", "0.25", 1);
+  ::setenv("IMAP_SEED", "12", 1);
+  ::setenv("IMAP_SNAPSHOT_EVERY", "3", 1);
+  ::setenv("IMAP_HALT_AFTER_ITERS", "1", 1);
+  const BenchConfig cfg = BenchConfig::from_env();
+  for (const char* knob : {"IMAP_BENCH_SCALE", "IMAP_SEED",
+                           "IMAP_SNAPSHOT_EVERY", "IMAP_HALT_AFTER_ITERS"})
+    ::unsetenv(knob);
+  EXPECT_DOUBLE_EQ(cfg.scale, 0.25);
+  EXPECT_EQ(cfg.seed, 12u);
+  EXPECT_EQ(cfg.snapshot_every, 3);
+  EXPECT_EQ(cfg.halt_after_iters, 1);
+}
+
+TEST(Config, FromEnvRejectsMalformedOrOutOfRangeKnobsNamingThem) {
+  const std::pair<const char*, const char*> bad[] = {
+      {"IMAP_BENCH_SCALE", "abc"},   {"IMAP_BENCH_SCALE", "0"},
+      {"IMAP_BENCH_SCALE", "-0.5"},  {"IMAP_BENCH_SCALE", "inf"},
+      {"IMAP_BENCH_SCALE", "nan"},   {"IMAP_BENCH_SCALE", "1e999"},
+      {"IMAP_BENCH_SCALE", "0.1x"},  {"IMAP_SEED", "-1"},
+      {"IMAP_SEED", "1e30"},         {"IMAP_SEED", "7.5"},
+      {"IMAP_SNAPSHOT_EVERY", "-1"}, {"IMAP_SNAPSHOT_EVERY", "3000000000"},
+      {"IMAP_HALT_AFTER_ITERS", "-2"},
+      {"IMAP_HALT_AFTER_ITERS", "99999999999999999999"}};
+  for (const auto& [knob, value] : bad) {
+    ::setenv(knob, value, 1);
+    try {
+      BenchConfig::from_env();
+      ADD_FAILURE() << knob << "=" << value << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(knob), std::string::npos)
+          << e.what();
+    }
+    ::unsetenv(knob);
+  }
 }
 
 TEST(Config, ParseIntAcceptsOnlyWholeIntegersInRange) {

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # ci.sh — the one-shot correctness gate: build -> check.ast -> tier-1 ctest
-# -> checkpoint/resume drill -> bench smoke -> bench-diff -> serve drill. Exits nonzero on the first failing stage. Also exposed as the
-# `ci` CMake target (`cmake --build build --target ci`).
+# -> checkpoint/resume drill -> bench smoke -> bench gate (parent build vs
+# this build) -> serve drill. Exits nonzero on the first failing stage. Also
+# exposed as the `ci` CMake target (`cmake --build build --target ci`).
 #
 # Environment:
 #   IMAP_CI_BUILD_DIR  build directory (default: build)
@@ -55,16 +56,15 @@ ls "${CKPT_ZOO}"/results/*.res > /dev/null 2>&1 \
   || { echo "ci: completed run cached no results"; exit 1; }
 rm -rf "${CKPT_ZOO}"
 
-stage "bench-smoke (kernel suites, min_time=0.01s, probes skipped)"
-# Exercises the batched-kernel benchmarks end to end without the slow
-# speedup/kernel probes (those rewrite BENCH_*.json and are run manually —
-# see README "Benchmarks"). min_time is a plain double: the bundled
-# google-benchmark predates the "0.01s" suffix syntax.
-IMAP_BENCH_NO_PROBE=1 "${BUILD_DIR}/bench/bench_micro_ppo" \
+stage "bench-smoke (google-benchmark suites at min_time=0.01s, fabric and serve drills)"
+# Exercises the benchmark suites end to end; timing here is smoke only, the
+# bench-gate stage below judges throughput. min_time is a plain double: the
+# bundled google-benchmark predates the "0.01s" suffix syntax.
+"${BUILD_DIR}/bench/bench_micro_ppo" \
   --benchmark_min_time=0.01 \
   --benchmark_filter='BM_TanhRows|BM_MlpForwardBatch|BM_PpoUpdate|BM_RolloutCollect' \
   || exit 1
-IMAP_BENCH_NO_PROBE=1 "${BUILD_DIR}/bench/bench_micro_infer" \
+"${BUILD_DIR}/bench/bench_micro_infer" \
   --benchmark_min_time=0.01 \
   --benchmark_filter='BM_VictimQueryBatch' || exit 1
 "${BUILD_DIR}/bench/bench_micro_knn" \
@@ -72,10 +72,8 @@ IMAP_BENCH_NO_PROBE=1 "${BUILD_DIR}/bench/bench_micro_infer" \
   --benchmark_filter='BM_KnnQuery|BM_PcBonusPass|BM_PcRegularizerCompute' \
   || exit 1
 # Grid-executor probe at smoke scale: runs a Table-1 Hopper row serially
-# and on 4 threads, asserting the outcomes are identical. Runs from the
-# build dir so the tracked repo-root BENCH_fabric.json (regenerated
-# manually, see README "Grid executor") is not clobbered by smoke-scale
-# numbers.
+# and on 4 threads and exits nonzero unless the outcomes are identical.
+# From the build dir, where its BENCH_parallel.json entry lands.
 ( cd "${BUILD_DIR}" && IMAP_BENCH_SCALE=0.001 ./bench/bench_fabric ) || exit 1
 # Scenario-string validation: a randomized scenario (channel pipeline +
 # seeded DR) must parse, canonicalize and expand.
@@ -85,30 +83,46 @@ CI_SCENARIO='hopper+obs_perturb:0.075+obs_delay:1+dr[mass:0.9..1.1]@7'
 # Serving-coalescer probe at smoke scale: every cell still runs (including
 # the bit-identity comparison against direct PolicyHandle queries — the
 # probe exits nonzero on any mismatch), just with tiny iteration counts.
-# From the build dir so the tracked BENCH_serve.json stays full-scale.
 ( cd "${BUILD_DIR}" &&
   IMAP_BENCH_SERVE_ITERS=2 IMAP_BENCH_SERVE_REPS=1 ./bench/bench_serve \
   > /dev/null ) || exit 1
 
-stage "bench-diff (rollout steps/s gate vs tracked BENCH_rollout.json)"
-# Regenerate the rollout-collection probe in the build dir (min-of-7
-# rounds of 16 one-slot VecEnv::collect calls vs one 16-slot lockstep
-# VecEnv::collect, bit-identity asserted) and gate it against
-# the tracked baseline: a >10% steps/s regression fails the stage. One warm
-# retry absorbs cold-start noise (page cache, CPU frequency ramp); a real
-# regression fails both runs.
-run_rollout_probe() {
-  ( cd "${BUILD_DIR}" &&
-    IMAP_BENCH_ROLLOUT_PROBE_ONLY=1 ./bench/bench_micro_ppo > /dev/null )
-}
-run_rollout_probe || exit 1
-if ! python3 tools/bench_diff.py BENCH_rollout.json \
-       "${BUILD_DIR}/BENCH_rollout.json"; then
-  echo "ci: rollout probe below baseline; retrying once (cold-start noise)"
-  run_rollout_probe || exit 1
-  python3 tools/bench_diff.py BENCH_rollout.json \
-    "${BUILD_DIR}/BENCH_rollout.json" || exit 1
+stage "bench-gate (gated micro-benchmarks, parent build vs this build)"
+# The parent is HEAD~1 on main, where each change lands as its own commits;
+# on any other branch it is the merge-base with origin/main (HEAD~1 when
+# that is HEAD). Its source is exported with git archive into the build
+# dir, where only the two gated bench targets are built, with this build's
+# CMAKE_BUILD_TYPE; a rebuild is skipped while the parent stays the same.
+# tools/bench_gate.py then alternates parent and change processes from a
+# scratch cwd (a bench binary may write reports there) and fails any gated
+# case whose median items/s falls more than 10% below the parent's.
+BASE_REV="$(git rev-parse --verify HEAD~1)" \
+  || { echo "ci: no parent commit to gate against"; exit 1; }
+if [ "$(git symbolic-ref --short -q HEAD)" != "main" ]; then
+  MERGE_BASE="$(git merge-base HEAD origin/main 2>/dev/null)"
+  [ -n "${MERGE_BASE}" ] && [ "${MERGE_BASE}" != "$(git rev-parse HEAD)" ] \
+    && BASE_REV="${MERGE_BASE}"
 fi
+BUILD_ABS="$(cd "${BUILD_DIR}" && pwd)"
+BASE_DIR="${BUILD_ABS}/bench_gate_base"
+if [ "$(cat "${BASE_DIR}/rev" 2>/dev/null)" != "${BASE_REV}" ]; then
+  rm -rf "${BASE_DIR}" && mkdir -p "${BASE_DIR}/src" || exit 1
+  git archive "${BASE_REV}" | tar -x -C "${BASE_DIR}/src" || exit 1
+  echo "${BASE_REV}" > "${BASE_DIR}/rev"
+fi
+BUILD_TYPE="$(sed -n 's/^CMAKE_BUILD_TYPE:[A-Z]*=//p' \
+  "${BUILD_ABS}/CMakeCache.txt")"
+{ cmake -S "${BASE_DIR}/src" -B "${BASE_DIR}/build" \
+    -DCMAKE_BUILD_TYPE="${BUILD_TYPE}" &&
+  cmake --build "${BASE_DIR}/build" -j "${JOBS}" \
+    --target bench_micro_ppo bench_micro_infer; } > "${BASE_DIR}/build.log" 2>&1 \
+  || { tail -n 40 "${BASE_DIR}/build.log"; echo "ci: parent build failed"; exit 1; }
+GATE_CWD="$(mktemp -d)"
+GATE="$(pwd)/tools/bench_gate.py"
+( cd "${GATE_CWD}" && python3 "${GATE}" "${BASE_DIR}/build" "${BUILD_ABS}" )
+GATE_RC=$?
+rm -rf "${GATE_CWD}"
+[ "${GATE_RC}" -eq 0 ] || exit 1
 
 stage "serve (daemon lifecycle: start, concurrent smoke, clean shutdown)"
 # End-to-end drill of the imap_serve daemon as a real process: ephemeral
@@ -166,4 +180,4 @@ SERVE_RC=$?
 [ "${SERVE_RC}" -eq 0 ] || { echo "ci: imap_serve exit ${SERVE_RC}"; exit 1; }
 rm -rf "${SERVE_ZOO}" "${SERVE_LOG}" "${SERVE_LOG}".[1-4]
 
-stage "OK — build, check.ast, tier-1 tests, drills, bench smoke, bench-diff and serve drill all clean"
+stage "OK — build, check.ast, tier-1 tests, drills, bench smoke, bench gate and serve drill all clean"
