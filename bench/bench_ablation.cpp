@@ -30,7 +30,7 @@ using namespace imap;
 using core::AttackKind;
 
 int main() {
-  const auto cfg = BenchConfig::from_env();
+  const auto cfg = bench::config_or_exit("bench_ablation");
   core::ExperimentRunner runner(cfg);
   const std::string env_name = "Hopper";
   const auto deploy_env = env::make_env(env_name);

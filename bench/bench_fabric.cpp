@@ -85,7 +85,7 @@ bool identical(const Leg& a, const Leg& b) {
 }  // namespace
 
 int main() {
-  const BenchConfig cfg = BenchConfig::from_env();
+  const BenchConfig cfg = bench::config_or_exit("bench_fabric");
   Leg serial;
   {
     ScopedSerial inline_only;

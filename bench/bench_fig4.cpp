@@ -23,7 +23,7 @@ const std::vector<AttackKind> kAttacks = {
 }  // namespace
 
 int main() {
-  core::ExperimentRunner runner(BenchConfig::from_env());
+  core::ExperimentRunner runner(bench::config_or_exit("bench_fig4"));
   std::cerr << "bench_fig4: scale=" << runner.config().scale << "\n";
 
   Table series({"Env", "Attack", "Steps", "VictimSuccess"});

@@ -14,7 +14,7 @@ using namespace imap;
 using core::AttackKind;
 
 int main() {
-  core::ExperimentRunner runner(BenchConfig::from_env());
+  core::ExperimentRunner runner(bench::config_or_exit("bench_fig5"));
   std::cerr << "bench_fig5: scale=" << runner.config().scale << "\n";
 
   Table series({"Game", "Attack", "Steps", "ASR"});

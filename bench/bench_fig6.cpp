@@ -13,7 +13,7 @@ using namespace imap;
 using core::AttackKind;
 
 int main() {
-  core::ExperimentRunner runner(BenchConfig::from_env());
+  core::ExperimentRunner runner(bench::config_or_exit("bench_fig6"));
   std::cerr << "bench_fig6: scale=" << runner.config().scale << "\n";
 
   const std::vector<double> etas = {0.5, 1.0, 2.0, 5.0};

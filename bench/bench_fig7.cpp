@@ -14,7 +14,7 @@ using namespace imap;
 using core::AttackKind;
 
 int main() {
-  core::ExperimentRunner runner(BenchConfig::from_env());
+  core::ExperimentRunner runner(bench::config_or_exit("bench_fig7"));
   std::cerr << "bench_fig7: scale=" << runner.config().scale << "\n";
 
   const std::vector<double> xis = {0.0, 0.25, 0.5, 0.75, 1.0};

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "env/registry.h"
+#include "common/thread_pool.h"
 #include "nn/batch.h"
 #include "nn/kernel_backend.h"
 #include "nn/matrix.h"
@@ -118,6 +119,43 @@ std::unique_ptr<scenario::ScenarioEnv> make_collect_proto() {
       *inner, spec, rl::PolicyHandle::snapshot(victim),
       scenario::RewardMode::Adversary);
 }
+
+// The update of an IMAP attack: the 11→11 obs_perturb adversary with the
+// default {32, 32} networks and minibatch 128, intrinsic critic on, on a
+// pool of Arg threads, timed in wall-clock. Each minibatch steps the policy
+// and both critics as separate pool tasks, so /2 against /1 shows what the
+// concurrent update buys; the trace is the same at both. Not gated
+// (bench_gate.py runs at one thread).
+void BM_PpoUpdateImap(benchmark::State& state) {
+  ThreadPool pool(static_cast<std::size_t>(state.range(0)));
+  ScopedPool scope(pool);
+  const auto proto = make_collect_proto();
+  rl::PpoOptions opts;
+  opts.epochs = 1;
+  opts.target_kl = 0.0;
+  opts.steps_per_iter = 2048;
+  rl::PpoTrainer trainer(*proto, opts, Rng(7));
+  // Installing a hook is what turns the intrinsic channel on; update()
+  // itself never calls it, so the bonus is filled in by hand below.
+  trainer.set_intrinsic_hook([](rl::RolloutBuffer&) { return 0.0; });
+  rl::RolloutBuffer buf;
+  trainer.collect(buf);
+  Rng bonus(13);
+  for (auto& r : buf.rew_i) r = bonus.uniform(0.0, 1.0);
+  rl::IterStats stats;
+  for (auto _ : state) {
+    trainer.update(buf, 0.5, stats);
+    benchmark::DoNotOptimize(stats.value_loss);
+  }
+  state.SetLabel(std::to_string(state.range(0)) + " threads");
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          opts.steps_per_iter);
+}
+BENCHMARK(BM_PpoUpdateImap)
+    ->Arg(1)
+    ->Arg(2)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 // Rollout collection throughput: Arg = E lockstep env slots, all through the
 // vectorized engine. E = 1 is a one-slot lockstep collect on the trainer's

@@ -192,10 +192,10 @@ CellResult run_cell(const std::shared_ptr<const nn::GaussianPolicy>& victim,
 }  // namespace
 
 int main() {
-  const int iters =
-      static_cast<int>(env_int("IMAP_BENCH_SERVE_ITERS", 12, 1, 1'000'000));
-  const int reps =
-      static_cast<int>(env_int("IMAP_BENCH_SERVE_REPS", 7, 1, 1'000'000));
+  const int iters = static_cast<int>(bench::env_int_or_exit(
+      "bench_serve", "IMAP_BENCH_SERVE_ITERS", 12, 1, 1'000'000));
+  const int reps = static_cast<int>(bench::env_int_or_exit(
+      "bench_serve", "IMAP_BENCH_SERVE_REPS", 7, 1, 1'000'000));
   const std::string zoo_dir =
       "/tmp/imap_bench_serve_zoo_" + std::to_string(::getpid());
   std::filesystem::remove_all(zoo_dir);

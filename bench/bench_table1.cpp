@@ -37,7 +37,7 @@ const std::vector<AttackKind> kAttacks = {
 }  // namespace
 
 int main() {
-  core::ExperimentRunner runner(BenchConfig::from_env());
+  core::ExperimentRunner runner(bench::config_or_exit("bench_table1"));
   std::cerr << "bench_table1: scale=" << runner.config().scale
             << " zoo=" << runner.config().zoo_dir << "\n";
 

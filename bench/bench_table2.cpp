@@ -21,7 +21,7 @@ const std::vector<std::string> kEnvs = {
 }
 
 int main() {
-  core::ExperimentRunner runner(BenchConfig::from_env());
+  core::ExperimentRunner runner(bench::config_or_exit("bench_table2"));
   std::cerr << "bench_table2: scale=" << runner.config().scale << "\n";
 
   Table table({"Env", "No Attack", "Random", "SA-RL", "IMAP-SC", "IMAP-PC",

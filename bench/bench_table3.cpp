@@ -19,7 +19,7 @@ const std::vector<std::string> kEnvs = {
 }
 
 int main() {
-  core::ExperimentRunner runner(BenchConfig::from_env());
+  core::ExperimentRunner runner(bench::config_or_exit("bench_table3"));
   std::cerr << "bench_table3: scale=" << runner.config().scale << "\n";
 
   Table table({"Env", "SA-RL", "IMAP-SC", "IMAP-PC", "IMAP-R", "IMAP-D",

@@ -2,12 +2,14 @@
 
 #include <cctype>
 #include <chrono>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <limits>
 #include <mutex>
 #include <sstream>
+#include <stdexcept>
 #include <thread>
 
 #include "common/thread_pool.h"
@@ -22,6 +24,25 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 }
 
 }  // namespace
+
+BenchConfig config_or_exit(const char* binary) {
+  try {
+    return BenchConfig::from_env();
+  } catch (const std::invalid_argument& e) {
+    std::cerr << binary << ": " << e.what() << "\n";
+    std::exit(1);
+  }
+}
+
+long long env_int_or_exit(const char* binary, const char* name,
+                          long long fallback, long long lo, long long hi) {
+  try {
+    return env_int(name, fallback, lo, hi);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << binary << ": " << e.what() << "\n";
+    std::exit(1);
+  }
+}
 
 std::string node_label(const core::DagNode& node) {
   const auto& plan = node.plan;

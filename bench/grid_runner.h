@@ -24,6 +24,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/config.h"
 #include "core/experiment_dag.h"
 
 namespace imap::bench {
@@ -67,6 +68,15 @@ class GridRunner {
   std::vector<CellTiming> timings_;
   double wall_seconds_ = 0.0;  ///< summed over run_plans/run_jobs calls
 };
+
+/// BenchConfig::from_env() for a bench main. A malformed knob prints
+/// "<binary>: <message naming the knob>" to stderr and exits with code 1,
+/// as imap_serve does, instead of ending in std::terminate.
+BenchConfig config_or_exit(const char* binary);
+
+/// env_int() for a bench main, with the same exit on a malformed value.
+long long env_int_or_exit(const char* binary, const char* name,
+                          long long fallback, long long lo, long long hi);
 
 /// Minimum wall-clock seconds over `reps` calls of `fn` (+inf when reps <= 0).
 /// Min, not mean: background load only ever inflates a rep, so the minimum

@@ -36,150 +36,442 @@ const double* transposed(const double* w, const double* wt, std::size_t out,
   return p;
 }
 
+// Single-row bodies of the fp64 kernels: they serve batch-1 calls (every
+// one-slot rollout tick, whose speed is gated) and the rows left after the
+// last block.
+
+// Y[n] = W·X[n] + b for one row, lanes across output neurons. Four adjacent
+// outputs share one broadcast of x[c] and advance their accumulators in
+// lock-step; per lane the reduction is b[r] then += w[r][c]·x[c] for
+// ascending c — the affine() chain exactly.
+inline void affine_row(const double* w, const double* wtp, const double* b,
+                       std::size_t out, std::size_t in, const double* xn,
+                       double* yn) {
+  std::size_t r = 0;
+  for (; r + 16 <= out; r += 16) {
+    __m256d a0, a1, a2, a3;
+    if (b) {
+      a0 = _mm256_loadu_pd(b + r);
+      a1 = _mm256_loadu_pd(b + r + 4);
+      a2 = _mm256_loadu_pd(b + r + 8);
+      a3 = _mm256_loadu_pd(b + r + 12);
+    } else {
+      a0 = a1 = a2 = a3 = _mm256_setzero_pd();
+    }
+    for (std::size_t c = 0; c < in; ++c) {
+      const __m256d xc = _mm256_set1_pd(xn[c]);
+      const double* col = wtp + c * out + r;
+      a0 = _mm256_add_pd(a0, _mm256_mul_pd(_mm256_loadu_pd(col), xc));
+      a1 = _mm256_add_pd(a1, _mm256_mul_pd(_mm256_loadu_pd(col + 4), xc));
+      a2 = _mm256_add_pd(a2, _mm256_mul_pd(_mm256_loadu_pd(col + 8), xc));
+      a3 = _mm256_add_pd(a3, _mm256_mul_pd(_mm256_loadu_pd(col + 12), xc));
+    }
+    _mm256_storeu_pd(yn + r, a0);
+    _mm256_storeu_pd(yn + r + 4, a1);
+    _mm256_storeu_pd(yn + r + 8, a2);
+    _mm256_storeu_pd(yn + r + 12, a3);
+  }
+  for (; r + 4 <= out; r += 4) {
+    __m256d a = b ? _mm256_loadu_pd(b + r) : _mm256_setzero_pd();
+    for (std::size_t c = 0; c < in; ++c) {
+      const __m256d xc = _mm256_set1_pd(xn[c]);
+      a = _mm256_add_pd(a,
+                        _mm256_mul_pd(_mm256_loadu_pd(wtp + c * out + r), xc));
+    }
+    _mm256_storeu_pd(yn + r, a);
+  }
+  for (; r < out; ++r) {
+    const double* row = w + r * in;
+    double s = b ? b[r] : 0.0;
+    for (std::size_t c = 0; c < in; ++c) s += row[c] * xn[c];
+    yn[r] = s;
+  }
+}
+
+// Four rows per pass over Wᵀ: each weight slice is loaded once for four
+// rows, and the rows' accumulators are independent chains, so consecutive
+// adds do not wait on each other. Blocks of 8 outputs keep the eight
+// accumulators, two weight vectors and a broadcast within the 16 ymm
+// registers. Per lane the chain is still b[r], then += w[r][c]·x[n][c] for
+// ascending c.
+inline void affine_rows4(const double* w, const double* wtp, const double* b,
+                         std::size_t out, std::size_t in, const double* x,
+                         double* y) {
+  const double* x0 = x;
+  const double* x1 = x0 + in;
+  const double* x2 = x1 + in;
+  const double* x3 = x2 + in;
+  double* y0 = y;
+  double* y1 = y0 + out;
+  double* y2 = y1 + out;
+  double* y3 = y2 + out;
+  std::size_t r = 0;
+  for (; r + 8 <= out; r += 8) {
+    const __m256d b0 = b ? _mm256_loadu_pd(b + r) : _mm256_setzero_pd();
+    const __m256d b1 = b ? _mm256_loadu_pd(b + r + 4) : _mm256_setzero_pd();
+    __m256d a00 = b0, a01 = b1, a10 = b0, a11 = b1;
+    __m256d a20 = b0, a21 = b1, a30 = b0, a31 = b1;
+    for (std::size_t c = 0; c < in; ++c) {
+      const double* col = wtp + c * out + r;
+      const __m256d w0 = _mm256_loadu_pd(col);
+      const __m256d w1 = _mm256_loadu_pd(col + 4);
+      __m256d xc = _mm256_set1_pd(x0[c]);
+      a00 = _mm256_add_pd(a00, _mm256_mul_pd(w0, xc));
+      a01 = _mm256_add_pd(a01, _mm256_mul_pd(w1, xc));
+      xc = _mm256_set1_pd(x1[c]);
+      a10 = _mm256_add_pd(a10, _mm256_mul_pd(w0, xc));
+      a11 = _mm256_add_pd(a11, _mm256_mul_pd(w1, xc));
+      xc = _mm256_set1_pd(x2[c]);
+      a20 = _mm256_add_pd(a20, _mm256_mul_pd(w0, xc));
+      a21 = _mm256_add_pd(a21, _mm256_mul_pd(w1, xc));
+      xc = _mm256_set1_pd(x3[c]);
+      a30 = _mm256_add_pd(a30, _mm256_mul_pd(w0, xc));
+      a31 = _mm256_add_pd(a31, _mm256_mul_pd(w1, xc));
+    }
+    _mm256_storeu_pd(y0 + r, a00);
+    _mm256_storeu_pd(y0 + r + 4, a01);
+    _mm256_storeu_pd(y1 + r, a10);
+    _mm256_storeu_pd(y1 + r + 4, a11);
+    _mm256_storeu_pd(y2 + r, a20);
+    _mm256_storeu_pd(y2 + r + 4, a21);
+    _mm256_storeu_pd(y3 + r, a30);
+    _mm256_storeu_pd(y3 + r + 4, a31);
+  }
+  for (; r + 4 <= out; r += 4) {
+    const __m256d bv = b ? _mm256_loadu_pd(b + r) : _mm256_setzero_pd();
+    __m256d a0 = bv, a1 = bv, a2 = bv, a3 = bv;
+    for (std::size_t c = 0; c < in; ++c) {
+      const __m256d wv = _mm256_loadu_pd(wtp + c * out + r);
+      a0 = _mm256_add_pd(a0, _mm256_mul_pd(wv, _mm256_set1_pd(x0[c])));
+      a1 = _mm256_add_pd(a1, _mm256_mul_pd(wv, _mm256_set1_pd(x1[c])));
+      a2 = _mm256_add_pd(a2, _mm256_mul_pd(wv, _mm256_set1_pd(x2[c])));
+      a3 = _mm256_add_pd(a3, _mm256_mul_pd(wv, _mm256_set1_pd(x3[c])));
+    }
+    _mm256_storeu_pd(y0 + r, a0);
+    _mm256_storeu_pd(y1 + r, a1);
+    _mm256_storeu_pd(y2 + r, a2);
+    _mm256_storeu_pd(y3 + r, a3);
+  }
+  for (; r < out; ++r) {
+    const double* row = w + r * in;
+    const double br = b ? b[r] : 0.0;
+    double s0 = br, s1 = br, s2 = br, s3 = br;
+    for (std::size_t c = 0; c < in; ++c) {
+      const double wc = row[c];
+      s0 += wc * x0[c];
+      s1 += wc * x1[c];
+      s2 += wc * x2[c];
+      s3 += wc * x3[c];
+    }
+    y0[r] = s0;
+    y1[r] = s1;
+    y2[r] = s2;
+    y3[r] = s3;
+  }
+}
+
+// Narrow heads (out < 4, e.g. the value head's single output): lanes run
+// across four rows instead of across outputs. `xt` receives the block of x
+// transposed to in×4, so one load reads column c of all four rows; per
+// lane the chain is b[r], then += w[r][c]·x[n][c] for ascending c.
+inline void affine_rows4_narrow(const double* w, const double* b,
+                                std::size_t out, std::size_t in,
+                                const double* x, double* y, double* xt) {
+  for (std::size_t l = 0; l < 4; ++l)
+    for (std::size_t c = 0; c < in; ++c) xt[c * 4 + l] = x[l * in + c];
+  alignas(32) double lanes[4];
+  for (std::size_t r = 0; r < out; ++r) {
+    const double* row = w + r * in;
+    __m256d a = b ? _mm256_set1_pd(b[r]) : _mm256_setzero_pd();
+    for (std::size_t c = 0; c < in; ++c)
+      a = _mm256_add_pd(a, _mm256_mul_pd(_mm256_set1_pd(row[c]),
+                                         _mm256_loadu_pd(xt + c * 4)));
+    _mm256_store_pd(lanes, a);
+    for (std::size_t l = 0; l < 4; ++l) y[l * out + r] = lanes[l];
+  }
+}
+
+// GIN[n] = Wᵀ·G[n] for one row, lanes across input dims. For a block of
+// input columns the r-loop broadcasts g[n][r] and pulls a contiguous slice
+// of weight row r; per lane each gin element starts at 0 and accumulates in
+// ascending r order — the matvec_t_acc chain on a zeroed output.
+inline void matvec_t_row(const double* w, std::size_t out, std::size_t in,
+                         const double* gn, double* on) {
+  std::size_t c = 0;
+  for (; c + 16 <= in; c += 16) {
+    __m256d a0 = _mm256_setzero_pd(), a1 = _mm256_setzero_pd(),
+            a2 = _mm256_setzero_pd(), a3 = _mm256_setzero_pd();
+    for (std::size_t r = 0; r < out; ++r) {
+      const __m256d gr = _mm256_set1_pd(gn[r]);
+      const double* row = w + r * in + c;
+      a0 = _mm256_add_pd(a0, _mm256_mul_pd(_mm256_loadu_pd(row), gr));
+      a1 = _mm256_add_pd(a1, _mm256_mul_pd(_mm256_loadu_pd(row + 4), gr));
+      a2 = _mm256_add_pd(a2, _mm256_mul_pd(_mm256_loadu_pd(row + 8), gr));
+      a3 = _mm256_add_pd(a3, _mm256_mul_pd(_mm256_loadu_pd(row + 12), gr));
+    }
+    _mm256_storeu_pd(on + c, a0);
+    _mm256_storeu_pd(on + c + 4, a1);
+    _mm256_storeu_pd(on + c + 8, a2);
+    _mm256_storeu_pd(on + c + 12, a3);
+  }
+  for (; c + 4 <= in; c += 4) {
+    __m256d a = _mm256_setzero_pd();
+    for (std::size_t r = 0; r < out; ++r) {
+      const __m256d gr = _mm256_set1_pd(gn[r]);
+      a = _mm256_add_pd(a, _mm256_mul_pd(_mm256_loadu_pd(w + r * in + c), gr));
+    }
+    _mm256_storeu_pd(on + c, a);
+  }
+  for (; c < in; ++c) {
+    double s = 0.0;
+    for (std::size_t r = 0; r < out; ++r) s += w[r * in + c] * gn[r];
+    on[c] = s;
+  }
+}
+
+// Four rows per pass over W, as in affine_rows4: per lane each gin element
+// starts at 0 and accumulates w[r][c]·g[n][r] for ascending r.
+inline void matvec_t_rows4(const double* w, std::size_t out, std::size_t in,
+                           const double* g, double* gin) {
+  const double* g0 = g;
+  const double* g1 = g0 + out;
+  const double* g2 = g1 + out;
+  const double* g3 = g2 + out;
+  double* o0 = gin;
+  double* o1 = o0 + in;
+  double* o2 = o1 + in;
+  double* o3 = o2 + in;
+  std::size_t c = 0;
+  for (; c + 8 <= in; c += 8) {
+    __m256d a00 = _mm256_setzero_pd(), a01 = _mm256_setzero_pd();
+    __m256d a10 = _mm256_setzero_pd(), a11 = _mm256_setzero_pd();
+    __m256d a20 = _mm256_setzero_pd(), a21 = _mm256_setzero_pd();
+    __m256d a30 = _mm256_setzero_pd(), a31 = _mm256_setzero_pd();
+    for (std::size_t r = 0; r < out; ++r) {
+      const double* row = w + r * in + c;
+      const __m256d w0 = _mm256_loadu_pd(row);
+      const __m256d w1 = _mm256_loadu_pd(row + 4);
+      __m256d gr = _mm256_set1_pd(g0[r]);
+      a00 = _mm256_add_pd(a00, _mm256_mul_pd(w0, gr));
+      a01 = _mm256_add_pd(a01, _mm256_mul_pd(w1, gr));
+      gr = _mm256_set1_pd(g1[r]);
+      a10 = _mm256_add_pd(a10, _mm256_mul_pd(w0, gr));
+      a11 = _mm256_add_pd(a11, _mm256_mul_pd(w1, gr));
+      gr = _mm256_set1_pd(g2[r]);
+      a20 = _mm256_add_pd(a20, _mm256_mul_pd(w0, gr));
+      a21 = _mm256_add_pd(a21, _mm256_mul_pd(w1, gr));
+      gr = _mm256_set1_pd(g3[r]);
+      a30 = _mm256_add_pd(a30, _mm256_mul_pd(w0, gr));
+      a31 = _mm256_add_pd(a31, _mm256_mul_pd(w1, gr));
+    }
+    _mm256_storeu_pd(o0 + c, a00);
+    _mm256_storeu_pd(o0 + c + 4, a01);
+    _mm256_storeu_pd(o1 + c, a10);
+    _mm256_storeu_pd(o1 + c + 4, a11);
+    _mm256_storeu_pd(o2 + c, a20);
+    _mm256_storeu_pd(o2 + c + 4, a21);
+    _mm256_storeu_pd(o3 + c, a30);
+    _mm256_storeu_pd(o3 + c + 4, a31);
+  }
+  for (; c + 4 <= in; c += 4) {
+    __m256d a0 = _mm256_setzero_pd(), a1 = _mm256_setzero_pd();
+    __m256d a2 = _mm256_setzero_pd(), a3 = _mm256_setzero_pd();
+    for (std::size_t r = 0; r < out; ++r) {
+      const __m256d wv = _mm256_loadu_pd(w + r * in + c);
+      a0 = _mm256_add_pd(a0, _mm256_mul_pd(wv, _mm256_set1_pd(g0[r])));
+      a1 = _mm256_add_pd(a1, _mm256_mul_pd(wv, _mm256_set1_pd(g1[r])));
+      a2 = _mm256_add_pd(a2, _mm256_mul_pd(wv, _mm256_set1_pd(g2[r])));
+      a3 = _mm256_add_pd(a3, _mm256_mul_pd(wv, _mm256_set1_pd(g3[r])));
+    }
+    _mm256_storeu_pd(o0 + c, a0);
+    _mm256_storeu_pd(o1 + c, a1);
+    _mm256_storeu_pd(o2 + c, a2);
+    _mm256_storeu_pd(o3 + c, a3);
+  }
+  for (; c < in; ++c) {
+    double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+    for (std::size_t r = 0; r < out; ++r) {
+      const double wc = w[r * in + c];
+      s0 += wc * g0[r];
+      s1 += wc * g1[r];
+      s2 += wc * g2[r];
+      s3 += wc * g3[r];
+    }
+    o0[c] = s0;
+    o1[c] = s1;
+    o2[c] = s2;
+    o3[c] = s3;
+  }
+}
+
+// dW row r and db[r] over the whole batch, lanes across weight columns.
+// Each dw entry is held in a register across the whole batch and
+// accumulates g[n][r]·x[n][c] in ascending n — the per-sample outer_acc
+// chain (whose scale of 1.0 is bitwise exact) — then is stored once.
+inline void outer_acc_row(const double* g, const double* x, std::size_t batch,
+                          std::size_t out, std::size_t in, std::size_t r,
+                          double* dw, double* db) {
+  double* dwr = dw + r * in;
+  std::size_t c = 0;
+  for (; c + 16 <= in; c += 16) {
+    __m256d a0 = _mm256_loadu_pd(dwr + c);
+    __m256d a1 = _mm256_loadu_pd(dwr + c + 4);
+    __m256d a2 = _mm256_loadu_pd(dwr + c + 8);
+    __m256d a3 = _mm256_loadu_pd(dwr + c + 12);
+    for (std::size_t n = 0; n < batch; ++n) {
+      const __m256d gr = _mm256_set1_pd(g[n * out + r]);
+      const double* xn = x + n * in + c;
+      a0 = _mm256_add_pd(a0, _mm256_mul_pd(_mm256_loadu_pd(xn), gr));
+      a1 = _mm256_add_pd(a1, _mm256_mul_pd(_mm256_loadu_pd(xn + 4), gr));
+      a2 = _mm256_add_pd(a2, _mm256_mul_pd(_mm256_loadu_pd(xn + 8), gr));
+      a3 = _mm256_add_pd(a3, _mm256_mul_pd(_mm256_loadu_pd(xn + 12), gr));
+    }
+    _mm256_storeu_pd(dwr + c, a0);
+    _mm256_storeu_pd(dwr + c + 4, a1);
+    _mm256_storeu_pd(dwr + c + 8, a2);
+    _mm256_storeu_pd(dwr + c + 12, a3);
+  }
+  for (; c + 4 <= in; c += 4) {
+    __m256d a = _mm256_loadu_pd(dwr + c);
+    for (std::size_t n = 0; n < batch; ++n) {
+      const __m256d gr = _mm256_set1_pd(g[n * out + r]);
+      a = _mm256_add_pd(a, _mm256_mul_pd(_mm256_loadu_pd(x + n * in + c), gr));
+    }
+    _mm256_storeu_pd(dwr + c, a);
+  }
+  for (; c < in; ++c) {
+    double s = dwr[c];
+    for (std::size_t n = 0; n < batch; ++n)
+      s += g[n * out + r] * x[n * in + c];
+    dwr[c] = s;
+  }
+  double sb = db[r];
+  for (std::size_t n = 0; n < batch; ++n) sb += g[n * out + r];
+  db[r] = sb;
+}
+
+// Output rows r..r+3 per pass over the batch: each x slice is loaded once
+// for four rows, whose dW accumulators are independent chains. db[r..r+3]
+// runs as one vector with lanes across the four outputs. Every entry still
+// accumulates its per-sample terms in ascending n.
+inline void outer_acc_rows4(const double* g, const double* x,
+                            std::size_t batch, std::size_t out,
+                            std::size_t in, std::size_t r, double* dw,
+                            double* db) {
+  double* d0 = dw + r * in;
+  double* d1 = d0 + in;
+  double* d2 = d1 + in;
+  double* d3 = d2 + in;
+  std::size_t c = 0;
+  for (; c + 8 <= in; c += 8) {
+    __m256d a00 = _mm256_loadu_pd(d0 + c), a01 = _mm256_loadu_pd(d0 + c + 4);
+    __m256d a10 = _mm256_loadu_pd(d1 + c), a11 = _mm256_loadu_pd(d1 + c + 4);
+    __m256d a20 = _mm256_loadu_pd(d2 + c), a21 = _mm256_loadu_pd(d2 + c + 4);
+    __m256d a30 = _mm256_loadu_pd(d3 + c), a31 = _mm256_loadu_pd(d3 + c + 4);
+    for (std::size_t n = 0; n < batch; ++n) {
+      const double* xn = x + n * in + c;
+      const double* gn = g + n * out + r;
+      const __m256d x0 = _mm256_loadu_pd(xn);
+      const __m256d x1 = _mm256_loadu_pd(xn + 4);
+      __m256d gr = _mm256_set1_pd(gn[0]);
+      a00 = _mm256_add_pd(a00, _mm256_mul_pd(x0, gr));
+      a01 = _mm256_add_pd(a01, _mm256_mul_pd(x1, gr));
+      gr = _mm256_set1_pd(gn[1]);
+      a10 = _mm256_add_pd(a10, _mm256_mul_pd(x0, gr));
+      a11 = _mm256_add_pd(a11, _mm256_mul_pd(x1, gr));
+      gr = _mm256_set1_pd(gn[2]);
+      a20 = _mm256_add_pd(a20, _mm256_mul_pd(x0, gr));
+      a21 = _mm256_add_pd(a21, _mm256_mul_pd(x1, gr));
+      gr = _mm256_set1_pd(gn[3]);
+      a30 = _mm256_add_pd(a30, _mm256_mul_pd(x0, gr));
+      a31 = _mm256_add_pd(a31, _mm256_mul_pd(x1, gr));
+    }
+    _mm256_storeu_pd(d0 + c, a00);
+    _mm256_storeu_pd(d0 + c + 4, a01);
+    _mm256_storeu_pd(d1 + c, a10);
+    _mm256_storeu_pd(d1 + c + 4, a11);
+    _mm256_storeu_pd(d2 + c, a20);
+    _mm256_storeu_pd(d2 + c + 4, a21);
+    _mm256_storeu_pd(d3 + c, a30);
+    _mm256_storeu_pd(d3 + c + 4, a31);
+  }
+  for (; c + 4 <= in; c += 4) {
+    __m256d a0 = _mm256_loadu_pd(d0 + c), a1 = _mm256_loadu_pd(d1 + c);
+    __m256d a2 = _mm256_loadu_pd(d2 + c), a3 = _mm256_loadu_pd(d3 + c);
+    for (std::size_t n = 0; n < batch; ++n) {
+      const double* gn = g + n * out + r;
+      const __m256d xv = _mm256_loadu_pd(x + n * in + c);
+      a0 = _mm256_add_pd(a0, _mm256_mul_pd(xv, _mm256_set1_pd(gn[0])));
+      a1 = _mm256_add_pd(a1, _mm256_mul_pd(xv, _mm256_set1_pd(gn[1])));
+      a2 = _mm256_add_pd(a2, _mm256_mul_pd(xv, _mm256_set1_pd(gn[2])));
+      a3 = _mm256_add_pd(a3, _mm256_mul_pd(xv, _mm256_set1_pd(gn[3])));
+    }
+    _mm256_storeu_pd(d0 + c, a0);
+    _mm256_storeu_pd(d1 + c, a1);
+    _mm256_storeu_pd(d2 + c, a2);
+    _mm256_storeu_pd(d3 + c, a3);
+  }
+  for (; c < in; ++c) {
+    double s0 = d0[c], s1 = d1[c], s2 = d2[c], s3 = d3[c];
+    for (std::size_t n = 0; n < batch; ++n) {
+      const double* gn = g + n * out + r;
+      const double xc = x[n * in + c];
+      s0 += gn[0] * xc;
+      s1 += gn[1] * xc;
+      s2 += gn[2] * xc;
+      s3 += gn[3] * xc;
+    }
+    d0[c] = s0;
+    d1[c] = s1;
+    d2[c] = s2;
+    d3[c] = s3;
+  }
+  __m256d sb = _mm256_loadu_pd(db + r);
+  for (std::size_t n = 0; n < batch; ++n)
+    sb = _mm256_add_pd(sb, _mm256_loadu_pd(g + n * out + r));
+  _mm256_storeu_pd(db + r, sb);
+}
+
 }  // namespace
 
-// Y[n] = W·X[n] + b, lanes across output neurons. Four adjacent outputs
-// share one broadcast of x[c] and advance their accumulators in lock-step;
-// per lane the reduction is b[r] then += w[r][c]·x[c] for ascending c —
-// the affine() chain exactly.
+// Each kernel runs blocks of four rows (output rows for outer_acc), then
+// the single-row body for the rest; affine with out < 4 puts lanes across
+// rows instead. Every output element keeps its scalar chain, so all paths
+// are bit-identical to the scalar backend.
+
 void avx2_batch_affine(const double* w, const double* wt, const double* b,
                        std::size_t out, std::size_t in, const double* x,
                        std::size_t batch, double* y) {
-  const double* wtp = transposed(w, wt, out, in);
-  for (std::size_t n = 0; n < batch; ++n) {
-    const double* xn = x + n * in;
-    double* yn = y + n * out;
-    std::size_t r = 0;
-    for (; r + 16 <= out; r += 16) {
-      __m256d a0, a1, a2, a3;
-      if (b) {
-        a0 = _mm256_loadu_pd(b + r);
-        a1 = _mm256_loadu_pd(b + r + 4);
-        a2 = _mm256_loadu_pd(b + r + 8);
-        a3 = _mm256_loadu_pd(b + r + 12);
-      } else {
-        a0 = a1 = a2 = a3 = _mm256_setzero_pd();
-      }
-      for (std::size_t c = 0; c < in; ++c) {
-        const __m256d xc = _mm256_set1_pd(xn[c]);
-        const double* col = wtp + c * out + r;
-        a0 = _mm256_add_pd(a0, _mm256_mul_pd(_mm256_loadu_pd(col), xc));
-        a1 = _mm256_add_pd(a1, _mm256_mul_pd(_mm256_loadu_pd(col + 4), xc));
-        a2 = _mm256_add_pd(a2, _mm256_mul_pd(_mm256_loadu_pd(col + 8), xc));
-        a3 = _mm256_add_pd(a3, _mm256_mul_pd(_mm256_loadu_pd(col + 12), xc));
-      }
-      _mm256_storeu_pd(yn + r, a0);
-      _mm256_storeu_pd(yn + r + 4, a1);
-      _mm256_storeu_pd(yn + r + 8, a2);
-      _mm256_storeu_pd(yn + r + 12, a3);
-    }
-    for (; r + 4 <= out; r += 4) {
-      __m256d a = b ? _mm256_loadu_pd(b + r) : _mm256_setzero_pd();
-      for (std::size_t c = 0; c < in; ++c) {
-        const __m256d xc = _mm256_set1_pd(xn[c]);
-        a = _mm256_add_pd(a,
-                          _mm256_mul_pd(_mm256_loadu_pd(wtp + c * out + r), xc));
-      }
-      _mm256_storeu_pd(yn + r, a);
-    }
-    for (; r < out; ++r) {
-      const double* row = w + r * in;
-      double s = b ? b[r] : 0.0;
-      for (std::size_t c = 0; c < in; ++c) s += row[c] * xn[c];
-      yn[r] = s;
-    }
+  std::size_t n = 0;
+  if (out < 4 && batch >= 4) {
+    thread_local std::vector<double> xt;
+    if (xt.size() < in * 4) xt.resize(in * 4);
+    for (; n + 4 <= batch; n += 4)
+      affine_rows4_narrow(w, b, out, in, x + n * in, y + n * out, xt.data());
   }
+  if (n == batch) return;
+  const double* wtp = transposed(w, wt, out, in);
+  if (out >= 4)
+    for (; n + 4 <= batch; n += 4)
+      affine_rows4(w, wtp, b, out, in, x + n * in, y + n * out);
+  for (; n < batch; ++n)
+    affine_row(w, wtp, b, out, in, x + n * in, y + n * out);
 }
 
-// GIN[n] = Wᵀ·G[n], lanes across input dims. For a block of input columns
-// the r-loop broadcasts g[n][r] and pulls a contiguous slice of weight row
-// r; per lane each gin element starts at 0 and accumulates in ascending r
-// order — the matvec_t_acc chain on a zeroed output.
 void avx2_batch_matvec_t(const double* w, std::size_t out, std::size_t in,
                          const double* g, std::size_t batch, double* gin) {
-  for (std::size_t n = 0; n < batch; ++n) {
-    const double* gn = g + n * out;
-    double* on = gin + n * in;
-    std::size_t c = 0;
-    for (; c + 16 <= in; c += 16) {
-      __m256d a0 = _mm256_setzero_pd(), a1 = _mm256_setzero_pd(),
-              a2 = _mm256_setzero_pd(), a3 = _mm256_setzero_pd();
-      for (std::size_t r = 0; r < out; ++r) {
-        const __m256d gr = _mm256_set1_pd(gn[r]);
-        const double* row = w + r * in + c;
-        a0 = _mm256_add_pd(a0, _mm256_mul_pd(_mm256_loadu_pd(row), gr));
-        a1 = _mm256_add_pd(a1, _mm256_mul_pd(_mm256_loadu_pd(row + 4), gr));
-        a2 = _mm256_add_pd(a2, _mm256_mul_pd(_mm256_loadu_pd(row + 8), gr));
-        a3 = _mm256_add_pd(a3, _mm256_mul_pd(_mm256_loadu_pd(row + 12), gr));
-      }
-      _mm256_storeu_pd(on + c, a0);
-      _mm256_storeu_pd(on + c + 4, a1);
-      _mm256_storeu_pd(on + c + 8, a2);
-      _mm256_storeu_pd(on + c + 12, a3);
-    }
-    for (; c + 4 <= in; c += 4) {
-      __m256d a = _mm256_setzero_pd();
-      for (std::size_t r = 0; r < out; ++r) {
-        const __m256d gr = _mm256_set1_pd(gn[r]);
-        a = _mm256_add_pd(a, _mm256_mul_pd(_mm256_loadu_pd(w + r * in + c), gr));
-      }
-      _mm256_storeu_pd(on + c, a);
-    }
-    for (; c < in; ++c) {
-      double s = 0.0;
-      for (std::size_t r = 0; r < out; ++r) s += w[r * in + c] * gn[r];
-      on[c] = s;
-    }
-  }
+  std::size_t n = 0;
+  for (; n + 4 <= batch; n += 4)
+    matvec_t_rows4(w, out, in, g + n * out, gin + n * in);
+  for (; n < batch; ++n) matvec_t_row(w, out, in, g + n * out, gin + n * in);
 }
 
-// dW += Σ_n G[n]⊗X[n], db += Σ_n G[n], lanes across weight columns. Each
-// dw entry is held in a register across the whole batch and accumulates
-// g[n][r]·x[n][c] in ascending n — the per-sample outer_acc chain (whose
-// scale of 1.0 is bitwise exact) — then is stored once, turning batch
-// passes over the out×in block into one.
 void avx2_batch_outer_acc(const double* g, const double* x, std::size_t batch,
                           std::size_t out, std::size_t in, double* dw,
                           double* db) {
-  for (std::size_t r = 0; r < out; ++r) {
-    double* dwr = dw + r * in;
-    std::size_t c = 0;
-    for (; c + 16 <= in; c += 16) {
-      __m256d a0 = _mm256_loadu_pd(dwr + c);
-      __m256d a1 = _mm256_loadu_pd(dwr + c + 4);
-      __m256d a2 = _mm256_loadu_pd(dwr + c + 8);
-      __m256d a3 = _mm256_loadu_pd(dwr + c + 12);
-      for (std::size_t n = 0; n < batch; ++n) {
-        const __m256d gr = _mm256_set1_pd(g[n * out + r]);
-        const double* xn = x + n * in + c;
-        a0 = _mm256_add_pd(a0, _mm256_mul_pd(_mm256_loadu_pd(xn), gr));
-        a1 = _mm256_add_pd(a1, _mm256_mul_pd(_mm256_loadu_pd(xn + 4), gr));
-        a2 = _mm256_add_pd(a2, _mm256_mul_pd(_mm256_loadu_pd(xn + 8), gr));
-        a3 = _mm256_add_pd(a3, _mm256_mul_pd(_mm256_loadu_pd(xn + 12), gr));
-      }
-      _mm256_storeu_pd(dwr + c, a0);
-      _mm256_storeu_pd(dwr + c + 4, a1);
-      _mm256_storeu_pd(dwr + c + 8, a2);
-      _mm256_storeu_pd(dwr + c + 12, a3);
-    }
-    for (; c + 4 <= in; c += 4) {
-      __m256d a = _mm256_loadu_pd(dwr + c);
-      for (std::size_t n = 0; n < batch; ++n) {
-        const __m256d gr = _mm256_set1_pd(g[n * out + r]);
-        a = _mm256_add_pd(a, _mm256_mul_pd(_mm256_loadu_pd(x + n * in + c), gr));
-      }
-      _mm256_storeu_pd(dwr + c, a);
-    }
-    for (; c < in; ++c) {
-      double s = dwr[c];
-      for (std::size_t n = 0; n < batch; ++n)
-        s += g[n * out + r] * x[n * in + c];
-      dwr[c] = s;
-    }
-    double sb = db[r];
-    for (std::size_t n = 0; n < batch; ++n) sb += g[n * out + r];
-    db[r] = sb;
-  }
+  std::size_t r = 0;
+  for (; r + 4 <= out; r += 4) outer_acc_rows4(g, x, batch, out, in, r, dw, db);
+  for (; r < out; ++r) outer_acc_row(g, x, batch, out, in, r, dw, db);
 }
 
 // int8 serving kernel, lanes across output neurons. One _mm256_madd_epi16

@@ -31,136 +31,391 @@ const double* transposed(const double* w, const double* wt, std::size_t out,
   return p;
 }
 
+// Single-row bodies of the fp64 kernels: they serve batch-1 calls (every
+// one-slot rollout tick, whose speed is gated) and the rows left after the
+// last block.
+
+inline void affine_row(const double* wtp, const double* b, std::size_t out,
+                       std::size_t in, const double* xn, double* yn) {
+  std::size_t r = 0;
+  for (; r + 16 <= out; r += 16) {
+    __m512d a0, a1;
+    if (b) {
+      a0 = _mm512_loadu_pd(b + r);
+      a1 = _mm512_loadu_pd(b + r + 8);
+    } else {
+      a0 = a1 = _mm512_setzero_pd();
+    }
+    for (std::size_t c = 0; c < in; ++c) {
+      const __m512d xc = _mm512_set1_pd(xn[c]);
+      const double* col = wtp + c * out + r;
+      a0 = _mm512_add_pd(a0, _mm512_mul_pd(_mm512_loadu_pd(col), xc));
+      a1 = _mm512_add_pd(a1, _mm512_mul_pd(_mm512_loadu_pd(col + 8), xc));
+    }
+    _mm512_storeu_pd(yn + r, a0);
+    _mm512_storeu_pd(yn + r + 8, a1);
+  }
+  for (; r + 8 <= out; r += 8) {
+    __m512d a = b ? _mm512_loadu_pd(b + r) : _mm512_setzero_pd();
+    for (std::size_t c = 0; c < in; ++c) {
+      const __m512d xc = _mm512_set1_pd(xn[c]);
+      a = _mm512_add_pd(a,
+                        _mm512_mul_pd(_mm512_loadu_pd(wtp + c * out + r), xc));
+    }
+    _mm512_storeu_pd(yn + r, a);
+  }
+  if (r < out) {
+    const __mmask8 m = static_cast<__mmask8>((1u << (out - r)) - 1u);
+    __m512d a = b ? _mm512_maskz_loadu_pd(m, b + r) : _mm512_setzero_pd();
+    for (std::size_t c = 0; c < in; ++c) {
+      const __m512d xc = _mm512_set1_pd(xn[c]);
+      const __m512d wv = _mm512_maskz_loadu_pd(m, wtp + c * out + r);
+      a = _mm512_add_pd(a, _mm512_mul_pd(wv, xc));
+    }
+    _mm512_mask_storeu_pd(yn + r, m, a);
+  }
+}
+
+// Lanes 0..k-1 of a zmm of doubles (all eight when k >= 8). The 4-row
+// blocks run what is left after their 16-wide slices through masked loads
+// and stores: inactive lanes load zeros and are never stored.
+inline __mmask8 lane_mask(std::size_t k) {
+  return k >= 8 ? static_cast<__mmask8>(0xff)
+                : static_cast<__mmask8>((1u << k) - 1u);
+}
+
+// Four rows per pass over Wᵀ: each weight slice is loaded once for four
+// rows, and the rows' accumulators are independent chains, so consecutive
+// adds do not wait on each other. Per lane the chain is still b[r], then
+// += w[r][c]·x[n][c] for ascending c.
+inline void affine_rows4(const double* wtp, const double* b, std::size_t out,
+                         std::size_t in, const double* x, double* y) {
+  const double* x0 = x;
+  const double* x1 = x0 + in;
+  const double* x2 = x1 + in;
+  const double* x3 = x2 + in;
+  double* y0 = y;
+  double* y1 = y0 + out;
+  double* y2 = y1 + out;
+  double* y3 = y2 + out;
+  std::size_t r = 0;
+  for (; r + 16 <= out; r += 16) {
+    const __m512d b0 = b ? _mm512_loadu_pd(b + r) : _mm512_setzero_pd();
+    const __m512d b1 = b ? _mm512_loadu_pd(b + r + 8) : _mm512_setzero_pd();
+    __m512d a00 = b0, a01 = b1, a10 = b0, a11 = b1;
+    __m512d a20 = b0, a21 = b1, a30 = b0, a31 = b1;
+    for (std::size_t c = 0; c < in; ++c) {
+      const double* col = wtp + c * out + r;
+      const __m512d w0 = _mm512_loadu_pd(col);
+      const __m512d w1 = _mm512_loadu_pd(col + 8);
+      __m512d xc = _mm512_set1_pd(x0[c]);
+      a00 = _mm512_add_pd(a00, _mm512_mul_pd(w0, xc));
+      a01 = _mm512_add_pd(a01, _mm512_mul_pd(w1, xc));
+      xc = _mm512_set1_pd(x1[c]);
+      a10 = _mm512_add_pd(a10, _mm512_mul_pd(w0, xc));
+      a11 = _mm512_add_pd(a11, _mm512_mul_pd(w1, xc));
+      xc = _mm512_set1_pd(x2[c]);
+      a20 = _mm512_add_pd(a20, _mm512_mul_pd(w0, xc));
+      a21 = _mm512_add_pd(a21, _mm512_mul_pd(w1, xc));
+      xc = _mm512_set1_pd(x3[c]);
+      a30 = _mm512_add_pd(a30, _mm512_mul_pd(w0, xc));
+      a31 = _mm512_add_pd(a31, _mm512_mul_pd(w1, xc));
+    }
+    _mm512_storeu_pd(y0 + r, a00);
+    _mm512_storeu_pd(y0 + r + 8, a01);
+    _mm512_storeu_pd(y1 + r, a10);
+    _mm512_storeu_pd(y1 + r + 8, a11);
+    _mm512_storeu_pd(y2 + r, a20);
+    _mm512_storeu_pd(y2 + r + 8, a21);
+    _mm512_storeu_pd(y3 + r, a30);
+    _mm512_storeu_pd(y3 + r + 8, a31);
+  }
+  for (; r < out; r += 8) {
+    const __mmask8 m = lane_mask(out - r);
+    const __m512d bv =
+        b ? _mm512_maskz_loadu_pd(m, b + r) : _mm512_setzero_pd();
+    __m512d a0 = bv, a1 = bv, a2 = bv, a3 = bv;
+    for (std::size_t c = 0; c < in; ++c) {
+      const __m512d wv = _mm512_maskz_loadu_pd(m, wtp + c * out + r);
+      a0 = _mm512_add_pd(a0, _mm512_mul_pd(wv, _mm512_set1_pd(x0[c])));
+      a1 = _mm512_add_pd(a1, _mm512_mul_pd(wv, _mm512_set1_pd(x1[c])));
+      a2 = _mm512_add_pd(a2, _mm512_mul_pd(wv, _mm512_set1_pd(x2[c])));
+      a3 = _mm512_add_pd(a3, _mm512_mul_pd(wv, _mm512_set1_pd(x3[c])));
+    }
+    _mm512_mask_storeu_pd(y0 + r, m, a0);
+    _mm512_mask_storeu_pd(y1 + r, m, a1);
+    _mm512_mask_storeu_pd(y2 + r, m, a2);
+    _mm512_mask_storeu_pd(y3 + r, m, a3);
+  }
+}
+
+// Narrow heads (out < 8, e.g. the value head's single output): lanes run
+// across eight rows instead of across outputs. `xt` receives the block of x
+// transposed to in×8, so one load reads column c of all eight rows; per
+// lane the chain is b[r], then += w[r][c]·x[n][c] for ascending c.
+inline void affine_rows8_narrow(const double* w, const double* b,
+                                std::size_t out, std::size_t in,
+                                const double* x, double* y, double* xt) {
+  for (std::size_t l = 0; l < 8; ++l)
+    for (std::size_t c = 0; c < in; ++c) xt[c * 8 + l] = x[l * in + c];
+  alignas(64) double lanes[8];
+  for (std::size_t r = 0; r < out; ++r) {
+    const double* row = w + r * in;
+    __m512d a = b ? _mm512_set1_pd(b[r]) : _mm512_setzero_pd();
+    for (std::size_t c = 0; c < in; ++c)
+      a = _mm512_add_pd(a, _mm512_mul_pd(_mm512_set1_pd(row[c]),
+                                         _mm512_loadu_pd(xt + c * 8)));
+    _mm512_store_pd(lanes, a);
+    for (std::size_t l = 0; l < 8; ++l) y[l * out + r] = lanes[l];
+  }
+}
+
+inline void matvec_t_row(const double* w, std::size_t out, std::size_t in,
+                         const double* gn, double* on) {
+  std::size_t c = 0;
+  for (; c + 16 <= in; c += 16) {
+    __m512d a0 = _mm512_setzero_pd(), a1 = _mm512_setzero_pd();
+    for (std::size_t r = 0; r < out; ++r) {
+      const __m512d gr = _mm512_set1_pd(gn[r]);
+      const double* row = w + r * in + c;
+      a0 = _mm512_add_pd(a0, _mm512_mul_pd(_mm512_loadu_pd(row), gr));
+      a1 = _mm512_add_pd(a1, _mm512_mul_pd(_mm512_loadu_pd(row + 8), gr));
+    }
+    _mm512_storeu_pd(on + c, a0);
+    _mm512_storeu_pd(on + c + 8, a1);
+  }
+  for (; c + 8 <= in; c += 8) {
+    __m512d a = _mm512_setzero_pd();
+    for (std::size_t r = 0; r < out; ++r) {
+      const __m512d gr = _mm512_set1_pd(gn[r]);
+      a = _mm512_add_pd(a, _mm512_mul_pd(_mm512_loadu_pd(w + r * in + c), gr));
+    }
+    _mm512_storeu_pd(on + c, a);
+  }
+  if (c < in) {
+    const __mmask8 m = static_cast<__mmask8>((1u << (in - c)) - 1u);
+    __m512d a = _mm512_setzero_pd();
+    for (std::size_t r = 0; r < out; ++r) {
+      const __m512d gr = _mm512_set1_pd(gn[r]);
+      const __m512d wv = _mm512_maskz_loadu_pd(m, w + r * in + c);
+      a = _mm512_add_pd(a, _mm512_mul_pd(wv, gr));
+    }
+    _mm512_mask_storeu_pd(on + c, m, a);
+  }
+}
+
+// Four rows per pass over W, as in affine_rows4: per lane each gin element
+// starts at 0 and accumulates w[r][c]·g[n][r] for ascending r.
+inline void matvec_t_rows4(const double* w, std::size_t out, std::size_t in,
+                           const double* g, double* gin) {
+  const double* g0 = g;
+  const double* g1 = g0 + out;
+  const double* g2 = g1 + out;
+  const double* g3 = g2 + out;
+  double* o0 = gin;
+  double* o1 = o0 + in;
+  double* o2 = o1 + in;
+  double* o3 = o2 + in;
+  std::size_t c = 0;
+  for (; c + 16 <= in; c += 16) {
+    __m512d a00 = _mm512_setzero_pd(), a01 = _mm512_setzero_pd();
+    __m512d a10 = _mm512_setzero_pd(), a11 = _mm512_setzero_pd();
+    __m512d a20 = _mm512_setzero_pd(), a21 = _mm512_setzero_pd();
+    __m512d a30 = _mm512_setzero_pd(), a31 = _mm512_setzero_pd();
+    for (std::size_t r = 0; r < out; ++r) {
+      const double* row = w + r * in + c;
+      const __m512d w0 = _mm512_loadu_pd(row);
+      const __m512d w1 = _mm512_loadu_pd(row + 8);
+      __m512d gr = _mm512_set1_pd(g0[r]);
+      a00 = _mm512_add_pd(a00, _mm512_mul_pd(w0, gr));
+      a01 = _mm512_add_pd(a01, _mm512_mul_pd(w1, gr));
+      gr = _mm512_set1_pd(g1[r]);
+      a10 = _mm512_add_pd(a10, _mm512_mul_pd(w0, gr));
+      a11 = _mm512_add_pd(a11, _mm512_mul_pd(w1, gr));
+      gr = _mm512_set1_pd(g2[r]);
+      a20 = _mm512_add_pd(a20, _mm512_mul_pd(w0, gr));
+      a21 = _mm512_add_pd(a21, _mm512_mul_pd(w1, gr));
+      gr = _mm512_set1_pd(g3[r]);
+      a30 = _mm512_add_pd(a30, _mm512_mul_pd(w0, gr));
+      a31 = _mm512_add_pd(a31, _mm512_mul_pd(w1, gr));
+    }
+    _mm512_storeu_pd(o0 + c, a00);
+    _mm512_storeu_pd(o0 + c + 8, a01);
+    _mm512_storeu_pd(o1 + c, a10);
+    _mm512_storeu_pd(o1 + c + 8, a11);
+    _mm512_storeu_pd(o2 + c, a20);
+    _mm512_storeu_pd(o2 + c + 8, a21);
+    _mm512_storeu_pd(o3 + c, a30);
+    _mm512_storeu_pd(o3 + c + 8, a31);
+  }
+  for (; c < in; c += 8) {
+    const __mmask8 m = lane_mask(in - c);
+    __m512d a0 = _mm512_setzero_pd(), a1 = _mm512_setzero_pd();
+    __m512d a2 = _mm512_setzero_pd(), a3 = _mm512_setzero_pd();
+    for (std::size_t r = 0; r < out; ++r) {
+      const __m512d wv = _mm512_maskz_loadu_pd(m, w + r * in + c);
+      a0 = _mm512_add_pd(a0, _mm512_mul_pd(wv, _mm512_set1_pd(g0[r])));
+      a1 = _mm512_add_pd(a1, _mm512_mul_pd(wv, _mm512_set1_pd(g1[r])));
+      a2 = _mm512_add_pd(a2, _mm512_mul_pd(wv, _mm512_set1_pd(g2[r])));
+      a3 = _mm512_add_pd(a3, _mm512_mul_pd(wv, _mm512_set1_pd(g3[r])));
+    }
+    _mm512_mask_storeu_pd(o0 + c, m, a0);
+    _mm512_mask_storeu_pd(o1 + c, m, a1);
+    _mm512_mask_storeu_pd(o2 + c, m, a2);
+    _mm512_mask_storeu_pd(o3 + c, m, a3);
+  }
+}
+
+// dW row r and db[r] over the whole batch, one output row at a time.
+inline void outer_acc_row(const double* g, const double* x, std::size_t batch,
+                          std::size_t out, std::size_t in, std::size_t r,
+                          double* dw, double* db) {
+  double* dwr = dw + r * in;
+  std::size_t c = 0;
+  for (; c + 16 <= in; c += 16) {
+    __m512d a0 = _mm512_loadu_pd(dwr + c);
+    __m512d a1 = _mm512_loadu_pd(dwr + c + 8);
+    for (std::size_t n = 0; n < batch; ++n) {
+      const __m512d gr = _mm512_set1_pd(g[n * out + r]);
+      const double* xn = x + n * in + c;
+      a0 = _mm512_add_pd(a0, _mm512_mul_pd(_mm512_loadu_pd(xn), gr));
+      a1 = _mm512_add_pd(a1, _mm512_mul_pd(_mm512_loadu_pd(xn + 8), gr));
+    }
+    _mm512_storeu_pd(dwr + c, a0);
+    _mm512_storeu_pd(dwr + c + 8, a1);
+  }
+  for (; c + 8 <= in; c += 8) {
+    __m512d a = _mm512_loadu_pd(dwr + c);
+    for (std::size_t n = 0; n < batch; ++n) {
+      const __m512d gr = _mm512_set1_pd(g[n * out + r]);
+      a = _mm512_add_pd(a, _mm512_mul_pd(_mm512_loadu_pd(x + n * in + c), gr));
+    }
+    _mm512_storeu_pd(dwr + c, a);
+  }
+  if (c < in) {
+    const __mmask8 m = static_cast<__mmask8>((1u << (in - c)) - 1u);
+    __m512d a = _mm512_maskz_loadu_pd(m, dwr + c);
+    for (std::size_t n = 0; n < batch; ++n) {
+      const __m512d gr = _mm512_set1_pd(g[n * out + r]);
+      const __m512d xv = _mm512_maskz_loadu_pd(m, x + n * in + c);
+      a = _mm512_add_pd(a, _mm512_mul_pd(xv, gr));
+    }
+    _mm512_mask_storeu_pd(dwr + c, m, a);
+  }
+  double sb = db[r];
+  for (std::size_t n = 0; n < batch; ++n) sb += g[n * out + r];
+  db[r] = sb;
+}
+
+// Output rows r..r+3 per pass over the batch: each x slice is loaded once
+// for four rows, whose dW accumulators are independent chains. db[r..r+3]
+// runs as one vector with lanes across the four outputs. Every entry still
+// accumulates its per-sample terms in ascending n.
+inline void outer_acc_rows4(const double* g, const double* x,
+                            std::size_t batch, std::size_t out,
+                            std::size_t in, std::size_t r, double* dw,
+                            double* db) {
+  double* d0 = dw + r * in;
+  double* d1 = d0 + in;
+  double* d2 = d1 + in;
+  double* d3 = d2 + in;
+  std::size_t c = 0;
+  for (; c + 16 <= in; c += 16) {
+    __m512d a00 = _mm512_loadu_pd(d0 + c), a01 = _mm512_loadu_pd(d0 + c + 8);
+    __m512d a10 = _mm512_loadu_pd(d1 + c), a11 = _mm512_loadu_pd(d1 + c + 8);
+    __m512d a20 = _mm512_loadu_pd(d2 + c), a21 = _mm512_loadu_pd(d2 + c + 8);
+    __m512d a30 = _mm512_loadu_pd(d3 + c), a31 = _mm512_loadu_pd(d3 + c + 8);
+    for (std::size_t n = 0; n < batch; ++n) {
+      const double* xn = x + n * in + c;
+      const double* gn = g + n * out + r;
+      const __m512d x0 = _mm512_loadu_pd(xn);
+      const __m512d x1 = _mm512_loadu_pd(xn + 8);
+      __m512d gr = _mm512_set1_pd(gn[0]);
+      a00 = _mm512_add_pd(a00, _mm512_mul_pd(x0, gr));
+      a01 = _mm512_add_pd(a01, _mm512_mul_pd(x1, gr));
+      gr = _mm512_set1_pd(gn[1]);
+      a10 = _mm512_add_pd(a10, _mm512_mul_pd(x0, gr));
+      a11 = _mm512_add_pd(a11, _mm512_mul_pd(x1, gr));
+      gr = _mm512_set1_pd(gn[2]);
+      a20 = _mm512_add_pd(a20, _mm512_mul_pd(x0, gr));
+      a21 = _mm512_add_pd(a21, _mm512_mul_pd(x1, gr));
+      gr = _mm512_set1_pd(gn[3]);
+      a30 = _mm512_add_pd(a30, _mm512_mul_pd(x0, gr));
+      a31 = _mm512_add_pd(a31, _mm512_mul_pd(x1, gr));
+    }
+    _mm512_storeu_pd(d0 + c, a00);
+    _mm512_storeu_pd(d0 + c + 8, a01);
+    _mm512_storeu_pd(d1 + c, a10);
+    _mm512_storeu_pd(d1 + c + 8, a11);
+    _mm512_storeu_pd(d2 + c, a20);
+    _mm512_storeu_pd(d2 + c + 8, a21);
+    _mm512_storeu_pd(d3 + c, a30);
+    _mm512_storeu_pd(d3 + c + 8, a31);
+  }
+  for (; c < in; c += 8) {
+    const __mmask8 m = lane_mask(in - c);
+    __m512d a0 = _mm512_maskz_loadu_pd(m, d0 + c);
+    __m512d a1 = _mm512_maskz_loadu_pd(m, d1 + c);
+    __m512d a2 = _mm512_maskz_loadu_pd(m, d2 + c);
+    __m512d a3 = _mm512_maskz_loadu_pd(m, d3 + c);
+    for (std::size_t n = 0; n < batch; ++n) {
+      const double* gn = g + n * out + r;
+      const __m512d xv = _mm512_maskz_loadu_pd(m, x + n * in + c);
+      a0 = _mm512_add_pd(a0, _mm512_mul_pd(xv, _mm512_set1_pd(gn[0])));
+      a1 = _mm512_add_pd(a1, _mm512_mul_pd(xv, _mm512_set1_pd(gn[1])));
+      a2 = _mm512_add_pd(a2, _mm512_mul_pd(xv, _mm512_set1_pd(gn[2])));
+      a3 = _mm512_add_pd(a3, _mm512_mul_pd(xv, _mm512_set1_pd(gn[3])));
+    }
+    _mm512_mask_storeu_pd(d0 + c, m, a0);
+    _mm512_mask_storeu_pd(d1 + c, m, a1);
+    _mm512_mask_storeu_pd(d2 + c, m, a2);
+    _mm512_mask_storeu_pd(d3 + c, m, a3);
+  }
+  __m256d sb = _mm256_loadu_pd(db + r);
+  for (std::size_t n = 0; n < batch; ++n)
+    sb = _mm256_add_pd(sb, _mm256_loadu_pd(g + n * out + r));
+  _mm256_storeu_pd(db + r, sb);
+}
+
 }  // namespace
+
+// Each kernel runs blocks of four rows (output rows for outer_acc), then
+// the single-row body for the rest; affine with out < 8 puts lanes across
+// eight rows instead. Every output element keeps its scalar chain, so all
+// paths are bit-identical to the scalar backend.
 
 void avx512_batch_affine(const double* w, const double* wt, const double* b,
                          std::size_t out, std::size_t in, const double* x,
                          std::size_t batch, double* y) {
-  const double* wtp = transposed(w, wt, out, in);
-  for (std::size_t n = 0; n < batch; ++n) {
-    const double* xn = x + n * in;
-    double* yn = y + n * out;
-    std::size_t r = 0;
-    for (; r + 16 <= out; r += 16) {
-      __m512d a0, a1;
-      if (b) {
-        a0 = _mm512_loadu_pd(b + r);
-        a1 = _mm512_loadu_pd(b + r + 8);
-      } else {
-        a0 = a1 = _mm512_setzero_pd();
-      }
-      for (std::size_t c = 0; c < in; ++c) {
-        const __m512d xc = _mm512_set1_pd(xn[c]);
-        const double* col = wtp + c * out + r;
-        a0 = _mm512_add_pd(a0, _mm512_mul_pd(_mm512_loadu_pd(col), xc));
-        a1 = _mm512_add_pd(a1, _mm512_mul_pd(_mm512_loadu_pd(col + 8), xc));
-      }
-      _mm512_storeu_pd(yn + r, a0);
-      _mm512_storeu_pd(yn + r + 8, a1);
-    }
-    for (; r + 8 <= out; r += 8) {
-      __m512d a = b ? _mm512_loadu_pd(b + r) : _mm512_setzero_pd();
-      for (std::size_t c = 0; c < in; ++c) {
-        const __m512d xc = _mm512_set1_pd(xn[c]);
-        a = _mm512_add_pd(a,
-                          _mm512_mul_pd(_mm512_loadu_pd(wtp + c * out + r), xc));
-      }
-      _mm512_storeu_pd(yn + r, a);
-    }
-    if (r < out) {
-      const __mmask8 m =
-          static_cast<__mmask8>((1u << (out - r)) - 1u);
-      __m512d a = b ? _mm512_maskz_loadu_pd(m, b + r) : _mm512_setzero_pd();
-      for (std::size_t c = 0; c < in; ++c) {
-        const __m512d xc = _mm512_set1_pd(xn[c]);
-        const __m512d wv = _mm512_maskz_loadu_pd(m, wtp + c * out + r);
-        a = _mm512_add_pd(a, _mm512_mul_pd(wv, xc));
-      }
-      _mm512_mask_storeu_pd(yn + r, m, a);
-    }
+  std::size_t n = 0;
+  if (out < 8 && batch >= 8) {
+    thread_local std::vector<double> xt;
+    if (xt.size() < in * 8) xt.resize(in * 8);
+    for (; n + 8 <= batch; n += 8)
+      affine_rows8_narrow(w, b, out, in, x + n * in, y + n * out, xt.data());
   }
+  if (n == batch) return;
+  const double* wtp = transposed(w, wt, out, in);
+  if (out >= 8)
+    for (; n + 4 <= batch; n += 4)
+      affine_rows4(wtp, b, out, in, x + n * in, y + n * out);
+  for (; n < batch; ++n) affine_row(wtp, b, out, in, x + n * in, y + n * out);
 }
 
 void avx512_batch_matvec_t(const double* w, std::size_t out, std::size_t in,
                            const double* g, std::size_t batch, double* gin) {
-  for (std::size_t n = 0; n < batch; ++n) {
-    const double* gn = g + n * out;
-    double* on = gin + n * in;
-    std::size_t c = 0;
-    for (; c + 16 <= in; c += 16) {
-      __m512d a0 = _mm512_setzero_pd(), a1 = _mm512_setzero_pd();
-      for (std::size_t r = 0; r < out; ++r) {
-        const __m512d gr = _mm512_set1_pd(gn[r]);
-        const double* row = w + r * in + c;
-        a0 = _mm512_add_pd(a0, _mm512_mul_pd(_mm512_loadu_pd(row), gr));
-        a1 = _mm512_add_pd(a1, _mm512_mul_pd(_mm512_loadu_pd(row + 8), gr));
-      }
-      _mm512_storeu_pd(on + c, a0);
-      _mm512_storeu_pd(on + c + 8, a1);
-    }
-    for (; c + 8 <= in; c += 8) {
-      __m512d a = _mm512_setzero_pd();
-      for (std::size_t r = 0; r < out; ++r) {
-        const __m512d gr = _mm512_set1_pd(gn[r]);
-        a = _mm512_add_pd(a, _mm512_mul_pd(_mm512_loadu_pd(w + r * in + c), gr));
-      }
-      _mm512_storeu_pd(on + c, a);
-    }
-    if (c < in) {
-      const __mmask8 m =
-          static_cast<__mmask8>((1u << (in - c)) - 1u);
-      __m512d a = _mm512_setzero_pd();
-      for (std::size_t r = 0; r < out; ++r) {
-        const __m512d gr = _mm512_set1_pd(gn[r]);
-        const __m512d wv = _mm512_maskz_loadu_pd(m, w + r * in + c);
-        a = _mm512_add_pd(a, _mm512_mul_pd(wv, gr));
-      }
-      _mm512_mask_storeu_pd(on + c, m, a);
-    }
-  }
+  std::size_t n = 0;
+  for (; n + 4 <= batch; n += 4)
+    matvec_t_rows4(w, out, in, g + n * out, gin + n * in);
+  for (; n < batch; ++n) matvec_t_row(w, out, in, g + n * out, gin + n * in);
 }
 
 void avx512_batch_outer_acc(const double* g, const double* x,
                             std::size_t batch, std::size_t out, std::size_t in,
                             double* dw, double* db) {
-  for (std::size_t r = 0; r < out; ++r) {
-    double* dwr = dw + r * in;
-    std::size_t c = 0;
-    for (; c + 16 <= in; c += 16) {
-      __m512d a0 = _mm512_loadu_pd(dwr + c);
-      __m512d a1 = _mm512_loadu_pd(dwr + c + 8);
-      for (std::size_t n = 0; n < batch; ++n) {
-        const __m512d gr = _mm512_set1_pd(g[n * out + r]);
-        const double* xn = x + n * in + c;
-        a0 = _mm512_add_pd(a0, _mm512_mul_pd(_mm512_loadu_pd(xn), gr));
-        a1 = _mm512_add_pd(a1, _mm512_mul_pd(_mm512_loadu_pd(xn + 8), gr));
-      }
-      _mm512_storeu_pd(dwr + c, a0);
-      _mm512_storeu_pd(dwr + c + 8, a1);
-    }
-    for (; c + 8 <= in; c += 8) {
-      __m512d a = _mm512_loadu_pd(dwr + c);
-      for (std::size_t n = 0; n < batch; ++n) {
-        const __m512d gr = _mm512_set1_pd(g[n * out + r]);
-        a = _mm512_add_pd(a, _mm512_mul_pd(_mm512_loadu_pd(x + n * in + c), gr));
-      }
-      _mm512_storeu_pd(dwr + c, a);
-    }
-    if (c < in) {
-      const __mmask8 m =
-          static_cast<__mmask8>((1u << (in - c)) - 1u);
-      __m512d a = _mm512_maskz_loadu_pd(m, dwr + c);
-      for (std::size_t n = 0; n < batch; ++n) {
-        const __m512d gr = _mm512_set1_pd(g[n * out + r]);
-        const __m512d xv = _mm512_maskz_loadu_pd(m, x + n * in + c);
-        a = _mm512_add_pd(a, _mm512_mul_pd(xv, gr));
-      }
-      _mm512_mask_storeu_pd(dwr + c, m, a);
-    }
-    double sb = db[r];
-    for (std::size_t n = 0; n < batch; ++n) sb += g[n * out + r];
-    db[r] = sb;
-  }
+  std::size_t r = 0;
+  for (; r + 4 <= out; r += 4) outer_acc_rows4(g, x, batch, out, in, r, dw, db);
+  for (; r < out; ++r) outer_acc_row(g, x, batch, out, in, r, dw, db);
 }
 
 namespace {

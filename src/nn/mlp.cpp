@@ -97,7 +97,7 @@ const Batch& Mlp::forward_batch(const Batch& x, Workspace& ws) const {
   return ws.post.back();
 }
 
-const Batch& Mlp::backward_batch(Workspace& ws, const Batch& grad_out) {
+void Mlp::backward_batch(Workspace& ws, const Batch& grad_out) {
   IMAP_CHECK_MSG(ws.post.size() == layers_.size() + 1,
                  "backward_batch without a prior forward_batch on this "
                  "workspace");
@@ -109,21 +109,17 @@ const Batch& Mlp::backward_batch(Workspace& ws, const Batch& grad_out) {
     const auto& l = layers_[li];
     kernel::batch_outer_acc(ws.g.data(), ws.post[li].data(), b, l.out, l.in,
                             grads_.data() + l.w_off, grads_.data() + l.b_off);
+    if (li == 0) break;  // no caller reads dL/dinput from here
     ws.gin.resize(b, l.in);
     kernel::batch_matvec_t(params_.data() + l.w_off, l.out, l.in, ws.g.data(),
                            b, ws.gin.data());
-    if (li > 0) {
-      const double* post = ws.post[li].data();
-      double* gi = ws.gin.data();
-      const std::size_t nel = b * l.in;
-      for (std::size_t i = 0; i < nel; ++i)
-        gi[i] *= (1.0 - post[i] * post[i]);
-    }
+    const double* post = ws.post[li].data();
+    double* gi = ws.gin.data();
+    const std::size_t nel = b * l.in;
+    for (std::size_t i = 0; i < nel; ++i) gi[i] *= (1.0 - post[i] * post[i]);
     std::swap(ws.g, ws.gin);
   }
-  IMAP_NCHECK_FINITE_VEC(std::span<const double>(ws.g.data(), b * in_dim()),
-                         "Mlp::backward_batch input-gradient");
-  return ws.g;  // dL/dX, one row per sample
+  IMAP_NCHECK_FINITE_VEC(grads_, "Mlp::backward_batch gradients");
 }
 
 const Batch& Mlp::input_gradient_batch(Workspace& ws,

@@ -70,15 +70,16 @@ class Mlp {
   const Batch& forward_batch(const Batch& x) { return forward_batch(x, ws_); }
 
   /// Batched backward through the tape recorded by forward_batch on `ws`:
-  /// accumulates dL/dparams into the gradient buffer and returns dL/dinput
-  /// rows (reference into `ws`). Gradients are bit-identical to running one
-  /// 1-row batch per row in ascending row order.
-  const Batch& backward_batch(Workspace& ws, const Batch& grad_out);
-  const Batch& backward_batch(const Batch& grad_out) {
-    return backward_batch(ws_, grad_out);
-  }
+  /// accumulates dL/dparams into the gradient buffer. Gradients are
+  /// bit-identical to running one 1-row batch per row in ascending row
+  /// order. dL/dinput is not formed (layer 0 stops after its parameter
+  /// gradients); callers that need it call input_gradient_batch on the
+  /// same tape, which backward_batch leaves intact.
+  void backward_batch(Workspace& ws, const Batch& grad_out);
+  void backward_batch(const Batch& grad_out) { backward_batch(ws_, grad_out); }
 
-  /// Batched dL/dinput only (parameter gradients untouched).
+  /// Batched dL/dinput only (parameter gradients untouched): the one
+  /// input-gradient path. Returns rows in `ws`, valid until its next use.
   const Batch& input_gradient_batch(Workspace& ws,
                                     const Batch& grad_out) const;
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <numeric>
 #include <utility>
 
@@ -109,20 +110,18 @@ void PpoTrainer::collect(RolloutBuffer& buf) {
   steps_done_ += opts_.steps_per_iter;
 }
 
-PpoTrainer::BatchPartial PpoTrainer::process_range(
+PpoTrainer::PolicyPartial PpoTrainer::step_policy(
     const RolloutBuffer& buf, const std::vector<std::size_t>& order,
     std::size_t b, std::size_t e, const std::vector<double>& adv,
-    const GaeResult& gae_e, const GaeResult* gae_i, double inv_bs) {
-  BatchPartial out;
-  if (e <= b) return out;
+    double inv_bs) {
+  PolicyPartial out;
+  policy_->zero_grad();
 
-  // One gather plus one batched forward/backward per network. Clipped
-  // surrogate (Eq. 1): gradient flows only through the unclipped branch when
-  // it is the active minimum; inactive samples keep coefficient 0.0, which
-  // the fixed-summation-order kernels treat as an exact bitwise no-op.
+  // Clipped surrogate (Eq. 1): gradient flows only through the unclipped
+  // branch when it is the active minimum; inactive samples keep coefficient
+  // 0.0, which the fixed-summation-order kernels treat as an exact bitwise
+  // no-op.
   const std::size_t bs = e - b;
-  scratch_.obs.gather(buf.obs, order, b, e);
-  scratch_.act.gather(buf.act, order, b, e);
   const nn::Batch& mean = policy_->mean_batch(scratch_.obs);
   const std::size_t adim = policy_->act_dim();
   scratch_.coeff.resize(bs);
@@ -144,32 +143,43 @@ PpoTrainer::BatchPartial PpoTrainer::process_range(
     ++out.samples;
   }
   policy_->backward_logp_batch(scratch_.act, scratch_.coeff);
-
-  // Extrinsic critic regression: dL/dV = vf_coef · (V − R) / bs.
-  value_e_->value_batch(scratch_.obs, scratch_.vals);
-  scratch_.vcoeff.resize(bs);
-  for (std::size_t n = 0; n < bs; ++n) {
-    const std::size_t idx = order[b + n];
-    const double verr = scratch_.vals[n] - gae_e.returns[idx];
-    scratch_.vcoeff[n] = opts_.vf_coef * verr * inv_bs;
-    out.val_loss += 0.5 * verr * verr;
-  }
-  value_e_->backward_batch(scratch_.vcoeff);
-
-  if (gae_i != nullptr) {
-    value_i_->value_batch(scratch_.obs, scratch_.vals);
-    for (std::size_t n = 0; n < bs; ++n) {
-      const std::size_t idx = order[b + n];
-      const double vierr = scratch_.vals[n] - gae_i->returns[idx];
-      scratch_.vcoeff[n] = opts_.vf_coef * vierr * inv_bs;
-    }
-    value_i_->backward_batch(scratch_.vcoeff);
-  }
-
   IMAP_NCHECK_FINITE(out.pol_loss, "ppo.pol_loss");
-  IMAP_NCHECK_FINITE(out.val_loss, "ppo.val_loss");
   IMAP_NCHECK_FINITE(out.kl, "ppo.kl");
+
+  if (opts_.ent_coef > 0.0) policy_->backward_entropy(-opts_.ent_coef);
+  if (reg_) {
+    reg_batch_.assign(order.begin() + static_cast<std::ptrdiff_t>(b),
+                      order.begin() + static_cast<std::ptrdiff_t>(e));
+    reg_(*policy_, buf, reg_batch_);
+  }
+
+  policy_->flat_params_into(flat_p_);
+  policy_->flat_grads_into(flat_g_);
+  policy_opt_.step(flat_p_, flat_g_);
+  policy_->set_flat_params(flat_p_);
+  policy_->clamp_log_std();
   return out;
+}
+
+double PpoTrainer::step_critic(nn::ValueNet& critic, nn::Adam& opt,
+                               CriticScratch& sc,
+                               const std::vector<double>& returns,
+                               const std::vector<std::size_t>& order,
+                               std::size_t b, std::size_t e, double inv_bs) {
+  critic.zero_grad();
+  const std::size_t bs = e - b;
+  critic.value_batch(scratch_.obs, sc.vals);
+  sc.vcoeff.resize(bs);
+  double loss = 0.0;
+  for (std::size_t n = 0; n < bs; ++n) {
+    const double verr = sc.vals[n] - returns[order[b + n]];
+    sc.vcoeff[n] = opts_.vf_coef * verr * inv_bs;
+    loss += 0.5 * verr * verr;
+  }
+  critic.backward_batch(sc.vcoeff);
+  IMAP_NCHECK_FINITE(loss, "ppo.val_loss");
+  opt.step(critic.params(), critic.grads());
+  return loss;
 }
 
 void PpoTrainer::update(RolloutBuffer& buf, double tau, IterStats& stats) {
@@ -181,11 +191,12 @@ void PpoTrainer::update(RolloutBuffer& buf, double tau, IterStats& stats) {
     // Chunked batched refresh through the critic's workspace; each value
     // is bit-identical to a one-row batch of its row.
     constexpr std::size_t kChunk = 1024;
+    std::vector<double>& vals = scratch_.critic_i.vals;
     for (std::size_t b = 0; b < n; b += kChunk) {
       const std::size_t e = std::min(n, b + kChunk);
       scratch_.obs.gather_range(buf.obs, b, e);
-      value_i_->value_batch(scratch_.obs, scratch_.vals);
-      for (std::size_t i = b; i < e; ++i) buf.val_i[i] = scratch_.vals[i - b];
+      value_i_->value_batch(scratch_.obs, vals);
+      for (std::size_t i = b; i < e; ++i) buf.val_i[i] = vals[i - b];
     }
   }
 
@@ -213,6 +224,28 @@ void PpoTrainer::update(RolloutBuffer& buf, double tau, IterStats& stats) {
   double pol_loss_acc = 0.0, val_loss_acc = 0.0, kl_acc = 0.0;
   std::size_t loss_count = 0;
 
+  // Each minibatch trains the policy and the critics as separate pool
+  // tasks. The networks share no parameters, gradients, optimiser state or
+  // scratch (the gathered rows are only read), so every task runs exactly
+  // the arithmetic it would run alone, and the losses merge after the join
+  // in a fixed order: the trace does not depend on the thread count.
+  const std::size_t tasks = use_intrinsic ? 3 : 2;
+  std::size_t start = 0, end = 0;
+  double inv_bs = 0.0;
+  PolicyPartial pol;
+  double val_loss = 0.0;
+  const std::function<void(std::size_t)> step_network = [&](std::size_t k) {
+    if (k == 0) {
+      pol = step_policy(buf, order, start, end, adv, inv_bs);
+    } else if (k == 1) {
+      val_loss = step_critic(*value_e_, value_e_opt_, scratch_.critic_e,
+                             gae_e.returns, order, start, end, inv_bs);
+    } else {
+      step_critic(*value_i_, value_i_opt_, scratch_.critic_i, gae_i.returns,
+                  order, start, end, inv_bs);
+    }
+  };
+
   for (int epoch = 0; epoch < opts_.epochs; ++epoch) {
     // Fisher–Yates with our Rng for reproducibility.
     for (std::size_t i = n; i > 1; --i) {
@@ -224,41 +257,18 @@ void PpoTrainer::update(RolloutBuffer& buf, double tau, IterStats& stats) {
     double epoch_kl = 0.0;
     std::size_t epoch_samples = 0;
 
-    for (std::size_t start = 0; start < n;
-         start += static_cast<std::size_t>(opts_.minibatch)) {
-      const std::size_t end =
-          std::min(n, start + static_cast<std::size_t>(opts_.minibatch));
-      const std::size_t bs = end - start;
-      const double inv_bs = 1.0 / static_cast<double>(bs);
+    for (start = 0; start < n; start = end) {
+      end = std::min(n, start + static_cast<std::size_t>(opts_.minibatch));
+      inv_bs = 1.0 / static_cast<double>(end - start);
+      scratch_.obs.gather(buf.obs, order, start, end);
+      scratch_.act.gather(buf.act, order, start, end);
+      parallel_for(tasks, step_network, /*grain=*/1);
 
-      policy_->zero_grad();
-      value_e_->zero_grad();
-      if (use_intrinsic) value_i_->zero_grad();
-      const BatchPartial p =
-          process_range(buf, order, start, end, adv, gae_e,
-                        use_intrinsic ? &gae_i : nullptr, inv_bs);
-      pol_loss_acc += p.pol_loss;
-      val_loss_acc += p.val_loss;
-      epoch_kl += p.kl;
-      epoch_samples += p.samples;
-      loss_count += p.samples;
-
-      if (opts_.ent_coef > 0.0) policy_->backward_entropy(-opts_.ent_coef);
-      if (reg_) {
-        reg_batch_.assign(
-            order.begin() + static_cast<std::ptrdiff_t>(start),
-            order.begin() + static_cast<std::ptrdiff_t>(end));
-        reg_(*policy_, buf, reg_batch_);
-      }
-
-      policy_->flat_params_into(flat_p_);
-      policy_->flat_grads_into(flat_g_);
-      policy_opt_.step(flat_p_, flat_g_);
-      policy_->set_flat_params(flat_p_);
-      policy_->clamp_log_std();
-
-      value_e_opt_.step(value_e_->params(), value_e_->grads());
-      if (use_intrinsic) value_i_opt_.step(value_i_->params(), value_i_->grads());
+      pol_loss_acc += pol.pol_loss;
+      val_loss_acc += val_loss;
+      epoch_kl += pol.kl;
+      epoch_samples += pol.samples;
+      loss_count += pol.samples;
     }
 
     const double mean_kl =

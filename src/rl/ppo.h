@@ -110,6 +110,8 @@ class PpoTrainer {
 
   /// Sampling and optimisation stages of iterate(), exposed separately so
   /// benchmarks can time the update in isolation on a fixed rollout.
+  /// update() steps the policy and each critic as separate pool tasks per
+  /// minibatch; its result does not depend on the thread count.
   void collect(RolloutBuffer& buf);
   void update(RolloutBuffer& buf, double tau, IterStats& stats);
 
@@ -130,36 +132,48 @@ class PpoTrainer {
   bool restore(const std::string& path);
 
  private:
-  /// Partial sums of one contiguous batch slice's losses.
-  struct BatchPartial {
+  /// Loss partials of one minibatch's policy task.
+  struct PolicyPartial {
     double pol_loss = 0.0;
-    double val_loss = 0.0;
     double kl = 0.0;
     std::size_t samples = 0;
   };
 
-  /// Reusable gathered-minibatch buffers for the minibatch update: they grow
-  /// to the minibatch high-water mark once and are then reused — zero heap
-  /// allocations per minibatch in steady state.
-  struct UpdateScratch {
-    nn::Batch obs;               ///< gathered observation rows
-    nn::Batch act;               ///< gathered action rows
-    std::vector<double> coeff;   ///< per-sample policy-gradient coefficients
+  /// Minibatch scratch of one critic task; each critic owns one, so the
+  /// extrinsic and intrinsic critics can step at the same time.
+  struct CriticScratch {
     std::vector<double> vals;    ///< critic outputs
     std::vector<double> vcoeff;  ///< per-sample critic dL/dV coefficients
   };
 
+  /// Reusable gathered-minibatch buffers for the minibatch update: they grow
+  /// to the minibatch high-water mark once and are then reused.
+  struct UpdateScratch {
+    nn::Batch obs;               ///< gathered observation rows (read by all)
+    nn::Batch act;               ///< gathered action rows
+    std::vector<double> coeff;   ///< per-sample policy-gradient coefficients
+    CriticScratch critic_e;      ///< extrinsic critic task
+    CriticScratch critic_i;      ///< intrinsic critic task
+  };
+
   void ensure_workers();
 
-  /// Accumulate policy/value gradients and loss partials for the minibatch
-  /// order[b..e) into the trainer's networks (`use_intrinsic` adds the
-  /// intrinsic critic's regression).
-  BatchPartial process_range(const RolloutBuffer& buf,
-                             const std::vector<std::size_t>& order,
-                             std::size_t b, std::size_t e,
-                             const std::vector<double>& adv,
-                             const GaeResult& gae_e, const GaeResult* gae_i,
-                             double inv_bs);
+  /// The policy's task for the minibatch order[b..e) (rows already
+  /// gathered into scratch_): zero_grad, forward, clipped-surrogate
+  /// coefficients, backward, entropy and regularizer terms, Adam step and
+  /// log-std clamp.
+  PolicyPartial step_policy(const RolloutBuffer& buf,
+                            const std::vector<std::size_t>& order,
+                            std::size_t b, std::size_t e,
+                            const std::vector<double>& adv, double inv_bs);
+
+  /// One critic's task for the same minibatch: zero_grad, regression onto
+  /// `returns` (dL/dV = vf_coef · (V − R) / bs), backward and Adam step.
+  /// Returns Σ ½(V − R)² over the minibatch.
+  double step_critic(nn::ValueNet& critic, nn::Adam& opt, CriticScratch& sc,
+                     const std::vector<double>& returns,
+                     const std::vector<std::size_t>& order, std::size_t b,
+                     std::size_t e, double inv_bs);
 
   PpoOptions opts_;
   std::unique_ptr<Env> env_;  ///< prototype the rollout slots are cloned from

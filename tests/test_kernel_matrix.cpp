@@ -481,8 +481,13 @@ IMAP_TANH_SIZE_LIST(IMAP_TANH_NEON)
 
 // --- the generated matrix ---------------------------------------------------
 // Shapes: in/out/batch spanning 1, odd, lane-multiple (4/8/16-wide SIMD
-// blocks plus their 16-element unrolled variants), and large. X(tag, in,
-// out, batch).
+// blocks plus their 16-element unrolled variants), and large. The six from
+// In11_Out32_B128 on are production layer shapes with batches that leave a
+// remainder after the 4-row blocks (and after the 8-row blocks of the
+// narrow-head affine path, out < lane width); In64_Out3_B6 has fewer rows
+// than one such block. In13_Out14_B6 reaches the 4-wide and scalar column
+// and output tails inside the 4-row blocks (in % 8 and out % 8 >= 4).
+// X(tag, in, out, batch).
 #define IMAP_KERNEL_SHAPE_LIST(X)     \
   X(In1_Out1_B1, 1, 1, 1)             \
   X(In5_Out7_B1, 5, 7, 1)             \
@@ -491,7 +496,14 @@ IMAP_TANH_SIZE_LIST(IMAP_TANH_NEON)
   X(In17_Out33_B7, 17, 33, 7)         \
   X(In32_Out64_B16, 32, 64, 16)       \
   X(In64_Out48_B33, 64, 48, 33)       \
-  X(In24_Out24_B64, 24, 24, 64)
+  X(In24_Out24_B64, 24, 24, 64)       \
+  X(In11_Out32_B128, 11, 32, 128)     \
+  X(In32_Out32_B130, 32, 32, 130)     \
+  X(In32_Out11_B131, 32, 11, 131)     \
+  X(In32_Out1_B131, 32, 1, 131)       \
+  X(In32_Out3_B9, 32, 3, 9)           \
+  X(In64_Out3_B6, 64, 3, 6)           \
+  X(In13_Out14_B6, 13, 14, 6)
 
 #define IMAP_KERNEL_CELL(backend, tag, in_, out_, batch_)            \
   TEST(KernelMatrix_##backend, BatchAffine_##tag) {                  \

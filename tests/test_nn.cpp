@@ -33,7 +33,10 @@ TEST(Mlp, InputGradientMatchesBackward) {
   Mlp::Workspace ws;
   net.forward_batch(x, ws);
   net.zero_grad();
-  const Batch g1 = net.backward_batch(ws, gout);
+  // backward_batch forms no dL/dinput; it must leave the tape intact, so
+  // input_gradient_batch reads the same rows before and after it.
+  const Batch g1 = net.input_gradient_batch(ws, gout);
+  net.backward_batch(ws, gout);
   const Batch& g2 = net.input_gradient_batch(ws, gout);
   for (std::size_t i = 0; i < 3; ++i) EXPECT_EQ(g1(0, i), g2(0, i));
 }

@@ -119,14 +119,18 @@ TEST_P(MlpBatchParity, BackwardMatchesPerSampleBitwise) {
   Mlp::Workspace ws;
   batched.zero_grad();
   batched.forward_batch(x, ws);
-  const Batch& gin_b = batched.backward_batch(ws, gout);
+  batched.backward_batch(ws, gout);
+  // dL/dinput comes from input_gradient_batch on the same tape.
+  const Batch& gin_b = batched.input_gradient_batch(ws, gout);
 
   serial.zero_grad();
   std::vector<std::vector<double>> gin_s;
   Mlp::Workspace ws1;
   for (std::size_t r = 0; r < bs; ++r) {
     serial.forward_batch(one_row(x, r), ws1);
-    gin_s.push_back(row_vec(serial.backward_batch(ws1, one_row(gout, r)), 0));
+    serial.backward_batch(ws1, one_row(gout, r));
+    gin_s.push_back(
+        row_vec(serial.input_gradient_batch(ws1, one_row(gout, r)), 0));
   }
 
   // Parameter gradients accumulate in the same per-entry order → bitwise.
@@ -165,7 +169,8 @@ INSTANTIATE_TEST_SUITE_P(BatchSizes, MlpBatchParity,
                                            std::size_t{64}));
 
 // Finite-difference check of backward_batch on the summed loss
-// L = Σ_n w_n · out_n: parameter gradients and the returned input gradients.
+// L = Σ_n w_n · out_n: its parameter gradients, and the input gradients
+// input_gradient_batch reads from the same tape.
 TEST(MlpBatch, BackwardMatchesFiniteDifferences) {
   Rng rng(29);
   Mlp net({4, 8, 3}, rng);
@@ -176,7 +181,8 @@ TEST(MlpBatch, BackwardMatchesFiniteDifferences) {
   Mlp::Workspace ws;
   net.zero_grad();
   net.forward_batch(x, ws);
-  const Batch gin = net.backward_batch(ws, w);
+  net.backward_batch(ws, w);
+  const Batch gin = net.input_gradient_batch(ws, w);
   const auto analytic = net.grads();
 
   const auto loss_at = [&](const Batch& in) {
