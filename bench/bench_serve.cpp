@@ -1,18 +1,20 @@
-// Serving-daemon benchmark: cross-connection request coalescing vs the
-// batch-1 server path, fp64 vs int8, at 1/8/32 concurrent closed-loop HTTP
-// clients (min-of-7 wall-clock per cell; min, not mean, because background
-// load only ever inflates a rep).
+// Serving-daemon benchmark: grouped forwards (up to 32 rows) vs one row per
+// forward, fp64 vs int8, at 1/8/32 concurrent closed-loop HTTP clients
+// (min-of-7 wall-clock per cell; min, not mean, because background load
+// only ever inflates a rep).
 //
 // Every cell runs a fresh in-process Server on an ephemeral loopback port
 // with one synthetic resident victim (obs 128, {2048, 2048} tanh torso, act
 // 16 — large enough that the forward, not HTTP framing, dominates a
-// request). Each client holds one keep-alive connection and fires
-// single-row /infer requests back to back; every response is compared
-// bit-for-bit against a direct PolicyHandle::query through the same
-// quantization mode, so the speedup claim and the correctness claim come
-// from the same run. Results are merged into BENCH_parallel.json in the
-// working directory under "bench_serve"; the headline number is qps(32
-// clients, coalesced, int8) / qps(32 clients, batch-1, int8).
+// request, so its forwards run on the server's pool, where a queued group
+// keeps taking rows until a worker starts it). Each client holds one
+// keep-alive connection and fires single-row /infer requests back to back;
+// every response is compared bit-for-bit against a direct
+// PolicyHandle::query through the same quantization mode, so the speedup
+// claim and the correctness claim come from the same run. Results are
+// merged into BENCH_parallel.json in the working directory under
+// "bench_serve"; the headline number is qps(32 clients, grouped, int8) /
+// qps(32 clients, batch-1, int8).
 //
 // Knobs: IMAP_BENCH_SERVE_ITERS (requests per client per rep, default 12),
 // IMAP_BENCH_SERVE_REPS (default 7), each an integer in [1, 1000000] — the
@@ -134,9 +136,7 @@ CellResult run_cell(const std::shared_ptr<const nn::GaussianPolicy>& victim,
   serve::ServeOptions opts;
   opts.port = 0;
   opts.threads = clients + 2;
-  opts.coalesce.enabled = coalesce;
-  opts.coalesce.max_batch = 32;
-  opts.coalesce.max_wait_us = 2'000;
+  opts.coalesce.max_batch = coalesce ? 32 : 1;
   opts.cache.quant = quant;
   opts.cache.ttl_ms = 3'600'000;
   opts.bench.zoo_dir = zoo_dir;
@@ -237,7 +237,7 @@ int main() {
      << ", " << kActDim
      << "], \"backend\": \"" << nn::kernel::active_backend().name
      << "\", \"reps\": " << reps << ", \"iters_per_client\": " << iters
-     << ", \"max_batch\": 32, \"max_wait_us\": 2000, \"cells\": [";
+     << ", \"max_batch\": 32, \"cells\": [";
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const auto& c = cells[i];
     os << (i > 0 ? ", " : "") << "{\"clients\": " << c.clients

@@ -4,6 +4,7 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -244,18 +245,27 @@ bool recv_available(int fd, std::string& buf) {
   return true;
 }
 
-bool send_all(int fd, const std::string& data) {
-  std::size_t off = 0;
+bool send_some(int fd, const std::string& data, std::size_t& off) {
   while (off < data.size()) {
-    const ssize_t n =
-        ::send(fd, data.data() + off, data.size() - off, MSG_NOSIGNAL);
+    const ssize_t n = ::send(fd, data.data() + off, data.size() - off,
+                             MSG_NOSIGNAL | MSG_DONTWAIT);
     if (n < 0) {
       if (errno == EINTR) continue;
-      return false;  // peer closed mid-response — the torn-request case
+      return errno == EAGAIN || errno == EWOULDBLOCK;
     }
     off += static_cast<std::size_t>(n);
   }
   return true;
+}
+
+bool send_all(int fd, const std::string& data) {
+  std::size_t off = 0;
+  while (send_some(fd, data, off)) {
+    if (off == data.size()) return true;
+    pollfd p{fd, POLLOUT, 0};
+    ::poll(&p, 1, -1);
+  }
+  return false;
 }
 
 }  // namespace imap::serve

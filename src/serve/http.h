@@ -68,9 +68,15 @@ int accept_connection(int listen_fd);
 /// EOF or a hard error (the connection is dead), true otherwise.
 bool recv_available(int fd, std::string& buf);
 
-/// Write all of `data`, looping over partial writes. Returns false when the
-/// peer is gone (EPIPE / reset) — the torn-request case the serving loop
-/// must absorb without disturbing other connections.
+/// Send what the socket takes of `data` from `off` on without blocking,
+/// advancing `off`. Returns false when the peer is gone (EPIPE / reset) —
+/// the torn-request case the serving loop absorbs without disturbing other
+/// connections; a full socket buffer is not an error.
+bool send_some(int fd, const std::string& data, std::size_t& off);
+
+/// Write all of `data`, waiting for room when the socket is full (a client
+/// helper: the server's loop never blocks on a socket). Returns false when
+/// the peer is gone.
 bool send_all(int fd, const std::string& data);
 
 }  // namespace imap::serve

@@ -58,6 +58,11 @@ std::string ServeMetrics::render() const {
                "capacity-bound LRU evictions");
   counter_line(os, "coalesced_batches_total", coalesced_batches,
                "victim forward batches issued");
+  counter_line(os, "inline_requests_total", inline_requests,
+               "responses formatted on the poll loop, without a pool hop");
+  counter_line(os, "pool_tasks_total", pool_tasks,
+               "pool tasks: model builds and forwards too large for the "
+               "poll loop");
   counter_line(os, "jobs_enqueued_total", jobs_enqueued,
                "attack-training jobs enqueued");
   counter_line(os, "jobs_finished_total", jobs_finished,
@@ -73,9 +78,6 @@ std::string ServeMetrics::render() const {
      << "imap_serve_infer_latency_us_p99 " << infer_latency_us.percentile(99.0)
      << '\n'
      << "imap_serve_batch_size_max " << batch_size.max() << '\n';
-  histogram_lines(os, "coalesce_wait_us", coalesce_wait_us,
-                  "coalescer batch leader's wait for followers in "
-                  "microseconds, one sample per gathered batch");
   return os.str();
 }
 

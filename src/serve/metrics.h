@@ -30,7 +30,8 @@ struct ServeMetrics {
   Counter coalesced_batches;     ///< query_batch calls issued
   LogHistogram batch_size;       ///< rows per issued batch
   LogHistogram infer_latency_us; ///< request parse -> response ready
-  LogHistogram coalesce_wait_us; ///< batch leader's wait, one per batch
+  Counter inline_requests;       ///< responses the poll loop formatted
+  Counter pool_tasks;            ///< model builds and large forwards pooled
 
   Counter jobs_enqueued;
   Counter jobs_finished;

@@ -85,7 +85,8 @@ std::shared_ptr<const ServedModel> ModelCache::build(
 }
 
 std::shared_ptr<const ServedModel> ModelCache::get(const std::string& env,
-                                                   const std::string& defense) {
+                                                   const std::string& defense,
+                                                   bool blocking) {
   const std::string ident = cache_ident(env);
   const std::string key = ident + "|" + defense;
   const auto ttl = std::chrono::milliseconds(opts_.ttl_ms);
@@ -119,6 +120,7 @@ std::shared_ptr<const ServedModel> ModelCache::get(const std::string& env,
         }
         reload = true;
       }
+      if (!blocking) return nullptr;
       if (loading_.insert(key).second) break;  // we build it
       cv_.wait(lk);  // someone else is building this key — wait for them
     }

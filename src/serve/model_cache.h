@@ -73,9 +73,11 @@ class ModelCache {
   /// revalidates on TTL expiry. `env` may be any scenario string — it is
   /// canonicalized first so equal scenarios share one resident; names that
   /// don't parse (injected synthetic victims) key verbatim. Throws
-  /// CheckError for unknown registry envs.
+  /// CheckError for unknown registry envs. With `blocking` false it stops
+  /// after ladder steps 1–2: nullptr instead of building or waiting.
   std::shared_ptr<const ServedModel> get(const std::string& env,
-                                         const std::string& defense);
+                                         const std::string& defense,
+                                         bool blocking = true);
 
   /// Drop one entry / every entry (in-flight requests keep their snapshot).
   void invalidate(const std::string& env, const std::string& defense);

@@ -1,45 +1,59 @@
 #include "serve/server.h"
 
 #include <fcntl.h>
+#include <poll.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <charconv>
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
+#include <cmath>
 #include <cstring>
 #include <limits>
 
 #include "common/check.h"
-#include "common/proc.h"
 #include "defense/victim_trainer.h"
 #include "env/registry.h"
-#include "nn/batch.h"
 #include "scenario/spec.h"
 
 namespace imap::serve {
 
 namespace {
 
-/// Whitespace-separated doubles -> row. False on any non-numeric token.
-/// std::from_chars, not strtod: several times faster on the hot /infer
-/// parse (no locale machinery) with the same correctly-rounded result for
-/// every token this server ever emits.
-bool parse_row(const std::string& line, std::vector<double>& row) {
-  row.clear();
-  const char* p = line.data();
-  const char* const last = p + line.size();
+/// An /infer body, one observation per line (blank lines skipped), appended
+/// to `obs` as `width`-wide rows: the row count, or 0 with `error` set. A
+/// NaN or infinity has no int8 code and is an error. std::from_chars: no
+/// locale machinery, correctly rounded for every token this server emits.
+std::size_t parse_rows(const std::string& body, std::size_t width,
+                       std::vector<double>& obs, std::string& error) {
+  std::size_t rows = 0, cols = 0;
+  const char* p = body.data();
+  const char* const end = p + body.size();
   for (;;) {
-    while (p != last && (*p == ' ' || *p == '\t' || *p == '\r')) ++p;
-    if (p == last) break;
+    while (p != end && (*p == ' ' || *p == '\t' || *p == '\r')) ++p;
+    if (p == end || *p == '\n') {  // end of a line
+      if (cols != 0 && cols != width) {
+        error = "observation width mismatch";
+        return 0;
+      }
+      rows += cols != 0 ? 1 : 0;
+      cols = 0;
+      if (p == end) break;
+      ++p;
+      continue;
+    }
     double v = 0.0;
-    const auto res = std::from_chars(p, last, v);
-    if (res.ec != std::errc{}) return false;
-    row.push_back(v);
+    const auto res = std::from_chars(p, end, v);
+    if (res.ec != std::errc{} || !std::isfinite(v)) {
+      error = "non-numeric observation";
+      return 0;
+    }
+    obs.push_back(v);
+    ++cols;
     p = res.ptr;
   }
-  return true;
+  if (rows == 0) error = "empty body";
+  return rows;
 }
 
 /// Append one action row as shortest-round-trip columns (std::to_chars):
@@ -104,7 +118,7 @@ void Server::start() {
   const int flags = ::fcntl(wake_r_, F_GETFL, 0);
   ::fcntl(wake_r_, F_SETFL, flags | O_NONBLOCK);
 
-  // threads handler workers + one permanently occupied by the poll loop;
+  // threads pool workers + one permanently occupied by the poll loop;
   // ThreadPool(N) spawns N-1 workers.
   pool_ = std::make_unique<ThreadPool>(
       static_cast<std::size_t>(opts_.threads) + 2);
@@ -121,8 +135,8 @@ void Server::stop() {
     std::unique_lock<std::mutex> lk(done_m_);
     done_cv_.wait(lk, [&] { return loop_exited_; });
   }
-  // In-flight handlers finish inside the pool teardown; fds stay open until
-  // every task that might write to one is gone.
+  // In-flight pool tasks finish inside the pool teardown; they never touch
+  // a socket, and what they post is dropped with the loop's state.
   pool_.reset();
   jobs_.drain();
   for (const auto& [fd, conn] : conns_) ::close(fd);
@@ -140,70 +154,67 @@ void Server::wake_loop() {
   }
 }
 
+void Server::post(std::function<void()> done) {
+  {
+    std::lock_guard<std::mutex> lk(posted_m_);
+    posted_.push_back(std::move(done));
+  }
+  wake_loop();
+}
+
 void Server::loop() {
-  std::vector<int> fds;
-  std::vector<std::pair<int, bool>> done;
+  std::vector<pollfd> pfds;
+  std::vector<std::function<void()>> posted;
   while (!stop_.load(std::memory_order_relaxed)) {
-    fds.clear();
-    fds.push_back(listen_fd_);
-    fds.push_back(wake_r_);
+    // Idle connections are polled for requests, connections with unsent
+    // bytes for room to write; one whose request is in flight is not.
+    pfds.assign({pollfd{listen_fd_, POLLIN, 0}, pollfd{wake_r_, POLLIN, 0}});
     for (const auto& [fd, conn] : conns_)
-      if (!conn.busy) fds.push_back(fd);
-    const auto ready = proc::poll_readable(fds, 200);
+      if (!conn.busy && !conn.dead)
+        pfds.push_back(pollfd{
+            fd, static_cast<short>(conn.out.empty() ? POLLIN : POLLOUT), 0});
+    if (::poll(pfds.data(), pfds.size(), again_ ? 0 : 200) < 0) continue;
     if (stop_.load(std::memory_order_relaxed)) break;
 
-    for (const std::size_t idx : ready) {
-      const int fd = fds[idx];
-      if (fd == listen_fd_) {
-        for (;;) {
-          const int conn_fd = accept_connection(listen_fd_);
-          if (conn_fd < 0) break;
-          conns_.emplace(conn_fd, Conn{});
+    for (const pollfd& p : pfds) {
+      if (p.revents == 0) continue;
+      if (p.fd == listen_fd_) {
+        for (int fd; (fd = accept_connection(listen_fd_)) >= 0;) {
+          conns_.emplace(fd, Conn{});
           metrics_.connections_opened.inc();
         }
-      } else if (fd == wake_r_) {
+      } else if (p.fd == wake_r_) {
         char drain[64];
         while (::read(wake_r_, drain, 64) > 0) {
         }
-      } else {
-        const auto it = conns_.find(fd);
-        if (it == conns_.end()) continue;  // closed earlier this round
-        if (!recv_available(fd, it->second.buf)) {
-          ::close(fd);
-          conns_.erase(it);
-          metrics_.connections_closed.inc();
-        }
+      } else if (const auto it = conns_.find(p.fd); it != conns_.end()) {
+        Conn& conn = it->second;
+        if (!conn.out.empty())
+          flush(p.fd, conn);
+        else if (!recv_available(p.fd, conn.in))
+          conn.dead = true;
       }
     }
-
-    // Handlers report (fd, delivered) when their response is out.
-    done.clear();
     {
-      std::lock_guard<std::mutex> lk(comp_m_);
-      done.swap(completed_);
+      std::lock_guard<std::mutex> lk(posted_m_);
+      posted.swap(posted_);
     }
-    for (const auto& [fd, delivered] : done) {
-      const auto it = conns_.find(fd);
-      if (it == conns_.end()) continue;
-      it->second.busy = false;
-      if (!delivered) {  // torn request: client died mid-response
-        ::close(fd);
-        conns_.erase(it);
-        metrics_.connections_closed.inc();
-      }
-    }
-
-    // Dispatch buffered requests on idle connections (covers both fresh
-    // bytes and pipelined requests parked behind a finished one).
+    for (const auto& done : posted) done();  // pool answers and builds
+    posted.clear();
+    // Parse what idle connections hold (fresh bytes, or a pipelined request
+    // behind an answered one); close the dead.
     for (auto it = conns_.begin(); it != conns_.end();) {
-      if (!it->second.busy && !pump_conn(it->first, it->second)) {
-        ::close(it->first);
-        it = conns_.erase(it);
-        metrics_.connections_closed.inc();
-      } else {
+      if (!it->second.dead) pump_conn(it->first, it->second);
+      if (!it->second.dead) {
         ++it;
+        continue;
       }
+      ::close(it->first);
+      metrics_.connections_closed.inc();
+      it = conns_.erase(it);
     }
+    again_ = false;  // set again by answers to connections holding more
+    run_groups();
   }
   {
     std::lock_guard<std::mutex> lk(done_m_);
@@ -212,44 +223,31 @@ void Server::loop() {
   done_cv_.notify_all();
 }
 
-bool Server::pump_conn(int fd, Conn& conn) {
-  if (conn.buf.empty()) return true;
-  HttpRequest req;
-  switch (parse_request(conn.buf, req)) {
-    case ParseStatus::Incomplete:
-      return true;
-    case ParseStatus::Bad:
-      metrics_.requests_total.inc();
-      metrics_.bad_requests.inc();
-      send_all(fd, format_response(400, "application/json",
-                                   json_error("malformed request")));
-      return false;
-    case ParseStatus::Ok:
-      break;
+void Server::pump_conn(int fd, Conn& conn) {
+  while (!conn.busy && !conn.dead && conn.out.empty() && !conn.in.empty()) {
+    HttpRequest req;
+    const ParseStatus st = parse_request(conn.in, req);
+    if (st == ParseStatus::Incomplete) return;
+    metrics_.requests_total.inc();
+    conn.busy = true;  // until deliver()
+    if (st == ParseStatus::Bad) {
+      deliver(fd, respond(400, "application/json",
+                          json_error("malformed request")));
+      conn.dead = true;
+    } else if (req.path == "/infer" && req.method == "POST") {
+      route_infer(fd, std::move(req));
+    } else {
+      answer_inline(fd, req);
+    }
   }
-  conn.busy = true;
-  // Admitted here, not in the handler, so a batch leader already waiting
-  // knows this request is on its way. Shared because ThreadPool tasks must
-  // be copyable; a task dropped unrun still ends the admission.
-  auto admission = std::make_shared<Coalescer::Admission>(
-      req.path == "/infer" ? coalescer_.admit() : Coalescer::Admission{});
-  pool_->submit([this, fd, r = std::move(req), admission]() mutable {
-    handle_request(fd, std::move(r), std::move(*admission));
-  });
-  return true;
 }
 
-void Server::handle_request(int fd, HttpRequest req,
-                            Coalescer::Admission admission) {
-  // Wall clock feeds only the /metrics latency histogram — serving
-  // telemetry, never simulation state, so seed-reproducibility is intact.
-  const auto t0 = std::chrono::steady_clock::now();  // imap-check: allow(nondet-source)
-  metrics_.requests_total.inc();
+void Server::answer_inline(int fd, const HttpRequest& req) {
   int status = 200;
   std::string content_type = "application/json";
   std::string body;
   try {
-    body = dispatch(req, status, content_type, std::move(admission));
+    body = dispatch(req, status, content_type);
   } catch (const CheckError& e) {
     status = 400;
     content_type = "application/json";
@@ -259,27 +257,213 @@ void Server::handle_request(int fd, HttpRequest req,
     content_type = "application/json";
     body = json_error(e.what());
   }
+  deliver(fd, respond(status, content_type, body));
+}
+
+void Server::route_infer(int fd, HttpRequest req) {
+  metrics_.infer_requests.inc();
+  // Wall clock feeds only the /metrics latency histogram — serving
+  // telemetry, never simulation state.
+  const auto t0 = Clock::now();  // imap-check: allow(nondet-source)
+  // `scenario` names a full threat-model scenario string; `env` is the
+  // historical spelling (and any env name IS a trivial scenario), so the two
+  // share one lookup path and one residency key space.
+  ModelKey key{req.param("scenario").empty() ? req.param("env")
+                                             : req.param("scenario"),
+               req.param("defense", "PPO")};
+  if (key.first.empty()) {
+    deliver(fd, respond(400, "application/json",
+                        json_error("missing env parameter")));
+  } else if (auto m = cache_.get(key.first, key.second, /*blocking=*/false)) {
+    route_rows(fd, std::move(req.body), std::move(m), t0);
+  } else {
+    park(std::move(key), fd, std::move(req.body), t0);
+  }
+}
+
+void Server::park(ModelKey key, int fd, std::string body,
+                  Clock::time_point t0) {
+  const auto [it, fresh] = parked_.try_emplace(key);
+  it->second.push_back(Parked{fd, std::move(body), t0});
+  if (!fresh) return;  // a build for this key is already on the pool
+  metrics_.pool_tasks.inc();
+  pool_->submit([this, key] {
+    std::shared_ptr<const ServedModel> model;
+    int status = 500;
+    std::string error;
+    try {
+      model = cache_.get(key.first, key.second);
+    } catch (const CheckError& e) {
+      status = 400;
+      error = e.what();
+    } catch (const std::exception& e) {
+      error = e.what();
+    }
+    // Every request parked on the key is routed in this one round.
+    post([this, key, model, status, error] {
+      auto parked = parked_.extract(key);
+      for (Parked& p : parked.mapped()) {
+        if (model != nullptr)
+          route_rows(p.fd, std::move(p.body), model, p.t0);
+        else
+          deliver(p.fd, respond(status, "application/json", json_error(error)));
+      }
+    });
+  });
+}
+
+std::string Server::parse_group(int fd, const std::string& body,
+                                Clock::time_point t0, Group& g) {
+  std::string error;
+  g.rows = parse_rows(body, g.model->handle.obs_dim(), g.obs, error);
+  if (g.rows == 0) return respond(400, "application/json", json_error(error));
+  metrics_.infer_rows.inc(g.rows);
+  g.members.push_back(Member{fd, g.rows, t0});
+  return {};
+}
+
+void Server::route_rows(int fd, std::string body,
+                        std::shared_ptr<const ServedModel> model,
+                        Clock::time_point t0) {
+  Group g;
+  g.model = std::move(model);
+  // A body too large to forward on the loop is parsed, forwarded and
+  // formatted on the pool, as its own forward.
+  const std::size_t lines =
+      static_cast<std::size_t>(std::count(body.begin(), body.end(), '\n')) +
+      (!body.empty() && body.back() != '\n' ? 1 : 0);
+  if (lines > 1 && !Coalescer::runs_inline(*g.model, lines)) {
+    metrics_.pool_tasks.inc();
+    pool_->submit([this, fd, body = std::move(body), g, t0]() mutable {
+      std::string error = parse_group(fd, body, t0, g);
+      Replies replies =
+          error.empty() ? answer_group(g) : Replies{{fd, std::move(error)}};
+      post([this, replies = std::move(replies)]() mutable {
+        for (auto& [to, response] : replies)
+          deliver(to, std::move(response), true);
+      });
+    });
+    return;
+  }
+  if (std::string error = parse_group(fd, body, t0, g); !error.empty()) {
+    deliver(fd, std::move(error));
+  } else if (g.rows > 1) {  // a multi-row body is its own forward
+    ready_.push_back(std::move(g));
+  } else {  // one row: joins this round's group for the snapshot
+    Group& open = round_[g.model.get()];
+    if (open.rows >= coalescer_.max_batch())
+      ready_.push_back(std::exchange(open, Group{}));
+    if (open.model == nullptr) open.model = g.model;
+    open.obs.insert(open.obs.end(), g.obs.begin(), g.obs.end());
+    open.rows += 1;
+    open.members.push_back(g.members.front());
+  }
+}
+
+void Server::run_groups() {
+  for (auto& [snapshot, g] : round_) ready_.push_back(std::move(g));
+  round_.clear();
+  for (Group& g : ready_) {
+    if (!Coalescer::runs_inline(*g.model, g.rows)) {
+      submit_group(std::move(g));
+      continue;
+    }
+    for (auto& [to, response] : answer_group(g))
+      deliver(to, std::move(response));
+  }
+  ready_.clear();
+}
+
+void Server::submit_group(Group group) {
+  std::shared_ptr<QueuedGroup>& queued = queued_[group.model.get()];
+  if (queued != nullptr) {
+    std::lock_guard<std::mutex> lk(queued->m);
+    Group& q = queued->group;
+    if (!queued->started && q.rows + group.rows <= coalescer_.max_batch()) {
+      q.obs.insert(q.obs.end(), group.obs.begin(), group.obs.end());
+      q.rows += group.rows;
+      q.members.insert(q.members.end(), group.members.begin(),
+                       group.members.end());
+      return;
+    }
+  }
+  queued = std::make_shared<QueuedGroup>();
+  queued->group = std::move(group);
+  metrics_.pool_tasks.inc();
+  pool_->submit([this, queued] {
+    Group g;
+    {
+      std::lock_guard<std::mutex> lk(queued->m);
+      queued->started = true;
+      g = std::move(queued->group);
+    }
+    post([this, queued, snapshot = g.model.get(),
+          replies = answer_group(g)]() mutable {
+      // Forget the started group unless a newer one took its place.
+      const auto it = queued_.find(snapshot);
+      if (it != queued_.end() && it->second == queued) queued_.erase(it);
+      for (auto& [to, response] : replies)
+        deliver(to, std::move(response), true);
+    });
+  });
+}
+
+Server::Replies Server::answer_group(const Group& g) {
+  Replies replies;
+  try {
+    const std::size_t act = g.model->handle.act_dim();
+    const nn::Batch& y = coalescer_.forward(*g.model, g.obs.data(), g.rows);
+    std::size_t row = 0;
+    std::string body;
+    for (const Member& m : g.members) {
+      body.clear();
+      for (const std::size_t end = row + m.rows; row < end; ++row)
+        append_row(body, y.row(row), act);
+      replies.emplace_back(m.fd, respond(200, "text/plain", body));
+    }
+  } catch (const std::exception& e) {
+    replies.clear();
+    for (const Member& m : g.members)
+      replies.emplace_back(
+          m.fd, respond(500, "application/json", json_error(e.what())));
+  }
+  const auto t1 = Clock::now();  // imap-check: allow(nondet-source)
+  for (const Member& m : g.members)
+    metrics_.infer_latency_us.record(static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(t1 - m.t0)
+            .count()));
+  return replies;
+}
+
+std::string Server::respond(int status, const std::string& content_type,
+                            const std::string& body) {
   if (status >= 400 && status < 500) metrics_.bad_requests.inc();
-  const bool delivered =
-      send_all(fd, format_response(status, content_type, body));
-  if (!delivered) metrics_.write_errors.inc();
-  if (req.path == "/infer") {
-    const auto t1 = std::chrono::steady_clock::now();  // imap-check: allow(nondet-source)
-    const auto us =
-        std::chrono::duration_cast<std::chrono::microseconds>(t1 - t0)
-            .count();
-    metrics_.infer_latency_us.record(static_cast<std::uint64_t>(us));
+  return format_response(status, content_type, body);
+}
+
+void Server::deliver(int fd, std::string response, bool pooled) {
+  if (!pooled) metrics_.inline_requests.inc();
+  const auto it = conns_.find(fd);
+  if (it == conns_.end() || it->second.dead) return;
+  Conn& conn = it->second;
+  conn.busy = false;
+  conn.out = std::move(response);  // a request is parsed only once flushed
+  flush(fd, conn);
+  if (!conn.in.empty()) again_ = true;
+}
+
+void Server::flush(int fd, Conn& conn) {
+  if (!send_some(fd, conn.out, conn.sent)) {
+    metrics_.write_errors.inc();  // the client died mid-response
+    conn.dead = true;
+  } else if (conn.sent == conn.out.size()) {
+    conn.out.clear();
+    conn.sent = 0;
   }
-  {
-    std::lock_guard<std::mutex> lk(comp_m_);
-    completed_.emplace_back(fd, delivered);
-  }
-  wake_loop();
 }
 
 std::string Server::dispatch(const HttpRequest& req, int& status,
-                             std::string& content_type,
-                             Coalescer::Admission admission) {
+                             std::string& content_type) {
   if (req.path == "/health") {
     std::string body = "{\"status\":\"ok\",\"models\":";
     body += std::to_string(cache_.size());
@@ -292,28 +476,17 @@ std::string Server::dispatch(const HttpRequest& req, int& status,
     content_type = "text/plain; version=0.0.4";
     return metrics_.render();
   }
-  if (req.path == "/infer") {
+  if (req.path == "/attack/train" || req.path == "/infer" ||
+      req.path == "/models/invalidate") {
     if (req.method != "POST") {
       status = 405;
       return json_error("POST only");
     }
-    content_type = "text/plain";
-    return route_infer(req, status, std::move(admission));
   }
-  if (req.path == "/attack/train") {
-    if (req.method != "POST") {
-      status = 405;
-      return json_error("POST only");
-    }
-    return route_attack_train(req, status);
-  }
+  if (req.path == "/attack/train") return route_attack_train(req, status);
   if (req.path == "/attack/status") return route_attack_status(req, status);
   if (req.path == "/models") return cache_.render_json();
   if (req.path == "/models/invalidate") {
-    if (req.method != "POST") {
-      status = 405;
-      return json_error("POST only");
-    }
     const std::string env = req.param("env");
     if (env.empty())
       cache_.invalidate_all();
@@ -323,73 +496,6 @@ std::string Server::dispatch(const HttpRequest& req, int& status,
   }
   status = 404;
   return json_error("no such route");
-}
-
-std::string Server::route_infer(const HttpRequest& req, int& status,
-                                Coalescer::Admission admission) {
-  metrics_.infer_requests.inc();
-  // `scenario` names a full threat-model scenario string; `env` is the
-  // historical spelling (and any env name IS a trivial scenario), so the two
-  // share one lookup path and one residency key space.
-  const std::string env =
-      req.param("scenario").empty() ? req.param("env") : req.param("scenario");
-  if (env.empty()) {
-    status = 400;
-    return json_error("missing env parameter");
-  }
-  const auto model = cache_.get(env, req.param("defense", "PPO"));
-
-  // Body: one observation per line.
-  std::vector<std::vector<double>> rows;
-  std::vector<double> row;
-  std::string line;  // hoisted: reuses capacity across body lines
-  std::size_t pos = 0;
-  const std::string& body = req.body;
-  while (pos <= body.size()) {
-    std::size_t eol = body.find('\n', pos);
-    if (eol == std::string::npos) eol = body.size();
-    line.assign(body, pos, eol - pos);
-    pos = eol + 1;
-    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-    if (!parse_row(line, row)) {
-      status = 400;
-      return json_error("non-numeric observation");
-    }
-    if (row.size() != model->handle.obs_dim()) {
-      status = 400;
-      return json_error("observation width mismatch");
-    }
-    rows.push_back(row);
-  }
-  if (rows.empty()) {
-    status = 400;
-    return json_error("empty body");
-  }
-  metrics_.infer_rows.inc(rows.size());
-
-  std::string out;
-  const std::size_t act = model->handle.act_dim();
-  if (rows.size() == 1) {
-    // Single row: ride the cross-connection coalescer.
-    const std::vector<double> action =
-        coalescer_.infer(model, rows[0], std::move(admission));
-    append_row(out, action.data(), act);
-    return out;
-  }
-  // A multi-row body is already a batch — straight to the kernel, and no
-  // leader should wait for it.
-  admission.release();
-  thread_local nn::Mlp::Workspace ws;
-  thread_local nn::Batch in;
-  in.resize(rows.size(), model->handle.obs_dim());
-  for (std::size_t i = 0; i < rows.size(); ++i) in.set_row(i, rows[i]);
-  const nn::Batch& actions = model->handle.query_batch(in, ws);
-  metrics_.coalesced_batches.inc();
-  metrics_.batch_size.record(rows.size());
-  out.reserve(rows.size() * act * 20);
-  for (std::size_t i = 0; i < rows.size(); ++i)
-    append_row(out, actions.row(i), act);
-  return out;
 }
 
 std::string Server::route_attack_train(const HttpRequest& req, int& status) {

@@ -21,6 +21,7 @@
 #include "common/serialize.h"
 #include "common/thread_pool.h"
 #include "core/zoo.h"
+#include "env/registry.h"
 #include "nn/checkpoint.h"
 #include "serve/coalescer.h"
 #include "serve/http.h"
@@ -161,6 +162,90 @@ TEST(HttpParse, ResponseRoundTripShape) {
   EXPECT_EQ(r.substr(r.size() - 5), "hello");
 }
 
+// ---------------------------------------------------- loopback clients ----
+
+/// A client connection; `rcvbuf` > 0 shrinks its receive buffer first.
+int connect_to(std::uint16_t port, int rcvbuf = 0) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  EXPECT_GE(fd, 0);
+  if (rcvbuf > 0) {
+    EXPECT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf,
+                           static_cast<socklen_t>(sizeof rcvbuf)),
+              0);
+  }
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  EXPECT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                      static_cast<socklen_t>(sizeof addr)),
+            0);
+  return fd;
+}
+
+/// Read exactly one HTTP response off `fd` (headers + Content-Length).
+/// `carry` holds bytes past the first response — pipelined replies can
+/// arrive in one segment, and a stateless reader would swallow the second
+/// response and then block forever waiting for bytes already consumed.
+std::string read_response(int fd, std::string* carry = nullptr) {
+  std::string local;
+  std::string& buf = carry != nullptr ? *carry : local;
+  char chunk[4096];
+  for (;;) {
+    const std::size_t head_end = buf.find("\r\n\r\n");
+    if (head_end != std::string::npos) {
+      const std::size_t cl = buf.find("Content-Length: ");
+      EXPECT_NE(cl, std::string::npos);
+      const std::size_t len = static_cast<std::size_t>(
+          std::strtoull(buf.c_str() + cl + 16, nullptr, 10));
+      if (buf.size() >= head_end + 4 + len) {
+        const std::string resp = buf.substr(0, head_end + 4 + len);
+        buf.erase(0, head_end + 4 + len);
+        return resp;
+      }
+    }
+    const ssize_t n = ::recv(fd, chunk, 4096, 0);
+    if (n <= 0) {
+      const std::string resp = buf;
+      buf.clear();
+      return resp;
+    }
+    buf.append(chunk, static_cast<std::size_t>(n));
+  }
+}
+
+int status_of(const std::string& response) {
+  return std::atoi(response.c_str() + 9);
+}
+
+std::string body_of(const std::string& response) {
+  const std::size_t head_end = response.find("\r\n\r\n");
+  return head_end == std::string::npos ? "" : response.substr(head_end + 4);
+}
+
+std::string http_request(const std::string& method, const std::string& target,
+                         const std::string& body = "") {
+  return method + " " + target + " HTTP/1.1\r\nContent-Length: " +
+         std::to_string(body.size()) + "\r\n\r\n" + body;
+}
+
+/// One-shot request on a fresh connection.
+std::string roundtrip_on(std::uint16_t port, const std::string& method,
+                         const std::string& target,
+                         const std::string& body = "") {
+  const int fd = connect_to(port);
+  EXPECT_TRUE(send_all(fd, http_request(method, target, body)));
+  const std::string resp = read_response(fd);
+  ::close(fd);
+  return resp;
+}
+
+/// Poll `done` every millisecond for at most `ms` milliseconds.
+bool eventually(const std::function<bool()>& done, int ms = 10'000) {
+  for (int i = 0; i < ms && !done(); ++i) sleep_ms(1);
+  return done();
+}
+
 // ----------------------------------------------------------- coalescer ----
 
 class CoalescerTest : public ::testing::Test {
@@ -168,9 +253,14 @@ class CoalescerTest : public ::testing::Test {
   void SetUp() override {
     dir_ = imap::testing::unique_temp_dir("imap_test_coalesce");
     std::filesystem::remove_all(dir_);
+    std::filesystem::create_directories(dir_);
     zoo_ = std::make_unique<core::Zoo>(dir_, 0.01, 7);
   }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
+  void TearDown() override {
+    if (server_ != nullptr) server_->stop();
+    server_.reset();
+    std::filesystem::remove_all(dir_);
+  }
 
   std::shared_ptr<const ServedModel> model(ModelCache& cache,
                                            std::uint64_t seed,
@@ -178,250 +268,205 @@ class CoalescerTest : public ::testing::Test {
     return cache.put(env, "PPO", make_net(seed));
   }
 
+  /// A server on this test's zoo, which holds no checkpoint yet.
+  Server& start_server(int threads = 4) {
+    ServeOptions opts;
+    opts.threads = threads;
+    opts.coalesce.max_batch = 8;
+    opts.cache.ttl_ms = 600'000;
+    opts.bench.zoo_dir = dir_;
+    opts.bench.scale = 0.01;
+    opts.bench.seed = 7;
+    server_ = std::make_unique<Server>(opts);
+    server_->start();
+    return *server_;
+  }
+
+  /// Send one single-row /infer on a fresh connection; returns the fd.
+  int send_infer(const std::string& env, const std::vector<double>& obs) {
+    const int fd = connect_to(server_->port());
+    EXPECT_TRUE(
+        send_all(fd, http_request("POST", "/infer?env=" + env,
+                                  format_row(obs))));
+    return fd;
+  }
+
+  /// Block `env`'s victim build, as a concurrent trainer would: the zoo
+  /// takes this lock before it trains a missing checkpoint.
+  std::unique_ptr<proc::FileLock> hold_build(const std::string& env) {
+    return std::make_unique<proc::FileLock>(
+        server_->zoo().checkpoint_path(env, "PPO") + ".lock");
+  }
+
+  /// Let a held build finish by loading `net` instead of training.
+  void release_build(const std::string& env,
+                     std::unique_ptr<proc::FileLock>& lock,
+                     const nn::GaussianPolicy& net) {
+    ASSERT_TRUE(
+        nn::save_policy(server_->zoo().checkpoint_path(env, "PPO"), net));
+    lock.reset();
+  }
+
   std::string dir_;
   std::unique_ptr<core::Zoo> zoo_;
+  std::unique_ptr<Server> server_;
 };
 
 TEST_F(CoalescerTest, ScatterGatherBitIdenticalToDirectQuery) {
   ServeMetrics metrics;
   ModelCache cache(*zoo_, {}, &metrics);
   const auto m = model(cache, 11);
+  const Coalescer co({}, &metrics);
 
-  Coalescer::Options copts;
-  copts.max_batch = 16;
-  copts.max_wait_us = 200'000;
-  Coalescer co(copts, &metrics);
-
-  // Admitted up front, as the server's poll loop does: the leader then
-  // knows followers are coming, however late their threads start.
-  constexpr std::size_t kClients = 16;
-  std::vector<Coalescer::Admission> admissions;
-  for (std::size_t i = 0; i < kClients; ++i) admissions.push_back(co.admit());
-  std::vector<std::vector<double>> got(kClients);
-  ThreadPool pool(kClients + 1);
-  ScopedPool scope(pool);
-  parallel_for(
-      kClients,
-      [&](std::size_t i) {
-        got[i] = co.infer(m, make_obs(i), std::move(admissions[i]));
-      },
-      1);
-
-  for (std::size_t i = 0; i < kClients; ++i)
-    EXPECT_EQ(got[i], m->handle.query(make_obs(i))) << "client " << i;
-  // The rows really were coalesced: fewer forwards than clients.
-  EXPECT_LT(metrics.coalesced_batches.get(), kClients);
-  EXPECT_GT(metrics.batch_size.max(), 1u);
-  EXPECT_LE(metrics.batch_size.max(), kClients);
-  EXPECT_EQ(metrics.batch_size.sum(), kClients);
-}
-
-TEST_F(CoalescerTest, DeadlineFlushesPartialBatch) {
-  ServeMetrics metrics;
-  ModelCache cache(*zoo_, {}, &metrics);
-  const auto m = model(cache, 3);
-
-  Coalescer::Options copts;
-  copts.max_batch = 64;  // never reachable with one client
-  copts.max_wait_us = 20'000;
-  Coalescer co(copts, &metrics);
-
-  // An admitted request that never joins keeps the leader waiting.
-  const Coalescer::Admission never_joins = co.admit();
-  const auto obs = make_obs(42);
-  EXPECT_EQ(co.infer(m, obs), m->handle.query(obs));
+  constexpr std::size_t kRows = 16;
+  std::vector<double> obs;
+  for (std::size_t i = 0; i < kRows; ++i) {
+    const auto row = make_obs(i);
+    obs.insert(obs.end(), row.begin(), row.end());
+  }
+  const nn::Batch& out = co.forward(*m, obs.data(), kRows);
+  ASSERT_EQ(out.rows(), kRows);
+  for (std::size_t i = 0; i < kRows; ++i)
+    EXPECT_EQ(std::vector<double>(out.row(i), out.row(i) + 3),
+              m->handle.query(make_obs(i)))
+        << "row " << i;
   EXPECT_EQ(metrics.coalesced_batches.get(), 1u);
-  EXPECT_EQ(metrics.batch_size.max(), 1u);  // flushed by the deadline alone
-  EXPECT_EQ(metrics.coalesce_wait_us.count(), 1u);
-  EXPECT_GE(metrics.coalesce_wait_us.max(), 19'000u);
-}
-
-/// Microseconds since `t0`, for generously bounded wait assertions.
-long long us_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
-/// Runs `body` on a worker thread; `done()` reports whether it returned.
-class Background {
- public:
-  explicit Background(std::function<void()> body) {
-    pool_.submit([this, body = std::move(body)] {
-      body();
-      done_.store(true);
-    });
-  }
-  bool done() const { return done_.load(); }
-  /// Poll until done, for at most `ms` milliseconds.
-  bool wait(int ms) {
-    for (int i = 0; i < ms && !done(); ++i) sleep_ms(1);
-    return done();
-  }
-
- private:
-  std::atomic<bool> done_{false};
-  ThreadPool pool_{2};
-};
-
-constexpr long long kLongWaitUs = 10'000'000;  // 10 s: never reached here
-
-TEST_F(CoalescerTest, LoneRequestDoesNotWaitForDeadline) {
-  ServeMetrics metrics;
-  ModelCache cache(*zoo_, {}, &metrics);
-  const auto m = model(cache, 4);
-  Coalescer::Options copts;
-  copts.max_wait_us = kLongWaitUs;
-  Coalescer co(copts, &metrics);
-
-  const auto obs = make_obs(8);
-  auto t0 = std::chrono::steady_clock::now();
-  EXPECT_EQ(co.infer(m, obs), m->handle.query(obs));
-  EXPECT_LT(us_since(t0), 1'000'000);
-  t0 = std::chrono::steady_clock::now();
-  EXPECT_EQ(co.infer(m, obs, co.admit()), m->handle.query(obs));
-  EXPECT_LT(us_since(t0), 1'000'000);
-  EXPECT_EQ(metrics.coalesced_batches.get(), 2u);
-}
-
-TEST_F(CoalescerTest, UnjoinedAdmissionHoldsLeaderUntilReleased) {
-  ServeMetrics metrics;
-  ModelCache cache(*zoo_, {}, &metrics);
-  const auto m = model(cache, 12);
-  Coalescer::Options copts;
-  copts.max_wait_us = kLongWaitUs;
-  Coalescer co(copts, &metrics);
-
-  Coalescer::Admission pending = co.admit();
-  const auto obs = make_obs(3);
-  std::vector<double> got;
-  const auto t0 = std::chrono::steady_clock::now();
-  Background leader([&] { got = co.infer(m, obs); });
-  sleep_ms(100);
-  EXPECT_FALSE(leader.done());  // still waiting for the admitted request
-  pending.release();
-  ASSERT_TRUE(leader.wait(5'000));
-  EXPECT_LT(us_since(t0), kLongWaitUs / 2);
-  EXPECT_EQ(got, m->handle.query(obs));
-}
-
-TEST_F(CoalescerTest, WidthMismatchEndsItsAdmission) {
-  ServeMetrics metrics;
-  ModelCache cache(*zoo_, {}, &metrics);
-  const auto m = model(cache, 13);
-  Coalescer::Options copts;
-  copts.max_wait_us = kLongWaitUs;
-  Coalescer co(copts, &metrics);
-
-  EXPECT_THROW(co.infer(m, make_obs(1, 7), co.admit()), CheckError);
-  const auto obs = make_obs(2);
-  const auto t0 = std::chrono::steady_clock::now();
-  EXPECT_EQ(co.infer(m, obs), m->handle.query(obs));
-  EXPECT_LT(us_since(t0), 1'000'000);
-}
-
-TEST_F(CoalescerTest, LeaderWaitsToMatchPreviousBatch) {
-  ServeMetrics metrics;
-  ModelCache cache(*zoo_, {}, &metrics);
-  const auto m = model(cache, 14);
-  Coalescer::Options copts;
-  copts.max_batch = 64;
-  copts.max_wait_us = kLongWaitUs;
-  Coalescer co(copts, &metrics);
-
-  // A batch of 4: all four admitted before any joins.
-  {
-    std::vector<Coalescer::Admission> admissions;
-    for (int i = 0; i < 4; ++i) admissions.push_back(co.admit());
-    ThreadPool pool(5);
-    ScopedPool scope(pool);
-    parallel_for(
-        4,
-        [&](std::size_t i) {
-          (void)co.infer(m, make_obs(i), std::move(admissions[i]));
-        },
-        1);
-  }
-  ASSERT_EQ(metrics.coalesced_batches.get(), 1u);
-  ASSERT_EQ(metrics.batch_size.max(), 4u);
-
-  // Three rows and nothing admitted: the leader holds out for a fourth.
-  const auto t0 = std::chrono::steady_clock::now();
-  std::vector<std::vector<double>> got(4);
-  std::vector<std::unique_ptr<Background>> rows;
-  for (std::size_t i = 0; i < 3; ++i)
-    rows.push_back(std::make_unique<Background>(
-        [&, i] { got[i] = co.infer(m, make_obs(10 + i)); }));
-  sleep_ms(100);
-  for (const auto& r : rows) EXPECT_FALSE(r->done());
-  EXPECT_EQ(metrics.coalesced_batches.get(), 1u);
-
-  got[3] = co.infer(m, make_obs(13));
-  for (const auto& r : rows) ASSERT_TRUE(r->wait(5'000));
-  EXPECT_LT(us_since(t0), kLongWaitUs / 2);
-  EXPECT_EQ(metrics.coalesced_batches.get(), 2u);
-  EXPECT_EQ(metrics.batch_size.sum(), 8u);
-  for (std::size_t i = 0; i < 4; ++i)
-    EXPECT_EQ(got[i], m->handle.query(make_obs(10 + i))) << "row " << i;
-}
-
-TEST_F(CoalescerTest, HotSwapsKeepPerModelStateBounded) {
-  ServeMetrics metrics;
-  ModelCache cache(*zoo_, {}, &metrics);
-  Coalescer co({}, &metrics);
-  const auto obs = make_obs(5);
-  for (std::uint64_t swap = 0; swap < 20; ++swap) {
-    const auto m = model(cache, 300 + swap);  // replaces the previous one
-    EXPECT_EQ(co.infer(m, obs), m->handle.query(obs));
-  }
-  EXPECT_LE(co.tracked_models(), 2u);
-}
-
-TEST_F(CoalescerTest, DistinctVictimsNeverShareABatch) {
-  ServeMetrics metrics;
-  ModelCache cache(*zoo_, {}, &metrics);
-  const auto a = model(cache, 100, "Hopper");
-  const auto b = model(cache, 200, "Walker2d");
-
-  Coalescer::Options copts;
-  copts.max_batch = 8;
-  copts.max_wait_us = 50'000;
-  Coalescer co(copts, &metrics);
-
-  constexpr std::size_t kClients = 12;
-  std::vector<std::vector<double>> got(kClients);
-  ThreadPool pool(kClients + 1);
-  ScopedPool scope(pool);
-  parallel_for(
-      kClients,
-      [&](std::size_t i) {
-        got[i] = co.infer(i % 2 == 0 ? a : b, make_obs(i));
-      },
-      1);
-  for (std::size_t i = 0; i < kClients; ++i) {
-    const auto& m = i % 2 == 0 ? a : b;
-    EXPECT_EQ(got[i], m->handle.query(make_obs(i))) << "client " << i;
-  }
+  EXPECT_EQ(metrics.batch_size.max(), kRows);
 }
 
 TEST_F(CoalescerTest, DisabledModeStaysBitIdentical) {
   ServeMetrics metrics;
   ModelCache cache(*zoo_, {}, &metrics);
   const auto m = model(cache, 5);
-
-  Coalescer::Options copts;
-  copts.enabled = false;
-  Coalescer co(copts, &metrics);
-  const auto obs = make_obs(9);
-  EXPECT_EQ(co.infer(m, obs), m->handle.query(obs));
+  for (const int max_batch : {-3, 0, 1}) {
+    Coalescer::Options copts;
+    copts.max_batch = max_batch;
+    const Coalescer co(copts, &metrics);
+    EXPECT_EQ(co.max_batch(), 1u);  // one row per forward
+    const auto obs = make_obs(9);
+    EXPECT_EQ(co.infer(m, obs), m->handle.query(obs));
+  }
   EXPECT_EQ(metrics.batch_size.max(), 1u);
 }
 
 TEST_F(CoalescerTest, RejectsWidthMismatch) {
   ModelCache cache(*zoo_, {});
   const auto m = model(cache, 6);
-  Coalescer co({});
+  const Coalescer co({});
   EXPECT_THROW(co.infer(m, make_obs(1, 7)), CheckError);
+}
+
+TEST_F(CoalescerTest, OneForwardPerVictimPerRound) {
+  Server& server = start_server();
+  // Requests parked on a cold victim are routed in the one poll round that
+  // sees its build finish, so they must share one forward.
+  auto lock = hold_build("Hopper");
+  constexpr std::size_t kClients = 6;
+  std::vector<int> fds;
+  for (std::size_t i = 0; i < kClients; ++i)
+    fds.push_back(send_infer("Hopper", make_obs(500 + i)));
+  ASSERT_TRUE(eventually(
+      [&] { return server.metrics().infer_requests.get() == kClients; }));
+  EXPECT_EQ(server.metrics().coalesced_batches.get(), 0u);
+  release_build("Hopper", lock, *make_net(1));
+
+  const auto direct = rl::PolicyHandle::serving(make_net(1), true);
+  for (std::size_t i = 0; i < kClients; ++i) {
+    EXPECT_EQ(body_of(read_response(fds[i])),
+              format_row(direct.query(make_obs(500 + i))))
+        << "client " << i;
+    ::close(fds[i]);
+  }
+  EXPECT_EQ(server.metrics().coalesced_batches.get(), 1u);
+  EXPECT_EQ(server.metrics().batch_size.max(), kClients);
+  EXPECT_EQ(server.metrics().pool_tasks.get(), 1u);  // the one build
+}
+
+TEST_F(CoalescerTest, DistinctVictimsNeverShareABatch) {
+  Server& server = start_server();
+  const std::size_t walker_obs =
+      env::make_training_env("Walker2d")->obs_dim();
+  const std::size_t walker_act =
+      env::make_training_env("Walker2d")->act_dim();
+  auto hopper_lock = hold_build("Hopper");
+  auto walker_lock = hold_build("Walker2d");
+  constexpr std::size_t kClients = 8;
+  std::vector<int> fds;
+  for (std::size_t i = 0; i < kClients; ++i)
+    fds.push_back(i % 2 == 0 ? send_infer("Hopper", make_obs(i))
+                             : send_infer("Walker2d", make_obs(i, walker_obs)));
+  ASSERT_TRUE(eventually(
+      [&] { return server.metrics().infer_requests.get() == kClients; }));
+  const auto walker = make_net(2, walker_obs, walker_act);
+  release_build("Hopper", hopper_lock, *make_net(1));
+  release_build("Walker2d", walker_lock, *walker);
+
+  const auto hopper_direct = rl::PolicyHandle::serving(make_net(1), true);
+  const auto walker_direct = rl::PolicyHandle::serving(walker, true);
+  for (std::size_t i = 0; i < kClients; ++i) {
+    const auto expect = i % 2 == 0
+                            ? hopper_direct.query(make_obs(i))
+                            : walker_direct.query(make_obs(i, walker_obs));
+    EXPECT_EQ(body_of(read_response(fds[i])), format_row(expect))
+        << "client " << i;
+    ::close(fds[i]);
+  }
+  EXPECT_EQ(server.metrics().coalesced_batches.get(), 2u);
+  EXPECT_EQ(server.metrics().batch_size.max(), kClients / 2);
+}
+
+TEST_F(CoalescerTest, HotSwappedSnapshotNeverSharesAForwardWithItsPredecessor) {
+  // One pool worker, kept busy by a held Walker2d build: forwards too large
+  // for the loop queue behind it, taking rows until the worker starts them.
+  Server& server = start_server(/*threads=*/1);
+  const auto big = [](std::uint64_t seed) {
+    Rng rng(seed);
+    return std::make_shared<const nn::GaussianPolicy>(
+        11, 3, std::vector<std::size_t>{512, 512}, rng);
+  };
+  const auto old_net = big(40);
+  const auto new_net = big(41);
+  const auto old_model = server.model_cache().put("Hopper", "PPO", old_net);
+  ASSERT_FALSE(Coalescer::runs_inline(*old_model, 1));
+
+  auto walker_lock = hold_build("Walker2d");
+  const std::size_t walker_obs =
+      env::make_training_env("Walker2d")->obs_dim();
+  const int walker_fd = send_infer("Walker2d", make_obs(0, walker_obs));
+  ASSERT_TRUE(eventually(
+      [&] { return server.metrics().pool_tasks.get() == 1u; }));
+
+  std::vector<int> fds;
+  fds.push_back(send_infer("Hopper", make_obs(1)));  // old snapshot
+  ASSERT_TRUE(eventually(
+      [&] { return server.metrics().pool_tasks.get() == 2u; }));
+  server.model_cache().put("Hopper", "PPO", new_net);  // hot swap
+  fds.push_back(send_infer("Hopper", make_obs(2)));  // new snapshot
+  ASSERT_TRUE(eventually(
+      [&] { return server.metrics().pool_tasks.get() == 3u; }));
+  fds.push_back(send_infer("Hopper", make_obs(3)));  // joins the queued group
+  ASSERT_TRUE(eventually(
+      [&] { return server.metrics().infer_requests.get() == 4u; }));
+  sleep_ms(20);  // one more poll round: the row reached its group
+  EXPECT_EQ(server.metrics().pool_tasks.get(), 3u);
+  release_build("Walker2d", walker_lock,
+                *make_net(2, walker_obs,
+                          env::make_training_env("Walker2d")->act_dim()));
+
+  const auto old_direct = rl::PolicyHandle::serving(old_net, true);
+  const auto new_direct = rl::PolicyHandle::serving(new_net, true);
+  EXPECT_EQ(body_of(read_response(fds[0])),
+            format_row(old_direct.query(make_obs(1))));
+  EXPECT_EQ(body_of(read_response(fds[1])),
+            format_row(new_direct.query(make_obs(2))));
+  EXPECT_EQ(body_of(read_response(fds[2])),
+            format_row(new_direct.query(make_obs(3))));
+  EXPECT_EQ(status_of(read_response(walker_fd)), 200);
+  for (const int fd : fds) ::close(fd);
+  ::close(walker_fd);
+  // Old snapshot alone, new snapshot's two rows together, the Walker2d row.
+  EXPECT_EQ(server.metrics().coalesced_batches.get(), 3u);
+  EXPECT_EQ(server.metrics().batch_size.max(), 2u);
 }
 
 // ---------------------------------------------------------- model cache ----
@@ -592,7 +637,6 @@ class ServerTest : public ::testing::Test {
     opts.port = 0;  // ephemeral
     opts.threads = 16;
     opts.coalesce.max_batch = 8;
-    opts.coalesce.max_wait_us = 2'000;
     opts.cache.ttl_ms = 600'000;
     opts.bench.zoo_dir = dir_;
     opts.bench.scale = 0.01;
@@ -611,69 +655,12 @@ class ServerTest : public ::testing::Test {
     std::filesystem::remove_all(dir_);
   }
 
-  int connect_client() {
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    EXPECT_GE(fd, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(server_->port());
-    EXPECT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                        static_cast<socklen_t>(sizeof addr)),
-              0);
-    return fd;
-  }
-
-  /// Read exactly one HTTP response off `fd` (headers + Content-Length).
-  /// `carry` holds bytes past the first response — pipelined replies can
-  /// arrive in one segment, and a stateless reader would swallow the second
-  /// response and then block forever waiting for bytes already consumed.
-  static std::string read_response(int fd, std::string* carry = nullptr) {
-    std::string local;
-    std::string& buf = carry != nullptr ? *carry : local;
-    char chunk[4096];
-    for (;;) {
-      const std::size_t head_end = buf.find("\r\n\r\n");
-      if (head_end != std::string::npos) {
-        const std::size_t cl = buf.find("Content-Length: ");
-        EXPECT_NE(cl, std::string::npos);
-        const std::size_t len = static_cast<std::size_t>(
-            std::strtoull(buf.c_str() + cl + 16, nullptr, 10));
-        if (buf.size() >= head_end + 4 + len) {
-          const std::string resp = buf.substr(0, head_end + 4 + len);
-          buf.erase(0, head_end + 4 + len);
-          return resp;
-        }
-      }
-      const ssize_t n = ::recv(fd, chunk, 4096, 0);
-      if (n <= 0) {
-        const std::string resp = buf;
-        buf.clear();
-        return resp;
-      }
-      buf.append(chunk, static_cast<std::size_t>(n));
-    }
-  }
-
-  static int status_of(const std::string& response) {
-    return std::atoi(response.c_str() + 9);
-  }
-
-  static std::string body_of(const std::string& response) {
-    const std::size_t head_end = response.find("\r\n\r\n");
-    return head_end == std::string::npos ? "" : response.substr(head_end + 4);
-  }
+  int connect_client() { return connect_to(server_->port()); }
 
   /// One-shot request on a fresh connection.
   std::string roundtrip(const std::string& method, const std::string& target,
                         const std::string& body = "") {
-    const int fd = connect_client();
-    std::string req = method + " " + target + " HTTP/1.1\r\nContent-Length: " +
-                      std::to_string(body.size()) + "\r\n\r\n" + body;
-    EXPECT_TRUE(send_all(fd, req));
-    const std::string resp = read_response(fd);
-    ::close(fd);
-    return resp;
+    return roundtrip_on(server_->port(), method, target, body);
   }
 
   std::string dir_;
@@ -748,6 +735,10 @@ TEST_F(ServerTest, ErrorPaths) {
   EXPECT_EQ(status_of(roundtrip("POST", "/infer", "1 2 3\n")), 400);
   EXPECT_EQ(status_of(roundtrip("POST", "/infer?env=Hopper", "1 2\n")), 400);
   EXPECT_EQ(status_of(roundtrip("POST", "/infer?env=Hopper", "a b c\n")), 400);
+  // A non-finite observation has no int8 code: malformed, like text.
+  for (const char* row :
+       {"nan 0 0 0 0 0 0 0 0 0 0\n", "0 0 0 inf 0 0 0 0 0 0 0\n"})
+    EXPECT_EQ(status_of(roundtrip("POST", "/infer?env=Hopper", row)), 400);
   EXPECT_EQ(status_of(roundtrip("GET", "/infer?env=Hopper")), 405);
   EXPECT_EQ(status_of(roundtrip("GET", "/no/such/route")), 404);
   EXPECT_EQ(status_of(roundtrip("GET", "/attack/status?id=99")), 404);
@@ -801,6 +792,88 @@ TEST_F(ServerTest, PipelinedRequestsAnswerInOrder) {
   const std::string second = read_response(fd, &carry);
   EXPECT_EQ(status_of(second), 200);
   ::close(fd);
+}
+
+TEST_F(ServerTest, CacheMissGoesToThePoolWhileHealthAnswers) {
+  // The Walker2d victim is not resident and its build is held: the /infer
+  // waits on the pool while the loop keeps answering.
+  const auto walker = env::make_training_env("Walker2d");
+  const std::string ckpt = server_->zoo().checkpoint_path("Walker2d", "PPO");
+  auto lock = std::make_unique<proc::FileLock>(ckpt + ".lock");
+  const int fd = connect_client();
+  const auto obs = make_obs(8, walker->obs_dim());
+  ASSERT_TRUE(send_all(
+      fd, http_request("POST", "/infer?env=Walker2d", format_row(obs))));
+  ASSERT_TRUE(eventually(
+      [&] { return server_->metrics().pool_tasks.get() == 1u; }));
+  for (int i = 0; i < 3; ++i)
+    EXPECT_EQ(status_of(roundtrip("GET", "/health")), 200);
+  EXPECT_EQ(server_->metrics().infer_rows.get(), 0u);  // still waiting
+
+  const auto net = make_net(3, walker->obs_dim(), walker->act_dim());
+  ASSERT_TRUE(nn::save_policy(ckpt, *net));
+  lock.reset();
+  EXPECT_EQ(body_of(read_response(fd)),
+            format_row(rl::PolicyHandle::serving(net, true).query(obs)));
+  ::close(fd);
+  EXPECT_EQ(server_->metrics().cache_misses.get(), 1u);
+  EXPECT_GE(server_->metrics().inline_requests.get(), 4u);
+}
+
+TEST_F(ServerTest, LargeResponseArrivesWholeToALateReader) {
+  // A response far larger than the client's receive buffer, read only after
+  // the server has long had it ready: the loop must keep the rest until the
+  // socket has room, not count a full buffer as a dead peer.
+  constexpr std::size_t kRows = 100'000;
+  // Short tokens keep the 100k-row request under kMaxRequestBytes; the
+  // answer rows are full-precision, about 6 MB in all.
+  const std::vector<double> obs = {0.5,  -0.5, 1.0, -1.0, 0.25, -0.25,
+                                   0.0,  2.0,  -2.0, 0.75, -0.75};
+  const std::string row = format_row(obs);
+  std::string body;
+  body.reserve(row.size() * kRows);
+  for (std::size_t i = 0; i < kRows; ++i) body += row;
+
+  const int fd = connect_to(server_->port(), /*rcvbuf=*/4096);
+  ASSERT_TRUE(send_all(fd, http_request("POST", "/infer?env=Hopper", body)));
+  ASSERT_TRUE(eventually(
+      [&] { return server_->metrics().infer_rows.get() == kRows; }));
+  sleep_ms(1000);
+
+  const std::string resp = read_response(fd);
+  ::close(fd);
+  ASSERT_EQ(status_of(resp), 200);
+  const std::string expect_row = format_row(
+      rl::PolicyHandle::serving(make_net(1), /*quantized=*/true).query(obs));
+  const std::string got = body_of(resp);
+  ASSERT_EQ(got.size(), expect_row.size() * kRows);
+  for (std::size_t i = 0; i < kRows; ++i)
+    ASSERT_EQ(got.compare(i * expect_row.size(), expect_row.size(), expect_row),
+              0)
+        << "row " << i;
+  EXPECT_EQ(server_->metrics().write_errors.get(), 0u);
+}
+
+TEST_F(ServerTest, PipeliningNonReaderDoesNotStallOtherConnections) {
+  // A client pipelines requests whose answers overflow its socket and never
+  // reads them. Its connection waits for room; every other one is served.
+  const int hog = connect_client();
+  std::string burst;
+  for (int i = 0; i < 2'000; ++i) burst += http_request("GET", "/metrics");
+  const ssize_t sent =
+      ::send(hog, burst.data(), burst.size(), MSG_NOSIGNAL | MSG_DONTWAIT);
+  ASSERT_GT(sent, 0);
+  ASSERT_TRUE(eventually(
+      [&] { return server_->metrics().requests_total.get() >= 50u; }));
+  for (int i = 0; i < 3; ++i) {
+    const auto health = roundtrip("GET", "/health");
+    EXPECT_EQ(status_of(health), 200);
+  }
+  const auto obs = make_obs(5);
+  EXPECT_EQ(body_of(roundtrip("POST", "/infer?env=Hopper", format_row(obs))),
+            format_row(
+                rl::PolicyHandle::serving(make_net(1), true).query(obs)));
+  ::close(hog);
 }
 
 TEST_F(ServerTest, ModelsLifecycleOverHttp) {

@@ -80,7 +80,7 @@ stage "bench-smoke (google-benchmark suites at min_time=0.01s, fabric and serve 
 CI_SCENARIO='hopper+obs_perturb:0.075+obs_delay:1+dr[mass:0.9..1.1]@7'
 "${BUILD_DIR}/tools/scenario_ls" "${CI_SCENARIO}" \
   || { echo "ci: scenario string failed validation"; exit 1; }
-# Serving-coalescer probe at smoke scale: every cell still runs (including
+# Serving probe at smoke scale: every cell still runs (including
 # the bit-identity comparison against direct PolicyHandle queries — the
 # probe exits nonzero on any mismatch), just with tiny iteration counts.
 ( cd "${BUILD_DIR}" &&
@@ -126,14 +126,15 @@ rm -rf "${GATE_CWD}"
 
 stage "serve (daemon lifecycle: start, concurrent smoke, clean shutdown)"
 # End-to-end drill of the imap_serve daemon as a real process: ephemeral
-# port, resident victim trained at smoke scale on the warm-up /infer, a lone
-# /infer that must not wait out the 2 s coalescing deadline, concurrent curl
-# clients, Prometheus scrape, then SIGTERM and a clean exit.
+# port, resident victim trained at smoke scale on the warm-up /infer while
+# the poll loop keeps answering /health, a lone /infer that must answer at
+# once, concurrent curl clients, Prometheus scrape, then SIGTERM and a clean
+# exit.
 SERVE_ZOO="$(pwd)/${BUILD_DIR}/ci_serve_zoo"
 SERVE_LOG="$(pwd)/${BUILD_DIR}/ci_serve_port"
 rm -rf "${SERVE_ZOO}" "${SERVE_LOG}"
-IMAP_ZOO_DIR="${SERVE_ZOO}" IMAP_BENCH_SCALE=0.01 IMAP_SERVE_PORT=0 \
-  IMAP_SERVE_MAX_WAIT_US=2000000 \
+# Scale 0.3: the warm-up /infer trains the victim for about a second.
+IMAP_ZOO_DIR="${SERVE_ZOO}" IMAP_BENCH_SCALE=0.3 IMAP_SERVE_PORT=0 \
   "${BUILD_DIR}/tools/imap_serve" --print-port > "${SERVE_LOG}" &
 SERVE_PID=$!
 for _ in $(seq 1 50); do
@@ -145,19 +146,29 @@ SERVE_PORT="$(head -n1 "${SERVE_LOG}")"
 curl -fsS "http://127.0.0.1:${SERVE_PORT}/health" | grep -q '"status":"ok"' \
   || { echo "ci: /health failed"; kill "${SERVE_PID}"; exit 1; }
 SERVE_OBS="$(python3 -c 'print(" ".join(["0.01"] * 11))')"
-# Warm-up /infer trains the victim; then a lone /infer has nobody to wait
-# for, so it must answer well inside the 2 s deadline.
+# Warm-up /infer trains the victim on a pool worker; /health must answer
+# while it does. Then the victim is resident and a lone /infer is answered
+# by the poll loop itself.
 curl -fsS -o /dev/null -d "${SERVE_OBS}" \
-  "http://127.0.0.1:${SERVE_PORT}/infer?env=Hopper" \
+  "http://127.0.0.1:${SERVE_PORT}/infer?env=Hopper" &
+WARM_PID=$!
+curl -fsS --max-time 5 "http://127.0.0.1:${SERVE_PORT}/health" \
+  | grep -q '"status":"ok"' \
+  || { echo "ci: /health did not answer during training"; kill "${SERVE_PID}"; exit 1; }
+# No model was built yet: /health answered while the victim trained.
+curl -fsS "http://127.0.0.1:${SERVE_PORT}/metrics" \
+  | grep -q '^imap_serve_cache_misses_total 0$' \
+  || { echo "ci: the victim finished training before /health answered"; kill "${SERVE_PID}"; exit 1; }
+wait "${WARM_PID}" \
   || { echo "ci: warm-up /infer failed"; kill "${SERVE_PID}"; exit 1; }
 SERVE_LONE_S="$(curl -fsS -o /dev/null -w '%{time_total}' -d "${SERVE_OBS}" \
   "http://127.0.0.1:${SERVE_PORT}/infer?env=Hopper")" \
   || { echo "ci: lone /infer failed"; kill "${SERVE_PID}"; exit 1; }
 python3 -c "import sys; sys.exit(0 if float('${SERVE_LONE_S}') < 1.0 else 1)" \
-  || { echo "ci: lone /infer took ${SERVE_LONE_S}s (waited out the deadline)"
+  || { echo "ci: lone /infer took ${SERVE_LONE_S}s"
        kill "${SERVE_PID}"; exit 1; }
 # Concurrent inference smoke: identical observations must produce identical
-# action rows whether or not they shared a coalesced batch.
+# action rows whether or not they shared a forward.
 for i in 1 2 3 4; do
   curl -fsS -d "${SERVE_OBS}" \
     "http://127.0.0.1:${SERVE_PORT}/infer?env=Hopper" \
@@ -172,8 +183,8 @@ done
 SERVE_METRICS="$(curl -fsS "http://127.0.0.1:${SERVE_PORT}/metrics")"
 grep -q '^imap_serve_infer_requests_total 6$' <<< "${SERVE_METRICS}" \
   || { echo "ci: /metrics did not count 6 infers"; kill "${SERVE_PID}"; exit 1; }
-grep -q '^imap_serve_coalesce_wait_us_count ' <<< "${SERVE_METRICS}" \
-  || { echo "ci: /metrics has no coalesce_wait_us"; kill "${SERVE_PID}"; exit 1; }
+grep -Eq '^imap_serve_inline_requests_total [1-9]' <<< "${SERVE_METRICS}" \
+  || { echo "ci: /metrics counts no inline answers"; kill "${SERVE_PID}"; exit 1; }
 kill -TERM "${SERVE_PID}"
 wait "${SERVE_PID}"
 SERVE_RC=$?

@@ -2,20 +2,20 @@
 //
 // Loads the victim zoo once, keeps hot models resident in a TTL'd cache and
 // answers HTTP on 127.0.0.1 (see src/serve/server.h for the route table).
-// Concurrent single-row /infer requests for the same victim are coalesced
-// into one batched int8 forward — responses stay bit-identical to direct
-// per-request queries. A batch leader waits for followers only while
-// another admitted /infer can still join; a lone request answers at once.
+// One poll loop answers every request whose victim is resident, in one hop;
+// the single-row /infer requests one poll round reads for the same victim
+// share one batched int8 forward — responses stay bit-identical to direct
+// per-request queries, and nothing waits for rows that have not arrived.
+// Cold model builds and forwards too large for the loop go to the pool.
 //
 //   Usage: imap_serve [--port N] [--print-port]
 //
 // Configuration (flags override environment):
 //   IMAP_SERVE_PORT         listen port, 0..65535 (default 8950; 0 = ephemeral)
-//   IMAP_SERVE_THREADS      request-handler workers, 1..256 (default 8)
-//   IMAP_SERVE_MAX_BATCH    rows per coalesced forward, 0..4096 (default 32)
-//   IMAP_SERVE_MAX_WAIT_US  upper bound on a batch leader's wait for
-//                           followers in microseconds, 0..10^7 (default 200)
-//   IMAP_SERVE_COALESCE     1/0: cross-connection coalescing (default 1)
+//   IMAP_SERVE_THREADS      pool workers for model builds and large
+//                           forwards, 1..256 (default 8)
+//   IMAP_SERVE_MAX_BATCH    rows per grouped forward, 0..4096 (default 32;
+//                           0 or 1: one row per forward)
 //   IMAP_SERVE_QUANT        1/0: serve victims through int8 (default 1)
 //   IMAP_SERVE_CACHE_TTL_MS model-cache TTL, 0..86400000 (default 60000)
 //   IMAP_SERVE_CACHE_CAP    resident-model capacity, 1..4096 (default 16)
@@ -69,9 +69,6 @@ int main(int argc, char** argv) {
         imap::env_int("IMAP_SERVE_PORT", 8950, 0, kMaxPort));
     opts.threads = env_knob("IMAP_SERVE_THREADS", 8, 1, 256);
     opts.coalesce.max_batch = env_knob("IMAP_SERVE_MAX_BATCH", 32, 0, 4096);
-    opts.coalesce.max_wait_us =
-        imap::env_int("IMAP_SERVE_MAX_WAIT_US", 200, 0, 10'000'000);
-    opts.coalesce.enabled = env_knob("IMAP_SERVE_COALESCE", 1, 0, 1) != 0;
     opts.cache.quant = env_knob("IMAP_SERVE_QUANT", 1, 0, 1) != 0;
     opts.cache.ttl_ms =
         imap::env_int("IMAP_SERVE_CACHE_TTL_MS", 60'000, 0, 86'400'000);
@@ -108,9 +105,7 @@ int main(int argc, char** argv) {
   if (print_port) std::cout << server.port() << std::endl;
   std::cerr << "imap_serve: listening on 127.0.0.1:" << server.port()
             << " (zoo: " << opts.bench.zoo_dir
-            << ", coalesce: " << (opts.coalesce.enabled ? "on" : "off")
             << ", max_batch: " << opts.coalesce.max_batch
-            << ", max_wait_us: " << opts.coalesce.max_wait_us
             << ", quant: " << (opts.cache.quant ? "int8" : "fp64") << ")\n";
 
   // The server runs on its own pool; this thread blocks on the self-pipe

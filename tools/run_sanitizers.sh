@@ -6,11 +6,12 @@
 #
 #   ASan  : full tier-1 suite (heap/stack corruption, leaks).
 #   UBSan : full tier-1 suite (signed overflow, bad shifts, misaligned loads).
-#   TSan  : thread-pool, parallel-determinism, golden-trace, coalescer and
-#           server suites — the concurrent paths (GoldenTrace's 4-thread pool
-#           runs the PPO update's per-network tasks, intrinsic critic and
-#           regularizer hook included); the full suite under TSan is ~20x and
-#           adds nothing.
+#   TSan  : thread-pool, parallel-determinism, golden-trace, coalescer,
+#           server and serve-fuzz suites — the concurrent paths
+#           (GoldenTrace's 4-thread pool runs the PPO update's per-network
+#           tasks, intrinsic critic and regularizer hook included; the server
+#           suites hand model builds and large forwards between the poll loop
+#           and the pool); the full suite under TSan is ~20x and adds nothing.
 #
 # Usage: tools/run_sanitizers.sh [asan|ubsan|tsan ...]   (default: all three)
 set -u
