@@ -51,9 +51,7 @@ std::string node_label(const core::DagNode& node) {
           ? plan.env_name + "/" + plan.defense + "/" +
                 core::to_string(plan.attack) +
                 (plan.bias_reduction ? "+BR" : "")
-      : node.kind == core::DagNode::Kind::Victim
-          ? "victim/" + node.env_name + "/" + node.defense
-          : "victim/" + node.env_name;
+          : "victim/" + node.env_name + "/" + node.defense;
   for (auto& c : label)
     if (c == ' ') c = '-';
   return label;

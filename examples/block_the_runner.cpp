@@ -50,7 +50,7 @@ int main() {
   const auto game = env::make_multiagent_env("YouShallNotPass");
 
   std::cout << "Training (or loading) the runner victim...\n";
-  const auto victim_policy = zoo.game_victim("YouShallNotPass");
+  const auto victim_policy = zoo.victim("YouShallNotPass");
   const auto victim = core::Zoo::as_policy(victim_policy);
   const attack::OpponentEnv attack_env(*game, victim);
 

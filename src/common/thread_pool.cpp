@@ -44,6 +44,12 @@ void ThreadPool::submit(std::function<void()> task) {
     deques_[idx]->q.push_back(std::move(task));
   }
   pending_.fetch_add(1, std::memory_order_release);
+  // Pass through sleep_m_ before notifying: a worker that saw pending_ == 0
+  // under the lock is then already blocked in wait() and gets the wake-up,
+  // instead of missing it between its predicate check and its wait.
+  {
+    std::lock_guard<std::mutex> lk(sleep_m_);
+  }
   sleep_cv_.notify_one();
 }
 
@@ -187,6 +193,9 @@ void parallel_for_chunked(
   }
   // The caller takes the first chunk, then helps drain the pool while the
   // rest finish — this is also what keeps nested parallel_for deadlock-free.
+  // The latch wait re-checks every 1 ms: nothing signals the latch when
+  // some other thread submits a task, so the re-check is how a waiting
+  // caller finds, and helps with, work queued after it started waiting.
   run_range(body, 0, n / nchunks, *latch);
   while (latch->remaining.load(std::memory_order_acquire) != 0) {
     if (pool->try_run_one()) continue;

@@ -38,9 +38,9 @@ class ThreadPool {
   /// Total concurrency (worker threads + the participating caller).
   std::size_t size() const { return concurrency_; }
 
-  /// Enqueue one task. Tasks submitted from a pool worker go to that
-  /// worker's own deque (LIFO, cache-friendly); external submissions are
-  /// distributed round-robin.
+  /// Enqueue one task on the next deque in round-robin order, whoever
+  /// submits it. A worker pops its own deque FIFO and steals from the back
+  /// of the others.
   void submit(std::function<void()> task);
 
   /// Run one pending task on the calling thread, if any. Returns false when

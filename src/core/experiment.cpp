@@ -10,6 +10,7 @@
 #include "attack/random_attack.h"
 #include "common/check.h"
 #include "common/proc.h"
+#include "core/resumable.h"
 #include "env/registry.h"
 #include "scenario/scenario_env.h"
 #include "scenario/spec.h"
@@ -182,48 +183,30 @@ bool identical_results(const AttackOutcome& a, const AttackOutcome& b) {
 
 namespace {
 
-/// Snapshot/halt policy for one attack-training run.
-struct ResumeCfg {
-  std::string snap;          ///< snapshot file ("" disables persistence)
-  int every = 0;             ///< iterations between periodic snapshots
-  long long halt_after = 0;  ///< stop after N iterations this process
-};
-
-/// Drive `attacker` (PpoAttacker / ImapTrainer) to `steps`, resuming from
-/// and periodically writing a snapshot that carries the trainer state plus
-/// the learning curve so far. Returns false if halted early by halt_after.
+/// An attacker (PpoAttacker / ImapTrainer) as a resumable session: one unit
+/// is one PPO iteration and appends one learning-curve point. The curve so
+/// far rides in the snapshot's "runner/curve" section.
 template <typename Attacker>
-bool train_attacker(Attacker& attacker, long long steps, const ResumeCfg& rc,
-                    std::vector<CurvePoint>& curve) {
-  ArchiveReader a;
-  if (!rc.snap.empty() && ArchiveReader::load(rc.snap, a)) {
+struct AttackSession {
+  Attacker& attacker;
+  long long steps;
+  std::vector<CurvePoint>& curve;
+
+  bool done() const { return attacker.trainer().steps_done() >= steps; }
+  void advance() {
+    const auto s = attacker.iterate();
+    curve.push_back({s.total_steps, s.mean_surrogate, s.tau});
+  }
+  void save_state(ArchiveWriter& a) const {
+    attacker.save_state(a);
+    write_curve(a.section("runner/curve"), curve);
+  }
+  void load_state(const ArchiveReader& a) {
     attacker.load_state(a);
     auto r = a.section("runner/curve");
     curve = read_curve(r);
   }
-  long long iters = 0;
-  while (attacker.trainer().steps_done() < steps) {
-    const auto s = attacker.iterate();
-    curve.push_back({s.total_steps, s.mean_surrogate, s.tau});
-    ++iters;
-    const bool more = attacker.trainer().steps_done() < steps;
-    const bool halting = rc.halt_after > 0 && iters >= rc.halt_after && more;
-    const bool periodic = rc.every > 0 && iters % rc.every == 0 && more;
-    if (!rc.snap.empty() && (halting || periodic)) {
-      std::filesystem::create_directories(
-          std::filesystem::path(rc.snap).parent_path());
-      ArchiveWriter w;
-      attacker.save_state(w);
-      auto& c = w.section("runner/curve");
-      write_curve(c, curve);
-      IMAP_CHECK_MSG(w.save(rc.snap),
-                     "failed to write snapshot " << rc.snap);
-    }
-    if (halting) return false;
-  }
-  if (!rc.snap.empty()) std::filesystem::remove(rc.snap);
-  return true;
-}
+};
 
 /// The two views of one cell: the adversary's training env and the
 /// VictimTrue env the attack is evaluated on. A game is an OpponentEnv; a
@@ -257,11 +240,9 @@ CellEnvs make_cell_envs(const AttackPlan& plan,
 AttackOutcome ExperimentRunner::run_cell(const AttackPlan& plan,
                                          const std::string& key,
                                          long long steps, int episodes) {
-  const bool game = env::spec(plan.env_name).type == env::TaskType::MultiAgent;
-  const auto victim_policy = game ? zoo_.game_victim(plan.env_name)
-                                  : zoo_.victim(plan.env_name, plan.defense);
   // Network-backed handle: vectorized attack rollouts can batch the victim.
-  const auto victim = Zoo::as_policy(victim_policy);
+  const auto victim =
+      Zoo::as_policy(*zoo_.victim_shared(plan.env_name, plan.defense));
   const CellEnvs envs = make_cell_envs(plan, victim);
 
   Rng rng = plan_rng(plan);
@@ -282,13 +263,15 @@ AttackOutcome ExperimentRunner::run_cell(const AttackPlan& plan,
     case AttackKind::SaRl:
     case AttackKind::ApMarl: {
       attack::PpoAttacker attacker(*envs.attack, attack_ppo_options(), rng);
-      out.completed = train_attacker(attacker, steps, rc, out.curve);
+      AttackSession session{attacker, steps, out.curve};
+      out.completed = run_resumable(session, rc);
       adversary = attacker.adversary();
       break;
     }
     default: {
       ImapTrainer attacker(*envs.attack, imap_options(plan), rng);
-      out.completed = train_attacker(attacker, steps, rc, out.curve);
+      AttackSession session{attacker, steps, out.curve};
+      out.completed = run_resumable(session, rc);
       adversary = attacker.adversary();
       break;
     }

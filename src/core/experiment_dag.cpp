@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/thread_pool.h"
-#include "env/registry.h"
 
 namespace imap::core {
 
@@ -13,7 +12,7 @@ std::vector<DagNode> build_experiment_dag(
     ExperimentRunner& runner, const std::vector<AttackPlan>& plans,
     std::vector<std::size_t>& node_of_plan) {
   std::vector<DagNode> nodes;
-  std::unordered_map<std::string, std::size_t> victim_of;  // identity → node
+  std::unordered_map<std::string, std::size_t> victim_of;  // checkpoint → node
   std::unordered_map<std::string, std::size_t> attack_of;  // cache key → node
   node_of_plan.assign(plans.size(), 0);
   for (std::size_t i = 0; i < plans.size(); ++i) {
@@ -21,19 +20,12 @@ std::vector<DagNode> build_experiment_dag(
     // attack node however they were spelled, and a scenario cell's victim
     // node is the BASE env's victim (shared with the baseline cells).
     const AttackPlan plan = runner.normalize_plan(plans[i]);
-    const bool multi =
-        env::spec(plan.env_name).type == env::TaskType::MultiAgent;
-    // Victim checkpoint identity: the game for multi-agent tasks, the
-    // TRAINING env × defense for single-agent ones (sparse tasks deploy
-    // their dense counterpart's victim — see Zoo::victim).
     const std::string vkey =
-        multi ? "game|" + plan.env_name
-              : env::make_training_env(plan.env_name)->name() + "|" +
-                    plan.defense;
+        runner.zoo().checkpoint_path(plan.env_name, plan.defense);
     auto vit = victim_of.find(vkey);
     if (vit == victim_of.end()) {
       DagNode v;
-      v.kind = multi ? DagNode::Kind::GameVictim : DagNode::Kind::Victim;
+      v.kind = DagNode::Kind::Victim;
       v.env_name = plan.env_name;
       v.defense = plan.defense;
       vit = victim_of.emplace(vkey, nodes.size()).first;
@@ -85,10 +77,7 @@ std::vector<AttackOutcome> DagScheduler::run(
     const auto t0 = std::chrono::steady_clock::now();  // imap-check: allow(nondet-source)
     switch (node.kind) {
       case DagNode::Kind::Victim:
-        runner_.zoo().victim(node.env_name, node.defense);
-        break;
-      case DagNode::Kind::GameVictim:
-        runner_.zoo().game_victim(node.env_name);
+        runner_.zoo().victim_shared(node.env_name, node.defense);
         break;
       case DagNode::Kind::Attack:
         node_out[n] = runner_.run(node.plan);

@@ -9,20 +9,20 @@
 namespace imap::core {
 
 /// One node of the experiment dependency DAG. The paper's grid factors as
-/// victim training (per checkpoint identity: training env × defense, or
-/// game) → attack training → evaluation; attack cells of the same victim
-/// are independent once its checkpoint exists, so they parallelise freely.
+/// victim training (per victim checkpoint) → attack training → evaluation;
+/// attack cells of the same victim are independent once its checkpoint
+/// exists, so they parallelise freely.
 struct DagNode {
-  enum class Kind { Victim, GameVictim, Attack };
+  enum class Kind { Victim, Attack };
   Kind kind = Kind::Attack;
   std::string env_name;  ///< victims: env the zoo request names; attacks: task
-  std::string defense;   ///< single-agent victim nodes only
+  std::string defense;   ///< victim nodes only (games ignore it)
   AttackPlan plan;       ///< attack nodes only
   std::vector<std::size_t> deps;  ///< node indices that must finish first
 };
 
-/// Build the dependency DAG for `plans`: one victim node per checkpoint
-/// identity (training env × defense; sparse tasks share their dense
+/// Build the dependency DAG for `plans`: one victim node per victim
+/// checkpoint (Zoo::checkpoint_path, so sparse tasks share their dense
 /// counterpart's victim), one attack node per unique cache key, and each
 /// attack depending on its victim. `node_of_plan[i]` maps plan i to its
 /// (possibly shared) attack node.

@@ -79,17 +79,4 @@ void ImapTrainer::load_state(const ArchiveReader& a) {
   reg_->load_state(reg);
 }
 
-bool ImapTrainer::snapshot(const std::string& path) const {
-  ArchiveWriter a;
-  save_state(a);
-  return a.save(path);
-}
-
-bool ImapTrainer::restore(const std::string& path) {
-  ArchiveReader a;
-  if (!ArchiveReader::load(path, a)) return false;
-  load_state(a);
-  return true;
-}
-
 }  // namespace imap::core

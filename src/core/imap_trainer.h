@@ -77,8 +77,6 @@ class ImapTrainer {
   /// bit-identically.
   void save_state(ArchiveWriter& a) const;
   void load_state(const ArchiveReader& a);
-  bool snapshot(const std::string& path) const;
-  bool restore(const std::string& path);
 
  private:
   ImapOptions opts_;

@@ -6,6 +6,7 @@
 
 #include "common/check.h"
 #include "common/proc.h"
+#include "core/resumable.h"
 #include "defense/victim_trainer.h"
 #include "env/multiagent.h"
 #include "env/registry.h"
@@ -126,11 +127,7 @@ nn::GaussianPolicy Zoo::victim(const std::string& env_name,
 
 std::shared_ptr<const nn::GaussianPolicy> Zoo::victim_shared(
     const std::string& scenario_or_env, const std::string& defense) {
-  const std::string env_name = base_env(scenario_or_env);
-  const auto training_env = env::make_training_env(env_name);
-  // Key the cache by the TRAINING env so sparse tasks reuse the victim of
-  // their dense counterpart (SparseHopper deploys the Hopper victim, etc.).
-  const auto path = path_for(training_env->name(), defense);
+  const auto path = checkpoint_path(scenario_or_env, defense);
   if (auto cached = load_memoized(path)) return cached;
   // Concurrent runs wanting the same victim serialize here; the
   // loser of the race finds the winner's finished checkpoint on re-check
@@ -139,84 +136,47 @@ std::shared_ptr<const nn::GaussianPolicy> Zoo::victim_shared(
   // an archive re-read.
   proc::FileLock lock(path + ".lock");
   if (auto cached = load_memoized(path)) return cached;
-  defense::DefenseOptions opts;
-  opts.eps = env::spec(env_name).epsilon;
-  opts.reg_coef = 1.0;
 
-  // Deterministic per-(training-env, defense) seed from the base seed.
+  // Deterministic per-victim seed from the base seed: keyed by the game, or
+  // by the TRAINING env × defense for single-agent tasks.
+  const std::string env_name = base_env(scenario_or_env);
+  const bool game = env::spec(env_name).type == env::TaskType::MultiAgent;
+  const std::unique_ptr<rl::Env> training_env =
+      game ? std::make_unique<env::VictimSideEnv>(
+                 *env::make_multiagent_env(env_name),
+                 env::victim_training_pool(env_name))
+           : env::make_training_env(env_name);
   Rng seeder(seed_);
   std::uint64_t stream = 0;
-  for (const char c : training_env->name() + "|" + defense)
+  for (const char c : game ? env_name : training_env->name() + "|" + defense)
     stream = stream * 131 + static_cast<unsigned char>(c);
-  Rng rng = seeder.split(stream);
 
-  defense::VictimTrainSession session(*training_env,
-                                      defense::defense_from_string(defense),
-                                      victim_steps(env_name), opts, rng);
-  // Resume a run this process (or a previous one) left unfinished.
-  const std::string snap = path + ".snap";
-  session.restore(snap);
-  int since_snapshot = 0;
-  while (!session.done()) {
-    session.advance();
-    if (snapshot_every_ > 0 && ++since_snapshot >= snapshot_every_ &&
-        !session.done()) {
-      IMAP_CHECK_MSG(session.snapshot(snap),
-                     "failed to write snapshot " << snap);
-      since_snapshot = 0;
-    }
+  defense::DefenseOptions opts;
+  if (game) {
+    // Competitive-game victims need wider exploration to discover the
+    // multi-stage skill (reach ball → dribble → score / dodge → sprint).
+    opts.ppo.ent_coef = 0.01;
+    opts.ppo.init_log_std = -0.2;
+  } else {
+    opts.eps = env::spec(env_name).epsilon;
+    opts.reg_coef = 1.0;
   }
-  auto policy = session.policy();
-  IMAP_CHECK_MSG(nn::save_policy(path, policy),
-                 "failed to write checkpoint " << path);
-  std::filesystem::remove(snap);  // the finished checkpoint supersedes it
-  return remember(path, std::move(policy));
-}
-
-nn::GaussianPolicy Zoo::game_victim(const std::string& game_name) {
-  return *game_victim_shared(game_name);
+  defense::VictimTrainSession session(
+      *training_env,
+      game ? defense::DefenseKind::Game : defense::defense_from_string(defense),
+      victim_steps(env_name), opts, seeder.split(stream));
+  // Resumes a run this process (or a previous one) left unfinished; the
+  // snapshot outlives the run until the finished checkpoint is on disk.
+  run_resumable(session, ResumeCfg{path + ".snap", snapshot_every_}, [&] {
+    IMAP_CHECK_MSG(nn::save_policy(path, session.policy()),
+                   "failed to write checkpoint " << path);
+  });
+  return remember(path, session.policy());
 }
 
 std::shared_ptr<const nn::GaussianPolicy> Zoo::game_victim_shared(
     const std::string& game_name) {
-  const auto path = path_for(game_name, "PPO");
-  if (auto cached = load_memoized(path)) return cached;
-  proc::FileLock lock(path + ".lock");
-  if (auto cached = load_memoized(path)) return cached;
-
-  const auto game = env::make_multiagent_env(game_name);
-  env::VictimSideEnv training_env(*game,
-                                  env::victim_training_pool(game_name));
-
-  Rng seeder(seed_);
-  std::uint64_t stream = 0;
-  for (const char c : game_name) stream = stream * 131 + static_cast<unsigned char>(c);
-  Rng rng = seeder.split(stream);
-
-  // Competitive-game victims need wider exploration to discover the
-  // multi-stage skill (reach ball → dribble → score / dodge → sprint).
-  rl::PpoOptions ppo;
-  ppo.ent_coef = 0.01;
-  ppo.init_log_std = -0.2;
-  rl::PpoTrainer trainer(training_env, ppo, rng);
-  const std::string snap = path + ".snap";
-  trainer.restore(snap);
-  const long long steps = victim_steps(game_name);
-  int since_snapshot = 0;
-  while (trainer.steps_done() < steps) {
-    trainer.iterate();
-    if (snapshot_every_ > 0 && ++since_snapshot >= snapshot_every_ &&
-        trainer.steps_done() < steps) {
-      IMAP_CHECK_MSG(trainer.snapshot(snap),
-                     "failed to write snapshot " << snap);
-      since_snapshot = 0;
-    }
-  }
-  auto policy = trainer.policy();
-  IMAP_CHECK_MSG(nn::save_policy(path, policy),
-                 "failed to write checkpoint " << path);
-  std::filesystem::remove(snap);
-  return remember(path, std::move(policy));
+  return victim_shared(game_name, "PPO");
 }
 
 }  // namespace imap::core

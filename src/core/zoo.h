@@ -26,9 +26,11 @@ class Zoo {
   Zoo(std::string dir, double scale, std::uint64_t seed,
       int snapshot_every = 0);
 
-  /// Single-agent victim for `env_name`, trained with `defense`
-  /// ("PPO", "ATLA", "SA", "ATLA-SA", "RADIAL", "WocaR"). Sparse tasks train
-  /// on their dense counterparts (see env::make_training_env). Any scenario
+  /// Victim for `env_name`. A single-agent task's victim is trained with
+  /// `defense` ("PPO", "ATLA", "SA", "ATLA-SA", "RADIAL", "WocaR"); sparse
+  /// tasks train on their dense counterparts (see env::make_training_env).
+  /// A competitive game's victim (runner / kicker) is trained by PPO against
+  /// the scripted opponent pool, whatever `defense` says. Any scenario
   /// string is accepted and resolves to its BASE env's victim — the
   /// checkpoint is a property of the task, not the threat model, so every
   /// scenario over one env shares one artifact and plain env names keep
@@ -36,16 +38,13 @@ class Zoo {
   nn::GaussianPolicy victim(const std::string& env_name,
                             const std::string& defense = "PPO");
 
-  /// Competitive-game victim (runner / kicker), trained by PPO against the
-  /// scripted opponent pool.
-  nn::GaussianPolicy game_victim(const std::string& game_name);
-
   /// Shared-ownership variants backed by the in-memory memo: a warm lookup
   /// (checkpoint already verified, file unchanged on disk) costs one stat()
   /// and a shared_ptr copy — no archive re-read, no CRC re-check, no weight
   /// copy. This is the lookup the serving daemon's model cache rides.
   std::shared_ptr<const nn::GaussianPolicy> victim_shared(
       const std::string& env_name, const std::string& defense = "PPO");
+  /// victim_shared(game_name, "PPO").
   std::shared_ptr<const nn::GaussianPolicy> game_victim_shared(
       const std::string& game_name);
 

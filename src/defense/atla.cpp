@@ -174,19 +174,6 @@ void AtlaTrainer::load_state(const ArchiveReader& a) {
   victim_.load_state(a);
 }
 
-bool AtlaTrainer::snapshot(const std::string& path) const {
-  ArchiveWriter a;
-  save_state(a);
-  return a.save(path);
-}
-
-bool AtlaTrainer::restore(const std::string& path) {
-  ArchiveReader a;
-  if (!ArchiveReader::load(path, a)) return false;
-  load_state(a);
-  return true;
-}
-
 nn::GaussianPolicy train_victim_atla(const rl::Env& training_env,
                                      bool with_sa, long long steps,
                                      double eps, double reg_coef,

@@ -86,8 +86,6 @@ class AtlaTrainer {
   /// trainer state (plus the SA hook's Rng when with_sa).
   void save_state(ArchiveWriter& a) const;
   void load_state(const ArchiveReader& a);
-  bool snapshot(const std::string& path) const;
-  bool restore(const std::string& path);
 
  private:
   void enter_round_env();

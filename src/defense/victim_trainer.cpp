@@ -16,6 +16,7 @@ std::string to_string(DefenseKind kind) {
     case DefenseKind::ATLA_SA: return "ATLA-SA";
     case DefenseKind::RADIAL: return "RADIAL";
     case DefenseKind::WocaR: return "WocaR";
+    case DefenseKind::Game: return "Game";
   }
   return "?";
 }
@@ -47,8 +48,12 @@ VictimTrainSession::VictimTrainSession(const rl::Env& training_env,
         opts_.reg_coef, opts_.ppo, opts_.atla_rounds,
         opts_.atla_adversary_fraction, rng);
   } else {
-    trainer_ = std::make_unique<rl::PpoTrainer>(training_env, opts_.ppo,
-                                                rng.split(1));
+    // A game's trainer takes the session stream unsplit: that is the
+    // stream every game checkpoint was trained from, so splitting it would
+    // change every game victim.
+    trainer_ = std::make_unique<rl::PpoTrainer>(
+        training_env, opts_.ppo,
+        kind_ == DefenseKind::Game ? rng : rng.split(1));
   }
 }
 
@@ -71,7 +76,7 @@ void VictimTrainSession::advance() {
   // perturbations. Experiencing perturbation at speed is what lets the
   // victim retreat to the slower, robust gait.
   if (phase_ == 0 && kind_ != DefenseKind::Vanilla &&
-      trainer_->steps_done() >= steps_ / 2) {
+      kind_ != DefenseKind::Game && trainer_->steps_done() >= steps_ / 2) {
     enter_perturbed_phase();
     phase_ = 1;
   }
@@ -143,19 +148,6 @@ void VictimTrainSession::load_state(const ArchiveReader& a) {
     hook_rng_->load_state(hr);
   }
   trainer_->load_state(a);
-}
-
-bool VictimTrainSession::snapshot(const std::string& path) const {
-  ArchiveWriter a;
-  save_state(a);
-  return a.save(path);
-}
-
-bool VictimTrainSession::restore(const std::string& path) {
-  ArchiveReader a;
-  if (!ArchiveReader::load(path, a)) return false;
-  load_state(a);
-  return true;
 }
 
 nn::GaussianPolicy train_victim(const rl::Env& training_env, DefenseKind kind,

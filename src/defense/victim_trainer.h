@@ -14,8 +14,10 @@ namespace imap::defense {
 
 /// The victim-training methods evaluated in Table 1 (Sec. 7): vanilla PPO,
 /// two adversarial-training defenses (ATLA, ATLA-SA) and three
-/// robust-regularizer defenses (SA, RADIAL, WocaR).
-enum class DefenseKind { Vanilla, ATLA, SA, ATLA_SA, RADIAL, WocaR };
+/// robust-regularizer defenses (SA, RADIAL, WocaR). `Game` is vanilla PPO
+/// on a competitive game's victim side (env::VictimSideEnv); it is not a
+/// Table 1 row, so all_defenses() and defense_from_string() leave it out.
+enum class DefenseKind { Vanilla, ATLA, SA, ATLA_SA, RADIAL, WocaR, Game };
 
 std::string to_string(DefenseKind kind);
 DefenseKind defense_from_string(const std::string& name);
@@ -55,8 +57,6 @@ class VictimTrainSession {
 
   void save_state(ArchiveWriter& a) const;
   void load_state(const ArchiveReader& a);
-  bool snapshot(const std::string& path) const;
-  bool restore(const std::string& path);
 
  private:
   void enter_perturbed_phase();

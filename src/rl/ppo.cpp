@@ -402,17 +402,4 @@ void PpoTrainer::load_state(const ArchiveReader& a) {
   }
 }
 
-bool PpoTrainer::snapshot(const std::string& path) const {
-  ArchiveWriter a;
-  save_state(a);
-  return a.save(path);
-}
-
-bool PpoTrainer::restore(const std::string& path) {
-  ArchiveReader a;
-  if (!ArchiveReader::load(path, a)) return false;
-  load_state(a);
-  return true;
-}
-
 }  // namespace imap::rl

@@ -125,12 +125,6 @@ class PpoTrainer {
   void save_state(ArchiveWriter& a) const;
   void load_state(const ArchiveReader& a);
 
-  /// Crash-safe file snapshot (atomic write); returns false on I/O failure.
-  bool snapshot(const std::string& path) const;
-  /// Restore from `path`: false if the file does not exist; corrupt or
-  /// mismatched checkpoints throw CheckError.
-  bool restore(const std::string& path);
-
  private:
   /// Loss partials of one minibatch's policy task.
   struct PolicyPartial {

@@ -137,7 +137,6 @@ void VecEnv::collect(const nn::GaussianPolicy& policy,
     obs_b_.resize(live, odim);
     for (std::size_t r = 0; r < live; ++r)
       obs_b_.set_row(r, slots_[r].cur_obs);
-    if (obs_norm_ != nullptr) obs_norm_->update_batch(obs_b_);
 
     // One batched mean and one batched value answer the whole tick; each
     // row is bit-identical to a one-row batch of that slot alone.

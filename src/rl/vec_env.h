@@ -7,7 +7,6 @@
 #include "nn/batch.h"
 #include "nn/gaussian.h"
 #include "rl/env.h"
-#include "rl/normalizer.h"
 #include "rl/replay.h"
 #include "rl/rollout.h"
 #include "rl/split_step.h"
@@ -62,12 +61,6 @@ class VecEnv {
   EnvSlot& slot(std::size_t i) { return slots_[i]; }
   const EnvSlot& slot(std::size_t i) const { return slots_[i]; }
 
-  /// Optional running observation tracker: when set, collect() folds all
-  /// live observations of a tick with one update_batch call (telemetry
-  /// only — normalized values never feed back into the rollout, so the
-  /// buffers stay bit-identical with or without it).
-  void set_obs_normalizer(VecNormalizer* norm) { obs_norm_ = norm; }
-
   /// Lockstep vectorized collection. Slot i runs budgets[offset+i] steps
   /// into its own buffer (bit-identical to a one-slot VecEnv on the same
   /// state). Episode state persists across calls.
@@ -98,7 +91,6 @@ class VecEnv {
   /// All slots split their step around the SAME network-backed frozen
   /// policy, so their per-tick victim queries merge into one batch.
   bool victim_batchable_ = false;
-  VecNormalizer* obs_norm_ = nullptr;
 
   // Per-engine scratch (grows to the high-water mark once, then reused).
   // One workspace per network, so each keeps its transpose cache warm.

@@ -176,6 +176,40 @@ TEST(DagScheduler, BuildsDedupedVictimDag) {
   std::filesystem::remove_all(cfg.zoo_dir);
 }
 
+TEST(DagScheduler, VictimNodesAreKeyedByTheZooCheckpoint) {
+  // One victim node kind for games and single-agent tasks, one node per
+  // Zoo::checkpoint_path: a game's victim ignores the plan's defense, so
+  // both game cells share it.
+  auto cfg = small_cfg(testing::unique_temp_dir("fabric_dag_keys"));
+  core::ExperimentRunner runner(cfg);
+  std::vector<core::AttackPlan> plans;
+  for (const auto& [env_name, defense, attack] :
+       std::vector<std::tuple<std::string, std::string, core::AttackKind>>{
+           {"YouShallNotPass", "PPO", core::AttackKind::ApMarl},
+           {"YouShallNotPass", "ATLA", core::AttackKind::ImapR},
+           {"Hopper", "SA", core::AttackKind::ImapR}}) {
+    core::AttackPlan p;
+    p.env_name = env_name;
+    p.defense = defense;
+    p.attack = attack;
+    plans.push_back(p);
+  }
+  std::vector<std::size_t> node_of_plan;
+  const auto nodes = core::build_experiment_dag(runner, plans, node_of_plan);
+  std::vector<std::string> victim_paths;
+  for (const auto& n : nodes)
+    if (n.kind == core::DagNode::Kind::Victim)
+      victim_paths.push_back(
+          runner.zoo().checkpoint_path(n.env_name, n.defense));
+  EXPECT_EQ(victim_paths,
+            (std::vector<std::string>{
+                runner.zoo().checkpoint_path("YouShallNotPass", "PPO"),
+                runner.zoo().checkpoint_path("Hopper", "SA")}));
+  ASSERT_EQ(node_of_plan.size(), 3u);
+  EXPECT_EQ(nodes[node_of_plan[0]].deps, nodes[node_of_plan[1]].deps);
+  std::filesystem::remove_all(cfg.zoo_dir);
+}
+
 TEST(DagScheduler, HaltedGridResumesFromSnapshotsAndStaleLocks) {
   // The crashed-run shape, in process: every attack cell halts after one
   // training iteration (leaving its snapshot, caching no result), and each

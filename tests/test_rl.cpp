@@ -6,7 +6,6 @@
 #include "rl/env.h"
 #include "rl/evaluate.h"
 #include "rl/gae.h"
-#include "rl/normalizer.h"
 #include "rl/ppo.h"
 #include "rl/space.h"
 
@@ -113,29 +112,6 @@ TEST(Gae, NormalizeAdvantages) {
   std::vector<double> flat{2.0, 2.0, 2.0};
   normalize_advantages(flat);
   EXPECT_DOUBLE_EQ(flat[0], 2.0);
-}
-
-TEST(Normalizer, MatchesBatchStatistics) {
-  Rng rng(5);
-  VecNormalizer norm(2);
-  std::vector<double> xs0, xs1;
-  for (int i = 0; i < 1000; ++i) {
-    const std::vector<double> x{rng.normal(3.0, 2.0), rng.normal(-1.0, 0.5)};
-    xs0.push_back(x[0]);
-    xs1.push_back(x[1]);
-    norm.update(x);
-  }
-  EXPECT_NEAR(norm.mean()[0], mean(xs0), 1e-9);
-  EXPECT_NEAR(norm.mean()[1], mean(xs1), 1e-9);
-  const auto z = norm.normalize({3.0, -1.0});
-  EXPECT_NEAR(z[0], (3.0 - mean(xs0)) / stddev(xs0), 0.01);
-}
-
-TEST(Normalizer, ScalarScaler) {
-  ScalarScaler s;
-  for (int i = 0; i < 100; ++i) s.update(i % 2 ? 1.0 : -1.0);
-  EXPECT_NEAR(s.stddev(), 1.0, 1e-6);
-  EXPECT_NEAR(s.scale(2.0), 2.0, 1e-4);
 }
 
 TEST(Ppo, LearnsTheLineTask) {

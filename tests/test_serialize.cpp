@@ -18,7 +18,6 @@
 #include "nn/checkpoint.h"
 #include "nn/gaussian.h"
 #include "nn/mlp.h"
-#include "rl/normalizer.h"
 #include "temp_dir.h"
 
 namespace imap {
@@ -255,38 +254,6 @@ TEST_F(SerializeTest, GaussianPolicyRoundTrip) {
 
   EXPECT_EQ(q.flat_params(), p.flat_params());
   EXPECT_EQ(q.log_std(), p.log_std());
-}
-
-TEST_F(SerializeTest, VecNormalizerRoundTrip) {
-  Rng rng(5);
-  rl::VecNormalizer norm(3);
-  for (int i = 0; i < 50; ++i) norm.update(rng.normal_vec(3, 1.0, 2.0));
-
-  BinaryWriter w;
-  norm.save_state(w);
-  rl::VecNormalizer restored(3);
-  BinaryReader r(w.buffer());
-  restored.load_state(r);
-
-  const auto x = rng.normal_vec(3, 0.0, 1.0);
-  EXPECT_EQ(restored.normalize(x), norm.normalize(x));
-  EXPECT_EQ(restored.count(), norm.count());
-
-  rl::VecNormalizer wrong(4);
-  BinaryReader r2(w.buffer());
-  EXPECT_THROW(wrong.load_state(r2), CheckError);
-}
-
-TEST_F(SerializeTest, ScalarScalerRoundTrip) {
-  rl::ScalarScaler s;
-  for (int i = 0; i < 20; ++i) s.update(0.5 * i);
-  BinaryWriter w;
-  s.save_state(w);
-  rl::ScalarScaler restored;
-  BinaryReader r(w.buffer());
-  restored.load_state(r);
-  EXPECT_EQ(restored.stddev(), s.stddev());
-  EXPECT_EQ(restored.scale(3.0), s.scale(3.0));
 }
 
 TEST_F(SerializeTest, KnnBufferRoundTripContinuesReservoir) {

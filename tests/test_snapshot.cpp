@@ -3,7 +3,8 @@
 // iterations — every stat and every parameter must be bit-identical to a run
 // that never stopped. Covers the PPO trainer (serial and vectorized), the
 // IMAP attack stack (KNN union buffers + BR dual state), ATLA alternation,
-// the victim-training session, the zoo and the experiment runner.
+// the victim-training session of every kind, the resumable driver
+// (core::run_resumable), the zoo and the experiment runner.
 
 #include <gtest/gtest.h>
 
@@ -11,22 +12,34 @@
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
+#include <memory>
+#include <ostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
 #include "common/serialize.h"
 #include "core/experiment.h"
 #include "core/imap_trainer.h"
+#include "core/resumable.h"
 #include "core/zoo.h"
 #include "defense/atla.h"
 #include "defense/victim_trainer.h"
 #include "env/hopper.h"
+#include "env/multiagent.h"
+#include "env/registry.h"
 #include "env/sparse.h"
 #include "rl/ppo.h"
 #include "temp_dir.h"
 
 namespace imap {
+
+namespace defense {
+// Readable parameter values in test listings.
+void PrintTo(DefenseKind kind, std::ostream* os) { *os << to_string(kind); }
+}  // namespace defense
+
 namespace {
 
 rl::PpoOptions tiny_ppo() {
@@ -59,6 +72,48 @@ void expect_same_stats(const std::vector<rl::IterStats>& a,
   for (std::size_t i = 0; i < a.size(); ++i) expect_same_stats(a[i], b[i]);
 }
 
+/// Write `t`'s full state to a snapshot file.
+template <typename T>
+void save_snapshot(const T& t, const std::string& path) {
+  ArchiveWriter a;
+  t.save_state(a);
+  ASSERT_TRUE(a.save(path));
+}
+
+/// Load a snapshot file into `t`.
+template <typename T>
+void load_snapshot(T& t, const std::string& path) {
+  ArchiveReader a;
+  ASSERT_TRUE(ArchiveReader::load(path, a));
+  t.load_state(a);
+}
+
+/// Forwards a session to run_resumable and counts the units it advances.
+template <typename Session>
+struct CountingSession {
+  Session& inner;
+  int units = 0;
+
+  bool done() const { return inner.done(); }
+  void advance() {
+    inner.advance();
+    ++units;
+  }
+  void save_state(ArchiveWriter& a) const { inner.save_state(a); }
+  void load_state(const ArchiveReader& a) { inner.load_state(a); }
+};
+
+/// A PPO trainer as a run_resumable session: one unit is one iteration.
+struct PpoSession {
+  rl::PpoTrainer& trainer;
+  long long steps;
+
+  bool done() const { return trainer.steps_done() >= steps; }
+  void advance() { trainer.iterate(); }
+  void save_state(ArchiveWriter& a) const { trainer.save_state(a); }
+  void load_state(const ArchiveReader& a) { trainer.load_state(a); }
+};
+
 class SnapshotTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -82,10 +137,10 @@ class SnapshotTest : public ::testing::Test {
     rl::PpoTrainer first(env, opts, Rng(17));
     for (int i = 0; i < snap_at; ++i) first.iterate();
     const std::string snap = path("ppo.snap");
-    ASSERT_TRUE(first.snapshot(snap));
+    save_snapshot(first, snap);
 
     rl::PpoTrainer resumed(env, opts, Rng(17));
-    ASSERT_TRUE(resumed.restore(snap));
+    load_snapshot(resumed, snap);
     EXPECT_EQ(resumed.steps_done(), first.steps_done());
     std::vector<rl::IterStats> got(want.begin(), want.begin() + snap_at);
     for (int i = snap_at; i < total_iters; ++i) got.push_back(resumed.iterate());
@@ -120,19 +175,27 @@ TEST_F(SnapshotTest, PpoResumesVectorizedRolloutBitIdentically) {
 TEST_F(SnapshotTest, PpoRestoreRejectsMismatchedTrainer) {
   const auto env = env::make_hopper();
   rl::PpoTrainer t(*env, tiny_ppo(), Rng(17));
-  t.iterate();
+  PpoSession halted{t, 3 * 128};
   const std::string snap = path("ppo.snap");
-  ASSERT_TRUE(t.snapshot(snap));
+  ASSERT_FALSE(core::run_resumable(halted, {snap, 0, /*halt_after=*/1}));
+  ASSERT_TRUE(std::filesystem::exists(snap));
 
-  // Missing file: quiet false (the caller starts fresh).
+  // Missing file: no resume, the run starts fresh and matches a trainer
+  // that never saw a snapshot.
   rl::PpoTrainer fresh(*env, tiny_ppo(), Rng(17));
-  EXPECT_FALSE(fresh.restore(path("missing.snap")));
+  PpoSession from_missing{fresh, 128};
+  EXPECT_TRUE(core::run_resumable(from_missing, {path("missing.snap")}));
+  rl::PpoTrainer straight(*env, tiny_ppo(), Rng(17));
+  straight.iterate();
+  EXPECT_EQ(fresh.steps_done(), straight.steps_done());
+  EXPECT_EQ(fresh.policy().flat_params(), straight.policy().flat_params());
 
   // Wrong architecture: loud CheckError, never a silent mis-read.
   auto other = tiny_ppo();
   other.hidden = {8};
   rl::PpoTrainer mismatched(*env, other, Rng(17));
-  EXPECT_THROW(mismatched.restore(snap), CheckError);
+  PpoSession wrong{mismatched, 3 * 128};
+  EXPECT_THROW(core::run_resumable(wrong, {snap}), CheckError);
 }
 
 TEST_F(SnapshotTest, PpoRestoreRejectsSnapshotWithoutSlotState) {
@@ -206,10 +269,10 @@ TEST_F(SnapshotTest, ImapResumesWithKnnAndBiasReductionBitIdentically) {
   core::ImapTrainer first(*env, feedback_victim(), 0.075, opts, Rng(23));
   for (int i = 0; i < 2; ++i) first.iterate();
   const std::string snap = path("imap.snap");
-  ASSERT_TRUE(first.snapshot(snap));
+  save_snapshot(first, snap);
 
   core::ImapTrainer resumed(*env, feedback_victim(), 0.075, opts, Rng(23));
-  ASSERT_TRUE(resumed.restore(snap));
+  load_snapshot(resumed, snap);
   std::vector<rl::IterStats> got(want.begin(), want.begin() + 2);
   for (int i = 2; i < 4; ++i) got.push_back(resumed.iterate());
 
@@ -239,10 +302,10 @@ TEST_F(SnapshotTest, AtlaResumesAcrossRoundBoundaryBitIdentically) {
   first.run_round();
   first.run_round();  // past round 1, so an adversary is in the checkpoint
   const std::string snap = path("atla.snap");
-  ASSERT_TRUE(first.snapshot(snap));
+  save_snapshot(first, snap);
 
   auto resumed = make();
-  ASSERT_TRUE(resumed.restore(snap));
+  load_snapshot(resumed, snap);
   EXPECT_EQ(resumed.rounds_done(), 2);
   const auto got = resumed.run_round();
   EXPECT_TRUE(resumed.done());
@@ -273,10 +336,10 @@ TEST_F(SnapshotTest, VictimSessionResumesPerturbedPhaseBitIdentically) {
   first.advance();  // 384 of 512 steps: phase 1 is active
   ASSERT_FALSE(first.done());
   const std::string snap = path("victim.snap");
-  ASSERT_TRUE(first.snapshot(snap));
+  save_snapshot(first, snap);
 
   auto resumed = make();
-  ASSERT_TRUE(resumed.restore(snap));
+  load_snapshot(resumed, snap);
   while (!resumed.done()) resumed.advance();
 
   EXPECT_EQ(resumed.policy().flat_params(), straight.policy().flat_params());
@@ -284,21 +347,89 @@ TEST_F(SnapshotTest, VictimSessionResumesPerturbedPhaseBitIdentically) {
   // Kind mismatch is rejected: an SA checkpoint cannot resume RADIAL.
   defense::VictimTrainSession wrong(*env, defense::DefenseKind::RADIAL, 512,
                                     opts, Rng(41));
-  EXPECT_THROW(wrong.restore(snap), CheckError);
+  EXPECT_THROW(core::run_resumable(wrong, {snap}), CheckError);
 }
 
 TEST_F(SnapshotTest, ZooSnapshotCadenceDoesNotChangeTheVictim) {
   // Snapshotting every advance unit vs never must produce bit-identical
   // victims, and a finished checkpoint supersedes (removes) its snapshot.
+  // RADIAL crosses its phase switch, ATLA advances by rounds, and the game
+  // victim trains on the game's victim side.
   core::Zoo plain(dir_ + "/plain", 0.01, 7, /*snapshot_every=*/0);
   core::Zoo snappy(dir_ + "/snappy", 0.01, 7, /*snapshot_every=*/1);
-  const auto a = plain.victim("Hopper", "PPO");
-  const auto b = snappy.victim("Hopper", "PPO");
-  EXPECT_EQ(a.flat_params(), b.flat_params());
+  const std::vector<std::pair<std::string, std::string>> victims = {
+      {"Hopper", "PPO"},
+      {"Hopper", "RADIAL"},
+      {"Hopper", "ATLA"},
+      {"YouShallNotPass", "PPO"}};
+  for (const auto& [env_name, defense] : victims) {
+    SCOPED_TRACE(env_name + "/" + defense);
+    const auto a = plain.victim(env_name, defense);
+    const auto b = snappy.victim(env_name, defense);
+    EXPECT_EQ(a.flat_params(), b.flat_params());
+  }
   for (const auto& e :
        std::filesystem::recursive_directory_iterator(dir_ + "/snappy"))
     EXPECT_NE(e.path().extension(), ".snap") << e.path();
 }
+
+/// The resumable driver over every victim kind: a run halted after unit 2
+/// and resumed in a fresh session advances only the remaining units and
+/// ends bit-identical to a straight run.
+class VictimKindResumeTest
+    : public SnapshotTest,
+      public ::testing::WithParamInterface<defense::DefenseKind> {
+ protected:
+  defense::VictimTrainSession make_session() const {
+    defense::DefenseOptions opts;
+    opts.eps = 0.075;
+    opts.ppo = tiny_ppo();
+    const defense::DefenseKind kind = GetParam();
+    // 768 steps: six PPO units (the regularizer kinds switch phase at the
+    // fourth), or three ATLA rounds.
+    if (kind != defense::DefenseKind::Game)
+      return defense::VictimTrainSession(*hopper_, kind, 768, opts, Rng(43));
+    const auto game = env::make_multiagent_env("YouShallNotPass");
+    const env::VictimSideEnv side(
+        *game, env::victim_training_pool("YouShallNotPass"));
+    return defense::VictimTrainSession(side, kind, 768, opts, Rng(43));
+  }
+
+  std::unique_ptr<rl::Env> hopper_ = env::make_hopper();
+};
+
+TEST_P(VictimKindResumeTest, HaltedAtUnitTwoThenResumedMatchesStraightRun) {
+  auto straight = make_session();
+  CountingSession all{straight};
+  ASSERT_TRUE(core::run_resumable(all, {}));
+  ASSERT_GT(all.units, 2);
+
+  const std::string snap = path("victim.snap");
+  auto halted = make_session();
+  CountingSession first{halted};
+  EXPECT_FALSE(core::run_resumable(first, {snap, 0, /*halt_after=*/2}));
+  EXPECT_EQ(first.units, 2);
+  ASSERT_TRUE(std::filesystem::exists(snap));
+
+  auto resumed = make_session();
+  CountingSession rest{resumed};
+  EXPECT_TRUE(core::run_resumable(rest, {snap}));
+  EXPECT_EQ(rest.units, all.units - 2);
+  EXPECT_FALSE(std::filesystem::exists(snap));
+  EXPECT_EQ(resumed.policy().flat_params(), straight.policy().flat_params());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RunResumable, VictimKindResumeTest,
+    ::testing::Values(defense::DefenseKind::Vanilla, defense::DefenseKind::ATLA,
+                      defense::DefenseKind::SA, defense::DefenseKind::ATLA_SA,
+                      defense::DefenseKind::RADIAL, defense::DefenseKind::WocaR,
+                      defense::DefenseKind::Game),
+    [](const ::testing::TestParamInfo<defense::DefenseKind>& kind) {
+      std::string name = defense::to_string(kind.param);
+      std::replace(name.begin(), name.end(), '-', '_');
+      return name;
+    });
 
 TEST_F(SnapshotTest, RunnerHaltLeavesSnapshotAndResumesToSameResult) {
   core::AttackPlan plan;
@@ -394,4 +525,5 @@ TEST_F(SnapshotTest, RunnerResumesRandomizedScenarioBitIdentically) {
 }
 
 }  // namespace
+
 }  // namespace imap

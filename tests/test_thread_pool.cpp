@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
@@ -122,6 +125,34 @@ TEST(ThreadPool, EmptyRangeIsANoop) {
   bool ran = false;
   parallel_for(0, [&](std::size_t) { ran = true; });
   EXPECT_FALSE(ran);
+}
+
+TEST(ThreadPool, IdlePoolStartsEverySingleSubmitWithoutHelp) {
+  // One task at a time into an idle two-thread pool, and the caller never
+  // helps: only the worker's wake-up can start each task. A lost wake-up
+  // leaves the task unstarted until the next submit, which here never comes,
+  // so the bounded wait turns it into a failure instead of a stall.
+  constexpr int kTasks = 50'000;
+  std::mutex m;
+  std::condition_variable cv;
+  int started = 0;
+  int stuck_at = -1;
+  ThreadPool pool(2);  // destroyed first: a stuck task still finds m and cv
+  for (int i = 0; i < kTasks && stuck_at < 0; ++i) {
+    pool.submit([&] {
+      {
+        std::lock_guard<std::mutex> lk(m);
+        ++started;
+      }
+      cv.notify_one();
+    });
+    std::unique_lock<std::mutex> lk(m);
+    if (!cv.wait_for(lk, std::chrono::seconds(5),
+                     [&] { return started == i + 1; }))
+      stuck_at = i;
+  }
+  EXPECT_EQ(stuck_at, -1) << "task " << stuck_at << " of " << kTasks
+                          << " did not start within 5 s";
 }
 
 }  // namespace

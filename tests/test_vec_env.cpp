@@ -17,7 +17,6 @@
 #include "env/multiagent.h"
 #include "env/registry.h"
 #include "nn/gaussian.h"
-#include "rl/normalizer.h"
 #include "rl/ppo.h"
 #include "rl/vec_env.h"
 #include "scenario/scenario_env.h"
@@ -295,79 +294,6 @@ TEST(VecEnv, TrainerTraceInvariantAcrossWorkerSlotFactorizations) {
                                       scenario::RewardMode::Adversary);
     expect_factorization_invariant(proto);
   }
-}
-
-TEST(VecNormalizer, SingleRowBatchUpdateIsBitwiseEqual) {
-  Rng rng(61);
-  rl::VecNormalizer step(5), batch(5);
-  nn::Batch row;
-  row.resize(1, 5);
-  for (int t = 0; t < 50; ++t) {
-    const auto x = rng.normal_vec(5, 0.5, 2.0);
-    row.set_row(0, x);
-    step.update(x);
-    batch.update_batch(row);
-  }
-  EXPECT_EQ(step.count(), batch.count());
-  EXPECT_EQ(step.mean(), batch.mean());
-  EXPECT_EQ(step.variance(), batch.variance());
-}
-
-TEST(VecNormalizer, BatchUpdateMatchesPerStepToMergeTolerance) {
-  // Chan/Welford parallel merge reassociates the per-step sums; the moments
-  // must agree with the streaming reference to tight relative tolerance.
-  Rng rng(67);
-  rl::VecNormalizer step(7), batch(7);
-  nn::Batch rows;
-  for (int tick = 0; tick < 40; ++tick) {
-    const std::size_t e = 1 + static_cast<std::size_t>(tick % 16);
-    rows.resize(e, 7);
-    for (std::size_t r = 0; r < e; ++r) {
-      const auto x = rng.normal_vec(7, -1.0, 3.0);
-      rows.set_row(r, x);
-      step.update(x);
-    }
-    batch.update_batch(rows);
-  }
-  ASSERT_EQ(step.count(), batch.count());
-  const auto sv = step.variance(), bv = batch.variance();
-  for (std::size_t i = 0; i < 7; ++i) {
-    EXPECT_NEAR(step.mean()[i], batch.mean()[i],
-                1e-12 * (1.0 + std::abs(step.mean()[i])));
-    EXPECT_NEAR(sv[i], bv[i], 1e-10 * (1.0 + sv[i]));
-  }
-}
-
-TEST(VecEnv, ObsNormalizerSeesTheSameStreamOnBothPaths) {
-  const auto env = env::make_env("Hopper");
-  Rng net_rng(71);
-  nn::GaussianPolicy policy(env->obs_dim(), env->act_dim(), {16, 16}, net_rng);
-  nn::ValueNet value_e(env->obs_dim(), {16, 16}, net_rng);
-  nn::ValueNet value_i(env->obs_dim(), {16, 16}, net_rng);
-
-  rl::VecEnv vec;
-  vec.configure(*env, make_streams(4, 73));
-  auto refs = one_slot_engines(*env, make_streams(4, 73));
-  rl::VecNormalizer vec_norm(env->obs_dim()), ref_norm(env->obs_dim());
-  vec.set_obs_normalizer(&vec_norm);
-  for (auto& ref : refs) ref.set_obs_normalizer(&ref_norm);
-
-  const std::vector<int> budgets(4, 64);
-  vec.collect(policy, value_e, value_i, budgets, 0);
-  collect_each(refs, policy, value_e, value_i, budgets);
-
-  // Both sides fold the same observation multiset (tick-major vs slot-major
-  // order), so the merged moments agree to merge tolerance — and the buffers
-  // stay bit-identical (the tracker is telemetry only).
-  ASSERT_EQ(vec_norm.count(), ref_norm.count());
-  const auto vv = vec_norm.variance(), rv = ref_norm.variance();
-  for (std::size_t i = 0; i < vec_norm.dim(); ++i) {
-    EXPECT_NEAR(vec_norm.mean()[i], ref_norm.mean()[i],
-                1e-12 * (1.0 + std::abs(ref_norm.mean()[i])));
-    EXPECT_NEAR(vv[i], rv[i], 1e-10 * (1.0 + rv[i]));
-  }
-  for (std::size_t i = 0; i < 4; ++i)
-    expect_buffers_identical(vec.slot(i).buf, refs[i].slot(0).buf);
 }
 
 TEST(GaussianPolicy, SampleStatisticsMatchParameters) {

@@ -72,7 +72,7 @@ TEST_F(ZooTest, SeedChangesVictim) {
 
 TEST_F(ZooTest, GameVictimMatchesGameShape) {
   Zoo zoo(dir_, 0.01, 7);
-  const auto v = zoo.game_victim("YouShallNotPass");
+  const auto v = zoo.victim("YouShallNotPass");
   const auto game = env::make_multiagent_env("YouShallNotPass");
   EXPECT_EQ(v.obs_dim(), game->victim_obs_dim());
   EXPECT_EQ(v.act_dim(), game->victim_act_dim());

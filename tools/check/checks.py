@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """checks — the imap_check semantic rule suite.
 
-Each check consumes a TuModel (built by cpp_ast.py or clang_ast.py — the
-rules are frontend-agnostic) and yields Finding objects. The compile-database
-contract check (kernel-flags) consumes compile_commands.json directly.
+Each check consumes a TuModel (built by cpp_ast.py) and yields Finding
+objects. The compile-database contract check (kernel-flags) consumes
+compile_commands.json directly.
 
 Rules:
 
@@ -629,13 +629,8 @@ def _operand_type(model, parser_scope, toks):
 def check_float_eq(model):
     findings = []
     for c in model.cmps:
-        if c.lhs_type is not None or c.rhs_type is not None:
-            # clang frontend: operand types come straight from the AST
-            lt, l_lit = c.lhs_type or "", bool(c.lhs_lit)
-            rt, r_lit = c.rhs_type or "", bool(c.rhs_lit)
-        else:
-            lt, l_lit = _operand_type(model, c.scope, c.lhs)
-            rt, r_lit = _operand_type(model, c.scope, c.rhs)
+        lt, l_lit = _operand_type(model, c.scope, c.lhs)
+        rt, r_lit = _operand_type(model, c.scope, c.rhs)
         l_float = lt in FLOAT_TYPES
         r_float = rt in FLOAT_TYPES
         if l_lit and l_float and not r_lit:

@@ -2,11 +2,7 @@
 """cpp_ast — the built-in C++ frontend for imap_check.
 
 Produces a TuModel (scope tree + declarations + calls + comparisons + type
-oracle) from a single C++ source file, with no compiler dependency. This is
-the hermetic fallback frontend: when a clang++ binary is available,
-clang_ast.py builds the same TuModel from `clang++ -Xclang -ast-dump=json`
-instead (driven by the per-TU flags in compile_commands.json), and the checks
-in checks.py are frontend-agnostic.
+oracle) from a single C++ source file, with no compiler dependency.
 
 What this frontend models (enough for the five imap_check rules, far beyond
 what a line regex can see):
@@ -311,8 +307,7 @@ class Call:
 
 
 class Cmp:
-    __slots__ = ("op", "line", "scope", "lhs", "rhs", "lhs_type", "rhs_type",
-                 "lhs_lit", "rhs_lit")
+    __slots__ = ("op", "line", "scope", "lhs", "rhs")
 
     def __init__(self, op, line, scope, lhs, rhs):
         self.op = op               # '==' or '!='
@@ -320,12 +315,6 @@ class Cmp:
         self.scope = scope
         self.lhs = lhs             # list[Token]
         self.rhs = rhs             # list[Token]
-        # pre-resolved operand facts (clang frontend); None = infer from
-        # tokens via the builtin oracle
-        self.lhs_type = None
-        self.rhs_type = None
-        self.lhs_lit = None
-        self.rhs_lit = None
 
 
 class TuModel:
@@ -341,7 +330,6 @@ class TuModel:
         self.func_returns: dict[str, str] = {}  # last-name -> return type
         self.classes: dict[str, Scope] = {}     # class name -> scope
         self.tokens: list[Token] = []
-        self.frontend = "builtin"
 
     # -- type oracle -------------------------------------------------------
 

@@ -33,14 +33,10 @@ Checks (see checks.py for the full semantics):
                       boundary are Archive sections (BinaryWriter /
                       ArchiveWriter), framed and CRC-checked.
 
-Frontends:
+Frontend:
 
-  * clang   — `clang++ -fsyntax-only -Xclang -ast-dump=json` per TU, flags
-              taken verbatim from compile_commands.json (highest fidelity).
-  * builtin — the hermetic tokenizer/parser in cpp_ast.py (no compiler
-              dependency; what CI uses in containers without LLVM).
-  * auto    — clang when a working clang++ exists, builtin otherwise; a TU
-              whose clang parse fails falls back to builtin with a warning.
+  The hermetic tokenizer/parser in cpp_ast.py: no compiler dependency, with
+  cross-TU facts merged in from each file's project headers.
 
 Compilation database:
 
@@ -66,7 +62,6 @@ import json
 import os
 import platform
 import re
-import shutil
 import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -169,17 +164,6 @@ def load_compdb(path: str, root: str):
 # frontends
 # ---------------------------------------------------------------------------
 
-def find_clang() -> str | None:
-    exe = os.environ.get("IMAP_CLANG")
-    if exe:
-        return exe if shutil.which(exe) else None
-    for name in ("clang++", "clang++-18", "clang++-17", "clang++-16",
-                 "clang++-15", "clang++-14"):
-        if shutil.which(name):
-            return name
-    return None
-
-
 # relpath -> (parsed header model, its own project includes)
 _header_cache: dict[str, tuple] = {}
 
@@ -226,31 +210,6 @@ def parse_with_headers(root: str, relpath: str) -> "cpp_ast.TuModel":
     return cpp_ast.parse_file(relpath, text, seed=seed)
 
 
-def build_model(root: str, relpath: str, frontend: str, compdb_entry,
-                clang_exe: str | None):
-    """Build a TuModel with the selected frontend. Headers and frontend
-    'builtin' use the micro parser; 'clang'/'auto' use the JSON AST dump when
-    possible, falling back to builtin on any failure."""
-    use_clang = (frontend in ("clang", "auto") and clang_exe is not None and
-                 compdb_entry is not None and relpath.endswith(".cpp"))
-    if use_clang:
-        try:
-            import clang_ast
-            base = parse_with_headers(root, relpath)
-            model = clang_ast.parse_tu(clang_exe, compdb_entry, root, relpath,
-                                       base=base)
-            if model is not None:
-                return model, "clang"
-        except Exception as e:  # noqa: BLE001 — any clang failure => builtin
-            if frontend == "clang":
-                print(f"imap_check: clang frontend failed on {relpath}: {e}",
-                      file=sys.stderr)
-                sys.exit(2)
-            print(f"imap_check: note: clang frontend failed on {relpath} "
-                  f"({e}); using builtin frontend", file=sys.stderr)
-    return parse_with_headers(root, relpath), "builtin"
-
-
 # ---------------------------------------------------------------------------
 # suppression / allowlist
 # ---------------------------------------------------------------------------
@@ -292,10 +251,8 @@ def suppressed_lines(text: str):
 # per-file analysis
 # ---------------------------------------------------------------------------
 
-def analyze_file(root: str, relpath: str, frontend: str, compdb_entry,
-                 clang_exe):
-    model, used = build_model(root, relpath, frontend, compdb_entry,
-                              clang_exe)
+def analyze_file(root: str, relpath: str):
+    model = parse_with_headers(root, relpath)
     findings = []
     findings += checks.check_rng_parallel(model)
     findings += checks.check_nondet_source(
@@ -316,8 +273,7 @@ def analyze_file(root: str, relpath: str, frontend: str, compdb_entry,
         relpath, cpp_ast.strip_comments(text))
 
     sup = suppressed_lines(text)
-    kept = [f for f in findings if f.rule not in sup.get(f.line, set())]
-    return kept, used
+    return [f for f in findings if f.rule not in sup.get(f.line, set())]
 
 
 def collect_sources(root: str, compdb) -> list[str]:
@@ -354,9 +310,6 @@ def main(argv) -> int:
                          "<root>/build/compile_commands.json; 'none' to "
                          "skip the database-driven checks — only valid with "
                          "explicit paths)")
-    ap.add_argument("--frontend", choices=("auto", "builtin", "clang"),
-                    default="auto",
-                    help="AST frontend (auto: clang++ if available)")
     ap.add_argument("--allowlist", default=None,
                     help="allowlist file (default "
                          "<root>/tools/check/check_allowlist.txt)")
@@ -382,12 +335,6 @@ def main(argv) -> int:
     else:
         compdb = load_compdb(compdb_path, root)
 
-    clang_exe = find_clang() if args.frontend in ("auto", "clang") else None
-    if args.frontend == "clang" and clang_exe is None:
-        print("imap_check: --frontend clang but no clang++ found "
-              "(set IMAP_CLANG or install clang)", file=sys.stderr)
-        return 2
-
     if args.paths:
         files = []
         for p in args.paths:
@@ -404,15 +351,9 @@ def main(argv) -> int:
     else:
         files = collect_sources(root, compdb)
 
-    by_rel = compdb_by_rel(root, compdb) if compdb else {}
-
     all_findings = []
-    frontends_used = set()
     for rel in files:
-        kept, used = analyze_file(root, rel, args.frontend, by_rel.get(rel),
-                                  clang_exe)
-        frontends_used.add(used)
-        for f in kept:
+        for f in analyze_file(root, rel):
             if not allowed(entries, f.rule, f.path):
                 all_findings.append(f)
 
@@ -427,9 +368,7 @@ def main(argv) -> int:
     for f in all_findings:
         print(f)
     n = len(all_findings)
-    fe = "+".join(sorted(frontends_used)) or "none"
-    print(f"imap_check: {len(files)} files checked "
-          f"(frontend: {fe}), {n} finding(s)")
+    print(f"imap_check: {len(files)} files checked, {n} finding(s)")
     return 1 if n else 0
 
 

@@ -25,15 +25,13 @@ import checks      # noqa: E402
 import imap_check  # noqa: E402
 
 
-def check_fixture(filename, relpath, frontend="builtin"):
+def check_fixture(filename, relpath):
     """Analyze one fixture as if it lived at `relpath` in a scratch tree."""
     with tempfile.TemporaryDirectory() as tmp:
         dst = os.path.join(tmp, relpath)
         os.makedirs(os.path.dirname(dst), exist_ok=True)
         shutil.copy(os.path.join(FIXTURES, filename), dst)
-        findings, used = imap_check.analyze_file(
-            tmp, relpath, frontend, None, None)
-    return findings
+        return imap_check.analyze_file(tmp, relpath)
 
 
 def check_snippet(code, relpath, extra=None):
@@ -47,9 +45,7 @@ def check_snippet(code, relpath, extra=None):
             os.makedirs(os.path.dirname(dst), exist_ok=True)
             with open(dst, "w", encoding="utf-8") as fh:
                 fh.write(text)
-        findings, _ = imap_check.analyze_file(tmp, relpath, "builtin",
-                                              None, None)
-    return findings
+        return imap_check.analyze_file(tmp, relpath)
 
 
 def rules_of(findings):
@@ -464,7 +460,6 @@ class TestCli(unittest.TestCase):
         with tempfile.TemporaryDirectory() as tmp:
             self.scratch_tree(tmp)
             r = run_cli(["--root", tmp, "--compdb", "none",
-                         "--frontend", "builtin",
                          "src/nn/hot_alloc_sugar_bad.cpp"])
         self.assertEqual(r.returncode, 1)
         self.assertIn("[hot-loop-alloc]", r.stdout)
@@ -474,7 +469,6 @@ class TestCli(unittest.TestCase):
         with tempfile.TemporaryDirectory() as tmp:
             self.scratch_tree(tmp)
             r = run_cli(["--root", tmp, "--compdb", "none",
-                         "--frontend", "builtin",
                          "src/nn/hot_alloc_sugar_good.cpp"])
         self.assertEqual(r.returncode, 0)
         self.assertIn("0 finding(s)", r.stdout)
@@ -539,7 +533,7 @@ class TestCli(unittest.TestCase):
             with open(os.path.join(tmp, "build", "compile_commands.json"),
                       "w", encoding="utf-8") as fh:
                 json.dump(db, fh)
-            r = run_cli(["--root", tmp, "--frontend", "builtin"])
+            r = run_cli(["--root", tmp])
         self.assertEqual(r.returncode, 1)
         hits = sorted(line.split(":")[0] for line in r.stdout.splitlines()
                       if "[raw-thread]" in line)
@@ -560,29 +554,11 @@ class TestCli(unittest.TestCase):
                                        "compile_commands.json"),
                           "w", encoding="utf-8") as fh:
                     json.dump(db, fh)
-                r = run_cli(["--root", tmp, "--frontend", "builtin"])
+                r = run_cli(["--root", tmp])
             self.assertEqual(r.returncode, want,
                              f"{template}: {r.stdout}\n{r.stderr}")
             if want:
                 self.assertIn("[kernel-flags]", r.stdout)
-
-
-@unittest.skipUnless(imap_check.find_clang(), "no clang++ on this machine")
-class TestClangFrontend(unittest.TestCase):
-    def test_clang_overlay_matches_builtin_verdicts(self):
-        with tempfile.TemporaryDirectory() as tmp:
-            rel = "src/common/float_eq_bad.cpp"
-            dst = os.path.join(tmp, rel)
-            os.makedirs(os.path.dirname(dst), exist_ok=True)
-            shutil.copy(os.path.join(FIXTURES, "float_eq_bad.cpp"), dst)
-            entry = {"directory": tmp,
-                     "command": f"g++ -std=c++17 -c {rel} -o x.o",
-                     "file": rel}
-            fs, used = imap_check.analyze_file(
-                tmp, rel, "clang", entry, imap_check.find_clang())
-        self.assertEqual(used, "clang")
-        self.assertEqual(rules_of(fs), ["float-eq"])
-        self.assertEqual(lines_of(fs), [13, 17, 21, 23])
 
 
 if __name__ == "__main__":

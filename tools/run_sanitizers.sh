@@ -12,6 +12,7 @@
 #           tasks, intrinsic critic and regularizer hook included; the server
 #           suites hand model builds and large forwards between the poll loop
 #           and the pool); the full suite under TSan is ~20x and adds nothing.
+#           The idle-pool wake-up probe then runs 20 more times on its own.
 #
 # Usage: tools/run_sanitizers.sh [asan|ubsan|tsan ...]   (default: all three)
 set -u
@@ -54,6 +55,13 @@ run_tier() {
   cmake --build --preset "$tier" -j "$JOBS" || return 1
   echo "=== [$tier] ctest ==="
   env "${env_assignments[@]}" ctest --preset "$tier" -j "$JOBS" || return 1
+  if [ "$tier" = tsan ]; then
+    # A lost wake-up is a rare interleaving: give the idle-pool probe 20 runs.
+    echo "=== [tsan] idle-pool wake-up probe x20 ==="
+    env "${env_assignments[@]}" ctest --preset tsan \
+      -R '^ThreadPool\.IdlePoolStartsEverySingleSubmitWithoutHelp$' \
+      --repeat until-fail:20 || return 1
+  fi
 }
 
 for tier in "${tiers[@]}"; do
