@@ -1,6 +1,9 @@
 // Micro-benchmarks of the RL substrate: environment stepping, the batched
-// nn kernels (the tanh activation per backend), rollout collection and PPO
-// training throughput — the cost model behind the bench budgets.
+// nn kernels (the tanh activation and the Adam update per backend), rollout
+// collection and PPO training throughput — the cost model behind the bench
+// budgets. The PPO cases time wall-clock (UseRealTime): pool workers run
+// part of the update, so the main thread's CPU time would overstate
+// throughput whenever the pool has more than one thread.
 //
 // BM_PpoUpdate and BM_RolloutCollect/1 and /16 are gated: tools/bench_gate.py
 // runs them from a parent and a changed build, alternated, and fails a
@@ -84,6 +87,38 @@ BENCHMARK_CAPTURE(BM_TanhRows, scalar, std::string("scalar"));
 BENCHMARK_CAPTURE(BM_TanhRows, avx2, std::string("avx2"));
 BENCHMARK_CAPTURE(BM_TanhRows, avx512, std::string("avx512"));
 
+// The optimiser step alone, kernel::adam_step under one forced backend over
+// 4096 parameters with clipping active: items/s is parameters/s.
+void BM_AdamStep(benchmark::State& state, const std::string& backend) {
+  nn::kernel::ScopedBackend forced(backend);
+  if (!forced.activated()) {
+    state.SkipWithError("backend not available on this host");
+    return;
+  }
+  Rng rng(7);
+  std::vector<double> p(4096), g(4096), m(4096, 0.0), v(4096, 0.0);
+  for (auto& x : p) x = rng.normal(0.0, 0.1);
+  for (auto& x : g) x = rng.normal(0.0, 1.0);
+  const nn::kernel::AdamCoeffs c{.lr = 1e-3,
+                                 .beta1 = 0.9,
+                                 .beta2 = 0.999,
+                                 .eps = 1e-8,
+                                 .bc1 = 0.1,
+                                 .bc2 = 0.001,
+                                 .clip = 0.5};
+  for (auto _ : state) {
+    nn::kernel::adam_step(p.data(), g.data(), m.data(), v.data(), p.size(),
+                          c);
+    benchmark::DoNotOptimize(p.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(p.size()));
+}
+BENCHMARK_CAPTURE(BM_AdamStep, scalar, std::string("scalar"));
+BENCHMARK_CAPTURE(BM_AdamStep, avx2, std::string("avx2"));
+BENCHMARK_CAPTURE(BM_AdamStep, avx512, std::string("avx512"));
+
 // The optimisation stage alone (sampling excluded) on one fixed rollout.
 void BM_PpoUpdate(benchmark::State& state) {
   auto env = env::make_env("Hopper");
@@ -104,7 +139,7 @@ void BM_PpoUpdate(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           opts.steps_per_iter);
 }
-BENCHMARK(BM_PpoUpdate)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_PpoUpdate)->UseRealTime()->Unit(benchmark::kMillisecond);
 
 /// The attack-rollout MDP the collection benchmarks run on: Hopper under
 /// the obs_perturb threat model over a network-backed frozen victim, so
@@ -122,9 +157,10 @@ std::unique_ptr<scenario::ScenarioEnv> make_collect_proto() {
 
 // The update of an IMAP attack: the 11→11 obs_perturb adversary with the
 // default {32, 32} networks and minibatch 128, intrinsic critic on, on a
-// pool of Arg threads, timed in wall-clock. Each minibatch steps the policy
-// and both critics as separate pool tasks, so /2 against /1 shows what the
-// concurrent update buys; the trace is the same at both. Not gated
+// pool of Arg threads, timed in wall-clock. Each epoch steps the policy and
+// both critics as three chains of minibatches with one join (the policy on
+// the calling thread, the critics on the other), so /2 against /1 shows
+// what the concurrent update buys; the trace is the same at both. Not gated
 // (bench_gate.py runs at one thread).
 void BM_PpoUpdateImap(benchmark::State& state) {
   ThreadPool pool(static_cast<std::size_t>(state.range(0)));
@@ -198,7 +234,11 @@ void BM_PpoIteration(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           state.range(0));
 }
-BENCHMARK(BM_PpoIteration)->Arg(512)->Arg(2048)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_PpoIteration)
+    ->Arg(512)
+    ->Arg(2048)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 // Parallel PPO iteration: 4 rollout workers on the process pool (serial
 // unless IMAP_THREADS / the core count allows more).
@@ -218,6 +258,7 @@ void BM_PpoIterationParallel(benchmark::State& state) {
 BENCHMARK(BM_PpoIterationParallel)
     ->Arg(512)
     ->Arg(2048)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

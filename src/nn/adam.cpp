@@ -3,6 +3,8 @@
 #include <cmath>
 
 #include "common/check.h"
+#include "nn/kernel_backend.h"
+#include "nn/matrix.h"
 
 namespace imap::nn {
 
@@ -23,16 +25,16 @@ void Adam::step(std::vector<double>& params,
     if (norm > opts_.max_grad_norm) clip = opts_.max_grad_norm / norm;
   }
 
-  const double bc1 = 1.0 - std::pow(opts_.beta1, static_cast<double>(t_));
-  const double bc2 = 1.0 - std::pow(opts_.beta2, static_cast<double>(t_));
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    const double g = grads[i] * clip;
-    m_[i] = opts_.beta1 * m_[i] + (1.0 - opts_.beta1) * g;
-    v_[i] = opts_.beta2 * v_[i] + (1.0 - opts_.beta2) * g * g;
-    const double mhat = m_[i] / bc1;
-    const double vhat = v_[i] / bc2;
-    params[i] -= opts_.lr * mhat / (std::sqrt(vhat) + opts_.eps);
-  }
+  const kernel::AdamCoeffs c{
+      .lr = opts_.lr,
+      .beta1 = opts_.beta1,
+      .beta2 = opts_.beta2,
+      .eps = opts_.eps,
+      .bc1 = 1.0 - std::pow(opts_.beta1, static_cast<double>(t_)),
+      .bc2 = 1.0 - std::pow(opts_.beta2, static_cast<double>(t_)),
+      .clip = clip};
+  kernel::adam_step(params.data(), grads.data(), m_.data(), v_.data(),
+                    params.size(), c);
   IMAP_NCHECK_FINITE_VEC(params, "adam.params after step");
 }
 

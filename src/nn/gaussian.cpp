@@ -13,11 +13,18 @@ namespace {
 constexpr double kLog2Pi = 1.8378770664093453;  // ln(2π)
 }
 
+void scales(const std::vector<double>& log_std, double k,
+            std::vector<double>& out) {
+  out.resize(log_std.size());
+  for (std::size_t i = 0; i < log_std.size(); ++i)
+    out[i] = std::exp(k * log_std[i]);
+}
+
 double log_prob(const double* a, const double* mean, const double* log_std,
-                std::size_t n) {
+                const double* inv_std, std::size_t n) {
   double lp = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
-    const double z = (a[i] - mean[i]) * std::exp(-log_std[i]);
+    const double z = (a[i] - mean[i]) * inv_std[i];
     lp += -0.5 * z * z - log_std[i] - 0.5 * kLog2Pi;
   }
   IMAP_NCHECK_FINITE(lp, "diag_gaussian.log_prob");
@@ -73,10 +80,11 @@ void GaussianPolicy::log_prob_batch(const Batch& obs, const Batch& act,
                                     std::vector<double>& out) {
   IMAP_CHECK(act.rows() == obs.rows() && act.dim() == act_dim());
   const Batch& mean = mean_batch(obs);
+  diag_gaussian::scales(log_std_, -1.0, inv_std_);
   out.resize(obs.rows());
   for (std::size_t n = 0; n < obs.rows(); ++n)
     out[n] = diag_gaussian::log_prob(act.row(n), mean.row(n), log_std_.data(),
-                                     act_dim());
+                                     inv_std_.data(), act_dim());
 }
 
 void GaussianPolicy::backward_logp_batch(const Batch& act,
@@ -88,15 +96,16 @@ void GaussianPolicy::backward_logp_batch(const Batch& act,
   const std::size_t b = act.rows();
   IMAP_CHECK(coeff.size() == b && act.dim() == act_dim() && mean.rows() == b);
   dmean_.resize(b, act_dim());
+  diag_gaussian::scales(log_std_, -2.0, inv_var_);
+  diag_gaussian::scales(log_std_, -1.0, inv_std_);
   for (std::size_t n = 0; n < b; ++n) {
     const double* a = act.row(n);
     const double* m = mean.row(n);
     double* g = dmean_.row(n);
     const double cn = coeff[n];
     for (std::size_t i = 0; i < log_std_.size(); ++i) {
-      const double inv_var = std::exp(-2.0 * log_std_[i]);
       // Two-step (dlogp, then ·coeff): the golden digests pin this rounding.
-      double v = (a[i] - m[i]) * inv_var;
+      double v = (a[i] - m[i]) * inv_var_[i];
       v *= cn;
       g[i] = v;
     }
@@ -107,7 +116,7 @@ void GaussianPolicy::backward_logp_batch(const Batch& act,
     const double* m = mean.row(n);
     const double cn = coeff[n];
     for (std::size_t i = 0; i < log_std_grad_.size(); ++i) {
-      const double z = (a[i] - m[i]) * std::exp(-log_std_[i]);
+      const double z = (a[i] - m[i]) * inv_std_[i];
       log_std_grad_[i] += cn * (z * z - 1.0);
     }
   }

@@ -10,9 +10,16 @@ namespace imap::nn {
 /// Closed-form diagonal-Gaussian math shared by the policy classes.
 namespace diag_gaussian {
 
-/// log N(a | mean, exp(log_std)²), summed over the n dims.
+/// out[i] = exp(k·log_std[i]): a per-dim factor (k = 1 the std, −1 its
+/// inverse, −2 the inverse variance) that callers compute once per policy
+/// state and reuse for every row, instead of once per row and dim.
+void scales(const std::vector<double>& log_std, double k,
+            std::vector<double>& out);
+
+/// log N(a | mean, exp(log_std)²), summed over the n dims; inv_std[i] =
+/// exp(−log_std[i]) (see scales).
 double log_prob(const double* a, const double* mean, const double* log_std,
-                std::size_t n);
+                const double* inv_std, std::size_t n);
 
 /// Differential entropy, summed over dims (state-independent given log_std).
 double entropy(const std::vector<double>& log_std);
@@ -92,6 +99,8 @@ class GaussianPolicy {
   std::vector<double> log_std_;
   std::vector<double> log_std_grad_;
   Batch dmean_;  ///< reusable dL/dmean rows for backward_logp_batch
+  std::vector<double> inv_std_;  ///< exp(−log_std) scratch, per batch call
+  std::vector<double> inv_var_;  ///< exp(−2·log_std) scratch, per batch call
 };
 
 /// Scalar state-value network V(s).

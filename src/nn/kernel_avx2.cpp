@@ -689,8 +689,8 @@ struct Avx2Rows {
   }
 };
 
-/// tanh_rows lanes: four doubles per ymm.
-struct Avx2Tanh {
+/// tanh_rows and adam_step lanes: four doubles per ymm.
+struct Avx2F64 {
   using Vec = __m256d;
   static constexpr std::size_t kWidth = 4;
   static Vec load(const double* p) { return _mm256_loadu_pd(p); }
@@ -700,8 +700,10 @@ struct Avx2Tanh {
   static Vec sub(Vec a, Vec b) { return _mm256_sub_pd(a, b); }
   static Vec mul(Vec a, Vec b) { return _mm256_mul_pd(a, b); }
   static Vec div(Vec a, Vec b) { return _mm256_div_pd(a, b); }
+  static Vec sqrt(Vec a) { return _mm256_sqrt_pd(a); }
   static Vec min(Vec a, Vec b) { return _mm256_min_pd(a, b); }
   static Vec lt(Vec a, Vec b) { return _mm256_cmp_pd(a, b, _CMP_LT_OQ); }
+  static bool all(Vec m) { return _mm256_movemask_pd(m) == 0xf; }
   static Vec select(Vec m, Vec yes, Vec no) {
     return _mm256_blendv_pd(no, yes, m);
   }
@@ -722,7 +724,12 @@ struct Avx2Tanh {
 }  // namespace
 
 void avx2_tanh_rows(const double* x, std::size_t n, double* y) {
-  tanh_rows_vec<Avx2Tanh>(x, n, y);
+  tanh_rows_vec<Avx2F64>(x, n, y);
+}
+
+void avx2_adam_step(double* p, const double* g, double* m, double* v,
+                    std::size_t n, const AdamCoeffs& c) {
+  adam_step_vec<Avx2F64>(p, g, m, v, n, c);
 }
 
 void avx2_knn_scan(const double* blocks, std::size_t rows, std::size_t dim,

@@ -660,9 +660,9 @@ struct Avx512Rows {
   static void store(double* p, Vec a) { _mm512_storeu_pd(p, a); }
 };
 
-/// tanh_rows lanes: eight doubles per zmm. AVX-512F has no fp64 logic ops
+/// tanh_rows and adam_step lanes: eight doubles per zmm. AVX-512F has no fp64 logic ops
 /// (those are AVX-512DQ), so the sign bits go through the integer forms.
-struct Avx512Tanh {
+struct Avx512F64 {
   using Vec = __m512d;
   static constexpr std::size_t kWidth = 8;
   static Vec load(const double* p) { return _mm512_loadu_pd(p); }
@@ -672,10 +672,12 @@ struct Avx512Tanh {
   static Vec sub(Vec a, Vec b) { return _mm512_sub_pd(a, b); }
   static Vec mul(Vec a, Vec b) { return _mm512_mul_pd(a, b); }
   static Vec div(Vec a, Vec b) { return _mm512_div_pd(a, b); }
+  static Vec sqrt(Vec a) { return _mm512_sqrt_pd(a); }
   static Vec min(Vec a, Vec b) { return _mm512_min_pd(a, b); }
   static __mmask8 lt(Vec a, Vec b) {
     return _mm512_cmp_pd_mask(a, b, _CMP_LT_OQ);
   }
+  static bool all(__mmask8 m) { return m == 0xff; }
   static Vec select(__mmask8 m, Vec yes, Vec no) {
     return _mm512_mask_blend_pd(m, no, yes);
   }
@@ -705,7 +707,12 @@ struct Avx512Tanh {
 }  // namespace
 
 void avx512_tanh_rows(const double* x, std::size_t n, double* y) {
-  tanh_rows_vec<Avx512Tanh>(x, n, y);
+  tanh_rows_vec<Avx512F64>(x, n, y);
+}
+
+void avx512_adam_step(double* p, const double* g, double* m, double* v,
+                      std::size_t n, const AdamCoeffs& c) {
+  adam_step_vec<Avx512F64>(p, g, m, v, n, c);
 }
 
 void avx512_knn_scan(const double* blocks, std::size_t rows, std::size_t dim,

@@ -58,6 +58,13 @@ inline std::size_t knn_blocked_index(std::size_t r, std::size_t c,
   return ((r / kKnnLanes) * dim + c) * kKnnLanes + r % kKnnLanes;
 }
 
+/// Per-step coefficients of KernelBackend::adam_step: the optimiser's
+/// hyper-parameters, the bias corrections bc1 = 1 − β1ᵗ and bc2 = 1 − β2ᵗ,
+/// and the gradient clip factor (1 when clipping is inactive).
+struct AdamCoeffs {
+  double lr, beta1, beta2, eps, bc1, bc2, clip;
+};
+
 /// One SIMD (or scalar) implementation of the batched kernel set. Backends
 /// are compiled-in per architecture (scalar everywhere; avx2/avx512 on
 /// x86-64; neon on aarch64) and selected at runtime: CPUID picks the widest
@@ -137,6 +144,16 @@ struct KernelBackend {
   /// NaN, ±0 and subnormals to themselves, ±inf to ±1. x == y is allowed.
   /// Null ⇒ dispatch falls back to scalar.
   void (*tanh_rows)(const double* x, std::size_t n, double* y);
+
+  /// One Adam update of n parameters in place (the body of nn::Adam::step
+  /// after its sequential grad-norm sum): per element, with g = grad·clip,
+  ///   m = β1·m + (1 − β1)·g,  v = β2·v + ((1 − β2)·g)·g,
+  ///   p = p − (lr·(m / bc1)) / (√(v / bc2) + eps).
+  /// One op DAG (nn/kernel_impl.h adam_fp64), separate mul/add/div/sqrt, no
+  /// FMA, lanes only across elements, so every backend returns the same
+  /// bits. Null ⇒ dispatch falls back to scalar.
+  void (*adam_step)(double* p, const double* g, double* m, double* v,
+                    std::size_t n, const AdamCoeffs& c);
 
   /// True when batch_affine vectorises across output lanes and therefore
   /// profits from the caller-cached transpose (Mlp::Workspace::wt).

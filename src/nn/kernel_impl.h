@@ -110,11 +110,17 @@ static inline double tanh_fp64(double x) {
 }
 
 /// The SIMD tanh_rows body: tanh_fp64's op DAG on V::kWidth lanes at a
-/// time, the n % kWidth tail through tanh_fp64 itself. `V` is a backend's
-/// TU-local lane type providing load/store/set1, add/sub/mul/div,
-/// min(a, b) = a < b ? a : b (so min(kTanhClamp, NaN) is NaN, as in the
-/// scalar clamp), lt(a, b) → a lane mask (false for NaN), select(m, yes,
-/// no), bitwise and_bits/or_bits/xor_bits, and pow2(kd) = the double with
+/// time, the n % kWidth tail through tanh_fp64 itself. Each lane needs the
+/// quotient of one branch only, so both branches' first quotient is one
+/// division whose numerator and denominator are picked by the |x| < 0.625
+/// mask — ((|x|·z)·S(z)) / T(z) in small lanes, p / (q − p) in exp lanes —
+/// and every lane still sees its own branch's exact operands. The exp
+/// form's 2/(e + 1) is skipped when no lane takes it: two divisions per
+/// vector, one in an all-small vector. `V` is a backend's TU-local lane type
+/// providing load/store/set1, add/sub/mul/div, min(a, b) = a < b ? a : b
+/// (so min(kTanhClamp, NaN) is NaN, as in the scalar clamp), lt(a, b) → a
+/// lane mask (false for NaN), all(m) (every lane set), select(m, yes, no),
+/// bitwise and_bits/or_bits/xor_bits, and pow2(kd) = the double with
 /// exponent field bits(kd) − bits(kTanhRound) + kTanhExpBias, i.e. 2ⁿ.
 template <class V>
 void tanh_rows_vec(const double* x, std::size_t n, double* y) {
@@ -126,6 +132,14 @@ void tanh_rows_vec(const double* x, std::size_t n, double* y) {
     const Vec xv = V::load(x + i);
     const Vec sign = V::and_bits(xv, sign_bit);
     const Vec ax = V::xor_bits(xv, sign);
+    const auto small_lane = V::lt(ax, c(kTanhSmall));
+
+    const Vec z = V::mul(ax, ax);
+    const Vec s = V::add(
+        V::mul(V::add(V::mul(c(kTanhS0), z), c(kTanhS1)), z), c(kTanhS2));
+    const Vec q = V::add(
+        V::mul(V::add(V::mul(V::add(z, c(kTanhT0)), z), c(kTanhT1)), z),
+        c(kTanhT2));
 
     const Vec a = V::min(c(kTanhClamp), ax);
     const Vec t = V::add(a, a);
@@ -142,23 +156,66 @@ void tanh_rows_vec(const double* x, std::size_t n, double* y) {
                       c(kTanhQ2)),
                rr),
         c(kTanhQ3));
-    const Vec er =
-        V::add(c(1.0), V::mul(c(2.0), V::div(px, V::sub(qx, px))));
-    const Vec e = V::mul(er, V::pow2(kd));
-    const Vec big = V::sub(c(1.0), V::div(c(2.0), V::add(e, c(1.0))));
 
-    const Vec z = V::mul(ax, ax);
-    const Vec s = V::add(
-        V::mul(V::add(V::mul(c(kTanhS0), z), c(kTanhS1)), z), c(kTanhS2));
-    const Vec q = V::add(
-        V::mul(V::add(V::mul(V::add(z, c(kTanhT0)), z), c(kTanhT1)), z),
-        c(kTanhT2));
-    const Vec small = V::add(ax, V::div(V::mul(V::mul(ax, z), s), q));
-
-    const Vec pick = V::select(V::lt(ax, c(kTanhSmall)), small, big);
+    const Vec quo =
+        V::div(V::select(small_lane, V::mul(V::mul(ax, z), s), px),
+               V::select(small_lane, q, V::sub(qx, px)));
+    Vec pick = V::add(ax, quo);
+    if (!V::all(small_lane)) {
+      const Vec er = V::add(c(1.0), V::mul(c(2.0), quo));
+      const Vec e = V::mul(er, V::pow2(kd));
+      const Vec big = V::sub(c(1.0), V::div(c(2.0), V::add(e, c(1.0))));
+      pick = V::select(small_lane, pick, big);
+    }
     V::store(y + i, V::or_bits(pick, sign));
   }
   for (; i < n; ++i) y[i] = tanh_fp64(x[i]);
+}
+
+// --- shared Adam update -----------------------------------------------------
+// nn::Adam::step's per-element update, after the sequential grad-norm sum
+// that sets c.clip. One op DAG: the scalar body below and the SIMD template
+// that replays it (separate mul/add/sub/div/sqrt, each one IEEE rounding),
+// so every backend returns the same bits.
+
+/// One element of KernelBackend::adam_step; internal linkage, like
+/// tanh_fp64. b1c/b2c are 1 − β1 and 1 − β2.
+static inline void adam_fp64(double& p, double g, double& m, double& v,
+                             const AdamCoeffs& c, double b1c, double b2c) {
+  const double gc = g * c.clip;
+  m = c.beta1 * m + b1c * gc;
+  v = c.beta2 * v + b2c * gc * gc;
+  const double mhat = m / c.bc1;
+  const double vhat = v / c.bc2;
+  p -= c.lr * mhat / (std::sqrt(vhat) + c.eps);
+}
+
+/// The SIMD adam_step body: adam_fp64 on V::kWidth elements at a time (V as
+/// for tanh_rows_vec, plus sqrt), the n % kWidth tail through adam_fp64.
+template <class V>
+void adam_step_vec(double* p, const double* g, double* m, double* v,
+                   std::size_t n, const AdamCoeffs& c) {
+  using Vec = typename V::Vec;
+  const double b1c = 1.0 - c.beta1;
+  const double b2c = 1.0 - c.beta2;
+  const Vec clip = V::set1(c.clip), beta1 = V::set1(c.beta1),
+            beta2 = V::set1(c.beta2), b1v = V::set1(b1c), b2v = V::set1(b2c),
+            bc1 = V::set1(c.bc1), bc2 = V::set1(c.bc2), lr = V::set1(c.lr),
+            eps = V::set1(c.eps);
+  std::size_t i = 0;
+  for (; i + V::kWidth <= n; i += V::kWidth) {
+    const Vec gc = V::mul(V::load(g + i), clip);
+    const Vec mv = V::add(V::mul(beta1, V::load(m + i)), V::mul(b1v, gc));
+    const Vec vv =
+        V::add(V::mul(beta2, V::load(v + i)), V::mul(V::mul(b2v, gc), gc));
+    V::store(m + i, mv);
+    V::store(v + i, vv);
+    const Vec mhat = V::div(mv, bc1);
+    const Vec vhat = V::div(vv, bc2);
+    const Vec step = V::div(V::mul(lr, mhat), V::add(V::sqrt(vhat), eps));
+    V::store(p + i, V::sub(V::load(p + i), step));
+  }
+  for (; i < n; ++i) adam_fp64(p[i], g[i], m[i], v[i], c, b1c, b2c);
 }
 
 /// Round-to-nearest-even int8 code of `v` (already scaled into ±127 plus
@@ -289,6 +346,8 @@ void scalar_knn_scan(const double* blocks, std::size_t rows, std::size_t dim,
                      std::size_t k, const double* queries, std::size_t nq,
                      std::size_t stride, double* kth);
 void scalar_tanh_rows(const double* x, std::size_t n, double* y);
+void scalar_adam_step(double* p, const double* g, double* m, double* v,
+                      std::size_t n, const AdamCoeffs& c);
 
 // --- avx2 (x86-64; TU compiled with -mavx2 -mno-fma) -----------------------
 #ifdef IMAP_KERNEL_AVX2
@@ -310,6 +369,8 @@ void avx2_knn_scan(const double* blocks, std::size_t rows, std::size_t dim,
                    std::size_t k, const double* queries, std::size_t nq,
                    std::size_t stride, double* kth);
 void avx2_tanh_rows(const double* x, std::size_t n, double* y);
+void avx2_adam_step(double* p, const double* g, double* m, double* v,
+                    std::size_t n, const AdamCoeffs& c);
 #endif
 
 // --- avx512 (x86-64; TU compiled with -mavx512f -mavx512bw) ----------------
@@ -332,6 +393,8 @@ void avx512_knn_scan(const double* blocks, std::size_t rows, std::size_t dim,
                      std::size_t k, const double* queries, std::size_t nq,
                      std::size_t stride, double* kth);
 void avx512_tanh_rows(const double* x, std::size_t n, double* y);
+void avx512_adam_step(double* p, const double* g, double* m, double* v,
+                      std::size_t n, const AdamCoeffs& c);
 #endif
 
 // --- neon (aarch64; asimd is baseline, no extra ISA flags needed) ----------

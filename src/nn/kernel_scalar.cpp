@@ -219,4 +219,12 @@ void scalar_tanh_rows(const double* x, std::size_t n, double* y) {
   for (std::size_t i = 0; i < n; ++i) y[i] = tanh_fp64(x[i]);
 }
 
+void scalar_adam_step(double* p, const double* g, double* m, double* v,
+                      std::size_t n, const AdamCoeffs& c) {
+  const double b1c = 1.0 - c.beta1;
+  const double b2c = 1.0 - c.beta2;
+  for (std::size_t i = 0; i < n; ++i)
+    adam_fp64(p[i], g[i], m[i], v[i], c, b1c, b2c);
+}
+
 }  // namespace imap::nn::kernel::detail

@@ -95,6 +95,13 @@ void tanh_rows(const double* x, std::size_t n, double* y) {
   fn(x, n, y);
 }
 
+void adam_step(double* p, const double* g, double* m, double* v,
+               std::size_t n, const AdamCoeffs& c) {
+  const KernelBackend& be = active_backend();
+  auto fn = be.adam_step ? be.adam_step : scalar_backend().adam_step;
+  fn(p, g, m, v, n, c);
+}
+
 }  // namespace kernel
 
 void axpy(std::vector<double>& y, double a, const std::vector<double>& x) {

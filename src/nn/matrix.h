@@ -28,6 +28,8 @@ namespace imap::nn {
 /// the contract, the choice affects throughput only, never bits.
 namespace kernel {
 
+struct AdamCoeffs;  // nn/kernel_backend.h
+
 /// y[r] = b[r] + Σ_c w[r·in + c]·x[c]   (b == nullptr ⇒ bias 0).
 void affine(const double* w, const double* b, std::size_t out, std::size_t in,
             const double* x, double* y);
@@ -92,6 +94,11 @@ void quant_act(float* h, std::size_t batch, std::size_t width,
 /// MLP forward (within 2 ulp of std::tanh, the same bits on every backend;
 /// see KernelBackend::tanh_rows). Dispatches like quant_affine.
 void tanh_rows(const double* x, std::size_t n, double* y);
+
+/// One Adam update of n parameters in place (see KernelBackend::adam_step;
+/// the same bits on every backend). Dispatches like quant_affine.
+void adam_step(double* p, const double* g, double* m, double* v,
+               std::size_t n, const AdamCoeffs& c);
 
 }  // namespace kernel
 

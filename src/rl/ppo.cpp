@@ -1,6 +1,7 @@
 #include "rl/ppo.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <functional>
 #include <numeric>
@@ -114,7 +115,10 @@ PpoTrainer::PolicyPartial PpoTrainer::step_policy(
     const RolloutBuffer& buf, const std::vector<std::size_t>& order,
     std::size_t b, std::size_t e, const std::vector<double>& adv,
     double inv_bs) {
+  PolicyScratch& sc = policy_sc_;
   PolicyPartial out;
+  sc.obs.gather(buf.obs, order, b, e);
+  sc.act.gather(buf.act, order, b, e);
   policy_->zero_grad();
 
   // Clipped surrogate (Eq. 1): gradient flows only through the unclipped
@@ -122,19 +126,17 @@ PpoTrainer::PolicyPartial PpoTrainer::step_policy(
   // 0.0, which the fixed-summation-order kernels treat as an exact bitwise
   // no-op.
   const std::size_t bs = e - b;
-  const nn::Batch& mean = policy_->mean_batch(scratch_.obs);
-  const std::size_t adim = policy_->act_dim();
-  scratch_.coeff.resize(bs);
+  policy_->log_prob_batch(sc.obs, sc.act, sc.lp);
+  sc.coeff.resize(bs);
   for (std::size_t n = 0; n < bs; ++n) {
     const std::size_t idx = order[b + n];
-    const double lp_new = nn::diag_gaussian::log_prob(
-        scratch_.act.row(n), mean.row(n), policy_->log_std().data(), adim);
+    const double lp_new = sc.lp[n];
     const double ratio = std::exp(lp_new - buf.logp[idx]);
     IMAP_NCHECK_FINITE(ratio, "ppo.ratio");
     const double a = adv[idx];
     const bool active =
         (a >= 0.0) ? (ratio < 1.0 + opts_.clip) : (ratio > 1.0 - opts_.clip);
-    scratch_.coeff[n] = active ? -a * ratio * inv_bs : 0.0;
+    sc.coeff[n] = active ? -a * ratio * inv_bs : 0.0;
     out.pol_loss += -std::min(ratio * a,
                               std::clamp(ratio, 1.0 - opts_.clip,
                                          1.0 + opts_.clip) *
@@ -142,7 +144,7 @@ PpoTrainer::PolicyPartial PpoTrainer::step_policy(
     out.kl += buf.logp[idx] - lp_new;
     ++out.samples;
   }
-  policy_->backward_logp_batch(scratch_.act, scratch_.coeff);
+  policy_->backward_logp_batch(sc.act, sc.coeff);
   IMAP_NCHECK_FINITE(out.pol_loss, "ppo.pol_loss");
   IMAP_NCHECK_FINITE(out.kl, "ppo.kl");
 
@@ -162,13 +164,14 @@ PpoTrainer::PolicyPartial PpoTrainer::step_policy(
 }
 
 double PpoTrainer::step_critic(nn::ValueNet& critic, nn::Adam& opt,
-                               CriticScratch& sc,
+                               CriticScratch& sc, const RolloutBuffer& buf,
                                const std::vector<double>& returns,
                                const std::vector<std::size_t>& order,
                                std::size_t b, std::size_t e, double inv_bs) {
+  sc.obs.gather(buf.obs, order, b, e);
   critic.zero_grad();
   const std::size_t bs = e - b;
-  critic.value_batch(scratch_.obs, sc.vals);
+  critic.value_batch(sc.obs, sc.vals);
   sc.vcoeff.resize(bs);
   double loss = 0.0;
   for (std::size_t n = 0; n < bs; ++n) {
@@ -182,6 +185,90 @@ double PpoTrainer::step_critic(nn::ValueNet& critic, nn::Adam& opt,
   return loss;
 }
 
+namespace {
+
+/// Claim state of one chain in run_chains.
+struct Chain {
+  std::atomic<bool> busy{false};      ///< a participant is stepping it
+  std::atomic<std::size_t> next{0};   ///< its next unit
+};
+
+/// Claim `ch` when it has units left and nobody is stepping it. The acquire
+/// pairs with the release of the previous holder, so a claimant sees every
+/// write of the units before.
+bool try_claim(Chain& ch, std::size_t units) {
+  if (ch.next.load(std::memory_order_relaxed) >= units) return false;
+  if (ch.busy.exchange(true, std::memory_order_acquire)) return false;
+  if (ch.next.load(std::memory_order_relaxed) < units) return true;
+  ch.busy.store(false, std::memory_order_release);
+  return false;
+}
+
+/// Run `chains` sequences of `units` steps, one pool join in all:
+/// step(c, j) runs unit j of chain c, and the units of one chain run in
+/// order, one at a time, so each chain does exactly the arithmetic it does
+/// alone whichever thread runs which unit. Chain 0 is at home on
+/// participant 0 (the caller), the others spread over the remaining
+/// participants. A participant steps its home chains first, round-robin
+/// when it has several, and keeps a chain while it has no other home chain
+/// with units left, so a network's state stays on one core. Once its home
+/// chains are done or held, it takes over the chain with the most units
+/// left that nobody holds, and returns when there is none. Under
+/// ScopedSerial the one participant steps every chain round-robin inline.
+/// A step that throws keeps its chain held, so the others finish the other
+/// chains and the first exception reaches the caller.
+void run_chains(std::size_t chains, std::size_t units,
+                const std::function<void(std::size_t, std::size_t)>& step) {
+  const std::size_t parts = std::min(effective_concurrency(), chains);
+  std::vector<Chain> state(chains);
+  const auto home = [parts](std::size_t c) {
+    return c == 0 || parts == 1 ? 0 : 1 + (c - 1) % (parts - 1);
+  };
+  const auto left = [&](std::size_t c) {
+    const std::size_t next = state[c].next.load(std::memory_order_relaxed);
+    return next < units ? units - next : 0;
+  };
+  parallel_for(
+      parts,
+      [&](std::size_t self) {
+        std::size_t cursor = 0;  // round-robin position among home chains
+        while (true) {
+          std::size_t pick = chains;
+          for (std::size_t k = 0; k < chains && pick == chains; ++k) {
+            const std::size_t c = (cursor + k) % chains;
+            if (home(c) == self && try_claim(state[c], units)) pick = c;
+          }
+          while (pick == chains) {
+            std::size_t best = chains;
+            for (std::size_t c = 0; c < chains; ++c)
+              if (left(c) > 0 &&
+                  !state[c].busy.load(std::memory_order_relaxed) &&
+                  (best == chains || left(c) > left(best)))
+                best = c;
+            if (best == chains) return;
+            if (try_claim(state[best], units)) pick = best;
+          }
+          const auto other_home_left = [&] {
+            for (std::size_t c = 0; c < chains; ++c)
+              if (c != pick && home(c) == self && left(c) > 0) return true;
+            return false;
+          };
+          Chain& ch = state[pick];
+          do {
+            const std::size_t j = ch.next.load(std::memory_order_relaxed);
+            step(pick, j);
+            ch.next.store(j + 1, std::memory_order_relaxed);
+          } while (ch.next.load(std::memory_order_relaxed) < units &&
+                   !other_home_left());
+          ch.busy.store(false, std::memory_order_release);
+          cursor = pick + 1;
+        }
+      },
+      /*grain=*/1);
+}
+
+}  // namespace
+
 void PpoTrainer::update(RolloutBuffer& buf, double tau, IterStats& stats) {
   const std::size_t n = buf.size();
 
@@ -191,12 +278,12 @@ void PpoTrainer::update(RolloutBuffer& buf, double tau, IterStats& stats) {
     // Chunked batched refresh through the critic's workspace; each value
     // is bit-identical to a one-row batch of its row.
     constexpr std::size_t kChunk = 1024;
-    std::vector<double>& vals = scratch_.critic_i.vals;
+    CriticScratch& sc = critic_i_sc_;
     for (std::size_t b = 0; b < n; b += kChunk) {
       const std::size_t e = std::min(n, b + kChunk);
-      scratch_.obs.gather_range(buf.obs, b, e);
-      value_i_->value_batch(scratch_.obs, vals);
-      for (std::size_t i = b; i < e; ++i) buf.val_i[i] = vals[i - b];
+      sc.obs.gather_range(buf.obs, b, e);
+      value_i_->value_batch(sc.obs, sc.vals);
+      for (std::size_t i = b; i < e; ++i) buf.val_i[i] = sc.vals[i - b];
     }
   }
 
@@ -224,27 +311,31 @@ void PpoTrainer::update(RolloutBuffer& buf, double tau, IterStats& stats) {
   double pol_loss_acc = 0.0, val_loss_acc = 0.0, kl_acc = 0.0;
   std::size_t loss_count = 0;
 
-  // Each minibatch trains the policy and the critics as separate pool
-  // tasks. The networks share no parameters, gradients, optimiser state or
-  // scratch (the gathered rows are only read), so every task runs exactly
-  // the arithmetic it would run alone, and the losses merge after the join
-  // in a fixed order: the trace does not depend on the thread count.
-  const std::size_t tasks = use_intrinsic ? 3 : 2;
-  std::size_t start = 0, end = 0;
-  double inv_bs = 0.0;
-  PolicyPartial pol;
-  double val_loss = 0.0;
-  const std::function<void(std::size_t)> step_network = [&](std::size_t k) {
-    if (k == 0) {
-      pol = step_policy(buf, order, start, end, adv, inv_bs);
-    } else if (k == 1) {
-      val_loss = step_critic(*value_e_, value_e_opt_, scratch_.critic_e,
-                             gae_e.returns, order, start, end, inv_bs);
+  // Each network is one chain per epoch: the policy and the critics share
+  // no parameters, gradients, optimiser state or scratch (the rollout,
+  // order and targets are only read), so every chain runs exactly the
+  // arithmetic it would run alone, and the per-minibatch losses merge after
+  // the join in minibatch order: the trace does not depend on the thread
+  // count.
+  const auto mb = static_cast<std::size_t>(opts_.minibatch);
+  const std::size_t batches = (n + mb - 1) / mb;
+  const auto step_chain = [&](std::size_t chain, std::size_t j) {
+    const std::size_t b = j * mb;
+    const std::size_t e = std::min(n, b + mb);
+    const double inv_bs = 1.0 / static_cast<double>(e - b);
+    if (chain == 0) {
+      policy_sc_.parts[j] = step_policy(buf, order, b, e, adv, inv_bs);
+    } else if (chain == 1) {
+      critic_e_sc_.losses[j] = step_critic(*value_e_, value_e_opt_,
+                                           critic_e_sc_, buf, gae_e.returns,
+                                           order, b, e, inv_bs);
     } else {
-      step_critic(*value_i_, value_i_opt_, scratch_.critic_i, gae_i.returns,
-                  order, start, end, inv_bs);
+      step_critic(*value_i_, value_i_opt_, critic_i_sc_, buf, gae_i.returns,
+                  order, b, e, inv_bs);
     }
   };
+  policy_sc_.parts.resize(batches);
+  critic_e_sc_.losses.resize(batches);
 
   for (int epoch = 0; epoch < opts_.epochs; ++epoch) {
     // Fisher–Yates with our Rng for reproducibility.
@@ -254,18 +345,14 @@ void PpoTrainer::update(RolloutBuffer& buf, double tau, IterStats& stats) {
       std::swap(order[i - 1], order[j]);
     }
 
+    run_chains(use_intrinsic ? 3 : 2, batches, step_chain);
+
     double epoch_kl = 0.0;
     std::size_t epoch_samples = 0;
-
-    for (start = 0; start < n; start = end) {
-      end = std::min(n, start + static_cast<std::size_t>(opts_.minibatch));
-      inv_bs = 1.0 / static_cast<double>(end - start);
-      scratch_.obs.gather(buf.obs, order, start, end);
-      scratch_.act.gather(buf.act, order, start, end);
-      parallel_for(tasks, step_network, /*grain=*/1);
-
+    for (std::size_t j = 0; j < batches; ++j) {
+      const PolicyPartial& pol = policy_sc_.parts[j];
       pol_loss_acc += pol.pol_loss;
-      val_loss_acc += val_loss;
+      val_loss_acc += critic_e_sc_.losses[j];
       epoch_kl += pol.kl;
       epoch_samples += pol.samples;
       loss_count += pol.samples;

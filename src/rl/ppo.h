@@ -110,8 +110,10 @@ class PpoTrainer {
 
   /// Sampling and optimisation stages of iterate(), exposed separately so
   /// benchmarks can time the update in isolation on a fixed rollout.
-  /// update() steps the policy and each critic as separate pool tasks per
-  /// minibatch; its result does not depend on the thread count.
+  /// update() steps each network (the policy and each critic) as one chain
+  /// per epoch: the chain runs that network's minibatches in order on rows
+  /// it gathers itself, the chains run concurrently on the pool with one
+  /// join per epoch, and the result does not depend on the thread count.
   void collect(RolloutBuffer& buf);
   void update(RolloutBuffer& buf, double tau, IterStats& stats);
 
@@ -126,45 +128,47 @@ class PpoTrainer {
   void load_state(const ArchiveReader& a);
 
  private:
-  /// Loss partials of one minibatch's policy task.
+  /// Loss partials of one policy minibatch.
   struct PolicyPartial {
     double pol_loss = 0.0;
     double kl = 0.0;
     std::size_t samples = 0;
   };
 
-  /// Minibatch scratch of one critic task; each critic owns one, so the
-  /// extrinsic and intrinsic critics can step at the same time.
-  struct CriticScratch {
-    std::vector<double> vals;    ///< critic outputs
-    std::vector<double> vcoeff;  ///< per-sample critic dL/dV coefficients
+  /// Scratch of the policy chain; it grows to the minibatch high-water mark
+  /// once and is then reused.
+  struct PolicyScratch {
+    nn::Batch obs;                      ///< gathered observation rows
+    nn::Batch act;                      ///< gathered action rows
+    std::vector<double> lp;             ///< log π(a|s) under the current θ
+    std::vector<double> coeff;          ///< policy-gradient coefficients
+    std::vector<PolicyPartial> parts;   ///< per minibatch of the epoch
   };
 
-  /// Reusable gathered-minibatch buffers for the minibatch update: they grow
-  /// to the minibatch high-water mark once and are then reused.
-  struct UpdateScratch {
-    nn::Batch obs;               ///< gathered observation rows (read by all)
-    nn::Batch act;               ///< gathered action rows
-    std::vector<double> coeff;   ///< per-sample policy-gradient coefficients
-    CriticScratch critic_e;      ///< extrinsic critic task
-    CriticScratch critic_i;      ///< intrinsic critic task
+  /// Scratch of one critic chain; each critic owns one, so the extrinsic
+  /// and intrinsic critics can step at the same time.
+  struct CriticScratch {
+    nn::Batch obs;               ///< gathered observation rows
+    std::vector<double> vals;    ///< critic outputs
+    std::vector<double> vcoeff;  ///< per-sample critic dL/dV coefficients
+    std::vector<double> losses;  ///< Σ ½(V − R)² per minibatch of the epoch
   };
 
   void ensure_workers();
 
-  /// The policy's task for the minibatch order[b..e) (rows already
-  /// gathered into scratch_): zero_grad, forward, clipped-surrogate
-  /// coefficients, backward, entropy and regularizer terms, Adam step and
-  /// log-std clamp.
+  /// One step of the policy chain, on the minibatch order[b..e): gather its
+  /// rows, zero_grad, forward, clipped-surrogate coefficients, backward,
+  /// entropy and regularizer terms, Adam step and log-std clamp.
   PolicyPartial step_policy(const RolloutBuffer& buf,
                             const std::vector<std::size_t>& order,
                             std::size_t b, std::size_t e,
                             const std::vector<double>& adv, double inv_bs);
 
-  /// One critic's task for the same minibatch: zero_grad, regression onto
-  /// `returns` (dL/dV = vf_coef · (V − R) / bs), backward and Adam step.
-  /// Returns Σ ½(V − R)² over the minibatch.
+  /// One step of a critic chain on the same minibatch: gather its rows,
+  /// zero_grad, regression onto `returns` (dL/dV = vf_coef · (V − R) / bs),
+  /// backward and Adam step. Returns Σ ½(V − R)² over the minibatch.
   double step_critic(nn::ValueNet& critic, nn::Adam& opt, CriticScratch& sc,
+                     const RolloutBuffer& buf,
                      const std::vector<double>& returns,
                      const std::vector<std::size_t>& order, std::size_t b,
                      std::size_t e, double inv_bs);
@@ -186,7 +190,9 @@ class PpoTrainer {
   RolloutBuffer rollout_;                ///< reused across iterations
 
   // Hot-path scratch reused across update() calls (capacity only grows).
-  UpdateScratch scratch_;                ///< minibatch buffers
+  PolicyScratch policy_sc_;              ///< policy chain
+  CriticScratch critic_e_sc_;            ///< extrinsic critic chain
+  CriticScratch critic_i_sc_;            ///< intrinsic critic chain
   std::vector<double> flat_p_;           ///< optimiser param staging
   std::vector<double> flat_g_;           ///< optimiser grad staging
   std::vector<std::size_t> reg_batch_;   ///< minibatch indices for reg_ hook

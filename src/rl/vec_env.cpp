@@ -129,6 +129,8 @@ void VecEnv::collect(const nn::GaussianPolicy& policy,
   const std::size_t odim = slots_[0].env->obs_dim();
   const std::size_t adim = slots_[0].env->act_dim();
   const std::vector<double>& log_std = policy.log_std();
+  nn::diag_gaussian::scales(log_std, 1.0, std_);
+  nn::diag_gaussian::scales(log_std, -1.0, inv_std_);
 
   for (int t = 0; t < max_budget; ++t) {
     std::size_t live = 0;
@@ -152,8 +154,9 @@ void VecEnv::collect(const nn::GaussianPolicy& policy,
       // Sample around the batched mean from the slot's own stream, then
       // score the sample against that same mean.
       for (std::size_t d = 0; d < adim; ++d)
-        a[d] = m[d] + std::exp(log_std[d]) * s.rng.normal();
-      logp_[r] = nn::diag_gaussian::log_prob(a, m, log_std.data(), adim);
+        a[d] = m[d] + std_[d] * s.rng.normal();
+      logp_[r] = nn::diag_gaussian::log_prob(a, m, log_std.data(),
+                                             inv_std_.data(), adim);
     }
 
     if (victim_batchable_) {

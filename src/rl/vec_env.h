@@ -97,6 +97,7 @@ class VecEnv {
   nn::Mlp::Workspace ws_policy_, ws_value_e_, ws_value_i_, ws_victim_;
   nn::Batch obs_b_, act_b_, query_b_, boot_b_;
   std::vector<double> logp_, vals_, boot_v_, action_, victim_out_;
+  std::vector<double> std_, inv_std_;  ///< exp(±log_std), once per collect
 };
 
 }  // namespace imap::rl

@@ -214,8 +214,9 @@ TEST(DagScheduler, HaltedGridResumesFromSnapshotsAndStaleLocks) {
   // The crashed-run shape, in process: every attack cell halts after one
   // training iteration (leaving its snapshot, caching no result), and each
   // halted cell's lockfile names a dead owner, as a killed run leaves it.
-  // A rerun over the same store must steal the locks, resume every cell
-  // from its snapshot and match an undisturbed serial run bit for bit.
+  // A rerun over the same store, still halting after one iteration, must
+  // steal the locks, resume every cell from its snapshot (so that one more
+  // iteration completes it) and match an undisturbed serial run bit for bit.
   const auto base = testing::unique_temp_dir("fabric_dag_resume");
   const auto plans = small_grid();
   const auto ref = serial_run(small_cfg(base + "_serial"), plans);
@@ -245,7 +246,7 @@ TEST(DagScheduler, HaltedGridResumesFromSnapshotsAndStaleLocks) {
   {
     ThreadPool pool(4);
     ScopedPool scope(pool);
-    out = core::DagScheduler(cfg).run(plans);
+    out = core::DagScheduler(halting).run(plans);
   }
   for (std::size_t i = 0; i < out.size(); ++i)
     EXPECT_TRUE(core::identical_results(ref[i], out[i])) << "plan " << i;

@@ -188,13 +188,16 @@ TEST(Fuzz, LogProbConsistentWithSampling) {
   for (int trial = 0; trial < 5; ++trial) {
     const double mean = rng.normal(0.0, 1.0);
     const double ls = rng.uniform(-1.0, 0.5);
+    const double inv_std = std::exp(-ls);
     double integral = 0.0;
     const double lo = mean - 6.0 * std::exp(ls), hi = mean + 6.0 * std::exp(ls);
     const int steps = 2000;
     const double h = (hi - lo) / steps;
     for (int i = 0; i < steps; ++i) {
       const double x = lo + (i + 0.5) * h;
-      integral += std::exp(nn::diag_gaussian::log_prob(&x, &mean, &ls, 1)) * h;
+      integral +=
+          std::exp(nn::diag_gaussian::log_prob(&x, &mean, &ls, &inv_std, 1)) *
+          h;
     }
     EXPECT_NEAR(integral, 1.0, 1e-3);
   }

@@ -479,6 +479,88 @@ IMAP_TANH_SIZE_LIST(IMAP_TANH_AVX512)
 #define IMAP_TANH_NEON(tag, n_) IMAP_TANH_CELL(neon, tag, n_)
 IMAP_TANH_SIZE_LIST(IMAP_TANH_NEON)
 
+// Adam: the scalar backend against the per-element update nn::Adam::step
+// applied before the kernel existed (written out below), every other
+// backend against scalar — bitwise, on p, m and v, with clipping inactive
+// (clip = 1) and active, at the first step and at t = 10⁴.
+void run_adam_step_cell(const std::string& backend, std::size_t n) {
+  std::string why;
+  const auto* be = lookup(backend, why);
+  if (be == nullptr) GTEST_SKIP() << why;
+  if (be->adam_step == nullptr)
+    GTEST_SKIP() << backend << " has no adam kernel (dispatch uses scalar)";
+  const bool is_scalar = be == &kernel::scalar_backend();
+  for (const double t : {1.0, 1e4}) {
+    for (const double clip : {1.0, 0.37}) {
+      SCOPED_TRACE("t=" + std::to_string(t) + " clip=" + std::to_string(clip));
+      Rng rng = shaped_rng(n, static_cast<std::size_t>(t), 2);
+      const kernel::AdamCoeffs c{.lr = 3e-4,
+                                 .beta1 = 0.9,
+                                 .beta2 = 0.999,
+                                 .eps = 1e-8,
+                                 .bc1 = 1.0 - std::pow(0.9, t),
+                                 .bc2 = 1.0 - std::pow(0.999, t),
+                                 .clip = clip};
+      const std::vector<double> p0 = randn_vec(n, rng);
+      const std::vector<double> g = randn_vec(n, rng);
+      std::vector<double> m0 = randn_vec(n, rng), v0(n);
+      for (auto& x : m0) x *= 0.1;
+      for (auto& x : v0) x = t == 1.0 ? 0.0 : 0.01 * rng.uniform(0.0, 1.0);
+      std::vector<double> p = p0, m = m0, v = v0;
+      be->adam_step(p.data(), g.data(), m.data(), v.data(), n, c);
+      std::vector<double> rp = p0, rm = m0, rv = v0;
+      if (is_scalar) {
+        for (std::size_t i = 0; i < n; ++i) {
+          const double gi = g[i] * c.clip;
+          rm[i] = c.beta1 * rm[i] + (1.0 - c.beta1) * gi;
+          rv[i] = c.beta2 * rv[i] + (1.0 - c.beta2) * gi * gi;
+          const double mhat = rm[i] / c.bc1;
+          const double vhat = rv[i] / c.bc2;
+          rp[i] -= c.lr * mhat / (std::sqrt(vhat) + c.eps);
+        }
+      } else {
+        kernel::scalar_backend().adam_step(rp.data(), g.data(), rm.data(),
+                                           rv.data(), n, c);
+      }
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(rp[i]),
+                  std::bit_cast<std::uint64_t>(p[i]))
+            << "p[" << i << "]";
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(rm[i]),
+                  std::bit_cast<std::uint64_t>(m[i]))
+            << "m[" << i << "]";
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(rv[i]),
+                  std::bit_cast<std::uint64_t>(v[i]))
+            << "v[" << i << "]";
+      }
+    }
+  }
+}
+
+#define IMAP_ADAM_SIZE_LIST(X) \
+  X(N1, 1)                     \
+  X(N7, 7)                     \
+  X(N8, 8)                     \
+  X(N9, 9)                     \
+  X(N1000, 1000)
+
+#define IMAP_ADAM_CELL(backend, tag, n_)         \
+  TEST(KernelMatrix_##backend, AdamStep_##tag) { \
+    run_adam_step_cell(#backend, n_);            \
+  }
+
+#define IMAP_ADAM_SCALAR(tag, n_) IMAP_ADAM_CELL(scalar, tag, n_)
+IMAP_ADAM_SIZE_LIST(IMAP_ADAM_SCALAR)
+
+#define IMAP_ADAM_AVX2(tag, n_) IMAP_ADAM_CELL(avx2, tag, n_)
+IMAP_ADAM_SIZE_LIST(IMAP_ADAM_AVX2)
+
+#define IMAP_ADAM_AVX512(tag, n_) IMAP_ADAM_CELL(avx512, tag, n_)
+IMAP_ADAM_SIZE_LIST(IMAP_ADAM_AVX512)
+
+#define IMAP_ADAM_NEON(tag, n_) IMAP_ADAM_CELL(neon, tag, n_)
+IMAP_ADAM_SIZE_LIST(IMAP_ADAM_NEON)
+
 // --- the generated matrix ---------------------------------------------------
 // Shapes: in/out/batch spanning 1, odd, lane-multiple (4/8/16-wide SIMD
 // blocks plus their 16-element unrolled variants), and large. The six from

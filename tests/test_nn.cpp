@@ -71,7 +71,8 @@ TEST(Adam, ClipsGlobalNorm) {
 
 /// 1-D log density and KL through the pointer cores.
 double log_prob1(double a, double mean, double log_std) {
-  return diag_gaussian::log_prob(&a, &mean, &log_std, 1);
+  const double inv_std = std::exp(-log_std);
+  return diag_gaussian::log_prob(&a, &mean, &log_std, &inv_std, 1);
 }
 double kl1(double mp, double lp, double mq, double lq) {
   return diag_gaussian::kl(&mp, &lp, &mq, &lq, 1);

@@ -5,12 +5,20 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <filesystem>
+#include <limits>
+#include <optional>
+#include <string>
 #include <vector>
 
+#include "common/check.h"
+#include "common/serialize.h"
 #include "common/thread_pool.h"
 #include "core/experiment.h"
 #include "core/regularizer.h"
+#include "defense/sa_regularizer.h"
 #include "env/registry.h"
 #include "rl/ppo.h"
 
@@ -81,6 +89,134 @@ TEST(ParallelDeterminism, LegacySerialOptionsUnaffectedByPool) {
   }
   expect_identical(serial_stats, pooled_stats);
   EXPECT_EQ(serial_params, pooled_params);
+}
+
+// --- the update's chain schedule --------------------------------------------
+// PpoTrainer::update steps each network as one chain per epoch, on a
+// participant picked by the schedule. Every network must come out with the
+// same bits on any pool: parameters, Adam moments (inside the trainer's
+// snapshot archive, with the Rng streams and the rollout slots) and stats.
+
+/// What one schedule run leaves behind.
+struct ChainRun {
+  std::vector<double> policy, value_e, value_i;
+  std::vector<std::uint8_t> state;  ///< PpoTrainer::save_state archive
+  std::vector<rl::IterStats> stats;
+};
+
+/// Two iterations of a small Hopper trainer (8 minibatches of 64, three
+/// epochs), with the intrinsic channel on or off and the SA smoothness hook
+/// installed or not. `pool` = nullptr runs under ScopedSerial.
+ChainRun run_chain_schedule(bool intrinsic, bool sa_hook, ThreadPool* pool) {
+  std::optional<ScopedSerial> serial;
+  std::optional<ScopedPool> scope;
+  if (pool == nullptr)
+    serial.emplace();
+  else
+    scope.emplace(*pool);
+  auto env = env::make_env("Hopper");
+  rl::PpoOptions opts;
+  opts.hidden = {16, 16};
+  opts.steps_per_iter = 512;
+  opts.minibatch = 64;
+  opts.epochs = 3;
+  opts.ent_coef = 0.01;
+  rl::PpoTrainer trainer(*env, opts, Rng(21));
+  if (intrinsic) {
+    // A deterministic bonus from the observations, at τ = 0.3.
+    trainer.set_intrinsic_hook([](rl::RolloutBuffer& buf) {
+      for (std::size_t i = 0; i < buf.size(); ++i)
+        buf.rew_i[i] = std::tanh(buf.obs[i][0] + 0.5 * buf.obs[i][1]);
+      return 0.3;
+    });
+  }
+  if (sa_hook)
+    trainer.set_regularizer_hook(
+        defense::make_smoothness_hook(0.05, 0.1, /*pgd_steps=*/1, Rng(5)));
+  ChainRun out;
+  for (int i = 0; i < 2; ++i) out.stats.push_back(trainer.iterate());
+  out.policy = trainer.policy().flat_params();
+  out.value_e = trainer.value_e().params();
+  out.value_i = trainer.value_i().params();
+  ArchiveWriter a;
+  trainer.save_state(a);
+  out.state = a.bytes();
+  return out;
+}
+
+class PpoChainSchedule
+    : public ::testing::TestWithParam<std::tuple<bool, bool>> {};
+
+TEST_P(PpoChainSchedule, EveryNetworkBitEqualOnAnyPool) {
+  const auto [intrinsic, sa_hook] = GetParam();
+  const ChainRun ref = run_chain_schedule(intrinsic, sa_hook, nullptr);
+  for (std::size_t threads = 1; threads <= 4; ++threads) {
+    SCOPED_TRACE("ThreadPool(" + std::to_string(threads) + ")");
+    ThreadPool pool(threads);
+    const ChainRun got = run_chain_schedule(intrinsic, sa_hook, &pool);
+    EXPECT_EQ(ref.policy, got.policy);
+    EXPECT_EQ(ref.value_e, got.value_e);
+    EXPECT_EQ(ref.value_i, got.value_i);
+    EXPECT_EQ(ref.state, got.state) << "Adam moments, Rng or slot state";
+    expect_identical(ref.stats, got.stats);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ChannelsAndHooks, PpoChainSchedule,
+    ::testing::Combine(::testing::Bool(), ::testing::Bool()),
+    [](const ::testing::TestParamInfo<std::tuple<bool, bool>>& p) {
+      return std::string(std::get<0>(p.param) ? "Intrinsic" : "Extrinsic") +
+             (std::get<1>(p.param) ? "SaHook" : "NoHook");
+    });
+
+/// Where a NaN enters the update: a reward (caught by GAE before the
+/// chains start), an old log-prob (caught inside the policy chain while the
+/// critic chains run on) or an observation (caught by every chain's first
+/// forward).
+enum class NanAt { Reward, OldLogProb, Observation };
+
+void expect_nan_update_ends(NanAt where) {
+  ThreadPool pool(2);
+  ScopedPool scope(pool);
+  auto env = env::make_env("Hopper");
+  rl::PpoOptions opts;
+  opts.hidden = {16, 16};
+  opts.steps_per_iter = 512;
+  opts.minibatch = 64;
+  opts.epochs = 2;
+  rl::PpoTrainer trainer(*env, opts, Rng(3));
+  rl::RolloutBuffer buf;
+  trainer.collect(buf);
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  switch (where) {
+    case NanAt::Reward: buf.rew_e[100] = kNan; break;
+    case NanAt::OldLogProb: buf.logp[300] = kNan; break;
+    case NanAt::Observation: buf.obs[200][0] = kNan; break;
+  }
+  rl::IterStats stats;
+#ifdef IMAP_CHECK_NUMERICS
+  // The library's guards are compiled in: the update throws, whichever
+  // chain meets the NaN, instead of leaving a participant waiting.
+  EXPECT_THROW(trainer.update(buf, 0.0, stats), NumericError);
+#else
+  // Without guards the NaN flows through and the update still returns.
+  EXPECT_NO_THROW(trainer.update(buf, 0.0, stats));
+  EXPECT_TRUE(std::isnan(where == NanAt::OldLogProb ? stats.approx_kl
+                                                    : stats.value_loss));
+#endif
+}
+
+TEST(PpoChainNumerics, NanRewardEndsTheUpdateOnTwoThreads) {
+  expect_nan_update_ends(NanAt::Reward);
+}
+
+TEST(PpoChainNumerics, NanOldLogProbEndsTheUpdateOnTwoThreads) {
+  expect_nan_update_ends(NanAt::OldLogProb);
+}
+
+TEST(PpoChainNumerics, NanObservationEndsTheUpdateOnTwoThreads) {
+  expect_nan_update_ends(NanAt::Observation);
 }
 
 TEST(ParallelDeterminism, KnnQueriesIdenticalFor1And4Threads) {

@@ -462,9 +462,10 @@ TEST_F(SnapshotTest, RunnerHaltLeavesSnapshotAndResumesToSameResult) {
   ASSERT_TRUE(std::filesystem::exists(cfg.zoo_dir + "/snapshots"));
   EXPECT_FALSE(std::filesystem::exists(cfg.zoo_dir + "/results"));
 
-  // Resume in a fresh process (runner): picks the snapshot up, finishes, and
-  // the outcome matches the uninterrupted reference bit for bit.
-  core::ExperimentRunner resumed(cfg);
+  // Resume in a fresh process (runner), still halting after one iteration:
+  // the run completes only if it picked the snapshot up (one iteration
+  // left), and the outcome matches the uninterrupted reference bit for bit.
+  core::ExperimentRunner resumed(halt_cfg);
   const auto got = resumed.run(plan);
   ASSERT_TRUE(got.completed);
   ASSERT_EQ(got.curve.size(), want.curve.size());

@@ -62,7 +62,7 @@ stage "bench-smoke (google-benchmark suites at min_time=0.01s, fabric and serve 
 # bundled google-benchmark predates the "0.01s" suffix syntax.
 "${BUILD_DIR}/bench/bench_micro_ppo" \
   --benchmark_min_time=0.01 \
-  --benchmark_filter='BM_TanhRows|BM_MlpForwardBatch|BM_PpoUpdate|BM_PpoUpdateImap|BM_RolloutCollect' \
+  --benchmark_filter='BM_TanhRows|BM_AdamStep|BM_MlpForwardBatch|BM_PpoUpdate|BM_PpoUpdateImap|BM_RolloutCollect' \
   || exit 1
 "${BUILD_DIR}/bench/bench_micro_infer" \
   --benchmark_min_time=0.01 \

@@ -6,10 +6,11 @@
 #
 #   ASan  : full tier-1 suite (heap/stack corruption, leaks).
 #   UBSan : full tier-1 suite (signed overflow, bad shifts, misaligned loads).
-#   TSan  : thread-pool, parallel-determinism, golden-trace, coalescer,
-#           server and serve-fuzz suites — the concurrent paths
-#           (GoldenTrace's 4-thread pool runs the PPO update's per-network
-#           tasks, intrinsic critic and regularizer hook included; the server
+#   TSan  : thread-pool, parallel-determinism, PPO chain-schedule,
+#           golden-trace, coalescer, server and serve-fuzz suites — the
+#           concurrent paths (the PpoChain suites and GoldenTrace's 4-thread
+#           pool run the PPO update's per-network chains, intrinsic critic
+#           and regularizer hook included; the server
 #           suites hand model builds and large forwards between the poll loop
 #           and the pool); the full suite under TSan is ~20x and adds nothing.
 #           The idle-pool wake-up probe then runs 20 more times on its own.

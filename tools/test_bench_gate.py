@@ -61,7 +61,7 @@ class Judge(unittest.TestCase):
 
     def test_drop_within_band_and_gain_pass(self):
         for factor in (0.95, 1.3):
-            change = side(scale={"BM_PpoUpdate": factor})
+            change = side(scale={"BM_PpoUpdate/real_time": factor})
             self.assertEqual(bench_gate.judge(side(), change, "", "")[0], 0)
 
     def test_build_type_mismatch_is_refused(self):
@@ -102,6 +102,18 @@ class Judge(unittest.TestCase):
         self.assertEqual(code, 0, "\n".join(lines))
         self.assertTrue(any(ln.startswith("BM_PpoUpdateNew") and
                             "(not gated)" in ln for ln in lines))
+
+    def test_base_built_before_a_rename_is_compared_under_the_new_name(self):
+        base = side()
+        for d in base:
+            for b in d["benchmarks"]:
+                if b["name"] == "BM_PpoUpdate/real_time":
+                    b["name"] = "BM_PpoUpdate"
+        code, lines = bench_gate.judge(base, side(), "", "")
+        self.assertEqual(code, 0, "\n".join(lines))
+        self.assertIn("bench_gate: ok: 7 gated case(s)", lines[-1])
+        slow = side(scale={"BM_PpoUpdate/real_time": 0.8})
+        self.assertEqual(bench_gate.judge(base, slow, "", "")[0], 1)
 
     def test_error_occurred_entry_fails(self):
         change = side(error="BM_VictimQueryBatch/16/0")
