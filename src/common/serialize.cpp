@@ -125,7 +125,9 @@ bool BinaryReader::load(const std::string& path, BinaryReader& out) {
 }
 
 void BinaryReader::need(std::size_t n) const {
-  IMAP_CHECK_MSG(pos_ + n <= buf_.size(), "checkpoint truncated");
+  // pos_ ≤ buf_.size() always; compare without the sum, which a corrupt
+  // length near 2^64 would wrap.
+  IMAP_CHECK_MSG(n <= buf_.size() - pos_, "checkpoint truncated");
 }
 
 std::uint64_t BinaryReader::read_u64() {
@@ -165,7 +167,9 @@ std::string BinaryReader::read_string() {
 
 std::vector<double> BinaryReader::read_vec() {
   const auto n = read_u64();
-  need(n * sizeof(double));
+  // Bound the count before it multiplies: 2^61 doubles wrap to 0 bytes.
+  IMAP_CHECK_MSG(n <= (buf_.size() - pos_) / sizeof(double),
+                 "checkpoint truncated");
   std::vector<double> v(n);
   if (n != 0) std::memcpy(v.data(), buf_.data() + pos_, n * sizeof(double));
   pos_ += n * sizeof(double);

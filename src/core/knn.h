@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "common/rng.h"
@@ -20,15 +21,22 @@ class KnnBuffer {
  public:
   KnnBuffer(std::size_t dim, std::size_t capacity, std::size_t k, Rng rng);
 
+  /// Add n row-major states (dim() values each), one reservoir step per
+  /// row exactly as n calls of add() would take, then re-sort the stored
+  /// rows once.
+  void add_rows(const double* rows, std::size_t n);
+  /// A batch of one: it re-sorts the whole buffer, so bulk adds go through
+  /// add_rows.
   void add(const double* s);
   void add(const std::vector<double>& s);
 
   /// Squared k-th-neighbour distance of n queries: query i is the dim()
   /// values at queries + i·stride (stride ≥ dim()), its result goes to
-  /// out[i]; +inf when fewer than k states are stored. One scan of the
-  /// stored rows through the active kernel backend's knn_scan, with no
-  /// internal threading — callers split large query sets across threads.
-  /// Bit-identical on every backend and for any split of the queries.
+  /// out[i]; +inf when fewer than k states are stored. One windowed scan
+  /// of the sorted rows through the active kernel backend's knn_scan, with
+  /// no internal threading and no mutation — callers split large query sets
+  /// across threads. Bit-identical to the brute force on every backend and
+  /// for any split of the queries.
   void knn_distance_sq_batch(const double* queries, std::size_t n,
                              std::size_t stride, double* out) const;
 
@@ -64,9 +72,21 @@ class KnnBuffer {
   std::size_t capacity_;
   std::size_t k_;
   Rng rng_;
-  /// size_ rows in the blocked [block][col][lane] layout of
-  /// nn::kernel::knn_blocked_index; unused lanes of the last block are 0.
+  /// Re-sort the stored rows by the column where they are least dense:
+  /// rows with a non-finite value (never anyone's neighbour) go past live_,
+  /// the rest ascend by that column (ties by slot). Moves rows in place.
+  void sort_rows();
+
+  /// The one copy of the rows: size_ rows in the blocked [block][col][lane]
+  /// layout of nn::kernel::knn_blocked_index, by position; unused lanes of
+  /// the last block are 0. Positions [0, live_) hold the all-finite rows in
+  /// ascending order of column axis_.
   std::vector<double> blocks_;
+  /// Position of each logical slot (the reservoir's and the wire format's
+  /// row index).
+  std::vector<std::uint32_t> pos_of_;
+  std::size_t axis_ = 0;
+  std::size_t live_ = 0;
   std::size_t size_ = 0;
   std::size_t total_ = 0;
 };

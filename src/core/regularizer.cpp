@@ -74,7 +74,7 @@ void add_sc_term(rl::RolloutBuffer& buf, const ObsSlice& slice, double weight,
   const std::size_t d = slice.dim(obs_dim);
   KnnBuffer dk(d, n, k, rng.split(rng.next_u64()));
   const std::vector<double> proj = project_rows(buf, slice, d);
-  for (std::size_t i = 0; i < n; ++i) dk.add(proj.data() + i * d);
+  dk.add_rows(proj.data(), n);
   // Query ranges are independent and each writes only its own sq/rew_i
   // slots; one batched scan per range.
   std::vector<double> sq(n);
@@ -135,17 +135,33 @@ class PcMarginal {
     const std::size_t d = slice_.dim(obs_dim);
     KnnBuffer dk(d, n, k_, rng_.split(rng_.next_u64()));
     const std::vector<double> proj = project_rows(buf, slice_, d);
-    for (std::size_t i = 0; i < n; ++i) dk.add(proj.data() + i * d);
-    // Query ranges are independent and each writes only its own sq/rew_i
-    // slots; one batched scan per buffer per range. The union buffer is
-    // read-only until the fold below.
+    // Two rounds of pool tasks. Task 0 builds D_k in the first round and
+    // folds the rollout into B in the second (only then: the fresh
+    // trajectories represent π_k); tasks 1.. split the queries into ranges
+    // and scan B before the fold, D_k after the build. Each range writes
+    // only its own sq/rew_i slots, and no result depends on the split.
     const bool use_b = union_buffer_.size() >= k_;
     std::vector<double> sq_dk(n), sq_b(use_b ? n : 0);
-    parallel_for_chunked(n, 0, [&](std::size_t b, std::size_t e) {
-      const double* q = proj.data() + b * d;
-      dk.knn_distance_sq_batch(q, e - b, d, sq_dk.data() + b);
-      if (use_b)
-        union_buffer_.knn_distance_sq_batch(q, e - b, d, sq_b.data() + b);
+    const std::size_t ranges = std::min(n, 4 * effective_concurrency());
+    const auto bounds = [&](std::size_t t) {
+      return std::pair{(t - 1) * n / ranges, t * n / ranges};
+    };
+    parallel_for(ranges + 1, [&](std::size_t t) {
+      if (t == 0) {
+        dk.add_rows(proj.data(), n);
+      } else if (use_b) {
+        const auto [b, e] = bounds(t);
+        union_buffer_.knn_distance_sq_batch(proj.data() + b * d, e - b, d,
+                                            sq_b.data() + b);
+      }
+    }, 1);
+    parallel_for(ranges + 1, [&](std::size_t t) {
+      if (t == 0) {
+        union_buffer_.add_rows(proj.data(), n);
+        return;
+      }
+      const auto [b, e] = bounds(t);
+      dk.knn_distance_sq_batch(proj.data() + b * d, e - b, d, sq_dk.data() + b);
       for (std::size_t i = b; i < e; ++i) {
         const double dist_dk = std::sqrt(sq_dk[i]);
         // ∇ of Σ√(d/ρ) with d ≈ 1/dist_{D_k}, ρ ≈ 1/dist_B gives a bonus
@@ -156,10 +172,8 @@ class PcMarginal {
                                      std::sqrt(std::max(0.0, dist_dk) *
                                                std::max(0.0, dist_b)));
       }
-    });
+    }, 1);
     IMAP_NCHECK_FINITE_VEC(buf.rew_i, "regularizer.pc_bonus");
-    // Only now fold the fresh trajectories into B (they represent π_k).
-    for (std::size_t i = 0; i < n; ++i) union_buffer_.add(proj.data() + i * d);
   }
 
   void save_state(BinaryWriter& w) const {
@@ -230,11 +244,21 @@ class RiskRegularizer final : public AdversarialRegularizer {
   void compute(rl::RolloutBuffer& buf, const nn::GaussianPolicy&) override {
     // J_I^R = −Σ_s d(s)·‖Π_{S^ν}(s) − s^{ν(α)}‖  (Eq. 10): lure the victim
     // toward the adversarially chosen state.
+    // The distance runs over the slice in place: [begin, end) of each row,
+    // with ObsSlice::project's per-row bounds check.
+    const ObsSlice& slice = opts_.victim_slice;
     for (std::size_t i = 0; i < buf.size(); ++i) {
-      const auto v = opts_.victim_slice.project(buf.obs[i]);
+      const std::vector<double>& s = buf.obs[i];
+      std::size_t begin = 0, end = s.size();
+      if (!slice.whole()) {
+        IMAP_CHECK(slice.end <= s.size() && slice.begin < slice.end);
+        begin = slice.begin;
+        end = slice.end;
+      }
+      IMAP_CHECK(end - begin == opts_.risk_target.size());
       double sq = 0.0;
-      for (std::size_t c = 0; c < v.size(); ++c) {
-        const double d = v[c] - opts_.risk_target[c];
+      for (std::size_t c = begin; c < end; ++c) {
+        const double d = s[c] - opts_.risk_target[c - begin];
         sq += d * d;
       }
       buf.rew_i[i] = -std::sqrt(sq);

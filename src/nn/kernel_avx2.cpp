@@ -733,10 +733,10 @@ void avx2_adam_step(double* p, const double* g, double* m, double* v,
 }
 
 void avx2_knn_scan(const double* blocks, std::size_t rows, std::size_t dim,
-                   std::size_t k, const double* queries, std::size_t nq,
-                   std::size_t stride, double* kth) {
-  knn_scan_tiled<Avx2Rows, 1, 2>(blocks, rows, dim, k, queries, nq, stride,
-                                 kth);
+                   std::size_t axis, std::size_t k, const double* queries,
+                   std::size_t nq, std::size_t stride, double* kth) {
+  knn_scan_window<Avx2Rows, 1, 2>(blocks, rows, dim, axis, k, queries, nq,
+                                  stride, kth);
 }
 
 }  // namespace imap::nn::kernel::detail

@@ -128,14 +128,19 @@ struct KernelBackend {
   /// KNN scan: for each query i (dim values at queries + i·stride) write
   /// to kth[i] the k-th smallest squared Euclidean distance to the `rows`
   /// rows of `blocks` (blocked layout, see knn_blocked_index), or +inf when
-  /// rows < k. 1 ≤ k ≤ kKnnMaxK. Lanes run across independent buffer rows;
-  /// each (query, row) pair accumulates sq += d·d over c = 0..dim-1 left to
-  /// right with separate mul/add, and the k-th smallest value of that set
-  /// does not depend on visit order, so every backend returns the same bits.
-  /// No internal threading: callers split the queries.
+  /// rows < k. 1 ≤ k ≤ kKnnMaxK. The rows must be ordered by column `axis`
+  /// (non-decreasing, no NaN there); other columns may hold anything. Each
+  /// (query, row) pair accumulates sq += d·d over c = 0..dim-1 left to right
+  /// with separate sub/mul/add. The scan is windowed: it visits queries in
+  /// `axis` order and skips only rows whose axis term alone already reaches
+  /// a query's k-th best, which the monotone rounded chain cannot then
+  /// undercut. The k-th smallest value of the set does not depend on visit
+  /// order, so every backend returns the brute-force bits. A query with a
+  /// non-finite value gets +inf, as the brute force gives it. No internal
+  /// threading: callers split the queries.
   void (*knn_scan)(const double* blocks, std::size_t rows, std::size_t dim,
-                   std::size_t k, const double* queries, std::size_t nq,
-                   std::size_t stride, double* kth);
+                   std::size_t axis, std::size_t k, const double* queries,
+                   std::size_t nq, std::size_t stride, double* kth);
 
   /// y[i] = tanh(x[i]) for i < n, in fp64: the hidden-layer activation of
   /// Mlp::forward_batch. One op DAG (nn/kernel_impl.h tanh_fp64) — range

@@ -248,9 +248,10 @@ static inline void knn_insert(double* best, std::size_t k, double sq) {
   best[pos] = sq;
 }
 
-/// Q queries against R consecutive row blocks starting at `blk` (`left`
-/// rows remain from there; more than (R−1)·kKnnLanes). `V` is a backend's
-/// lane type: V::Vec holds one block column (kKnnLanes rows), and
+/// Q queries (q[j] points at query j's dim values) against R consecutive
+/// row blocks starting at `blk` (`left` rows remain from there; more than
+/// (R−1)·kKnnLanes). `V` is a backend's lane type: V::Vec holds one block
+/// column (kKnnLanes rows), and
 ///   V::zero(), V::load(p), V::acc_sq(acc, x, q) = acc + (x − q)·(x − q)
 ///   (separate sub, mul, add), V::lt_mask(acc, t) (bit l set when lane l
 ///   < t, false for NaN), V::store(p, acc).
@@ -261,8 +262,8 @@ static inline void knn_insert(double* best, std::size_t k, double sq) {
 template <class V, std::size_t Q, std::size_t R>
 [[gnu::always_inline]] inline void knn_step(const double* blk,
                                             std::size_t left, std::size_t dim,
-                                            std::size_t k, const double* q,
-                                            std::size_t stride,
+                                            std::size_t k,
+                                            const double* const* q,
                                             double (*best)[kKnnMaxK]) {
   typename V::Vec acc[Q][R];
   for (auto& row : acc)
@@ -272,7 +273,7 @@ template <class V, std::size_t Q, std::size_t R>
     for (std::size_t h = 0; h < R; ++h)
       x[h] = V::load(blk + (h * dim + c) * kKnnLanes);
     for (std::size_t j = 0; j < Q; ++j) {
-      const double qc = q[j * stride + c];
+      const double qc = q[j][c];
       for (std::size_t h = 0; h < R; ++h)
         acc[j][h] = V::acc_sq(acc[j][h], x[h], qc);
     }
@@ -291,40 +292,134 @@ template <class V, std::size_t Q, std::size_t R>
   }
 }
 
-/// Q queries against every row: R row blocks per step while they last,
-/// then one block at a time.
+/// True when no row beyond `key` in the scan direction can enter any of the
+/// Q top-k lists. `key` is the sort coordinate of the nearest row on that
+/// side (rows further on lie at least as far from the query along `axis`).
+/// A row's chain sq = Σ fl(d_c·d_c) is a rounded sum of non-negative terms,
+/// so it is ≥ its axis term, and rounding is monotone, so that term is ≥
+/// fl(fl(key − q_axis)²) for every row past `key`. A query with key on its
+/// near side gets the bound 0. Once the bound reaches a query's k-th best,
+/// knn_insert's strict `<` rejects every row past `key`, and k-th bests only
+/// fall, so a closed direction stays closed.
+template <std::size_t Q>
+static inline bool knn_closed(double key, bool up, const double* const* q,
+                              std::size_t axis, std::size_t k,
+                              const double (*best)[kKnnMaxK]) {
+  for (std::size_t j = 0; j < Q; ++j) {
+    const double d = key - q[j][axis];
+    const double bound = (up ? d > 0.0 : d < 0.0) ? d * d : 0.0;
+    if (!(bound >= best[j][k - 1])) return false;
+  }
+  return true;
+}
+
+/// Q queries against the rows a sorted-axis bound cannot rule out. Starting
+/// at the block that holds the middle query's sort key, the window grows
+/// one step up and one step down in turn (R blocks per step while that many
+/// remain on the side, then one) until knn_closed shuts both sides.
 template <class V, std::size_t Q, std::size_t R>
-void knn_tile(const double* blocks, std::size_t rows, std::size_t dim,
-              std::size_t k, const double* q, std::size_t stride,
-              double* kth) {
+void knn_window(const double* blocks, std::size_t rows, std::size_t dim,
+                std::size_t axis, std::size_t k, const double* const* q,
+                double* const* kth) {
   double best[Q][kKnnMaxK];
   for (auto& b : best)
     std::fill(b, b + k, std::numeric_limits<double>::infinity());
-  std::size_t r0 = 0;
-  for (; r0 + R * kKnnLanes <= rows; r0 += R * kKnnLanes)
-    knn_step<V, Q, R>(blocks + r0 * dim, rows - r0, dim, k, q, stride, best);
-  for (; r0 < rows; r0 += kKnnLanes)
-    knn_step<V, Q, 1>(blocks + r0 * dim, rows - r0, dim, k, q, stride, best);
-  for (std::size_t j = 0; j < Q; ++j) kth[j] = best[j][k - 1];
+  const auto key = [&](std::size_t r) {
+    return blocks[knn_blocked_index(r, axis, dim)];
+  };
+  const std::size_t nblocks = (rows + kKnnLanes - 1) / kKnnLanes;
+  const double mid = q[Q / 2][axis];
+  std::size_t lo = 0, hi = rows;
+  while (lo < hi) {
+    const std::size_t m = lo + (hi - lo) / 2;
+    if (key(m) < mid) lo = m + 1;
+    else hi = m;
+  }
+  // Blocks [down, up) are scanned.
+  std::size_t up = std::min(lo / kKnnLanes, nblocks - 1), down = up;
+  bool up_open = true, down_open = down > 0;
+  while (up_open || down_open) {
+    if (up_open) {
+      if (knn_closed<Q>(key(up * kKnnLanes), true, q, axis, k, best)) {
+        up_open = false;
+      } else {
+        const std::size_t r0 = up * kKnnLanes;
+        if (up + R <= nblocks) {
+          knn_step<V, Q, R>(blocks + r0 * dim, rows - r0, dim, k, q, best);
+          up += R;
+        } else {
+          knn_step<V, Q, 1>(blocks + r0 * dim, rows - r0, dim, k, q, best);
+          ++up;
+        }
+        up_open = up < nblocks;
+      }
+    }
+    if (down_open) {
+      if (knn_closed<Q>(key(down * kKnnLanes - 1), false, q, axis, k, best)) {
+        down_open = false;
+      } else {
+        const std::size_t n = down >= R ? R : 1;
+        const std::size_t r0 = (down - n) * kKnnLanes;
+        if (n == R)
+          knn_step<V, Q, R>(blocks + r0 * dim, rows - r0, dim, k, q, best);
+        else
+          knn_step<V, Q, 1>(blocks + r0 * dim, rows - r0, dim, k, q, best);
+        down -= n;
+        down_open = down > 0;
+      }
+    }
+  }
+  for (std::size_t j = 0; j < Q; ++j) *kth[j] = best[j][k - 1];
 }
 
-/// The knn_scan entry of a SIMD backend: query tiles of kKnnQueryTile
-/// sharing each row-block load (kTileRows blocks per step), then leftover
-/// queries one at a time over kSingleRows blocks per step — enough
-/// independent add chains to hide the add latency either way.
+/// The knn_scan entry of every backend (see KernelBackend::knn_scan). A
+/// query holding a non-finite value is at +inf or NaN from every row, so it
+/// gets +inf without a scan (and never reaches the sort below); so does
+/// every query when rows < k. The rest are visited in sort-key order, in
+/// batches of up to kSortBatch sorted on the stack (a scan allocates
+/// nothing): tiles of 4 neighbouring queries share each row-block load
+/// (kTileRows blocks per step), leftover queries go one at a time over
+/// kSingleRows blocks per step — enough independent add chains to hide the
+/// add latency either way.
 template <class V, std::size_t kTileRows, std::size_t kSingleRows>
-void knn_scan_tiled(const double* blocks, std::size_t rows, std::size_t dim,
-                    std::size_t k, const double* queries, std::size_t nq,
-                    std::size_t stride, double* kth) {
-  constexpr std::size_t kKnnQueryTile = 4;
-  std::size_t i = 0;
-  for (; i + kKnnQueryTile <= nq; i += kKnnQueryTile)
-    knn_tile<V, kKnnQueryTile, kTileRows>(blocks, rows, dim, k,
-                                          queries + i * stride, stride,
-                                          kth + i);
-  for (; i < nq; ++i)
-    knn_tile<V, 1, kSingleRows>(blocks, rows, dim, k, queries + i * stride,
-                                stride, kth + i);
+void knn_scan_window(const double* blocks, std::size_t rows, std::size_t dim,
+                     std::size_t axis, std::size_t k, const double* queries,
+                     std::size_t nq, std::size_t stride, double* kth) {
+  constexpr std::size_t kKnnQueryTile = 4, kSortBatch = 512;
+  for (std::size_t base = 0; base < nq; base += kSortBatch) {
+    const double* qs = queries + base * stride;
+    double* ks = kth + base;
+    std::uint32_t order[kSortBatch];
+    std::size_t m = 0;
+    for (std::size_t i = 0; i < std::min(kSortBatch, nq - base); ++i) {
+      ks[i] = std::numeric_limits<double>::infinity();
+      const double* q = qs + i * stride;
+      if (rows >= k && std::all_of(q, q + dim, [](double v) {
+            return std::isfinite(v);
+          }))
+        order[m++] = static_cast<std::uint32_t>(i);
+    }
+    const auto key = [&](std::uint32_t i) { return qs[i * stride + axis]; };
+    std::sort(order, order + m, [&](std::uint32_t a, std::uint32_t b) {
+      return key(a) < key(b) || (key(a) == key(b) && a < b);
+    });
+    std::size_t t = 0;
+    for (; t + kKnnQueryTile <= m; t += kKnnQueryTile) {
+      const double* q[kKnnQueryTile];
+      double* out[kKnnQueryTile];
+      for (std::size_t j = 0; j < kKnnQueryTile; ++j) {
+        q[j] = qs + order[t + j] * stride;
+        out[j] = ks + order[t + j];
+      }
+      knn_window<V, kKnnQueryTile, kTileRows>(blocks, rows, dim, axis, k, q,
+                                              out);
+    }
+    for (; t < m; ++t) {
+      const double* q = qs + order[t] * stride;
+      double* out = ks + order[t];
+      knn_window<V, 1, kSingleRows>(blocks, rows, dim, axis, k, &q, &out);
+    }
+  }
 }
 
 // --- scalar reference (always compiled) ------------------------------------
@@ -343,8 +438,8 @@ void scalar_quant_affine(const std::int16_t* wq_packed, const float* row_scale,
 void scalar_quant_act(float* h, std::size_t batch, std::size_t width,
                       std::size_t out_pairs, std::int16_t* qx, float* qscale);
 void scalar_knn_scan(const double* blocks, std::size_t rows, std::size_t dim,
-                     std::size_t k, const double* queries, std::size_t nq,
-                     std::size_t stride, double* kth);
+                     std::size_t axis, std::size_t k, const double* queries,
+                     std::size_t nq, std::size_t stride, double* kth);
 void scalar_tanh_rows(const double* x, std::size_t n, double* y);
 void scalar_adam_step(double* p, const double* g, double* m, double* v,
                       std::size_t n, const AdamCoeffs& c);
@@ -366,8 +461,8 @@ void avx2_quant_affine(const std::int16_t* wq_packed, const float* row_scale,
 void avx2_quant_act(float* h, std::size_t batch, std::size_t width,
                     std::size_t out_pairs, std::int16_t* qx, float* qscale);
 void avx2_knn_scan(const double* blocks, std::size_t rows, std::size_t dim,
-                   std::size_t k, const double* queries, std::size_t nq,
-                   std::size_t stride, double* kth);
+                   std::size_t axis, std::size_t k, const double* queries,
+                   std::size_t nq, std::size_t stride, double* kth);
 void avx2_tanh_rows(const double* x, std::size_t n, double* y);
 void avx2_adam_step(double* p, const double* g, double* m, double* v,
                     std::size_t n, const AdamCoeffs& c);
@@ -390,8 +485,8 @@ void avx512_quant_affine(const std::int16_t* wq_packed, const float* row_scale,
 void avx512_quant_act(float* h, std::size_t batch, std::size_t width,
                       std::size_t out_pairs, std::int16_t* qx, float* qscale);
 void avx512_knn_scan(const double* blocks, std::size_t rows, std::size_t dim,
-                     std::size_t k, const double* queries, std::size_t nq,
-                     std::size_t stride, double* kth);
+                     std::size_t axis, std::size_t k, const double* queries,
+                     std::size_t nq, std::size_t stride, double* kth);
 void avx512_tanh_rows(const double* x, std::size_t n, double* y);
 void avx512_adam_step(double* p, const double* g, double* m, double* v,
                       std::size_t n, const AdamCoeffs& c);
@@ -408,8 +503,8 @@ void neon_batch_outer_acc(const double* g, const double* x, std::size_t batch,
                           std::size_t out, std::size_t in, double* dw,
                           double* db);
 void neon_knn_scan(const double* blocks, std::size_t rows, std::size_t dim,
-                   std::size_t k, const double* queries, std::size_t nq,
-                   std::size_t stride, double* kth);
+                   std::size_t axis, std::size_t k, const double* queries,
+                   std::size_t nq, std::size_t stride, double* kth);
 #endif
 
 }  // namespace imap::nn::kernel::detail

@@ -187,32 +187,43 @@ void scalar_quant_act(float* h, std::size_t batch, std::size_t width,
   }
 }
 
-void scalar_knn_scan(const double* blocks, std::size_t rows, std::size_t dim,
-                     std::size_t k, const double* queries, std::size_t nq,
-                     std::size_t stride, double* kth) {
-  // Reference chain: per (query, row) sq = 0, then sq += d·d for c = 0..
-  // dim-1. The lane loop is innermost so the eight chains of a block advance
-  // together over one contiguous column; lanes past `rows` are computed on
-  // the block's padding and never folded into the top-k.
-  for (std::size_t i = 0; i < nq; ++i) {
-    const double* q = queries + i * stride;
-    double best[kKnnMaxK];
-    std::fill(best, best + k, std::numeric_limits<double>::infinity());
-    for (std::size_t r0 = 0; r0 < rows; r0 += kKnnLanes) {
-      const double* blk = blocks + r0 * dim;
-      double sq[kKnnLanes] = {};
-      for (std::size_t c = 0; c < dim; ++c) {
-        const double* col = blk + c * kKnnLanes;
-        for (std::size_t l = 0; l < kKnnLanes; ++l) {
-          const double d = col[l] - q[c];
-          sq[l] += d * d;
-        }
-      }
-      const std::size_t live = std::min(kKnnLanes, rows - r0);
-      for (std::size_t l = 0; l < live; ++l) knn_insert(best, k, sq[l]);
-    }
-    kth[i] = best[k - 1];
+namespace {
+
+/// knn_scan lanes without SIMD: one column of an eight-row block as eight
+/// doubles, each lane one (query, row) chain.
+struct ScalarRows {
+  struct Vec {
+    double v[kKnnLanes];
+  };
+  static Vec zero() { return {}; }
+  static Vec load(const double* p) {
+    Vec x;
+    std::copy(p, p + kKnnLanes, x.v);
+    return x;
   }
+  static Vec acc_sq(Vec acc, Vec x, double q) {
+    for (std::size_t l = 0; l < kKnnLanes; ++l) {
+      const double d = x.v[l] - q;
+      acc.v[l] += d * d;
+    }
+    return acc;
+  }
+  static unsigned lt_mask(Vec a, double t) {
+    unsigned m = 0;
+    for (std::size_t l = 0; l < kKnnLanes; ++l)
+      m |= static_cast<unsigned>(a.v[l] < t) << l;
+    return m;
+  }
+  static void store(double* p, Vec a) { std::copy(a.v, a.v + kKnnLanes, p); }
+};
+
+}  // namespace
+
+void scalar_knn_scan(const double* blocks, std::size_t rows, std::size_t dim,
+                     std::size_t axis, std::size_t k, const double* queries,
+                     std::size_t nq, std::size_t stride, double* kth) {
+  knn_scan_window<ScalarRows, 1, 1>(blocks, rows, dim, axis, k, queries, nq,
+                                    stride, kth);
 }
 
 void scalar_tanh_rows(const double* x, std::size_t n, double* y) {

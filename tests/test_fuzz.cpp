@@ -11,15 +11,19 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/check.h"
 #include "common/rng.h"
+#include "common/serialize.h"
 #include "core/knn.h"
 #include "nn/checkpoint.h"
 #include "nn/gaussian.h"
@@ -27,6 +31,7 @@
 #include "rl/policy_handle.h"
 #include "serve/http.h"
 #include "serve/server.h"
+#include "knn_reference.h"
 #include "temp_dir.h"
 
 namespace imap {
@@ -109,9 +114,51 @@ TEST(Fuzz, GaeMatchesNaiveReference) {
 
 // ---------------------------------------------------------------- KNN
 
+/// A fuzzed KNN value: Gaussian (sd 3), or on the integer grid {-2..2}
+/// (clustered rows with equal sort keys and tied distances); with
+/// `non_finite`, one value in 12 is NaN, +inf or -inf.
+double knn_fuzz_value(Rng& rng, bool grid, bool non_finite) {
+  if (non_finite && rng.bernoulli(1.0 / 12.0)) {
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    const double pick[] = {std::numeric_limits<double>::quiet_NaN(), kInf,
+                           -kInf};
+    return pick[rng.uniform_int(0, 2)];
+  }
+  return grid ? static_cast<double>(rng.uniform_int(-2, 2))
+              : rng.normal(0.0, 3.0);
+}
+
+/// Every query of `queries` (nq at `stride`) through the batch entry, each
+/// checked bitwise against the reference chain over `mirror` and against
+/// its own single-query result.
+void expect_knn_matches_reference(const core::KnnBuffer& buf,
+                                  const std::vector<std::vector<double>>& mirror,
+                                  const std::vector<double>& queries,
+                                  std::size_t nq, std::size_t stride,
+                                  const std::string& where) {
+  const std::size_t dim = buf.dim();
+  std::vector<double> rows;
+  for (const auto& p : mirror) rows.insert(rows.end(), p.begin(), p.end());
+  std::vector<double> got(nq);
+  buf.knn_distance_sq_batch(queries.data(), nq, stride, got.data());
+  for (std::size_t i = 0; i < nq; ++i) {
+    const double* q = queries.data() + i * stride;
+    const double want = testing::knn_reference_kth_sq(
+        rows.data(), mirror.size(), dim, q, buf.k());
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(want),
+              std::bit_cast<std::uint64_t>(got[i]))
+        << where << " query " << i << ": want " << want << ", got "
+        << got[i];
+    ASSERT_EQ(got[i], buf.knn_distance_sq(q)) << where << " query " << i;
+  }
+}
+
 TEST(Fuzz, KnnMatchesBruteForceUnderInterleavedOps) {
   Rng rng(202);
-  for (int trial = 0; trial < 16; ++trial) {
+  for (int trial = 0; trial < 24; ++trial) {
+    // Trials cycle through Gaussian, clustered-grid and non-finite inputs.
+    const bool grid = trial % 3 == 1;
+    const bool non_finite = trial % 3 == 2;
     const std::size_t dim =
         1 + static_cast<std::size_t>(rng.uniform_int(0, 16));
     const std::size_t k = 1 + static_cast<std::size_t>(rng.uniform_int(0, 5));
@@ -130,54 +177,184 @@ TEST(Fuzz, KnnMatchesBruteForceUnderInterleavedOps) {
 
     for (int op = 0; op < 150; ++op) {
       if (mirror.empty() || rng.bernoulli(0.7)) {
-        auto s = rng.normal_vec(dim, 0.0, 3.0);
-        buf.add(s);
-        ++total;
-        if (mirror.size() < cap) {
-          mirror.push_back(std::move(s));
-        } else {
-          const auto j = static_cast<std::size_t>(
-              mirror_rng.uniform_int(0, static_cast<int>(total) - 1));
-          if (j < cap) mirror[j] = std::move(s);
+        // A batch of 1-12 rows through add_rows (one re-sort per batch).
+        const std::size_t n =
+            1 + static_cast<std::size_t>(rng.uniform_int(0, 11));
+        std::vector<double> batch(n * dim);
+        for (auto& x : batch) x = knn_fuzz_value(rng, grid, non_finite);
+        buf.add_rows(batch.data(), n);
+        for (std::size_t r = 0; r < n; ++r) {
+          std::vector<double> s(batch.begin() + static_cast<long>(r * dim),
+                                batch.begin() + static_cast<long>(r * dim + dim));
+          ++total;
+          if (mirror.size() < cap) {
+            mirror.push_back(std::move(s));
+          } else {
+            const auto j = static_cast<std::size_t>(
+                mirror_rng.uniform_int(0, static_cast<int>(total) - 1));
+            if (j < cap) mirror[j] = std::move(s);
+          }
         }
         ASSERT_EQ(buf.size(), mirror.size());
         ASSERT_EQ(buf.total_added(), total);
         continue;
       }
-      // A batch of queries at a padded stride, each checked against the
-      // brute force and, bitwise, against its single-query result.
+      // A batch of queries at a padded stride; half of them copy a stored
+      // row, the rest are fresh draws.
       const std::size_t nq =
           1 + static_cast<std::size_t>(rng.uniform_int(0, 8));
       const std::size_t stride = dim + 2;
       std::vector<double> queries(nq * stride, 0.0);
-      for (std::size_t i = 0; i < nq; ++i)
-        for (std::size_t c = 0; c < dim; ++c)
-          queries[i * stride + c] = rng.normal(0.0, 3.0);
-      std::vector<double> got(nq);
-      buf.knn_distance_sq_batch(queries.data(), nq, stride, got.data());
       for (std::size_t i = 0; i < nq; ++i) {
-        const double* q = queries.data() + i * stride;
-        std::vector<double> dists;
-        for (const auto& p : mirror) {
-          double sq = 0;
-          for (std::size_t c = 0; c < dim; ++c)
-            sq += (p[c] - q[c]) * (p[c] - q[c]);
-          dists.push_back(std::sqrt(sq));
-        }
-        ASSERT_EQ(got[i], buf.knn_distance_sq(q)) << "query " << i;
-        ASSERT_EQ(std::sqrt(got[i]), buf.knn_distance(q)) << "query " << i;
-        if (dists.size() < k) {
-          ASSERT_TRUE(std::isinf(got[i]));
-        } else {
-          std::nth_element(dists.begin(),
-                           dists.begin() + static_cast<std::ptrdiff_t>(k - 1),
-                           dists.end());
-          ASSERT_NEAR(std::sqrt(got[i]), dists[k - 1], 1e-9)
-              << "trial " << trial << " query " << i;
-        }
+        const auto& row = mirror[static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<int>(mirror.size()) - 1))];
+        const bool copy = rng.bernoulli(0.5);
+        for (std::size_t c = 0; c < dim; ++c)
+          queries[i * stride + c] =
+              copy ? row[c] : knn_fuzz_value(rng, grid, non_finite);
       }
+      expect_knn_matches_reference(
+          buf, mirror, queries, nq, stride,
+          "trial " + std::to_string(trial) + " op " + std::to_string(op));
+      if (HasFatalFailure()) return;
     }
   }
+}
+
+/// A KnnBuffer checkpoint as save_state writes it: geometry, the sampling
+/// stream, the row counts, and the rows row-major in slot order.
+std::vector<std::uint8_t> knn_image(std::uint64_t dim, std::uint64_t cap,
+                                    std::uint64_t k, std::uint64_t size,
+                                    std::uint64_t total,
+                                    const std::vector<double>& rows) {
+  BinaryWriter w;
+  w.write_u64(dim);
+  w.write_u64(cap);
+  w.write_u64(k);
+  Rng(5).save_state(w);
+  w.write_u64(size);
+  w.write_u64(total);
+  w.write_vec(rows);
+  return w.buffer();
+}
+
+/// Load `image` into a fresh (dim, cap, k) buffer. It must either throw
+/// CheckError, or load rows that the test's own parse of the image finds,
+/// and then answer queries bitwise like the reference chain over them.
+void expect_knn_load_exact(const std::vector<std::uint8_t>& image,
+                           std::size_t dim, std::size_t cap, std::size_t k,
+                           Rng& rng, const std::string& where) {
+  core::KnnBuffer buf(dim, cap, k, Rng(0));
+  try {
+    BinaryReader r(image);
+    buf.load_state(r);
+  } catch (const CheckError&) {
+    return;
+  }
+  // The image loaded: read its rows back the way the format lays them out.
+  BinaryReader r(image);
+  for (int i = 0; i < 3; ++i) r.read_u64();
+  Rng(0).load_state(r);
+  const std::size_t size = r.read_u64();
+  r.read_u64();
+  const std::vector<double> flat = r.read_vec();
+  ASSERT_EQ(buf.size(), size) << where;
+  std::vector<std::vector<double>> mirror(size);
+  for (std::size_t s = 0; s < size; ++s)
+    mirror[s].assign(flat.begin() + static_cast<long>(s * dim),
+                     flat.begin() + static_cast<long>(s * dim + dim));
+  constexpr std::size_t nq = 9;
+  std::vector<double> queries(nq * dim);
+  for (std::size_t i = 0; i < nq; ++i)
+    for (std::size_t c = 0; c < dim; ++c)
+      queries[i * dim + c] = size > 0 && i % 2 == 0
+                                 ? mirror[i % size][c]
+                                 : knn_fuzz_value(rng, i % 3 == 0, false);
+  expect_knn_matches_reference(buf, mirror, queries, nq, dim, where);
+}
+
+TEST(Fuzz, KnnCheckpointLoadEndsInErrorOrExactBuffer) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr std::size_t dim = 5, cap = 24, k = 3;
+  Rng rng(606);
+  // A valid image of a full buffer whose rows hold NaN and ±inf values,
+  // some of them in every column.
+  std::vector<double> rows(cap * dim);
+  for (auto& x : rows) x = knn_fuzz_value(rng, false, true);
+  rows[0] = kNaN;
+  rows[dim + 1] = kInf;
+  rows[2 * dim + 2] = -kInf;
+  const auto valid = knn_image(dim, cap, k, cap, 40, rows);
+  expect_knn_load_exact(valid, dim, cap, k, rng, "valid non-finite image");
+  {
+    core::KnnBuffer buf(dim, cap, k, Rng(0));
+    BinaryReader r(valid);
+    buf.load_state(r);
+    ASSERT_EQ(buf.size(), cap);
+    // Save writes the image back byte for byte.
+    BinaryWriter w;
+    buf.save_state(w);
+    ASSERT_EQ(w.buffer(), valid);
+  }
+
+  // Torn: every prefix of the image.
+  for (std::size_t len = 0; len < valid.size(); ++len) {
+    const std::vector<std::uint8_t> torn(valid.begin(),
+                                         valid.begin() + static_cast<long>(len));
+    expect_knn_load_exact(torn, dim, cap, k, rng,
+                          "torn at " + std::to_string(len));
+    if (HasFatalFailure()) return;
+  }
+  // Bit flips: one to three random bits anywhere, 600 images.
+  for (int trial = 0; trial < 600; ++trial) {
+    auto flipped = valid;
+    const int flips = rng.uniform_int(1, 3);
+    for (int f = 0; f < flips; ++f) {
+      const auto bit = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<int>(flipped.size() * 8) - 1));
+      flipped[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    }
+    expect_knn_load_exact(flipped, dim, cap, k, rng,
+                          "flip trial " + std::to_string(trial));
+    if (HasFatalFailure()) return;
+  }
+  // Geometry-inconsistent sections must all be rejected.
+  const std::vector<double> short_rows(dim * (cap - 1), 0.0);
+  for (const auto& bad :
+       {knn_image(dim + 1, cap, k, cap, 40, rows),
+        knn_image(dim, cap + 1, k, cap, 40, rows),
+        knn_image(dim, cap, k + 1, cap, 40, rows),
+        knn_image(dim, cap, k, cap + 1, 40, rows),
+        knn_image(dim, cap, k, cap, cap - 1, rows),
+        knn_image(dim, cap, k, cap - 1, 40, short_rows),
+        knn_image(dim, cap, k, cap, 40, short_rows),
+        knn_image(dim, cap, k, std::uint64_t{1} << 61, 40, {})}) {
+    core::KnnBuffer buf(dim, cap, k, Rng(0));
+    BinaryReader r(bad);
+    EXPECT_THROW(buf.load_state(r), CheckError);
+  }
+  // Length fields whose byte counts wrap 64 bits must be rejected, not
+  // allocated: the row vector's count with bit 61 set (2^61 doubles are
+  // 0 bytes mod 2^64), and the stream's state string with length 2^64 − 1
+  // (the reader's position plus it wraps).
+  {
+    auto huge_rows = valid;
+    huge_rows[valid.size() - rows.size() * sizeof(double) - 1] |= 0x20;
+    auto huge_string = valid;
+    for (std::size_t b = 0; b < sizeof(std::uint64_t); ++b)
+      huge_string[4 * sizeof(std::uint64_t) + b] = 0xff;
+    for (const auto& bad : {huge_rows, huge_string}) {
+      core::KnnBuffer buf(dim, cap, k, Rng(0));
+      BinaryReader r(bad);
+      EXPECT_THROW(buf.load_state(r), CheckError);
+    }
+  }
+  // A partly filled image (rows, all NaN/inf-laced) loads exactly too.
+  const std::vector<double> part(rows.begin(),
+                                 rows.begin() + static_cast<long>(7 * dim));
+  expect_knn_load_exact(knn_image(dim, cap, k, 7, 7, part), dim, cap, k, rng,
+                        "partial image");
 }
 
 // ------------------------------------------------------- Gaussian policy

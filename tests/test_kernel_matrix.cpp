@@ -21,6 +21,7 @@
 #include "common/rng.h"
 #include "nn/kernel_backend.h"
 #include "nn/matrix.h"
+#include "knn_reference.h"
 
 namespace {
 
@@ -222,65 +223,111 @@ void run_quant_act_cell(const std::string& backend, std::size_t /*in*/,
     ASSERT_EQ(ref_s[n], got_s[n]) << "scale row " << n;
 }
 
-// Brute-force k-th smallest squared distance of `q` to n row-major rows,
-// each row summed in the knn_scan reference chain (sq += d·d, c ascending).
-double brute_kth_sq(const std::vector<double>& rows, std::size_t n,
-                    std::size_t dim, const double* q, std::size_t k) {
-  if (n < k) return std::numeric_limits<double>::infinity();
-  std::vector<double> sq(n);
-  for (std::size_t r = 0; r < n; ++r) {
-    double s = 0.0;
-    for (std::size_t c = 0; c < dim; ++c) {
-      const double d = rows[r * dim + c] - q[c];
-      s += d * d;
+// Row sets of a KnnScan cell: Gaussian rows with duplicates, clustered
+// integer-grid rows (duplicate rows, equal sort keys, many exact ties at the
+// k-th distance), and Gaussian rows with NaN / ±inf planted in the sort
+// column and in the others.
+enum class KnnRows { Gaussian, Clustered, NonFinite };
+
+std::vector<double> knn_rows(KnnRows kind, std::size_t n, std::size_t dim,
+                             std::size_t axis, Rng& rng) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  std::vector<double> rows(n * dim);
+  if (kind == KnnRows::Clustered) {
+    // Three centres 8 apart on every column, offsets in {-1, 0, 1}.
+    for (std::size_t r = 0; r < n; ++r) {
+      const double centre = 8.0 * static_cast<double>(rng.uniform_int(0, 2));
+      for (std::size_t c = 0; c < dim; ++c)
+        rows[r * dim + c] =
+            centre + static_cast<double>(rng.uniform_int(-1, 1));
     }
-    sq[r] = s;
+    return rows;
   }
-  std::sort(sq.begin(), sq.end());
-  return sq[k - 1];
+  for (auto& x : rows) x = rng.normal(0.0, 1.0);
+  // Duplicate rows tie at the k-th rank.
+  for (std::size_t dup : {n / 2, n - 1})
+    for (std::size_t c = 0; c < dim; ++c) rows[dup * dim + c] = rows[c];
+  if (kind == KnnRows::NonFinite) {
+    // Rows 1-3 get NaN, +inf, -inf in the sort column, rows 4-6 in the
+    // next column.
+    const double plant[] = {kNaN, kInf, -kInf};
+    for (std::size_t p = 0; p < 6 && 1 + p < n; ++p)
+      rows[(1 + p) * dim + (axis + p / 3) % dim] = plant[p % 3];
+  }
+  return rows;
 }
 
+// One KnnScan cell: for each row set and sort column, lay the rows out as
+// the kernel contract allows (rows with a NaN key past the scanned range,
+// the rest ascending by key, ±inf keys at the ends), scan a batch of
+// queries and compare every result bitwise with the reference chain over
+// all n rows.
 void run_knn_scan_cell(const std::string& backend, std::size_t n,
                        std::size_t dim, std::size_t k) {
   std::string why;
   const auto* be = lookup(backend, why);
   if (be == nullptr) GTEST_SKIP() << why;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
   Rng rng = shaped_rng(n, dim, k);
-  auto rows = randn_vec(n * dim, rng);
-  // Duplicate rows tie at the k-th rank.
-  for (std::size_t dup : {n / 2, n - 1})
-    for (std::size_t c = 0; c < dim; ++c) rows[dup * dim + c] = rows[c];
+  for (const KnnRows kind :
+       {KnnRows::Gaussian, KnnRows::Clustered, KnnRows::NonFinite})
+    for (const std::size_t axis : {std::size_t{0}, dim / 2, dim - 1}) {
+      const auto rows = knn_rows(kind, n, dim, axis, rng);
+      std::vector<std::size_t> order;
+      for (std::size_t r = 0; r < n; ++r)
+        if (!std::isnan(rows[r * dim + axis])) order.push_back(r);
+      std::stable_sort(order.begin(), order.end(),
+                       [&](std::size_t a, std::size_t b) {
+                         return rows[a * dim + axis] < rows[b * dim + axis];
+                       });
+      const std::size_t scanned = order.size();
+      for (std::size_t r = 0; r < n; ++r)
+        if (std::isnan(rows[r * dim + axis])) order.push_back(r);
+      // Blocked layout; the unused lanes of the last block stay 0.
+      std::vector<double> blocks((n + kernel::kKnnLanes - 1) /
+                                     kernel::kKnnLanes * kernel::kKnnLanes *
+                                     dim,
+                                 0.0);
+      for (std::size_t p = 0; p < n; ++p)
+        for (std::size_t c = 0; c < dim; ++c)
+          blocks[kernel::knn_blocked_index(p, c, dim)] =
+              rows[order[p] * dim + c];
 
-  // Blocked layout; the unused lanes of the last block stay 0.
-  std::vector<double> blocks((n + kernel::kKnnLanes - 1) /
-                                 kernel::kKnnLanes * kernel::kKnnLanes * dim,
-                             0.0);
-  for (std::size_t r = 0; r < n; ++r)
-    for (std::size_t c = 0; c < dim; ++c)
-      blocks[kernel::knn_blocked_index(r, c, dim)] = rows[r * dim + c];
+      // Queries at a stride wider than dim whose gap holds NaN the kernel
+      // must never read: two tiles of four plus singles. Query 0 equals
+      // stored row 0 (and its duplicates); query 1 is the zero vector, which
+      // an unmasked padding lane would match at distance 0; in clustered
+      // sets queries sit on the grid. The last three hold NaN in the sort
+      // column, +inf in another column and -inf in the sort column.
+      constexpr std::size_t nq = 11;
+      const std::size_t stride = dim + 3;
+      std::vector<double> q(nq * stride, kNaN);
+      for (std::size_t i = 0; i < nq; ++i)
+        for (std::size_t c = 0; c < dim; ++c)
+          q[i * stride + c] =
+              i == 0 ? rows[c]
+              : i == 1 ? 0.0
+              : kind == KnnRows::Clustered
+                  ? static_cast<double>(rng.uniform_int(-1, 9))
+                  : rng.normal(0.0, 1.0);
+      q[(nq - 3) * stride + axis] = kNaN;
+      q[(nq - 2) * stride + (axis + 1) % dim] = kInf;
+      q[(nq - 1) * stride + axis] = -kInf;
 
-  // Seven queries (one four-query tile plus three single ones) at a stride
-  // wider than dim whose gap holds NaN the kernel must never read. Query 0
-  // equals stored row 0 (and its duplicates); query 1 is the zero vector,
-  // which an unmasked padding lane would match at distance 0.
-  constexpr std::size_t nq = 7;
-  const std::size_t stride = dim + 3;
-  std::vector<double> q(nq * stride, std::numeric_limits<double>::quiet_NaN());
-  for (std::size_t i = 0; i < nq; ++i)
-    for (std::size_t c = 0; c < dim; ++c)
-      q[i * stride + c] = i == 0   ? rows[c]
-                          : i == 1 ? 0.0
-                                   : rng.normal(0.0, 1.0);
-
-  std::vector<double> ref(nq, -1.0), got(nq, -1.0);
-  kernel::scalar_backend().knn_scan(blocks.data(), n, dim, k, q.data(), nq,
-                                    stride, ref.data());
-  be->knn_scan(blocks.data(), n, dim, k, q.data(), nq, stride, got.data());
-  for (std::size_t i = 0; i < nq; ++i) {
-    const double brute = brute_kth_sq(rows, n, dim, q.data() + i * stride, k);
-    ASSERT_EQ(brute, ref[i]) << "scalar vs brute force, query " << i;
-    ASSERT_EQ(ref[i], got[i]) << "backend vs scalar, query " << i;
-  }
+      std::vector<double> got(nq, -1.0);
+      be->knn_scan(blocks.data(), scanned, dim, axis, k, q.data(), nq, stride,
+                   got.data());
+      for (std::size_t i = 0; i < nq; ++i) {
+        const double want = imap::testing::knn_reference_kth_sq(
+            rows.data(), n, dim, q.data() + i * stride, k);
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(want),
+                  std::bit_cast<std::uint64_t>(got[i]))
+            << "rows " << static_cast<int>(kind) << " axis " << axis
+            << " query " << i << ": want " << want << ", got " << got[i];
+      }
+    }
 }
 
 // --- tanh_rows ------------------------------------------------------------
@@ -620,9 +667,11 @@ IMAP_KERNEL_SHAPE_LIST(IMAP_CELL_AVX512)
   IMAP_KERNEL_CELL(neon, tag, in_, out_, batch_)
 IMAP_KERNEL_SHAPE_LIST(IMAP_CELL_NEON)
 
-// KNN scan shapes: row counts with n % 8 in {0, 1, 7} (whole, one-lane and
-// seven-lane last blocks), k in {1, 3, 16 = kKnnMaxK}, dim in {1, 11, 17}.
-// N15_D17_K16 has fewer rows than k (every result +inf). X(tag, n, dim, k).
+// KNN window-scan shapes: row counts with n % 8 in {0, 1, 7} (whole,
+// one-lane and seven-lane last blocks), k in {1, 3, 16 = kKnnMaxK}, dim in
+// {1, 11, 17}. N15_D17_K16 has fewer rows than k (every result +inf), and
+// planted NaN keys leave some cells' scanned range below k. Each cell runs
+// the three row sets of run_knn_scan_cell. X(tag, n, dim, k).
 #define IMAP_KNN_SHAPE_LIST(X) \
   X(N1_D11_K1, 1, 11, 1)       \
   X(N8_D1_K1, 8, 1, 1)         \

@@ -6,6 +6,7 @@
 
 #include "common/check.h"
 #include "core/knn.h"
+#include "knn_reference.h"
 
 namespace imap::core {
 namespace {
@@ -84,6 +85,48 @@ TEST(Knn, ReservoirIsApproximatelyUniform) {
   // Query near 0: if any phase-1 points survived, distance ≈ 0.
   EXPECT_LT(buf.knn_distance(std::vector<double>{0.0}), 1.0);
   EXPECT_LT(buf.knn_distance(std::vector<double>{100.0}), 1.0);
+}
+
+TEST(Knn, AddRowsMatchesRowByRowAdds) {
+  // One add_rows call takes the reservoir steps of n single adds: the same
+  // stream draws, the same slots replaced, so the checkpoints (rows in slot
+  // order) are byte-identical, before and after the buffer overflows.
+  constexpr std::size_t dim = 4, cap = 32;
+  Rng data(21);
+  const auto rows = data.normal_vec(100 * dim);
+  KnnBuffer batched(dim, cap, 3, Rng(5)), single(dim, cap, 3, Rng(5));
+  for (const std::size_t n : {std::size_t{20}, std::size_t{30}, std::size_t{50}}) {
+    const std::size_t first = batched.total_added();
+    batched.add_rows(rows.data() + first * dim, n);
+    for (std::size_t i = first; i < first + n; ++i)
+      single.add(rows.data() + i * dim);
+    BinaryWriter a, b;
+    batched.save_state(a);
+    single.save_state(b);
+    EXPECT_EQ(a.buffer(), b.buffer()) << "after " << first + n << " rows";
+  }
+}
+
+TEST(Knn, HugeRangesAndConstantColumnsStayExact) {
+  // Column 0 spans ±1.5e308 (its range overflows to +inf), column 1 is
+  // constant (range 0), column 2 is ordinary: the sort column is then the
+  // last, and queries still match the reference bitwise.
+  constexpr std::size_t dim = 3, n = 40;
+  Rng rng(17);
+  std::vector<double> rows(n * dim);
+  for (std::size_t r = 0; r < n; ++r) {
+    rows[r * dim] = (r % 2 == 0 ? 1.5e308 : -1.5e308) * rng.uniform(0.5, 1.0);
+    rows[r * dim + 1] = 2.0;
+    rows[r * dim + 2] = rng.normal(0.0, 1.0);
+  }
+  KnnBuffer buf(dim, n, 3, Rng(5));
+  buf.add_rows(rows.data(), n);
+  for (std::size_t i = 0; i < n; i += 7) {
+    const double* q = rows.data() + i * dim;
+    EXPECT_EQ(buf.knn_distance_sq(q),
+              testing::knn_reference_kth_sq(rows.data(), n, dim, q, 3))
+        << "query " << i;
+  }
 }
 
 TEST(Knn, ClearResets) {

@@ -9,9 +9,10 @@ PAIRS pairs in one window (the side that goes first swaps every pair). Each
 process runs its binary's GATED google-benchmark cases REPS times with
 --benchmark_format=json at IMAP_THREADS=1. For every gated case, the
 change's median items_per_second over all its processes and repetitions
-may fall at most BAND below the base's; stats.agreement from
-e2ebench/stats.py judges that, one-sided, so one statistics module gates
-both the micro and the end-to-end numbers.
+may fall at most BAND below the base's (cases in ITER_RATE, which report no
+items, are gated on iterations per second of wall time instead);
+stats.agreement from e2ebench/stats.py judges that, one-sided, so one
+statistics module gates both the micro and the end-to-end numbers.
 
 A paired gate needs no recorded floor: both sides are measured on the same
 host in the same window. Run it from a scratch directory, since a binary
@@ -51,7 +52,16 @@ GATED = {
                           "BM_VictimQueryBatch/16/1",
                           "BM_VictimQueryBatch/64/0",
                           "BM_VictimQueryBatch/64/1"],
+    "bench_micro_knn": ["BM_PcRegularizerCompute"],
 }
+# Gated cases that report no items: their rate is iterations per second of
+# wall time, 1 / real_time, under ITER_METRIC. BM_PcRegularizerCompute (one
+# PC bonus pass per iteration on isotropic rows, the worst case of the
+# windowed KNN scan) is gated this way.
+ITER_RATE = {"BM_PcRegularizerCompute"}
+ITER_METRIC = "iterations_per_second"
+# Seconds per google-benchmark time_unit.
+TIME_UNITS = {"ns": 1e-9, "us": 1e-6, "ms": 1e-3, "s": 1.0}
 # Gated cases renamed since a base may have been built: old name -> the
 # GATED name it is compared under. BM_PpoUpdate times wall-clock now
 # (UseRealTime, which google-benchmark marks with "/real_time"); at
@@ -109,8 +119,13 @@ def refusal(base_docs, change_docs, base_type, change_type):
     return None
 
 
+def metric_of(name):
+    """The rate a case is gated on."""
+    return ITER_METRIC if name in ITER_RATE else METRIC
+
+
 def values_of(docs):
-    """(case, METRIC) -> values over processes, and the error entries. A
+    """(case, metric) -> values over processes, and the error entries. A
     case reported under a RENAMED old name counts under its new name."""
     values, errors = {}, []
     for d in docs:
@@ -118,10 +133,14 @@ def values_of(docs):
             if b.get("run_type", "iteration") != "iteration":
                 continue
             name = RENAMED.get(b["name"], b["name"])
+            metric = metric_of(name)
             if b.get("error_occurred"):
                 errors.append(f"{name}: {b.get('error_message', '')}")
-            elif METRIC in b:
-                values.setdefault((name, METRIC), []).append(b[METRIC])
+            elif metric == ITER_METRIC and b.get("real_time", 0) > 0:
+                seconds = b["real_time"] * TIME_UNITS[b.get("time_unit", "ns")]
+                values.setdefault((name, metric), []).append(1.0 / seconds)
+            elif metric in b:
+                values.setdefault((name, metric), []).append(b[metric])
     return values, errors
 
 
@@ -136,7 +155,7 @@ def judge(base_docs, change_docs, base_type, change_type):
         return 2, ["bench_gate: refused: " + why]
     base, base_err = values_of(base_docs)
     change, change_err = values_of(change_docs)
-    gated = {(n, METRIC) for names in GATED.values() for n in names}
+    gated = {(n, metric_of(n)) for names in GATED.values() for n in names}
     lines = [f"{'benchmark':<28}{'base':>14}{'change':>14}{'worse':>8}"
              f"{'spread b':>10}{'spread c':>10}"]
     failed = []
@@ -147,13 +166,14 @@ def judge(base_docs, change_docs, base_type, change_type):
                    for k in sorted(gated - set(vals))]
     rows = stats.agreement({k: base[k] for k in gated if k in base},
                            {k: change[k] for k in gated if k in change},
-                           {METRIC: (BAND, "higher")}, two_sided=False)
-    for name, _, mb, mc, worse, ok in rows:
-        sb, sc = (spread(v[(name, METRIC)]) for v in (base, change))
+                           {METRIC: (BAND, "higher"),
+                            ITER_METRIC: (BAND, "higher")}, two_sided=False)
+    for name, metric, mb, mc, worse, ok in rows:
+        sb, sc = (spread(v[(name, metric)]) for v in (base, change))
         lines.append(f"{name:<28}{mb:>14.6g}{mc:>14.6g}{worse:>8.3f}"
                      f"{sb:>10.3f}{sc:>10.3f}{'' if ok else '  FAIL'}")
         if not ok:
-            failed.append(f"FAIL {name}: median {METRIC} {worse:.1%} "
+            failed.append(f"FAIL {name}: median {metric} {worse:.1%} "
                           f"below the base (band {BAND:.0%})")
     for key in sorted(set(change) - gated):
         lines.append(f"{key[0]:<28}{'':>14}{stats.median(change[key]):>14.6g}"

@@ -69,7 +69,7 @@ stage "bench-smoke (google-benchmark suites at min_time=0.01s, fabric and serve 
   --benchmark_filter='BM_VictimQueryBatch' || exit 1
 "${BUILD_DIR}/bench/bench_micro_knn" \
   --benchmark_min_time=0.01 \
-  --benchmark_filter='BM_KnnQuery|BM_PcBonusPass|BM_PcRegularizerCompute' \
+  --benchmark_filter='BM_KnnQuery|BM_PcRegularizerCompute$|BM_PcRegularizerComputeHopper' \
   || exit 1
 # Grid-executor probe at smoke scale: runs a Table-1 Hopper row serially
 # and on 4 threads and exits nonzero unless the outcomes are identical.
@@ -91,11 +91,12 @@ stage "bench-gate (gated micro-benchmarks, parent build vs this build)"
 # The parent is HEAD~1 on main, where each change lands as its own commits;
 # on any other branch it is the merge-base with origin/main (HEAD~1 when
 # that is HEAD). Its source is exported with git archive into the build
-# dir, where only the two gated bench targets are built, with this build's
+# dir, where only the gated bench targets are built, with this build's
 # CMAKE_BUILD_TYPE; a rebuild is skipped while the parent stays the same.
 # tools/bench_gate.py then alternates parent and change processes from a
 # scratch cwd (a bench binary may write reports there) and fails any gated
-# case whose median items/s falls more than 10% below the parent's.
+# case whose median rate (items/s, or iterations/s for a case that counts no
+# items) falls more than 10% below the parent's.
 BASE_REV="$(git rev-parse --verify HEAD~1)" \
   || { echo "ci: no parent commit to gate against"; exit 1; }
 if [ "$(git symbolic-ref --short -q HEAD)" != "main" ]; then
@@ -115,7 +116,8 @@ BUILD_TYPE="$(sed -n 's/^CMAKE_BUILD_TYPE:[A-Z]*=//p' \
 { cmake -S "${BASE_DIR}/src" -B "${BASE_DIR}/build" \
     -DCMAKE_BUILD_TYPE="${BUILD_TYPE}" &&
   cmake --build "${BASE_DIR}/build" -j "${JOBS}" \
-    --target bench_micro_ppo bench_micro_infer; } > "${BASE_DIR}/build.log" 2>&1 \
+    --target bench_micro_ppo bench_micro_infer bench_micro_knn; } \
+    > "${BASE_DIR}/build.log" 2>&1 \
   || { tail -n 40 "${BASE_DIR}/build.log"; echo "ci: parent build failed"; exit 1; }
 GATE_CWD="$(mktemp -d)"
 GATE="$(pwd)/tools/bench_gate.py"

@@ -24,13 +24,17 @@ CONTEXT = {"host_name": "h", "num_cpus": 4, "mhz_per_cpu": 2100,
 def report(binary, rate=1000.0, scale=None, extra=(), error=None,
            context=CONTEXT):
     """One process's JSON report: every gated case of `binary` at `rate`
-    items/s, `scale` maps a case to a factor on its rate, `extra` adds
-    ungated cases and `error` marks one case as error_occurred."""
+    items/s (an ITER_RATE case at `rate` iterations/s, as its real_time in
+    ms), `scale` maps a case to a factor on its rate, `extra` adds ungated
+    cases and `error` marks one case as error_occurred."""
     scale = scale or {}
     benches = []
     for name in list(bench_gate.GATED[binary]) + list(extra):
-        b = {"name": name, "run_type": "iteration",
-             "items_per_second": rate * scale.get(name, 1.0)}
+        r = rate * scale.get(name, 1.0)
+        b = {"name": name, "run_type": "iteration", "items_per_second": r}
+        if name in bench_gate.ITER_RATE:
+            b = {"name": name, "run_type": "iteration",
+                 "real_time": 1e3 / r, "time_unit": "ms"}
         if name == error:
             b = {"name": name, "run_type": "iteration",
                  "error_occurred": True, "error_message": "boom"}
@@ -49,7 +53,7 @@ class Judge(unittest.TestCase):
     def test_equal_sides_pass(self):
         code, lines = bench_gate.judge(side(), side(), "Release", "Release")
         self.assertEqual(code, 0, "\n".join(lines))
-        self.assertIn("bench_gate: ok: 7 gated case(s)", lines[-1])
+        self.assertIn("bench_gate: ok: 8 gated case(s)", lines[-1])
 
     def test_twelve_percent_drop_on_one_case_fails(self):
         slow = side(scale={"BM_RolloutCollect/16": 0.88})
@@ -58,6 +62,28 @@ class Judge(unittest.TestCase):
         fails = [ln for ln in lines if ln.startswith("FAIL")]
         self.assertEqual(len(fails), 1)
         self.assertIn("BM_RolloutCollect/16", fails[0])
+
+    def test_iteration_rate_case_is_gated_on_wall_time(self):
+        slow = side(scale={"BM_PcRegularizerCompute": 0.88})
+        code, lines = bench_gate.judge(side(), slow, "", "")
+        self.assertEqual(code, 1)
+        self.assertIn("FAIL BM_PcRegularizerCompute: median "
+                      "iterations_per_second 12.0% below the base (band 10%)",
+                      lines)
+        fast = side(scale={"BM_PcRegularizerCompute": 1.2})
+        self.assertEqual(bench_gate.judge(side(), fast, "", "")[0], 0)
+
+    def test_iteration_rate_case_without_real_time_is_missing(self):
+        change = side()
+        for d in change:
+            for b in d["benchmarks"]:
+                if b["name"] == "BM_PcRegularizerCompute":
+                    del b["real_time"]
+                    b["items_per_second"] = 1000.0
+        code, lines = bench_gate.judge(side(), change, "", "")
+        self.assertEqual(code, 1)
+        self.assertIn("FAIL BM_PcRegularizerCompute: missing from the "
+                      "change runs", lines)
 
     def test_drop_within_band_and_gain_pass(self):
         for factor in (0.95, 1.3):
@@ -111,7 +137,7 @@ class Judge(unittest.TestCase):
                     b["name"] = "BM_PpoUpdate"
         code, lines = bench_gate.judge(base, side(), "", "")
         self.assertEqual(code, 0, "\n".join(lines))
-        self.assertIn("bench_gate: ok: 7 gated case(s)", lines[-1])
+        self.assertIn("bench_gate: ok: 8 gated case(s)", lines[-1])
         slow = side(scale={"BM_PpoUpdate/real_time": 0.8})
         self.assertEqual(bench_gate.judge(base, slow, "", "")[0], 1)
 
