@@ -12,6 +12,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cmath>
 #include <memory>
 #include <string>
 #include <vector>
@@ -87,6 +89,33 @@ BENCHMARK_CAPTURE(BM_TanhRows, scalar, std::string("scalar"));
 BENCHMARK_CAPTURE(BM_TanhRows, avx2, std::string("avx2"));
 BENCHMARK_CAPTURE(BM_TanhRows, avx512, std::string("avx512"));
 
+// The backward pass's tanh derivative alone, kernel::tanh_grad under one
+// forced backend over 4096 values: items/s is elements/s. Each pass starts
+// from the same gradient (the copy is timed too): applied in place over and
+// over, the factors 1 − y² < 1 would sink it into subnormals.
+void BM_TanhGrad(benchmark::State& state, const std::string& backend) {
+  nn::kernel::ScopedBackend forced(backend);
+  if (!forced.activated()) {
+    state.SkipWithError("backend not available on this host");
+    return;
+  }
+  Rng rng(7);
+  std::vector<double> y(4096), g0(4096), g(4096);
+  for (auto& v : y) v = std::tanh(rng.normal(0.0, 1.0));
+  for (auto& v : g0) v = rng.normal(0.0, 1.0);
+  for (auto _ : state) {
+    std::copy(g0.begin(), g0.end(), g.begin());
+    nn::kernel::tanh_grad(y.data(), y.size(), g.data());
+    benchmark::DoNotOptimize(g.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(y.size()));
+}
+BENCHMARK_CAPTURE(BM_TanhGrad, scalar, std::string("scalar"));
+BENCHMARK_CAPTURE(BM_TanhGrad, avx2, std::string("avx2"));
+BENCHMARK_CAPTURE(BM_TanhGrad, avx512, std::string("avx512"));
+
 // The optimiser step alone, kernel::adam_step under one forced backend over
 // 4096 parameters with clipping active: items/s is parameters/s.
 void BM_AdamStep(benchmark::State& state, const std::string& backend) {
@@ -157,10 +186,11 @@ std::unique_ptr<scenario::ScenarioEnv> make_collect_proto() {
 
 // The update of an IMAP attack: the 11→11 obs_perturb adversary with the
 // default {32, 32} networks and minibatch 128, intrinsic critic on, on a
-// pool of Arg threads, timed in wall-clock. Each epoch steps the policy and
-// both critics as three chains of minibatches with one join (the policy on
-// the calling thread, the critics on the other), so /2 against /1 shows
-// what the concurrent update buys; the trace is the same at both. Not gated
+// pool of Arg threads, timed in wall-clock. The policy chain runs on the
+// calling thread and a pool helper steps both critics behind its epoch
+// gates, so /2 against /1 shows what the concurrent update buys; the trace
+// is the same at both. Each update first joins the intrinsic chain the last
+// one left pending, which here has no rollout to hide behind. Not gated
 // (bench_gate.py runs at one thread).
 void BM_PpoUpdateImap(benchmark::State& state) {
   ThreadPool pool(static_cast<std::size_t>(state.range(0)));
@@ -188,6 +218,38 @@ void BM_PpoUpdateImap(benchmark::State& state) {
                           opts.steps_per_iter);
 }
 BENCHMARK(BM_PpoUpdateImap)
+    ->Arg(1)
+    ->Arg(2)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
+// A whole IMAP iteration on the same adversary and pool sizes: the rollout,
+// a stand-in intrinsic hook (a fixed function of the observations, so no
+// KNN time is counted) and the update. At two threads the intrinsic critic's
+// chain that update() leaves pending trains beside the next rollout, so /2
+// against /1 shows what that overlap buys on top of the update's own. Not
+// gated.
+void BM_PpoIterationImap(benchmark::State& state) {
+  ThreadPool pool(static_cast<std::size_t>(state.range(0)));
+  ScopedPool scope(pool);
+  const auto proto = make_collect_proto();
+  rl::PpoOptions opts;
+  opts.steps_per_iter = 2048;
+  rl::PpoTrainer trainer(*proto, opts, Rng(7));
+  trainer.set_intrinsic_hook([](rl::RolloutBuffer& buf) {
+    for (std::size_t i = 0; i < buf.size(); ++i)
+      buf.rew_i[i] = std::tanh(buf.obs[i][0]);
+    return 0.5;
+  });
+  for (auto _ : state) {
+    auto stats = trainer.iterate();
+    benchmark::DoNotOptimize(stats.value_loss);
+  }
+  state.SetLabel(std::to_string(state.range(0)) + " threads");
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          opts.steps_per_iter);
+}
+BENCHMARK(BM_PpoIterationImap)
     ->Arg(1)
     ->Arg(2)
     ->UseRealTime()

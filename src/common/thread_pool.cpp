@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <exception>
 #include <memory>
+#include <utility>
 
 namespace imap {
 
@@ -205,6 +206,14 @@ void parallel_for_chunked(
     });
   }
   if (latch->err) std::rethrow_exception(latch->err);
+}
+
+bool submit_detached(std::function<void()> task) {
+  if (t_serial_depth > 0) return false;
+  ThreadPool* pool = t_pool_override ? t_pool_override : &ThreadPool::global();
+  if (pool->size() <= 1) return false;
+  pool->submit(std::move(task));
+  return true;
 }
 
 void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body,

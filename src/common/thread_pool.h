@@ -120,4 +120,11 @@ void parallel_for_chunked(
     std::size_t n, std::size_t grain,
     const std::function<void(std::size_t, std::size_t)>& body);
 
+/// Queue `task` on the pool `parallel_for` would use right now and return
+/// true, or return false without queuing it when that pool runs inline
+/// (ScopedSerial, or one thread). Nothing waits for the task: whoever needs
+/// its work done must be able to do it without the task starting, and the
+/// task must stay valid whenever it starts.
+bool submit_detached(std::function<void()> task);
+
 }  // namespace imap

@@ -35,6 +35,19 @@ void Batch::gather(const std::vector<std::vector<double>>& rows_in,
   }
 }
 
+void Batch::gather(const Batch& rows_in, const std::vector<std::size_t>& idx,
+                   std::size_t b, std::size_t e) {
+  IMAP_CHECK(b <= e && e <= idx.size());
+  const std::size_t n = e - b;
+  const std::size_t d = rows_in.dim();
+  resize(n, d);
+  for (std::size_t r = 0; r < n; ++r) {
+    IMAP_CHECK(idx[b + r] < rows_in.rows());
+    const double* src = rows_in.row(idx[b + r]);
+    std::copy(src, src + d, row(r));
+  }
+}
+
 void Batch::gather_range(const std::vector<std::vector<double>>& rows_in,
                          std::size_t b, std::size_t e) {
   IMAP_CHECK(b <= e && e <= rows_in.size());

@@ -51,6 +51,10 @@ class Batch {
               const std::vector<std::size_t>& idx, std::size_t b,
               std::size_t e);
 
+  /// The same gather from the rows of another batch.
+  void gather(const Batch& rows_in, const std::vector<std::size_t>& idx,
+              std::size_t b, std::size_t e);
+
   /// Stack rows_in[b..e) directly (identity gather) — used for chunked
   /// whole-buffer sweeps like the intrinsic-value refresh.
   void gather_range(const std::vector<std::vector<double>>& rows_in,

@@ -689,7 +689,7 @@ struct Avx2Rows {
   }
 };
 
-/// tanh_rows and adam_step lanes: four doubles per ymm.
+/// tanh_rows, tanh_grad and adam_step lanes: four doubles per ymm.
 struct Avx2F64 {
   using Vec = __m256d;
   static constexpr std::size_t kWidth = 4;
@@ -725,6 +725,10 @@ struct Avx2F64 {
 
 void avx2_tanh_rows(const double* x, std::size_t n, double* y) {
   tanh_rows_vec<Avx2F64>(x, n, y);
+}
+
+void avx2_tanh_grad(const double* y, std::size_t n, double* g) {
+  tanh_grad_vec<Avx2F64>(y, n, g);
 }
 
 void avx2_adam_step(double* p, const double* g, double* m, double* v,

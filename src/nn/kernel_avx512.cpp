@@ -660,7 +660,7 @@ struct Avx512Rows {
   static void store(double* p, Vec a) { _mm512_storeu_pd(p, a); }
 };
 
-/// tanh_rows and adam_step lanes: eight doubles per zmm. AVX-512F has no fp64 logic ops
+/// tanh_rows, tanh_grad and adam_step lanes: eight doubles per zmm. AVX-512F has no fp64 logic ops
 /// (those are AVX-512DQ), so the sign bits go through the integer forms.
 struct Avx512F64 {
   using Vec = __m512d;
@@ -708,6 +708,10 @@ struct Avx512F64 {
 
 void avx512_tanh_rows(const double* x, std::size_t n, double* y) {
   tanh_rows_vec<Avx512F64>(x, n, y);
+}
+
+void avx512_tanh_grad(const double* y, std::size_t n, double* g) {
+  tanh_grad_vec<Avx512F64>(y, n, g);
 }
 
 void avx512_adam_step(double* p, const double* g, double* m, double* v,

@@ -38,6 +38,7 @@ const KernelBackend kScalar = {
     &detail::scalar_quant_act,
     &detail::scalar_knn_scan,
     &detail::scalar_tanh_rows,
+    &detail::scalar_tanh_grad,
     &detail::scalar_adam_step,
     /*wants_transposed=*/false,
     /*min_batch_affine=*/1,
@@ -54,6 +55,7 @@ const KernelBackend kAvx2 = {
     &detail::avx2_quant_act,
     &detail::avx2_knn_scan,
     &detail::avx2_tanh_rows,
+    &detail::avx2_tanh_grad,
     &detail::avx2_adam_step,
     /*wants_transposed=*/true,
     /*min_batch_affine=*/2,
@@ -71,6 +73,7 @@ const KernelBackend kAvx512 = {
     &detail::avx512_quant_act,
     &detail::avx512_knn_scan,
     &detail::avx512_tanh_rows,
+    &detail::avx512_tanh_grad,
     &detail::avx512_adam_step,
     /*wants_transposed=*/true,
     /*min_batch_affine=*/2,
@@ -88,6 +91,7 @@ const KernelBackend kNeon = {
     /*quant_act=*/nullptr,
     &detail::neon_knn_scan,
     /*tanh_rows=*/nullptr,
+    /*tanh_grad=*/nullptr,
     /*adam_step=*/nullptr,
     /*wants_transposed=*/true,
     /*min_batch_affine=*/4,

@@ -150,6 +150,13 @@ struct KernelBackend {
   /// Null ⇒ dispatch falls back to scalar.
   void (*tanh_rows)(const double* x, std::size_t n, double* y);
 
+  /// g[i] *= 1 − y[i]² for i < n: the tanh derivative that
+  /// Mlp::backward_batch and input_gradient_batch apply to a hidden layer's
+  /// gradient, y being that layer's tanh output. One op DAG (nn/kernel_impl.h
+  /// tanh_grad_fp64: mul, sub, mul), so every backend returns the same bits.
+  /// Null ⇒ dispatch falls back to scalar.
+  void (*tanh_grad)(const double* y, std::size_t n, double* g);
+
   /// One Adam update of n parameters in place (the body of nn::Adam::step
   /// after its sequential grad-norm sum): per element, with g = grad·clip,
   ///   m = β1·m + (1 − β1)·g,  v = β2·v + ((1 − β2)·g)·g,

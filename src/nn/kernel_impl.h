@@ -172,6 +172,30 @@ void tanh_rows_vec(const double* x, std::size_t n, double* y) {
   for (; i < n; ++i) y[i] = tanh_fp64(x[i]);
 }
 
+// --- shared tanh derivative --------------------------------------------------
+// The backward pass's g · (1 − y²) through a tanh layer: one op DAG (mul,
+// sub, mul), each one IEEE rounding, in the scalar body and in the SIMD
+// template that replays it.
+
+/// One element of KernelBackend::tanh_grad; internal linkage, like
+/// tanh_fp64.
+static inline double tanh_grad_fp64(double y, double g) {
+  return g * (1.0 - y * y);
+}
+
+/// The SIMD tanh_grad body: tanh_grad_fp64 on V::kWidth elements at a time
+/// (V as for tanh_rows_vec), the n % kWidth tail through tanh_grad_fp64.
+template <class V>
+void tanh_grad_vec(const double* y, std::size_t n, double* g) {
+  const typename V::Vec one = V::set1(1.0);
+  std::size_t i = 0;
+  for (; i + V::kWidth <= n; i += V::kWidth) {
+    const typename V::Vec yv = V::load(y + i);
+    V::store(g + i, V::mul(V::load(g + i), V::sub(one, V::mul(yv, yv))));
+  }
+  for (; i < n; ++i) g[i] = tanh_grad_fp64(y[i], g[i]);
+}
+
 // --- shared Adam update -----------------------------------------------------
 // nn::Adam::step's per-element update, after the sequential grad-norm sum
 // that sets c.clip. One op DAG: the scalar body below and the SIMD template
@@ -441,6 +465,7 @@ void scalar_knn_scan(const double* blocks, std::size_t rows, std::size_t dim,
                      std::size_t axis, std::size_t k, const double* queries,
                      std::size_t nq, std::size_t stride, double* kth);
 void scalar_tanh_rows(const double* x, std::size_t n, double* y);
+void scalar_tanh_grad(const double* y, std::size_t n, double* g);
 void scalar_adam_step(double* p, const double* g, double* m, double* v,
                       std::size_t n, const AdamCoeffs& c);
 
@@ -464,6 +489,7 @@ void avx2_knn_scan(const double* blocks, std::size_t rows, std::size_t dim,
                    std::size_t axis, std::size_t k, const double* queries,
                    std::size_t nq, std::size_t stride, double* kth);
 void avx2_tanh_rows(const double* x, std::size_t n, double* y);
+void avx2_tanh_grad(const double* y, std::size_t n, double* g);
 void avx2_adam_step(double* p, const double* g, double* m, double* v,
                     std::size_t n, const AdamCoeffs& c);
 #endif
@@ -488,6 +514,7 @@ void avx512_knn_scan(const double* blocks, std::size_t rows, std::size_t dim,
                      std::size_t axis, std::size_t k, const double* queries,
                      std::size_t nq, std::size_t stride, double* kth);
 void avx512_tanh_rows(const double* x, std::size_t n, double* y);
+void avx512_tanh_grad(const double* y, std::size_t n, double* g);
 void avx512_adam_step(double* p, const double* g, double* m, double* v,
                       std::size_t n, const AdamCoeffs& c);
 #endif

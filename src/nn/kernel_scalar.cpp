@@ -230,6 +230,10 @@ void scalar_tanh_rows(const double* x, std::size_t n, double* y) {
   for (std::size_t i = 0; i < n; ++i) y[i] = tanh_fp64(x[i]);
 }
 
+void scalar_tanh_grad(const double* y, std::size_t n, double* g) {
+  for (std::size_t i = 0; i < n; ++i) g[i] = tanh_grad_fp64(y[i], g[i]);
+}
+
 void scalar_adam_step(double* p, const double* g, double* m, double* v,
                       std::size_t n, const AdamCoeffs& c) {
   const double b1c = 1.0 - c.beta1;

@@ -95,6 +95,12 @@ void tanh_rows(const double* x, std::size_t n, double* y) {
   fn(x, n, y);
 }
 
+void tanh_grad(const double* y, std::size_t n, double* g) {
+  const KernelBackend& be = active_backend();
+  auto fn = be.tanh_grad ? be.tanh_grad : scalar_backend().tanh_grad;
+  fn(y, n, g);
+}
+
 void adam_step(double* p, const double* g, double* m, double* v,
                std::size_t n, const AdamCoeffs& c) {
   const KernelBackend& be = active_backend();

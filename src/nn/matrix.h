@@ -95,6 +95,11 @@ void quant_act(float* h, std::size_t batch, std::size_t width,
 /// see KernelBackend::tanh_rows). Dispatches like quant_affine.
 void tanh_rows(const double* x, std::size_t n, double* y);
 
+/// g[i] *= 1 − y[i]² for i < n: the gradient through a tanh layer with
+/// output y (the same bits on every backend; see KernelBackend::tanh_grad).
+/// Dispatches like quant_affine.
+void tanh_grad(const double* y, std::size_t n, double* g);
+
 /// One Adam update of n parameters in place (see KernelBackend::adam_step;
 /// the same bits on every backend). Dispatches like quant_affine.
 void adam_step(double* p, const double* g, double* m, double* v,

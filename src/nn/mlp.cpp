@@ -113,10 +113,7 @@ void Mlp::backward_batch(Workspace& ws, const Batch& grad_out) {
     ws.gin.resize(b, l.in);
     kernel::batch_matvec_t(params_.data() + l.w_off, l.out, l.in, ws.g.data(),
                            b, ws.gin.data());
-    const double* post = ws.post[li].data();
-    double* gi = ws.gin.data();
-    const std::size_t nel = b * l.in;
-    for (std::size_t i = 0; i < nel; ++i) gi[i] *= (1.0 - post[i] * post[i]);
+    kernel::tanh_grad(ws.post[li].data(), b * l.in, ws.gin.data());
     std::swap(ws.g, ws.gin);
   }
   IMAP_NCHECK_FINITE_VEC(grads_, "Mlp::backward_batch gradients");
@@ -136,13 +133,8 @@ const Batch& Mlp::input_gradient_batch(Workspace& ws,
     ws.gin.resize(b, l.in);
     kernel::batch_matvec_t(params_.data() + l.w_off, l.out, l.in, ws.g.data(),
                            b, ws.gin.data());
-    if (li > 0) {
-      const double* post = ws.post[li].data();
-      double* gi = ws.gin.data();
-      const std::size_t nel = b * l.in;
-      for (std::size_t i = 0; i < nel; ++i)
-        gi[i] *= (1.0 - post[i] * post[i]);
-    }
+    if (li > 0)
+      kernel::tanh_grad(ws.post[li].data(), b * l.in, ws.gin.data());
     std::swap(ws.g, ws.gin);
   }
   return ws.g;

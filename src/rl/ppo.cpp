@@ -3,8 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <functional>
+#include <exception>
 #include <numeric>
+#include <thread>
 #include <utility>
 
 #include "common/check.h"
@@ -81,16 +82,27 @@ void PpoTrainer::collect(RolloutBuffer& buf) {
   }
 
   // Workers touch disjoint state (own slots: env, rng, buffer) and their
-  // own batching scratch; the policy and value nets are read-only during
-  // sampling (caller-owned workspaces, see VecEnv).
+  // own batching scratch; the policy and extrinsic critic are read-only
+  // during sampling (caller-owned workspaces, see VecEnv). The intrinsic
+  // critic may still be training (see update()), so it is not read here.
   const auto e = static_cast<std::size_t>(opts_.envs_per_worker);
   parallel_for(
       workers_.size(),
       [&](std::size_t w) {
-        workers_[w].collect(*policy_, *value_e_, *value_i_, slot_budgets_,
-                            w * e);
+        workers_[w].collect(*policy_, *value_e_, slot_budgets_, w * e);
       },
       /*grain=*/1);
+
+  // The intrinsic bootstraps need the critic's final weights: join its
+  // chain first. A failure it recorded is rethrown once the rollout and the
+  // trainer stream are handed back.
+  std::exception_ptr lane_err;
+  try {
+    join_lanes();
+    for (auto& w : workers_) w.bootstrap_intrinsic(*value_i_);
+  } catch (...) {
+    lane_err = std::current_exception();
+  }
 
   ep_successes_ = 0;
   if (total == 1) {
@@ -109,6 +121,7 @@ void PpoTrainer::collect(RolloutBuffer& buf) {
     }
   }
   steps_done_ += opts_.steps_per_iter;
+  if (lane_err) std::rethrow_exception(lane_err);
 }
 
 PpoTrainer::PolicyPartial PpoTrainer::step_policy(
@@ -163,14 +176,16 @@ PpoTrainer::PolicyPartial PpoTrainer::step_policy(
   return out;
 }
 
+template <class Rows>
 double PpoTrainer::step_critic(nn::ValueNet& critic, nn::Adam& opt,
-                               CriticScratch& sc, const RolloutBuffer& buf,
+                               CriticScratch& sc, const Rows& obs,
                                const std::vector<double>& returns,
                                const std::vector<std::size_t>& order,
-                               std::size_t b, std::size_t e, double inv_bs) {
-  sc.obs.gather(buf.obs, order, b, e);
+                               std::size_t b, std::size_t e) {
+  sc.obs.gather(obs, order, b, e);
   critic.zero_grad();
   const std::size_t bs = e - b;
+  const double inv_bs = 1.0 / static_cast<double>(bs);
   critic.value_batch(sc.obs, sc.vals);
   sc.vcoeff.resize(bs);
   double loss = 0.0;
@@ -187,182 +202,284 @@ double PpoTrainer::step_critic(nn::ValueNet& critic, nn::Adam& opt,
 
 namespace {
 
-/// Claim state of one chain in run_chains.
-struct Chain {
-  std::atomic<bool> busy{false};      ///< a participant is stepping it
-  std::atomic<std::size_t> next{0};   ///< its next unit
+/// Nonzero while the calling thread runs an update()'s policy chain, i.e.
+/// opens gates that a pool helper may be waiting for. A helper that finds
+/// itself on such a thread (run from inside a wait there) must not wait.
+thread_local int t_opening_gates = 0;
+
+struct OpeningGates {
+  OpeningGates() { ++t_opening_gates; }
+  ~OpeningGates() { --t_opening_gates; }
+  OpeningGates(const OpeningGates&) = delete;
+  OpeningGates& operator=(const OpeningGates&) = delete;
 };
-
-/// Claim `ch` when it has units left and nobody is stepping it. The acquire
-/// pairs with the release of the previous holder, so a claimant sees every
-/// write of the units before.
-bool try_claim(Chain& ch, std::size_t units) {
-  if (ch.next.load(std::memory_order_relaxed) >= units) return false;
-  if (ch.busy.exchange(true, std::memory_order_acquire)) return false;
-  if (ch.next.load(std::memory_order_relaxed) < units) return true;
-  ch.busy.store(false, std::memory_order_release);
-  return false;
-}
-
-/// Run `chains` sequences of `units` steps, one pool join in all:
-/// step(c, j) runs unit j of chain c, and the units of one chain run in
-/// order, one at a time, so each chain does exactly the arithmetic it does
-/// alone whichever thread runs which unit. Chain 0 is at home on
-/// participant 0 (the caller), the others spread over the remaining
-/// participants. A participant steps its home chains first, round-robin
-/// when it has several, and keeps a chain while it has no other home chain
-/// with units left, so a network's state stays on one core. Once its home
-/// chains are done or held, it takes over the chain with the most units
-/// left that nobody holds, and returns when there is none. Under
-/// ScopedSerial the one participant steps every chain round-robin inline.
-/// A step that throws keeps its chain held, so the others finish the other
-/// chains and the first exception reaches the caller.
-void run_chains(std::size_t chains, std::size_t units,
-                const std::function<void(std::size_t, std::size_t)>& step) {
-  const std::size_t parts = std::min(effective_concurrency(), chains);
-  std::vector<Chain> state(chains);
-  const auto home = [parts](std::size_t c) {
-    return c == 0 || parts == 1 ? 0 : 1 + (c - 1) % (parts - 1);
-  };
-  const auto left = [&](std::size_t c) {
-    const std::size_t next = state[c].next.load(std::memory_order_relaxed);
-    return next < units ? units - next : 0;
-  };
-  parallel_for(
-      parts,
-      [&](std::size_t self) {
-        std::size_t cursor = 0;  // round-robin position among home chains
-        while (true) {
-          std::size_t pick = chains;
-          for (std::size_t k = 0; k < chains && pick == chains; ++k) {
-            const std::size_t c = (cursor + k) % chains;
-            if (home(c) == self && try_claim(state[c], units)) pick = c;
-          }
-          while (pick == chains) {
-            std::size_t best = chains;
-            for (std::size_t c = 0; c < chains; ++c)
-              if (left(c) > 0 &&
-                  !state[c].busy.load(std::memory_order_relaxed) &&
-                  (best == chains || left(c) > left(best)))
-                best = c;
-            if (best == chains) return;
-            if (try_claim(state[best], units)) pick = best;
-          }
-          const auto other_home_left = [&] {
-            for (std::size_t c = 0; c < chains; ++c)
-              if (c != pick && home(c) == self && left(c) > 0) return true;
-            return false;
-          };
-          Chain& ch = state[pick];
-          do {
-            const std::size_t j = ch.next.load(std::memory_order_relaxed);
-            step(pick, j);
-            ch.next.store(j + 1, std::memory_order_relaxed);
-          } while (ch.next.load(std::memory_order_relaxed) < units &&
-                   !other_home_left());
-          ch.busy.store(false, std::memory_order_release);
-          cursor = pick + 1;
-        }
-      },
-      /*grain=*/1);
-}
 
 }  // namespace
 
-void PpoTrainer::update(RolloutBuffer& buf, double tau, IterStats& stats) {
-  const std::size_t n = buf.size();
+/// The gates and claim state of one update()'s two critic chains. A unit is
+/// one minibatch step, numbered epoch · batches + minibatch; a chain's units
+/// run in order, one at a time, each by whichever thread claims it, so each
+/// critic does exactly the arithmetic it does alone. Unit u of a chain is
+/// open once the policy opened epoch u / batches. The atomics are
+/// sequentially consistent: stop() and try_claim() rely on it to never both
+/// miss each other.
+struct PpoTrainer::Lanes {
+  struct Chain {
+    bool used = false;                 ///< has units at all (fixed at start)
+    std::atomic<bool> ready{false};    ///< its inputs are in place
+    std::atomic<bool> busy{false};     ///< a thread is stepping it
+    std::atomic<bool> failed{false};   ///< a step threw: no further steps
+    std::atomic<std::size_t> next{0};  ///< its next unit
+    std::exception_ptr err;            ///< what it threw (written while busy)
+  };
 
-  // Intrinsic values are only needed when the bonus channel is active.
-  const bool use_intrinsic = intrinsic_ != nullptr;
-  if (use_intrinsic) {
-    // Chunked batched refresh through the critic's workspace; each value
-    // is bit-identical to a one-row batch of its row.
-    constexpr std::size_t kChunk = 1024;
-    CriticScratch& sc = critic_i_sc_;
-    for (std::size_t b = 0; b < n; b += kChunk) {
-      const std::size_t e = std::min(n, b + kChunk);
-      sc.obs.gather_range(buf.obs, b, e);
-      value_i_->value_batch(sc.obs, sc.vals);
-      for (std::size_t i = b; i < e; ++i) buf.val_i[i] = sc.vals[i - b];
+  Lanes(PpoTrainer* t, std::size_t b, bool intrinsic)
+      : trainer(t), batches(b) {
+    chain[0].used = true;
+    chain[1].used = intrinsic;
+  }
+
+  PpoTrainer* const trainer;  ///< dereferenced only while holding a chain
+  const std::size_t batches;  ///< minibatches per epoch
+  std::atomic<std::size_t> opened{0};       ///< epochs the policy opened
+  std::atomic<bool> decided{false};         ///< no further epoch opens
+  std::atomic<bool> stopped{false};         ///< no further step starts
+  std::atomic<std::size_t> policy_done{0};  ///< policy units stepped
+  Chain chain[2];                           ///< 0 extrinsic, 1 intrinsic
+
+  /// The chain's next unit may run now.
+  bool open_unit(const Chain& ch) const {
+    return ch.used && ch.ready && !ch.failed && !stopped &&
+           ch.next < opened * batches;
+  }
+
+  /// No unit of the chain is left to start (one may still be running).
+  bool finished(const Chain& ch) const {
+    if (!ch.used || ch.failed || stopped) return true;
+    if (!decided) return false;  // read before `opened`, which it freezes
+    return ch.next >= opened * batches;
+  }
+
+  bool try_claim(Chain& ch) {
+    if (!open_unit(ch) || ch.busy) return false;
+    if (ch.busy.exchange(true)) return false;
+    if (open_unit(ch)) return true;
+    ch.busy = false;
+    return false;
+  }
+
+  /// Run the claimed chain's next unit and release the chain. A step that
+  /// throws fails its chain; the next join of that chain rethrows.
+  void step(std::size_t c) {
+    Chain& ch = chain[c];
+    const std::size_t unit = ch.next;
+    try {
+      trainer->step_lane(c, unit);
+      ch.next = unit + 1;
+    } catch (...) {
+      ch.err = std::current_exception();
+      ch.failed = true;
+    }
+    ch.busy = false;
+  }
+
+  /// The pool helper: the extrinsic chain while it is behind the policy (or
+  /// the intrinsic one has nothing open), the intrinsic chain otherwise;
+  /// between gates it waits for the policy. It returns once neither chain
+  /// has a unit left to start.
+  void help() {
+    while (true) {
+      const bool behind = chain[0].next < policy_done;
+      const std::size_t first =
+          open_unit(chain[0]) && (behind || !open_unit(chain[1])) ? 0 : 1;
+      if (try_claim(chain[first])) {
+        step(first);
+      } else if (try_claim(chain[1 - first])) {
+        step(1 - first);
+      } else if ((finished(chain[0]) && finished(chain[1])) ||
+                 t_opening_gates > 0) {
+        return;
+      } else {
+        std::this_thread::yield();
+      }
     }
   }
+
+  /// Claim and step what is left of chain c on the calling thread, wait for
+  /// a unit another thread is running, and rethrow the chain's failure once.
+  /// The gates must be decided (or the lanes stopped).
+  void join(std::size_t c) {
+    Chain& ch = chain[c];
+    while (!finished(ch))
+      if (try_claim(ch))
+        step(c);
+      else
+        std::this_thread::yield();
+    while (ch.busy) std::this_thread::yield();
+    if (ch.err) {
+      std::exception_ptr err;
+      std::swap(err, ch.err);
+      std::rethrow_exception(err);
+    }
+  }
+
+  /// Start no further unit, wait for the running ones and drop what they
+  /// raised: whoever stops the lanes reports its own failure, if any.
+  void stop() {
+    stopped = true;
+    for (Chain& ch : chain) {
+      while (ch.busy) std::this_thread::yield();
+      ch.err = nullptr;
+    }
+  }
+};
+
+PpoTrainer::~PpoTrainer() {
+  if (lanes_) lanes_->stop();
+}
+
+nn::ValueNet& PpoTrainer::value_i() {
+  join_lanes();
+  return *value_i_;
+}
+
+void PpoTrainer::join_lanes() const {
+  if (!lanes_) return;
+  lanes_->join(0);
+  lanes_->join(1);
+}
+
+void PpoTrainer::step_lane(std::size_t chain, std::size_t unit) {
+  const std::vector<double>& returns = chain == 0 ? returns_e_ : returns_i_;
+  const std::size_t n = returns.size();
+  const auto mb = static_cast<std::size_t>(opts_.minibatch);
+  const std::size_t batches = (n + mb - 1) / mb;
+  const std::vector<std::size_t>& order = orders_[unit / batches];
+  const std::size_t b = (unit % batches) * mb;
+  const std::size_t e = std::min(n, b + mb);
+  if (chain == 0)
+    losses_e_[unit] = step_critic(*value_e_, value_e_opt_, critic_e_sc_,
+                                  lane_buf_->obs, returns, order, b, e);
+  else
+    step_critic(*value_i_, value_i_opt_, critic_i_sc_, obs_i_, returns, order,
+                b, e);
+}
+
+void PpoTrainer::update(RolloutBuffer& buf, double tau, IterStats& stats) {
+  join_lanes();
+  const std::size_t n = buf.size();
+  const auto mb = static_cast<std::size_t>(opts_.minibatch);
+  const std::size_t batches = (n + mb - 1) / mb;
+  const auto epochs = static_cast<std::size_t>(std::max(opts_.epochs, 0));
+  // Intrinsic values are only needed when the bonus channel is active.
+  const bool use_intrinsic = intrinsic_ != nullptr;
 
   auto gae_e = compute_gae(buf.rew_e, buf.val_e, buf.done, buf.boundary,
                            buf.last_val_e, opts_.gamma, opts_.gae_lambda);
   normalize_advantages(gae_e.advantages);
-
-  GaeResult gae_i;
-  if (use_intrinsic) {
-    gae_i = compute_gae(buf.rew_i, buf.val_i, buf.done, buf.boundary,
-                        buf.last_val_i, opts_.gamma, opts_.gae_lambda);
-    normalize_advantages(gae_i.advantages);
-  }
-
-  // Combined advantage Â_E + τ·Â_I (Eq. 14).
-  std::vector<double> adv(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    adv[i] = gae_e.advantages[i];
-    if (use_intrinsic) adv[i] += tau * gae_i.advantages[i];
-  }
-
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-
-  double pol_loss_acc = 0.0, val_loss_acc = 0.0, kl_acc = 0.0;
-  std::size_t loss_count = 0;
-
-  // Each network is one chain per epoch: the policy and the critics share
-  // no parameters, gradients, optimiser state or scratch (the rollout,
-  // order and targets are only read), so every chain runs exactly the
-  // arithmetic it would run alone, and the per-minibatch losses merge after
-  // the join in minibatch order: the trace does not depend on the thread
-  // count.
-  const auto mb = static_cast<std::size_t>(opts_.minibatch);
-  const std::size_t batches = (n + mb - 1) / mb;
-  const auto step_chain = [&](std::size_t chain, std::size_t j) {
-    const std::size_t b = j * mb;
-    const std::size_t e = std::min(n, b + mb);
-    const double inv_bs = 1.0 / static_cast<double>(e - b);
-    if (chain == 0) {
-      policy_sc_.parts[j] = step_policy(buf, order, b, e, adv, inv_bs);
-    } else if (chain == 1) {
-      critic_e_sc_.losses[j] = step_critic(*value_e_, value_e_opt_,
-                                           critic_e_sc_, buf, gae_e.returns,
-                                           order, b, e, inv_bs);
-    } else {
-      step_critic(*value_i_, value_i_opt_, critic_i_sc_, buf, gae_i.returns,
-                  order, b, e, inv_bs);
-    }
-  };
+  returns_e_ = std::move(gae_e.returns);
+  lane_buf_ = &buf;
+  orders_.resize(epochs);
+  losses_e_.resize(epochs * batches);
   policy_sc_.parts.resize(batches);
-  critic_e_sc_.losses.resize(batches);
 
-  for (int epoch = 0; epoch < opts_.epochs; ++epoch) {
-    // Fisher–Yates with our Rng for reproducibility.
+  auto lanes = std::make_shared<Lanes>(this, batches, use_intrinsic);
+  lanes_ = lanes;
+  // Epoch e's shuffle is drawn from rng_ (Fisher–Yates) when the policy
+  // chain reaches it, exactly as a serial loop draws it, and then opens
+  // that epoch to the critics.
+  const auto open_epoch = [&](std::size_t epoch) {
+    std::vector<std::size_t>& order = orders_[epoch];
+    if (epoch == 0) {
+      order.resize(n);
+      std::iota(order.begin(), order.end(), 0);
+    } else {
+      order = orders_[epoch - 1];
+    }
     for (std::size_t i = n; i > 1; --i) {
       const auto j =
           static_cast<std::size_t>(rng_.uniform_int(0, static_cast<int>(i) - 1));
       std::swap(order[i - 1], order[j]);
     }
+    lanes->opened = epoch + 1;
+  };
 
-    run_chains(use_intrinsic ? 3 : 2, batches, step_chain);
+  double pol_loss_acc = 0.0, kl_acc = 0.0;
+  std::size_t loss_count = 0, epochs_run = 0;
+  try {
+    const OpeningGates gates;
+    // The extrinsic chain can start epoch 0 while the caller refreshes the
+    // intrinsic values below.
+    lanes->chain[0].ready = true;
+    if (epochs > 0) open_epoch(0);
+    submit_detached([lanes] { lanes->help(); });
 
-    double epoch_kl = 0.0;
-    std::size_t epoch_samples = 0;
-    for (std::size_t j = 0; j < batches; ++j) {
-      const PolicyPartial& pol = policy_sc_.parts[j];
-      pol_loss_acc += pol.pol_loss;
-      val_loss_acc += critic_e_sc_.losses[j];
-      epoch_kl += pol.kl;
-      epoch_samples += pol.samples;
-      loss_count += pol.samples;
+    std::vector<double> adv = std::move(gae_e.advantages);
+    if (use_intrinsic) {
+      // Batched refresh in minibatch-sized chunks through the critic's own
+      // workspace, which the chain's steps size the same; each value is
+      // bit-identical to a one-row batch of its row.
+      CriticScratch& sc = critic_i_sc_;
+      for (std::size_t b = 0; b < n; b += mb) {
+        const std::size_t e = std::min(n, b + mb);
+        sc.obs.gather_range(buf.obs, b, e);
+        value_i_->value_batch(sc.obs, sc.vals);
+        for (std::size_t i = b; i < e; ++i) buf.val_i[i] = sc.vals[i - b];
+      }
+      auto gae_i = compute_gae(buf.rew_i, buf.val_i, buf.done, buf.boundary,
+                               buf.last_val_i, opts_.gamma, opts_.gae_lambda);
+      normalize_advantages(gae_i.advantages);
+      // Combined advantage Â_E + τ·Â_I (Eq. 14).
+      for (std::size_t i = 0; i < n; ++i) adv[i] += tau * gae_i.advantages[i];
+      // The intrinsic chain may outlive this call and `buf`: it trains on
+      // its own copies.
+      obs_i_.gather_range(buf.obs, 0, n);
+      returns_i_ = std::move(gae_i.returns);
+      lanes->chain[1].ready = true;
     }
 
-    const double mean_kl =
-        epoch_samples ? epoch_kl / static_cast<double>(epoch_samples) : 0.0;
-    kl_acc = mean_kl;
-    if (opts_.target_kl > 0.0 && mean_kl > opts_.target_kl) break;
+    // The policy chain, on the caller. Its per-minibatch partials merge in
+    // minibatch order after each epoch, for the KL stop.
+    for (std::size_t epoch = 0; epoch < epochs; ++epoch) {
+      if (epoch > 0) open_epoch(epoch);
+      const std::vector<std::size_t>& order = orders_[epoch];
+      for (std::size_t j = 0; j < batches; ++j) {
+        const std::size_t b = j * mb;
+        const std::size_t e = std::min(n, b + mb);
+        const double inv_bs = 1.0 / static_cast<double>(e - b);
+        policy_sc_.parts[j] = step_policy(buf, order, b, e, adv, inv_bs);
+        lanes->policy_done.store(epoch * batches + j + 1,
+                                 std::memory_order_relaxed);
+      }
+
+      double epoch_kl = 0.0;
+      std::size_t epoch_samples = 0;
+      for (std::size_t j = 0; j < batches; ++j) {
+        const PolicyPartial& pol = policy_sc_.parts[j];
+        pol_loss_acc += pol.pol_loss;
+        epoch_kl += pol.kl;
+        epoch_samples += pol.samples;
+        loss_count += pol.samples;
+      }
+      ++epochs_run;
+
+      const double mean_kl =
+          epoch_samples ? epoch_kl / static_cast<double>(epoch_samples) : 0.0;
+      kl_acc = mean_kl;
+      if (opts_.target_kl > 0.0 && mean_kl > opts_.target_kl) break;
+    }
+    lanes->decided = true;
+    // The extrinsic chain reads `buf` and feeds stats.value_loss: it ends
+    // here. The intrinsic chain may run on.
+    lanes->join(0);
+  } catch (...) {
+    lanes->stop();
+    throw;
   }
+
+  double val_loss_acc = 0.0;
+  for (std::size_t u = 0; u < epochs_run * batches; ++u)
+    val_loss_acc += losses_e_[u];
 
   stats.policy_loss =
       loss_count ? pol_loss_acc / static_cast<double>(loss_count) : 0.0;
@@ -402,6 +519,7 @@ std::vector<IterStats> PpoTrainer::train(long long total_steps) {
 }
 
 void PpoTrainer::save_state(ArchiveWriter& a) const {
+  join_lanes();
   auto& meta = a.section("ppo/meta");
   meta.write_u64(env_->obs_dim());
   meta.write_u64(env_->act_dim());
@@ -440,6 +558,7 @@ void PpoTrainer::save_state(ArchiveWriter& a) const {
 }
 
 void PpoTrainer::load_state(const ArchiveReader& a) {
+  join_lanes();
   auto meta = a.section("ppo/meta");
   IMAP_CHECK_MSG(meta.read_u64() == env_->obs_dim() &&
                      meta.read_u64() == env_->act_dim(),

@@ -84,6 +84,9 @@ class PpoTrainer {
   PpoTrainer(const Env& proto, PpoOptions opts, Rng rng);
   PpoTrainer(const PpoTrainer&) = delete;
   PpoTrainer& operator=(const PpoTrainer&) = delete;
+  /// Stops a pending intrinsic chain (see update()) without finishing it;
+  /// a failure it recorded is dropped.
+  ~PpoTrainer();
 
   /// One sampling + optimizing stage.
   IterStats iterate();
@@ -95,7 +98,9 @@ class PpoTrainer {
   nn::GaussianPolicy& policy() { return *policy_; }
   const nn::GaussianPolicy& policy() const { return *policy_; }
   nn::ValueNet& value_e() { return *value_e_; }
-  nn::ValueNet& value_i() { return *value_i_; }
+  /// The intrinsic critic, once its pending chain (see update()) is joined.
+  /// Rethrows what that chain raised.
+  nn::ValueNet& value_i();
   const PpoOptions& options() const { return opts_; }
   long long steps_done() const { return steps_done_; }
   int iterations_done() const { return iter_; }
@@ -110,11 +115,28 @@ class PpoTrainer {
 
   /// Sampling and optimisation stages of iterate(), exposed separately so
   /// benchmarks can time the update in isolation on a fixed rollout.
-  /// update() steps each network (the policy and each critic) as one chain
-  /// per epoch: the chain runs that network's minibatches in order on rows
-  /// it gathers itself, the chains run concurrently on the pool with one
-  /// join per epoch, and the result does not depend on the thread count.
+  ///
+  /// collect() fills `buf` with one rollout. The intrinsic critic may still
+  /// be training on the previous rollout meanwhile, so the rollout only
+  /// records the observations its intrinsic bootstraps need; at its end
+  /// collect() joins that chain and then fills buf.last_val_i, so `buf` is
+  /// complete when it returns.
   void collect(RolloutBuffer& buf);
+
+  /// update() steps each network (the policy and each critic) as one chain
+  /// of minibatches per epoch, each step on rows it gathers itself, in the
+  /// same order as a serial loop. The caller steps the policy and opens
+  /// epoch e's gate when it draws that epoch's shuffle; a critic steps
+  /// epoch e only once its gate is open, and a target_kl stop closes the
+  /// rest. One pool helper steps the extrinsic critic while it is behind
+  /// the policy and the intrinsic critic otherwise. update() returns once
+  /// the policy and extrinsic chains are done, so `stats` is complete; the
+  /// intrinsic chain, which works on its own copies of the rows, returns
+  /// and epoch orders, may still be pending and runs beside the next
+  /// rollout. Every join (the next collect(), update(), value_i(),
+  /// save_state(), load_state()) claims whatever is left of it, so a busy
+  /// pool cannot hold it up, and rethrows what it raised. No result depends
+  /// on the thread count or on which thread stepped which minibatch.
   void update(RolloutBuffer& buf, double tau, IterStats& stats);
 
   /// Full training-state snapshot: nets, Adam moments, Rng streams, loop
@@ -124,6 +146,7 @@ class PpoTrainer {
   /// options and seed resumes training bit-identically to never having
   /// stopped. A snapshot taken after any collection must carry the slot
   /// state; one without it is rejected rather than restarting episodes.
+  /// Both join a pending intrinsic chain first.
   void save_state(ArchiveWriter& a) const;
   void load_state(const ArchiveReader& a);
 
@@ -151,10 +174,24 @@ class PpoTrainer {
     nn::Batch obs;               ///< gathered observation rows
     std::vector<double> vals;    ///< critic outputs
     std::vector<double> vcoeff;  ///< per-sample critic dL/dV coefficients
-    std::vector<double> losses;  ///< Σ ½(V − R)² per minibatch of the epoch
   };
 
+  /// Gates and claim state of one update()'s critic chains (rl/ppo.cpp).
+  /// Shared with the pool helper, which may start after the update, the
+  /// join or even the trainer are gone: it then finds no chain to claim and
+  /// returns without touching the trainer.
+  struct Lanes;
+
   void ensure_workers();
+
+  /// Finish the pending critic chains on the calling thread (helping the
+  /// pool helper, never waiting for it to start) and rethrow a failure one
+  /// of them recorded. Const because snapshots join: the chains it finishes
+  /// change the intrinsic critic, which the snapshot must include.
+  void join_lanes() const;
+  /// Step unit `unit` (epoch · minibatches + minibatch) of critic chain
+  /// `chain` (0 = extrinsic, 1 = intrinsic).
+  void step_lane(std::size_t chain, std::size_t unit);
 
   /// One step of the policy chain, on the minibatch order[b..e): gather its
   /// rows, zero_grad, forward, clipped-surrogate coefficients, backward,
@@ -167,11 +204,11 @@ class PpoTrainer {
   /// One step of a critic chain on the same minibatch: gather its rows,
   /// zero_grad, regression onto `returns` (dL/dV = vf_coef · (V − R) / bs),
   /// backward and Adam step. Returns Σ ½(V − R)² over the minibatch.
+  template <class Rows>
   double step_critic(nn::ValueNet& critic, nn::Adam& opt, CriticScratch& sc,
-                     const RolloutBuffer& buf,
-                     const std::vector<double>& returns,
+                     const Rows& obs, const std::vector<double>& returns,
                      const std::vector<std::size_t>& order, std::size_t b,
-                     std::size_t e, double inv_bs);
+                     std::size_t e);
 
   PpoOptions opts_;
   std::unique_ptr<Env> env_;  ///< prototype the rollout slots are cloned from
@@ -196,6 +233,17 @@ class PpoTrainer {
   std::vector<double> flat_p_;           ///< optimiser param staging
   std::vector<double> flat_g_;           ///< optimiser grad staging
   std::vector<std::size_t> reg_batch_;   ///< minibatch indices for reg_ hook
+
+  // What the critic chains read, kept until the chains are joined: the
+  // extrinsic chain is joined inside update() and also reads the caller's
+  // rollout; the intrinsic chain outlives update() and reads only copies.
+  std::shared_ptr<Lanes> lanes_;         ///< the last update()'s chains
+  const RolloutBuffer* lane_buf_ = nullptr;  ///< the extrinsic chain's rows
+  std::vector<std::vector<std::size_t>> orders_;  ///< shuffle per epoch
+  std::vector<double> returns_e_;        ///< extrinsic regression targets
+  std::vector<double> losses_e_;         ///< Σ ½(V − R)² per unit
+  nn::Batch obs_i_;                      ///< the intrinsic chain's rows
+  std::vector<double> returns_i_;        ///< intrinsic regression targets
 
   long long steps_done_ = 0;
   int iter_ = 0;

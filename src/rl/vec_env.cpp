@@ -50,6 +50,8 @@ void VecEnv::begin_round(EnvSlot& s, int budget) {
   s.buf.clear();
   s.buf.reserve(static_cast<std::size_t>(std::max(budget, 0)));
   s.buf.reserve_step(s.env->obs_dim(), s.env->act_dim());
+  s.boot_i_at.clear();
+  s.boot_i_obs.clear();
   s.ep_successes = 0;
   if (budget > 0 && s.need_reset) {
     s.replay.on_reset(s.rng);
@@ -62,8 +64,7 @@ void VecEnv::begin_round(EnvSlot& s, int budget) {
 
 void VecEnv::record_step(EnvSlot& s, const double* act, std::size_t na,
                          double lp, double ve, StepResult&& sr,
-                         const nn::ValueNet& value_e,
-                         const nn::ValueNet& value_i) {
+                         const nn::ValueNet& value_e) {
   s.replay.on_step(act, na);
   s.buf.add(s.cur_obs.data(), s.cur_obs.size(), act, na, lp, sr.reward, ve);
   s.ep_return += sr.reward;
@@ -76,8 +77,10 @@ void VecEnv::record_step(EnvSlot& s, const double* act, std::size_t na,
     // Bootstrap with the value of the post-step state (ignored if done).
     s.buf.last_val_e.push_back(
         sr.done ? 0.0 : bootstrap(value_e, ws_value_e_, sr.obs));
-    s.buf.last_val_i.push_back(
-        sr.done ? 0.0 : bootstrap(value_i, ws_value_i_, sr.obs));
+    if (sr.done)
+      s.buf.last_val_i.push_back(0.0);
+    else
+      owe_intrinsic(s, sr.obs);
     s.buf.episode_returns.push_back(s.ep_return);
     s.buf.episode_surrogate.push_back(s.ep_surrogate);
     s.buf.episode_lengths.push_back(s.ep_len);
@@ -94,14 +97,36 @@ void VecEnv::record_step(EnvSlot& s, const double* act, std::size_t na,
   }
 }
 
-void VecEnv::close_round(EnvSlot& s, const nn::ValueNet& value_e,
-                         const nn::ValueNet& value_i) {
+void VecEnv::close_round(EnvSlot& s, const nn::ValueNet& value_e) {
   if (s.buf.size() == 0) return;
   // Close the rollout: the last segment bootstraps from the current state.
   if (!s.buf.boundary.back()) {
     s.buf.boundary.back() = 1;
     s.buf.last_val_e.push_back(bootstrap(value_e, ws_value_e_, s.cur_obs));
-    s.buf.last_val_i.push_back(bootstrap(value_i, ws_value_i_, s.cur_obs));
+    owe_intrinsic(s, s.cur_obs);
+  }
+}
+
+void VecEnv::owe_intrinsic(EnvSlot& s, const std::vector<double>& obs) {
+  s.boot_i_at.push_back(s.buf.last_val_i.size());
+  s.buf.last_val_i.push_back(0.0);
+  s.boot_i_obs.insert(s.boot_i_obs.end(), obs.begin(), obs.end());
+}
+
+void VecEnv::bootstrap_intrinsic(const nn::ValueNet& value_i) {
+  std::size_t rows = 0;
+  for (const auto& s : slots_) rows += s.boot_i_at.size();
+  if (rows == 0) return;
+  boot_b_.resize(rows, slots_[0].env->obs_dim());
+  double* dst = boot_b_.data();
+  for (const auto& s : slots_)
+    dst = std::copy(s.boot_i_obs.begin(), s.boot_i_obs.end(), dst);
+  value_i.value_batch(boot_b_, ws_value_i_, boot_v_);
+  std::size_t r = 0;
+  for (auto& s : slots_) {
+    for (const std::size_t at : s.boot_i_at) s.buf.last_val_i[at] = boot_v_[r++];
+    s.boot_i_at.clear();
+    s.boot_i_obs.clear();
   }
 }
 
@@ -114,7 +139,7 @@ double VecEnv::bootstrap(const nn::ValueNet& value, nn::Mlp::Workspace& ws,
 }
 
 void VecEnv::collect(const nn::GaussianPolicy& policy,
-                     const nn::ValueNet& value_e, const nn::ValueNet& value_i,
+                     const nn::ValueNet& value_e,
                      const std::vector<int>& budgets, std::size_t offset) {
   if (slots_.empty()) return;
   int max_budget = 0;
@@ -175,7 +200,7 @@ void VecEnv::collect(const nn::GaussianPolicy& policy,
         EnvSlot& s = slots_[r];
         victim_out_.assign(vout.row(r), vout.row(r) + vout.dim());
         record_step(s, act_b_.row(r), adim, logp_[r], vals_[r],
-                    s.split->finish_step(victim_out_), value_e, value_i);
+                    s.split->finish_step(victim_out_), value_e);
       }
     } else {
       for (std::size_t r = 0; r < live; ++r) {
@@ -183,12 +208,12 @@ void VecEnv::collect(const nn::GaussianPolicy& policy,
         action_.assign(act_b_.row(r), act_b_.row(r) + adim);
         record_step(s, act_b_.row(r), adim, logp_[r], vals_[r],
                     s.env->step(s.env->action_space().clamp(action_)),
-                    value_e, value_i);
+                    value_e);
       }
     }
   }
 
-  for (auto& s : slots_) close_round(s, value_e, value_i);
+  for (auto& s : slots_) close_round(s, value_e);
 }
 
 namespace {

@@ -29,6 +29,10 @@ struct EnvSlot {
   int ep_successes = 0;
   RolloutBuffer buf;
   EpisodeReplay replay;  ///< in-flight episode history for snapshot/resume
+  /// Intrinsic bootstraps owed by this round (see VecEnv::collect): their
+  /// slots in buf.last_val_i and their observations, row after row.
+  std::vector<std::size_t> boot_i_at;
+  std::vector<double> boot_i_obs;
 };
 
 /// Vectorized rollout engine: E environment slots stepped in lockstep so one
@@ -63,10 +67,17 @@ class VecEnv {
 
   /// Lockstep vectorized collection. Slot i runs budgets[offset+i] steps
   /// into its own buffer (bit-identical to a one-slot VecEnv on the same
-  /// state). Episode state persists across calls.
+  /// state). Episode state persists across calls. The intrinsic critic is
+  /// not read: the round records the observations of its truncated and
+  /// round-closing steps, and bootstrap_intrinsic() fills their
+  /// buf.last_val_i entries (0 until then), so PpoTrainer can keep
+  /// training that critic while the rollout runs.
   void collect(const nn::GaussianPolicy& policy, const nn::ValueNet& value_e,
-               const nn::ValueNet& value_i, const std::vector<int>& budgets,
-               std::size_t offset);
+               const std::vector<int>& budgets, std::size_t offset);
+
+  /// Fill the intrinsic bootstraps the last collect() owes, in one batched
+  /// forward of `value_i` (each value bit-identical to a one-row batch).
+  void bootstrap_intrinsic(const nn::ValueNet& value_i);
 
   /// Serialize every slot's persistent state (stream, episode scalars,
   /// in-flight episode history). load_state rebuilds each slot's env by
@@ -79,10 +90,11 @@ class VecEnv {
   void refresh_split_cache();
   void begin_round(EnvSlot& s, int budget);
   void record_step(EnvSlot& s, const double* act, std::size_t na, double lp,
-                   double ve, StepResult&& sr, const nn::ValueNet& value_e,
-                   const nn::ValueNet& value_i);
-  void close_round(EnvSlot& s, const nn::ValueNet& value_e,
-                   const nn::ValueNet& value_i);
+                   double ve, StepResult&& sr, const nn::ValueNet& value_e);
+  void close_round(EnvSlot& s, const nn::ValueNet& value_e);
+  /// Append a last_val_i entry for the state `obs` that
+  /// bootstrap_intrinsic() fills.
+  static void owe_intrinsic(EnvSlot& s, const std::vector<double>& obs);
   /// V(obs) as a one-row batch on the critic's own workspace.
   double bootstrap(const nn::ValueNet& value, nn::Mlp::Workspace& ws,
                    const std::vector<double>& obs);

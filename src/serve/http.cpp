@@ -231,17 +231,13 @@ int accept_connection(int listen_fd) {
   return fd;
 }
 
-bool recv_available(int fd, std::string& buf) {
-  constexpr std::size_t kChunk = 16384;
-  const std::size_t old = buf.size();
-  buf.resize(old + kChunk);
-  const ssize_t n = ::recv(fd, buf.data() + old, kChunk, 0);
+bool recv_available(int fd, std::string& buf, std::span<char> scratch) {
+  const ssize_t n = ::recv(fd, scratch.data(), scratch.size(), 0);
   if (n <= 0) {
-    buf.resize(old);
     // Spurious wakeup (readiness consumed elsewhere) is not a dead peer.
     return n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK);
   }
-  buf.resize(old + static_cast<std::size_t>(n));
+  buf.append(scratch.data(), static_cast<std::size_t>(n));
   return true;
 }
 

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 
 namespace imap::serve {
@@ -64,9 +65,11 @@ std::uint16_t bound_port(int listen_fd);
 /// Accept one pending connection, or -1 when none is pending.
 int accept_connection(int listen_fd);
 
-/// Append whatever is currently readable on `fd` to `buf`. Returns false on
-/// EOF or a hard error (the connection is dead), true otherwise.
-bool recv_available(int fd, std::string& buf);
+/// Append whatever is currently readable on `fd` to `buf`, at most
+/// scratch.size() bytes, received into `scratch` (the caller's reusable read
+/// buffer) so that `buf` grows only by the bytes read. Returns false on EOF
+/// or a hard error (the connection is dead), true otherwise.
+bool recv_available(int fd, std::string& buf, std::span<char> scratch);
 
 /// Send what the socket takes of `data` from `off` on without blocking,
 /// advancing `off`. Returns false when the peer is gone (EPIPE / reset) —

@@ -165,6 +165,7 @@ void Server::post(std::function<void()> done) {
 void Server::loop() {
   std::vector<pollfd> pfds;
   std::vector<std::function<void()>> posted;
+  std::vector<char> rx(16384);  // every connection's reads land here first
   while (!stop_.load(std::memory_order_relaxed)) {
     // Idle connections are polled for requests, connections with unsent
     // bytes for room to write; one whose request is in flight is not.
@@ -191,7 +192,7 @@ void Server::loop() {
         Conn& conn = it->second;
         if (!conn.out.empty())
           flush(p.fd, conn);
-        else if (!recv_available(p.fd, conn.in))
+        else if (!recv_available(p.fd, conn.in, rx))
           conn.dead = true;
       }
     }

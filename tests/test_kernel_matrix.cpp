@@ -526,6 +526,63 @@ IMAP_TANH_SIZE_LIST(IMAP_TANH_AVX512)
 #define IMAP_TANH_NEON(tag, n_) IMAP_TANH_CELL(neon, tag, n_)
 IMAP_TANH_SIZE_LIST(IMAP_TANH_NEON)
 
+// --- tanh_grad ------------------------------------------------------------
+
+// The scalar backend against the loop Mlp's backward ran before the kernel
+// existed (written out below), every other backend against scalar: bitwise
+// (NaN ⇔ NaN), on tanh outputs across (−1, 1) with ±0, ±1, NaN, ±inf and a
+// subnormal mixed into both operands, over vector bodies and their tails.
+void run_tanh_grad_cell(const std::string& backend, std::size_t n) {
+  std::string why;
+  const auto* be = lookup(backend, why);
+  if (be == nullptr) GTEST_SKIP() << why;
+  if (be->tanh_grad == nullptr)
+    GTEST_SKIP() << backend
+                 << " has no tanh_grad kernel (dispatch uses scalar)";
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> sp = {0.0,
+                                  -0.0,
+                                  1.0,
+                                  -1.0,
+                                  std::nextafter(1.0, 0.0),
+                                  std::numeric_limits<double>::quiet_NaN(),
+                                  inf,
+                                  -inf,
+                                  std::numeric_limits<double>::denorm_min()};
+  Rng rng = shaped_rng(n, 1, 3);
+  std::vector<double> y(n), g0(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    y[i] = i % 3 == 1 ? sp[(i / 3) % sp.size()] : std::tanh(rng.normal(0.0, 1.5));
+    g0[i] = i % 5 == 2 ? sp[(i / 5 + 4) % sp.size()] : rng.normal(0.0, 1.0);
+  }
+  std::vector<double> ref = g0, got = g0;
+  if (be == &kernel::scalar_backend()) {
+    for (std::size_t i = 0; i < n; ++i) ref[i] *= (1.0 - y[i] * y[i]);
+  } else {
+    kernel::scalar_backend().tanh_grad(y.data(), n, ref.data());
+  }
+  be->tanh_grad(y.data(), n, got.data());
+  for (std::size_t i = 0; i < n; ++i)
+    expect_same_tanh(ref[i], got[i], i, y[i]);
+}
+
+#define IMAP_TANH_GRAD_CELL(backend, tag, n_)    \
+  TEST(KernelMatrix_##backend, TanhGrad_##tag) { \
+    run_tanh_grad_cell(#backend, n_);            \
+  }
+
+#define IMAP_TANH_GRAD_SCALAR(tag, n_) IMAP_TANH_GRAD_CELL(scalar, tag, n_)
+IMAP_TANH_SIZE_LIST(IMAP_TANH_GRAD_SCALAR)
+
+#define IMAP_TANH_GRAD_AVX2(tag, n_) IMAP_TANH_GRAD_CELL(avx2, tag, n_)
+IMAP_TANH_SIZE_LIST(IMAP_TANH_GRAD_AVX2)
+
+#define IMAP_TANH_GRAD_AVX512(tag, n_) IMAP_TANH_GRAD_CELL(avx512, tag, n_)
+IMAP_TANH_SIZE_LIST(IMAP_TANH_GRAD_AVX512)
+
+#define IMAP_TANH_GRAD_NEON(tag, n_) IMAP_TANH_GRAD_CELL(neon, tag, n_)
+IMAP_TANH_SIZE_LIST(IMAP_TANH_GRAD_NEON)
+
 // Adam: the scalar backend against the per-element update nn::Adam::step
 // applied before the kernel existed (written out below), every other
 // backend against scalar — bitwise, on p, m and v, with clipping inactive

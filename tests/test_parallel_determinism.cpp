@@ -5,12 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/check.h"
@@ -21,6 +25,7 @@
 #include "defense/sa_regularizer.h"
 #include "env/registry.h"
 #include "rl/ppo.h"
+#include "temp_dir.h"
 
 namespace imap {
 namespace {
@@ -102,12 +107,17 @@ struct ChainRun {
   std::vector<double> policy, value_e, value_i;
   std::vector<std::uint8_t> state;  ///< PpoTrainer::save_state archive
   std::vector<rl::IterStats> stats;
+  /// Archives saved right after each iterate(), when snapshotted.
+  std::vector<std::vector<std::uint8_t>> mid_states;
 };
 
 /// Two iterations of a small Hopper trainer (8 minibatches of 64, three
 /// epochs), with the intrinsic channel on or off and the SA smoothness hook
-/// installed or not. `pool` = nullptr runs under ScopedSerial.
-ChainRun run_chain_schedule(bool intrinsic, bool sa_hook, ThreadPool* pool) {
+/// installed or not. `pool` = nullptr runs under ScopedSerial. With
+/// `snapshot` the trainer is saved right after each iterate(), while the
+/// intrinsic chain that update() left is still pending.
+ChainRun run_chain_schedule(bool intrinsic, bool sa_hook, ThreadPool* pool,
+                            bool snapshot = false) {
   std::optional<ScopedSerial> serial;
   std::optional<ScopedPool> scope;
   if (pool == nullptr)
@@ -134,7 +144,14 @@ ChainRun run_chain_schedule(bool intrinsic, bool sa_hook, ThreadPool* pool) {
     trainer.set_regularizer_hook(
         defense::make_smoothness_hook(0.05, 0.1, /*pgd_steps=*/1, Rng(5)));
   ChainRun out;
-  for (int i = 0; i < 2; ++i) out.stats.push_back(trainer.iterate());
+  for (int i = 0; i < 2; ++i) {
+    out.stats.push_back(trainer.iterate());
+    if (snapshot) {
+      ArchiveWriter mid;
+      trainer.save_state(mid);
+      out.mid_states.push_back(mid.bytes());
+    }
+  }
   out.policy = trainer.policy().flat_params();
   out.value_e = trainer.value_e().params();
   out.value_i = trainer.value_i().params();
@@ -150,6 +167,12 @@ class PpoChainSchedule
 TEST_P(PpoChainSchedule, EveryNetworkBitEqualOnAnyPool) {
   const auto [intrinsic, sa_hook] = GetParam();
   const ChainRun ref = run_chain_schedule(intrinsic, sa_hook, nullptr);
+  // Snapshots taken while the intrinsic chain is pending join it early; the
+  // archives must not depend on the pool, and the run must end the same.
+  const ChainRun ref_snap =
+      run_chain_schedule(intrinsic, sa_hook, nullptr, /*snapshot=*/true);
+  ASSERT_EQ(ref_snap.mid_states.size(), 2u);
+  EXPECT_EQ(ref.state, ref_snap.state);
   for (std::size_t threads = 1; threads <= 4; ++threads) {
     SCOPED_TRACE("ThreadPool(" + std::to_string(threads) + ")");
     ThreadPool pool(threads);
@@ -159,6 +182,12 @@ TEST_P(PpoChainSchedule, EveryNetworkBitEqualOnAnyPool) {
     EXPECT_EQ(ref.value_i, got.value_i);
     EXPECT_EQ(ref.state, got.state) << "Adam moments, Rng or slot state";
     expect_identical(ref.stats, got.stats);
+    const ChainRun snap =
+        run_chain_schedule(intrinsic, sa_hook, &pool, /*snapshot=*/true);
+    EXPECT_EQ(ref_snap.mid_states, snap.mid_states)
+        << "archive saved with the intrinsic chain pending";
+    EXPECT_EQ(ref.state, snap.state);
+    expect_identical(ref.stats, snap.stats);
   }
 }
 
@@ -170,11 +199,11 @@ INSTANTIATE_TEST_SUITE_P(
              (std::get<1>(p.param) ? "SaHook" : "NoHook");
     });
 
-/// Where a NaN enters the update: a reward (caught by GAE before the
-/// chains start), an old log-prob (caught inside the policy chain while the
-/// critic chains run on) or an observation (caught by every chain's first
-/// forward).
-enum class NanAt { Reward, OldLogProb, Observation };
+/// Where a NaN enters the update: a reward of either channel (caught by
+/// GAE before the gates open), an old log-prob (caught inside the policy
+/// chain while the critic chains run on) or an observation (caught by every
+/// chain's first forward).
+enum class NanAt { Reward, IntrinsicReward, OldLogProb, Observation };
 
 void expect_nan_update_ends(NanAt where) {
   ThreadPool pool(2);
@@ -186,11 +215,16 @@ void expect_nan_update_ends(NanAt where) {
   opts.minibatch = 64;
   opts.epochs = 2;
   rl::PpoTrainer trainer(*env, opts, Rng(3));
+  // Installing a hook turns the intrinsic channel on; update() never calls
+  // it.
+  if (where == NanAt::IntrinsicReward)
+    trainer.set_intrinsic_hook([](rl::RolloutBuffer&) { return 0.0; });
   rl::RolloutBuffer buf;
   trainer.collect(buf);
   constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
   switch (where) {
     case NanAt::Reward: buf.rew_e[100] = kNan; break;
+    case NanAt::IntrinsicReward: buf.rew_i[100] = kNan; break;
     case NanAt::OldLogProb: buf.logp[300] = kNan; break;
     case NanAt::Observation: buf.obs[200][0] = kNan; break;
   }
@@ -202,13 +236,20 @@ void expect_nan_update_ends(NanAt where) {
 #else
   // Without guards the NaN flows through and the update still returns.
   EXPECT_NO_THROW(trainer.update(buf, 0.0, stats));
-  EXPECT_TRUE(std::isnan(where == NanAt::OldLogProb ? stats.approx_kl
-                                                    : stats.value_loss));
+  const bool policy_side =
+      where == NanAt::OldLogProb || where == NanAt::IntrinsicReward;
+  EXPECT_TRUE(std::isnan(policy_side ? stats.approx_kl : stats.value_loss));
 #endif
+  // Whatever the update left of the intrinsic chain joins without hanging.
+  EXPECT_NO_THROW(trainer.value_i());
 }
 
 TEST(PpoChainNumerics, NanRewardEndsTheUpdateOnTwoThreads) {
   expect_nan_update_ends(NanAt::Reward);
+}
+
+TEST(PpoChainNumerics, NanIntrinsicRewardEndsTheUpdateOnTwoThreads) {
+  expect_nan_update_ends(NanAt::IntrinsicReward);
 }
 
 TEST(PpoChainNumerics, NanOldLogProbEndsTheUpdateOnTwoThreads) {
@@ -217,6 +258,97 @@ TEST(PpoChainNumerics, NanOldLogProbEndsTheUpdateOnTwoThreads) {
 
 TEST(PpoChainNumerics, NanObservationEndsTheUpdateOnTwoThreads) {
   expect_nan_update_ends(NanAt::Observation);
+}
+
+// --- the pending intrinsic chain ---------------------------------------------
+// update() returns with the intrinsic critic's chain still open; it runs
+// beside the next rollout and every join finishes it. A failure inside it
+// surfaces at the next join, and no join or destructor waits forever.
+
+/// A small Hopper trainer with the intrinsic channel on; its bonus puts
+/// `spike` at one step of every rollout.
+std::unique_ptr<rl::PpoTrainer> lane_trainer(const rl::Env& env,
+                                             double spike) {
+  rl::PpoOptions opts;
+  opts.hidden = {16, 16};
+  opts.steps_per_iter = 512;
+  opts.minibatch = 64;
+  opts.epochs = 2;
+  auto trainer = std::make_unique<rl::PpoTrainer>(env, opts, Rng(3));
+  trainer->set_intrinsic_hook([spike](rl::RolloutBuffer& buf) {
+    for (std::size_t i = 0; i < buf.size(); ++i)
+      buf.rew_i[i] = std::tanh(buf.obs[i][0]);
+    buf.rew_i[buf.size() / 2] = spike;
+    return 0.5;
+  });
+  return trainer;
+}
+
+TEST(PpoChainNumerics, IntrinsicChainFailureSurfacesAtTheNextJoin) {
+  // A finite spike passes GAE and leaves the policy and the extrinsic critic
+  // alone, but its square overflows the intrinsic critic's loss: only the
+  // pending chain fails. Run on the pool and serially (where the chain runs
+  // entirely inside the join).
+  auto env = env::make_env("Hopper");
+  for (const bool pooled : {true, false}) {
+    SCOPED_TRACE(pooled ? "ThreadPool(2)" : "ScopedSerial");
+    ThreadPool pool(2);
+    std::optional<ScopedPool> scope;
+    std::optional<ScopedSerial> serial;
+    if (pooled)
+      scope.emplace(pool);
+    else
+      serial.emplace();
+    auto trainer = lane_trainer(*env, 1e200);
+    rl::IterStats stats;
+    ASSERT_NO_THROW(stats = trainer->iterate());
+    EXPECT_TRUE(std::isfinite(stats.value_loss));
+#ifdef IMAP_CHECK_NUMERICS
+    EXPECT_THROW(trainer->value_i(), NumericError);
+#else
+    EXPECT_NO_THROW(trainer->value_i());
+#endif
+    // Reported once; later joins return.
+    EXPECT_NO_THROW(trainer->value_i());
+  }
+}
+
+TEST(PpoChainLanes, DestructorReturnsWithAPendingOrFailedChain) {
+  auto env = env::make_env("Hopper");
+  for (std::size_t threads = 1; threads <= 4; threads += 3) {
+    SCOPED_TRACE("ThreadPool(" + std::to_string(threads) + ")");
+    ThreadPool pool(threads);
+    ScopedPool scope(pool);
+    auto pending = lane_trainer(*env, 0.0);
+    pending->iterate();
+    pending.reset();  // the chain is still open
+    auto failed = lane_trainer(*env, 1e200);
+    failed->iterate();
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    failed.reset();  // the chain may have failed on the helper
+  }
+}
+
+TEST(PpoChainLanes, BusyPoolCannotHoldUpTheJoin) {
+  // Every worker of the pool is blocked until the trainer is done, so the
+  // helper update() submits never starts: each join steps what is left.
+  ThreadPool pool(2);
+  ScopedPool scope(pool);
+  std::atomic<bool> release{false};
+  pool.submit([&] {
+    while (!release) std::this_thread::yield();
+  });
+  auto env = env::make_env("Hopper");
+  auto trainer = lane_trainer(*env, 0.0);
+  for (int i = 0; i < 2; ++i) trainer->iterate();
+  const std::vector<double> value_i = trainer->value_i().params();
+  release = true;
+  trainer.reset();
+
+  ScopedSerial serial;
+  auto reference = lane_trainer(*env, 0.0);
+  for (int i = 0; i < 2; ++i) reference->iterate();
+  EXPECT_EQ(value_i, reference->value_i().params());
 }
 
 TEST(ParallelDeterminism, KnnQueriesIdenticalFor1And4Threads) {
@@ -286,15 +418,16 @@ TEST(ParallelDeterminism, ExperimentCellIdenticalFor1And4Threads) {
     return out;
   };
 
+  const std::string dir = testing::unique_temp_dir("imap_test_pdet");
   core::AttackOutcome serial_out, pooled_out;
   {
     ScopedSerial serial;
-    serial_out = run_cell("/tmp/imap_test_pdet_serial");
+    serial_out = run_cell(dir + "_serial");
   }
   {
     ThreadPool pool(4);
     ScopedPool scope(pool);
-    pooled_out = run_cell("/tmp/imap_test_pdet_pool");
+    pooled_out = run_cell(dir + "_pool");
   }
   EXPECT_EQ(serial_out.victim_eval.episode_returns,
             pooled_out.victim_eval.episode_returns);

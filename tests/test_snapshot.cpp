@@ -20,6 +20,7 @@
 
 #include "common/check.h"
 #include "common/serialize.h"
+#include "common/thread_pool.h"
 #include "core/experiment.h"
 #include "core/imap_trainer.h"
 #include "core/resumable.h"
@@ -170,6 +171,47 @@ TEST_F(SnapshotTest, PpoResumesVectorizedRolloutBitIdentically) {
   opts.envs_per_worker = 2;  // exercises per-slot episode state in "ppo/workers"
   expect_ppo_resume_identical(*env::make_hopper(), opts,
                               /*total_iters=*/3, /*snap_at=*/2);
+}
+
+TEST_F(SnapshotTest, PpoHaltedWithPendingIntrinsicChainResumesIdentically) {
+  // update() returns with the intrinsic critic's chain still pending; the
+  // snapshot joins it, so a trainer halted right after iterate() resumes to
+  // the same archive bytes as one that never stopped.
+  ThreadPool pool(2);
+  ScopedPool scope(pool);
+  const auto env = env::make_hopper();
+  const auto make = [&] {
+    auto t = std::make_unique<rl::PpoTrainer>(*env, tiny_ppo(), Rng(29));
+    t->set_intrinsic_hook([](rl::RolloutBuffer& buf) {
+      for (std::size_t i = 0; i < buf.size(); ++i)
+        buf.rew_i[i] = buf.obs[i][0] * buf.obs[i][0];
+      return 0.4;
+    });
+    return t;
+  };
+  const auto digest = [](const rl::PpoTrainer& t) {
+    ArchiveWriter a;
+    t.save_state(a);
+    return a.bytes();
+  };
+
+  auto straight = make();
+  std::vector<rl::IterStats> want;
+  for (int i = 0; i < 4; ++i) want.push_back(straight->iterate());
+
+  const std::string snap = path("pending.snap");
+  {
+    auto halted = make();
+    for (int i = 0; i < 2; ++i) halted->iterate();
+    save_snapshot(*halted, snap);
+  }  // destroyed as a halted process would leave it
+
+  auto resumed = make();
+  load_snapshot(*resumed, snap);
+  std::vector<rl::IterStats> got(want.begin(), want.begin() + 2);
+  for (int i = 2; i < 4; ++i) got.push_back(resumed->iterate());
+  expect_same_stats(want, got);
+  EXPECT_EQ(digest(*resumed), digest(*straight));
 }
 
 TEST_F(SnapshotTest, PpoRestoreRejectsMismatchedTrainer) {

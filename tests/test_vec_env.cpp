@@ -63,13 +63,21 @@ std::vector<rl::VecEnv> one_slot_engines(const rl::Env& proto,
   return refs;
 }
 
+/// One collect() plus the intrinsic bootstraps it leaves to the caller.
+void collect_round(rl::VecEnv& vec, const nn::GaussianPolicy& policy,
+                   const nn::ValueNet& value_e, const nn::ValueNet& value_i,
+                   const std::vector<int>& budgets, std::size_t offset) {
+  vec.collect(policy, value_e, budgets, offset);
+  vec.bootstrap_intrinsic(value_i);
+}
+
 /// Engine i collects budgets[i] steps (offset i into the shared budgets).
 void collect_each(std::vector<rl::VecEnv>& refs,
                   const nn::GaussianPolicy& policy,
                   const nn::ValueNet& value_e, const nn::ValueNet& value_i,
                   const std::vector<int>& budgets) {
   for (std::size_t i = 0; i < refs.size(); ++i)
-    refs[i].collect(policy, value_e, value_i, budgets, i);
+    collect_round(refs[i], policy, value_e, value_i, budgets, i);
 }
 
 /// Run an E-slot collect() and E one-slot collect()s over `proto` on the
@@ -90,7 +98,7 @@ void expect_lockstep_matches_one_slot(const rl::Env& proto, std::size_t e,
   // Two rounds: the second starts from persisted mid-episode state, so the
   // cross-call episode carry is covered too.
   for (int round = 0; round < 2; ++round) {
-    vec.collect(policy, value_e, value_i, budgets, 0);
+    collect_round(vec, policy, value_e, value_i, budgets, 0);
     collect_each(refs, policy, value_e, value_i, budgets);
     for (std::size_t i = 0; i < e; ++i) {
       SCOPED_TRACE("round " + std::to_string(round) + " slot " +
@@ -126,7 +134,7 @@ TEST(VecEnv, RaggedBudgetsKeepLiveSlotsAPrefix) {
 
   // Non-increasing, including a zero-budget slot (must stay untouched).
   const std::vector<int> budgets{70, 70, 33, 0};
-  vec.collect(policy, value_e, value_i, budgets, 0);
+  collect_round(vec, policy, value_e, value_i, budgets, 0);
   collect_each(refs, policy, value_e, value_i, budgets);
   for (std::size_t i = 0; i < 4; ++i) {
     SCOPED_TRACE("slot " + std::to_string(i));
@@ -178,8 +186,8 @@ TEST(VecEnv, OpaqueVictimCollectsSameTraceAsNetworkHandle) {
   batched.configure(net_proto, make_streams(6, 53));
   opaque.configure(fn_proto, make_streams(6, 53));
   const std::vector<int> budgets(6, 64);
-  batched.collect(policy, value_e, value_i, budgets, 0);
-  opaque.collect(policy, value_e, value_i, budgets, 0);
+  collect_round(batched, policy, value_e, value_i, budgets, 0);
+  collect_round(opaque, policy, value_e, value_i, budgets, 0);
   for (std::size_t i = 0; i < 6; ++i) {
     SCOPED_TRACE("slot " + std::to_string(i));
     expect_buffers_identical(batched.slot(i).buf, opaque.slot(i).buf);
@@ -308,7 +316,7 @@ TEST(GaussianPolicy, SampleStatisticsMatchParameters) {
   nn::ValueNet value_i(env->obs_dim(), {16}, net_rng);
   rl::VecEnv vec;
   vec.configure(*env, make_streams(4, 19));
-  vec.collect(policy, value_e, value_i, std::vector<int>(4, 5000), 0);
+  collect_round(vec, policy, value_e, value_i, std::vector<int>(4, 5000), 0);
 
   const std::size_t adim = env->act_dim();
   std::vector<double> sum(adim, 0.0), sum2(adim, 0.0);
